@@ -12,8 +12,9 @@ Every benchmarked batch call is parity-checked against the per-call
 scalar loop in the same test (byte- or boolean-identical), the batch
 PERF counters must attribute the lanes, and the amortized speedup
 floors from the design docs are asserted on CI-class machines
-(>= ``_GATE_MIN_CPUS`` CPUs).  Timings are fixed-rounds so the
-bench-history counter gate stays deterministic.
+(>= ``_GATE_MIN_CPUS`` CPUs), the Ed25519 one on every machine.
+Timings are fixed-rounds so the bench-history counter gate stays
+deterministic.
 """
 
 import time
@@ -32,7 +33,9 @@ from conftest import write_table
 #: verifier's working set in the campaign benches).
 BATCH = 64
 
-#: Amortized batch-over-scalar floors asserted on CI-class machines.
+#: Amortized batch-over-scalar floors asserted on CI-class machines
+#: (the Ed25519 one on every machine: measured 2.6-3.0x on a 2-vCPU
+#: x86-64 KVM guest, 64 distinct keys).
 MLDSA_SIGN_BATCH_FLOOR = 1.8
 MLDSA_VERIFY_BATCH_FLOOR = 2.0
 ED25519_BATCH_FLOOR = 2.0
@@ -195,11 +198,13 @@ def test_batch_amortization_floors(benchmark, mldsa44, batch_messages,
                 ["operation", "scalar per-op", "batch per-op",
                  "speedup", "floor"], rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    # A same-process ratio does not depend on the CPU count, so the
+    # Ed25519 one is gated on every machine.
+    assert scalar_ed / batch_ed >= ED25519_BATCH_FLOOR, rows[2]
     if available_cpus() >= _GATE_MIN_CPUS:
         assert scalar_sign / batch_sign >= MLDSA_SIGN_BATCH_FLOOR, \
             rows[0]
         assert scalar_verify / batch_verify >= \
             MLDSA_VERIFY_BATCH_FLOOR, rows[1]
-        assert scalar_ed / batch_ed >= ED25519_BATCH_FLOOR, rows[2]
         assert scalar_keccak / batch_keccak >= KECCAK_BATCH_FLOOR, \
             rows[3]

@@ -29,6 +29,16 @@ REPRO_TELEMETRY=1 REPRO_PERF=1 python -m pytest -q \
     benchmarks/bench_attestation_service.py \
     benchmarks/bench_obs_overhead.py
 
+echo "== attest-fresh verdict smoke (benchmark, quick) =="
+python3 bench/run.py --workload attest-fresh --seed 7 --quick --trace 0 \
+    | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True:
+    sys.exit(f"attest-fresh verdicts drifted: {result}")
+print("attest-fresh correct:", result["attempted"], "ops")
+'
+
 echo "== fault campaign summary =="
 python scripts/fault_report.py benchmarks/results/fault_campaign.json \
     --by scenario --worst 5

@@ -218,22 +218,6 @@ def _batch_niels(points) -> list:
     return out
 
 
-_INV2 = _inv(2)
-
-
-def _niels_to_extended(n):
-    """Affine Niels ``(y+x, y-x, 2dt)`` back to extended coordinates.
-
-    Two constant multiplications by ``1/2`` — cheap enough that MSM
-    buckets can stay in Niels form until a second addition actually
-    lands on them (the lazy-promotion trick that makes sparse buckets
-    nearly free)."""
-    yp, ym, _t2d = n
-    x = (yp - ym) * _INV2 % P
-    y = (yp + ym) * _INV2 % P
-    return (x, y, 1, x * y % P)
-
-
 #: Comb window width (bits) for fixed-base multiplication.
 _WINDOW = 4
 _WINDOWS = 256 // _WINDOW
@@ -401,9 +385,11 @@ def _double_scalar_mul(s: int, k: int, point, point_table=None):
     return result
 
 
-#: wNAF width for the long combined scalars of the batch-verify chain
-#: (the ``z_i * k_i`` terms are ~253 bits, so the wider window pays).
-_WNAF_BATCH = 6
+#: wNAF width for the per-key terms of the batch-verify chain.  Their
+#: ``sum(z_i * k_i)`` scalars are ~253 bits and their 64-entry tables
+#: are memoized per key, so the wide window pays: about 28 additions
+#: per key instead of 36 at width 6 (~6% of a fresh attestation wave).
+_WNAF_BATCH = 8
 
 
 def _multi_scalar_mul(base_scalar: int, pairs):
@@ -414,7 +400,8 @@ def _multi_scalar_mul(base_scalar: int, pairs):
     per signature.  ``pairs`` supplies ``(scalar, width, cached_table)``
     with the odd-multiple table of each ``P_i`` built for ``width`` (see
     :func:`_point_table`).  Doublings skip the ``T`` product when no
-    digit lands on a position.
+    digit lands on a position.  PERF: ``crypto.ed25519.msm_points``
+    counts the points of the sum (the base point included).
     """
     _, odd_base = _precomp()
     s_digits = _wnaf(base_scalar, _WNAF_BASE)
@@ -451,138 +438,16 @@ def _multi_scalar_mul(base_scalar: int, pairs):
             started = True
     if PERF.enabled:
         PERF.inc("crypto.ed25519.point_adds", adds)
+        PERF.inc("crypto.ed25519.msm_points", len(pairs) + 1)
     return result
 
 
-#: Lane-count crossover at which the batch-verify combined equation
-#: switches from interleaved Straus to the Pippenger bucket MSM.  Below
-#: it the Straus chain (which reuses memoized per-key tables) wins; at
-#: and above it Pippenger's O(n / log n) bucket amortization takes over
-#: (measured ~1.4x at 64 lanes, ~1.9x at 256+ on this interpreter).
-#: Tests and the attestation-service bench monkeypatch this to force
-#: either path.
-_MSM_LANES = 64
-
-
-def _msm_window(n_points: int) -> int:
-    """Bucket window width (bits) for :func:`_multi_scalar_mul_pippenger`.
-
-    The classic ``log2(n) - 2`` heuristic, floored at 6: measured best
-    on this interpreter at 129 points (c=6), 513 (c=7), 1025 (c=8).
-    """
-    return max(6, n_points.bit_length() - 3)
-
-
-def _multi_scalar_mul_pippenger(base_scalar: int, pairs):
-    """``base_scalar * B + sum(scalar_i * P_i)`` by Pippenger bucket MSM.
-
-    ``pairs`` supplies ``(scalar, point)`` with extended-coordinate
-    points — no per-point wNAF tables, which is the big-batch win over
-    :func:`_multi_scalar_mul`: instead of 8-16 precomputed odd multiples
-    per point, every point is batch-normalized to Niels form once (one
-    shared field inversion) and contributes one bucket addition per
-    ``c``-bit window.  Digits are *signed* (in ``[-2^(c-1), 2^(c-1)]``),
-    halving the bucket count; buckets hold the raw Niels entry until a
-    second addition lands (lazy promotion via :func:`_niels_to_extended`)
-    so sparse buckets cost nothing.  Per window, the running-sum walk
-    ``sum(d * bucket_d)`` needs two additions per occupied bucket, and
-    ``c`` doublings chain the windows (T products skipped mid-run).
-
-    Produces the same group element as the Straus chain — the
-    batch-verify acceptance bit is identical whichever path runs.  PERF:
-    ``crypto.ed25519.msm_points`` / ``msm_point_adds`` /
-    ``msm_doublings`` attribute the online work (all deterministic in
-    the inputs, so serial/parallel counter parity holds).
-    """
-    points = [BASE_POINT]
-    scalars = [base_scalar % L]
-    for scalar, point in pairs:
-        points.append(point)
-        scalars.append(scalar % L)
-    c = _msm_window(len(points))
-    half = 1 << (c - 1)
-    mask = (1 << c) - 1
-    nwin = -(-253 // c)
-    digit_lists = []
-    maxwin = nwin
-    for s in scalars:
-        # Signed c-bit digits with carry: d in [-half, half], and a
-        # possible extra top window when the final carry survives.
-        digits = []
-        carry = 0
-        for _ in range(nwin):
-            d = (s & mask) + carry
-            s >>= c
-            if d > half:
-                d -= 1 << c
-                carry = 1
-            else:
-                carry = 0
-            digits.append(d)
-        if carry:
-            digits.append(1)
-            maxwin = nwin + 1
-        digit_lists.append(digits)
-    niels = _batch_niels(points)
-    negs = [_neg_niels(entry) for entry in niels]
-    adds = 0
-    doublings = 0
-    result = None
-    for w in range(maxwin - 1, -1, -1):
-        if result is not None:
-            for _ in range(c - 1):
-                result = _point_double(result, need_t=False)
-            result = _point_double(result)
-            doublings += c
-        buckets = [None] * (half + 1)
-        for i, digits in enumerate(digit_lists):
-            if w >= len(digits):
-                continue
-            d = digits[w]
-            if not d:
-                continue
-            entry = niels[i] if d > 0 else negs[i]
-            if d < 0:
-                d = -d
-            bucket = buckets[d]
-            if bucket is None:
-                buckets[d] = entry
-            else:
-                if len(bucket) == 3:
-                    bucket = _niels_to_extended(bucket)
-                buckets[d] = _add_niels(bucket, entry)
-                adds += 1
-        # sum(d * bucket_d) = sum of suffix sums: running accumulates
-        # bucket_half..bucket_d, acc accumulates the runnings.
-        running = None
-        acc = None
-        for d in range(half, 0, -1):
-            bucket = buckets[d]
-            if bucket is not None:
-                if len(bucket) == 3:
-                    bucket = _niels_to_extended(bucket)
-                if running is None:
-                    running = bucket
-                else:
-                    running = _point_add(running, bucket)
-                    adds += 1
-            if running is not None:
-                if acc is None:
-                    acc = running
-                else:
-                    acc = _point_add(acc, running)
-                    adds += 1
-        if acc is not None:
-            if result is None:
-                result = acc
-            else:
-                result = _point_add(result, acc)
-                adds += 1
-    if PERF.enabled:
-        PERF.inc("crypto.ed25519.msm_points", len(points))
-        PERF.inc("crypto.ed25519.msm_point_adds", adds)
-        PERF.inc("crypto.ed25519.msm_doublings", doublings)
-    return result if result is not None else _IDENTITY
+def _is_small_order(point) -> bool:
+    """``[8] * point == identity`` — the cofactored acceptance test of
+    RFC 8032 §5.1.7, which every verification path here uses."""
+    for _ in range(3):
+        point = _point_double(point, need_t=False)
+    return _point_equal(point, _IDENTITY)
 
 
 #: Domain separator for deterministic batch-verification coefficients.
@@ -595,9 +460,8 @@ def _batch_coefficients(lanes) -> list:
 
     Deterministic derivation keeps campaign replays byte-stable (no
     process randomness) while remaining unpredictable to anyone who
-    cannot already choose the full batch; forcing each coefficient odd
-    makes it a unit mod 8, so a single lane whose defect is a small-
-    torsion point can never be annihilated by its own coefficient.
+    cannot already choose the full batch.  Each coefficient is forced
+    odd, hence nonzero modulo the prime group order ``L``.
     """
     hasher_input = [_BATCH_DOMAIN, len(lanes).to_bytes(4, "little")]
     for _i, public, message, signature in lanes:
@@ -609,20 +473,27 @@ def _batch_coefficients(lanes) -> list:
 
 def verify_batch(items) -> list:
     """Batch Ed25519 verification: one random-linear-combination check
-    for the whole batch, per-signature fallback on failure.
+    for the whole batch, bisection triage on failure.
 
     ``items`` is a sequence of ``(public, message, signature)`` triples;
     entry *i* of the result equals ``verify(*items[i])``.  Structurally
     invalid lanes (bad lengths, invalid encodings, ``s >= L``) are
-    rejected up front; the remaining lanes are checked as one combined
-    equation ``sum(z_i * (s_i*B - R_i - k_i*A_i)) == identity`` over a
-    single shared doubling chain — ~4x fewer point operations per lane
-    than the per-signature Straus chain.  If the combined check fails,
-    every lane is re-verified individually, which localizes the
-    offending signature(s) exactly (the attestation-service triage
-    path).  PERF: lanes entering the combined check tick
-    ``crypto.ed25519.batch_verifies``; fallback re-verifies tick the
-    scalar ``crypto.ed25519.verify`` as usual.
+    rejected up front; the remaining lanes are checked as one cofactored
+    combined equation ``[8] * sum(z_i * (s_i*B - R_i - k_i*A_i)) ==
+    identity`` over a single shared doubling chain.  The ``z_i * k_i``
+    terms are summed per distinct public key first, so the chain holds
+    ``lanes + keys + 1`` points (``crypto.ed25519.msm_points``), not
+    ``2 * lanes + 1``.
+
+    If the combined check fails, the lanes are bisected with the same
+    coefficients: when the left half's equation holds, the right half's
+    must fail (the two sums add up to the failed whole), so it is split
+    further without being re-checked.  Leaves of one or two lanes run
+    the scalar :func:`verify`, so a single bad signature in ``n`` lanes
+    costs about ``log2(n)`` half-size combined checks plus at most two
+    scalar verifies, and offenders are localized exactly.  PERF: lanes
+    entering the combined check tick ``crypto.ed25519.batch_verifies``;
+    leaf verifies tick the scalar ``crypto.ed25519.verify`` as usual.
 
     Edge cases short-circuit before any batch machinery: an empty batch
     returns ``[]`` without even allocating a TELEMETRY span (the
@@ -646,124 +517,108 @@ def verify_batch(items) -> list:
 def _verify_batch(items) -> list:
     results = [False] * len(items)
     lanes = []
-    points = []
+    r_points = []
+    # Batch-local per-key tables: many reports from few devices share
+    # keys, and each distinct key's table is looked up exactly once.
+    a_tables = {}
     for i, (public, message, signature) in enumerate(items):
         if len(public) != PUBLIC_KEY_LEN \
                 or len(signature) != SIGNATURE_LEN:
             continue
-        neg_a = _batch_verify_point(public)
-        if neg_a is None:
+        public = bytes(public)
+        if public not in a_tables:
+            a_tables[public] = _verify_table(public, _WNAF_BATCH)
+        if a_tables[public] is None:
             continue
         if int.from_bytes(signature[32:], "little") >= L:
             continue
         try:
             r_point = _decompress(signature[:32])
         except ValueError:
-            # compression never produces this encoding, so the scalar
-            # path's compare-against-R would reject it too
+            # an invalid R encoding is rejected by the scalar path too
             continue
-        lanes.append((i, bytes(public), bytes(message),
-                      bytes(signature)))
-        points.append((neg_a, r_point))
+        lanes.append((i, public, bytes(message), bytes(signature)))
+        r_points.append(r_point)
     if not lanes:
         return results
     if PERF.enabled:
         PERF.inc("crypto.ed25519.batch_verifies", len(lanes))
-    coefficients = _batch_coefficients(lanes)
-    use_msm = len(lanes) >= _MSM_LANES
-    # Batch-local A-table sharing (Straus path): duplicate public keys
-    # in one batch — the common service shape, many reports from few
-    # devices — build their wNAF table exactly once even when the
-    # global memo is cold or thrashing.
-    a_tables = {} if not use_msm else None
-    s_combined = 0
-    pairs = []
-    for (i, public, message, signature), (neg_a, r_point), z in \
-            zip(lanes, points, coefficients):
-        s_combined = (s_combined + z * int.from_bytes(
-            signature[32:], "little")) % L
+    terms = []
+    for (i, public, message, signature), r_point, z in zip(
+            lanes, r_points, _batch_coefficients(lanes)):
         k = int.from_bytes(_sha512(signature[:32] + public + message),
                            "little") % L
-        if use_msm:
-            pairs.append((z, _point_negate(r_point)))
-            pairs.append((z * k % L, neg_a))
-        else:
-            table = a_tables.get(public)
-            if table is None:
-                table = _batch_verify_table(public)
-                a_tables[public] = table
-            pairs.append((z, _WNAF_POINT,
-                          _point_table(_point_negate(r_point))))
-            pairs.append((z * k % L, _WNAF_BATCH, table))
-    if use_msm:
-        combined = _multi_scalar_mul_pippenger(s_combined, pairs)
-    else:
-        combined = _multi_scalar_mul(s_combined, pairs)
-    if _point_equal(combined, _IDENTITY):
-        for i, _public, _message, _signature in lanes:
-            results[i] = True
-        return results
-    for i, public, message, signature in lanes:
-        results[i] = verify(public, message, signature)
+        terms.append((i, public,
+                      z * int.from_bytes(signature[32:], "little"),
+                      z, _point_table(_point_negate(r_point)), z * k))
+    _triage(terms, a_tables, items, results, failed=False)
     return results
 
 
-#: Per-public-key verification state: the wNAF odd-multiple table of
-#: ``-A``.  Attestation verifies the same handful of device / SM keys
-#: thousands of times, so the decompression square root and the table
-#: build are paid once per key.  ``None`` caches an invalid encoding.
+def _combined_holds(terms, a_tables) -> bool:
+    """The cofactored combined equation over ``terms`` (see
+    :func:`verify_batch`), with the ``z_i * k_i`` scalars summed per
+    distinct public key."""
+    s_combined = 0
+    key_scalars = {}
+    pairs = []
+    for _i, public, zs, z, r_table, zk in terms:
+        s_combined += zs
+        key_scalars[public] = key_scalars.get(public, 0) + zk
+        pairs.append((z, _WNAF_POINT, r_table))
+    pairs.extend((scalar % L, _WNAF_BATCH, a_tables[public])
+                 for public, scalar in key_scalars.items())
+    return _is_small_order(_multi_scalar_mul(s_combined % L, pairs))
+
+
+def _triage(terms, a_tables, items, results, failed: bool) -> None:
+    """Write the verdicts of ``terms`` into ``results``; ``failed``
+    says their combined equation is already known not to hold."""
+    if not failed and _combined_holds(terms, a_tables):
+        for term in terms:
+            results[term[0]] = True
+        return
+    if len(terms) <= 2:
+        for term in terms:
+            results[term[0]] = verify(*items[term[0]])
+        return
+    half = len(terms) // 2
+    left, right = terms[:half], terms[half:]
+    left_holds = _combined_holds(left, a_tables)
+    if left_holds:
+        for term in left:
+            results[term[0]] = True
+    else:
+        _triage(left, a_tables, items, results, failed=True)
+    _triage(right, a_tables, items, results, failed=left_holds)
+
+
+#: Per-public-key verification state: the wNAF odd-multiple tables of
+#: ``-A`` (width :data:`_WNAF_POINT` for the scalar chain,
+#: :data:`_WNAF_BATCH` for the batch chain).  Attestation verifies the
+#: same handful of device / SM keys thousands of times, so the
+#: decompression square root and the table build are paid once per key.
+#: ``None`` caches an invalid encoding.
 _VERIFY_MEMO = Memo(maxsize=256)
 _VERIFY_LOCK = threading.Lock()
 
 
-def _verify_table(public: bytes):
+def _verify_table(public: bytes, width: int = _WNAF_POINT):
     """Memoized cached-form odd multiples of ``-A`` for a compressed
-    public key; ``None`` when the encoding is invalid."""
-    with _VERIFY_LOCK:
-        found, table = _VERIFY_MEMO.lookup(public)
-    if found:
-        return table
-    try:
-        table = _point_table(_point_negate(_decompress(public)))
-    except ValueError:
-        table = None
-    with _VERIFY_LOCK:
-        _VERIFY_MEMO.store(bytes(public), table)
-    return table
-
-
-def _batch_verify_point(public: bytes):
-    """Memoized decompressed ``-A`` (extended coordinates, ``Z=1``) for
-    a compressed public key; ``None`` when the encoding is invalid.
-
-    The MSM batch path consumes the bare point — Pippenger needs no
-    per-point table — while the Straus path derives its width-6 table
-    from it (:func:`_batch_verify_table`), so the decompression square
-    root is paid once per key either way."""
-    key = (b"point", bytes(public))
-    with _VERIFY_LOCK:
-        found, point = _VERIFY_MEMO.lookup(key)
-    if found:
-        return point
-    try:
-        point = _point_negate(_decompress(public))
-    except ValueError:
-        point = None
-    with _VERIFY_LOCK:
-        _VERIFY_MEMO.store(key, point)
-    return point
-
-
-def _batch_verify_table(public: bytes):
-    """Like :func:`_verify_table` but width-:data:`_WNAF_BATCH`, for the
-    long combined scalars of the batch-verify chain."""
-    key = (b"batch", bytes(public))
+    public key; ``None`` when the encoding is invalid or ``A`` has
+    small order (such a key meets the cofactored equation with
+    ``s = 0`` and any small-order ``R``, for every message)."""
+    key = (width, bytes(public))
     with _VERIFY_LOCK:
         found, table = _VERIFY_MEMO.lookup(key)
     if found:
         return table
-    neg_a = _batch_verify_point(public)
-    table = None if neg_a is None else _point_table(neg_a, _WNAF_BATCH)
+    try:
+        neg_a = _point_negate(_decompress(public))
+    except ValueError:
+        neg_a = None
+    table = None if neg_a is None or _is_small_order(neg_a) \
+        else _point_table(neg_a, width)
     with _VERIFY_LOCK:
         _VERIFY_MEMO.store(key, table)
     return table
@@ -889,22 +744,28 @@ def _verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
     k = int.from_bytes(_sha512(signature[:32] + public + message),
                        "little") % L
-    # s*B == R + k*A  <=>  s*B - k*A == R.  Comparing the *canonical*
-    # compression of the left side against the R bytes is equivalent to
-    # decompress-and-compare: compression never produces a non-canonical
-    # or invalid encoding, so every R the reference rejects mismatches
-    # here too — and it saves R's square-root recovery.
+    # Cofactored: [8](s*B - k*A - R) == identity.  An honest signature
+    # has s*B - k*A == R exactly, and comparing the canonical compression
+    # against the R bytes settles it without R's square-root recovery.
+    # Only a mismatch decodes R and tests the small-order difference.
     q = _double_scalar_mul(s, k, None, point_table=neg_a_table)
-    return _compress(q) == signature[:32]
+    if _compress(q) == signature[:32]:
+        return True
+    try:
+        r_point = _decompress(signature[:32])
+    except ValueError:
+        return False
+    return _is_small_order(_point_add(q, _point_negate(r_point)))
 
 
 def verify_reference(public: bytes, message: bytes,
                      signature: bytes) -> bool:
-    """The pre-fast-path verification flow, kept verbatim: decompress
-    both points and check ``s*B == R + k*A`` with two double-and-add
-    :func:`_point_mul` chains.  The windowed :func:`verify` is pinned
-    equivalent to this path by the parity suite, and the crypto bench
-    gates the fast path's speedup against it."""
+    """The pre-fast-path verification flow: decompress both points and
+    check the cofactored ``[8](s*B - R - k*A) == identity`` with two
+    double-and-add :func:`_point_mul` chains.  The windowed
+    :func:`verify` is pinned equivalent to this path by the parity
+    suite, and the crypto bench gates the fast path's speedup against
+    it."""
     if len(public) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
     try:
@@ -913,13 +774,13 @@ def verify_reference(public: bytes, message: bytes,
     except ValueError:
         return False
     s = int.from_bytes(signature[32:], "little")
-    if s >= L:
+    if s >= L or _is_small_order(a):
         return False
     k = int.from_bytes(_sha512(signature[:32] + public + message),
                        "little") % L
     sb = _point_mul(s, BASE_POINT)
     ka = _point_mul(k, a)
-    return _point_equal(sb, _point_add(r, ka))
+    return _is_small_order(_point_add(sb, _point_negate(_point_add(r, ka))))
 
 
 class Ed25519KeyPair:

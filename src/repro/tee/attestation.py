@@ -215,9 +215,14 @@ def verify_reports(reports, device_identity,
     go through one Ed25519 random-linear-combination batch check, and
     the ML-DSA signatures batch through ``verify_many`` grouped by
     public key (device keys and SM keys each group independently).
-    Results are boolean-identical to the scalar loop; per-scheme PERF
-    counters can differ because the batch path does not short-circuit
-    after a failed earlier check.
+    Every report from one device carries the same device-signed SM
+    certificate, so each distinct signed item — ``(key, payload,
+    signature)`` — is verified once per call and its verdict fanned
+    out to every report carrying it; a tampered certificate therefore
+    fails every report that shares it.  Results are boolean-identical
+    to the scalar loop; per-scheme PERF counters differ from it because
+    the batch path verifies each distinct item once and does not
+    short-circuit after a failed earlier check.
     """
     reports = list(reports)
     if isinstance(device_identity, dict):
@@ -245,12 +250,12 @@ def verify_reports(reports, device_identity,
     items = []
     for i in candidates:
         report = reports[i]
-        items.append((identities[i]["ed25519"], report.sm_payload(),
+        items.append((bytes(identities[i]["ed25519"]), report.sm_payload(),
                       report.sm_signature))
         items.append((report.sm_ed25519_public,
                       report.enclave_payload(),
                       report.enclave_signature))
-    classical_ok = ed25519.verify_batch(items)
+    classical_ok = _verify_distinct(ed25519.verify_batch, items)
     candidates = [i for j, i in enumerate(candidates)
                   if classical_ok[2 * j] and classical_ok[2 * j + 1]]
     pq = [i for i in candidates if reports[i].post_quantum]
@@ -265,10 +270,10 @@ def verify_reports(reports, device_identity,
                 bytes(identities[i]["mldsa"]), []).append(i)
         passed = []
         for device_public, indices in device_groups.items():
-            device_ok = scheme.verify_many(
-                device_public,
-                [reports[i].sm_payload() for i in indices],
-                [reports[i].sm_pq_signature for i in indices])
+            device_ok = _verify_distinct(
+                lambda lanes: scheme.verify_many(device_public, *zip(*lanes)),
+                [(reports[i].sm_payload(), reports[i].sm_pq_signature)
+                 for i in indices])
             passed.extend(i for i, ok in zip(indices, device_ok) if ok)
         groups = {}
         for i in sorted(passed):
@@ -281,3 +286,11 @@ def verify_reports(reports, device_identity,
             for i, ok in zip(indices, enclave_ok):
                 results[i] = ok
     return results
+
+
+def _verify_distinct(verify_many, items) -> list:
+    """``verify_many(items)`` with each distinct item verified once and
+    its verdict fanned out to every position that carries it."""
+    distinct = list(dict.fromkeys(items))
+    verdicts = dict(zip(distinct, verify_many(distinct)))
+    return [verdicts[item] for item in items]

@@ -7,8 +7,8 @@ millions of edge devices.  This module is that serving tier: an
 submissions from a registered device fleet, coalesces them in a
 deterministic micro-batching queue, and drains whole batches through
 the batch crypto kernels (grouped ML-DSA ``verify_many``, Ed25519 RLC
-``verify_batch`` with the Pippenger multi-scalar path above its
-crossover) plus an enclave-session cache.
+``verify_batch``, each distinct SM certificate verified once per
+batch) plus an enclave-session cache.
 
 Determinism is the design axis, same as the rest of the runtime:
 

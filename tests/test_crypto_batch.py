@@ -227,20 +227,20 @@ class TestEd25519Batch:
         lanes = [(public, b"dup-%d" % i, ed.sign(seed, b"dup-%d" % i))
                  for i in range(6)]
         # Fresh memo: the batch-local sharing, not global cache warmth,
-        # must deduplicate the table build.
+        # must deduplicate the table lookup.
         monkeypatch.setattr(ed, "_VERIFY_MEMO", Memo(maxsize=256))
         calls = []
-        real_table = ed._batch_verify_table
+        real_table = ed._verify_table
 
-        def counting_table(public):
-            calls.append(bytes(public))
-            return real_table(public)
+        def counting_table(public, width=ed._WNAF_POINT):
+            calls.append((bytes(public), width))
+            return real_table(public, width)
 
-        monkeypatch.setattr(ed, "_batch_verify_table", counting_table)
+        monkeypatch.setattr(ed, "_verify_table", counting_table)
         with counting() as cold:
             assert ed.verify_batch(lanes) == [True] * len(lanes)
         cold_delta = cold.delta()   # snapshot before the warm rerun
-        assert calls == [public]
+        assert calls == [(public, ed._WNAF_BATCH)]
         # Online point_adds are cache-warmth independent: the warm rerun
         # (memoized tables, no builds) ticks the exact same delta.
         with counting() as warm:
@@ -249,36 +249,100 @@ class TestEd25519Batch:
             cold_delta["crypto.ed25519.point_adds"]
 
 
-class TestEd25519Msm:
-    """The Pippenger bucket-MSM path above the lane crossover."""
+def _order2_defect(seed: bytes, message: bytes) -> tuple:
+    """A lane only the key holder can make: ``R = r*B + (0, -1)`` and
+    ``s = r + k*a``, so ``s*B - k*A - R`` is the order-2 point."""
+    digest = ed._sha512(seed)
+    a = ed._clamp(digest[:32])
+    public = ed.public_key(seed)
+    r = int.from_bytes(ed._sha512(digest[32:] + message), "little") % ed.L
+    order2 = (0, ed.P - 1, 1, 0)
+    r_bytes = ed._compress(ed._point_add(ed._point_mul_base(r), order2))
+    k = int.from_bytes(ed._sha512(r_bytes + public + message),
+                       "little") % ed.L
+    return public, message, r_bytes + ((r + k * a) % ed.L).to_bytes(
+        32, "little")
 
-    def test_msm_matches_straus_and_scalar(self, ed_batch, monkeypatch):
+
+class TestEd25519Cofactored:
+    """Every path checks ``[8](s*B - R - k*A) == identity``: two odd
+    coefficients sum an order-2 defect away, so a cofactorless scalar
+    check would disagree with the batch on such lanes."""
+
+    def test_order2_defect_verdicts_agree(self, ed_batch):
+        defects = [_order2_defect(bytes([200 + i]) * 32, b"defect-%d" % i)
+                   for i in range(2)]
+        assert [ed.verify(*lane) for lane in defects] == [True, True]
+        assert ed.verify_reference(*defects[0])
+        assert ed.verify_batch(defects) == [True, True]
+        for lanes in (defects[:1] + list(ed_batch[:6]),
+                      defects + list(ed_batch)):
+            assert ed.verify_batch(lanes) == \
+                [ed.verify(*lane) for lane in lanes] == [True] * len(lanes)
+
+    def test_small_order_public_key_rejected(self):
+        # A = (sqrt(-1), 0) has order 4: with s = 0 and R = A the
+        # cofactored equation holds for any message, so such keys fail.
+        lane = (bytes(32), b"any message", bytes(64))
+        assert not ed.verify(*lane)
+        assert not ed.verify_reference(*lane)
+        assert ed.verify_batch([lane, lane]) == [False, False]
+
+
+class TestEd25519Msm:
+    """The combined-equation chain: interleaved Straus over per-key
+    coalesced scalars, with bisection triage on failure."""
+
+    def test_msm_matches_straus_and_scalar(self, ed_batch):
+        points = [ed._decompress(lane[0]) for lane in ed_batch[:5]]
+        scalars = [int.from_bytes(ed._sha512(b"%d" % i), "little") % ed.L
+                   for i in range(6)]
+        chain = ed._multi_scalar_mul(scalars[0], [
+            (s, ed._WNAF_BATCH, ed._point_table(p, ed._WNAF_BATCH))
+            for s, p in zip(scalars[1:], points)])
+        reference = ed._point_mul(scalars[0], ed.BASE_POINT)
+        for s, p in zip(scalars[1:], points):
+            reference = ed._point_add(reference, ed._point_mul(s, p))
+        assert ed._point_equal(chain, reference)
         items = [list(lane) for lane in ed_batch[:16]]
         items[3][2] = bytes(64)                       # invalid lane
         items[8][1] = b"tampered message"
         items = [tuple(lane) for lane in items]
         scalar = [ed.verify(*lane) for lane in items]
         assert scalar.count(False) == 2
-        monkeypatch.setattr(ed, "_MSM_LANES", 10 ** 9)
-        straus = ed.verify_batch(items)
-        monkeypatch.setattr(ed, "_MSM_LANES", 2)
-        msm = ed.verify_batch(items)
-        assert msm == straus == scalar
+        assert ed.verify_batch(items) == scalar
 
-    def test_msm_counters(self, ed_batch, monkeypatch):
-        monkeypatch.setattr(ed, "_MSM_LANES", 2)
+    def test_msm_counters(self, ed_batch):
         with counting() as window:
             assert ed.verify_batch(ed_batch[:8]) == [True] * 8
         delta = window.delta()
-        # One combined chain: the base point plus -R_i and -A_i per lane.
-        assert delta["crypto.ed25519.msm_points"] == 17
-        assert delta["crypto.ed25519.msm_point_adds"] > 0
-        assert delta["crypto.ed25519.msm_doublings"] > 0
-        # Below the crossover the Straus chain carries no msm_* events.
-        monkeypatch.setattr(ed, "_MSM_LANES", 10 ** 9)
+        # One combined chain: the base point, -R_i per lane and one -A
+        # per distinct key (eight here).
+        assert delta["crypto.ed25519.msm_points"] == 8 + 8 + 1
+        assert delta["crypto.ed25519.point_adds"] > 0
+        seed = b"\x33" * 32
+        shared = [(ed.public_key(seed), b"k-%d" % i,
+                   ed.sign(seed, b"k-%d" % i)) for i in range(5)]
         with counting() as window:
-            assert ed.verify_batch(ed_batch[:8]) == [True] * 8
-        assert "crypto.ed25519.msm_points" not in window.delta()
+            assert ed.verify_batch(shared + list(ed_batch[:3])) == \
+                [True] * 8
+        # Five lanes of one key coalesce into a single -A term.
+        assert window.delta()["crypto.ed25519.msm_points"] == 8 + 4 + 1
+
+    @pytest.mark.parametrize("size", [5, 13, 33])
+    def test_bisection_localizes_bad_lanes(self, ed_batch, size):
+        for bad in (set(), {size // 2}, {0, size - 1}, set(range(size))):
+            items = [(public, b"forged" if i in bad else message, sig)
+                     for i, (public, message, sig)
+                     in enumerate(ed_batch[:size])]
+            expected = [i not in bad for i in range(size)]
+            assert [ed.verify(*lane) for lane in items] == expected
+            with counting() as window:
+                assert ed.verify_batch(items) == expected, (size, bad)
+            scalar = window.delta().get("crypto.ed25519.verify", 0)
+            # Leaves of at most two lanes: each bad lane costs at most
+            # two scalar verifies, and all-bad batches one per lane.
+            assert scalar <= min(2 * len(bad), size), (size, bad, scalar)
 
 
 class TestKeccakBatch:
@@ -480,6 +544,57 @@ class TestConsumers:
             for enclave in enclaves:
                 sm.destroy_enclave(enclave)
 
+    def test_verify_reports_verifies_each_certificate_once(self,
+                                                            monkeypatch):
+        reports, identities = [], []
+        for index in range(2):
+            platform = build_tee(bytes([index + 1]) * 32,
+                                 post_quantum=True)
+            sm = platform.sm
+            enclaves = [sm.create_enclave(b"dedup-enclave-%d" % e)
+                        for e in range(8)]
+            reports += sm.attest_enclaves(enclaves)
+            identities += [platform.device.public_identity()] * 8
+        # Tampered certificates, each shared by several reports: the
+        # classical one on three of device 1's reports, the PQ one on
+        # two of device 0's.
+        forged = bytearray(reports[8].sm_signature)
+        forged[0] ^= 1
+        for report in reports[8:11]:
+            report.sm_signature = bytes(forged)
+        forged_pq = bytearray(reports[3].sm_pq_signature)
+        forged_pq[0] ^= 1
+        for report in reports[3:5]:
+            report.sm_pq_signature = bytes(forged_pq)
+        scalar = [verify_report(r, identity)
+                  for r, identity in zip(reports, identities)]
+        assert scalar == [i not in (3, 4, 8, 9, 10) for i in range(16)]
+
+        ed_lanes, mldsa_lanes = [], []
+        real_batch, real_many = ed.verify_batch, MLDSA.verify_many
+
+        def recording_batch(items):
+            items = list(items)
+            ed_lanes.extend(items)
+            return real_batch(items)
+
+        def recording_many(scheme, public, messages, signatures,
+                           context=b""):
+            mldsa_lanes.extend((public, m, s)
+                               for m, s in zip(messages, signatures))
+            return real_many(scheme, public, messages, signatures, context)
+
+        monkeypatch.setattr(ed, "verify_batch", recording_batch)
+        monkeypatch.setattr(MLDSA, "verify_many", recording_many)
+        assert verify_reports(reports, identities) == scalar
+        # Each distinct signed item reaches a kernel once: three device
+        # certificates (two genuine, one forged) plus sixteen enclave
+        # signatures on the Ed25519 side; on the ML-DSA side three
+        # device certificates for the 13 reports still standing, plus
+        # the enclave signatures of the 11 that passed them.
+        assert len(set(ed_lanes)) == len(ed_lanes) == 3 + 16
+        assert len(set(mldsa_lanes)) == len(mldsa_lanes) == 3 + 11
+
     def test_hybrid_batch_parity(self):
         pair = hybrid.HybridKeyPair(b"\x01" * 32, b"\x02" * 32)
         messages = _messages(4)
@@ -501,12 +616,11 @@ class TestConsumers:
             [device.sign_post_quantum(m) for m in messages]
 
 
-def test_batch_counters_render_and_parse_roundtrip(monkeypatch):
+def test_batch_counters_render_and_parse_roundtrip():
     """The new PERF counters must survive the exposition round trip
     (rendered by ``scripts/obs_export.py``, re-parsed strictly)."""
     scheme = MLDSA(ML_DSA_44)
     public, secret = scheme.key_gen(b"\x42" * 32)
-    monkeypatch.setattr(ed, "_MSM_LANES", 2)   # force the MSM path
     with counting() as window:
         signatures = scheme.sign_many(secret, _messages(2))
         scheme.verify_many(public, _messages(2), signatures)
@@ -526,8 +640,6 @@ def test_batch_counters_render_and_parse_roundtrip(monkeypatch):
                     "crypto.mldsa.batch_verify_lanes",
                     "crypto.ed25519.batch_verifies",
                     "crypto.ed25519.msm_points",
-                    "crypto.ed25519.msm_point_adds",
-                    "crypto.ed25519.msm_doublings",
                     "cim.traces_vectorized"):
         assert delta[counter] > 0, counter
     families = parse_exposition(render(perf=dict(delta)))
