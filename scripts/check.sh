@@ -12,6 +12,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+echo "== generated Keccak permutation up to date =="
+python scripts/gen_keccak_unrolled.py --check
+
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
 
@@ -29,15 +32,18 @@ REPRO_TELEMETRY=1 REPRO_PERF=1 python -m pytest -q \
     benchmarks/bench_attestation_service.py \
     benchmarks/bench_obs_overhead.py
 
-echo "== attest-fresh verdict smoke (benchmark, quick) =="
-python3 bench/run.py --workload attest-fresh --seed 7 --quick --trace 0 \
-    | tail -n 1 | python3 -c '
+for workload in attest-fresh fault-campaign; do
+    echo "== $workload verdict smoke (benchmark, quick) =="
+    python3 bench/run.py --workload "$workload" --seed 7 --quick --trace 0 \
+        | tail -n 1 | python3 -c '
 import json, sys
+workload = sys.argv[1]
 result = json.loads(sys.stdin.read())
 if result.get("correct") is not True:
-    sys.exit(f"attest-fresh verdicts drifted: {result}")
-print("attest-fresh correct:", result["attempted"], "ops")
-'
+    sys.exit(f"{workload} verdicts drifted: {result}")
+print(workload, "correct:", result["attempted"], "ops")
+' "$workload"
+done
 
 echo "== fault campaign summary =="
 python scripts/fault_report.py benchmarks/results/fault_campaign.json \

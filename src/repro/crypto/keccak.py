@@ -6,20 +6,27 @@ as the measurement hash of the Keystone security monitor.  This module is
 the software reference used by the TEE substrate (:mod:`repro.tee`) and by
 ML-DSA (:mod:`repro.crypto.mldsa`).
 
-The implementation is written from scratch and is cross-validated against
-``hashlib`` in the test suite.  The permutation is a fully unrolled
-Keccak-f[1600] round over 25 local lane variables (generated and pinned
-by ``scripts/gen_keccak_unrolled.py``); the original loop form is
-retained as :func:`keccak_f1600_reference` and the two are pinned
-byte-equal by hypothesis property tests.  The sponge absorbs and
-squeezes whole blocks at a time via ``struct``.
+The sponge (:class:`KeccakSponge` and the ``pure_*`` functions) is
+written from scratch and is cross-validated against ``hashlib`` in the
+test suite.  The permutation is a fully unrolled Keccak-f[1600] round
+over 25 local lane variables (generated and pinned by
+``scripts/gen_keccak_unrolled.py``); the original loop form is retained
+as :func:`keccak_f1600_reference` and the two are pinned byte-equal by
+hypothesis property tests.  The sponge absorbs and squeezes whole
+blocks at a time via ``struct``.
+
+The simulator hashes megabytes (ROM images, SM binaries, ML-DSA
+expansion), so the public ``sha3_*``/``shake*`` functions and the
+incremental :class:`Shake128`/:class:`Shake256` run CPython's C
+implementation of the same FIPS 202 functions in :mod:`hashlib`
+(always present on the Python versions this package supports), which
+the test suite pins byte-identical to the from-scratch sponge.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
-
-import numpy as np
 
 from ..obs.perf import PERF
 
@@ -206,126 +213,14 @@ def keccak_f1600(lanes: list) -> list:
 # END GENERATED
 
 
-def _rotl64_np(value: "np.ndarray", shift: int) -> "np.ndarray":
-    """Rotate each uint64 element of ``value`` left by ``shift`` bits."""
-    shift %= 64
-    if shift == 0:
-        return value
-    return (value << np.uint64(shift)) | (value >> np.uint64(64 - shift))
-
-
-def keccak_f1600_many(states: "np.ndarray") -> "np.ndarray":
-    """Keccak-f[1600] applied lane-parallel to a ``(batch, 25)`` state.
-
-    ``states`` is a uint64 array where row ``b`` holds the 25 lanes of
-    state ``b`` in the same ``x + 5 * y`` order as :func:`keccak_f1600`.
-    A new array is returned; the input is not mutated.  The permutation
-    counter ticks once per row, so batch and per-state totals agree.
-    """
-    if PERF.enabled:
-        PERF.inc("crypto.keccak.permutations", int(states.shape[0]))
-    a = [states[:, i].copy() for i in range(25)]
-    for rc in ROUND_CONSTANTS:
-        # theta
-        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]
-             for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rotl64_np(c[(x + 1) % 5], 1)
-             for x in range(5)]
-        # rho and pi
-        b = [None] * 25
-        for x in range(5):
-            for y in range(5):
-                nx, ny = y, (2 * x + 3 * y) % 5
-                b[nx + 5 * ny] = _rotl64_np(a[x + 5 * y] ^ d[x],
-                                            ROTATION_OFFSETS[x][y])
-        # chi
-        for x in range(5):
-            for y in range(5):
-                a[x + 5 * y] = b[x + 5 * y] ^ (
-                    ~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y])
-        # iota
-        a[0] = a[0] ^ np.uint64(rc)
-    return np.stack(a, axis=1)
-
-
-def _sponge_lockstep(messages, rate_bytes: int, domain_suffix: int,
-                     out_len: int) -> list:
-    """Lockstep batch sponge over messages with ONE padded block count.
-
-    Every message pads to the same number of rate-sized blocks (the
-    caller buckets by ``len(m) // rate``), so the batch absorbs (and
-    squeezes) in lockstep: one vectorized permutation per block position
-    instead of one scalar permutation per message per block.  The pad
-    position differs per message — each padded row is built
-    independently — but the block *schedule* is shared, which is all
-    lockstep needs.  Byte-identical to the scalar sponge per message,
-    with the same permutation counter totals.
-    """
-    n = len(messages)
-    parts = []
-    for m in messages:
-        pad_len = rate_bytes - (len(m) % rate_bytes)
-        padding = bytearray(pad_len)
-        padding[0] = domain_suffix
-        padding[-1] ^= 0x80
-        parts.append(bytes(m))
-        parts.append(bytes(padding))
-    padded = b"".join(parts)
-    total = len(padded) // n
-    lanes_per_block = rate_bytes // 8
-    words = np.frombuffer(padded, dtype="<u8").reshape(
-        n, total // rate_bytes, lanes_per_block)
-    states = np.zeros((n, 25), dtype=np.uint64)
-    for block in range(words.shape[1]):
-        states[:, :lanes_per_block] ^= words[:, block, :]
-        states = keccak_f1600_many(states)
-    chunks = [states[:, :lanes_per_block]]
-    produced = rate_bytes
-    while produced < out_len:
-        states = keccak_f1600_many(states)
-        chunks.append(states[:, :lanes_per_block])
-        produced += rate_bytes
-    stream = np.ascontiguousarray(np.concatenate(chunks, axis=1))
-    raw = stream.astype("<u8").tobytes()
-    per = stream.shape[1] * 8
-    return [raw[i * per:i * per + out_len] for i in range(n)]
-
-
-def _sponge_many(messages, rate_bytes: int, domain_suffix: int,
-                 out_len: int) -> list:
-    """Hash a (possibly ragged-length) batch through lockstep sponges.
-
-    Messages are bucketed by padded block count — ``len(m) // rate``,
-    since FIPS 202 padding always adds between 1 and ``rate`` bytes —
-    and each bucket runs one lockstep pass (:func:`_sponge_lockstep`).
-    Results come back in input order, and the permutation counter total
-    is exactly the sum of the scalar per-message schedules, independent
-    of how the lengths bucket.  Only lane-aligned rates (the FIPS 202
-    ones) are supported.
-    """
-    if rate_bytes % 8:
-        raise ValueError("batch sponge requires a lane-aligned rate")
-    if not len(messages):
-        return []
-    buckets = {}
-    for i, m in enumerate(messages):
-        buckets.setdefault(len(m) // rate_bytes, []).append(i)
-    out = [None] * len(messages)
-    for _blocks, indices in sorted(buckets.items()):
-        digests = _sponge_lockstep([messages[i] for i in indices],
-                                   rate_bytes, domain_suffix, out_len)
-        for i, digest in zip(indices, digests):
-            out[i] = digest
-    return out
-
-
 class KeccakSponge:
-    """Incremental Keccak sponge with a byte-granular rate.
+    """Incremental Keccak sponge with a lane-aligned rate.
 
     Parameters
     ----------
     rate_bytes:
-        Sponge rate in bytes (block size); capacity is ``200 - rate``.
+        Sponge rate in bytes (block size), a multiple of 8 below 200;
+        capacity is ``200 - rate``.
     domain_suffix:
         Padding domain-separation byte (``0x06`` for SHA-3, ``0x1F`` for
         SHAKE, ``0x01`` for original Keccak).
@@ -334,6 +229,11 @@ class KeccakSponge:
     def __init__(self, rate_bytes: int, domain_suffix: int):
         if not 0 < rate_bytes < 200:
             raise ValueError(f"rate must be in (0, 200), got {rate_bytes}")
+        if rate_bytes % 8:
+            # Blocks are XORed in as whole 64-bit lanes; a partial lane
+            # would silently drop the block's trailing bytes.
+            raise ValueError(
+                f"rate must be a multiple of 8 bytes, got {rate_bytes}")
         self.rate_bytes = rate_bytes
         self.domain_suffix = domain_suffix
         self._lanes = [0] * 25
@@ -360,9 +260,6 @@ class KeccakSponge:
         multiple of the rate)."""
         rate = self.rate_bytes
         lanes_per_block = rate // 8
-        # A partial trailing lane only occurs for non-lane-aligned rates;
-        # the padded final block always fills the rate, so for the
-        # standard FIPS 202 rates nothing remains.
         fmt = f"<{lanes_per_block}Q"
         lanes = self._lanes
         for offset in range(0, len(chunk), rate):
@@ -385,11 +282,8 @@ class KeccakSponge:
     def _serialize_rate(self) -> bytes:
         """The rate-sized prefix of the state as bytes (one output
         block of the squeezing phase)."""
-        full, extra = divmod(self.rate_bytes, 8)
-        block = struct.pack(f"<{full}Q", *self._lanes[:full])
-        if extra:
-            block += self._lanes[full].to_bytes(8, "little")[:extra]
-        return block
+        full = self.rate_bytes // 8
+        return struct.pack(f"<{full}Q", *self._lanes[:full])
 
     def squeeze(self, length: int) -> bytes:
         """Squeeze ``length`` output bytes; may be called repeatedly."""
@@ -438,143 +332,59 @@ def pure_shake256(data: bytes, out_len: int) -> bytes:
     return KeccakSponge(136, domain_suffix=0x1F).absorb(data).squeeze(out_len)
 
 
-# ---------------------------------------------------------------------------
-# Accelerated dispatch.
-#
-# The pure sponge above is the reference; the test suite proves it
-# byte-identical to CPython's C implementation of FIPS 202.  Because the
-# simulator hashes megabytes (ROM images, SM binaries, ML-DSA expansion),
-# the *public* entry points below dispatch to hashlib when it provides
-# SHA-3 — same functions, ~100x faster — and fall back to the pure sponge
-# otherwise.  Set ``ACCELERATED = False`` to force the pure path.
-
-try:
-    import hashlib as _hashlib
-    ACCELERATED = hasattr(_hashlib, "sha3_256")
-except ImportError:  # pragma: no cover - hashlib is always present
-    ACCELERATED = False
-
-
 def sha3_256(data: bytes) -> bytes:
     """SHA3-256 digest of ``data`` (32 bytes)."""
-    if ACCELERATED:
-        return _hashlib.sha3_256(data).digest()
-    return pure_sha3_256(data)
+    return hashlib.sha3_256(data).digest()
 
 
 def sha3_512(data: bytes) -> bytes:
     """SHA3-512 digest of ``data`` (64 bytes)."""
-    if ACCELERATED:
-        return _hashlib.sha3_512(data).digest()
-    return pure_sha3_512(data)
+    return hashlib.sha3_512(data).digest()
 
 
 def shake128(data: bytes, out_len: int) -> bytes:
     """SHAKE128 extendable-output function."""
-    if ACCELERATED:
-        return _hashlib.shake_128(data).digest(out_len)
-    return pure_shake128(data, out_len)
+    return hashlib.shake_128(data).digest(out_len)
 
 
 def shake256(data: bytes, out_len: int) -> bytes:
     """SHAKE256 extendable-output function."""
-    if ACCELERATED:
-        return _hashlib.shake_256(data).digest(out_len)
-    return pure_shake256(data, out_len)
-
-
-def pure_sha3_256_many(messages) -> list:
-    """SHA3-256 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 136, 0x06, 32)
-
-
-def pure_sha3_512_many(messages) -> list:
-    """SHA3-512 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 72, 0x06, 64)
-
-
-def pure_shake128_many(messages, out_len: int) -> list:
-    """SHAKE128 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 168, 0x1F, out_len)
-
-
-def pure_shake256_many(messages, out_len: int) -> list:
-    """SHAKE256 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 136, 0x1F, out_len)
-
-
-def sha3_256_many(messages) -> list:
-    """SHA3-256 digests of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.sha3_256(m).digest() for m in messages]
-    return pure_sha3_256_many(messages)
-
-
-def sha3_512_many(messages) -> list:
-    """SHA3-512 digests of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.sha3_512(m).digest() for m in messages]
-    return pure_sha3_512_many(messages)
-
-
-def shake128_many(messages, out_len: int) -> list:
-    """SHAKE128 outputs of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.shake_128(m).digest(out_len) for m in messages]
-    return pure_shake128_many(messages, out_len)
-
-
-def shake256_many(messages, out_len: int) -> list:
-    """SHAKE256 outputs of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.shake_256(m).digest(out_len) for m in messages]
-    return pure_shake256_many(messages, out_len)
+    return hashlib.shake_256(data).digest(out_len)
 
 
 class _IncrementalXof:
-    """Absorb-then-stream XOF with the same backend dispatch."""
+    """Absorb-then-stream XOF over a :mod:`hashlib` SHAKE object."""
 
-    _RATE = None
     _HASHLIB_NAME = None
 
     def __init__(self, data: bytes = b""):
-        if ACCELERATED:
-            self._state = _hashlib.new(self._HASHLIB_NAME)
-            self._offset = 0
-            self._reading = False
-        else:
-            self._state = KeccakSponge(self._RATE, domain_suffix=0x1F)
+        self._state = hashlib.new(self._HASHLIB_NAME)
+        self._offset = 0
+        self._reading = False
         if data:
             self.absorb(data)
 
     def absorb(self, data: bytes):
-        if ACCELERATED:
-            if self._reading:
-                raise RuntimeError("cannot absorb after squeezing")
-            self._state.update(data)
-        else:
-            self._state.absorb(data)
+        if self._reading:
+            raise RuntimeError("cannot absorb after squeezing")
+        self._state.update(data)
         return self
 
     def read(self, length: int) -> bytes:
-        if ACCELERATED:
-            self._reading = True
-            end = self._offset + length
-            out = self._state.digest(end)[self._offset:end]
-            self._offset = end
-            return out
-        return self._state.squeeze(length)
+        self._reading = True
+        end = self._offset + length
+        out = self._state.digest(end)[self._offset:end]
+        self._offset = end
+        return out
 
 
 class Shake128(_IncrementalXof):
     """Incremental SHAKE128 (absorb-then-stream)."""
 
-    _RATE = 168
     _HASHLIB_NAME = "shake_128"
 
 
 class Shake256(_IncrementalXof):
     """Incremental SHAKE256 (absorb-then-stream)."""
 
-    _RATE = 136
     _HASHLIB_NAME = "shake_256"

@@ -59,49 +59,10 @@ ZETAS = tuple(pow(ZETA, _bitrev8(k), Q) for k in range(N))
 _INV_256 = pow(N, Q - 2, Q)
 
 
-def _butterfly_layers(inverse: bool) -> tuple:
-    """Per-layer flat butterfly schedules ``(j, j + length, twiddle)``.
-
-    Precomputing the index pairs and the (negated, for the inverse)
-    twiddle per butterfly turns each transform layer into one flat loop
-    over local tuples — no block bookkeeping on the hot path.
-    """
-    layers = []
-    if not inverse:
-        k = 0
-        length = 128
-        while length >= 1:
-            pairs = []
-            for start in range(0, N, 2 * length):
-                k += 1
-                zeta = ZETAS[k]
-                pairs.extend((j, j + length, zeta)
-                             for j in range(start, start + length))
-            layers.append(tuple(pairs))
-            length //= 2
-    else:
-        k = N
-        length = 1
-        while length < N:
-            pairs = []
-            for start in range(0, N, 2 * length):
-                k -= 1
-                neg_zeta = Q - ZETAS[k]
-                pairs.extend((j, j + length, neg_zeta)
-                             for j in range(start, start + length))
-            layers.append(tuple(pairs))
-            length *= 2
-    return tuple(layers)
-
-
-_NTT_LAYERS = _butterfly_layers(inverse=False)
-_INTT_LAYERS = _butterfly_layers(inverse=True)
-
-
 def ntt_reference(coeffs: list) -> list:
     """Forward NTT, fully reduced at every butterfly.
 
-    The schoolbook FIPS 204 transform the lazy-reduction fast path is
+    The schoolbook FIPS 204 transform the batched :func:`_ntt_np` is
     pinned against by the parity suite.
     """
     a = list(coeffs)
@@ -139,59 +100,6 @@ def intt_reference(coeffs: list) -> list:
             start += 2 * length
         length *= 2
     return [x * _INV_256 % Q for x in a]
-
-
-def _ntt_raw(coeffs: list) -> list:
-    """Lazy-reduction forward NTT (uncounted core).
-
-    Only the twiddle product is reduced per butterfly; sums and
-    differences stay unreduced across all eight layers (bounded by
-    ``9q``, far below anything Python's bignums care about) and one
-    final pass normalizes into [0, q).  Butterfly indices and twiddles
-    come from the precomputed :data:`_NTT_LAYERS` schedule.
-    Bit-identical to :func:`ntt_reference`.
-    """
-    a = list(coeffs)
-    for pairs in _NTT_LAYERS:
-        for j, jl, zeta in pairs:
-            t = zeta * a[jl] % Q
-            aj = a[j]
-            a[jl] = aj - t
-            a[j] = aj + t
-    return [x % Q for x in a]
-
-
-def _intt_raw(coeffs: list) -> list:
-    """Lazy-reduction inverse NTT (uncounted core).
-
-    Accepts *unreduced* coefficient sums (the matrix rows accumulate
-    ``l`` coefficient products without intermediate reduction); sums
-    double per layer but stay small integers.  Bit-identical to
-    :func:`intt_reference` on reduced input, and congruent mod q on
-    unreduced input.
-    """
-    a = list(coeffs)
-    for pairs in _INTT_LAYERS:
-        for j, jl, neg_zeta in pairs:
-            t = a[j]
-            u = a[jl]
-            a[j] = t + u
-            a[jl] = (t - u) * neg_zeta % Q
-    return [x * _INV_256 % Q for x in a]
-
-
-def ntt(coeffs: list) -> list:
-    """Forward number-theoretic transform (in standard FIPS 204 order)."""
-    if PERF.enabled:
-        PERF.inc("crypto.mldsa.ntt_calls")
-    return _ntt_raw(coeffs)
-
-
-def intt(coeffs: list) -> list:
-    """Inverse NTT, returning coefficients in [0, q)."""
-    if PERF.enabled:
-        PERF.inc("crypto.mldsa.ntt_calls")
-    return _intt_raw(coeffs)
 
 
 def ntt_mul(a: list, b: list) -> list:
@@ -246,51 +154,14 @@ def low_bits(value: int, gamma2: int) -> int:
     return decompose(value, gamma2)[1]
 
 
-def _high_bits_poly(poly: list, gamma2: int) -> list:
-    """``[high_bits(c, gamma2) for c in poly]`` without per-coefficient
-    call overhead (coefficients must already be reduced mod q)."""
-    g = 2 * gamma2
-    top = Q - 1
-    out = []
-    append = out.append
-    for v in poly:
-        r0 = v % g
-        if r0 > gamma2:
-            r0 -= g
-        hi = v - r0
-        append(0 if hi == top else hi // g)
-    return out
-
-
-def _low_bits_max(vecs: list, gamma2: int) -> int:
-    """``max(abs(low_bits(c, gamma2)))`` over a vector of reduced
-    polynomials, inlined (the signing rejection loop's hot check)."""
-    g = 2 * gamma2
-    top = Q - 1
-    best = 0
-    for poly in vecs:
-        for v in poly:
-            r0 = v % g
-            if r0 > gamma2:
-                r0 -= g
-            if v - r0 == top:
-                r0 -= 1
-            if r0 < 0:
-                r0 = -r0
-            if r0 > best:
-                best = r0
-    return best
-
-
 # ---------------------------------------------------------------------------
-# Vectorized kernels (the signing/verification hot loop).
+# Vectorized kernels (key generation, signing and verification).
 #
 # Exact int64 arithmetic mod q: the largest intermediate is an l-term sum
 # of coefficient products (< 8 * q^2 < 2^49), so nothing overflows and the
 # batched forms are bit-identical to the scalar helpers above — the parity
-# suite pins both.  Counter semantics are preserved: the batch wrappers
-# tick ``crypto.mldsa.ntt_calls`` once per transformed row, exactly what
-# the per-poly scalar path used to record.
+# suite pins both.  The counted wrappers tick ``crypto.mldsa.ntt_calls``
+# once per transformed row (one polynomial transform).
 
 
 def _np_layer_zetas() -> tuple:
@@ -325,10 +196,10 @@ _NP_NTT_LAYERS, _NP_INTT_LAYERS = _np_layer_zetas()
 def _ntt_np(arr: np.ndarray) -> np.ndarray:
     """Forward NTT of a ``(rows, 256)`` int64 batch, reduced mod q.
 
-    Lazy reduction, like the scalar :func:`_ntt_raw`: only the twiddle
-    product is reduced per layer, sums and differences stay unreduced
-    (bounded by 9q, products by 9q^2 < 2^50 — exact in int64) and one
-    final pass normalizes into [0, q).
+    Lazy reduction: only the twiddle product is reduced per layer,
+    sums and differences stay unreduced (bounded by 9q, products by
+    9q^2 < 2^50 — exact in int64) and one final pass normalizes into
+    [0, q).
     """
     out = arr % Q
     rows = out.shape[0]
@@ -346,10 +217,10 @@ def _intt_np(arr: np.ndarray) -> np.ndarray:
     """Inverse NTT of a ``(rows, 256)`` int64 batch; accepts unreduced
     (even negative) input and returns coefficients in [0, q).
 
-    Lazy reduction, like the scalar :func:`_intt_raw`: sums double per
-    layer (bounded by 256q after eight layers, twiddle products by
-    512q^2 < 2^56 — exact in int64), with one reduction per layer on
-    the twiddled half and a final normalization.
+    Lazy reduction: sums double per layer (bounded by 256q after eight
+    layers, twiddle products by 512q^2 < 2^56 — exact in int64), with
+    one reduction per layer on the twiddled half and a final
+    normalization.
     """
     out = arr % Q
     rows = out.shape[0]
@@ -385,20 +256,6 @@ def _high_bits_np(arr: np.ndarray, gamma2: int) -> np.ndarray:
     r0 = np.where(r0 > gamma2, r0 - g, r0)
     hi = arr - r0
     return np.where(hi == Q - 1, 0, hi // g)
-
-
-def _low_bits_max_np(arr: np.ndarray, gamma2: int) -> int:
-    """Vectorized :func:`_low_bits_max` (input reduced mod q)."""
-    g = 2 * gamma2
-    r0 = arr % g
-    r0 = np.where(r0 > gamma2, r0 - g, r0)
-    r0 = np.where(arr - r0 == Q - 1, r0 - 1, r0)
-    return int(np.abs(r0).max())
-
-
-def _inf_norm_np(arr: np.ndarray) -> int:
-    """Vectorized :func:`infinity_norm` (input reduced mod q)."""
-    return int(np.where(arr > Q // 2, Q - arr, arr).max())
 
 
 def _inf_norm_rows_np(arr: np.ndarray) -> np.ndarray:
@@ -860,66 +717,28 @@ class MLDSASigner:
 
     def _sign(self, message: bytes, context: bytes, randomize: bool,
               _trace: dict) -> bytes:
-        p = self.params
-        a_np, s1_np = self._a_np, self._s1_np
-        s2_np, t0_np = self._s2_np, self._t0_np
-        mu = shake256(self._tr + MLDSA._format_message(message, context),
-                      64)
-        rnd = os.urandom(32) if randomize else bytes(32)
-        rho_pp = shake256(self._key + rnd + mu, 64)
-        kappa = 0
-        attempts = 0
-        while True:
-            attempts += 1
-            y = np.array(expand_mask(rho_pp, kappa, p), dtype=np.int64)
-            kappa += p.l
-            y_hat = _ntt_batch(y)
-            # A_hat @ y_hat rows accumulate unreduced (< l * q^2 < 2^49,
-            # well inside int64); the inverse transform reduces mod q.
-            w = _intt_batch((a_np * y_hat[None, :, :]).sum(axis=1))
-            w1 = _high_bits_np(w, p.gamma2)
-            c_tilde = shake256(mu + w1_encode(w1.tolist(), p),
-                               p.ctilde_bytes)
-            c = sample_in_ball(c_tilde, p)
-            c_hat = _ntt_batch(np.array([c], dtype=np.int64))[0]
-            z = (y + _intt_batch(c_hat * s1_np % Q)) % Q
-            if _inf_norm_np(z) >= p.gamma1 - p.beta:
-                continue
-            w_minus_cs2 = (w - _intt_batch(c_hat * s2_np % Q)) % Q
-            if _low_bits_max_np(w_minus_cs2, p.gamma2) >= \
-                    p.gamma2 - p.beta:
-                continue
-            ct0 = _intt_batch(c_hat * t0_np % Q)
-            if _inf_norm_np(ct0) >= p.gamma2:
-                continue
-            # MakeHint, vectorized: the hint bit is exactly "adding ct0
-            # back changes the high bits of w - c*s2".
-            restored = (w_minus_cs2 + ct0) % Q
-            hint_bits = (_high_bits_np(w_minus_cs2, p.gamma2)
-                         != _high_bits_np(restored, p.gamma2))
-            if int(hint_bits.sum()) > p.omega:
-                continue
-            if _trace is not None:
-                _trace["attempts"] = attempts
-                _trace["peak_stack_bytes"] = \
-                    MLDSA(p).signing_stack_bytes
-            return sig_encode(c_tilde, z.tolist(),
-                              hint_bits.astype(np.int64).tolist(), p)
+        (signature,), (attempts,) = self._sign_many([message], context,
+                                                    randomize)
+        if _trace is not None:
+            _trace["attempts"] = attempts
+            _trace["peak_stack_bytes"] = \
+                MLDSA(self.params).signing_stack_bytes
+        return signature
 
     def sign_many(self, messages, context: bytes = b"",
                   randomize: bool = False) -> list:
         """Sign a whole message batch through one vectorized rejection
         loop.
 
-        Lane *i* of the result is byte-identical to
-        ``self.sign(messages[i], context)``: every lane runs the same
-        per-attempt schedule (kappa advances by ``l`` per attempt) and
-        the same staged rejection checks, just stacked on a leading
-        batch axis through the int64 NTT kernels.  Each round resamples
-        only the still-rejected lanes, and each rejection stage
-        sub-batches to exactly the lanes the scalar path would have
-        reached — so ``crypto.mldsa.ntt_calls`` totals match the
-        per-call loop exactly.
+        :meth:`sign` is this kernel at batch size 1, so lane *i* of the
+        result is byte-identical to ``self.sign(messages[i], context)``:
+        every lane runs its own per-attempt schedule (kappa advances by
+        ``l`` per attempt) and the same staged rejection checks, just
+        stacked on a leading batch axis through the int64 NTT kernels.
+        Each round resamples only the still-rejected lanes, and each
+        rejection stage sub-batches to exactly the lanes that reach it
+        — so ``crypto.mldsa.ntt_calls`` totals match the per-call loop
+        exactly.
         """
         messages = list(messages)
         if PERF.enabled:
@@ -928,14 +747,16 @@ class MLDSASigner:
         with TELEMETRY.span("crypto.mldsa.sign_many",
                             batch=len(messages)), \
                 TELEMETRY.timer("crypto.mldsa.sign_seconds"):
-            return self._sign_many(messages, context, randomize)
+            return self._sign_many(messages, context, randomize)[0]
 
     def _sign_many(self, messages: list, context: bytes,
-                   randomize: bool) -> list:
+                   randomize: bool) -> tuple:
+        """``(signatures, attempts)``: per lane, the signature and the
+        number of rejection-loop attempts it took."""
         p = self.params
         batch = len(messages)
         if not batch:
-            return []
+            return [], []
         sigs = [None] * batch
         mus = []
         rho_pps = []
@@ -1012,7 +833,7 @@ class MLDSASigner:
             finished = set(done.tolist())
             active = [lane for ai, lane in enumerate(active)
                       if ai not in finished]
-        return sigs
+        return sigs, [kappa // p.l for kappa in kappas]
 
 
 class MLDSAVerifier:
@@ -1042,45 +863,18 @@ class MLDSAVerifier:
 
     def _verify(self, message: bytes, signature: bytes,
                 context: bytes) -> bool:
-        p = self.params
-        decoded = sig_decode(signature, p)
-        if decoded is None:
-            return False
-        c_tilde, z, hints = decoded
-        z_np = np.array(z, dtype=np.int64) % Q
-        if _inf_norm_np(z_np) >= p.gamma1 - p.beta:
-            return False
-        mu = shake256(self._tr + MLDSA._format_message(message, context),
-                      64)
-        c = sample_in_ball(c_tilde, p)
-        c_hat = _ntt_batch(np.array([c], dtype=np.int64))[0]
-        z_hat = _ntt_batch(z_np)
-        # A_hat @ z_hat - c_hat * t1_hat, unreduced (|.| < 8 * q^2); the
-        # inverse transform reduces mod q.
-        rows = (self._a_np * z_hat[None, :, :]).sum(axis=1)
-        w_approx = _intt_batch(rows - c_hat * self._t1_np)
-        # UseHint: bulk high bits, then the (at most omega) set hint
-        # bits patch individual coefficients.
-        w1_prime = _high_bits_np(w_approx, p.gamma2).tolist()
-        for r in range(p.k):
-            w1r = w1_prime[r]
-            war = w_approx[r]
-            for j, bit in enumerate(hints[r]):
-                if bit:
-                    w1r[j] = use_hint(1, int(war[j]), p.gamma2)
-        expected = shake256(mu + w1_encode(w1_prime, p), p.ctilde_bytes)
-        return expected == c_tilde
+        return self._verify_many([message], [signature], context)[0]
 
     def verify_many(self, messages, signatures,
                     context: bytes = b"") -> list:
         """Check a signature batch in one vectorized pass.
 
-        Entry *i* of the result equals
-        ``self.verify(messages[i], signatures[i], context)``.  Lanes
-        rejected structurally (malformed encoding, z out of range) are
-        filtered before the transform stages, so surviving lanes stack
-        through the same NTT/matvec/decompose kernels the scalar path
-        runs — ``crypto.mldsa.ntt_calls`` totals match a per-call loop
+        :meth:`verify` is this kernel at batch size 1, so entry *i* of
+        the result equals ``self.verify(messages[i], signatures[i],
+        context)``.  Lanes rejected structurally (malformed encoding, z
+        out of range) are filtered before the transform stages, so only
+        surviving lanes stack through the NTT/matvec/decompose kernels —
+        ``crypto.mldsa.ntt_calls`` totals match a per-call loop
         exactly.
         """
         messages = list(messages)
@@ -1106,8 +900,7 @@ class MLDSAVerifier:
         if not cand:
             return results
         # One unpack for every length-valid z vector, then per-lane
-        # structural checks (norm bound, hint encoding) in the same
-        # accept/reject order the scalar path decides them.
+        # structural checks (norm bound, hint encoding).
         z_all = _bit_unpack_np(
             b"".join(signatures[i][z_start:z_end] for i in cand),
             len(cand) * p.l, p.z_bits, p.gamma1) \
@@ -1199,18 +992,16 @@ class MLDSA:
             PERF.inc("crypto.mldsa.key_gen")
         expanded = shake256(seed + bytes([p.k, p.l]), 128)
         rho, rho_prime, key = expanded[:32], expanded[32:96], expanded[96:]
-        a_hat = expand_a(rho, p)
+        a_hat = np.array(expand_a(rho, p), dtype=np.int64)
         s1, s2 = expand_s(rho_prime, p)
-        s1_hat = [ntt(poly) for poly in s1]
-        t = []
-        for r in range(p.k):
-            acc = [0] * N
-            for s in range(p.l):
-                acc = poly_add(acc, ntt_mul(a_hat[r][s], s1_hat[s]))
-            t.append(poly_add(intt(acc), s2[r]))
+        s1_hat = _ntt_batch(np.array(s1, dtype=np.int64))
+        # Â @ ŝ1 rows accumulate unreduced (< l * q^2 < 2^49); the
+        # inverse transform reduces mod q.
+        t = (_intt_batch(np.einsum("rsn,sn->rn", a_hat, s1_hat))
+             + np.array(s2, dtype=np.int64)) % Q
         t1 = []
         t0 = []
-        for poly in t:
+        for poly in t.tolist():
             highs, lows = zip(*(power2round(c) for c in poly))
             t1.append(list(highs))
             t0.append([low % Q for low in lows])

@@ -2,11 +2,16 @@
 
 Every batch API added for serving-scale throughput — ML-DSA
 ``sign_many``/``verify_many``, Ed25519 random-linear-combination batch
-verification, multi-input Keccak absorption, vectorized CIM trace
-synthesis and the TEE consumers threading them — is pinned here against
-a per-call scalar loop: byte-identical outputs (signatures, digests,
-toggle counts, reports) or boolean-identical verdicts, across all three
-ML-DSA parameter sets, ragged batch sizes and injected-invalid lanes.
+verification, vectorized CIM trace synthesis and the TEE consumers
+threading them — is pinned here against a per-call loop: byte-identical
+outputs (signatures, toggle counts, reports) or boolean-identical
+verdicts, across all three ML-DSA parameter sets, ragged batch sizes and
+injected-invalid lanes.
+
+Per-call ML-DSA ``sign``/``verify`` run the batch kernels at size 1, so
+"batch == per-call loop" checks lane independence only; the ML-DSA
+verdicts and signatures are additionally pinned to the retained
+``sign_reference``/``verify_reference`` flows.
 """
 
 import numpy as np
@@ -20,7 +25,6 @@ from repro.cim.power import PowerModel
 from repro.cim.tvla import assess_macro, welch_t
 from repro.crypto import ed25519 as ed
 from repro.crypto import hybrid
-from repro.crypto import keccak as kc
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.obs.exposition import parse_exposition, render
 from repro.obs.perf import counting
@@ -29,6 +33,15 @@ from repro.tee import build_tee, verify_report, verify_reports
 ALL_PARAMS = (ML_DSA_44, ML_DSA_65, ML_DSA_87)
 RAGGED_SIZES = (1, 2, 63, 64, 65)
 MAX_BATCH = max(RAGGED_SIZES)
+
+
+#: Rejection-loop attempts of ``sign(_messages(8)[i])`` under the
+#: ``b"\x42" * 32`` key, per parameter set.
+SIGN_ATTEMPTS = {
+    "ML-DSA-44": [4, 3, 1, 9, 11, 5, 2, 4],
+    "ML-DSA-65": [11, 21, 3, 4, 17, 3, 11, 2],
+    "ML-DSA-87": [3, 2, 4, 10, 6, 6, 6, 3],
+}
 
 
 def _messages(count: int) -> list:
@@ -47,6 +60,20 @@ def mldsa_setup(request):
 
 
 class TestMLDSABatch:
+
+    def test_fixture_signatures_match_reference(self, mldsa_setup):
+        scheme, _, secret, messages, signatures = mldsa_setup
+        for message, signature in zip(messages[:2], signatures[:2]):
+            assert signature == scheme.sign_reference(secret, message)
+
+    def test_sign_trace_attempts_pinned(self, mldsa_setup):
+        scheme, _, secret, messages, signatures = mldsa_setup
+        expected = SIGN_ATTEMPTS[scheme.params.name]
+        for i, message in enumerate(messages[:len(expected)]):
+            trace = {}
+            assert scheme.sign(secret, message, _trace=trace) == \
+                signatures[i]
+            assert trace["attempts"] == expected[i], i
 
     def test_sign_many_matches_scalar_across_sizes(self, mldsa_setup):
         scheme, _, secret, messages, signatures = mldsa_setup
@@ -90,6 +117,8 @@ class TestMLDSABatch:
         assert scalar == [True, False, True, False, True, False,
                           False, False]
         assert verifier.verify_many(msgs, bad) == scalar
+        assert [scheme.verify_reference(public, m, s)
+                for m, s in zip(msgs, bad)] == scalar
 
     def test_batch_counters_distinguish_batch_from_scalar(self):
         scheme = MLDSA(ML_DSA_44)
@@ -149,6 +178,8 @@ class TestMLDSABatch:
         scalar = [verifier.verify(m, s)
                   for m, s in zip(messages, signatures)]
         assert verifier.verify_many(messages, signatures) == scalar
+        assert [scheme.verify_reference(public, m, s)
+                for m, s in zip(messages, signatures)] == scalar
 
 
 @pytest.fixture(scope="module")
@@ -343,66 +374,6 @@ class TestEd25519Msm:
             # Leaves of at most two lanes: each bad lane costs at most
             # two scalar verifies, and all-bad batches one per lane.
             assert scalar <= min(2 * len(bad), size), (size, bad, scalar)
-
-
-class TestKeccakBatch:
-
-    @pytest.mark.parametrize("length", [0, 1, 135, 136, 137, 300])
-    def test_multi_input_parity(self, length):
-        rng = np.random.default_rng(length)
-        msgs = [rng.integers(0, 256, size=length,
-                             dtype=np.uint8).tobytes() for _ in range(5)]
-        assert kc.pure_sha3_256_many(msgs) == \
-            [kc.pure_sha3_256(m) for m in msgs]
-        assert kc.pure_sha3_512_many(msgs) == \
-            [kc.pure_sha3_512(m) for m in msgs]
-        for out_len in (1, 137, 300):
-            assert kc.pure_shake128_many(msgs, out_len) == \
-                [kc.pure_shake128(m, out_len) for m in msgs]
-            assert kc.pure_shake256_many(msgs, out_len) == \
-                [kc.pure_shake256(m, out_len) for m in msgs]
-        assert kc.sha3_256_many(msgs) == [kc.sha3_256(m) for m in msgs]
-        assert kc.sha3_512_many(msgs) == [kc.sha3_512(m) for m in msgs]
-        assert kc.shake128_many(msgs, 64) == \
-            [kc.shake128(m, 64) for m in msgs]
-        assert kc.shake256_many(msgs, 64) == \
-            [kc.shake256(m, 64) for m in msgs]
-
-    def test_vectorized_permutation_matches_reference(self):
-        rng = np.random.default_rng(7)
-        states = rng.integers(0, 2**64, size=(6, 25), dtype=np.uint64)
-        out = kc.keccak_f1600_many(states)
-        for row in range(6):
-            assert out[row].tolist() == kc.keccak_f1600_reference(
-                [int(lane) for lane in states[row]])
-
-    def test_ragged_batch_parity(self):
-        # Mixed lengths bucket by padded block count; results and the
-        # permutation counter match the scalar loop exactly.
-        msgs = [b"a", b"bb" * 100, b"", b"x" * 136, b"y" * 135,
-                b"z" * 137, b"w" * 500]
-        assert kc.sha3_256_many(msgs) == [kc.sha3_256(m) for m in msgs]
-        assert kc.pure_shake256_many(msgs, 32) == \
-            [kc.pure_shake256(m, 32) for m in msgs]
-        with counting() as window:
-            kc.pure_sha3_512_many(msgs)
-        rate = 72  # sha3-512 rate bytes
-        expected = sum(len(m) // rate + 1 for m in msgs)
-        assert window.delta()["crypto.keccak.permutations"] == expected
-
-    def test_empty_batch(self):
-        assert kc.pure_sha3_256_many([]) == []
-        assert kc.sha3_256_many([]) == []
-
-    def test_permutation_counter_parity(self):
-        msgs = [bytes([i]) * 200 for i in range(4)]
-        with counting() as window:
-            kc.pure_shake256_many(msgs, 300)
-        batch = window.delta()["crypto.keccak.permutations"]
-        with counting() as window:
-            for m in msgs:
-                kc.pure_shake256(m, 300)
-        assert batch == window.delta()["crypto.keccak.permutations"]
 
 
 def _cim_macros(weights):

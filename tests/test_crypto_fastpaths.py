@@ -12,6 +12,7 @@ the cache entirely.
 
 import hashlib
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,31 +105,37 @@ class TestEd25519Parity:
             ed.verify_reference(public, message, bytes(signature))
 
 
+def _rows(*polys) -> np.ndarray:
+    return np.array(polys, dtype=np.int64)
+
+
 class TestMLDSAParity:
 
     @settings(max_examples=30, deadline=None)
-    @given(_POLY)
-    def test_lazy_ntt_matches_reference(self, poly):
-        assert m.ntt(poly) == m.ntt_reference(poly)
+    @given(_POLY, _POLY)
+    def test_lazy_ntt_matches_reference(self, poly, other):
+        out = m._ntt_np(_rows(poly, other)).tolist()
+        assert out == [m.ntt_reference(poly), m.ntt_reference(other)]
 
     @settings(max_examples=30, deadline=None)
-    @given(_POLY)
-    def test_lazy_intt_matches_reference(self, poly):
-        assert m.intt(poly) == m.intt_reference(poly)
+    @given(_POLY, _POLY)
+    def test_lazy_intt_matches_reference(self, poly, other):
+        out = m._intt_np(_rows(poly, other)).tolist()
+        assert out == [m.intt_reference(poly), m.intt_reference(other)]
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY)
     def test_ntt_roundtrip(self, poly):
-        assert m._intt_raw(m._ntt_raw(poly)) == poly
+        assert m._intt_np(m._ntt_np(_rows(poly)))[0].tolist() == poly
 
     @settings(max_examples=20, deadline=None)
     @given(_POLY)
     def test_bulk_decompose_matches_scalar(self, poly):
         for gamma2 in ((m.Q - 1) // 88, (m.Q - 1) // 32):
-            assert m._high_bits_poly(poly, gamma2) == \
+            assert m._high_bits_np(_rows(poly), gamma2)[0].tolist() == \
                 [m.high_bits(c, gamma2) for c in poly]
-            assert m._low_bits_max([poly], gamma2) == \
-                max(abs(m.low_bits(c, gamma2)) for c in poly)
+            assert m._low_bits_np(_rows(poly), gamma2)[0].tolist() == \
+                [m.low_bits(c, gamma2) for c in poly]
 
     @pytest.mark.parametrize("params", [ML_DSA_44, ML_DSA_65, ML_DSA_87],
                              ids=lambda p: p.name)

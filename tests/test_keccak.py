@@ -45,7 +45,7 @@ class TestPermutation:
 class TestPureAgainstHashlib:
     """The from-scratch sponge must be byte-identical to CPython's C
     implementation of FIPS 202 — this is the correctness oracle that
-    justifies the accelerated dispatch in the public entry points."""
+    justifies the public entry points calling hashlib."""
 
     CASES = [b"", b"a", b"abc", b"x" * 135, b"x" * 136, b"x" * 137,
              b"y" * 1000]
@@ -84,8 +84,7 @@ class TestPureAgainstHashlib:
 
 
 class TestDispatch:
-    """Public entry points agree with the pure sponge whichever backend
-    is active."""
+    """Public entry points agree with the pure sponge."""
 
     @pytest.mark.parametrize("data", [b"", b"dispatch", b"z" * 137])
     def test_oneshot_functions(self, data):
@@ -128,6 +127,14 @@ class TestIncremental:
             keccak.KeccakSponge(0, 0x06)
         with pytest.raises(ValueError):
             keccak.KeccakSponge(200, 0x06)
+
+    @pytest.mark.parametrize("rate", [1, 100, 135, 199])
+    def test_non_lane_aligned_rate_rejected(self, rate):
+        # Blocks are absorbed as whole 64-bit lanes: a rate of 100 would
+        # drop bytes 96..99 of every block, so bytes(100) + b"x" and
+        # bytes(96) + b"\xff" * 4 + b"x" would collide.
+        with pytest.raises(ValueError):
+            keccak.KeccakSponge(rate, 0x1F)
 
     def test_squeeze_across_rate_boundary(self):
         # 136-byte rate: a 150-byte read forces a mid-read permutation.
