@@ -19,13 +19,17 @@ parameter choices with, for every slot, the disjoint union of every
 candidate's own configuration space — :meth:`Template.count_configurations`
 computes the size in closed form and :func:`enumerate_designs` streams
 the actual (configuration, metrics) pairs bottom-up, reusing evaluated
-sub-spaces so that a million-point space (Kyber-CCA) enumerates in
-seconds.
+sub-spaces.  The top level is folded in *lane chunks*
+(:func:`enumerate_chunks`): one cost call prices every design that
+differs only in the innermost slot, so a million-point space
+(Kyber-CCA) takes one cost call per 1302 designs and folds in well
+under a second.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .metrics import Metrics
@@ -165,35 +169,256 @@ class EvaluatedDesign:
     metrics: Metrics
 
 
+def _nonneg(value) -> bool:
+    """True when no lane of ``value`` (a column or a scalar) is below 0."""
+    return value.nonneg if type(value) is _Column else not value < 0
+
+
+def _compare(op):
+    """Elementwise comparison of a column with a column or a scalar."""
+    def compare(self, other):
+        others = other.lanes if type(other) is _Column \
+            else itertools.repeat(other)
+        return _Column(list(map(op, self.lanes, others)))
+    return compare
+
+
+_less = _compare(operator.lt)
+
+
+class _Column:
+    """One metric across the lanes of a chunk: a plain list, ``lanes``.
+
+    Arithmetic is elementwise, with a scalar broadcast on either side,
+    so an unchanged scalar cost model prices every lane in one call.
+    Each lane evaluates exactly the scalar expression (same operands,
+    same order, plain Python numbers), so a lane equals
+    :meth:`Template.evaluate` value for value and type for type.
+
+    Comparisons are elementwise too, and a column's truth value exists
+    only when every lane agrees: a cost model that branches on a
+    sub-template metric where the lanes disagree gets ``TypeError``
+    instead of one branch silently applied to every lane.  Anything
+    else a number supports (``float()``, ``**``, ``//``, hashing)
+    raises ``TypeError`` as well.
+
+    ``nonneg`` records that no lane is below zero: true of sub-design
+    metrics, and kept by ``+``, ``*`` and ``/`` of such operands.  It
+    lets ``x < 0`` — the check every :class:`Metrics` runs on its
+    fields — answer without a pass over the lanes.
+    """
+
+    __slots__ = ("lanes", "nonneg")
+
+    def __init__(self, lanes: list, nonneg: bool = False):
+        self.lanes = lanes
+        self.nonneg = nonneg
+
+    # Comprehensions, not map(operator.*): the interpreter's inline
+    # float arithmetic is the hot loop of an exhaustive fold.
+    def __add__(self, other):
+        nonneg = self.nonneg and _nonneg(other)
+        if type(other) is _Column:
+            return _Column(list(map(operator.add, self.lanes,
+                                    other.lanes)), nonneg)
+        return _Column([x + other for x in self.lanes], nonneg)
+
+    def __radd__(self, other):
+        return _Column([other + x for x in self.lanes],
+                       self.nonneg and not other < 0)
+
+    def __sub__(self, other):
+        if type(other) is _Column:
+            return _Column(list(map(operator.sub, self.lanes,
+                                    other.lanes)))
+        return _Column([x - other for x in self.lanes])
+
+    def __rsub__(self, other):
+        return _Column([other - x for x in self.lanes])
+
+    def __mul__(self, other):
+        nonneg = self.nonneg and _nonneg(other)
+        if type(other) is _Column:
+            return _Column(list(map(operator.mul, self.lanes,
+                                    other.lanes)), nonneg)
+        return _Column([x * other for x in self.lanes], nonneg)
+
+    def __rmul__(self, other):
+        return _Column([other * x for x in self.lanes],
+                       self.nonneg and not other < 0)
+
+    def __truediv__(self, other):
+        nonneg = self.nonneg and _nonneg(other)
+        if type(other) is _Column:
+            return _Column(list(map(operator.truediv, self.lanes,
+                                    other.lanes)), nonneg)
+        return _Column([x / other for x in self.lanes], nonneg)
+
+    def __rtruediv__(self, other):
+        return _Column([other / x for x in self.lanes],
+                       self.nonneg and not other < 0)
+
+    def __neg__(self):
+        return _Column([-x for x in self.lanes])
+
+    def __lt__(self, other):
+        if type(other) is not _Column and self.nonneg and other <= 0:
+            return _Column([False] * len(self.lanes))
+        return _less(self, other)
+
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
+    __eq__ = _compare(operator.eq)
+    __ne__ = _compare(operator.ne)
+
+    def __bool__(self):
+        if all(self.lanes):
+            return True
+        if not any(self.lanes):
+            return False
+        raise TypeError(
+            "lanes disagree on a branch: a cost model must not branch "
+            "on a sub-template metric")
+
+
+def _column_metrics(area_kge, latency_cc, randomness_bits) -> Metrics:
+    """A :class:`Metrics` over lane columns.  Skips the non-negativity
+    check, which cannot take one truth value for a column; every lane
+    here is already checked (a sub-design's, or a cost result's)."""
+    metrics = object.__new__(Metrics)
+    fields = metrics.__dict__
+    fields["area_kge"] = area_kge
+    fields["latency_cc"] = latency_cc
+    fields["randomness_bits"] = randomness_bits
+    return metrics
+
+
+def _columns_of(designs) -> Metrics:
+    """The lane columns of sub-designs, whose metrics are non-negative."""
+    return _column_metrics(
+        _Column([design.metrics.area_kge for design in designs], True),
+        _Column([design.metrics.latency_cc for design in designs], True),
+        _Column([design.metrics.randomness_bits for design in designs],
+                True))
+
+
+def _broadcast(value, lanes: int) -> _Column:
+    return value if type(value) is _Column else _Column([value] * lanes)
+
+
+class DesignChunk:
+    """Feasible designs of one template that differ only in the
+    innermost slot: one cost call priced them all.
+
+    ``raw`` holds each lane's raw enumeration index, and ``metrics`` is
+    one :class:`Metrics` whose fields are lane columns.  A lane's
+    :class:`Configuration` and :class:`EvaluatedDesign` are built only
+    on request (:meth:`design`).  A template without slots has one lane
+    per chunk.
+    """
+
+    __slots__ = ("template", "params", "slots", "inner", "lanes", "raw",
+                 "metrics", "shared")
+
+    def __init__(self, template, params, slots, inner, lanes, raw,
+                 result):
+        self.template = template
+        self.params = params
+        self.slots = slots          # outer (slot, Configuration) pairs
+        self.inner = inner          # innermost slot name, or None
+        self.lanes = lanes          # innermost slot's designs per lane
+        self.raw = raw
+        width = len(raw)
+        area, latency, randomness = \
+            result.area_kge, result.latency_cc, result.randomness_bits
+        if type(area) is _Column or type(latency) is _Column or \
+                type(randomness) is _Column:
+            self.shared = None
+            self.metrics = _column_metrics(_broadcast(area, width),
+                                           _broadcast(latency, width),
+                                           _broadcast(randomness, width))
+        else:
+            # No lane column reached the result: it is the same for
+            # every lane, which share it as the scalar path returns it.
+            self.shared = result
+            self.metrics = _column_metrics(
+                _Column([area] * width), _Column([latency] * width),
+                _Column([randomness] * width))
+
+    def lane_metrics(self, lane: int) -> Metrics:
+        if self.shared is not None:
+            return self.shared
+        metrics = self.metrics
+        return Metrics(metrics.area_kge.lanes[lane],
+                       metrics.latency_cc.lanes[lane],
+                       metrics.randomness_bits.lanes[lane])
+
+    def design(self, lane: int) -> EvaluatedDesign:
+        slots = self.slots
+        if self.inner is not None:
+            slots += ((self.inner, self.lanes[lane].configuration),)
+        return EvaluatedDesign(
+            Configuration(self.template.name, self.params, slots),
+            self.lane_metrics(lane))
+
+    def designs(self):
+        return map(self.design, range(len(self.raw)))
+
+
 def enumerate_designs(template: Template, context: DesignContext,
                       start: int = 0, stop: int = None, step: int = 1,
                       with_index: bool = False):
     """Stream every feasible (configuration, metrics) of ``template``.
 
     Sub-template spaces are evaluated once and cached in full — the
-    paper's bottom-up fold over the internal tree — so a parent with a
-    million-point product space (Kyber-CCA) pays only one arithmetic
-    cost call per point and the top level is never materialised.
-    Infeasible configurations are skipped silently.
+    paper's bottom-up fold over the internal tree — and the top level
+    is priced one lane chunk at a time (:func:`enumerate_chunks`), so a
+    parent with a million-point product space (Kyber-CCA) pays one
+    cost call per innermost-slot sweep and the top level is never
+    materialised.  Infeasible configurations are skipped silently.
 
     ``start`` / ``stop`` / ``step`` slice the *raw top-level
     enumeration order* (before feasibility filtering) so parallel
-    shards can split one space without repeating cost calls: shard
+    shards can split one space without repeating cost work: shard
     ``k`` of ``J`` streams ``start=k, step=J`` and the union over all
-    shards is exactly the serial stream.  Skipped positions never
-    invoke the top-level cost function.  ``with_index=True``
-    additionally yields each design's raw enumeration index —
-    ``(index, design)`` — which shards use as the deterministic
-    tie-break so merged optima match serial first-encounter order.
+    shards is exactly the serial stream.  Skipped positions are never
+    priced.  ``with_index=True`` additionally yields each design's raw
+    enumeration index — ``(index, design)`` — which shards use as the
+    deterministic tie-break so merged optima match serial
+    first-encounter order.
     """
-    yield from _stream(template, context, {}, start, stop, step,
-                       with_index)
+    for chunk in _chunks(template, context, {}, start, stop, step):
+        if with_index:
+            yield from zip(chunk.raw, chunk.designs())
+        else:
+            yield from chunk.designs()
 
 
-def _stream(template: Template, context: DesignContext, cache: dict,
-            start: int = 0, stop: int = None, step: int = 1,
-            with_index: bool = False):
-    """Lazily generate this template's designs; slots are materialised."""
+def enumerate_chunks(template: Template, context: DesignContext,
+                     start: int = 0, stop: int = None, step: int = 1):
+    """Stream ``template``'s feasible designs as lane chunks.
+
+    A :class:`DesignChunk` fixes the parameter combination and every
+    slot but the innermost (the last in name order, the fastest-varying
+    factor of the raw enumeration order); its lanes are that slot's
+    designs, so raw indices, ``start`` / ``stop`` / ``step`` slices and
+    the flattened order are exactly those of :func:`enumerate_designs`.
+    The template's ``cost`` is called once per chunk with the
+    innermost slot's metrics as lane columns.  A cost model may
+    compute with sub-template metrics (``+ - * /``, scalars on either
+    side) but not branch on them where lanes disagree (``TypeError``).
+    ``InfeasibleConfiguration`` drops the whole chunk, so it must
+    depend only on parameters and outer slots.
+    """
+    return _chunks(template, context, {}, start, stop, step)
+
+
+def _chunks(template: Template, context: DesignContext, cache: dict,
+            start: int = 0, stop: int = None, step: int = 1):
+    """Lazily price this template's lane chunks; slots are materialised."""
+    if start < 0 or step < 1 or (stop is not None and stop < 0):
+        raise ValueError("start and stop must be >= 0 and step >= 1")
     param_names = sorted(template.parameters)
     param_spaces = [template.parameters[name] for name in param_names]
     slot_names = sorted(template.slots)
@@ -203,35 +428,86 @@ def _stream(template: Template, context: DesignContext, cache: dict,
         for candidate in template.slots[slot_name]:
             sub_designs.extend(_materialise(candidate, context, cache))
         slot_spaces.append(sub_designs)
+    if slot_names:
+        inner, lanes = slot_names.pop(), slot_spaces.pop()
+        full_columns = _columns_of(lanes)
+    else:
+        inner, lanes, full_columns = None, (None,), None
+    width = len(lanes)
+    if not width:
+        return
     n_params = len(param_names)
-    # One flat product in the same nested order as the historical
-    # params-outer / slots-inner loops; islice makes index-range
-    # sharding skip combinations *before* any cost call.
-    combos = enumerate(itertools.product(*param_spaces, *slot_spaces))
+    outer_count = 1
+    for space in param_spaces + slot_spaces:
+        outer_count *= len(space)
+    total = outer_count * width
+    stop = total if stop is None else min(stop, total)
+    cost = template.cost
+    # One chunk per outer combination, in the same nested order as the
+    # flat params-then-slots product; islice skips whole chunks before
+    # any cost call.
+    first = start // width
+    combos = itertools.islice(
+        itertools.product(*param_spaces, *slot_spaces),
+        first, -(-stop // width))
     last_param_combo = params = param_dict = None
-    for raw_index, combo in itertools.islice(combos, start, stop, step):
+    for chunk_index, combo in enumerate(combos, first):
+        base = chunk_index * width
+        lo = max(base, start)
+        lo += (start - lo) % step
+        hi = min(base + width, stop)
+        if lo >= hi:
+            continue
         param_combo, slot_combo = combo[:n_params], combo[n_params:]
         if param_combo != last_param_combo:
             params = tuple(zip(param_names, param_combo))
             param_dict = dict(params)
             last_param_combo = param_combo
-        slots = tuple(
-            (name, design.configuration)
-            for name, design in zip(slot_names, slot_combo))
-        sub_metrics = {name: design.metrics
-                       for name, design in zip(slot_names, slot_combo)}
+        sub_metrics = {}
+        for name, design in zip(slot_names, slot_combo):
+            sub_metrics[name] = design.metrics
+        chunk_lanes = lanes
+        if inner is not None:
+            if step == 1 and hi - lo == width:
+                columns = full_columns
+            else:
+                window = slice(lo - base, hi - base, step)
+                chunk_lanes = lanes[window]
+                columns = _columns_of(chunk_lanes)
+            sub_metrics[inner] = columns
         try:
-            metrics = template.cost(param_dict, sub_metrics, context)
+            result = cost(param_dict, sub_metrics, context)
         except InfeasibleConfiguration:
             continue
-        design = EvaluatedDesign(
-            Configuration(template.name, params, slots), metrics)
-        yield (raw_index, design) if with_index else design
+        except TypeError:
+            if inner is None:
+                raise
+            _replay_lanes(cost, param_dict, sub_metrics, context, inner,
+                          chunk_lanes)
+            raise
+        slots = tuple((name, design.configuration) for name, design
+                      in zip(slot_names, slot_combo)) if slot_combo else ()
+        yield DesignChunk(template, params, slots, inner, chunk_lanes,
+                          range(lo, hi, step), result)
+
+
+def _replay_lanes(cost, params: dict, sub_metrics: dict, context,
+                  inner: str, lanes) -> None:
+    """Price a failed chunk one lane at a time, so an error the scalar
+    path raises for one lane (a negative metric: ``ValueError``)
+    surfaces as that error rather than as the column's ``TypeError``."""
+    for design in lanes:
+        try:
+            cost(params, {**sub_metrics, inner: design.metrics}, context)
+        except InfeasibleConfiguration:
+            pass
 
 
 def _materialise(template: Template, context: DesignContext,
                  cache: dict) -> list:
     key = id(template)
     if key not in cache:
-        cache[key] = list(_stream(template, context, cache))
+        cache[key] = [design
+                      for chunk in _chunks(template, context, cache)
+                      for design in chunk.designs()]
     return cache[key]

@@ -1,0 +1,158 @@
+"""Lane-chunk fold vs the scalar cost path.
+
+The exhaustive fold prices each top-level chunk (every design that
+differs only in the innermost slot) with one call of the unchanged
+cost model over lane columns.  These tests pin that every design it
+yields is exactly what :meth:`Template.evaluate` predicts for the same
+configuration, value for value and type for type, and that a cost
+model the columns cannot express fails loudly instead of being priced
+wrong.
+"""
+
+import pytest
+
+from repro.hades import (Configuration, DesignContext,
+                         ExhaustiveExplorer, InfeasibleConfiguration,
+                         Metrics, OptimizationGoal, Template,
+                         enumerate_designs)
+from repro.hades.library import TABLE_I_ROWS, kyber_cca
+from repro.hades.template import enumerate_chunks
+
+SMALL_ROWS = [row for row in TABLE_I_ROWS if row[2] <= 50_000]
+ORDERS = (0, 1, 2)
+FIELDS = ("area_kge", "latency_cc", "randomness_bits")
+
+
+def _assert_scalar_equal(template, context, designs):
+    for design in designs:
+        expected = template.evaluate(design.configuration, context)
+        for name in FIELDS:
+            got, want = getattr(design.metrics, name), \
+                getattr(expected, name)
+            assert got == want and type(got) is type(want), \
+                (design.configuration.describe(), name, got, want)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name,factory,count", SMALL_ROWS,
+                         ids=[row[0] for row in SMALL_ROWS])
+def test_every_design_matches_scalar_evaluate(name, factory, count,
+                                              order):
+    template = factory()
+    context = DesignContext(masking_order=order)
+    designs = list(enumerate_designs(template, context))
+    assert designs
+    _assert_scalar_equal(template, context, designs)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_kyber_cca_sample_matches_scalar_evaluate(order):
+    template = kyber_cca()
+    context = DesignContext(masking_order=order)
+    sample = list(enumerate_designs(template, context, step=1009,
+                                    with_index=True))
+    assert [index for index, _ in sample] == \
+        list(range(0, template.count_configurations(), 1009))
+    _assert_scalar_equal(template, context,
+                         [design for _, design in sample])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name,factory,count", SMALL_ROWS,
+                         ids=[row[0] for row in SMALL_ROWS])
+def test_stride_shards_union_is_serial_stream(name, factory, count,
+                                              order):
+    template = factory()
+    context = DesignContext(masking_order=order)
+    serial = list(enumerate_designs(template, context, with_index=True))
+    shards = [entry for k in range(3)
+              for entry in enumerate_designs(template, context, start=k,
+                                             step=3, with_index=True)]
+    assert sorted(shards, key=lambda entry: entry[0]) == serial
+
+
+def _leaf(name, areas):
+    """A slotless template with one design per area in ``areas``."""
+    return Template(name, lambda p, s, c: Metrics(p["area"], 2.0),
+                    parameters={"area": tuple(areas)})
+
+
+def test_branch_on_sub_metric_raises_type_error():
+    def cost(params, subs, context):
+        if subs["s"].area_kge > 1.5:
+            return Metrics(1.0, 1.0)
+        return Metrics(2.0, 2.0)
+
+    leaf = _leaf("leaf", (1, 2, 3))
+    parent = Template("parent", cost, slots={"s": (leaf,)})
+    # A valid scalar cost model: each configuration prices fine alone.
+    for sub in enumerate_designs(leaf, DesignContext()):
+        parent.evaluate(Configuration("parent", (),
+                                      (("s", sub.configuration),)),
+                        DesignContext())
+    with pytest.raises(TypeError):
+        list(enumerate_designs(parent, DesignContext()))
+    with pytest.raises(TypeError):
+        ExhaustiveExplorer(parent).run(OptimizationGoal.AREA)
+
+
+@pytest.mark.parametrize("area", [
+    lambda sub: sub.area_kge - 1.5,
+    lambda sub: 2.5 - sub.area_kge,
+    lambda sub: sub.area_kge * -1 + 2.5,
+    lambda sub: -2 * sub.area_kge + 5.5,
+    lambda sub: -sub.area_kge + 2.5,
+    lambda sub: sub.area_kge / -2 + 1.25,
+    lambda sub: 3 / -sub.area_kge + 2,
+], ids=["sub", "rsub", "mul", "rmul", "neg", "div", "rdiv"])
+def test_negative_metric_in_one_lane_raises_value_error(area):
+    """Exactly one of the three lanes goes below zero.  Pricing the
+    chunk must reject it, before any lane is materialised."""
+    parent = Template(
+        "parent", lambda p, s, c: Metrics(area(s["s"]), 1.0),
+        slots={"s": (_leaf("leaf", (1, 2, 3)),)})
+    assert sum(area(Metrics(a, 2.0)) < 0 for a in (1, 2, 3)) == 1
+    with pytest.raises(ValueError):
+        list(enumerate_chunks(parent, DesignContext()))
+    with pytest.raises(ValueError):
+        list(enumerate_designs(parent, DesignContext()))
+    with pytest.raises(ValueError):
+        ExhaustiveExplorer(parent).run(OptimizationGoal.AREA)
+
+
+def test_parameter_infeasibility_skips_exactly_its_chunk():
+    def cost(params, subs, context):
+        if params["a"] == 2:
+            raise InfeasibleConfiguration("a=2 cannot be built")
+        return subs["s"].scaled(area=params["a"])
+
+    parent = Template("parent", cost, parameters={"a": (1, 2, 3)},
+                      slots={"s": (_leaf("leaf", (1, 2, 3, 4)),)})
+    designs = list(enumerate_designs(parent, DesignContext(),
+                                     with_index=True))
+    assert [index for index, _ in designs] == [0, 1, 2, 3, 8, 9, 10, 11]
+    _assert_scalar_equal(parent, DesignContext(),
+                         [design for _, design in designs])
+    result = ExhaustiveExplorer(parent).run(OptimizationGoal.AREA)
+    assert (result.explored, result.feasible) == (12, 8)
+
+
+def test_column_operators_match_scalar_arithmetic():
+    """Every operator a cost may apply to a lane column, on either
+    side, including augmented assignment (never list concatenation)."""
+    def cost(params, subs, context):
+        sub = subs["s"]
+        area = sub.area_kge
+        area += sub.area_kge
+        area *= 2
+        area = 10 - (-area) / 4 + 3 / (sub.latency_cc + 1) - 0.5
+        latency = 3 * sub.latency_cc / sub.area_kge - sub.latency_cc / 7
+        return Metrics(area, latency, sub.randomness_bits * 2 + 1)
+
+    leaf = Template("leaf", lambda p, s, c: Metrics(p["x"], p["x"] * 3,
+                                                    p["x"] // 2),
+                    parameters={"x": (1, 2, 3, 4, 5)})
+    parent = Template("parent", cost, slots={"s": (leaf,)})
+    designs = list(enumerate_designs(parent, DesignContext()))
+    assert len(designs) == 5
+    _assert_scalar_equal(parent, DesignContext(), designs)
