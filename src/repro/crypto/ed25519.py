@@ -37,7 +37,6 @@ cache warmth (the ISSUE 4 parallel-parity contract).
 from __future__ import annotations
 
 import hashlib
-import threading
 
 from ..obs import TELEMETRY
 from ..obs.perf import PERF
@@ -600,7 +599,6 @@ def _triage(terms, a_tables, items, results, failed: bool) -> None:
 #: decompression square root and the table build are paid once per key.
 #: ``None`` caches an invalid encoding.
 _VERIFY_MEMO = Memo(maxsize=256)
-_VERIFY_LOCK = threading.Lock()
 
 
 def _verify_table(public: bytes, width: int = _WNAF_POINT):
@@ -608,20 +606,15 @@ def _verify_table(public: bytes, width: int = _WNAF_POINT):
     public key; ``None`` when the encoding is invalid or ``A`` has
     small order (such a key meets the cofactored equation with
     ``s = 0`` and any small-order ``R``, for every message)."""
-    key = (width, bytes(public))
-    with _VERIFY_LOCK:
-        found, table = _VERIFY_MEMO.lookup(key)
-    if found:
-        return table
-    try:
-        neg_a = _point_negate(_decompress(public))
-    except ValueError:
-        neg_a = None
-    table = None if neg_a is None or _is_small_order(neg_a) \
-        else _point_table(neg_a, width)
-    with _VERIFY_LOCK:
-        _VERIFY_MEMO.store(key, table)
-    return table
+    def build():
+        try:
+            neg_a = _point_negate(_decompress(public))
+        except ValueError:
+            return None
+        return None if _is_small_order(neg_a) \
+            else _point_table(neg_a, width)
+
+    return _VERIFY_MEMO.get_or_build((width, bytes(public)), build)
 
 
 def _compress(point) -> bytes:

@@ -29,7 +29,6 @@ loop forms retained as :func:`ntt_reference` / :meth:`MLDSA.sign_reference`
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -647,34 +646,10 @@ def sig_decode(data: bytes, params: MLDSAParams):
 # ---------------------------------------------------------------------------
 # Keyed contexts
 
-#: Memoized keyed contexts and seed-regenerated keypairs.  Values are
-#: ``(value, perf_delta)`` pairs: the PERF counter delta recorded while
-#: building is *replayed* on every hit, so counter totals are identical
-#: whether a context was built cold or served warm (the parallel-parity
-#: transparency contract — see tests/test_parallel_parity.py).
+#: Memoized keyed contexts and seed-regenerated keypairs, keyed by
+#: ``(kind, parameter set, bytes)``.  A process-wide memo: hits replay
+#: the build's PERF delta (the counter contract in ``repro.runtime.memo``).
 _CTX_MEMO = Memo(maxsize=64)
-_CTX_LOCK = threading.Lock()
-
-
-def _memoized(kind: str, name: str, data: bytes, build):
-    """Serve ``build()`` through the context memo with PERF replay."""
-    key = (kind, name, data)
-    with _CTX_LOCK:
-        found, entry = _CTX_MEMO.lookup(key)
-    if found:
-        value, delta = entry
-        if delta and PERF.enabled:
-            PERF.merge(delta)
-        return value
-    if PERF.enabled:
-        before = PERF.snapshot()
-        value = build()
-        delta = PERF.delta_since(before)
-    else:
-        value, delta = build(), None
-    with _CTX_LOCK:
-        _CTX_MEMO.store(key, (value, delta))
-    return value
 
 
 class MLDSASigner:
@@ -983,8 +958,9 @@ class MLDSA:
             raise ValueError("ML-DSA seed must be 32 bytes")
         # Seeded generation is deterministic, so regenerate-at-boot (the
         # paper's 32-byte-seed storage model) hits the context memo.
-        return _memoized("key_gen", p.name, bytes(seed),
-                         lambda: self._key_gen(bytes(seed)))
+        seed = bytes(seed)
+        return _CTX_MEMO.get_or_build(("key_gen", p.name, seed),
+                                      lambda: self._key_gen(seed))
 
     def _key_gen(self, seed: bytes) -> tuple:
         p = self.params
@@ -1014,14 +990,14 @@ class MLDSA:
 
     def signer(self, secret: bytes) -> MLDSASigner:
         """A memoized :class:`MLDSASigner` for ``secret``."""
-        return _memoized(
-            "signer", self.params.name, bytes(secret),
+        return _CTX_MEMO.get_or_build(
+            ("signer", self.params.name, bytes(secret)),
             lambda: MLDSASigner(self.params, secret))
 
     def verifier(self, public: bytes) -> MLDSAVerifier:
         """A memoized :class:`MLDSAVerifier` for ``public``."""
-        return _memoized(
-            "verifier", self.params.name, bytes(public),
+        return _CTX_MEMO.get_or_build(
+            ("verifier", self.params.name, bytes(public)),
             lambda: MLDSAVerifier(self.params, public))
 
     # -- signing -----------------------------------------------------------

@@ -1,22 +1,40 @@
-"""Bounded evaluation memoization for revisited design points.
+"""Bounded memoization, and the one place cached work meets PERF.
 
-Coordinate descent re-scores the same neighbours over and over: moving
-along parameter ``a`` re-evaluates every value of ``b`` it already
-scored one sweep earlier.  :class:`Memo` is a small bounded LRU map
-from a canonical, hashable key (a frozen
-:class:`~repro.hades.template.Configuration` hashes structurally) to a
-computed value, with hit/miss/eviction accounting so callers can report
-how much work the cache removed.
+:class:`Memo` is a small bounded LRU map from a canonical, hashable
+key to a computed value, with hit/miss/eviction accounting so callers
+can report how much work the cache removed.  ``None`` is a legal
+cached value — the explorers cache *infeasibility* too, which is
+exactly the expensive repeated outcome on masked spaces — so lookups
+go through :meth:`Memo.lookup`'s ``(found, value)`` pair rather than a
+sentinel-default ``get``.
 
-``None`` is a legal cached value — the explorers cache *infeasibility*
-too, which is exactly the expensive repeated outcome on masked spaces —
-so lookups go through :meth:`lookup`'s ``(found, value)`` pair rather
-than a sentinel-default ``get``.
+Two kinds of caller use it:
+
+* **Scoped caches** — a coordinate descent's revisited neighbours, an
+  adversary campaign's repeated candidate cases, an attestation
+  service's verified sessions — call :meth:`Memo.lookup` and
+  :meth:`Memo.store` directly.  Their warmth is a function of the work handed to the
+  object that owns them, so their PERF counters count the work
+  actually done.
+* **Process-wide memos** — the measured-boot memo, the ML-DSA key and
+  context memo, the Ed25519 per-key table memo — outlive any one
+  workload: forked workers and test order see them at different
+  warmth.  They go through :meth:`Memo.get_or_build`, which records
+  the PERF delta of each build and replays it on every hit.
+
+The counter contract both serve: **PERF counters are a function of the
+workload, never of process history.**  :meth:`Memo.get_or_build` is the
+only cache-side code that may snapshot or merge PERF; an entry built
+while PERF was off has no delta to replay, so it is rebuilt the first
+time it is hit with PERF on.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+
+from ..obs.perf import PERF
 
 #: Default capacity: comfortably above any library template's neighbour
 #: churn while keeping worst-case memory at laptop scale.
@@ -26,7 +44,8 @@ DEFAULT_MAXSIZE = 65536
 class Memo:
     """A bounded least-recently-used ``key -> value`` cache."""
 
-    __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries")
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries",
+                 "_lock")
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
@@ -36,6 +55,7 @@ class Memo:
         self.misses = 0
         self.evictions = 0
         self._entries = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -65,6 +85,35 @@ class Memo:
         if len(entries) > self.maxsize:
             entries.popitem(last=False)
             self.evictions += 1
+
+    def get_or_build(self, key, build):
+        """The cached value for ``key``, running ``build()`` on a miss.
+
+        A miss stores ``(value, delta)``: the PERF delta of the build
+        when PERF is on, else ``None``.  A hit merges the stored delta,
+        so counter totals are the same cold and warm; a hit on a
+        ``None`` delta with PERF on rebuilds.  Lookup and store hold
+        the memo's own lock; ``build()`` runs outside it, so builds may
+        nest other memos.
+        """
+        with self._lock:
+            found, entry = self.lookup(key)
+        if found:
+            value, delta = entry
+            if not PERF.enabled:
+                return value
+            if delta is not None:
+                PERF.merge(delta)
+                return value
+        if PERF.enabled:
+            before = PERF.snapshot()
+            value = build()
+            delta = PERF.delta_since(before)
+        else:
+            value, delta = build(), None
+        with self._lock:
+            self.store(key, (value, delta))
+        return value
 
     def stats(self) -> dict:
         return {"size": len(self._entries), "maxsize": self.maxsize,

@@ -19,7 +19,6 @@ Two concerns live here:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 
 from ..faults.injector import FAULTS
@@ -39,15 +38,13 @@ from .device import Device
 # device identity, the ROM section layout and the SM image bytes, so a
 # repeat boot of the same triple can replay the stored hand-off instead
 # of re-running two signatures and (in the PQ configuration) an ML-DSA
-# key regeneration.  Entries hold ``(report.encode(), perf_delta)`` —
-# the recorded PERF delta is merged on every hit so architectural
-# counter totals are independent of cache state.  The cache is never
-# consulted or populated while fault injection is armed (an injection
-# scenario must re-measure and re-sign for its faults to land) or while
-# a telemetry subscriber is active (timed spans cannot be replayed, so
-# traced boots always show the real span tree).
+# key regeneration.  It is a process-wide memo, so hits replay the
+# build's PERF delta (the counter contract in ``repro.runtime.memo``).
+# It is never consulted or populated while fault injection is armed (an
+# injection scenario must re-measure and re-sign for its faults to
+# land) or while a telemetry subscriber is active (timed spans cannot
+# be replayed, so traced boots always show the real span tree).
 _BOOT_MEMO = Memo(maxsize=64)
-_BOOT_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -229,30 +226,14 @@ class BootRom:
         telemetry subscriber is active, in which case the cache is
         bypassed entirely and the full measure/sign sequence runs, so
         injected faults take effect and traces show the real span tree
-        (PERF deltas can be replayed exactly on a hit; timed spans
-        cannot).  Cache hits replay the PERF delta recorded when the
-        entry was built, keeping counter totals cache-independent.
+        (timed spans cannot be replayed; PERF deltas can, and hits
+        replay the original boot's).
         """
         if FAULTS.enabled or TELEMETRY.enabled:
             return self._boot(sm_binary)
-        key = self._boot_cache_key(sm_binary)
-        with _BOOT_LOCK:
-            found, entry = _BOOT_MEMO.lookup(key)
-        if found:
-            encoded, delta = entry
-            if delta is not None and PERF.enabled:
-                PERF.merge(delta)
-            return BootReport.decode(encoded)
-        if PERF.enabled:
-            before = PERF.snapshot()
-            report = self._boot(sm_binary)
-            delta = PERF.delta_since(before)
-        else:
-            report = self._boot(sm_binary)
-            delta = None
-        with _BOOT_LOCK:
-            _BOOT_MEMO.store(key, (report.encode(), delta))
-        return report
+        return BootReport.decode(_BOOT_MEMO.get_or_build(
+            self._boot_cache_key(sm_binary),
+            lambda: self._boot(sm_binary).encode()))
 
     def _boot(self, sm_binary: bytes) -> BootReport:
         """The real measured-boot sequence.

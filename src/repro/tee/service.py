@@ -24,17 +24,16 @@ Determinism is the design axis, same as the rest of the runtime:
   frozen cache the serial loop reads, so the hit/miss pattern — and
   with it every result byte, audit event and PERF counter — is
   identical for any ``REPRO_JOBS``.
-* **Session cache** — content-addressed like the PR 5 boot memo: the
-  key covers the device identity, the enclave measurement, the SM
-  image hash (both via the full report bytes) and the verification
-  policy, and the value holds the verdict plus the deterministic
-  session token.  Entries built by a single-request flush also record
-  the PERF delta of the verification and replay it on every hit
-  (bootrom semantics: counter totals independent of cache warmth).
-  Entries built by a multi-lane batch deliberately store no delta —
-  the combined-chain Ed25519 counters are a property of the *batch*,
-  not attributable to one lane — so their hits leave only the
-  ``tee.service.*`` bookkeeping counters.  The cache is bypassed
+* **Session cache** — content-addressed like the boot memo: the key
+  covers the device identity, the enclave measurement, the SM image
+  hash (both via the full report bytes) and the verification policy,
+  and the value holds the verdict plus the deterministic session
+  token.  The cache belongs to one service and is frozen for a drain,
+  so its warmth is a function of the submissions alone: hits replay
+  no PERF delta, and ``crypto.*`` counters count the verification
+  work actually done (the counter contract in
+  :mod:`repro.runtime.memo`).  Hits and misses are reported by
+  :meth:`AttestationService.cache_stats`.  The cache is bypassed
   entirely while FAULTS are armed (injections must reach the real
   verification) or a telemetry subscriber is active (timed spans
   cannot be replayed); bypassed verdicts are byte-identical because
@@ -280,7 +279,6 @@ class AttestationService:
                   or TELEMETRY.enabled)
         with TELEMETRY.span("tee.service.batch", batch=len(batch)):
             lanes = []          # (request, identity, key) to verify
-            hits = []           # (request, key, entry)
             results = {}        # seq -> result dict
             reasons = {}        # seq -> rejection reason (or None)
             for request in batch:
@@ -297,23 +295,18 @@ class AttestationService:
                     continue
                 key = self._session_key(request, identity)
                 if not bypass:
+                    # Hit/miss tallies live in the Memo's own stats
+                    # (:meth:`cache_stats`), deliberately NOT in PERF:
+                    # a cold and a warm run must tick the same
+                    # ``tee.service.*`` counters.
                     with self._cache_lock:
                         found, entry = self._cache.lookup(key)
                     if found:
-                        hits.append((request, key, entry))
+                        ok, token, reasons[request.seq] = entry
+                        results[request.seq] = self._result(request, ok,
+                                                            token)
                         continue
                 lanes.append((request, identity, key))
-            # Hit/miss tallies live in the Memo's own stats
-            # (:meth:`cache_stats`), deliberately NOT in PERF: a cold
-            # and a warm run of the same workload must produce the same
-            # counter file (the boot-memo contract), which no
-            # hit-or-miss counter can satisfy.
-            for request, key, entry in hits:
-                ok, token, reason, delta = entry
-                if delta is not None and PERF.enabled:
-                    PERF.merge(delta)
-                results[request.seq] = self._result(request, ok, token)
-                reasons[request.seq] = reason
             new_entries = []
             if lanes:
                 new_entries = self._verify_lanes(lanes, results,
@@ -362,12 +355,8 @@ class AttestationService:
             parsed.append((request, key))
         if not parsed:
             return []
-        measure = PERF.enabled and not bypass and len(parsed) == 1
-        if measure:
-            before = PERF.snapshot()
         verdicts = verify_reports(reports, identities,
                                   params=self.params)
-        delta = PERF.delta_since(before) if measure else None
         new_entries = []
         for (request, key), ok in zip(parsed, verdicts):
             token = self._session_token(key) if ok else b""
@@ -375,7 +364,7 @@ class AttestationService:
             results[request.seq] = self._result(request, ok, token)
             reasons[request.seq] = reason
             if not bypass:
-                new_entries.append((key, (ok, token, reason, delta)))
+                new_entries.append((key, (ok, token, reason)))
         return new_entries
 
     def _structurally_plausible(self, request: ServiceRequest) -> bool:

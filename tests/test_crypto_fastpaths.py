@@ -23,7 +23,7 @@ from repro.crypto import mldsa as m
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.faults.injector import FAULTS, FaultSpec
 from repro.faults.models import BIT_FLIP
-from repro.obs.perf import counting
+from repro.obs.perf import PERF, counting
 from repro.tee.bootrom import BootRom
 from repro.tee.device import Device
 
@@ -207,6 +207,31 @@ class TestBootMemo:
         warm_delta = warm.delta()
         assert cold_delta["tee.bootrom.boots"] == 1
         assert warm_delta == cold_delta
+
+    def test_entry_minted_with_perf_off_counts_like_a_cold_boot(self):
+        """A boot memoized while PERF was off has no delta to replay,
+        so its first counted hit rebuilds: the counted boots tick the
+        real boot's counters, whatever the memo held before."""
+        seed = hashlib.sha3_256(b"memo-perf-off").digest()
+        rom = BootRom(Device(seed, post_quantum=True))
+        binary = b"memo-perf-off-sm" * 64
+        was_enabled = PERF.enabled
+        PERF.disable()
+        try:
+            minted = rom.boot(binary)
+        finally:
+            PERF.enabled = was_enabled
+        with counting() as cold:
+            assert rom.boot(binary).encode() == minted.encode()
+        cold_delta = cold.delta()
+        with counting() as warm:
+            assert rom.boot(binary).encode() == minted.encode()
+        warm_delta = warm.delta()
+        with counting() as real:
+            rom._boot(binary)
+        assert cold_delta["tee.bootrom.boots"] == 1
+        assert cold_delta["crypto.mldsa.key_gen"] > 0
+        assert warm_delta == cold_delta == real.delta()
 
     def test_active_telemetry_bypasses_memo(self):
         from repro.obs import TELEMETRY

@@ -1,9 +1,11 @@
 """Smoke tests: every ``repro.*`` (sub)module imports cleanly and the
 package-level docstring examples actually run (ISSUE 1 satellite)."""
 
+import ast
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +54,33 @@ def test_obs_quick_use_doctest_style():
     (record,) = telemetry.tracer.snapshot()
     assert record["name"] == "my.phase"
     assert telemetry.metrics_snapshot()["my.items"]["value"] == 1
+
+
+#: The only modules allowed to fold recorded PERF deltas back into the
+#: counter file: the replaying memo primitive and the executor's
+#: shard merge.  A hand-rolled cache replay anywhere else would make
+#: counters depend on process history (see ``repro.runtime.memo``).
+PERF_REPLAY_MODULES = {"repro/runtime/memo.py", "repro/runtime/capture.py"}
+
+
+def _perf_replay_calls(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("merge", "delta_since")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "PERF"]
+
+
+def test_perf_replay_only_in_memo_and_shard_merge():
+    src = Path(repro.__file__).resolve().parent.parent
+    offenders = {}
+    for path in sorted(src.glob("repro/**/*.py")):
+        name = path.relative_to(src).as_posix()
+        lines = _perf_replay_calls(path)
+        if lines and name not in PERF_REPLAY_MODULES:
+            offenders[name] = lines
+    assert offenders == {}
+    assert all(_perf_replay_calls(src / name)
+               for name in PERF_REPLAY_MODULES)

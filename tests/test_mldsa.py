@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.crypto import mldsa
 from repro.crypto.mldsa import (ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA, N,
                                 Q)
+from repro.obs.perf import PERF, counting
 
 SEED = bytes(range(32))
 
@@ -15,6 +16,15 @@ SEED = bytes(range(32))
 @pytest.fixture(scope="module")
 def keypair44():
     return MLDSA(ML_DSA_44).key_gen(SEED)
+
+
+def _mint_with_perf_off(build):
+    was_enabled = PERF.enabled
+    PERF.disable()
+    try:
+        return build()
+    finally:
+        PERF.enabled = was_enabled
 
 
 def _ntt(coeffs: list) -> list:
@@ -266,3 +276,48 @@ class TestScheme:
         sig = scheme.sign(secret, b"msg")
         assert len(sig) == params.signature_bytes
         assert scheme.verify(public, b"msg", sig)
+
+
+class TestContextMemoCounters:
+    """The context memo is process-wide, so its hits replay the build's
+    PERF delta — including for entries first built with PERF off."""
+
+    def test_key_gen_minted_with_perf_off(self):
+        scheme = MLDSA(ML_DSA_44)
+        seed = b"\x5a" * 32
+        minted = _mint_with_perf_off(lambda: scheme.key_gen(seed))
+        with counting() as cold:
+            assert scheme.key_gen(seed) == minted
+        cold_delta = cold.delta()
+        with counting() as warm:
+            assert scheme.key_gen(seed) == minted
+        warm_delta = warm.delta()
+        with counting() as real:
+            scheme._key_gen(seed)
+        assert cold_delta["crypto.mldsa.key_gen"] == 1
+        assert warm_delta == cold_delta == real.delta()
+
+    def test_verifier_minted_with_perf_off(self, monkeypatch):
+        scheme = MLDSA(ML_DSA_44)
+        public, secret = scheme.key_gen(b"\x5b" * 32)
+        signature = scheme.sign(secret, b"memo")
+
+        class CountedVerifier(mldsa.MLDSAVerifier):
+            # A real verifier build ticks nothing (its NTTs are
+            # uncounted precomputation); tick one event so the replay
+            # has something to carry.
+            def __init__(self, params, key):
+                if PERF.enabled:
+                    PERF.inc("test.mldsa.verifier_builds")
+                super().__init__(params, key)
+
+        monkeypatch.setattr(mldsa, "MLDSAVerifier", CountedVerifier)
+        _mint_with_perf_off(lambda: scheme.verifier(public))
+        with counting() as cold:
+            assert scheme.verify(public, b"memo", signature)
+        cold_delta = cold.delta()
+        with counting() as warm:
+            assert scheme.verify(public, b"memo", signature)
+        assert cold_delta["test.mldsa.verifier_builds"] == 1
+        assert cold_delta["crypto.mldsa.verify"] == 1
+        assert warm.delta() == cold_delta

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import TELEMETRY
-from repro.obs.perf import PERF
+from repro.obs.perf import PERF, counting
 from repro.runtime import (Memo, available_cpus, chunk_bounds,
                            fork_available, parallel_map, resolve_jobs,
                            run_sharded, stride_shards)
@@ -255,3 +255,66 @@ class TestMemo:
     def test_rejects_bad_maxsize(self):
         with pytest.raises(ValueError):
             Memo(maxsize=0)
+
+    # -- get_or_build: the replaying path of process-wide memos --------
+
+    @staticmethod
+    def _builder(builds):
+        def build():
+            builds.append(1)
+            if PERF.enabled:
+                PERF.inc("test.memo.builds")
+            return len(builds)
+        return build
+
+    @staticmethod
+    def _perf_off(fn):
+        was_enabled = PERF.enabled
+        PERF.disable()
+        try:
+            return fn()
+        finally:
+            PERF.enabled = was_enabled
+
+    def test_get_or_build_miss_then_hit(self):
+        memo, builds = Memo(), []
+        build = self._builder(builds)
+        assert self._perf_off(lambda: memo.get_or_build("k", build)) == 1
+        assert self._perf_off(lambda: memo.get_or_build("k", build)) == 1
+        assert builds == [1]
+        assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_get_or_build_serves_none(self):
+        memo, builds = Memo(), []
+
+        def build():
+            builds.append(1)
+
+        with counting():
+            assert memo.get_or_build("k", build) is None
+            assert memo.get_or_build("k", build) is None
+        assert builds == [1]
+
+    def test_get_or_build_hit_replays_delta(self):
+        memo, builds = Memo(), []
+        build = self._builder(builds)
+        with counting() as cold:
+            memo.get_or_build("k", build)
+        cold_delta = cold.delta()
+        with counting() as warm:
+            assert memo.get_or_build("k", build) == 1
+        assert builds == [1]
+        assert cold_delta == {"test.memo.builds": 1}
+        assert warm.delta() == cold_delta
+
+    def test_get_or_build_rebuilds_perf_off_entry(self):
+        memo, builds = Memo(), []
+        build = self._builder(builds)
+        self._perf_off(lambda: memo.get_or_build("k", build))
+        with counting() as first:
+            assert memo.get_or_build("k", build) == 2
+        first_delta = first.delta()
+        with counting() as second:
+            assert memo.get_or_build("k", build) == 2
+        assert builds == [1, 1]
+        assert first_delta == second.delta() == {"test.memo.builds": 1}

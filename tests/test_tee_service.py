@@ -1,13 +1,15 @@
 """Attestation-service suites: deterministic micro-batching, the
 enclave-session cache, and serial-vs-parallel byte parity.
 
-The session-cache tests mirror ``TestBootMemo`` in
-``test_crypto_fastpaths.py``: hits must replay identical bytes and
-identical PERF deltas, armed fault injection and live telemetry
-subscribers must bypass the cache entirely, and a changed verification
-policy (measurement pin) must miss.  The parity tests pin the
-acceptance contract of the service: results, audit ledger and PERF
-counters byte-identical between a serial drain and a sharded one.
+The session-cache tests pin the counter contract stated in
+``repro.runtime.memo``: hits must return identical bytes, tick the
+same ``tee.service.*`` counters as the cold run and no ``crypto.*``
+counter (the cache belongs to the service, so no delta is replayed);
+armed fault injection and live telemetry subscribers must bypass the
+cache entirely, and a changed verification policy (measurement pin)
+must miss.  The parity tests pin the acceptance contract of the
+service: results, audit ledger and PERF counters byte-identical
+between a serial drain and a sharded one.
 """
 
 import pytest
@@ -121,18 +123,30 @@ class TestSessionCache:
         assert svc.cache_stats()["hits"] == 1
         assert svc.cache_stats()["misses"] == 1
 
-    def test_hit_replays_perf_delta(self, fleet):
+    @pytest.mark.parametrize("flush", [1, 2])
+    def test_warm_flush_counts_only_service_work(self, fleet, flush):
+        """Hits replay no PERF delta: the warm re-run of a flush ticks
+        the same ``tee.service.*`` counters as the cold run and no
+        ``crypto.*`` counter, because no verification ran."""
         svc = _service(fleet)
-        request = [("pq0", fleet["pq_reports"][1])]
+        requests = [("pq0", report)
+                    for report in fleet["pq_reports"][1:1 + flush]]
         with counting() as cold:
-            svc.process(request, jobs=1)
+            svc.process(requests, jobs=1)
         cold_delta = cold.delta()
         with counting() as warm:
-            svc.process(request, jobs=1)
+            svc.process(requests, jobs=1)
         warm_delta = warm.delta()
-        assert cold_delta["tee.service.verified"] == 1
+
+        def service(delta):
+            return {k: v for k, v in delta.items()
+                    if k.startswith("tee.service.")}
+
+        assert cold_delta["tee.service.verified"] == flush
         assert cold_delta["crypto.mldsa.verify"] > 0
-        assert warm_delta == cold_delta
+        assert service(warm_delta) == service(cold_delta)
+        assert not [k for k in warm_delta if k.startswith("crypto.")]
+        assert svc.cache_stats()["hits"] == flush
 
     def test_active_telemetry_bypasses_cache(self, fleet):
         svc = _service(fleet)
