@@ -11,12 +11,13 @@ Sections III-D/III-E address.  This example builds the node:
    third-party app that turns hostile (and is contained),
 3. the shared interconnect runs under composable TDM so the camera
    pipeline's timing is provably independent of co-runners,
-4. detections leave the node through a hybrid-signed secure channel.
+4. detections pass from VEP to VEP over a sealed inter-VEP channel and
+   leave the node through a hybrid-signed secure channel.
 """
 
 from repro.compsoc import (ComposablePlatform, ExternalChannel,
-                           PlatformRootOfTrust, periodic_workload,
-                           verify_composability)
+                           InterVepChannel, PlatformRootOfTrust,
+                           periodic_workload, verify_composability)
 from repro.core import SecurityFramework, traffic_supervision
 from repro.rtos import Delay, Kernel, Receive, Send, TaskState
 
@@ -83,9 +84,15 @@ def step3_composability():
 def step4_secure_uplink():
     print("\n== 4. Signed + sealed uplink to the control centre ==")
     root = PlatformRootOfTrust(b"\x33" * 32)
+    # The detector VEP hands its event to the uplink VEP over an
+    # inter-VEP channel keyed from the platform root of trust.
+    internal = InterVepChannel(root, "detector-vep", "pipeline-vep")
+    event = internal.receive(
+        internal.send("detector-vep", b"17:03 lane2 speeding event #4411"))
+    print(f"inter-VEP hand-off: {event.decode()}")
     shared = b"\x44" * 32           # provisioned with the control centre
     channel = ExternalChannel(root, "pipeline-vep", shared)
-    message = channel.send(b"17:03 lane2 speeding event #4411")
+    message = channel.send(event)
     print(f"message: {len(message.ciphertext)} B ciphertext, "
           f"{len(message.signature)} B hybrid signature")
     payload = ExternalChannel.verify_and_open(

@@ -15,7 +15,9 @@ Flow (all post-quantum):
    measurement + expected enclave measurement + key binding), then
    encapsulates a session secret and encrypts the weights to it,
 4. the enclave decapsulates, re-seals the weights for local storage,
-   and loads them into the CIM macro for inference,
+   and — running on a core under its own PMP view — loads them from
+   enclave memory into the CIM macro for inference; the OS view of
+   that memory stays blocked, and destroying the enclave wipes it,
 5. negative paths: tampered SM, wrong enclave, swapped KEM key — all
    refused.
 """
@@ -23,6 +25,7 @@ Flow (all post-quantum):
 import numpy as np
 
 from repro.cim import DigitalCimMacro
+from repro.soc.memory import AccessFault
 from repro.tee import (AttestedPublisher, EnclaveKemIdentity, build_tee,
                        seal, unseal)
 
@@ -65,12 +68,31 @@ def main():
     assert weights == MODEL_WEIGHTS
     sealing_key = platform.sm.sealing_key(enclave)
     stored = seal(sealing_key, bytes(12), bytes(weights), b"local")
-    restored = list(unseal(sealing_key, bytes(12), stored, b"local"))
-    macro = DigitalCimMacro(restored)
+    restored = unseal(sealing_key, bytes(12), stored, b"local")
     activations = [int(b) for b in
                    np.random.default_rng(0).integers(0, 2, 16)]
-    mac_value, _ = macro.operate(activations)
+    slot = enclave.region.base + len(enclave.binary)
+
+    def infer(hart):
+        # Runs in U-mode on the enclave's PMP view: the weights live
+        # in enclave memory only.
+        hart.store(slot, restored)
+        macro = DigitalCimMacro(list(hart.load(slot, len(restored))))
+        return macro.operate(activations)[0]
+
+    mac_value = platform.sm.run_enclave(enclave, infer)
     print(f"weights unsealed in-enclave; CIM MAC output: {mac_value}")
+    hart = platform.sm.hart
+    hart.drop_to(hart.mode.SUPERVISOR)          # back in the OS
+    try:
+        hart.load(slot, len(restored))
+        raise SystemExit("ERROR: the OS read the enclave's weights!")
+    except AccessFault:
+        print("OS view of the enclave's weights: blocked by PMP")
+    finally:
+        hart.trap("os-exit")
+    platform.sm.destroy_enclave(enclave)
+    print("enclave destroyed; its memory (weights included) is wiped")
 
     # 5a. Tampered SM: measures differently -> report refused, sealing
     #     keys unrelated.

@@ -32,7 +32,8 @@ REPRO_TELEMETRY=1 REPRO_PERF=1 python -m pytest -q \
     benchmarks/bench_attestation_service.py \
     benchmarks/bench_obs_overhead.py
 
-for workload in attest-fresh fault-campaign dse-exhaustive dse-local; do
+for workload in attest-fresh attest-steady fault-campaign dse-exhaustive \
+        dse-local cim-attack; do
     echo "== $workload verdict smoke (benchmark, quick) =="
     python3 bench/run.py --workload "$workload" --seed 7 --quick --trace 0 \
         | tail -n 1 | python3 -c '

@@ -55,9 +55,9 @@ def generate() -> str:
     emit("")
     emit("    The round body is fully unrolled over 25 locals "
          "(generated and pinned")
-    emit("    by ``scripts/gen_keccak_unrolled.py``); "
-         "``keccak_f1600_reference``")
-    emit("    keeps the loop form the unrolled code is tested against.")
+    emit("    by ``scripts/gen_keccak_unrolled.py``); the loop form it "
+         "is tested")
+    emit("    against is :func:`repro.crypto.reference.keccak_f1600`.")
     emit('    """')
     emit("    if PERF.enabled:")
     emit('        PERF.inc("crypto.keccak.permutations")')

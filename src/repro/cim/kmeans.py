@@ -84,9 +84,3 @@ class KMeans:
                 best = (centers, labels, inertia)
         self.centers_, self.labels_, self.inertia_ = best
         return self
-
-    def predict(self, data) -> np.ndarray:
-        array = self._as_2d(data)
-        distances = np.stack(
-            [np.sum((array - c) ** 2, axis=1) for c in self.centers_])
-        return np.argmin(distances, axis=0)

@@ -98,11 +98,6 @@ class OverheadReport:
     makespans: dict                   # policy -> last finish cycle
     tdm_overhead_vs_best: float       # relative slowdown of TDM
 
-    def __str__(self):
-        rows = ", ".join(f"{k}={v}" for k, v in self.makespans.items())
-        return (f"OverheadReport({rows}, tdm overhead "
-                f"{self.tdm_overhead_vs_best:.2%})")
-
 
 def measure_overhead(app_factories: list,
                      policies=("tdm", "round_robin",

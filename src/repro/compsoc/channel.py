@@ -38,11 +38,6 @@ class PlatformRootOfTrust:
     def public_identity(self) -> hybrid.HybridPublicKey:
         return self._signer.public
 
-    def vep_key(self, vep_name: str) -> bytes:
-        """Symmetric key private to one VEP (system level)."""
-        return derive_key(self._root, "vep-channel",
-                          vep_name.encode("utf-8"))
-
     def channel_key(self, vep_a: str, vep_b: str) -> bytes:
         """Pairwise key for an inter-VEP channel (order-independent)."""
         first, second = sorted((vep_a, vep_b))

@@ -132,13 +132,6 @@ class SdfGraph:
             divisor = _gcd(divisor, value)
         return {name: value // divisor for name, value in scaled.items()}
 
-    def is_consistent(self) -> bool:
-        try:
-            self.repetition_vector()
-            return True
-        except ValueError:
-            return False
-
 
 def _gcd(a: int, b: int) -> int:
     while b:

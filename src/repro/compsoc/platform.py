@@ -35,15 +35,6 @@ class AppTimeline:
     finished_cycle: int = None
     violations: list = field(default_factory=list)
 
-    def service_times(self) -> list:
-        """Per-request issue-to-completion latency in cycles."""
-        return [done - issued for issued, done in
-                zip(self.issue_cycles, self.completion_cycles)]
-
-    @property
-    def finished(self) -> bool:
-        return self.finished_cycle is not None
-
 
 class _AppState:
     def __init__(self, application: Application):

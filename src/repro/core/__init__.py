@@ -23,8 +23,6 @@ from .framework import (SecurityArchitecture, SecurityFramework,
 from .usecases import (ALL_USE_CASES, acoustic_scene_analysis,
                        satellite_imagery, speech_enhancement,
                        traffic_supervision)
-from .demonstrator import (CheckResult, DemonstratorReport,
-                           build_demonstrator)
 
 __all__ = [
     "AdversaryModel", "Capability", "OUT_OF_SCOPE", "WORST_CASE",
@@ -33,5 +31,4 @@ __all__ = [
     "SecurityArchitecture", "SecurityFramework", "UseCaseProfile",
     "ALL_USE_CASES", "acoustic_scene_analysis", "satellite_imagery",
     "speech_enhancement", "traffic_supervision",
-    "CheckResult", "DemonstratorReport", "build_demonstrator",
 ]

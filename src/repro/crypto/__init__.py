@@ -15,12 +15,13 @@ These are behavioural references for the simulator, not hardened
 constant-time implementations.  The hot paths — the unrolled
 Keccak-f[1600], windowed Ed25519 scalar multiplication, keyed ML-DSA
 signing/verification contexts on batched int64 numpy NTT kernels, and
-AES T-tables — are pinned byte-identical to retained loop-form
-references by KAT and hypothesis parity suites
-(``tests/test_crypto_fastpaths.py``).
+AES T-tables — are pinned byte-identical to the loop-form references
+in :mod:`~repro.crypto.reference` by KAT and hypothesis parity suites
+(``tests/test_crypto_fastpaths.py``).  Production code never imports
+that module.
 """
 
-from .keccak import sha3_256, sha3_512, shake128, shake256
+from .keccak import sha3_256, sha3_512, shake256
 from .aes import AES, aes_ctr, open_aead, seal_aead
 from .ed25519 import Ed25519KeyPair, SigningKey
 from .mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
@@ -29,7 +30,7 @@ from .hybrid import HybridKeyPair, HybridPublicKey
 from .kdf import derive_key, derive_seed_pair
 
 __all__ = [
-    "sha3_256", "sha3_512", "shake128", "shake256",
+    "sha3_256", "sha3_512", "shake256",
     "AES", "aes_ctr", "seal_aead", "open_aead",
     "Ed25519KeyPair", "SigningKey",
     "MLDSA", "ML_DSA_44", "ML_DSA_65", "ML_DSA_87",

@@ -5,15 +5,15 @@ Table II): HADES explores masked hardware designs of exactly this cipher.
 This module is the functional software reference; the *hardware design
 space* of AES lives in :mod:`repro.hades.library.aes`.
 
-The S-box and its inverse are derived programmatically from the GF(2^8)
-inversion + affine transform definition rather than transcribed, so a typo
+The S-box is derived programmatically from the GF(2^8) inversion +
+affine transform definition rather than transcribed, so a typo
 cannot silently corrupt the cipher; FIPS 197 known-answer vectors are
 enforced in the test suite.
 
 Encryption runs on 32-bit T-tables (SubBytes fused with MixColumns,
 derived from the generated S-box) with the whole CTR keystream XORed as
-one bignum; :meth:`AES.encrypt_block_reference` keeps the schoolbook
-round the fast path is pinned against.
+one bignum; :func:`repro.crypto.reference.aes_encrypt_block` keeps
+the schoolbook round the fast path is pinned against.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def _build_sbox() -> tuple:
 
 
 SBOX = _build_sbox()
-INV_SBOX = tuple(SBOX.index(i) for i in range(256))
 
 
 def _build_t_tables() -> tuple:
@@ -105,13 +104,8 @@ _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
 
 
 class AES:
-    """AES block cipher for 16/24/32-byte keys.
-
-    >>> cipher = AES(bytes(range(32)))
-    >>> block = cipher.encrypt_block(bytes(16))
-    >>> cipher.decrypt_block(block) == bytes(16)
-    True
-    """
+    """AES block cipher (encryption direction: CTR mode needs no
+    other) for 16/24/32-byte keys."""
 
     def __init__(self, key: bytes):
         if len(key) not in (16, 24, 32):
@@ -143,71 +137,6 @@ class AES:
             round_keys.append([byte for word in words[4 * r:4 * r + 4]
                                for byte in word])
         return round_keys
-
-    @staticmethod
-    def _add_round_key(state: list, round_key: list) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _shift_rows(state: list) -> list:
-        # State is column-major: state[4*col + row].
-        out = [0] * 16
-        for col in range(4):
-            for row in range(4):
-                out[4 * col + row] = state[4 * ((col + row) % 4) + row]
-        return out
-
-    @staticmethod
-    def _inv_shift_rows(state: list) -> list:
-        out = [0] * 16
-        for col in range(4):
-            for row in range(4):
-                out[4 * ((col + row) % 4) + row] = state[4 * col + row]
-        return out
-
-    @staticmethod
-    def _mix_columns(state: list) -> list:
-        out = [0] * 16
-        for col in range(4):
-            a = state[4 * col:4 * col + 4]
-            out[4 * col + 0] = gf_mul(a[0], 2) ^ gf_mul(a[1], 3) ^ a[2] ^ a[3]
-            out[4 * col + 1] = a[0] ^ gf_mul(a[1], 2) ^ gf_mul(a[2], 3) ^ a[3]
-            out[4 * col + 2] = a[0] ^ a[1] ^ gf_mul(a[2], 2) ^ gf_mul(a[3], 3)
-            out[4 * col + 3] = gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ gf_mul(a[3], 2)
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(state: list) -> list:
-        out = [0] * 16
-        for col in range(4):
-            a = state[4 * col:4 * col + 4]
-            out[4 * col + 0] = (gf_mul(a[0], 14) ^ gf_mul(a[1], 11)
-                                ^ gf_mul(a[2], 13) ^ gf_mul(a[3], 9))
-            out[4 * col + 1] = (gf_mul(a[0], 9) ^ gf_mul(a[1], 14)
-                                ^ gf_mul(a[2], 11) ^ gf_mul(a[3], 13))
-            out[4 * col + 2] = (gf_mul(a[0], 13) ^ gf_mul(a[1], 9)
-                                ^ gf_mul(a[2], 14) ^ gf_mul(a[3], 11))
-            out[4 * col + 3] = (gf_mul(a[0], 11) ^ gf_mul(a[1], 13)
-                                ^ gf_mul(a[2], 9) ^ gf_mul(a[3], 14))
-        return out
-
-    def encrypt_block_reference(self, block: bytes) -> bytes:
-        """Schoolbook SubBytes/ShiftRows/MixColumns encryption — the
-        retained reference the T-table path is pinned against."""
-        if len(block) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for r in range(1, self.rounds):
-            state = [SBOX[b] for b in state]
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[r])
-        state = [SBOX[b] for b in state]
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -245,21 +174,6 @@ class AES:
             out[base + 3] = \
                 sbox[cols[(col + 3) & 3] >> 24] ^ rk[base + 3]
         return bytes(out)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        for r in range(self.rounds - 1, 0, -1):
-            state = self._inv_shift_rows(state)
-            state = [INV_SBOX[b] for b in state]
-            self._add_round_key(state, self._round_keys[r])
-            state = self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        state = [INV_SBOX[b] for b in state]
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
 
 
 def aes_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:

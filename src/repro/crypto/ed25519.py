@@ -11,7 +11,8 @@ scratch hashing effort of this project is Keccak, see
 model for the TEE simulator, not production crypto.
 
 Hot paths use windowed arithmetic (pinned bit-equal to the bitwise
-double-and-add reference by hypothesis property tests):
+double-and-add in :mod:`repro.crypto.reference` by hypothesis property
+tests):
 
 * fixed-base multiplication walks a lazily built 4-bit comb table of
   ``d * 16^i * B`` multiples in Niels form (affine ``(y+x, y-x, 2dt)``
@@ -99,19 +100,6 @@ def _point_double(p, need_t: bool = True):
 def _point_negate(p):
     x, y, z, t = p
     return (-x % P, y, z, -t % P)
-
-
-def _point_mul(scalar: int, point):
-    """Bitwise double-and-add — the retained semantic reference the
-    windowed paths are pinned against by the parity suite."""
-    result = _IDENTITY
-    addend = point
-    while scalar:
-        if scalar & 1:
-            result = _point_add(result, addend)
-        addend = _point_add(addend, addend)
-        scalar >>= 1
-    return result
 
 
 def _point_equal(p, q) -> bool:
@@ -688,9 +676,6 @@ class SigningKey:
             s = (r + k * self._a) % L
             return r_point + s.to_bytes(32, "little")
 
-    def verify(self, message: bytes, signature: bytes) -> bool:
-        return verify(self.public, message, signature)
-
 
 def sign(secret: bytes, message: bytes) -> bytes:
     """Produce a 64-byte deterministic Ed25519 signature."""
@@ -751,31 +736,6 @@ def _verify(public: bytes, message: bytes, signature: bytes) -> bool:
     return _is_small_order(_point_add(q, _point_negate(r_point)))
 
 
-def verify_reference(public: bytes, message: bytes,
-                     signature: bytes) -> bool:
-    """The pre-fast-path verification flow: decompress both points and
-    check the cofactored ``[8](s*B - R - k*A) == identity`` with two
-    double-and-add :func:`_point_mul` chains.  The windowed
-    :func:`verify` is pinned equivalent to this path by the parity
-    suite, and the crypto bench gates the fast path's speedup against
-    it."""
-    if len(public) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
-        return False
-    try:
-        a = _decompress(public)
-        r = _decompress(signature[:32])
-    except ValueError:
-        return False
-    s = int.from_bytes(signature[32:], "little")
-    if s >= L or _is_small_order(a):
-        return False
-    k = int.from_bytes(_sha512(signature[:32] + public + message),
-                       "little") % L
-    sb = _point_mul(s, BASE_POINT)
-    ka = _point_mul(k, a)
-    return _is_small_order(_point_add(sb, _point_negate(_point_add(r, ka))))
-
-
 class Ed25519KeyPair:
     """Convenience wrapper pairing a seed with its derived public key."""
 
@@ -786,6 +746,3 @@ class Ed25519KeyPair:
 
     def sign(self, message: bytes) -> bytes:
         return self._signer.sign(message)
-
-    def verify(self, message: bytes, signature: bytes) -> bool:
-        return verify(self.public, message, signature)

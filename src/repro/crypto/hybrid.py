@@ -25,18 +25,6 @@ class HybridPublicKey:
     ed25519: bytes
     mldsa: bytes
 
-    def encode(self) -> bytes:
-        return self.ed25519 + self.mldsa
-
-    @classmethod
-    def decode(cls, data: bytes,
-               params: MLDSAParams = ML_DSA_44) -> "HybridPublicKey":
-        expected = ED25519_PK_LEN + params.public_key_bytes
-        if len(data) != expected:
-            raise ValueError(f"hybrid public key must be {expected} bytes")
-        return cls(data[:ED25519_PK_LEN], data[ED25519_PK_LEN:])
-
-
 class HybridKeyPair:
     """A signing identity holding one Ed25519 and one ML-DSA key pair.
 
@@ -71,17 +59,6 @@ class HybridKeyPair:
         post_quantum = self._mldsa_signer.sign(message)
         return classical + post_quantum
 
-    def sign_many(self, messages) -> list:
-        """Batch :meth:`sign`: byte-identical signatures, with the
-        ML-DSA rejection loops batched through ``sign_many``."""
-        messages = list(messages)
-        classical = [self._ed_signer.sign(m) for m in messages]
-        post_quantum = self._mldsa_signer.sign_many(messages)
-        return [c + p for c, p in zip(classical, post_quantum)]
-
-    def signature_length(self) -> int:
-        return ED25519_SIG_LEN + self.params.signature_bytes
-
 
 def verify(public: HybridPublicKey, message: bytes, signature: bytes,
            params: MLDSAParams = ML_DSA_44) -> bool:
@@ -99,37 +76,3 @@ def verify(public: HybridPublicKey, message: bytes, signature: bytes,
     except ValueError:
         return False
     return verifier.verify(message, post_quantum)
-
-
-def verify_many(public: HybridPublicKey, messages, signatures,
-                params: MLDSAParams = ML_DSA_44) -> list:
-    """Batch :func:`verify` under one public key: entry *i* equals
-    ``verify(public, messages[i], signatures[i], params)``.
-
-    Classical halves go through the Ed25519 random-linear-combination
-    batch check; post-quantum halves through ML-DSA ``verify_many``.
-    Boolean-identical to the scalar loop (counters may differ — no
-    short-circuit between the two schemes).
-    """
-    messages = list(messages)
-    signatures = list(signatures)
-    if len(messages) != len(signatures):
-        raise ValueError("messages and signatures length mismatch")
-    expected = ED25519_SIG_LEN + params.signature_bytes
-    results = [False] * len(messages)
-    lanes = [i for i, s in enumerate(signatures)
-             if len(s) == expected]
-    if not lanes:
-        return results
-    classical_ok = ed25519.verify_batch(
-        [(public.ed25519, messages[i],
-          signatures[i][:ED25519_SIG_LEN]) for i in lanes])
-    lanes = [i for i, ok in zip(lanes, classical_ok) if ok]
-    if not lanes:
-        return results
-    pq_ok = MLDSA(params).verify_many(
-        public.mldsa, [messages[i] for i in lanes],
-        [signatures[i][ED25519_SIG_LEN:] for i in lanes])
-    for i, ok in zip(lanes, pq_ok):
-        results[i] = ok
-    return results

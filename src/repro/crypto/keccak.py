@@ -1,19 +1,16 @@
-"""Pure-Python Keccak-f[1600] sponge, SHA-3 and SHAKE (FIPS 202).
+"""Keccak-f[1600], SHA-3 and SHAKE (FIPS 202).
 
 The CONVOLVE paper (Section III-A/III-B) uses Keccak both as a hardware
 accelerator target (it is a subroutine of BIKE and CRYSTALS-Dilithium) and
 as the measurement hash of the Keystone security monitor.  This module is
-the software reference used by the TEE substrate (:mod:`repro.tee`) and by
+the hash layer used by the TEE substrate (:mod:`repro.tee`) and by
 ML-DSA (:mod:`repro.crypto.mldsa`).
 
-The sponge (:class:`KeccakSponge` and the ``pure_*`` functions) is
-written from scratch and is cross-validated against ``hashlib`` in the
-test suite.  The permutation is a fully unrolled Keccak-f[1600] round
-over 25 local lane variables (generated and pinned by
-``scripts/gen_keccak_unrolled.py``); the original loop form is retained
-as :func:`keccak_f1600_reference` and the two are pinned byte-equal by
-hypothesis property tests.  The sponge absorbs and squeezes whole
-blocks at a time via ``struct``.
+The permutation is a fully unrolled Keccak-f[1600] round over 25 local
+lane variables (generated and pinned by ``scripts/gen_keccak_unrolled.py``);
+the loop form and a from-scratch sponge live in
+:mod:`repro.crypto.reference`, pinned byte-equal to this module by
+hypothesis property tests.
 
 The simulator hashes megabytes (ROM images, SM binaries, ML-DSA
 expansion), so the public ``sha3_*``/``shake*`` functions and the
@@ -26,7 +23,6 @@ the test suite pins byte-identical to the from-scratch sponge.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 from ..obs.perf import PERF
 
@@ -62,48 +58,6 @@ def _rho_offsets() -> tuple:
 ROTATION_OFFSETS = _rho_offsets()
 
 
-def _rotl64(value: int, shift: int) -> int:
-    """Rotate a 64-bit lane left by ``shift`` bits."""
-    shift %= 64
-    if shift == 0:
-        return value
-    return ((value << shift) | (value >> (64 - shift))) & _MASK64
-
-
-def keccak_f1600_reference(lanes: list) -> list:
-    """The loop-form Keccak-f[1600] the unrolled permutation is pinned to.
-
-    Same contract as :func:`keccak_f1600`: a flat list of 25 lanes in,
-    a new list out.  Kept as the readable semantic reference; the test
-    suite proves ``keccak_f1600`` byte-equal to it on random states.
-    """
-    a = list(lanes)
-    for rc in ROUND_CONSTANTS:
-        # theta
-        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]
-             for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rotl64(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            for y in range(5):
-                a[x + 5 * y] ^= d[x]
-        # rho and pi
-        b = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                nx, ny = y, (2 * x + 3 * y) % 5
-                b[nx + 5 * ny] = _rotl64(a[x + 5 * y],
-                                         ROTATION_OFFSETS[x][y])
-        # chi
-        for x in range(5):
-            for y in range(5):
-                a[x + 5 * y] = b[x + 5 * y] ^ (
-                    (~b[(x + 1) % 5 + 5 * y] & _MASK64)
-                    & b[(x + 2) % 5 + 5 * y])
-        # iota
-        a[0] ^= rc
-    return a
-
-
 # BEGIN GENERATED (scripts/gen_keccak_unrolled.py)
 def keccak_f1600(lanes: list) -> list:
     """Apply the Keccak-f[1600] permutation to 25 lanes (5x5, row-major x).
@@ -112,8 +66,8 @@ def keccak_f1600(lanes: list) -> list:
     index ``x + 5 * y``.  A new list is returned; the input is not mutated.
 
     The round body is fully unrolled over 25 locals (generated and pinned
-    by ``scripts/gen_keccak_unrolled.py``); ``keccak_f1600_reference``
-    keeps the loop form the unrolled code is tested against.
+    by ``scripts/gen_keccak_unrolled.py``); the loop form it is tested
+    against is :func:`repro.crypto.reference.keccak_f1600`.
     """
     if PERF.enabled:
         PERF.inc("crypto.keccak.permutations")
@@ -213,125 +167,6 @@ def keccak_f1600(lanes: list) -> list:
 # END GENERATED
 
 
-class KeccakSponge:
-    """Incremental Keccak sponge with a lane-aligned rate.
-
-    Parameters
-    ----------
-    rate_bytes:
-        Sponge rate in bytes (block size), a multiple of 8 below 200;
-        capacity is ``200 - rate``.
-    domain_suffix:
-        Padding domain-separation byte (``0x06`` for SHA-3, ``0x1F`` for
-        SHAKE, ``0x01`` for original Keccak).
-    """
-
-    def __init__(self, rate_bytes: int, domain_suffix: int):
-        if not 0 < rate_bytes < 200:
-            raise ValueError(f"rate must be in (0, 200), got {rate_bytes}")
-        if rate_bytes % 8:
-            # Blocks are XORed in as whole 64-bit lanes; a partial lane
-            # would silently drop the block's trailing bytes.
-            raise ValueError(
-                f"rate must be a multiple of 8 bytes, got {rate_bytes}")
-        self.rate_bytes = rate_bytes
-        self.domain_suffix = domain_suffix
-        self._lanes = [0] * 25
-        self._buffer = bytearray()
-        self._squeezing = False
-        self._squeeze_offset = 0
-
-    def absorb(self, data: bytes) -> "KeccakSponge":
-        """Absorb ``data`` into the sponge; chainable."""
-        if self._squeezing:
-            raise RuntimeError("cannot absorb after squeezing has begun")
-        buffer = self._buffer
-        buffer.extend(data)
-        rate = self.rate_bytes
-        if len(buffer) >= rate:
-            blocks = len(buffer) // rate
-            chunk = bytes(buffer[:blocks * rate])
-            del buffer[:blocks * rate]
-            self._absorb_blocks(chunk)
-        return self
-
-    def _absorb_blocks(self, chunk: bytes) -> None:
-        """XOR-and-permute whole rate-sized blocks (``chunk`` is a
-        multiple of the rate)."""
-        rate = self.rate_bytes
-        lanes_per_block = rate // 8
-        fmt = f"<{lanes_per_block}Q"
-        lanes = self._lanes
-        for offset in range(0, len(chunk), rate):
-            words = struct.unpack_from(fmt, chunk, offset)
-            for i in range(lanes_per_block):
-                lanes[i] ^= words[i]
-            lanes = keccak_f1600(lanes)
-        self._lanes = lanes
-
-    def _pad(self) -> None:
-        pad_len = self.rate_bytes - (len(self._buffer) % self.rate_bytes)
-        padding = bytearray(pad_len)
-        padding[0] = self.domain_suffix
-        padding[-1] ^= 0x80
-        self._buffer.extend(padding)
-        chunk = bytes(self._buffer)
-        del self._buffer[:]
-        self._absorb_blocks(chunk)
-
-    def _serialize_rate(self) -> bytes:
-        """The rate-sized prefix of the state as bytes (one output
-        block of the squeezing phase)."""
-        full = self.rate_bytes // 8
-        return struct.pack(f"<{full}Q", *self._lanes[:full])
-
-    def squeeze(self, length: int) -> bytes:
-        """Squeeze ``length`` output bytes; may be called repeatedly."""
-        if not self._squeezing:
-            self._pad()
-            self._squeezing = True
-            self._squeeze_offset = 0
-            self._block = self._serialize_rate()
-        out = bytearray()
-        rate = self.rate_bytes
-        while len(out) < length:
-            if self._squeeze_offset == rate:
-                self._lanes = keccak_f1600(self._lanes)
-                self._block = self._serialize_rate()
-                self._squeeze_offset = 0
-            take = min(length - len(out), rate - self._squeeze_offset)
-            out.extend(self._block[self._squeeze_offset:
-                                   self._squeeze_offset + take])
-            self._squeeze_offset += take
-        return bytes(out)
-
-
-def _fixed_output_hash(data: bytes, rate_bytes: int, out_len: int) -> bytes:
-    sponge = KeccakSponge(rate_bytes, domain_suffix=0x06)
-    sponge.absorb(data)
-    return sponge.squeeze(out_len)
-
-
-def pure_sha3_256(data: bytes) -> bytes:
-    """SHA3-256 via the from-scratch sponge (32 bytes)."""
-    return _fixed_output_hash(data, rate_bytes=136, out_len=32)
-
-
-def pure_sha3_512(data: bytes) -> bytes:
-    """SHA3-512 via the from-scratch sponge (64 bytes)."""
-    return _fixed_output_hash(data, rate_bytes=72, out_len=64)
-
-
-def pure_shake128(data: bytes, out_len: int) -> bytes:
-    """SHAKE128 via the from-scratch sponge."""
-    return KeccakSponge(168, domain_suffix=0x1F).absorb(data).squeeze(out_len)
-
-
-def pure_shake256(data: bytes, out_len: int) -> bytes:
-    """SHAKE256 via the from-scratch sponge."""
-    return KeccakSponge(136, domain_suffix=0x1F).absorb(data).squeeze(out_len)
-
-
 def sha3_256(data: bytes) -> bytes:
     """SHA3-256 digest of ``data`` (32 bytes)."""
     return hashlib.sha3_256(data).digest()
@@ -340,11 +175,6 @@ def sha3_256(data: bytes) -> bytes:
 def sha3_512(data: bytes) -> bytes:
     """SHA3-512 digest of ``data`` (64 bytes)."""
     return hashlib.sha3_512(data).digest()
-
-
-def shake128(data: bytes, out_len: int) -> bytes:
-    """SHAKE128 extendable-output function."""
-    return hashlib.shake_128(data).digest(out_len)
 
 
 def shake256(data: bytes, out_len: int) -> bytes:

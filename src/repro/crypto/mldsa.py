@@ -21,8 +21,8 @@ Two practical observations from the paper are modelled faithfully:
 The signing/verification hot loops run on exact int64 numpy kernels
 (batched NTTs, pointwise products and decompositions mod q); every
 intermediate fits in 64 bits, so they are bit-identical to the scalar
-loop forms retained as :func:`ntt_reference` / :meth:`MLDSA.sign_reference`
-/ :meth:`MLDSA.verify_reference` and pinned by the parity suite in
+loop forms in :mod:`repro.crypto.reference` (``mldsa_ntt``,
+``mldsa_sign``, ...), pinned by the parity suite in
 ``tests/test_crypto_fastpaths.py``.
 """
 
@@ -56,49 +56,6 @@ def _bitrev8(value: int) -> int:
 ZETAS = tuple(pow(ZETA, _bitrev8(k), Q) for k in range(N))
 
 _INV_256 = pow(N, Q - 2, Q)
-
-
-def ntt_reference(coeffs: list) -> list:
-    """Forward NTT, fully reduced at every butterfly.
-
-    The schoolbook FIPS 204 transform the batched :func:`_ntt_np` is
-    pinned against by the parity suite.
-    """
-    a = list(coeffs)
-    k = 0
-    length = 128
-    while length >= 1:
-        start = 0
-        while start < N:
-            k += 1
-            zeta = ZETAS[k]
-            for j in range(start, start + length):
-                t = zeta * a[j + length] % Q
-                a[j + length] = (a[j] - t) % Q
-                a[j] = (a[j] + t) % Q
-            start += 2 * length
-        length //= 2
-    return a
-
-
-def intt_reference(coeffs: list) -> list:
-    """Inverse NTT, fully reduced at every butterfly (see
-    :func:`ntt_reference`)."""
-    a = list(coeffs)
-    k = N
-    length = 1
-    while length < N:
-        start = 0
-        while start < N:
-            k -= 1
-            neg_zeta = Q - ZETAS[k]
-            for j in range(start, start + length):
-                t = a[j]
-                a[j] = (t + a[j + length]) % Q
-                a[j + length] = (t - a[j + length]) * neg_zeta % Q
-            start += 2 * length
-        length *= 2
-    return [x * _INV_256 % Q for x in a]
 
 
 def ntt_mul(a: list, b: list) -> list:
@@ -1028,12 +985,6 @@ class MLDSA:
         return self.signer(secret)._sign(message, context, randomize,
                                          _trace)
 
-    def sign_many(self, secret: bytes, messages, context: bytes = b"",
-                  randomize: bool = False) -> list:
-        """Batch :meth:`sign` (see :meth:`MLDSASigner.sign_many`)."""
-        return self.signer(secret).sign_many(messages, context,
-                                             randomize)
-
     # -- verification ------------------------------------------------------
 
     def verify(self, public: bytes, message: bytes, signature: bytes,
@@ -1065,108 +1016,6 @@ class MLDSA:
             return [False] * len(messages)
         return verifier.verify_many(messages, signatures, context)
 
-    # -- retained references -----------------------------------------------
-
-    def sign_reference(self, secret: bytes, message: bytes,
-                       context: bytes = b"") -> bytes:
-        """The pre-fast-path deterministic signing flow, kept verbatim.
-
-        Decodes the secret and transforms it for every call, runs the
-        rejection loop coefficient by coefficient and uses the loop-form
-        :func:`ntt_reference`/:func:`intt_reference` kernels.  The keyed
-        :class:`MLDSASigner` is pinned byte-identical to this path by
-        the KAT and hypothesis suites, and the crypto bench gates the
-        fast path's speedup against it.
-        """
-        p = self.params
-        rho, key, tr, s1, s2, t0 = sk_decode(secret, p)
-        a_hat = expand_a(rho, p)
-        s1_hat = [ntt_reference(poly) for poly in s1]
-        s2_hat = [ntt_reference(poly) for poly in s2]
-        t0_hat = [ntt_reference(poly) for poly in t0]
-        mu = shake256(tr + self._format_message(message, context), 64)
-        rho_pp = shake256(key + bytes(32) + mu, 64)
-        kappa = 0
-        while True:
-            y = expand_mask(rho_pp, kappa, p)
-            kappa += p.l
-            y_hat = [ntt_reference(poly) for poly in y]
-            w = []
-            for r in range(p.k):
-                acc = [0] * N
-                for s in range(p.l):
-                    acc = poly_add(acc, ntt_mul(a_hat[r][s], y_hat[s]))
-                w.append(intt_reference(acc))
-            w1 = [[high_bits(c, p.gamma2) for c in poly] for poly in w]
-            c_tilde = shake256(mu + w1_encode(w1, p), p.ctilde_bytes)
-            c = sample_in_ball(c_tilde, p)
-            c_hat = ntt_reference(c)
-            z = [poly_add(y[s],
-                          intt_reference(ntt_mul(c_hat, s1_hat[s])))
-                 for s in range(p.l)]
-            if infinity_norm(z) >= p.gamma1 - p.beta:
-                continue
-            w_minus_cs2 = [
-                poly_sub(w[r], intt_reference(ntt_mul(c_hat, s2_hat[r])))
-                for r in range(p.k)]
-            r0_norm = max(abs(low_bits(c, p.gamma2))
-                          for poly in w_minus_cs2 for c in poly)
-            if r0_norm >= p.gamma2 - p.beta:
-                continue
-            ct0 = [intt_reference(ntt_mul(c_hat, t0_hat[r]))
-                   for r in range(p.k)]
-            if infinity_norm(ct0) >= p.gamma2:
-                continue
-            hints = []
-            ones = 0
-            for r in range(p.k):
-                poly_hint = []
-                for j in range(N):
-                    bit = make_hint((-ct0[r][j]) % Q,
-                                    (w_minus_cs2[r][j] + ct0[r][j]) % Q,
-                                    p.gamma2)
-                    poly_hint.append(bit)
-                    ones += bit
-                hints.append(poly_hint)
-            if ones > p.omega:
-                continue
-            return sig_encode(c_tilde, z, hints, p)
-
-    def verify_reference(self, public: bytes, message: bytes,
-                         signature: bytes, context: bytes = b"") -> bool:
-        """The pre-fast-path verification flow (see
-        :meth:`sign_reference`)."""
-        p = self.params
-        try:
-            rho, t1 = pk_decode(public, p)
-        except ValueError:
-            return False
-        decoded = sig_decode(signature, p)
-        if decoded is None:
-            return False
-        c_tilde, z, hints = decoded
-        if infinity_norm(z) >= p.gamma1 - p.beta:
-            return False
-        a_hat = expand_a(rho, p)
-        tr = shake256(public, 64)
-        mu = shake256(tr + self._format_message(message, context), 64)
-        c = sample_in_ball(c_tilde, p)
-        c_hat = ntt_reference(c)
-        z_hat = [ntt_reference(poly) for poly in z]
-        t1_hat = [ntt_reference([coef << D for coef in poly])
-                  for poly in t1]
-        w1_prime = []
-        for r in range(p.k):
-            acc = [0] * N
-            for s in range(p.l):
-                acc = poly_add(acc, ntt_mul(a_hat[r][s], z_hat[s]))
-            acc = poly_sub(acc, ntt_mul(c_hat, t1_hat[r]))
-            w_approx = intt_reference(acc)
-            w1_prime.append([use_hint(hints[r][j], w_approx[j], p.gamma2)
-                             for j in range(N)])
-        expected = shake256(mu + w1_encode(w1_prime, p), p.ctilde_bytes)
-        return expected == c_tilde
-
     # -- resource model ----------------------------------------------------
 
     @property
@@ -1189,19 +1038,3 @@ class MLDSA:
                  + 4)               # c and temporaries
         return polys * poly_bytes + 2048
 
-
-def key_gen(seed: bytes = None, params: MLDSAParams = ML_DSA_44) -> tuple:
-    """Module-level convenience: (public, secret) for ``params``."""
-    return MLDSA(params).key_gen(seed)
-
-
-def sign(secret: bytes, message: bytes,
-         params: MLDSAParams = ML_DSA_44, **kwargs) -> bytes:
-    """Module-level convenience around :meth:`MLDSA.sign`."""
-    return MLDSA(params).sign(secret, message, **kwargs)
-
-
-def verify(public: bytes, message: bytes, signature: bytes,
-           params: MLDSAParams = ML_DSA_44, **kwargs) -> bool:
-    """Module-level convenience around :meth:`MLDSA.verify`."""
-    return MLDSA(params).verify(public, message, signature, **kwargs)

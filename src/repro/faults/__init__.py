@@ -29,11 +29,14 @@ anecdotes into systematic, seeded measurements:
 
 Quick use::
 
-    from repro.faults import FaultSpec, injected
+    from repro.faults import FAULTS, FaultSpec
     from repro.faults.models import BIT_FLIP
 
-    with injected(FaultSpec("tee.bootrom.measure", BIT_FLIP, bit=7)):
+    FAULTS.arm(FaultSpec("tee.bootrom.measure", BIT_FLIP, bit=7))
+    try:
         boot = bootrom.boot_verified(sm_binary)
+    finally:
+        FAULTS.disarm()
     assert not boot.ok                     # fail-closed FaultReport
 
     from repro.faults.campaign import standard_campaign
@@ -44,14 +47,12 @@ Quick use::
 from .campaign import (CampaignResult, FaultPoint, RunRecord, Scenario,
                        classify, plan_injections, run_campaign,
                        standard_campaign)
-from .injector import (FAULTS, FaultEvent, FaultInjector, FaultSpec,
-                       get_injector, injected)
+from .injector import FAULTS, FaultEvent, FaultInjector, FaultSpec
 from .models import ALL_MODELS, flip_bit
 from .report import ACCEPTABLE_ON_HARDENED, FaultReport, Outcome
 
 __all__ = [
     "FAULTS", "FaultInjector", "FaultSpec", "FaultEvent",
-    "get_injector", "injected",
     "ALL_MODELS", "flip_bit",
     "ACCEPTABLE_ON_HARDENED", "FaultReport", "Outcome",
     "CampaignResult", "FaultPoint", "RunRecord", "Scenario",

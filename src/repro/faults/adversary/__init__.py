@@ -47,8 +47,8 @@ from .families import (AdversaryCase, AdversaryFamily, CaseRecord,
                        acceptable_on_hardened, classify_case, run_case,
                        standard_families)
 from .mutators import (MAX_OPS, OpSpace, apply_boot_ops,
-                       boot_base_image, child_seed, derive_seed,
-                       ops_from_json, ops_to_json)
+                       boot_base_image, derive_seed, ops_from_json,
+                       ops_to_json)
 from .shrink import ddmin, shrink_case
 
 __all__ = [
@@ -59,6 +59,6 @@ __all__ = [
     "acceptable_on_hardened", "classify_case", "run_case",
     "standard_families",
     "MAX_OPS", "OpSpace", "apply_boot_ops", "boot_base_image",
-    "child_seed", "derive_seed", "ops_from_json", "ops_to_json",
+    "derive_seed", "ops_from_json", "ops_to_json",
     "ddmin", "shrink_case",
 ]

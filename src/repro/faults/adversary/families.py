@@ -114,8 +114,12 @@ class CaseRecord:
 
 
 class AdversaryFamily:
-    """Base class: seeded generation/mutation over an op space, plus
-    the family-specific execute/golden pair."""
+    """Base class: seeded generation/mutation over an op space.
+
+    Subclasses supply the family-specific pair ``execute(case)`` (the
+    observed result dict) and ``golden(case)`` (the digest a correct
+    system must produce, or ``None`` when reaching ``status="ok"`` at
+    all is the defect)."""
 
     name = "adversary"
     hardened = True
@@ -140,14 +144,6 @@ class AdversaryFamily:
         return AdversaryCase(
             self.name, seed, case.generation + 1,
             self.op_space.mutate(case.ops, rng, self.max_ops))
-
-    def execute(self, case: AdversaryCase) -> dict:
-        raise NotImplementedError
-
-    def golden(self, case: AdversaryCase):
-        """The digest a correct system must produce for this case, or
-        ``None`` when reaching ``status="ok"`` at all is the defect."""
-        raise NotImplementedError
 
 
 # -- boot images ---------------------------------------------------------

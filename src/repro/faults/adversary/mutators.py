@@ -7,7 +7,7 @@ whole *adversarial inputs* — mutated boot images, hostile RTOS task
 programs, replay/rollback delivery scripts, bus transaction storms —
 from nothing but an integer seed:
 
-* :func:`derive_seed` / :func:`child_seed` build the seed tree (SHA3
+* :func:`derive_seed` builds the seed tree (SHA3
   over the canonical encoding of the parts, so seeds are stable across
   interpreter runs and machines);
 * an :class:`OpSpace` declares a family's mutation vocabulary as
@@ -63,11 +63,6 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-def child_seed(seed: int, index: int) -> int:
-    """The ``index``-th child of ``seed`` in the mutation tree."""
-    return derive_seed("child", seed, index)
-
-
 def filler(length: int, tag: int = 0) -> bytes:
     """Deterministic non-trivial byte pattern (image/extension stuffing
     that is obviously not an all-zero page)."""
@@ -115,9 +110,6 @@ class OpSpace:
         self._draw = []
         for kind in kinds:                    # declaration order
             self._draw.extend([kind] * (weights or {}).get(kind, 1))
-
-    def kinds(self) -> list:
-        return list(self._params)
 
     def random_op(self, rng) -> tuple:
         kind = rng.choice(self._draw)

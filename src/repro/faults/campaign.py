@@ -84,12 +84,6 @@ class Scenario:
     name = "scenario"
     hardened = True
 
-    def fault_points(self) -> tuple:
-        raise NotImplementedError
-
-    def execute(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass
 class RunRecord:

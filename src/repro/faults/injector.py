@@ -21,7 +21,6 @@ reproducible.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..obs.audit import AUDIT
@@ -64,11 +63,6 @@ class FaultSpec:
         if self.trigger < 0 or self.count < 1:
             raise ValueError("trigger must be >= 0 and count >= 1")
 
-    def to_record(self) -> dict:
-        return {"site": self.site, "model": self.model,
-                "trigger": self.trigger, "count": self.count,
-                "bit": self.bit, "magnitude": self.magnitude}
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -79,10 +73,6 @@ class FaultEvent:
     visit: int
     detail: str = ""
     spec: FaultSpec = None
-
-    def to_record(self) -> dict:
-        return {"site": self.site, "model": self.model,
-                "visit": self.visit, "detail": self.detail}
 
 
 class FaultInjector:
@@ -122,13 +112,6 @@ class FaultInjector:
         self._visits = {}
         self.events = []
         return events
-
-    @property
-    def armed(self) -> tuple:
-        return self._specs
-
-    def visits(self, site: str) -> int:
-        return self._visits.get(site, 0)
 
     # -- hook-site API --------------------------------------------------
 
@@ -178,19 +161,3 @@ class FaultInjector:
 #: The process-global injector every hook site consults.
 FAULTS = FaultInjector()
 
-
-def get_injector() -> FaultInjector:
-    return FAULTS
-
-
-@contextmanager
-def injected(*specs: FaultSpec):
-    """Arm ``specs`` for the duration of a with-block; always disarms.
-
-    Yields the global injector; fired events are available as
-    ``FAULTS.events`` inside the block (they are cleared on exit)."""
-    FAULTS.arm(*specs)
-    try:
-        yield FAULTS
-    finally:
-        FAULTS.disarm()

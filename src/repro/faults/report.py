@@ -52,12 +52,3 @@ class FaultReport:
     reason: str = ""
     detail: str = ""
     events: tuple = ()
-
-    def to_record(self) -> dict:
-        return {
-            "component": self.component,
-            "outcome": self.outcome.value,
-            "reason": self.reason,
-            "detail": self.detail,
-            "events": [e.to_record() for e in self.events],
-        }

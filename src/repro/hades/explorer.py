@@ -18,8 +18,8 @@ Both explorers ride the deterministic parallel executor
 (:mod:`repro.runtime`): ``jobs=`` (or ``REPRO_JOBS``) shards the
 exhaustive traversal by interleaved index ranges and fans independent
 local-search starts across worker processes, with per-shard
-reductions merged so that the optimum, the top-k ranking and every
-counter total are identical for any worker count.  Coordinate descent
+reductions merged so that the optimum and every counter total are
+identical for any worker count.  Coordinate descent
 additionally memoizes revisited neighbours through a bounded
 :class:`~repro.runtime.memo.Memo` cache, and
 :meth:`ExhaustiveExplorer.run_all_goals` scores every goal in a single
@@ -29,13 +29,11 @@ traversal instead of re-enumerating the space per goal.
 from __future__ import annotations
 
 import bisect
-import heapq
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs import TELEMETRY
-from ..obs.coverage import CoverageMap
 from ..runtime import (Memo, chunk_bounds, resolve_jobs, run_sharded,
                        stride_shards)
 from .metrics import OptimizationGoal
@@ -68,7 +66,6 @@ class ExplorationResult:
     feasible: int               # points that produced a valid prediction
     evaluations: int            # designs the cost model priced
     elapsed_seconds: float
-    top: list = field(default_factory=list)   # best-first ranking
     jobs: int = 1               # worker processes the run fanned over
 
     @property
@@ -80,8 +77,7 @@ def _rank_key(chunk, scores, lane: int) -> tuple:
     """The total order every exhaustive reduction ranks by: the goal
     score, tie-broken by area-latency product, then area ("optimized
     towards one or more optimization goals"), then raw enumeration
-    index — so shard merges reproduce serial first-encounter wins and
-    ``top[0]`` always equals ``best``."""
+    index — so shard merges reproduce serial first-encounter wins."""
     metrics = chunk.metrics
     area = metrics.area_kge.lanes[lane]
     return (scores[lane], area * metrics.latency_cc.lanes[lane], area,
@@ -89,32 +85,23 @@ def _rank_key(chunk, scores, lane: int) -> tuple:
 
 
 class _GoalReduction:
-    """Streaming (best, top-k heap) reduction for one goal on one shard.
+    """Streaming best-design reduction for one goal on one shard.
 
     A chunk is folded by taking the minimum of its score lanes and
-    ranking only the lanes that tie with it (or, for top-k, that could
-    still enter the heap); only designs that enter the best or the heap
-    are materialised.
-
-    ``heap`` is a bounded max-heap over the negated rank key, so the
-    *worst* kept design pops first; shard dumps are plain
-    ``(best_key, best, [(key, design), ...])`` tuples that pickle and
-    merge commutatively.
+    ranking only the lanes that tie with it; only a design that becomes
+    the best is materialised.  Shard dumps are plain
+    ``(best_key, best)`` tuples that pickle and merge commutatively.
     """
 
-    __slots__ = ("goal", "top_k", "best_key", "best", "heap")
+    __slots__ = ("goal", "best_key", "best")
 
-    def __init__(self, goal: OptimizationGoal, top_k: int):
+    def __init__(self, goal: OptimizationGoal):
         self.goal = goal
-        self.top_k = top_k
         self.best_key = None
         self.best = None
-        self.heap = []
 
     def fold(self, chunk) -> None:
         scores = self.goal.score(chunk.metrics).lanes
-        if self.top_k > 1:
-            self._keep(chunk, scores)
         low = min(scores)
         if self.best_key is not None and low > self.best_key[0]:
             return
@@ -124,33 +111,8 @@ class _GoalReduction:
         if self.best_key is None or key < self.best_key:
             self.best_key, self.best = key, chunk.design(lane)
 
-    def _keep(self, chunk, scores) -> None:
-        heap, top_k = self.heap, self.top_k
-        # A lane ranks in the top k only if its score is within the
-        # chunk's k smallest and no worse than the worst kept design.
-        cut = heapq.nsmallest(top_k, scores)[-1]
-        if len(heap) == top_k:
-            cut = min(cut, -heap[0][0][0])
-        for lane, score in enumerate(scores):
-            if score > cut:
-                continue
-            negated = tuple(-c for c in _rank_key(chunk, scores, lane))
-            if len(heap) < top_k:
-                heapq.heappush(heap, (negated, chunk.design(lane)))
-            elif negated > heap[0][0]:
-                heapq.heapreplace(heap, (negated, chunk.design(lane)))
-
     def dump(self) -> tuple:
-        kept = [(tuple(-c for c in negated), design)
-                for negated, design in self.heap]
-        return self.best_key, self.best, kept
-
-
-def _metrics_vector(template_name: str, metrics) -> dict:
-    """The cost vector a design contributes to a coverage map."""
-    return {f"{template_name}.area_kge": metrics.area_kge,
-            f"{template_name}.latency_cc": metrics.latency_cc,
-            f"{template_name}.randomness_bits": metrics.randomness_bits}
+        return self.best_key, self.best
 
 
 def _exhaustive_shard(state, shard) -> tuple:
@@ -160,45 +122,33 @@ def _exhaustive_shard(state, shard) -> tuple:
     returns is plain data, and the union of all shards is exactly the
     serial stream, so the merged result is provably the serial one.
     """
-    template, context, goals, top_k, want_coverage = state
+    template, context, goals = state
     offset, step = shard
     obs_counter = TELEMETRY.counter("hades.evaluations") \
         if TELEMETRY.enabled else None
-    cover = CoverageMap() if want_coverage else None
     feasible = 0
-    reductions = [_GoalReduction(goal, top_k) for goal in goals]
+    reductions = [_GoalReduction(goal) for goal in goals]
     for chunk in enumerate_chunks(template, context, start=offset,
                                   step=step):
         lanes = len(chunk.raw)
         feasible += lanes
         if obs_counter is not None:
             obs_counter.inc(lanes)
-        if cover is not None:
-            for lane in range(lanes):
-                cover.observe(template.name,
-                              _metrics_vector(template.name,
-                                              chunk.lane_metrics(lane)))
         for reduction in reductions:
             reduction.fold(chunk)
-    return (feasible, [reduction.dump() for reduction in reductions],
-            cover.to_dict() if cover is not None else None)
+    return feasible, [reduction.dump() for reduction in reductions]
 
 
-def _merge_goal(outputs: list, position: int, top_k: int) -> tuple:
-    """Merge one goal's per-shard reductions: minimum by rank key for
-    the optimum, global sort of the kept heaps for the top-k."""
+def _merge_goal(outputs: list, position: int):
+    """Merge one goal's per-shard reductions: the minimum by rank
+    key."""
     best_key = best = None
-    entries = []
-    for _, dumps, _ in outputs:
-        shard_key, shard_best, kept = dumps[position]
+    for _, dumps in outputs:
+        shard_key, shard_best = dumps[position]
         if shard_key is not None and \
                 (best_key is None or shard_key < best_key):
             best_key, best = shard_key, shard_best
-        entries.extend(kept)
-    top = [design for _, design in
-           sorted(entries, key=lambda entry: entry[0])[:top_k]] \
-        if top_k > 1 else []
-    return best, top
+    return best
 
 
 class ExhaustiveExplorer:
@@ -209,29 +159,20 @@ class ExhaustiveExplorer:
         self.template = template
         self.context = context
 
-    def run(self, goal: OptimizationGoal, top_k: int = 1,
-            jobs: int = None,
-            coverage: CoverageMap = None) -> ExplorationResult:
+    def run(self, goal: OptimizationGoal,
+            jobs: int = None) -> ExplorationResult:
         """Traverse the entire space and return the optimum for ``goal``.
 
-        ``top_k`` > 1 additionally collects the k best designs ("a small
-        set of implementations optimized towards one or more goals").
         ``jobs`` > 1 shards the traversal across worker processes with
         an identical result (serial is the default; ``REPRO_JOBS``
-        applies when ``jobs`` is omitted).  ``coverage`` folds every
-        feasible design's log-bucketized cost vector into the given
-        :class:`~repro.obs.coverage.CoverageMap` (per-shard maps merge
-        in shard order, so the map is identical for any worker count).
+        applies when ``jobs`` is omitted).
         """
         with TELEMETRY.span("hades.exhaustive.run",
                             template=self.template.name,
                             goal=goal.name) as span:
-            return self._run_goals((goal,), top_k, jobs, span,
-                                   coverage)[goal]
+            return self._run_goals((goal,), jobs, span)[goal]
 
-    def run_all_goals(self, goals=None, top_k: int = 1,
-                      jobs: int = None,
-                      coverage: CoverageMap = None) -> dict:
+    def run_all_goals(self, goals=None, jobs: int = None) -> dict:
         """One *shared* traversal scoring every goal at once; returns
         ``{goal: ExplorationResult}``.
 
@@ -247,23 +188,17 @@ class ExhaustiveExplorer:
         with TELEMETRY.span("hades.exhaustive.run_all_goals",
                             template=self.template.name,
                             goals=len(goals)) as span:
-            return self._run_goals(goals, top_k, jobs, span, coverage)
+            return self._run_goals(goals, jobs, span)
 
-    def _run_goals(self, goals: tuple, top_k: int, jobs: int,
-                   span, coverage: CoverageMap = None) -> dict:
+    def _run_goals(self, goals: tuple, jobs: int, span) -> dict:
         started = time.perf_counter()
         total = self.template.count_configurations()
         jobs = resolve_jobs(jobs, work=total,
                             min_work_per_job=MIN_CONFIGS_PER_JOB)
         outputs = run_sharded(
-            _exhaustive_shard, (self.template, self.context, goals,
-                                top_k, coverage is not None),
+            _exhaustive_shard, (self.template, self.context, goals),
             stride_shards(jobs), jobs=jobs)
-        feasible = sum(shard_feasible
-                       for shard_feasible, _, _ in outputs)
-        if coverage is not None:
-            for _, _, cover_dict in outputs:
-                coverage.merge(cover_dict)
+        feasible = sum(shard_feasible for shard_feasible, _ in outputs)
         if feasible == 0:
             raise InfeasibleConfiguration(
                 f"no feasible design for {self.template.name} in "
@@ -278,11 +213,11 @@ class ExhaustiveExplorer:
                     feasible / elapsed)
         results = {}
         for position, goal in enumerate(goals):
-            best, top = _merge_goal(outputs, position, top_k)
             results[goal] = ExplorationResult(
-                template_name=self.template.name, goal=goal, best=best,
-                explored=total, feasible=feasible, evaluations=feasible,
-                elapsed_seconds=elapsed, top=top, jobs=jobs)
+                template_name=self.template.name, goal=goal,
+                best=_merge_goal(outputs, position), explored=total,
+                feasible=feasible, evaluations=feasible,
+                elapsed_seconds=elapsed, jobs=jobs)
         return results
 
 
@@ -428,19 +363,15 @@ def _descend(template: Template, context: DesignContext,
 
 def _local_search_shard(state, bounds) -> tuple:
     """Run one contiguous block of independent random starts."""
-    template, context, goal, start_configs, want_coverage = state
+    template, context, goal, start_configs = state
     lo, hi = bounds
-    cover = CoverageMap() if want_coverage else None
     results = []
     for index in range(lo, hi):
         with TELEMETRY.span("hades.local_search.descent", start=index):
             config, metrics, evaluations, hits = _descend(
                 template, context, start_configs[index], goal)
-        if cover is not None and metrics is not None:
-            cover.observe(template.name,
-                          _metrics_vector(template.name, metrics))
         results.append((index, config, metrics, evaluations, hits))
-    return results, cover.to_dict() if cover is not None else None
+    return results
 
 
 class LocalSearchExplorer:
@@ -454,8 +385,7 @@ class LocalSearchExplorer:
         self.seed = seed
 
     def run(self, goal: OptimizationGoal, starts: int = 50,
-            jobs: int = None,
-            coverage: CoverageMap = None) -> ExplorationResult:
+            jobs: int = None) -> ExplorationResult:
         """Run ``starts`` random performance baselines (paper: "we obtain
         perfect results for Kyber-CCA for as few as 50 random
         performance base-lines").
@@ -464,9 +394,7 @@ class LocalSearchExplorer:
         seeded stream — the exact historical serial sequence — so
         starts become independent work items the executor fans across
         ``jobs`` workers with an identical best-by-(score, start index)
-        merge for any worker count.  ``coverage`` folds every feasible
-        descent's final cost vector into the given map (shard-order
-        merged, worker-count independent).
+        merge for any worker count.
         """
         with TELEMETRY.span("hades.local_search.run",
                             template=self.template.name,
@@ -479,18 +407,14 @@ class LocalSearchExplorer:
                                 min_work_per_job=MIN_STARTS_PER_JOB)
             outputs = run_sharded(
                 _local_search_shard,
-                (self.template, self.context, goal, start_configs,
-                 coverage is not None),
+                (self.template, self.context, goal, start_configs),
                 chunk_bounds(starts, jobs), jobs=jobs)
-            if coverage is not None:
-                for _, cover_dict in outputs:
-                    coverage.merge(cover_dict)
             best = None
             best_rank = None
             feasible = 0
             total_evaluations = 0
             cache_hits = 0
-            for shard, _ in outputs:
+            for shard in outputs:
                 for index, config, metrics, evaluations, hits in shard:
                     total_evaluations += evaluations
                     cache_hits += hits

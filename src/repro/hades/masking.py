@@ -60,8 +60,3 @@ def register_area_ge(bits: int, order: int) -> float:
     """Flip-flop area for ``bits`` of (shared) state, ~4.5 GE per FF."""
     return 4.5 * bits * shares(order)
 
-
-def randomness_per_cycle_to_total(bits_per_gadget: int,
-                                  gadget_evaluations: int) -> int:
-    """Total fresh randomness of one operation: gadgets x bits each."""
-    return bits_per_gadget * gadget_evaluations

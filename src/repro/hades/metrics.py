@@ -49,18 +49,6 @@ class Metrics:
     def area_latency_randomness_product(self) -> float:
         return self.area_kge * self.latency_cc * self.randomness_bits
 
-    def combine(self, other: "Metrics") -> "Metrics":
-        """Component-wise accumulation (used when a template instantiates
-        several independent subcomponents)."""
-        return Metrics(self.area_kge + other.area_kge,
-                       self.latency_cc + other.latency_cc,
-                       self.randomness_bits + other.randomness_bits)
-
-    def scaled(self, area: float = 1.0, latency: float = 1.0,
-               randomness: float = 1.0) -> "Metrics":
-        return Metrics(self.area_kge * area, self.latency_cc * latency,
-                       self.randomness_bits * randomness)
-
 
 class OptimizationGoal(Enum):
     """What the explorer minimises (Table II column "Opt.")."""

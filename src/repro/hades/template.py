@@ -105,9 +105,6 @@ class Template:
             if not candidates:
                 raise ValueError(f"slot {key!r} of {name!r} is empty")
 
-    def __repr__(self):
-        return f"Template({self.name!r})"
-
     def count_configurations(self) -> int:
         """Closed-form size of this template's configuration space."""
         count = 1
@@ -174,33 +171,23 @@ def _nonneg(value) -> bool:
     return value.nonneg if type(value) is _Column else not value < 0
 
 
-def _compare(op):
-    """Elementwise comparison of a column with a column or a scalar."""
-    def compare(self, other):
-        others = other.lanes if type(other) is _Column \
-            else itertools.repeat(other)
-        return _Column(list(map(op, self.lanes, others)))
-    return compare
-
-
-_less = _compare(operator.lt)
-
-
 class _Column:
     """One metric across the lanes of a chunk: a plain list, ``lanes``.
 
-    Arithmetic is elementwise, with a scalar broadcast on either side,
-    so an unchanged scalar cost model prices every lane in one call.
-    Each lane evaluates exactly the scalar expression (same operands,
-    same order, plain Python numbers), so a lane equals
-    :meth:`Template.evaluate` value for value and type for type.
+    Arithmetic is the operators the cost models use — ``+`` and ``*``
+    with a scalar broadcast on either side, ``/`` by a column or a
+    scalar — elementwise, so an unchanged scalar cost model prices
+    every lane in one call.  Each lane evaluates exactly the scalar
+    expression (same operands, same order, plain Python numbers), so a
+    lane equals :meth:`Template.evaluate` value for value and type for
+    type.
 
-    Comparisons are elementwise too, and a column's truth value exists
-    only when every lane agrees: a cost model that branches on a
+    ``<`` is elementwise too, and a column's truth value exists only
+    when every lane agrees: a cost model that branches on a
     sub-template metric where the lanes disagree gets ``TypeError``
     instead of one branch silently applied to every lane.  Anything
-    else a number supports (``float()``, ``**``, ``//``, hashing)
-    raises ``TypeError`` as well.
+    else a number supports (``-``, the other comparisons, ``float()``,
+    ``**``, ``//``, hashing) raises ``TypeError`` as well.
 
     ``nonneg`` records that no lane is below zero: true of sub-design
     metrics, and kept by ``+``, ``*`` and ``/`` of such operands.  It
@@ -227,15 +214,6 @@ class _Column:
         return _Column([other + x for x in self.lanes],
                        self.nonneg and not other < 0)
 
-    def __sub__(self, other):
-        if type(other) is _Column:
-            return _Column(list(map(operator.sub, self.lanes,
-                                    other.lanes)))
-        return _Column([x - other for x in self.lanes])
-
-    def __rsub__(self, other):
-        return _Column([other - x for x in self.lanes])
-
     def __mul__(self, other):
         nonneg = self.nonneg and _nonneg(other)
         if type(other) is _Column:
@@ -254,23 +232,14 @@ class _Column:
                                     other.lanes)), nonneg)
         return _Column([x / other for x in self.lanes], nonneg)
 
-    def __rtruediv__(self, other):
-        return _Column([other / x for x in self.lanes],
-                       self.nonneg and not other < 0)
-
-    def __neg__(self):
-        return _Column([-x for x in self.lanes])
-
     def __lt__(self, other):
         if type(other) is not _Column and self.nonneg and other <= 0:
             return _Column([False] * len(self.lanes))
-        return _less(self, other)
+        others = other.lanes if type(other) is _Column \
+            else itertools.repeat(other)
+        return _Column(list(map(operator.lt, self.lanes, others)))
 
-    __le__ = _compare(operator.le)
-    __gt__ = _compare(operator.gt)
-    __ge__ = _compare(operator.ge)
-    __eq__ = _compare(operator.eq)
-    __ne__ = _compare(operator.ne)
+    __hash__ = None
 
     def __bool__(self):
         if all(self.lanes):

@@ -34,69 +34,64 @@ every subsystem of the reproduction:
   (``scripts/obs_export.py``, the live endpoint format),
 * :mod:`~repro.obs.export` — atomic JSONL/text artifact persistence,
 * :mod:`~repro.obs.report` — per-span aggregation (cumulative/self
-  time) behind ``scripts/trace_report.py``,
-* :mod:`~repro.obs.logging_bridge` — opt-in mirror of trace events to
-  stdlib ``logging`` at DEBUG.
+  time) behind ``scripts/trace_report.py``.
 
 Quick use::
 
     from repro.obs import PERF, TELEMETRY, counting
 
-    TELEMETRY.enable()
+    TELEMETRY.enabled = True
     with counting() as window:
         with TELEMETRY.span("my.phase", size=42):
             TELEMETRY.counter("my.items").inc()
-    assert window.delta()["soc.pmp.checks"] >= 0
+    assert window.delta().get("soc.pmp.checks", 0) >= 0
     TELEMETRY.export("out/")        # out/trace.jsonl + out/metrics.json
 
 Telemetry and perf counting are **off by default**; enable per process
 with ``REPRO_TELEMETRY=1`` / ``REPRO_PERF=1`` or per call site with
-:func:`enable` / :func:`counting`.
+``TELEMETRY.enabled = True`` / :func:`counting`.
 """
 
 from .audit import (AUDIT, AuditLedger, AuditVerificationError,
-                    canonical_encode, chain_hash, get_audit,
+                    canonical_encode, chain_hash,
                     load_ledger_records, summarize_records,
                     verify_records)
 from .coverage import CoverageMap, log_bucket, signature
-from .detect import (AnomalyEngine, Detection,
-                     PerfSignatureOutlierDetector,
-                     WindowThresholdDetector, standard_detectors)
-from .export import (atomic_write_text, read_jsonl, read_spans,
-                     write_jsonl)
-from .exposition import parse_exposition, render, snapshot_exposition
+from .detect import (AnomalyEngine, Detection, WindowThresholdDetector,
+                     standard_detectors)
+from .export import atomic_write_text, read_jsonl, write_jsonl
+from .exposition import parse_exposition, render
 from .history import (SCHEMA_VERSION, append_entry, append_run,
                       detect_regressions, format_regressions,
                       load_history, make_entry, trend_table)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       percentile)
 from .perf import (PERF, CountingWindow, PerfCounters, PerfSnapshot,
-                   counting, get_perf)
+                   counting)
 from .profiler import PROFILER, Profiler, parse_collapsed
 from .report import format_metrics, format_report, summarize
 from .stream import HeadStrideSampler, RotatingJsonlSink, SpanStream
-from .telemetry import (TELEMETRY, Telemetry, disable, enable,
-                        get_telemetry)
+from .telemetry import TELEMETRY, Telemetry
 from .tracer import Span, Tracer
 
 __all__ = [
-    "TELEMETRY", "Telemetry", "enable", "disable", "get_telemetry",
+    "TELEMETRY", "Telemetry",
     "PERF", "PerfCounters", "PerfSnapshot", "CountingWindow",
-    "counting", "get_perf",
+    "counting",
     "PROFILER", "Profiler", "parse_collapsed",
     "SCHEMA_VERSION", "make_entry", "append_entry", "append_run",
     "load_history", "detect_regressions", "format_regressions",
     "trend_table",
     "Span", "Tracer",
-    "AUDIT", "AuditLedger", "AuditVerificationError", "get_audit",
+    "AUDIT", "AuditLedger", "AuditVerificationError",
     "canonical_encode", "chain_hash", "verify_records",
     "load_ledger_records", "summarize_records",
     "AnomalyEngine", "Detection", "WindowThresholdDetector",
-    "PerfSignatureOutlierDetector", "standard_detectors",
+    "standard_detectors",
     "CoverageMap", "log_bucket", "signature",
     "SpanStream", "RotatingJsonlSink", "HeadStrideSampler",
-    "render", "snapshot_exposition", "parse_exposition",
+    "render", "parse_exposition",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile",
-    "read_jsonl", "read_spans", "write_jsonl", "atomic_write_text",
+    "read_jsonl", "write_jsonl", "atomic_write_text",
     "summarize", "format_report", "format_metrics",
 ]

@@ -1,7 +1,7 @@
 """Tamper-evident security audit ledger (ISSUE 8).
 
 CONVOLVE's runtime-assurance story needs an *account* of what
-security-relevant events happened — boot verdicts, handoff checks,
+security-relevant events happened — boot verdicts,
 delivery accept/reject, PMP traps and containment, bus watchdog trips,
 attestation sign/verify, fault-injection arm/fire — in a form whose
 integrity can be checked after the fact.  This module provides that
@@ -87,11 +87,6 @@ def canonical_encode(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=False, ensure_ascii=True
                       ).encode("ascii")
-
-
-def canonical_decode(data: bytes):
-    """Inverse of :func:`canonical_encode` (accepts any valid JSON)."""
-    return json.loads(data.decode("ascii"))
 
 
 def chain_hash(prev: str, body: dict) -> str:
@@ -241,15 +236,8 @@ class AuditLedger:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def head(self) -> str:
-        return self._head
-
     def event_count(self) -> int:
         return self._seq
-
-    def checkpoint_count(self) -> int:
-        return self._checkpoints
 
     def records(self) -> list:
         """Header plus every chained record, as plain dicts."""
@@ -516,7 +504,3 @@ def _env_enabled() -> bool:
 
 #: The process-global ledger every hook site consults.
 AUDIT = AuditLedger(enabled=_env_enabled())
-
-
-def get_audit() -> AuditLedger:
-    return AUDIT

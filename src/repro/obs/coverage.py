@@ -89,21 +89,10 @@ class CoverageMap:
         seen.add(sig)
         return True
 
-    def novel(self, group: str, vector) -> bool:
-        """Would :meth:`observe` report this vector as novel?  A pure
-        peek — no signature is recorded, no observation counted — for
-        generators that must *rank* candidates (schedule neighborhood
-        mutations) before committing any of them to the map."""
-        sig = vector if isinstance(vector, tuple) else signature(vector)
-        return sig not in self._groups.get(group, ())
-
     # -- reading -----------------------------------------------------------
 
     def groups(self) -> list:
         return sorted(self._groups)
-
-    def signatures(self, group: str) -> set:
-        return set(self._groups.get(group, ()))
 
     def distinct(self, group: str = None) -> int:
         """Distinct signatures in ``group`` (or across all groups)."""
@@ -160,25 +149,6 @@ class CoverageMap:
 
     def write(self, path) -> pathlib.Path:
         return atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CoverageMap":
-        version = payload.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported coverage schema_version "
-                             f"{version!r}")
-        cover = cls(name=payload.get("name", "coverage"))
-        cover._groups, cover._observations = _decode_groups(payload)
-        return cover
-
-    @classmethod
-    def load(cls, path) -> "CoverageMap":
-        return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
-
-    def __repr__(self):
-        return (f"CoverageMap({self.name!r}, groups={len(self._groups)},"
-                f" distinct={self.distinct()}, "
-                f"observations={self.observations})")
 
 
 def _decode_groups(payload: dict) -> tuple:

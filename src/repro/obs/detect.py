@@ -81,9 +81,6 @@ class WindowThresholdDetector:
         self.reason = reason or name
         self._seqs = deque()
 
-    def reset(self) -> None:
-        self._seqs.clear()
-
     def matches(self, record: dict) -> bool:
         if record.get("subsystem") == DETECT_SUBSYSTEM:
             return False
@@ -121,55 +118,6 @@ class WindowThresholdDetector:
         return detection
 
 
-class PerfSignatureOutlierDetector:
-    """Flag PERF-delta signatures outside a calibrated baseline.
-
-    The campaign runners emit a ``perf-signature`` event whenever a
-    case exhibits a novel counter signature; after
-    :meth:`calibrate` has pinned the golden-run signature set, any
-    signature outside it is an outlier.  Uncalibrated, the detector is
-    silent — an unconfigured baseline must not create false positives.
-    """
-
-    def __init__(self, name: str = "perf-outlier",
-                 severity: str = "warning"):
-        self.name = name
-        self.severity = severity
-        self.threshold = 1
-        self.window = 1
-        self._baseline = None
-
-    def calibrate(self, signatures) -> None:
-        """Pin the known-good signature set (iterable of signature
-        tuples, each a tuple of (counter, delta) pairs)."""
-        self._baseline = frozenset(
-            tuple(tuple(pair) for pair in signature)
-            for signature in signatures)
-
-    def reset(self) -> None:
-        """Clear per-stream state; the calibrated baseline is kept."""
-
-    def observe(self, record: dict):
-        if self._baseline is None:
-            return None
-        if record.get("kind") != "perf-signature":
-            return None
-        if record.get("subsystem") == DETECT_SUBSYSTEM:
-            return None
-        detail = record.get("detail") or {}
-        signature = tuple(tuple(pair)
-                          for pair in detail.get("signature", ()))
-        if signature in self._baseline:
-            return None
-        seq = int(record["seq"])
-        return Detection(
-            detector=self.name, severity=self.severity,
-            reason="perf signature outside calibrated baseline",
-            subsystem=str(record.get("subsystem")),
-            first_seq=seq, last_seq=seq, count=1,
-            window=self.window, threshold=self.threshold)
-
-
 def standard_detectors() -> list:
     """The ISSUE 8 detector suite, tuned against the standard
     scenarios: silent across every golden run, and guaranteed (via the
@@ -180,10 +128,6 @@ def standard_detectors() -> list:
             "boot-failure-burst", kinds=("boot-rejected",),
             threshold=3, window=64, severity="critical",
             reason="burst of boot-verification failures"),
-        WindowThresholdDetector(
-            "handoff-tamper", kinds=("handoff-rejected",),
-            threshold=1, window=1, severity="critical",
-            reason="secure-boot handoff state rejected"),
         WindowThresholdDetector(
             "pmp-trap-rate",
             kinds=("pmp-denial", "fault-contained"),
@@ -208,7 +152,6 @@ def standard_detectors() -> list:
             "hardening-gate", kinds=("hardening-violation",),
             threshold=1, window=1, severity="critical",
             reason="hardened scenario reached a forbidden outcome"),
-        PerfSignatureOutlierDetector(),
     ]
 
 
@@ -241,13 +184,6 @@ class AnomalyEngine:
             self._ledger.remove_listener(self.observe)
             self._ledger = None
 
-    def reset(self) -> None:
-        """Clear collected detections and per-detector windows (the
-        perf-outlier baseline survives, like a config)."""
-        self.detections = []
-        for detector in self.detectors:
-            detector.reset()
-
     def observe(self, record: dict) -> None:
         if record.get("type") != "event":
             return
@@ -263,12 +199,6 @@ class AnomalyEngine:
                     DETECT_SUBSYSTEM, "detection",
                     severity=detection.severity,
                     **detection.to_detail())
-
-    def detector(self, name: str):
-        for detector in self.detectors:
-            if detector.name == name:
-                return detector
-        raise KeyError(name)
 
     def by_detector(self) -> dict:
         counts = {}

@@ -62,7 +62,3 @@ def read_jsonl(path) -> list:
                 records.append(json.loads(line))
     return records
 
-
-def read_spans(path) -> list:
-    """Load a JSONL trace back into :class:`Span` objects."""
-    return [Span.from_record(record) for record in read_jsonl(path)]

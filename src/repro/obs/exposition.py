@@ -18,19 +18,15 @@ observability surfaces into that format, with zero dependencies:
   summarize_records`) — ``repro_audit_events_total`` by subsystem and
   severity plus ``repro_detections_total`` by detector.
 
-:func:`render` composes any subset; :func:`snapshot_exposition` is the
-live-process shortcut the future service endpoint will call per
-scrape; :func:`parse_exposition` is a strict validating parser used by
-the tests and ``scripts/obs_export.py --check`` so "valid
-Prometheus text" is a checked property, not a hope.
+:func:`render` composes any subset; :func:`parse_exposition` is a
+strict validating parser used by the tests and
+``scripts/obs_export.py --check`` so "valid Prometheus text" is a
+checked property, not a hope.
 """
 
 from __future__ import annotations
 
 import re
-
-from .perf import PERF
-from .telemetry import TELEMETRY
 
 #: Prometheus metric names: letters, digits, underscores, colons.
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
@@ -207,13 +203,6 @@ def render(metrics: dict = None, perf: dict = None,
         for payload in payloads:
             lines.extend(render_audit(payload, prefix))
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def snapshot_exposition(prefix: str = "repro") -> str:
-    """Render the live process state (global facades) — the per-scrape
-    body of a metrics endpoint."""
-    return render(metrics=TELEMETRY.metrics.snapshot(),
-                  perf=dict(PERF.snapshot()), prefix=prefix)
 
 
 def parse_exposition(text: str) -> dict:

@@ -50,14 +50,6 @@ class Gauge:
         with self._lock:
             self._value = value
 
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self):
-        return self._value
-
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self._value}
 
@@ -137,10 +129,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def names(self) -> list:
-        with self._lock:
-            return sorted(self._instruments)
 
     def snapshot(self) -> dict:
         """``{name: instrument snapshot}`` for every registered metric."""

@@ -70,15 +70,6 @@ class PerfSnapshot(dict):
                 result[key] = value
         return result
 
-    def grouped(self) -> dict:
-        """Counts re-keyed by subsystem (the first dotted component)."""
-        groups = {}
-        for event, count in self.items():
-            subsystem = event.split(".", 1)[0]
-            bucket = groups.setdefault(subsystem, PerfSnapshot())
-            bucket[event] = count
-        return groups
-
     def total(self) -> int:
         """Sum of all event counts (the generic 'activity' scalar)."""
         return sum(self.values())
@@ -118,9 +109,6 @@ class PerfCounters:
         """Add ``amount`` to ``event`` (call sites guard on .enabled)."""
         with self._lock:
             self._counts[event] = self._counts.get(event, 0) + amount
-
-    def count(self, event: str) -> int:
-        return self._counts.get(event, 0)
 
     def snapshot(self) -> PerfSnapshot:
         """A point-in-time copy of every counter."""
@@ -181,7 +169,3 @@ def _env_enabled() -> bool:
 
 #: The process-global counter file every instrumented subsystem imports.
 PERF = PerfCounters(enabled=_env_enabled())
-
-
-def get_perf() -> PerfCounters:
-    return PERF

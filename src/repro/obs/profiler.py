@@ -3,30 +3,16 @@
 Wall-clock profiles of a simulator are noise; the quantities that
 reproduce run-over-run are the :mod:`~repro.obs.perf` event counters.
 This profiler attributes counter *deltas* to spans — cycles and bus
-traffic per span, not just seconds — with the usual self/cumulative
-split:
+traffic per span, not just seconds — as **self** events: everything
+counted while the span ran, minus its direct children's share, i.e.
+where the events were actually generated.
 
-* **cumulative** events of a span include everything counted while the
-  span (and its children) ran;
-* **self** events subtract the direct children, i.e. where the events
-  were actually generated.
+It is fed by a tracer, so every ``TELEMETRY.span(...)`` in the
+instrumented code is attributed automatically::
 
-Two ways to feed it:
-
-1. Explicitly, around any region::
-
-       profiler = Profiler()
-       with counting():                 # counters must be enabled
-           with profiler.span("boot"):
-               with profiler.span("boot.sign"):
-                   ...
-
-2. Attached to a tracer, so every ``TELEMETRY.span(...)`` in the
-   instrumented code is attributed automatically::
-
-       profiler.attach(TELEMETRY.tracer)
-       ... run the workload with TELEMETRY + PERF enabled ...
-       profiler.detach()
+    profiler.attach(TELEMETRY.tracer)
+    ... run the workload with TELEMETRY + PERF enabled ...
+    profiler.detach()
 
 The aggregate is keyed by *call path* (the stack of span names), which
 exports directly as flamegraph-style collapsed stacks
@@ -55,17 +41,6 @@ class _Frame:
         self.child = PerfSnapshot()
 
 
-class _PathStats:
-    """Aggregate for one call path."""
-
-    __slots__ = ("count", "cumulative", "self")
-
-    def __init__(self):
-        self.count = 0
-        self.cumulative = PerfSnapshot()
-        self.self = PerfSnapshot()
-
-
 class Profiler:
     """Attributes perf-counter deltas to a stack of named spans."""
 
@@ -84,15 +59,15 @@ class Profiler:
             stack = self._local.stack = []
         return stack
 
-    def _begin(self, name: str, span_id=None) -> None:
+    def _begin(self, name: str, span_id) -> None:
         self._stack().append(
             _Frame(name, span_id, self.counters.snapshot()))
 
-    def _end(self, span_id=None) -> None:
+    def _end(self, span_id) -> None:
         stack = self._stack()
         if not stack:
             return                      # span started before attach
-        if span_id is not None and stack[-1].span_id != span_id:
+        if stack[-1].span_id != span_id:
             if not any(f.span_id == span_id for f in stack):
                 return                  # foreign span: ignore
             while stack and stack[-1].span_id != span_id:
@@ -104,18 +79,10 @@ class Profiler:
         self_events = cumulative - frame.child
         path = tuple(f.name for f in stack) + (frame.name,)
         with self._lock:
-            stats = self._paths.setdefault(path, _PathStats())
-            stats.count += 1
-            stats.cumulative = stats.cumulative + cumulative
-            stats.self = stats.self + self_events
+            self._paths[path] = \
+                self._paths.get(path, PerfSnapshot()) + self_events
         if stack:
             stack[-1].child = stack[-1].child + cumulative
-
-    # -- explicit API -----------------------------------------------------
-
-    def span(self, name: str):
-        """Context manager profiling a named region."""
-        return _ProfiledSpan(self, name)
 
     # -- tracer integration -----------------------------------------------
 
@@ -147,96 +114,24 @@ class Profiler:
 
     # -- reporting --------------------------------------------------------
 
-    def clear(self) -> None:
-        with self._lock:
-            self._paths = {}
-
-    def report(self) -> dict:
-        """``{"a;b;c": {"count", "cumulative", "self"}}`` per path."""
-        with self._lock:
-            paths = dict(self._paths)
-        return {";".join(path): {
-                    "count": stats.count,
-                    "cumulative": dict(sorted(stats.cumulative.items())),
-                    "self": dict(sorted(stats.self.items()))}
-                for path, stats in sorted(paths.items())}
-
-    def _path_value(self, stats: _PathStats, event) -> int:
-        if event is None:
-            return stats.self.total()
-        return stats.self.get(event, 0)
-
-    def collapsed(self, event: str = None) -> str:
-        """Flamegraph collapsed-stack text, self-attributed.
-
-        ``event`` selects one counter (e.g. ``"soc.bus.cycles"``);
-        None sums all events — the generic architectural-activity
-        profile.  Paths with zero self value are omitted.
+    def collapsed(self) -> str:
+        """Flamegraph collapsed-stack text, self-attributed, summed
+        over all events — the generic architectural-activity profile.
+        Paths with zero self value are omitted.
         """
         with self._lock:
             paths = dict(self._paths)
         lines = []
-        for path, stats in sorted(paths.items()):
-            value = self._path_value(stats, event)
+        for path, events in sorted(paths.items()):
+            value = events.total()
             if value > 0:
                 lines.append(f"{';'.join(path)} {value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def write_collapsed(self, path, event: str = None):
+    def write_collapsed(self, path):
         """Persist :meth:`collapsed` output atomically; returns path."""
         from .export import atomic_write_text
-        return atomic_write_text(path, self.collapsed(event))
-
-    def format_profile(self, event: str = None, top: int = 20) -> str:
-        """Aligned text table: top paths by self events."""
-        report = self.report()
-        label = event or "events(all)"
-
-        def self_value(entry):
-            if event is None:
-                return sum(entry["self"].values())
-            return entry["self"].get(event, 0)
-
-        def cumulative_value(entry):
-            if event is None:
-                return sum(entry["cumulative"].values())
-            return entry["cumulative"].get(event, 0)
-
-        ordered = sorted(report.items(),
-                         key=lambda item: -self_value(item[1]))[:top]
-        header = ["path", "count", f"self {label}", f"cum {label}"]
-        rows = [[path, str(entry["count"]), str(self_value(entry)),
-                 str(cumulative_value(entry))]
-                for path, entry in ordered]
-        widths = [max(len(header[i]), max((len(r[i]) for r in rows),
-                                          default=0))
-                  for i in range(len(header))]
-        lines = [f"top {len(rows)} span paths by self {label}", ""]
-        lines.append("  ".join(h.ljust(w)
-                               for h, w in zip(header, widths)))
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(c.ljust(w)
-                                   for c, w in zip(row, widths)))
-        return "\n".join(lines) + "\n"
-
-
-class _ProfiledSpan:
-    """Context manager pairing one _begin/_end around a block."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: Profiler, name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self):
-        self._profiler._begin(self._name)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._profiler._end()
-        return False
+        return atomic_write_text(path, self.collapsed())
 
 
 def parse_collapsed(text: str) -> list:

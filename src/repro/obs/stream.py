@@ -120,13 +120,6 @@ class RotatingJsonlSink:
         self.records_written += 1
         self.bytes_written += len(line)
 
-    def files(self) -> list:
-        """Existing stream files, oldest first, live file last."""
-        rotated = [self._rotated(index)
-                   for index in range(self.max_files, 0, -1)
-                   if self._rotated(index).exists()]
-        return rotated + ([self.path] if self.path.exists() else [])
-
     def flush(self) -> None:
         self._stream.flush()
 
@@ -158,12 +151,6 @@ class HeadStrideSampler:
         if index < self.head:
             return True
         return (index - self.head) % self.stride == self.stride - 1
-
-    def seen(self, name: str) -> int:
-        return self._seen.get(name, 0)
-
-    def reset(self) -> None:
-        self._seen = {}
 
 
 class SpanStream:

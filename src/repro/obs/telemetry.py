@@ -21,7 +21,6 @@ import json
 import os
 import pathlib
 import time
-from functools import wraps
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import Span, Tracer
@@ -38,9 +37,6 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb):
         return False
 
-    def set_attr(self, key, value):
-        pass
-
 
 class _NullInstrument:
     """Stateless stand-in for Counter/Gauge/Histogram; shared."""
@@ -50,15 +46,6 @@ class _NullInstrument:
     count = 0
 
     def inc(self, amount=1):
-        pass
-
-    def add(self, delta):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
         pass
 
 
@@ -99,19 +86,6 @@ class Telemetry:
 
     # -- switch ------------------------------------------------------------
 
-    def enable(self) -> "Telemetry":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "Telemetry":
-        self.enabled = False
-        return self
-
-    def reset(self) -> None:
-        """Drop all collected spans and metrics; keep the switch state."""
-        self.tracer.clear()
-        self.metrics.clear()
-
     # -- instruments -------------------------------------------------------
 
     def span(self, name: str, **attrs):
@@ -140,20 +114,6 @@ class Telemetry:
         if not self.enabled:
             return _NULL_INSTRUMENT
         return self.metrics.histogram(name)
-
-    def traced(self, name: str = None, **attrs):
-        """Decorator tracing every call of the wrapped function."""
-        def decorate(function):
-            span_name = name or function.__qualname__
-
-            @wraps(function)
-            def wrapper(*args, **kwargs):
-                if not self.enabled:
-                    return function(*args, **kwargs)
-                with self.tracer.span(span_name, **attrs):
-                    return function(*args, **kwargs)
-            return wrapper
-        return decorate
 
     # -- export ------------------------------------------------------------
 
@@ -184,16 +144,3 @@ def _env_enabled() -> bool:
 
 #: The process-global facade every instrumented subsystem imports.
 TELEMETRY = Telemetry(enabled=_env_enabled())
-
-
-def get_telemetry() -> Telemetry:
-    return TELEMETRY
-
-
-def enable() -> Telemetry:
-    """Turn global telemetry on; returns the facade for chaining."""
-    return TELEMETRY.enable()
-
-
-def disable() -> Telemetry:
-    return TELEMETRY.disable()

@@ -73,10 +73,6 @@ class Span:
         span.status = record.get("status", "ok")
         return span
 
-    def __repr__(self):
-        return (f"Span({self.name!r}, id={self.span_id}, "
-                f"parent={self.parent_id}, {self.duration_s:.6f}s)")
-
 
 class Tracer:
     """Collects spans; thread-safe; one instance per telemetry facade."""
@@ -176,11 +172,6 @@ class Tracer:
         """Finished spans as JSONL-ready records."""
         with self._lock:
             return [span.to_record() for span in self.finished]
-
-    def clear(self) -> None:
-        """Drop collected spans (listeners are kept)."""
-        with self._lock:
-            self.finished = []
 
     def drain_records(self) -> list:
         """Atomically take every finished span as a record and release

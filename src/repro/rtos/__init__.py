@@ -4,26 +4,24 @@ Fig. 3).
 * :mod:`~repro.rtos.kernel` — preemptive priority scheduler with
   per-task PMP views and execution budgets
 * :mod:`~repro.rtos.task` — generator-based tasks and syscalls
-* :mod:`~repro.rtos.ipc` — queues and priority-inheritance mutexes
+* :mod:`~repro.rtos.ipc` — bounded message queues
 * :mod:`~repro.rtos.mpu` — the PMP context switcher (and the flat
   baseline)
 * :mod:`~repro.rtos.attacks` — the attack-scenario evaluation suite
 """
 
-from .task import (Acquire, Delay, Notify, Receive, Release, Send,
-                   Task, TaskContext, TaskStackOverflow, TaskState,
-                   WaitNotification)
-from .ipc import MessageQueue, Mutex
+from .task import (Delay, Receive, Send, Task, TaskContext,
+                   TaskStackOverflow, TaskState)
+from .ipc import MessageQueue
 from .mpu import TaskMemoryProtection
 from .kernel import Kernel, KernelEvent, KernelStats
 from .attacks import (SCENARIOS, ScenarioOutcome, run_all_scenarios,
                       SECRET)
 
 __all__ = [
-    "Acquire", "Delay", "Notify", "Receive", "Release", "Send",
+    "Delay", "Receive", "Send",
     "Task", "TaskContext", "TaskStackOverflow", "TaskState",
-    "WaitNotification",
-    "MessageQueue", "Mutex", "TaskMemoryProtection",
+    "MessageQueue", "TaskMemoryProtection",
     "Kernel", "KernelEvent", "KernelStats",
     "SCENARIOS", "ScenarioOutcome", "run_all_scenarios", "SECRET",
 ]

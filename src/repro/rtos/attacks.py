@@ -120,24 +120,12 @@ def hijack_peripheral(kernel, victim, secret_address, out):
     return factory
 
 
-def starve_scheduler(kernel, victim, secret_address, out):
-    """Spin at high priority to starve the victim (time-domain attack)."""
-    def factory(ctx):
-        start = victim.ticks_run
-        for _ in range(150):
-            yield                       # burn CPU every tick
-        if victim.ticks_run <= start + 2:
-            out["starved"] = True
-        yield
-    return factory
-
-
 SCENARIOS = (
     ("steal-secret", steal_secret, {}),
     ("smash-stack", smash_victim_stack, {}),
     ("corrupt-kernel", corrupt_kernel, {}),
     ("hijack-peripheral", hijack_peripheral, {}),
-    ("starve-scheduler", starve_scheduler,
+    ("starve-scheduler", None,
      {"budget_ticks": 20}),
 )
 

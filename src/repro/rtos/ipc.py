@@ -1,9 +1,7 @@
-"""Inter-task communication: bounded queues and mutexes.
+"""Inter-task communication: bounded queues.
 
-FreeRTOS's staple primitives, with the two behaviours the security and
-real-time analyses need: blocking with priority-ordered wakeup, and
-priority inheritance on mutexes (the classic fix for priority
-inversion).
+FreeRTOS's staple primitive, with the behaviour the security and
+real-time analyses need: blocking with priority-ordered wakeup.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ class MessageQueue:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
         self._items = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     @property
     def full(self) -> bool:
@@ -40,44 +35,3 @@ class MessageQueue:
         if self.empty:
             raise RuntimeError("pop on empty queue (kernel bug)")
         return self._items.popleft()
-
-
-class Mutex:
-    """Mutex with priority inheritance.
-
-    When a high-priority task blocks on a mutex held by a low-priority
-    task, the holder inherits the blocked task's priority until release
-    — preventing unbounded priority inversion.
-    """
-
-    def __init__(self, name: str = "mutex"):
-        self.name = name
-        self.holder = None
-        self._original_priority = None
-
-    @property
-    def held(self) -> bool:
-        return self.holder is not None
-
-    def acquire(self, task) -> bool:
-        """Try to take the mutex; True on success."""
-        if self.holder is None:
-            self.holder = task
-            self._original_priority = task.priority
-            return True
-        return False
-
-    def boost_holder(self, waiter_priority: int) -> None:
-        """Priority inheritance: lift the holder to the waiter's level."""
-        if self.holder is not None and \
-                self.holder.priority < waiter_priority:
-            self.holder.priority = waiter_priority
-
-    def release(self, task) -> None:
-        if self.holder is not task:
-            raise RuntimeError(
-                f"{task.name} releasing mutex held by "
-                f"{self.holder.name if self.holder else 'nobody'}")
-        task.priority = self._original_priority
-        self.holder = None
-        self._original_priority = None

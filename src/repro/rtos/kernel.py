@@ -24,11 +24,10 @@ from ..obs.audit import AUDIT
 from ..obs.perf import PERF
 from ..soc.cpu import Hart
 from ..soc.memory import AccessFault, PhysicalMemory, Region
-from .ipc import MessageQueue, Mutex
+from .ipc import MessageQueue
 from .mpu import TaskMemoryProtection
-from .task import (Acquire, Delay, Notify, Receive, Release, Send,
-                   Task, TaskContext, TaskStackOverflow, TaskState,
-                   WaitNotification)
+from .task import (Delay, Receive, Send, Task, TaskContext,
+                   TaskStackOverflow, TaskState)
 
 KERNEL_REGION_SIZE = 256 * 1024
 MIN_ALLOC = 4096
@@ -86,7 +85,6 @@ class Kernel:
         self.stats = KernelStats()
         self._queue_senders = {}
         self._queue_receivers = {}
-        self._mutex_waiters = {}
         self._running = None
 
     # -- memory allocation ---------------------------------------------
@@ -127,11 +125,6 @@ class Kernel:
         self._queue_senders[id(q)] = []
         self._queue_receivers[id(q)] = []
         return q
-
-    def mutex(self, name: str = "mutex") -> Mutex:
-        m = Mutex(name)
-        self._mutex_waiters[id(m)] = []
-        return m
 
     # -- scheduling --------------------------------------------------------
 
@@ -204,24 +197,6 @@ class Kernel:
             task.state = TaskState.READY
             self._wake_receiver(queue)
 
-    def _handle_notify(self, task: Task, call: Notify) -> None:
-        target = call.task
-        if getattr(target, "_waiting_notification", False):
-            target.deliver(call.value)
-            target._waiting_notification = False
-            target.state = TaskState.READY
-        else:
-            target.notification = call.value     # latch
-
-    def _handle_wait_notification(self, task: Task) -> None:
-        if task.notification is not None:
-            task.deliver(task.notification)
-            task.notification = None
-        else:
-            task.state = TaskState.BLOCKED
-            task._waiting_notification = True
-            self._log("blocked-notification", task)
-
     def _check_deadlines(self) -> None:
         """Deadline watchdog: flag tasks that outlive their deadline."""
         for task in self.tasks:
@@ -232,27 +207,6 @@ class Kernel:
             if self.tick - task.release_tick > task.deadline_ticks:
                 task.deadline_missed = True
                 self._log("deadline-missed", task)
-
-    def _handle_acquire(self, task: Task, call: Acquire) -> None:
-        mutex = call.mutex
-        if mutex.acquire(task):
-            task.deliver(True)
-        else:
-            mutex.boost_holder(task.priority)
-            task.state = TaskState.BLOCKED
-            self._mutex_waiters[id(mutex)].append(task)
-            self._log("blocked-mutex", task, mutex.name)
-
-    def _handle_release(self, task: Task, call: Release) -> None:
-        mutex = call.mutex
-        mutex.release(task)
-        waiters = self._mutex_waiters[id(mutex)]
-        if waiters:
-            waiters.sort(key=lambda t: -t.priority)
-            waiter = waiters.pop(0)
-            mutex.acquire(waiter)
-            waiter.deliver(True)
-            waiter.state = TaskState.READY
 
     # -- the tick loop -------------------------------------------------
 
@@ -350,14 +304,6 @@ class Kernel:
                     self._handle_send(task, call)
                 elif isinstance(call, Receive):
                     self._handle_receive(task, call)
-                elif isinstance(call, Acquire):
-                    self._handle_acquire(task, call)
-                elif isinstance(call, Release):
-                    self._handle_release(task, call)
-                elif isinstance(call, Notify):
-                    self._handle_notify(task, call)
-                elif isinstance(call, WaitNotification):
-                    self._handle_wait_notification(task)
             task.ticks_run += 1
             self.stats.run_ticks[task.name] += 1
             if task.budget_ticks is not None:
@@ -408,6 +354,3 @@ class Kernel:
     def alive_tasks(self) -> list:
         return [t for t in self.tasks
                 if t.state not in (TaskState.DONE, TaskState.FAULTED)]
-
-    def faulted_tasks(self) -> list:
-        return [t for t in self.tasks if t.state is TaskState.FAULTED]

@@ -51,36 +51,6 @@ class Receive:
     queue: object
 
 
-@dataclass(frozen=True)
-class Acquire:
-    """Take ``mutex`` (blocks while held; priority inheritance applies)."""
-
-    mutex: object
-
-
-@dataclass(frozen=True)
-class Release:
-    """Give ``mutex`` back."""
-
-    mutex: object
-
-
-@dataclass(frozen=True)
-class Notify:
-    """Direct-to-task notification (FreeRTOS xTaskNotify): set ``value``
-    on ``task``, waking it if it waits."""
-
-    task: object
-    value: object = 1
-
-
-@dataclass(frozen=True)
-class WaitNotification:
-    """Block until another task notifies; the value is delivered as the
-    result of the yield.  A notification sent before the wait is
-    latched (like FreeRTOS's notification value)."""
-
-
 class TaskStackOverflow(Exception):
     """A task exceeded its own stack allocation (detected by the
     kernel's stack-overflow check, configCHECK_FOR_STACK_OVERFLOW
@@ -93,9 +63,8 @@ class TaskContext:
     All loads/stores go through the hart, which enforces the PMP view
     the kernel installed for this task — a task touching memory outside
     its regions faults exactly like it would on the Fig. 3 system.
-    Stack usage is charged through :meth:`push_stack`/:meth:`pop_stack`
-    so the kernel can track per-task high-water marks and catch
-    overflows.
+    Stack usage is charged through :meth:`push_stack` so the kernel
+    can track per-task high-water marks and catch overflows.
     """
 
     def __init__(self, task: "Task", hart):
@@ -108,10 +77,6 @@ class TaskContext:
     def store(self, address: int, data: bytes) -> None:
         self._hart.store(address, data)
 
-    @property
-    def stack(self) -> Region:
-        return self.task.stack_region
-
     def push_stack(self, frame_bytes: int) -> None:
         """Charge a stack frame; raises :class:`TaskStackOverflow` when
         the task's stack region is exhausted."""
@@ -122,10 +87,6 @@ class TaskContext:
             raise TaskStackOverflow(
                 f"{self.task.name}: {self.task.stack_used} B used of "
                 f"{self.task.stack_region.size} B stack")
-
-    def pop_stack(self, frame_bytes: int) -> None:
-        self.task.stack_used = max(0, self.task.stack_used
-                                   - frame_bytes)
 
 
 class Task:
@@ -150,7 +111,6 @@ class Task:
         self.fault = None
         self.stack_used = 0
         self.stack_high_water = 0
-        self.notification = None        # latched notification value
         self.deadline_missed = False
         self._generator = None
         self._pending_value = None

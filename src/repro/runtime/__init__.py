@@ -4,13 +4,13 @@ The throughput backbone under the paper's headline loops: HADES
 design-space exploration (Table I runtimes, the 36 h -> <200 s
 local-search claim) and fault-injection campaigns both fan out across
 worker processes here, under one hard contract — **``jobs=1`` and
-``jobs=N`` produce identical outputs** (same optima and top-k,
-byte-identical campaign JSON, equal merged counter totals).
+``jobs=N`` produce identical outputs** (same optima, byte-identical
+campaign JSON, equal merged counter totals).
 
 * :mod:`~repro.runtime.executor` — job resolution (``REPRO_JOBS``),
-  deterministic sharding helpers, the :func:`parallel_map` facade and
-  the fork-state :func:`run_sharded` engine (templates with lambda
-  cost functions cannot pickle; forked children inherit them),
+  deterministic sharding helpers and the fork-state
+  :func:`run_sharded` engine (templates with lambda cost functions
+  cannot pickle; forked children inherit them),
 * :mod:`~repro.runtime.capture` — per-task worker observability
   capture (PERF deltas, metric deltas, finished spans) merged back
   into the parent facades,
@@ -19,9 +19,10 @@ byte-identical campaign JSON, equal merged counter totals).
 
 Quick use::
 
-    from repro.runtime import parallel_map
+    from repro.runtime import run_sharded
 
-    squares = parallel_map(lambda x: x * x, range(100), jobs=4)
+    squares = run_sharded(lambda state, x: x * x, None, range(100),
+                          jobs=4)
 
 Everything is serial (and zero-overhead) by default; export
 ``REPRO_JOBS=N`` (or ``auto``) or pass ``jobs=`` explicitly to the
@@ -29,12 +30,11 @@ explorers / campaign runner to parallelise.
 """
 
 from .executor import (available_cpus, chunk_bounds, fork_available,
-                       parallel_map, resolve_jobs, run_sharded,
-                       stride_shards)
+                       resolve_jobs, run_sharded, stride_shards)
 from .memo import DEFAULT_MAXSIZE, Memo
 
 __all__ = [
-    "available_cpus", "chunk_bounds", "fork_available", "parallel_map",
+    "available_cpus", "chunk_bounds", "fork_available",
     "resolve_jobs", "run_sharded", "stride_shards",
     "Memo", "DEFAULT_MAXSIZE",
 ]

@@ -15,17 +15,13 @@ in the repo is therefore written as
 
 so ``jobs=1`` and ``jobs=N`` are provably the same function.
 
-Two facades live here:
-
-* :func:`parallel_map` — ``[fn(x) for x in items]``, order-preserving,
-  fanned across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  when jobs > 1.
-* :func:`run_sharded` — the engine underneath: ``worker(state, shard)``
-  per shard, where ``state`` is shipped to workers by **fork
-  inheritance**, not pickling.  HADES templates hold lambda cost
-  functions and are unpicklable by design; a forked child inherits
-  them for free.  On platforms without ``fork`` the executor degrades
-  to serial (same results, no speedup).
+The engine is :func:`run_sharded`: ``worker(state, shard)`` per
+shard, fanned across a :class:`~concurrent.futures.ProcessPoolExecutor`
+when jobs > 1, where ``state`` is shipped to workers by **fork
+inheritance**, not pickling.  HADES templates hold lambda cost
+functions and are unpicklable by design; a forked child inherits them
+for free.  On platforms without ``fork`` the executor degrades to
+serial (same results, no speedup).
 
 Job count resolution: an explicit ``jobs=`` argument always wins;
 otherwise ``REPRO_JOBS`` (``auto`` = one per available CPU) is
@@ -195,23 +191,3 @@ def run_sharded(worker, state, shards, jobs: int = None,
     finally:
         _FORK_STATE = None
     return results
-
-
-def _apply(fn, item):
-    return fn(item)
-
-
-def parallel_map(fn, items, jobs: int = None,
-                 min_work_per_job: int = 1) -> list:
-    """Order-preserving ``[fn(item) for item in items]``.
-
-    Serial unless ``jobs`` (or ``REPRO_JOBS``) asks for more; ``fn``
-    itself is shipped by fork inheritance, so closures work.  Each
-    item's result must be picklable.
-    """
-    items = list(items)
-    jobs = resolve_jobs(jobs, work=len(items),
-                        min_work_per_job=min_work_per_job)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    return run_sharded(_apply, fn, items, jobs=jobs)

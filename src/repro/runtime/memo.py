@@ -57,9 +57,6 @@ class Memo:
         self._entries = OrderedDict()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, key) -> bool:
         return key in self._entries
 

@@ -44,15 +44,9 @@ class Transaction:
 
 
 class Arbiter:
-    """Arbitration policy interface: pick which requestor is served."""
-
-    def grant(self, cycle: int, pending: dict):
-        """Return the requestor granted at ``cycle`` or None.
-
-        ``pending`` maps requestor name -> non-empty deque of
-        transactions.
-        """
-        raise NotImplementedError
+    """Arbitration policy interface: ``grant(cycle, pending)`` returns
+    the requestor served at ``cycle`` or None, where ``pending`` maps
+    requestor name -> non-empty deque of transactions."""
 
 
 class FcfsArbiter(Arbiter):

@@ -65,12 +65,6 @@ class StackModel:
             raise RuntimeError("pop from empty stack")
         self.depth -= self._frames.pop()
 
-    def reset(self) -> None:
-        self.depth = 0
-        self.high_water = 0
-        self.corrupted = False
-        self._frames.clear()
-
 
 class Hart:
     """One core of the simulated SoC.

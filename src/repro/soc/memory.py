@@ -73,9 +73,6 @@ class MemoryMap:
                 return region
         raise KeyError(name)
 
-    def __iter__(self):
-        return iter(self._regions)
-
     def __len__(self) -> int:
         return len(self._regions)
 
@@ -176,7 +173,3 @@ class PhysicalMemory:
                 data[offset_in_data:offset_in_data + take]
             address += take
             offset_in_data += take
-
-    def allocated_bytes(self) -> int:
-        """Bytes of backing storage actually allocated (for tests)."""
-        return len(self._pages) * self.PAGE_SIZE

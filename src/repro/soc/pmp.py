@@ -43,13 +43,6 @@ class AddressMode(Enum):
 
 PMP_ENTRY_COUNT = 16
 
-# Permission bit masks within a pmpcfg byte.
-PMP_R = 1 << 0
-PMP_W = 1 << 1
-PMP_X = 1 << 2
-PMP_L = 1 << 7
-
-
 @dataclass
 class PmpEntry:
     """One pmpcfg/pmpaddr pair.
@@ -64,29 +57,6 @@ class PmpEntry:
     executable: bool = False
     locked: bool = False
     address: int = 0
-
-    def config_byte(self) -> int:
-        value = self.mode.value << 3
-        if self.readable:
-            value |= PMP_R
-        if self.writable:
-            value |= PMP_W
-        if self.executable:
-            value |= PMP_X
-        if self.locked:
-            value |= PMP_L
-        return value
-
-    @classmethod
-    def from_config_byte(cls, config: int, address: int) -> "PmpEntry":
-        return cls(
-            mode=AddressMode((config >> 3) & 0x3),
-            readable=bool(config & PMP_R),
-            writable=bool(config & PMP_W),
-            executable=bool(config & PMP_X),
-            locked=bool(config & PMP_L),
-            address=address,
-        )
 
     def range_for(self, previous_address: int) -> tuple:
         """The matched physical byte range ``[lo, hi)`` of this entry.
@@ -200,15 +170,3 @@ class Pmp:
                        access=access, mode=int(mode), address=address,
                        size=size)
         return allowed
-
-    def active_ranges(self) -> list:
-        """The (lo, hi, entry) tuples of all non-OFF entries (for tests
-        and for the security monitor's sanity dump)."""
-        ranges = []
-        previous = 0
-        for entry in self.entries:
-            lo, hi = entry.range_for(previous)
-            previous = entry.address
-            if entry.mode is not AddressMode.OFF and lo < hi:
-                ranges.append((lo, hi, entry))
-        return ranges

@@ -25,7 +25,6 @@ from .platform import TeePlatform, build_tee, synthetic_sm_binary
 from .delivery import (AttestedPublisher, DeliveryChannel,
                        DeliveryError, DeliveryOutcome,
                        EnclaveKemIdentity, SealedPackage)
-from .rollback import MonotonicCounter, RollbackError, VersionedSealer
 from .realtime import (IntegrationOutcome, convolve_integration,
                        evaluate_all as evaluate_realtime_tee,
                        rtos_inside_tee, tee_inside_rtos)
@@ -35,7 +34,6 @@ __all__ = [
     "evaluate_realtime_tee", "rtos_inside_tee", "tee_inside_rtos",
     "AttestedPublisher", "DeliveryChannel", "DeliveryError",
     "DeliveryOutcome", "EnclaveKemIdentity", "SealedPackage",
-    "MonotonicCounter", "RollbackError", "VersionedSealer",
     "Device", "BootReport", "BootRom", "DEFAULT_SECTIONS",
     "PQ_EXTRA_SECTIONS", "VerifiedBoot",
     "Enclave", "EnclaveState",

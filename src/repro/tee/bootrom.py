@@ -344,36 +344,6 @@ class BootRom:
                        post_quantum=self.device.post_quantum)
         return VerifiedBoot(report=report, fault=None)
 
-    def verify_handoff(self, sm_binary: bytes,
-                       report: BootReport) -> bool:
-        """Strict hand-off integrity check: the *entire* report —
-        signatures, derived seeds, certificates — must be exactly what
-        this device's deterministic boot produces for ``sm_binary``.
-
-        :meth:`verify_boot` checks only the signed fields; a bit flip
-        in, say, the derived SM seed would slip past it.  Device-side
-        recomputation closes that gap (at the cost of a full re-boot),
-        so any single-bit corruption of a stored/transmitted hand-off
-        is rejected.
-        """
-        try:
-            expected = self.boot(sm_binary)
-        except Exception:
-            if AUDIT.enabled:
-                AUDIT.emit("tee.boot", "handoff-rejected",
-                           severity="critical",
-                           reason="reboot-exception")
-            return False
-        ok = expected.encode() == report.encode()
-        if AUDIT.enabled:
-            if ok:
-                AUDIT.emit("tee.boot", "handoff-verified")
-            else:
-                AUDIT.emit("tee.boot", "handoff-rejected",
-                           severity="critical",
-                           reason="handoff-mismatch")
-        return ok
-
     def verify_boot(self, sm_binary: bytes, report: BootReport) -> bool:
         """Verifier-side check of the boot signatures (both must hold in
         the PQ configuration — the hybrid rule)."""

@@ -42,7 +42,9 @@ class DeliveryError(ValueError):
 
     Subclasses ``ValueError`` so callers that treated unwrap failures
     as generic value errors keep working; new callers can dispatch on
-    :attr:`reason` instead of parsing messages.
+    :attr:`reason` instead of parsing messages.  A
+    :class:`DeliveryChannel` reports the same codes, plus the two only
+    it can reach, as its outcome's fault reason.
 
     Reason codes:
 
@@ -52,28 +54,20 @@ class DeliveryError(ValueError):
       ML-KEM implicit rejection fed a garbage key into the KDF),
     * ``"package-decode"`` — the wire bytes are not a well-formed
       :class:`SealedPackage`,
-    * ``"attestation-rejected"`` — the publisher refused the report
-      or key binding,
-    * ``"transport-timeout"`` — retries exhausted the channel's
-      delivery deadline,
     * ``"replay"`` — the package's label binding does not match the
       label this delivery expects: a replayed, rolled-back or
       cross-session package (a corrupted label field surfaces the
       same way — either case, the package is not the one this
-      exchange produced).
-
-    Errors raised after retry exhaustion additionally carry
-    :attr:`attempts` (how many tries the channel made) and
-    :attr:`last_reason` (the reason code of the final failed attempt);
-    both are ``None`` on single-step failures like unwrap errors.
+      exchange produced),
+    * ``"attestation-rejected"`` (channel only) — the publisher
+      refused the report or key binding,
+    * ``"transport-timeout"`` (channel only) — retries exhausted the
+      channel's delivery deadline.
     """
 
-    def __init__(self, reason: str, message: str = "",
-                 attempts: int = None, last_reason: str = None):
+    def __init__(self, reason: str, message: str = ""):
         super().__init__(message or reason)
         self.reason = reason
-        self.attempts = attempts
-        self.last_reason = last_reason
 
 
 class EnclaveKemIdentity:
@@ -382,25 +376,3 @@ class DeliveryChannel:
                 reason="transport-timeout",
                 detail=f"last failure: {last_reason}"),
             last_reason=last_reason)
-
-    def deliver_or_raise(self, report_bytes: bytes, payload: bytes,
-                         label: bytes = b"payload") -> DeliveryOutcome:
-        """:meth:`deliver`, raising on failure instead of returning a
-        fault-bearing outcome.
-
-        The raised :class:`DeliveryError` carries the channel's fault
-        reason plus :attr:`~DeliveryError.attempts` and
-        :attr:`~DeliveryError.last_reason`, with the pinned message
-        shape ``delivery failed after N attempts (last: <reason>)`` —
-        callers that log the exception get the retry story in one
-        line.
-        """
-        outcome = self.deliver(report_bytes, payload, label=label)
-        if not outcome.ok:
-            raise DeliveryError(
-                outcome.fault.reason,
-                f"delivery failed after {outcome.attempts} attempts "
-                f"(last: {outcome.last_reason})",
-                attempts=outcome.attempts,
-                last_reason=outcome.last_reason)
-        return outcome

@@ -55,20 +55,6 @@ class Device:
     def sign_classical(self, message: bytes) -> bytes:
         return self._ed_signer.sign(message)
 
-    def sign_post_quantum(self, message: bytes) -> bytes:
-        if not self.post_quantum:
-            raise RuntimeError("device has no post-quantum identity")
-        return MLDSA(self.mldsa_params).signer(self._mldsa_secret).sign(
-            message)
-
-    def sign_post_quantum_many(self, messages) -> list:
-        """Batch :meth:`sign_post_quantum` (byte-identical signatures,
-        rejection loops batched through the signer's ``sign_many``)."""
-        if not self.post_quantum:
-            raise RuntimeError("device has no post-quantum identity")
-        return MLDSA(self.mldsa_params).signer(
-            self._mldsa_secret).sign_many(messages)
-
     def derive_sm_secret(self, sm_measurement: bytes) -> bytes:
         """The SM's root secret, bound to the measured SM image.
 

@@ -13,10 +13,9 @@ batch) plus an enclave-session cache.
 Determinism is the design axis, same as the rest of the runtime:
 
 * **Admission** — requests get a monotonically increasing sequence
-  number; batches are formed purely from admission order, a maximum
-  batch size, and a simulated deadline clock.  No wall clock, no
-  thread scheduling: the same submissions always form the same
-  batches.
+  number; batches are formed purely from admission order and a
+  maximum batch size.  No wall clock, no thread scheduling: the same
+  submissions always form the same batches.
 * **Drain** — sealed batches process independently (optionally across
   ``run_sharded`` fork workers) against the session cache *frozen at
   drain start*; new cache entries are collected and applied by the
@@ -59,6 +58,9 @@ from .attestation import (DEFAULT_REPORT_LEN, AttestationReport,
 _SESSION_KEY_DOMAIN = b"tee-service-session-v1"
 _SESSION_TOKEN_DOMAIN = b"tee-service-token-v1"
 
+#: Session-cache entries a service keeps (least recently used go first).
+SESSION_CACHE_SIZE = 4096
+
 #: Offset of the 64-byte SM measurement inside an encoded report
 #: (enclave hash, data length, padded data, enclave signature).
 _SM_HASH_OFFSET = 64 + 8 + 1024 + 64
@@ -72,7 +74,6 @@ class ServiceRequest:
     device_id: str
     report: bytes
     expected_enclave_hash: bytes = None
-    arrival: int = 0
 
 
 def _drain_worker(service, batch):
@@ -91,31 +92,23 @@ class AttestationService:
     docstring explains why a careful verifier should).
 
     Queue semantics: :meth:`submit` admits one request; a batch seals
-    when ``max_batch`` requests are pending, when the oldest pending
-    request is ``deadline_ticks`` old on the simulated clock
-    (:meth:`tick`), or when :meth:`drain` flushes the tail.  Batches
+    when ``max_batch`` requests are pending, or when :meth:`drain`
+    flushes the tail.  Batches
     then verify via :func:`verify_reports` — one Ed25519 RLC equation
     and per-key-grouped ML-DSA lanes per batch — with per-request
     results returned in admission order.
     """
 
     def __init__(self, devices=None, *, max_batch: int = 64,
-                 deadline_ticks: int = 4, session_cache: bool = True,
-                 cache_size: int = 4096,
                  params: MLDSAParams = ML_DSA_44):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if deadline_ticks < 1:
-            raise ValueError("deadline_ticks must be at least 1")
         self.max_batch = max_batch
-        self.deadline_ticks = deadline_ticks
         self.params = params
-        self.session_cache_enabled = bool(session_cache)
         self._devices = {}
         self._expected_sm = {}
-        self._cache = Memo(maxsize=cache_size)
+        self._cache = Memo(maxsize=SESSION_CACHE_SIZE)
         self._cache_lock = threading.Lock()
-        self._clock = 0
         self._next_seq = 0
         self._pending = []
         self._sealed = []
@@ -156,20 +149,10 @@ class AttestationService:
             seq=seq, device_id=str(device_id), report=bytes(report),
             expected_enclave_hash=(bytes(expected_enclave_hash)
                                    if expected_enclave_hash is not None
-                                   else None),
-            arrival=self._clock))
+                                   else None)))
         if len(self._pending) >= self.max_batch:
             self._seal("size")
         return seq
-
-    def tick(self, ticks: int = 1) -> None:
-        """Advance the simulated deadline clock; seals the pending
-        batch when its oldest request has waited ``deadline_ticks``."""
-        self._clock += int(ticks)
-        if self._pending and \
-                self._clock - self._pending[0].arrival >= \
-                self.deadline_ticks:
-            self._seal("deadline")
 
     def _seal(self, cause: str) -> None:
         if not self._pending:
@@ -179,12 +162,6 @@ class AttestationService:
             PERF.inc(f"tee.service.flush_{cause}")
         self._sealed.append(self._pending)
         self._pending = []
-
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def sealed_count(self) -> int:
-        return len(self._sealed)
 
     # -- session cache -----------------------------------------------------
 
@@ -247,13 +224,12 @@ class AttestationService:
             for key, entry in entries:
                 if key not in merged:
                     merged[key] = entry
-        if self.session_cache_enabled:
-            with self._cache_lock:
-                for key, entry in merged.items():
-                    # __contains__ skips the hit/miss accounting: the
-                    # merge is bookkeeping, not a cache access.
-                    if key not in self._cache:
-                        self._cache.store(key, entry)
+        with self._cache_lock:
+            for key, entry in merged.items():
+                # __contains__ skips the hit/miss accounting: the merge
+                # is bookkeeping, not a cache access.
+                if key not in self._cache:
+                    self._cache.store(key, entry)
         results.sort(key=lambda r: r["seq"])
         return results
 
@@ -275,8 +251,7 @@ class AttestationService:
         here are captured and merged in shard order by the runtime, so
         the serial and parallel streams are identical.
         """
-        bypass = (not self.session_cache_enabled or FAULTS.enabled
-                  or TELEMETRY.enabled)
+        bypass = FAULTS.enabled or TELEMETRY.enabled
         with TELEMETRY.span("tee.service.batch", batch=len(batch)):
             lanes = []          # (request, identity, key) to verify
             results = {}        # seq -> result dict

@@ -90,15 +90,6 @@ class TestAccounting:
 
 
 class TestCoverageSteering:
-    def test_novel_is_a_pure_peek(self):
-        cover = CoverageMap("peek")
-        vector = {"a.b": 5}
-        assert cover.novel("g", vector)
-        assert cover.novel("g", vector)          # still unobserved
-        assert cover.observations == 0
-        assert cover.observe("g", vector)
-        assert not cover.novel("g", vector)
-        assert not cover.observe("g", vector)
 
     def test_later_generations_mutate_corpus_parents(self, small):
         generations = {entry.case.generation

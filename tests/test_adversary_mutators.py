@@ -21,7 +21,7 @@ from repro.faults.adversary.mutators import (BOOT_OPS, BUS_OPS,
                                              DELIVERY_OPS, MAX_OPS,
                                              TASK_OPS, apply_boot_ops,
                                              boot_base_image,
-                                             child_seed, derive_seed,
+                                             derive_seed,
                                              ops_from_json,
                                              ops_to_json)
 from repro.faults.adversary.shrink import ddmin, shrink_case
@@ -47,10 +47,10 @@ class TestSeedTree:
     @settings(max_examples=30, deadline=None)
     @given(seeds, st.integers(min_value=0, max_value=1000))
     def test_child_seed_differs_from_parent(self, seed, index):
-        assert child_seed(seed, index) != seed
+        assert derive_seed("child", seed, index) != seed
 
     def test_children_distinct(self):
-        children = {child_seed(42, index) for index in range(256)}
+        children = {derive_seed("child", 42, index) for index in range(256)}
         assert len(children) == 256
 
 

@@ -4,7 +4,7 @@ Pins the detection-plane contracts:
 
 * detectors are deterministic pure functions of the event window —
   threshold/window semantics, clear-on-fire, predicate and kind
-  filters, and the calibrated perf-signature baseline;
+  filters;
 * the engine re-emits detections into the ledger without ever
   detecting its own output (no feedback loops), and the resulting
   chain still verifies;
@@ -25,7 +25,6 @@ from repro.faults.scenarios import standard_scenarios
 from repro.obs.audit import (AUDIT, AuditLedger, canonical_encode,
                              summarize_records, verify_records)
 from repro.obs.detect import (DETECT_SUBSYSTEM, AnomalyEngine,
-                              PerfSignatureOutlierDetector,
                               WindowThresholdDetector,
                               standard_detectors)
 from repro.obs.exposition import parse_exposition, render
@@ -125,39 +124,6 @@ class TestWindowThresholdDetector:
             WindowThresholdDetector("x", threshold=0)
         with pytest.raises(ValueError):
             WindowThresholdDetector("x", window=0)
-
-
-# -- perf-signature outlier -----------------------------------------------
-
-class TestPerfSignatureOutlier:
-    BASELINE = [((("bus_cycles", 3), ("pmp_checks", 1)))]
-
-    def _perf_event(self, seq, signature):
-        return _event(seq, kind="perf-signature",
-                      subsystem="faults.adversary", severity="info",
-                      detail={"signature": [list(pair)
-                                            for pair in signature]})
-
-    def test_silent_until_calibrated(self):
-        detector = PerfSignatureOutlierDetector()
-        novel = self._perf_event(1, (("bus_cycles", 9),))
-        assert detector.observe(novel) is None
-
-    def test_baseline_silent_outlier_fires(self):
-        detector = PerfSignatureOutlierDetector()
-        baseline_signature = (("bus_cycles", 3), ("pmp_checks", 1))
-        detector.calibrate([baseline_signature])
-        assert detector.observe(
-            self._perf_event(1, baseline_signature)) is None
-        detection = detector.observe(
-            self._perf_event(2, (("bus_cycles", 9),)))
-        assert detection is not None
-        assert detection.detector == "perf-outlier"
-
-    def test_other_kinds_ignored(self):
-        detector = PerfSignatureOutlierDetector()
-        detector.calibrate([])
-        assert detector.observe(_event(1)) is None
 
 
 # -- the engine on a live ledger ------------------------------------------

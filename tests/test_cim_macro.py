@@ -165,11 +165,6 @@ class TestKMeans:
         assert labels[4] == labels[5]
         assert len({labels[0], labels[2], labels[4]}) == 3
 
-    def test_predict_consistent_with_fit(self):
-        data = [0.0, 0.1, 9.0, 9.1]
-        km = KMeans(2, seed=0).fit(data)
-        assert list(km.predict(data)) == list(km.labels_)
-
     def test_2d_data(self):
         rng = np.random.default_rng(0)
         a = rng.normal((0, 0), 0.1, (20, 2))

@@ -64,7 +64,8 @@ class TestRepetitionVector:
         graph.add_actor("b", 1)
         graph.connect("a", "b", production=2, consumption=1)
         graph.connect("a", "b", production=1, consumption=1)
-        assert not graph.is_consistent()
+        with pytest.raises(ValueError):
+            graph.repetition_vector()
 
     def test_cycle_with_tokens_consistent(self):
         graph = SdfGraph()

@@ -24,11 +24,13 @@ from repro.cim.macro import DigitalCimMacro
 from repro.cim.power import PowerModel
 from repro.cim.tvla import assess_macro, welch_t
 from repro.crypto import ed25519 as ed
-from repro.crypto import hybrid
+from repro.crypto import reference as ref
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.obs.exposition import parse_exposition, render
 from repro.obs.perf import counting
 from repro.tee import build_tee, verify_report, verify_reports
+
+from helpers import reset_telemetry
 
 ALL_PARAMS = (ML_DSA_44, ML_DSA_65, ML_DSA_87)
 RAGGED_SIZES = (1, 2, 63, 64, 65)
@@ -64,7 +66,7 @@ class TestMLDSABatch:
     def test_fixture_signatures_match_reference(self, mldsa_setup):
         scheme, _, secret, messages, signatures = mldsa_setup
         for message, signature in zip(messages[:2], signatures[:2]):
-            assert signature == scheme.sign_reference(secret, message)
+            assert signature == ref.mldsa_sign(scheme, secret, message)
 
     def test_sign_trace_attempts_pinned(self, mldsa_setup):
         scheme, _, secret, messages, signatures = mldsa_setup
@@ -117,7 +119,7 @@ class TestMLDSABatch:
         assert scalar == [True, False, True, False, True, False,
                           False, False]
         assert verifier.verify_many(msgs, bad) == scalar
-        assert [scheme.verify_reference(public, m, s)
+        assert [ref.mldsa_verify(scheme, public, m, s)
                 for m, s in zip(msgs, bad)] == scalar
 
     def test_batch_counters_distinguish_batch_from_scalar(self):
@@ -125,7 +127,7 @@ class TestMLDSABatch:
         public, secret = scheme.key_gen(b"\x42" * 32)
         messages = _messages(4)
         with counting() as window:
-            signatures = scheme.sign_many(secret, messages)
+            signatures = scheme.signer(secret).sign_many(messages)
         delta = window.delta()
         assert delta["crypto.mldsa.sign"] == 4
         assert delta["crypto.mldsa.batch_sign_lanes"] == 4
@@ -178,7 +180,7 @@ class TestMLDSABatch:
         scalar = [verifier.verify(m, s)
                   for m, s in zip(messages, signatures)]
         assert verifier.verify_many(messages, signatures) == scalar
-        assert [scheme.verify_reference(public, m, s)
+        assert [ref.mldsa_verify(scheme, public, m, s)
                 for m, s in zip(messages, signatures)] == scalar
 
 
@@ -234,13 +236,13 @@ class TestEd25519Batch:
     def test_empty_batch_allocates_no_span(self):
         from repro.obs import TELEMETRY
         was_enabled = TELEMETRY.enabled
-        TELEMETRY.enable()
-        TELEMETRY.reset()
+        TELEMETRY.enabled = True
+        reset_telemetry()
         try:
             assert ed.verify_batch([]) == []
             spans = TELEMETRY.tracer.snapshot()
         finally:
-            TELEMETRY.reset()
+            reset_telemetry()
             TELEMETRY.enabled = was_enabled
         assert spans == []
 
@@ -304,7 +306,7 @@ class TestEd25519Cofactored:
         defects = [_order2_defect(bytes([200 + i]) * 32, b"defect-%d" % i)
                    for i in range(2)]
         assert [ed.verify(*lane) for lane in defects] == [True, True]
-        assert ed.verify_reference(*defects[0])
+        assert ref.ed25519_verify(*defects[0])
         assert ed.verify_batch(defects) == [True, True]
         for lanes in (defects[:1] + list(ed_batch[:6]),
                       defects + list(ed_batch)):
@@ -316,7 +318,7 @@ class TestEd25519Cofactored:
         # cofactored equation holds for any message, so such keys fail.
         lane = (bytes(32), b"any message", bytes(64))
         assert not ed.verify(*lane)
-        assert not ed.verify_reference(*lane)
+        assert not ref.ed25519_verify(*lane)
         assert ed.verify_batch([lane, lane]) == [False, False]
 
 
@@ -331,9 +333,9 @@ class TestEd25519Msm:
         chain = ed._multi_scalar_mul(scalars[0], [
             (s, ed._WNAF_BATCH, ed._point_table(p, ed._WNAF_BATCH))
             for s, p in zip(scalars[1:], points)])
-        reference = ed._point_mul(scalars[0], ed.BASE_POINT)
+        reference = ref.ed25519_point_mul(scalars[0], ed.BASE_POINT)
         for s, p in zip(scalars[1:], points):
-            reference = ed._point_add(reference, ed._point_mul(s, p))
+            reference = ed._point_add(reference, ref.ed25519_point_mul(s, p))
         assert ed._point_equal(chain, reference)
         items = [list(lane) for lane in ed_batch[:16]]
         items[3][2] = bytes(64)                       # invalid lane
@@ -566,34 +568,13 @@ class TestConsumers:
         assert len(set(ed_lanes)) == len(ed_lanes) == 3 + 16
         assert len(set(mldsa_lanes)) == len(mldsa_lanes) == 3 + 11
 
-    def test_hybrid_batch_parity(self):
-        pair = hybrid.HybridKeyPair(b"\x01" * 32, b"\x02" * 32)
-        messages = _messages(4)
-        signatures = pair.sign_many(messages)
-        assert signatures == [pair.sign(m) for m in messages]
-        bad = list(signatures)
-        bad[1] = bytes(64) + bad[1][64:]              # classical invalid
-        bad[2] = bad[2][:64] + bytes(len(bad[2]) - 64)  # pq invalid
-        bad[3] = b"short"
-        scalar = [hybrid.verify(pair.public, m, s)
-                  for m, s in zip(messages, bad)]
-        assert scalar == [True, False, False, False]
-        assert hybrid.verify_many(pair.public, messages, bad) == scalar
-
-    def test_device_sign_post_quantum_many(self, pq_platform):
-        device = pq_platform.device
-        messages = _messages(3)
-        assert device.sign_post_quantum_many(messages) == \
-            [device.sign_post_quantum(m) for m in messages]
-
-
 def test_batch_counters_render_and_parse_roundtrip():
     """The new PERF counters must survive the exposition round trip
     (rendered by ``scripts/obs_export.py``, re-parsed strictly)."""
     scheme = MLDSA(ML_DSA_44)
     public, secret = scheme.key_gen(b"\x42" * 32)
     with counting() as window:
-        signatures = scheme.sign_many(secret, _messages(2))
+        signatures = scheme.signer(secret).sign_many(_messages(2))
         scheme.verify_many(public, _messages(2), signatures)
         # Two lanes: a batch of one short-circuits to the scalar
         # verifier and would not tick the batch counters.

@@ -20,6 +20,7 @@ from repro.crypto import aes as aes_mod
 from repro.crypto import ed25519 as ed
 from repro.crypto import keccak as kc
 from repro.crypto import mldsa as m
+from repro.crypto import reference as ref
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.faults.injector import FAULTS, FaultSpec
 from repro.faults.models import BIT_FLIP
@@ -28,6 +29,8 @@ from repro.tee.bootrom import BootRom
 from repro.tee.device import Device
 
 import pytest
+
+from helpers import reset_telemetry
 
 _LANES = st.lists(st.integers(min_value=0, max_value=2**64 - 1),
                   min_size=25, max_size=25)
@@ -41,7 +44,7 @@ class TestKeccakParity:
     @settings(max_examples=50, deadline=None)
     @given(_LANES)
     def test_unrolled_permutation_matches_loop_reference(self, lanes):
-        assert kc.keccak_f1600(lanes) == kc.keccak_f1600_reference(lanes)
+        assert kc.keccak_f1600(lanes) == ref.keccak_f1600(lanes)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=600))
@@ -53,7 +56,7 @@ class TestKeccakParity:
     @given(st.binary(max_size=400),
            st.integers(min_value=0, max_value=500))
     def test_shake_matches_hashlib(self, data, outlen):
-        assert kc.shake128(data, outlen) == \
+        assert kc.Shake128(data).read(outlen) == \
             hashlib.shake_128(data).digest(outlen)
         assert kc.shake256(data, outlen) == \
             hashlib.shake_256(data).digest(outlen)
@@ -65,7 +68,7 @@ class TestEd25519Parity:
     @given(_SCALAR)
     def test_comb_base_mul_matches_double_and_add(self, scalar):
         fast = ed._point_mul_base(scalar)
-        reference = ed._point_mul(scalar, ed.BASE_POINT)
+        reference = ref.ed25519_point_mul(scalar, ed.BASE_POINT)
         assert ed._point_equal(fast, reference)
 
     @settings(max_examples=10, deadline=None)
@@ -74,14 +77,14 @@ class TestEd25519Parity:
         point = ed._decompress(ed.public_key(seed))
         fast = ed._double_scalar_mul(s % ed.L, k % ed.L, point)
         reference = ed._point_add(
-            ed._point_mul(s % ed.L, ed.BASE_POINT),
-            ed._point_mul(k % ed.L, point))
+            ref.ed25519_point_mul(s % ed.L, ed.BASE_POINT),
+            ref.ed25519_point_mul(k % ed.L, point))
         assert ed._point_equal(fast, reference)
 
     @settings(max_examples=20, deadline=None)
     @given(_SCALAR)
     def test_point_double_matches_add(self, scalar):
-        p = ed._point_mul(scalar | 1, ed.BASE_POINT)
+        p = ref.ed25519_point_mul(scalar | 1, ed.BASE_POINT)
         assert ed._point_equal(ed._point_double(p), ed._point_add(p, p))
 
     @settings(max_examples=15, deadline=None)
@@ -91,7 +94,7 @@ class TestEd25519Parity:
         signature = ed.SigningKey(seed).sign(message)
         assert signature == ed._sign(seed, message)
         assert ed.verify(public, message, signature)
-        assert ed.verify_reference(public, message, signature)
+        assert ref.ed25519_verify(public, message, signature)
 
     @settings(max_examples=15, deadline=None)
     @given(st.binary(min_size=32, max_size=32), st.binary(max_size=64),
@@ -102,7 +105,7 @@ class TestEd25519Parity:
         signature[flip // 8] ^= 1 << (flip % 8)
         public = ed.public_key(seed)
         assert ed.verify(public, message, bytes(signature)) == \
-            ed.verify_reference(public, message, bytes(signature))
+            ref.ed25519_verify(public, message, bytes(signature))
 
 
 def _rows(*polys) -> np.ndarray:
@@ -115,13 +118,13 @@ class TestMLDSAParity:
     @given(_POLY, _POLY)
     def test_lazy_ntt_matches_reference(self, poly, other):
         out = m._ntt_np(_rows(poly, other)).tolist()
-        assert out == [m.ntt_reference(poly), m.ntt_reference(other)]
+        assert out == [ref.mldsa_ntt(poly), ref.mldsa_ntt(other)]
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY, _POLY)
     def test_lazy_intt_matches_reference(self, poly, other):
         out = m._intt_np(_rows(poly, other)).tolist()
-        assert out == [m.intt_reference(poly), m.intt_reference(other)]
+        assert out == [ref.mldsa_intt(poly), ref.mldsa_intt(other)]
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY)
@@ -144,13 +147,13 @@ class TestMLDSAParity:
         public, secret = scheme.key_gen(bytes(32))
         message, context = b"attest me", b"ctx"
         fast = scheme.sign(secret, message, context=context)
-        reference = scheme.sign_reference(secret, message,
+        reference = ref.mldsa_sign(scheme, secret, message,
                                           context=context)
         assert fast == reference
         assert fast == scheme.signer(secret).sign(message,
                                                   context=context)
         assert scheme.verify(public, message, fast, context=context)
-        assert scheme.verify_reference(public, message, fast,
+        assert ref.mldsa_verify(scheme, public, message, fast,
                                        context=context)
 
     @settings(max_examples=3, deadline=None)
@@ -159,7 +162,7 @@ class TestMLDSAParity:
         scheme = MLDSA(ML_DSA_44)
         _, secret = scheme.key_gen(bytes(32))
         assert scheme.sign(secret, msg) == \
-            scheme.sign_reference(secret, msg)
+            ref.mldsa_sign(scheme, secret, msg)
 
     @settings(max_examples=4, deadline=None)
     @given(st.integers(min_value=0, max_value=2420 * 8 - 1))
@@ -169,7 +172,7 @@ class TestMLDSAParity:
         signature = bytearray(scheme.sign(secret, b"attest me"))
         signature[flip // 8] ^= 1 << (flip % 8)
         assert scheme.verify(public, b"attest me", bytes(signature)) == \
-            scheme.verify_reference(public, b"attest me",
+            ref.mldsa_verify(scheme, public, b"attest me",
                                     bytes(signature))
 
 
@@ -182,8 +185,8 @@ class TestAESParity:
         cipher = aes_mod.AES(material[:key_len])
         block = material[32:48]
         fast = cipher.encrypt_block(block)
-        assert fast == cipher.encrypt_block_reference(block)
-        assert cipher.decrypt_block(fast) == block
+        assert fast == ref.aes_encrypt_block(cipher, block)
+        assert ref.aes_decrypt_block(cipher, fast) == block
 
 
 class TestBootMemo:
@@ -216,7 +219,7 @@ class TestBootMemo:
         rom = BootRom(Device(seed, post_quantum=True))
         binary = b"memo-perf-off-sm" * 64
         was_enabled = PERF.enabled
-        PERF.disable()
+        PERF.enabled = False
         try:
             minted = rom.boot(binary)
         finally:
@@ -239,14 +242,14 @@ class TestBootMemo:
         binary = b"memo-spans-sm" * 64
         clean = rom.boot(binary)          # warm the cache
         was_enabled = TELEMETRY.enabled
-        TELEMETRY.enable()
-        TELEMETRY.reset()
+        TELEMETRY.enabled = True
+        reset_telemetry()
         try:
             traced = rom.boot(binary)
             names = {record["name"]
                      for record in TELEMETRY.tracer.snapshot()}
         finally:
-            TELEMETRY.reset()
+            reset_telemetry()
             TELEMETRY.enabled = was_enabled
         # Traced boots must run for real — timed spans can't be
         # replayed from the cache the way PERF deltas can.

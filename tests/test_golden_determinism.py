@@ -13,7 +13,7 @@ import pytest
 from repro.faults import FAULTS
 from repro.faults.scenarios import standard_scenarios
 from repro.obs import PERF, TELEMETRY
-from repro.runtime import parallel_map
+from repro.runtime import run_sharded
 
 
 @pytest.fixture(autouse=True)
@@ -49,8 +49,8 @@ def test_execute_identical_in_forked_worker(scenarios, name):
     serial-vs-parallel JSON parity rests on."""
     scenario = scenarios[name]
     local = scenario.execute()
-    remote = parallel_map(lambda s: s.execute(),
-                          [scenario, scenario], jobs=2)
+    remote = run_sharded(lambda state, _: state.execute(), scenario,
+                         [0, 1], jobs=2)
     assert remote == [local, local]
 
 
@@ -60,12 +60,12 @@ def test_execute_unaffected_by_observability(scenarios, name):
     the golden digest."""
     scenario = scenarios[name]
     telemetry_was, perf_was = TELEMETRY.enabled, PERF.enabled
-    TELEMETRY.disable()
-    PERF.disable()
+    TELEMETRY.enabled = False
+    PERF.enabled = False
     try:
         dark = scenario.execute()
-        TELEMETRY.enable()
-        PERF.enable()
+        TELEMETRY.enabled = True
+        PERF.enabled = True
         lit = scenario.execute()
     finally:
         TELEMETRY.enabled = telemetry_was

@@ -124,7 +124,9 @@ def test_parameter_infeasibility_skips_exactly_its_chunk():
     def cost(params, subs, context):
         if params["a"] == 2:
             raise InfeasibleConfiguration("a=2 cannot be built")
-        return subs["s"].scaled(area=params["a"])
+        sub = subs["s"]
+        return Metrics(sub.area_kge * params["a"], sub.latency_cc,
+                       sub.randomness_bits)
 
     parent = Template("parent", cost, parameters={"a": (1, 2, 3)},
                       slots={"s": (_leaf("leaf", (1, 2, 3, 4)),)})
@@ -145,8 +147,8 @@ def test_column_operators_match_scalar_arithmetic():
         area = sub.area_kge
         area += sub.area_kge
         area *= 2
-        area = 10 - (-area) / 4 + 3 / (sub.latency_cc + 1) - 0.5
-        latency = 3 * sub.latency_cc / sub.area_kge - sub.latency_cc / 7
+        area = 10 + area / 4 + (sub.latency_cc + 1) / 3 + 0.5
+        latency = 3 * sub.latency_cc / sub.area_kge + sub.latency_cc / 7
         return Metrics(area, latency, sub.randomness_bits * 2 + 1)
 
     leaf = Template("leaf", lambda p, s, c: Metrics(p["x"], p["x"] * 3,

@@ -20,14 +20,6 @@ class TestMetrics:
         assert m.area_latency_product == 20.0
         assert m.area_latency_randomness_product == 80.0
 
-    def test_combine(self):
-        a = Metrics(1.0, 2.0, 3.0).combine(Metrics(4.0, 5.0, 6.0))
-        assert a == Metrics(5.0, 7.0, 9.0)
-
-    def test_scaled(self):
-        assert Metrics(2.0, 4.0, 8.0).scaled(area=0.5) == \
-            Metrics(1.0, 4.0, 8.0)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Metrics(-1.0, 1.0)
@@ -95,8 +87,9 @@ class TestTemplate:
         leaf_b = Template("leaf_b", _const_cost(2, 2))
         parent = Template(
             "parent",
-            lambda params, subs, context: subs["s"].combine(
-                Metrics(params["q"], 0)),
+            lambda params, subs, context: Metrics(
+                subs["s"].area_kge + params["q"], subs["s"].latency_cc,
+                subs["s"].randomness_bits),
             parameters={"q": (1, 2, 3)}, slots={"s": (leaf_a, leaf_b)})
         designs = list(enumerate_designs(parent, DesignContext()))
         assert len(designs) == parent.count_configurations()
@@ -105,7 +98,9 @@ class TestTemplate:
         leaf = Template("leaf", _const_cost(1.5, 7))
         parent = Template(
             "parent",
-            lambda params, subs, context: subs["s"].scaled(area=2),
+            lambda params, subs, context: Metrics(
+                subs["s"].area_kge * 2, subs["s"].latency_cc,
+                subs["s"].randomness_bits),
             slots={"s": (leaf,)})
         design = next(iter(enumerate_designs(parent, DesignContext())))
         assert design.metrics.area_kge == 3.0

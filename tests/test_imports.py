@@ -84,3 +84,49 @@ def test_perf_replay_only_in_memo_and_shard_merge():
     assert offenders == {}
     assert all(_perf_replay_calls(src / name)
                for name in PERF_REPLAY_MODULES)
+
+
+REFERENCE_MODULE = "repro.crypto.reference"
+
+
+def _imported_modules(path, package):
+    """Absolute names of every module ``path`` imports (``from x import
+    y`` counts as both ``x`` and ``x.y``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_production_never_imports_reference_oracles():
+    """``repro.crypto.reference`` holds the frozen oracles the fast
+    paths are pinned to; only tests and benches may import it."""
+    src = Path(repro.__file__).resolve().parent.parent
+    importers = []
+    for path in sorted(src.glob("repro/**/*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            module = package = ".".join(parts[:-1])
+        else:
+            module = ".".join(parts)
+            package = ".".join(parts[:-1])
+        if module == REFERENCE_MODULE:
+            continue
+        if any(name == REFERENCE_MODULE
+               or name.startswith(REFERENCE_MODULE + ".")
+               for name in _imported_modules(path, package)):
+            importers.append(module)
+    assert importers == []
+    # the check sees the import forms production would use
+    probe = src / "repro" / "crypto" / "hybrid.py"
+    assert "repro.crypto.ed25519" in _imported_modules(probe,
+                                                       "repro.crypto")

@@ -7,15 +7,17 @@ import pytest
 
 from repro.obs import TELEMETRY
 
+from helpers import reset_telemetry
+
 
 @pytest.fixture
 def enabled_telemetry():
     """Enable and reset the global facade; restore afterwards."""
     was_enabled = TELEMETRY.enabled
-    TELEMETRY.enable()
-    TELEMETRY.reset()
+    TELEMETRY.enabled = True
+    reset_telemetry()
     yield TELEMETRY
-    TELEMETRY.reset()
+    reset_telemetry()
     TELEMETRY.enabled = was_enabled
 
 
@@ -183,7 +185,7 @@ def test_subsystems_silent_when_disabled():
     from repro.hades.library import keccak
 
     assert not TELEMETRY.enabled       # the repo-wide default
-    TELEMETRY.reset()
+    reset_telemetry()
     ExhaustiveExplorer(keccak(), DesignContext(masking_order=1)).run(
         OptimizationGoal.AREA)
     assert TELEMETRY.tracer.snapshot() == []

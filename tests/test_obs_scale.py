@@ -11,9 +11,7 @@ cheap scenario:
   campaign JSON itself;
 * the *sampled span-name sequence* written by the head+stride sampler
   is identical for any worker count (shard-order merge makes the
-  merged stream order equal the serial order — see DESIGN.md);
-* both HADES explorers produce byte-identical coverage maps across
-  worker counts too.
+  merged stream order equal the serial order — see DESIGN.md).
 """
 
 import json
@@ -23,11 +21,10 @@ import pytest
 from repro.faults.campaign import FaultPoint, Scenario, run_campaign
 from repro.faults.models import BIT_FLIP
 from repro.faults.injector import FAULTS
-from repro.hades import (DesignContext, ExhaustiveExplorer,
-                         LocalSearchExplorer, OptimizationGoal)
-from repro.hades.library import TABLE_I_ROWS
 from repro.obs import (CoverageMap, HeadStrideSampler, PERF,
                        SpanStream, TELEMETRY)
+
+from helpers import reset_telemetry
 
 SEED = 99
 INJECTIONS = 10_000
@@ -63,10 +60,10 @@ def global_telemetry():
     """Enable the global facade for the duration of one test; restore
     and clear afterwards so other tests see pristine state."""
     was_enabled = TELEMETRY.enabled
-    TELEMETRY.enable()
-    TELEMETRY.reset()
+    TELEMETRY.enabled = True
+    reset_telemetry()
     yield TELEMETRY
-    TELEMETRY.reset()
+    reset_telemetry()
     TELEMETRY.enabled = was_enabled
 
 
@@ -121,7 +118,7 @@ def test_scale_campaign_parallel_byte_parity(tmp_path,
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
     serial, serial_cover, _ = _streamed_campaign(serial_dir, jobs=1)
-    TELEMETRY.reset()
+    reset_telemetry()
     parallel, parallel_cover, parallel_stream = \
         _streamed_campaign(parallel_dir, jobs=2)
 
@@ -137,34 +134,3 @@ def test_scale_campaign_parallel_byte_parity(tmp_path,
     # the parallel run stayed bounded too: chunking capped each
     # capture payload at MAX_RUNS_PER_CHUNK runs' worth of spans
     assert parallel_stream.high_water <= 1200
-
-
-def test_exhaustive_explorer_coverage_parity():
-    _, factory, expected = TABLE_I_ROWS[1]          # AdderModQ, 42
-
-    def run(jobs):
-        coverage = CoverageMap("dse")
-        ExhaustiveExplorer(factory(), DesignContext(
-            masking_order=1)).run(OptimizationGoal.AREA, jobs=jobs,
-                                  coverage=coverage)
-        return coverage
-
-    serial, parallel = run(1), run(2)
-    assert serial.to_json() == parallel.to_json()
-    assert serial.observations > 0
-    assert 0 < serial.distinct() <= expected
-
-
-def test_local_search_explorer_coverage_parity():
-    _, factory, _ = TABLE_I_ROWS[1]
-
-    def run(jobs):
-        coverage = CoverageMap("dse_local")
-        LocalSearchExplorer(factory(), DesignContext(
-            masking_order=1)).run(OptimizationGoal.AREA, starts=8,
-                                  jobs=jobs, coverage=coverage)
-        return coverage
-
-    serial, parallel = run(1), run(2)
-    assert serial.to_json() == parallel.to_json()
-    assert serial.distinct() > 0

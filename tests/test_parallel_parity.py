@@ -1,7 +1,7 @@
 """Serial/parallel equivalence suite (ISSUE 4 determinism contract).
 
 ``jobs=1`` and ``jobs=N`` must be the same function: identical DSE
-optima and top-k rankings for every library algorithm, byte-identical
+optima for every library algorithm, byte-identical
 campaign JSON, and identical merged observability totals.  These tests
 force the parallel path with explicit ``jobs=`` so they exercise real
 worker pools even on small spaces and single-CPU machines.
@@ -21,6 +21,8 @@ from repro.obs import TELEMETRY
 from repro.obs.perf import PERF
 from repro.runtime import fork_available
 
+from helpers import reset_telemetry
+
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="parallel path needs fork")
 
@@ -30,18 +32,14 @@ ALGORITHMS = {name: factory for name, factory, _ in TABLE_I_ROWS}
 @pytest.fixture
 def enabled_obs():
     was_perf, was_tel = PERF.enabled, TELEMETRY.enabled
-    PERF.enable()
+    PERF.enabled = True
     PERF.reset()
-    TELEMETRY.enable()
-    TELEMETRY.reset()
+    TELEMETRY.enabled = True
+    reset_telemetry()
     yield
     PERF.reset()
-    TELEMETRY.reset()
+    reset_telemetry()
     PERF.enabled, TELEMETRY.enabled = was_perf, was_tel
-
-
-def _configs(designs):
-    return [design.configuration for design in designs]
 
 
 class TestExhaustiveParity:
@@ -55,7 +53,7 @@ class TestExhaustiveParity:
         if key not in cls._cache:
             explorer = ExhaustiveExplorer(ALGORITHMS[name]())
             cls._cache[key] = explorer.run(
-                OptimizationGoal.AREA_LATENCY, top_k=5, jobs=jobs)
+                OptimizationGoal.AREA_LATENCY, jobs=jobs)
         return cls._cache[key]
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
@@ -65,40 +63,21 @@ class TestExhaustiveParity:
         parallel = self._run(name, jobs)
         assert parallel.best.configuration == serial.best.configuration
         assert parallel.best.metrics == serial.best.metrics
-        assert _configs(parallel.top) == _configs(serial.top)
         assert parallel.feasible == serial.feasible
         assert parallel.explored == serial.explored
         assert parallel.jobs == jobs
-
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_top_zero_is_best(self, name):
-        result = self._run(name, 1)
-        assert result.top[0].configuration == result.best.configuration
-        assert result.top[0].metrics == result.best.metrics
-
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_top_k_sorted_by_full_rank(self, name):
-        """The ranking key is (goal, ALP, area), not just the goal
-        score — ties inside the top-k are deterministically ordered."""
-        result = self._run(name, 1)
-        goal = OptimizationGoal.AREA_LATENCY
-        keys = [(goal.score(d.metrics), d.metrics.area_latency_product,
-                 d.metrics.area_kge) for d in result.top]
-        assert keys == sorted(keys)
 
 
 class TestRunAllGoalsParity:
     def test_parallel_matches_serial(self):
         explorer = ExhaustiveExplorer(adder_mod_q(),
                                       DesignContext(masking_order=1))
-        serial = explorer.run_all_goals(top_k=3, jobs=1)
-        parallel = explorer.run_all_goals(top_k=3, jobs=4)
+        serial = explorer.run_all_goals(jobs=1)
+        parallel = explorer.run_all_goals(jobs=4)
         assert set(serial) == set(parallel) == set(OptimizationGoal)
         for goal in serial:
             assert serial[goal].best.configuration == \
                 parallel[goal].best.configuration
-            assert _configs(serial[goal].top) == \
-                _configs(parallel[goal].top)
 
     def test_single_traversal_cost(self, enabled_obs):
         """All goals score in ONE pass: the evaluation counter equals
@@ -113,11 +92,10 @@ class TestRunAllGoalsParity:
 
     def test_goal_results_match_individual_runs(self):
         explorer = ExhaustiveExplorer(keccak())
-        combined = explorer.run_all_goals(top_k=3)
+        combined = explorer.run_all_goals()
         for goal, result in combined.items():
-            alone = explorer.run(goal, top_k=3)
+            alone = explorer.run(goal)
             assert result.best.configuration == alone.best.configuration
-            assert _configs(result.top) == _configs(alone.top)
 
 
 class TestLocalSearchParity:
@@ -149,7 +127,7 @@ class TestCampaignParity:
     def test_observability_totals_identical(self, enabled_obs):
         def run(jobs):
             PERF.reset()
-            TELEMETRY.reset()
+            reset_telemetry()
             result = standard_campaign(seed=11, injections=48,
                                        jobs=jobs)
             perf = dict(PERF.snapshot())

