@@ -8,14 +8,16 @@ implementations: sizes and operation timings of Ed25519 vs ML-DSA-44
 
 Key material is built lazily in session fixtures — importing this
 module costs nothing, so collection stays fast and the keygen/sign work
-is attributed to the benchmarked session instead of import time.  Two
+is attributed to the benchmarked session instead of import time.  Three
 gate tests ride along: the kernel PERF counters must move when the
 primitives run, and the fast paths must beat their retained in-tree
-references by the documented floors (checked on CI-class machines).
+references by the documented floors (the parallel-free lattice NTT
+ratio on every machine, the others on CI-class machines).
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.crypto import (AES, Ed25519KeyPair, HybridKeyPair, MLDSA,
@@ -23,7 +25,7 @@ from repro.crypto import (AES, Ed25519KeyPair, HybridKeyPair, MLDSA,
                           ML_KEM_512, ML_KEM_768, ML_KEM_1024,
                           seal_aead, sha3_256)
 from repro.crypto import ed25519 as ed
-from repro.crypto import reference
+from repro.crypto import mlkem, reference
 from repro.obs.perf import counting
 from repro.runtime import available_cpus
 
@@ -40,6 +42,19 @@ MLDSA_SIGN_SPEEDUP_FLOOR = 3.0
 MLDSA_VERIFY_SPEEDUP_FLOOR = 3.0
 ED25519_VERIFY_SPEEDUP_FLOOR = 2.0
 _GATE_MIN_CPUS = 4
+#: Batched ML-KEM-768 NTT+INTT over k rows vs the FIPS 203 loop form.
+#: A same-process ratio of single-threaded work, so it is asserted on
+#: every machine.
+MLKEM_NTT_SPEEDUP_FLOOR = 3.0
+
+
+def _best_of(fn, rounds):
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _timed(benchmark, fn, rounds, iterations=1):
@@ -204,14 +219,7 @@ def test_fastpath_speedup_floors(benchmark, ed_pair, mldsa_schemes,
     message = b"attest me"
     ed_sig = ed_pair.sign(message)
 
-    def clock(fn, rounds):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
+    clock = _best_of
     signature = scheme.sign(secret, message)
     assert reference.mldsa_sign(scheme, secret, message) == signature
     assert reference.mldsa_verify(scheme, public, message, signature)
@@ -254,6 +262,38 @@ def test_fastpath_speedup_floors(benchmark, ed_pair, mldsa_schemes,
         assert ref_verify / fast_verify >= MLDSA_VERIFY_SPEEDUP_FLOOR, \
             rows[1]
         assert ref_ed / fast_ed >= ED25519_VERIFY_SPEEDUP_FLOOR, rows[2]
+
+
+def test_mlkem_ntt_speedup_floor(benchmark, report_dir):
+    """The shared lattice engine's batched ML-KEM-768 NTT+INTT over
+    k = 3 rows against the FIPS 203 loop forms in
+    :mod:`repro.crypto.reference`, best of N on identical inputs."""
+    k = ML_KEM_768.k
+    polys = [[(7919 * (i + 1) * (j + 3)) % mlkem.Q for j in range(mlkem.N)]
+             for i in range(k)]
+    rows = np.array(polys, dtype=np.int64)
+    ring = mlkem.RING
+
+    def fast():
+        return ring.intt(ring.ntt(rows))
+
+    def loop():
+        return [reference.mlkem_intt(reference.mlkem_ntt(p)) for p in polys]
+
+    assert fast().tolist() == loop() == polys
+    fast_s = _best_of(fast, 50)
+    loop_s = _best_of(loop, 10)
+    ratio = loop_s / fast_s
+    rows_out = [[f"ML-KEM-768 NTT+INTT, {k} rows",
+                 f"{loop_s * 1e3:.3f} ms", f"{fast_s * 1e3:.3f} ms",
+                 f"{ratio:.2f}x", f">= {MLKEM_NTT_SPEEDUP_FLOOR:.1f}x"]]
+    write_table(report_dir, "lattice_ntt_speedup",
+                "Batched lattice NTT vs FIPS 203 loop form (same inputs, "
+                "best of N; floor asserted on every machine)",
+                ["operation", "loop form", "batched", "speedup", "floor"],
+                rows_out)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    assert ratio >= MLKEM_NTT_SPEEDUP_FLOOR, rows_out[0]
 
 
 def test_report_sizes(benchmark, report_dir):

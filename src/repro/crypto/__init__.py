@@ -1,11 +1,13 @@
 """Cryptographic substrate for the CONVOLVE reproduction.
 
 Everything the post-quantum TEE and the HADES case studies rely on,
-implemented from scratch in pure Python:
+implemented from scratch in Python and numpy:
 
 * :mod:`~repro.crypto.keccak` — Keccak-f[1600], SHA3-256/512, SHAKE128/256
 * :mod:`~repro.crypto.aes` — AES-128/192/256 + CTR + encrypt-then-MAC AEAD
 * :mod:`~repro.crypto.ed25519` — RFC 8032 signatures (Keystone default)
+* :mod:`~repro.crypto.lattice` — the numpy NTT and bit packing both
+  lattice schemes run on
 * :mod:`~repro.crypto.mldsa` — FIPS 204 ML-DSA-44/65/87 (the PQ addition)
 * :mod:`~repro.crypto.mlkem` — FIPS 203 ML-KEM-512/768/1024 (Kyber)
 * :mod:`~repro.crypto.hybrid` — Ed25519 & ML-DSA hybrid signatures
@@ -13,12 +15,13 @@ implemented from scratch in pure Python:
 
 These are behavioural references for the simulator, not hardened
 constant-time implementations.  The hot paths — the unrolled
-Keccak-f[1600], windowed Ed25519 scalar multiplication, keyed ML-DSA
-signing/verification contexts on batched int64 numpy NTT kernels, and
-AES T-tables — are pinned byte-identical to the loop-form references
-in :mod:`~repro.crypto.reference` by KAT and hypothesis parity suites
-(``tests/test_crypto_fastpaths.py``).  Production code never imports
-that module.
+Keccak-f[1600], windowed Ed25519 scalar multiplication, ML-DSA's keyed
+signing/verification contexts and ML-KEM's K-PKE on the batched int64
+NTT of :mod:`~repro.crypto.lattice`, and the batched AES T-table
+gather — are pinned byte-identical to the loop-form references in
+:mod:`~repro.crypto.reference` by KAT and hypothesis parity suites
+(``tests/test_crypto_fastpaths.py``, ``tests/test_lattice_kat.py``).
+Production code never imports that module.
 """
 
 from .keccak import sha3_256, sha3_512, shake256

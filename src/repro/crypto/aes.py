@@ -10,13 +10,17 @@ affine transform definition rather than transcribed, so a typo
 cannot silently corrupt the cipher; FIPS 197 known-answer vectors are
 enforced in the test suite.
 
-Encryption runs on 32-bit T-tables (SubBytes fused with MixColumns,
-derived from the generated S-box) with the whole CTR keystream XORed as
-one bignum; :func:`repro.crypto.reference.aes_encrypt_block` keeps
-the schoolbook round the fast path is pinned against.
+Encryption runs on a stacked T-table (SubBytes fused with MixColumns,
+derived from the generated S-box) over an ``(n, 16)`` uint8 batch of
+blocks: CTR mode encrypts every counter block in one pass, and
+:meth:`AES.encrypt_block` is the same kernel at one block.
+:func:`repro.crypto.reference.aes_encrypt_block` keeps the schoolbook
+round it is pinned against.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .keccak import sha3_256
 
@@ -75,29 +79,33 @@ def _build_sbox() -> tuple:
 SBOX = _build_sbox()
 
 
-def _build_t_tables() -> tuple:
-    """The four 32-bit T-tables fusing SubBytes with MixColumns.
+def _build_t_table() -> np.ndarray:
+    """The stacked T-table fusing SubBytes with MixColumns, as words.
 
-    ``T{r}[x]`` is the contribution of input byte ``x`` arriving in row
-    ``r`` of a column, packed little-endian (row 0 in the low byte), so
-    an encrypt round is four table lookups + XORs per column.
+    Entry ``256 * r + x`` packs the four output-row bytes (row 0 first
+    in memory) that input byte ``x`` contributes when it arrives in row
+    ``r`` of a column, so an encrypt round is one gather plus an XOR of
+    four words per column.  The words are only XORed and viewed back as
+    bytes, so the host's byte order never matters.
     """
-    t0 = []
-    t1 = []
-    t2 = []
-    t3 = []
+    mix = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
+    table = np.empty((4, 256, 4), dtype=np.uint8)
     for x in range(256):
         s = SBOX[x]
-        s2 = _xtime(s)
-        s3 = s2 ^ s
-        t0.append(s2 | (s << 8) | (s << 16) | (s3 << 24))
-        t1.append(s3 | (s2 << 8) | (s << 16) | (s << 24))
-        t2.append(s | (s3 << 8) | (s2 << 16) | (s << 24))
-        t3.append(s | (s << 8) | (s3 << 16) | (s2 << 24))
-    return tuple(t0), tuple(t1), tuple(t2), tuple(t3)
+        times = (0, s, _xtime(s), _xtime(s) ^ s)
+        for r in range(4):
+            table[r, x] = [times[mix[i][r]] for i in range(4)]
+    return table.view(np.uint32).reshape(1024)
 
 
-_T0, _T1, _T2, _T3 = _build_t_tables()
+_T = _build_t_table()
+_SBOX = np.array(SBOX, dtype=np.uint8)
+#: ShiftRows as a gather on a block's 16 bytes (column-major): byte
+#: (column c, row r) comes from column c + r ...
+_SHIFT_ROWS = np.array([[4 * ((c + r) % 4) + r for r in range(4)]
+                        for c in range(4)])
+#: ... and selects row r's quarter of the T-table.
+_T_ROW = np.array([[256 * r for r in range(4)] for _ in range(4)])
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
          0x6C, 0xD8, 0xAB, 0x4D)
@@ -113,11 +121,8 @@ class AES:
         self.key = bytes(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
-        # Round keys as packed 32-bit column words for the T-table path.
-        self._round_key_words = [
-            tuple(int.from_bytes(bytes(rk[4 * c:4 * c + 4]), "little")
-                  for c in range(4))
-            for rk in self._round_keys]
+        self._rk = np.array(self._round_keys, dtype=np.uint8)
+        self._rk_words = self._rk.view(np.uint32)
 
     def _expand_key(self, key: bytes) -> list:
         nk = len(key) // 4
@@ -141,59 +146,40 @@ class AES:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        words = self._round_key_words
-        w0 = words[0]
-        c0 = int.from_bytes(block[0:4], "little") ^ w0[0]
-        c1 = int.from_bytes(block[4:8], "little") ^ w0[1]
-        c2 = int.from_bytes(block[8:12], "little") ^ w0[2]
-        c3 = int.from_bytes(block[12:16], "little") ^ w0[3]
+        return self.encrypt_blocks(
+            np.frombuffer(block, dtype=np.uint8).reshape(1, 16)).tobytes()
+
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt an ``(n, 16)`` uint8 batch of blocks, each the
+        column-major 4x4 state, with one T-table gather per round."""
+        words = self._rk_words
+        state = blocks ^ self._rk[0]
         for r in range(1, self.rounds):
-            wr = words[r]
-            n0 = (t0[c0 & 255] ^ t1[(c1 >> 8) & 255]
-                  ^ t2[(c2 >> 16) & 255] ^ t3[c3 >> 24] ^ wr[0])
-            n1 = (t0[c1 & 255] ^ t1[(c2 >> 8) & 255]
-                  ^ t2[(c3 >> 16) & 255] ^ t3[c0 >> 24] ^ wr[1])
-            n2 = (t0[c2 & 255] ^ t1[(c3 >> 8) & 255]
-                  ^ t2[(c0 >> 16) & 255] ^ t3[c1 >> 24] ^ wr[2])
-            n3 = (t0[c3 & 255] ^ t1[(c0 >> 8) & 255]
-                  ^ t2[(c1 >> 16) & 255] ^ t3[c2 >> 24] ^ wr[3])
-            c0, c1, c2, c3 = n0, n1, n2, n3
+            cols = _T.take(state.take(_SHIFT_ROWS, axis=1) + _T_ROW)
+            state = (cols[:, :, 0] ^ cols[:, :, 1] ^ cols[:, :, 2]
+                     ^ cols[:, :, 3] ^ words[r]).view(np.uint8)
         # Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-        rk = self._round_keys[self.rounds]
-        sbox = SBOX
-        cols = (c0, c1, c2, c3)
-        out = bytearray(16)
-        for col in range(4):
-            base = 4 * col
-            out[base] = sbox[cols[col] & 255] ^ rk[base]
-            out[base + 1] = \
-                sbox[(cols[(col + 1) & 3] >> 8) & 255] ^ rk[base + 1]
-            out[base + 2] = \
-                sbox[(cols[(col + 2) & 3] >> 16) & 255] ^ rk[base + 2]
-            out[base + 3] = \
-                sbox[cols[(col + 3) & 3] >> 24] ^ rk[base + 3]
-        return bytes(out)
+        return _SBOX[state.take(_SHIFT_ROWS.reshape(16), axis=1)] \
+            ^ self._rk[self.rounds]
 
 
 def aes_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """AES-CTR keystream XOR (encryption and decryption are identical).
 
     ``nonce`` must be 12 bytes; the remaining 4 bytes hold a big-endian
-    block counter starting at 0.
+    block counter starting at 0.  Every counter block is encrypted in
+    one batch.
     """
     if len(nonce) != 12:
         raise ValueError("CTR nonce must be 12 bytes")
-    cipher = AES(key)
-    encrypt = cipher.encrypt_block
     size = len(data)
-    keystream = b"".join(
-        encrypt(nonce + i.to_bytes(4, "big"))
-        for i in range((size + 15) // 16))
-    # XOR the whole stream in one bignum operation.
-    stream = int.from_bytes(data, "little") \
-        ^ int.from_bytes(keystream[:size], "little")
-    return stream.to_bytes(size, "little")
+    blocks = np.empty(((size + 15) // 16, 16), dtype=np.uint8)
+    blocks[:, :12] = np.frombuffer(nonce, dtype=np.uint8)
+    blocks[:, 12:] = np.arange(len(blocks), dtype=">u4")[:, None] \
+        .view(np.uint8)
+    keystream = AES(key).encrypt_blocks(blocks)
+    return (np.frombuffer(data, dtype=np.uint8)
+            ^ keystream.reshape(-1)[:size]).tobytes()
 
 
 MAC_LEN = 32

@@ -1,4 +1,4 @@
-"""Pure-Python ML-DSA (FIPS 204, a.k.a. CRYSTALS-Dilithium).
+"""ML-DSA (FIPS 204, a.k.a. CRYSTALS-Dilithium).
 
 The CONVOLVE post-quantum TEE (paper Section III-B, Table III) adds
 ML-DSA-44 next to Ed25519 for measured boot, attestation-report signing
@@ -19,7 +19,8 @@ Two practical observations from the paper are modelled faithfully:
   stack sizing experiment (8 KB default corrupts, 128 KB suffices).
 
 The signing/verification hot loops run on exact int64 numpy kernels
-(batched NTTs, pointwise products and decompositions mod q); every
+(batched NTTs from :mod:`repro.crypto.lattice`, shared with ML-KEM,
+pointwise products and decompositions mod q); every
 intermediate fits in 64 bits, so they are bit-identical to the scalar
 loop forms in :mod:`repro.crypto.reference` (``mldsa_ntt``,
 ``mldsa_sign``, ...), pinned by the parity suite in
@@ -37,6 +38,7 @@ from ..obs import TELEMETRY
 from ..obs.perf import PERF
 from ..runtime.memo import Memo
 from .keccak import Shake128, Shake256, shake256
+from .lattice import NttRing, pack_bits, unpack_bits
 
 Q = 8380417
 N = 256
@@ -54,8 +56,6 @@ def _bitrev8(value: int) -> int:
 
 #: zeta^bitrev8(k) mod q, the butterfly twiddles in standard NTT order.
 ZETAS = tuple(pow(ZETA, _bitrev8(k), Q) for k in range(N))
-
-_INV_256 = pow(N, Q - 2, Q)
 
 
 def ntt_mul(a: list, b: list) -> list:
@@ -120,89 +120,24 @@ def low_bits(value: int, gamma2: int) -> int:
 # once per transformed row (one polynomial transform).
 
 
-def _np_layer_zetas() -> tuple:
-    """Per-layer ``(length, twiddle column)`` schedules for the batched
-    transforms, in the same :data:`ZETAS` order as the scalar loops."""
-    fwd = []
-    k = 0
-    length = 128
-    while length >= 1:
-        blocks = N // (2 * length)
-        fwd.append((length, np.array(
-            [ZETAS[k + b + 1] for b in range(blocks)],
-            dtype=np.int64)[:, None]))
-        k += blocks
-        length //= 2
-    inv = []
-    k = N
-    length = 1
-    while length < N:
-        blocks = N // (2 * length)
-        inv.append((length, np.array(
-            [Q - ZETAS[k - b - 1] for b in range(blocks)],
-            dtype=np.int64)[:, None]))
-        k -= blocks
-        length *= 2
-    return tuple(fwd), tuple(inv)
-
-
-_NP_NTT_LAYERS, _NP_INTT_LAYERS = _np_layer_zetas()
-
-
-def _ntt_np(arr: np.ndarray) -> np.ndarray:
-    """Forward NTT of a ``(rows, 256)`` int64 batch, reduced mod q.
-
-    Lazy reduction: only the twiddle product is reduced per layer,
-    sums and differences stay unreduced (bounded by 9q, products by
-    9q^2 < 2^50 — exact in int64) and one final pass normalizes into
-    [0, q).
-    """
-    out = arr % Q
-    rows = out.shape[0]
-    for length, zetas in _NP_NTT_LAYERS:
-        v = out.reshape(rows, -1, 2, length)
-        lo = v[:, :, 0, :]
-        t = v[:, :, 1, :] * zetas % Q
-        total = lo + t
-        v[:, :, 1, :] = lo - t
-        v[:, :, 0, :] = total
-    return out % Q
-
-
-def _intt_np(arr: np.ndarray) -> np.ndarray:
-    """Inverse NTT of a ``(rows, 256)`` int64 batch; accepts unreduced
-    (even negative) input and returns coefficients in [0, q).
-
-    Lazy reduction: sums double per layer (bounded by 256q after eight
-    layers, twiddle products by 512q^2 < 2^56 — exact in int64), with
-    one reduction per layer on the twiddled half and a final
-    normalization.
-    """
-    out = arr % Q
-    rows = out.shape[0]
-    for length, zetas in _NP_INTT_LAYERS:
-        v = out.reshape(rows, -1, 2, length)
-        lo = v[:, :, 0, :]
-        hi = v[:, :, 1, :]
-        total = lo + hi
-        diff = (lo - hi) * zetas % Q
-        v[:, :, 0, :] = total
-        v[:, :, 1, :] = diff
-    return out * _INV_256 % Q
+#: The full 8-layer NTT: 256 linear factors, n^-1 = 256^-1.
+RING = NttRing(Q, ZETAS, 1)
 
 
 def _ntt_batch(arr: np.ndarray) -> np.ndarray:
-    """Counted :func:`_ntt_np` — one ntt_calls tick per row."""
+    """Counted :meth:`RING.ntt <NttRing.ntt>` — one ntt_calls tick per
+    row."""
     if PERF.enabled:
         PERF.inc("crypto.mldsa.ntt_calls", arr.shape[0])
-    return _ntt_np(arr)
+    return RING.ntt(arr)
 
 
 def _intt_batch(arr: np.ndarray) -> np.ndarray:
-    """Counted :func:`_intt_np` — one ntt_calls tick per row."""
+    """Counted :meth:`RING.intt <NttRing.intt>` — one ntt_calls tick per
+    row."""
     if PERF.enabled:
         PERF.inc("crypto.mldsa.ntt_calls", arr.shape[0])
-    return _intt_np(arr)
+    return RING.intt(arr)
 
 
 def _high_bits_np(arr: np.ndarray, gamma2: int) -> np.ndarray:
@@ -287,37 +222,16 @@ def bit_unpack(data: bytes, a: int, b: int) -> list:
     return [(b - z) % Q for z in simple_bit_unpack(data, a + b)]
 
 
-# Vectorized packing: little-endian bit order throughout FIPS 204 means
-# every pack/unpack is ``np.packbits``/``np.unpackbits`` with
-# ``bitorder="little"`` plus a fixed-width reshape.  Each polynomial
-# occupies a whole number of bytes (256 * width bits), so packing a
-# flattened multi-poly batch is byte-identical to concatenating the
-# per-poly scalar packs above — the parity suite pins both.
-
-
-def _simple_bit_pack_np(arr: np.ndarray, width: int) -> np.ndarray:
-    """:func:`simple_bit_pack` rows of a ``(rows, n)`` int64 batch of
-    values < 2^width; returns ``(rows, n*width/8)`` uint8."""
-    rows = arr.shape[0]
-    bits = (arr[..., None] >> np.arange(width, dtype=np.int64)) & 1
-    return np.packbits(bits.astype(np.uint8).reshape(rows, -1),
-                       axis=1, bitorder="little")
-
-
 def _bit_pack_np(arr: np.ndarray, a: int, b: int) -> np.ndarray:
     """:func:`bit_pack` rows of a ``(rows, n)`` batch reduced mod q."""
     cent = np.where(arr > Q // 2, arr - Q, arr)
-    return _simple_bit_pack_np(b - cent, bits_for(a + b))
+    return pack_bits(b - cent, bits_for(a + b))
 
 
 def _bit_unpack_np(data: bytes, rows: int, width: int, b: int) -> np.ndarray:
     """:func:`bit_unpack` of ``rows`` concatenated 32*width-byte blocks
     into a ``(rows, 256)`` int64 batch (coefficients mod q)."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
-                         bitorder="little")
-    z = bits.reshape(rows * N, width).astype(np.int64) \
-        @ (1 << np.arange(width, dtype=np.int64))
-    return (b - z.reshape(rows, N)) % Q
+    return (b - unpack_bits(data, rows, width)) % Q
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +547,9 @@ class MLDSASigner:
         self._key = key
         self._tr = tr
         self._a_np = np.array(expand_a(rho, params), dtype=np.int64)
-        self._s1_np = _ntt_np(np.array(s1, dtype=np.int64))
-        self._s2_np = _ntt_np(np.array(s2, dtype=np.int64))
-        self._t0_np = _ntt_np(np.array(t0, dtype=np.int64))
+        self._s1_np = RING.ntt(np.array(s1, dtype=np.int64))
+        self._s2_np = RING.ntt(np.array(s2, dtype=np.int64))
+        self._t0_np = RING.ntt(np.array(t0, dtype=np.int64))
 
     def sign(self, message: bytes, context: bytes = b"",
              randomize: bool = False, _trace: dict = None) -> bytes:
@@ -713,7 +627,7 @@ class MLDSASigner:
             w = _intt_batch(
                 np.einsum("rsn,bsn->brn", self._a_np, y_hat)
                 .reshape(lanes * p.k, N)).reshape(lanes, p.k, N)
-            w1_packed = _simple_bit_pack_np(
+            w1_packed = pack_bits(
                 _high_bits_np(w, p.gamma2).reshape(lanes, -1), p.w1_bits)
             c_tildes = [shake256(mus[lane] + w1_packed[ai].tobytes(),
                                  p.ctilde_bytes)
@@ -781,7 +695,7 @@ class MLDSAVerifier:
         self.public = bytes(public)
         self._tr = shake256(public, 64)
         self._a_np = np.array(expand_a(rho, params), dtype=np.int64)
-        self._t1_np = _ntt_np(np.array(t1, dtype=np.int64) << D)
+        self._t1_np = RING.ntt(np.array(t1, dtype=np.int64) << D)
 
     def verify(self, message: bytes, signature: bytes,
                context: bytes = b"") -> bool:
@@ -875,7 +789,7 @@ class MLDSAVerifier:
             r0 = _low_bits_np(vals, p.gamma2)
             w1[ais, rs, js] = np.where(r0 > 0, (r1 + 1) % m,
                                        (r1 - 1) % m)
-        packed = _simple_bit_pack_np(w1.reshape(count, -1), p.w1_bits)
+        packed = pack_bits(w1.reshape(count, -1), p.w1_bits)
         for ai, (i, _ci, c_tilde, _hints, mu) in enumerate(lanes):
             expected = shake256(mu + packed[ai].tobytes(),
                                 p.ctilde_bytes)

@@ -1,4 +1,4 @@
-"""Pure-Python ML-KEM (FIPS 203, a.k.a. CRYSTALS-Kyber).
+"""ML-KEM (FIPS 203, a.k.a. CRYSTALS-Kyber) on the shared lattice engine.
 
 Kyber is the HADES flagship case study (paper Table I: the Kyber-CPA
 and Kyber-CCA design spaces; "We obtain the first arbitrary-order
@@ -12,6 +12,12 @@ NTT over Z_3329[x]/(x^256+1), centred-binomial sampling, ciphertext
 compression, the K-PKE core and the Fujisaki-Okamoto transform with
 implicit rejection.  All three parameter sets are provided; the
 CONVOLVE flows use :data:`ML_KEM_768`.
+
+K-PKE runs on ``(rows, 256)`` int64 batches: the 7-layer NTT and the
+bit packing are :mod:`repro.crypto.lattice`'s, shared with ML-DSA; the
+base multiplication, sampling and compression here are batched the same
+way.  The FIPS 203 loop forms of the NTT pair and the base
+multiplication live in :mod:`repro.crypto.reference`.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .keccak import Shake128, sha3_256, sha3_512, shake256
+from .lattice import NttRing, pack_bits, unpack_bits
 
 Q = 3329
 N = 256
@@ -39,141 +48,79 @@ ZETAS = tuple(pow(ZETA, _bitrev7(i), Q) for i in range(128))
 #: zeta^(2*bitrev7(i)+1) — the per-pair constants of BaseCaseMultiply.
 GAMMAS = tuple(pow(ZETA, 2 * _bitrev7(i) + 1, Q) for i in range(128))
 
-_INV_128 = pow(128, Q - 2, Q)
+#: The 7-layer incomplete NTT: 128 degree-1 factors, n^-1 = 128^-1.
+RING = NttRing(Q, ZETAS, 2)
+
+_GAMMAS = np.array(GAMMAS, dtype=np.int64)
 
 
-def ntt(coeffs: list) -> list:
-    """Forward NTT (FIPS 203 Algorithm 9)."""
-    a = list(coeffs)
-    k = 1
-    length = 128
-    while length >= 2:
-        start = 0
-        while start < N:
-            zeta = ZETAS[k]
-            k += 1
-            for j in range(start, start + length):
-                t = zeta * a[j + length] % Q
-                a[j + length] = (a[j] - t) % Q
-                a[j] = (a[j] + t) % Q
-            start += 2 * length
-        length //= 2
-    return a
+def _base_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BaseCaseMultiply of every degree-1 factor pair (FIPS 203
+    Algorithm 12), broadcast over leading axes; unreduced (< 2q^2)."""
+    a0, a1 = a[..., 0::2], a[..., 1::2]
+    b0, b1 = b[..., 0::2], b[..., 1::2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    out[..., 0::2] = a0 * b0 + a1 * b1 % Q * _GAMMAS
+    out[..., 1::2] = a0 * b1 + a1 * b0
+    return out
 
 
-def intt(coeffs: list) -> list:
-    """Inverse NTT (FIPS 203 Algorithm 10)."""
-    a = list(coeffs)
-    k = 127
-    length = 2
-    while length <= 128:
-        start = 0
-        while start < N:
-            zeta = ZETAS[k]
-            k -= 1
-            for j in range(start, start + length):
-                t = a[j]
-                a[j] = (t + a[j + length]) % Q
-                a[j + length] = zeta * (a[j + length] - t) % Q
-            start += 2 * length
-        length *= 2
-    return [x * _INV_128 % Q for x in a]
-
-
-def ntt_mul(a: list, b: list) -> list:
-    """Pairwise product in the NTT domain (128 degree-1 factors)."""
-    c = [0] * N
-    for i in range(128):
-        a0, a1 = a[2 * i], a[2 * i + 1]
-        b0, b1 = b[2 * i], b[2 * i + 1]
-        c[2 * i] = (a0 * b0 + a1 * b1 % Q * GAMMAS[i]) % Q
-        c[2 * i + 1] = (a0 * b1 + a1 * b0) % Q
-    return c
-
-
-def poly_add(a: list, b: list) -> list:
-    return [(x + y) % Q for x, y in zip(a, b)]
-
-
-def poly_sub(a: list, b: list) -> list:
-    return [(x - y) % Q for x, y in zip(a, b)]
+def _matvec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """NTT-domain ``(r, k, 256)`` matrix times ``(k, 256)`` vector."""
+    return _base_mul(matrix, vec[None]).sum(axis=1) % Q
 
 
 # ---------------------------------------------------------------------------
-# Compression and byte encodings
+# Compression and byte encodings (on ``(rows, 256)`` int64 batches)
 
 
-def compress(value: int, bits: int) -> int:
+def _compress(arr: np.ndarray, bits: int) -> np.ndarray:
     """Compress_d: round(2^d / q * x) mod 2^d."""
-    return ((value << bits) + Q // 2) // Q % (1 << bits)
+    return ((arr << bits) + Q // 2) // Q % (1 << bits)
 
 
-def decompress(value: int, bits: int) -> int:
+def _decompress(arr: np.ndarray, bits: int) -> np.ndarray:
     """Decompress_d: round(q / 2^d * y)."""
-    return (value * Q + (1 << (bits - 1))) >> bits
+    return (arr * Q + (1 << (bits - 1))) >> bits
 
 
-def byte_encode(coeffs: list, bits: int) -> bytes:
-    """Pack each coefficient into ``bits`` bits, little-endian order."""
-    acc = 0
-    acc_bits = 0
-    out = bytearray()
-    for c in coeffs:
-        acc |= c << acc_bits
-        acc_bits += bits
-        while acc_bits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            acc_bits -= 8
-    if acc_bits:
-        out.append(acc & 0xFF)
-    return bytes(out)
-
-
-def byte_decode(data: bytes, bits: int) -> list:
-    total = int.from_bytes(data, "little")
-    mask = (1 << bits) - 1
-    return [(total >> (bits * i)) & mask for i in range(N)]
+def _encode(arr: np.ndarray, bits: int) -> bytes:
+    """ByteEncode_d of every row, concatenated."""
+    return pack_bits(arr, bits).tobytes()
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 
 
-def sample_ntt(seed: bytes) -> list:
-    """SampleNTT: uniform NTT-domain polynomial by 12-bit rejection."""
-    xof = Shake128(seed)
-    coeffs = []
-    while len(coeffs) < N:
-        chunk = xof.read(3 * 168)
-        for i in range(0, len(chunk), 3):
-            d1 = chunk[i] | ((chunk[i + 1] & 0x0F) << 8)
-            d2 = (chunk[i + 1] >> 4) | (chunk[i + 2] << 4)
-            if d1 < Q:
-                coeffs.append(d1)
-                if len(coeffs) == N:
-                    break
-            if d2 < Q and len(coeffs) < N:
-                coeffs.append(d2)
-                if len(coeffs) == N:
-                    break
-    return coeffs
+def _sample_ntt(seeds: list) -> np.ndarray:
+    """SampleNTT (FIPS 203 Algorithm 7) of each seed: 12-bit rejection
+    over 504-byte SHAKE128 squeezes until 256 values are accepted."""
+    xofs = [Shake128(seed) for seed in seeds]
+    cand = unpack_bits(b"".join(xof.read(504) for xof in xofs), len(seeds),
+                       12)
+    keep = cand < Q
+    out = np.empty((len(seeds), N), dtype=np.int64)
+    full = keep.sum(axis=1) >= N
+    first = keep[full] & (np.cumsum(keep[full], axis=1) <= N)
+    out[full] = cand[full][first].reshape(-1, N)
+    for row in np.nonzero(~full)[0]:    # about 1% of seeds squeeze again
+        accepted = cand[row][keep[row]]
+        while len(accepted) < N:
+            more = unpack_bits(xofs[row].read(504), 1, 12)[0]
+            accepted = np.concatenate((accepted, more[more < Q]))
+        out[row] = accepted[:N]
+    return out
 
 
-def sample_cbd(data: bytes, eta: int) -> list:
-    """SamplePolyCBD: centred binomial distribution from 64*eta bytes."""
-    if len(data) != 64 * eta:
-        raise ValueError(f"CBD_{eta} needs {64 * eta} bytes")
-    bits = int.from_bytes(data, "little")
-    coeffs = []
-    for i in range(N):
-        a = 0
-        b = 0
-        for j in range(eta):
-            a += (bits >> (2 * i * eta + j)) & 1
-            b += (bits >> (2 * i * eta + eta + j)) & 1
-        coeffs.append((a - b) % Q)
-    return coeffs
+def _sample_cbd(seed: bytes, nonces: range, eta: int) -> np.ndarray:
+    """SamplePolyCBD_eta(PRF_eta(seed, nonce)) for each nonce."""
+    data = b"".join(_prf(seed, nonce, eta) for nonce in nonces)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                         bitorder="little")
+    halves = bits.reshape(len(nonces), N, 2, eta).sum(axis=3,
+                                                      dtype=np.int64)
+    return (halves[:, :, 0] - halves[:, :, 1]) % Q
 
 
 def _prf(seed: bytes, nonce: int, eta: int) -> bytes:
@@ -232,102 +179,51 @@ SHARED_SECRET_LEN = 32
 # K-PKE (the CPA-secure core — the paper's "Kyber-CPA")
 
 
-def _expand_matrix(rho: bytes, k: int, transpose: bool = False) -> list:
-    matrix = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if transpose:
-                row.append(sample_ntt(rho + bytes([i, j])))
-            else:
-                row.append(sample_ntt(rho + bytes([j, i])))
-        matrix.append(row)
-    return matrix
+def _expand_matrix(rho: bytes, k: int, transpose: bool = False) -> np.ndarray:
+    """Â as a ``(k, k, 256)`` batch, entry (i, j) SampleNTT(rho || j ||
+    i); with ``transpose``, Âᵀ."""
+    seeds = [rho + (bytes([i, j]) if transpose else bytes([j, i]))
+             for i in range(k) for j in range(k)]
+    return _sample_ntt(seeds).reshape(k, k, N)
 
 
 def _pke_keygen(d: bytes, params: MLKEMParams) -> tuple:
-    rho, sigma = _g(d + bytes([params.k]))
-    a_hat = _expand_matrix(rho, params.k)
-    nonce = 0
-    s = []
-    for _ in range(params.k):
-        s.append(sample_cbd(_prf(sigma, nonce, params.eta1),
-                            params.eta1))
-        nonce += 1
-    e = []
-    for _ in range(params.k):
-        e.append(sample_cbd(_prf(sigma, nonce, params.eta1),
-                            params.eta1))
-        nonce += 1
-    s_hat = [ntt(poly) for poly in s]
-    e_hat = [ntt(poly) for poly in e]
-    t_hat = []
-    for i in range(params.k):
-        acc = [0] * N
-        for j in range(params.k):
-            acc = poly_add(acc, ntt_mul(a_hat[i][j], s_hat[j]))
-        t_hat.append(poly_add(acc, e_hat[i]))
-    ek = b"".join(byte_encode(poly, 12) for poly in t_hat) + rho
-    dk = b"".join(byte_encode(poly, 12) for poly in s_hat)
-    return ek, dk
-
-
-def _pke_encrypt(ek: bytes, message: bytes, randomness: bytes,
-                 params: MLKEMParams) -> bytes:
     k = params.k
-    t_hat = [byte_decode(ek[384 * i:384 * (i + 1)], 12)
-             for i in range(k)]
-    rho = ek[384 * k:]
-    at_hat = _expand_matrix(rho, k, transpose=True)
-    nonce = 0
-    y = []
-    for _ in range(k):
-        y.append(sample_cbd(_prf(randomness, nonce, params.eta1),
-                            params.eta1))
-        nonce += 1
-    e1 = []
-    for _ in range(k):
-        e1.append(sample_cbd(_prf(randomness, nonce, params.eta2),
-                             params.eta2))
-        nonce += 1
-    e2 = sample_cbd(_prf(randomness, nonce, params.eta2), params.eta2)
-    y_hat = [ntt(poly) for poly in y]
-    u = []
-    for i in range(k):
-        acc = [0] * N
-        for j in range(k):
-            acc = poly_add(acc, ntt_mul(at_hat[i][j], y_hat[j]))
-        u.append(poly_add(intt(acc), e1[i]))
-    message_bits = byte_decode(message, 1)
-    mu = [decompress(bit, 1) for bit in message_bits]
-    acc = [0] * N
-    for j in range(k):
-        acc = poly_add(acc, ntt_mul(t_hat[j], y_hat[j]))
-    v = poly_add(poly_add(intt(acc), e2), mu)
-    c1 = b"".join(byte_encode([compress(c, params.du) for c in poly],
-                              params.du) for poly in u)
-    c2 = byte_encode([compress(c, params.dv) for c in v], params.dv)
-    return c1 + c2
+    rho, sigma = _g(d + bytes([k]))
+    a_hat = _expand_matrix(rho, k)
+    se_hat = RING.ntt(_sample_cbd(sigma, range(2 * k), params.eta1))
+    s_hat, e_hat = se_hat[:k], se_hat[k:]
+    t_hat = (_matvec(a_hat, s_hat) + e_hat) % Q
+    return _encode(t_hat, 12) + rho, _encode(s_hat, 12)
+
+
+def _pke_encrypt(t_hat: np.ndarray, rho: bytes, message: bytes,
+                 randomness: bytes, params: MLKEMParams) -> bytes:
+    """K-PKE.Encrypt under the decoded key ``(t_hat, rho)``."""
+    k = params.k
+    y = _sample_cbd(randomness, range(k), params.eta1)
+    e = _sample_cbd(randomness, range(k, 2 * k + 1), params.eta2)
+    # Rows 0..k-1 are Âᵀŷ (→ u), row k is t̂ᵀŷ (→ v): one inverse NTT.
+    lhs = np.concatenate((_expand_matrix(rho, k, transpose=True),
+                          t_hat[None]))
+    uv = RING.intt(_matvec(lhs, RING.ntt(y))) + e
+    uv[k] += _decompress(unpack_bits(message, 1, 1)[0], 1)
+    uv %= Q
+    return (_encode(_compress(uv[:k], params.du), params.du)
+            + _encode(_compress(uv[k:], params.dv), params.dv))
 
 
 def _pke_decrypt(dk: bytes, ciphertext: bytes,
                  params: MLKEMParams) -> bytes:
     k = params.k
-    du_bytes = 32 * params.du
-    u = []
-    for i in range(k):
-        packed = ciphertext[du_bytes * i:du_bytes * (i + 1)]
-        u.append([decompress(c, params.du)
-                  for c in byte_decode(packed, params.du)])
-    v = [decompress(c, params.dv)
-         for c in byte_decode(ciphertext[du_bytes * k:], params.dv)]
-    s_hat = [byte_decode(dk[384 * i:384 * (i + 1)], 12)
-             for i in range(k)]
-    acc = [0] * N
-    for j in range(k):
-        acc = poly_add(acc, ntt_mul(s_hat[j], ntt(u[j])))
-    w = poly_sub(v, intt(acc))
-    return byte_encode([compress(c, 1) for c in w], 1)
+    split = 32 * params.du * k
+    u = _decompress(unpack_bits(ciphertext[:split], k, params.du),
+                    params.du)
+    v = _decompress(unpack_bits(ciphertext[split:], 1, params.dv),
+                    params.dv)
+    s_hat = unpack_bits(dk, k, 12)
+    w = (v - RING.intt(_matvec(s_hat[None], RING.ntt(u)))) % Q
+    return _encode(_compress(w, 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +264,16 @@ class MLKEM:
                              f"must be {self.params.ek_bytes} bytes")
         # Modulus check (FIPS 203 input validation): every encoded
         # coefficient must already be reduced.
-        for i in range(self.params.k):
-            coeffs = byte_decode(ek[384 * i:384 * (i + 1)], 12)
-            if any(c >= Q for c in coeffs):
-                raise ValueError("encapsulation key not reduced mod q")
+        k = self.params.k
+        t_hat = unpack_bits(ek[:384 * k], k, 12)
+        if (t_hat >= Q).any():
+            raise ValueError("encapsulation key not reduced mod q")
         m = os.urandom(32) if m is None else m
         if len(m) != 32:
             raise ValueError("encapsulation randomness must be 32 bytes")
         key, randomness = _g(m + sha3_256(ek))
-        ciphertext = _pke_encrypt(ek, m, randomness, self.params)
+        ciphertext = _pke_encrypt(t_hat, ek[384 * k:], m, randomness,
+                                  self.params)
         return key, ciphertext
 
     def decaps(self, dk: bytes, ciphertext: bytes) -> bytes:
@@ -388,15 +285,21 @@ class MLKEM:
         if len(ciphertext) != params.ciphertext_bytes:
             raise ValueError(f"{params.name} ciphertext must be "
                              f"{params.ciphertext_bytes} bytes")
-        dk_pke = dk[:384 * params.k]
-        ek = dk[384 * params.k:768 * params.k + 32]
-        h_ek = dk[768 * params.k + 32:768 * params.k + 64]
-        z = dk[768 * params.k + 64:]
+        k = params.k
+        dk_pke = dk[:384 * k]
+        ek = dk[384 * k:768 * k + 32]
+        h_ek = dk[768 * k + 32:768 * k + 64]
+        z = dk[768 * k + 64:]
+        # Hash check (FIPS 203 section 7.3 input checking).
+        if sha3_256(ek) != h_ek:
+            raise ValueError(f"{params.name} decapsulation key fails "
+                             "its hash check")
         m_prime = _pke_decrypt(dk_pke, ciphertext, params)
         key_prime, randomness_prime = _g(m_prime + h_ek)
         rejection_key = _j(z + ciphertext)
-        ciphertext_prime = _pke_encrypt(ek, m_prime, randomness_prime,
-                                        params)
+        ciphertext_prime = _pke_encrypt(
+            unpack_bits(ek[:384 * k], k, 12), ek[384 * k:], m_prime,
+            randomness_prime, params)
         if ciphertext != ciphertext_prime:
             return rejection_key        # implicit rejection
         return key_prime

@@ -9,9 +9,11 @@ this module (``tests/test_imports.py`` enforces that).
 * Keccak-f[1600] in loop form and a from-scratch sponge with SHA-3 /
   SHAKE on top (production: the generated unrolled permutation and
   :mod:`hashlib`);
-* the schoolbook AES round (production: T-tables) and its inverse, the
-  decryption oracle encryption is checked against (CTR mode never
-  decrypts a block);
+* the schoolbook AES round (production: batched T-table gathers) and
+  its inverse, the decryption oracle encryption is checked against (CTR
+  mode never decrypts a block);
+* the FIPS 203 NTT pair and base multiplication (production:
+  :mod:`repro.crypto.lattice` and ML-KEM's batched K-PKE);
 * the FIPS 204 NTT pair and the pre-fast-path ML-DSA sign/verify flows
   (production: the batched int64 numpy kernels);
 * Ed25519 verification with double-and-add scalar multiplication
@@ -24,6 +26,7 @@ import struct
 
 from . import ed25519 as _ed
 from . import mldsa as _m
+from . import mlkem as _k
 from .aes import SBOX, gf_mul
 from .keccak import (ROTATION_OFFSETS, ROUND_CONSTANTS, _MASK64,
                      keccak_f1600 as _keccak_f1600)
@@ -280,6 +283,63 @@ def aes_decrypt_block(cipher, block: bytes) -> bytes:
     return bytes(state)
 
 
+# -- ML-KEM ----------------------------------------------------------------
+
+
+def mlkem_ntt(coeffs: list) -> list:
+    """Forward FIPS 203 NTT (Algorithm 9): seven layers, 128 factors."""
+    q, zetas = _k.Q, _k.ZETAS
+    a = list(coeffs)
+    k = 1
+    length = 128
+    while length >= 2:
+        start = 0
+        while start < _k.N:
+            zeta = zetas[k]
+            k += 1
+            for j in range(start, start + length):
+                t = zeta * a[j + length] % q
+                a[j + length] = (a[j] - t) % q
+                a[j] = (a[j] + t) % q
+            start += 2 * length
+        length //= 2
+    return a
+
+
+def mlkem_intt(coeffs: list) -> list:
+    """Inverse FIPS 203 NTT (Algorithm 10), times 128^-1."""
+    q, zetas = _k.Q, _k.ZETAS
+    a = list(coeffs)
+    k = 127
+    length = 2
+    while length <= 128:
+        start = 0
+        while start < _k.N:
+            zeta = zetas[k]
+            k -= 1
+            for j in range(start, start + length):
+                t = a[j]
+                a[j] = (t + a[j + length]) % q
+                a[j + length] = zeta * (a[j + length] - t) % q
+            start += 2 * length
+        length *= 2
+    n_inv = pow(128, q - 2, q)
+    return [x * n_inv % q for x in a]
+
+
+def mlkem_ntt_mul(a: list, b: list) -> list:
+    """MultiplyNTTs (FIPS 203 Algorithm 11): BaseCaseMultiply of each
+    of the 128 degree-1 factor pairs."""
+    q = _k.Q
+    c = [0] * _k.N
+    for i in range(128):
+        a0, a1 = a[2 * i], a[2 * i + 1]
+        b0, b1 = b[2 * i], b[2 * i + 1]
+        c[2 * i] = (a0 * b0 + a1 * b1 % q * _k.GAMMAS[i]) % q
+        c[2 * i + 1] = (a0 * b1 + a1 * b0) % q
+    return c
+
+
 # -- ML-DSA ----------------------------------------------------------------
 
 
@@ -320,7 +380,8 @@ def mldsa_intt(coeffs: list) -> list:
                 a[j + length] = (t - a[j + length]) * neg_zeta % q
             start += 2 * length
         length *= 2
-    return [x * _m._INV_256 % q for x in a]
+    n_inv = pow(_m.N, q - 2, q)
+    return [x * n_inv % q for x in a]
 
 
 def mldsa_sign(scheme, secret: bytes, message: bytes,

@@ -49,7 +49,8 @@ class DeliveryError(ValueError):
     Reason codes:
 
     * ``"decaps"`` — the KEM ciphertext was malformed (wrong size,
-      not a valid encapsulation for this key),
+      not a valid encapsulation for this key), or the enclave's
+      decapsulation key fails its FIPS 203 hash check,
     * ``"auth"`` — AEAD authentication failed (tampered payload, or
       ML-KEM implicit rejection fed a garbage key into the KDF),
     * ``"package-decode"`` — the wire bytes are not a well-formed

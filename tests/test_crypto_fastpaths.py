@@ -117,19 +117,19 @@ class TestMLDSAParity:
     @settings(max_examples=30, deadline=None)
     @given(_POLY, _POLY)
     def test_lazy_ntt_matches_reference(self, poly, other):
-        out = m._ntt_np(_rows(poly, other)).tolist()
+        out = m.RING.ntt(_rows(poly, other)).tolist()
         assert out == [ref.mldsa_ntt(poly), ref.mldsa_ntt(other)]
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY, _POLY)
     def test_lazy_intt_matches_reference(self, poly, other):
-        out = m._intt_np(_rows(poly, other)).tolist()
+        out = m.RING.intt(_rows(poly, other)).tolist()
         assert out == [ref.mldsa_intt(poly), ref.mldsa_intt(other)]
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY)
     def test_ntt_roundtrip(self, poly):
-        assert m._intt_np(m._ntt_np(_rows(poly)))[0].tolist() == poly
+        assert m.RING.intt(m.RING.ntt(_rows(poly)))[0].tolist() == poly
 
     @settings(max_examples=20, deadline=None)
     @given(_POLY)
@@ -177,6 +177,20 @@ class TestMLDSAParity:
 
 
 class TestAESParity:
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([16, 24, 32]), st.binary(min_size=44,
+                                                    max_size=44),
+           st.binary(max_size=100))
+    def test_ctr_batch_matches_reference_blocks(self, key_len, material,
+                                                data):
+        key, nonce = material[:key_len], material[32:44]
+        cipher = aes_mod.AES(key)
+        keystream = b"".join(
+            ref.aes_encrypt_block(cipher, nonce + i.to_bytes(4, "big"))
+            for i in range((len(data) + 15) // 16))
+        assert aes_mod.aes_ctr(key, nonce, data) == \
+            bytes(x ^ y for x, y in zip(data, keystream))
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([16, 24, 32]), st.binary(min_size=48,

@@ -57,6 +57,21 @@ class TestDeliveryErrorReasons:
             rig["kem"].unwrap(package)
         assert excinfo.value.reason == "decaps"
 
+    def test_decaps_reason_on_corrupt_decapsulation_key(self, rig):
+        """FIPS 203 hash check: a dk whose embedded ek no longer
+        matches its stored H(ek) is refused before decapsulation."""
+        package = rig["publisher"].deliver(
+            rig["report_bytes"], rig["kem"].ek, PAYLOAD,
+            entropy=bytes(32))
+        corrupt = EnclaveKemIdentity(seed_d=bytes(32), seed_z=bytes(32))
+        dk = bytearray(corrupt._dk)
+        dk[384 * corrupt.params.k + 7] ^= 0x01     # inside the embedded ek
+        corrupt._dk = bytes(dk)
+        with pytest.raises(DeliveryError) as excinfo:
+            corrupt.unwrap(package)
+        assert excinfo.value.reason == "decaps"
+        assert rig["kem"].unwrap(package) == PAYLOAD
+
     def test_auth_reason_on_tampered_ciphertext(self, rig):
         package = rig["publisher"].deliver(
             rig["report_bytes"], rig["kem"].ek, PAYLOAD,

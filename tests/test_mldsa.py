@@ -29,11 +29,11 @@ def _mint_with_perf_off(build):
 
 
 def _ntt(coeffs: list) -> list:
-    return mldsa._ntt_np(np.array([coeffs], dtype=np.int64))[0].tolist()
+    return mldsa.RING.ntt(np.array([coeffs], dtype=np.int64))[0].tolist()
 
 
 def _intt(coeffs: list) -> list:
-    return mldsa._intt_np(np.array([coeffs], dtype=np.int64))[0].tolist()
+    return mldsa.RING.intt(np.array([coeffs], dtype=np.int64))[0].tolist()
 
 
 class TestNTT:

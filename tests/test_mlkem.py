@@ -1,10 +1,16 @@
 """Tests for the from-scratch ML-KEM (FIPS 203) implementation."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import mlkem
+from repro.crypto import reference as ref
+from repro.crypto.keccak import Shake128
+from repro.crypto.lattice import pack_bits, unpack_bits
 from repro.crypto.mlkem import (ML_KEM_512, ML_KEM_768, ML_KEM_1024,
                                 MLKEM, N, Q)
 
@@ -17,18 +23,48 @@ def keypair768():
     return MLKEM(ML_KEM_768).key_gen(D_SEED, Z_SEED)
 
 
+def _rows(*polys) -> np.ndarray:
+    return np.array(polys, dtype=np.int64)
+
+
+_POLY = st.lists(st.integers(0, Q - 1), min_size=N, max_size=N)
+
+
 class TestNTT:
     @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.integers(0, Q - 1), min_size=N, max_size=N))
+    @given(_POLY)
     def test_ntt_roundtrip(self, coeffs):
-        assert mlkem.intt(mlkem.ntt(coeffs)) == coeffs
+        ring = mlkem.RING
+        assert ring.intt(ring.ntt(_rows(coeffs)))[0].tolist() == coeffs
+
+    @settings(max_examples=30, deadline=None)
+    @given(_POLY, _POLY)
+    def test_ring_ntt_matches_fips203_loops(self, poly, other):
+        out = mlkem.RING.ntt(_rows(poly, other)).tolist()
+        assert out == [ref.mlkem_ntt(poly), ref.mlkem_ntt(other)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_POLY, _POLY)
+    def test_ring_intt_matches_fips203_loops(self, poly, other):
+        out = mlkem.RING.intt(_rows(poly, other)).tolist()
+        assert out == [ref.mlkem_intt(poly), ref.mlkem_intt(other)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_POLY, _POLY)
+    def test_base_mul_matches_fips203_loops(self, a, b):
+        fast = mlkem._base_mul(_rows(a), _rows(b)) % Q
+        assert fast[0].tolist() == ref.mlkem_ntt_mul(a, b)
 
     def test_ntt_multiplication_matches_schoolbook(self):
         import random
         rng = random.Random(13)
         a = [rng.randrange(Q) for _ in range(N)]
         b = [rng.randrange(Q) for _ in range(N)]
-        fast = mlkem.intt(mlkem.ntt_mul(mlkem.ntt(a), mlkem.ntt(b)))
+        ring = mlkem.RING
+        fast = ring.intt(mlkem._base_mul(ring.ntt(_rows(a)),
+                                         ring.ntt(_rows(b))))[0].tolist()
+        reference = ref.mlkem_intt(ref.mlkem_ntt_mul(ref.mlkem_ntt(a),
+                                                     ref.mlkem_ntt(b)))
         slow = [0] * N
         for i in range(N):
             for j in range(N):
@@ -38,7 +74,7 @@ class TestNTT:
                     slow[index - N] = (slow[index - N] - term) % Q
                 else:
                     slow[index] = (slow[index] + term) % Q
-        assert fast == slow
+        assert fast == reference == slow
 
     def test_zetas_are_256th_roots(self):
         assert all(pow(z, 256, Q) == 1 for z in mlkem.ZETAS)
@@ -51,39 +87,80 @@ class TestCompression:
     @given(st.integers(0, Q - 1), st.sampled_from([1, 4, 5, 10, 11]))
     def test_compress_roundtrip_error_bound(self, value, bits):
         """|Decompress(Compress(x)) - x| <= round(q / 2^{d+1})."""
-        recovered = mlkem.decompress(mlkem.compress(value, bits), bits)
+        recovered = int(mlkem._decompress(
+            mlkem._compress(_rows([value]), bits), bits)[0, 0])
         error = min((recovered - value) % Q, (value - recovered) % Q)
         assert error <= (Q + (1 << (bits + 1)) - 1) // (1 << (bits + 1))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 1))
     def test_one_bit_roundtrip_exact(self, bit):
-        assert mlkem.compress(mlkem.decompress(bit, 1), 1) == bit
+        assert mlkem._compress(mlkem._decompress(_rows([bit]), 1),
+                               1)[0, 0] == bit
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 10 - 1), min_size=N,
                     max_size=N))
     def test_byte_encode_roundtrip(self, coeffs):
-        assert mlkem.byte_decode(mlkem.byte_encode(coeffs, 10),
-                                 10) == coeffs
+        packed = mlkem._encode(_rows(coeffs), 10)
+        assert len(packed) == 320
+        assert unpack_bits(packed, 1, 10)[0].tolist() == coeffs
+
+
+def _first_squeeze_short(seed: bytes) -> bool:
+    """Does the first 504-byte SHAKE128 squeeze of ``seed`` hold fewer
+    than 256 accepted 12-bit candidates?"""
+    data = hashlib.shake_128(seed).digest(504)
+    accepted = 0
+    for i in range(0, 504, 3):
+        d1 = data[i] | ((data[i + 1] & 0x0F) << 8)
+        d2 = (data[i + 1] >> 4) | (data[i + 2] << 4)
+        accepted += (d1 < Q) + (d2 < Q)
+    return accepted < N
+
+
+def _sample_ntt_loop(seed: bytes) -> list:
+    """SampleNTT as FIPS 203 Algorithm 7 writes it: 3-byte steps over
+    one 504-byte squeeze after another."""
+    xof = Shake128(seed)
+    coeffs = []
+    while len(coeffs) < N:
+        chunk = xof.read(504)
+        for i in range(0, len(chunk), 3):
+            d1 = chunk[i] | ((chunk[i + 1] & 0x0F) << 8)
+            d2 = (chunk[i + 1] >> 4) | (chunk[i + 2] << 4)
+            for d in (d1, d2):
+                if d < Q and len(coeffs) < N:
+                    coeffs.append(d)
+    return coeffs
 
 
 class TestSampling:
     def test_sample_ntt_uniform_range(self):
-        poly = mlkem.sample_ntt(bytes(32) + b"\x00\x01")
-        assert len(poly) == N
-        assert all(0 <= c < Q for c in poly)
+        poly = mlkem._sample_ntt([bytes(32) + b"\x00\x01"])
+        assert poly.shape == (1, N)
+        assert ((0 <= poly) & (poly < Q)).all()
+
+    def test_sample_ntt_second_squeeze(self):
+        """A seed whose first squeeze is short (about 0.9% of seeds)
+        reads on exactly as the loop form does, next to seeds that
+        stop after one squeeze."""
+        short = next(seed for seed in (bytes(32) + bytes([i, j])
+                                       for i in range(256)
+                                       for j in range(256))
+                     if _first_squeeze_short(seed))
+        seeds = [bytes(32) + b"\x00\x01", short, bytes(32) + b"\x01\x00"]
+        batch = mlkem._sample_ntt(seeds)
+        assert [row.tolist() for row in batch] == \
+            [_sample_ntt_loop(seed) for seed in seeds]
 
     @pytest.mark.parametrize("eta", [2, 3])
     def test_cbd_range(self, eta):
-        poly = mlkem.sample_cbd(bytes(range(64)) * eta, eta)
-        assert len(poly) == N
-        centred = [c if c <= Q // 2 else c - Q for c in poly]
-        assert all(-eta <= c <= eta for c in centred)
-
-    def test_cbd_length_check(self):
-        with pytest.raises(ValueError):
-            mlkem.sample_cbd(bytes(10), 2)
+        poly = mlkem._sample_cbd(bytes(range(32)), range(4), eta)
+        assert poly.shape == (4, N)
+        centred = np.where(poly > Q // 2, poly - Q, poly)
+        assert ((-eta <= centred) & (centred <= eta)).all()
+        assert (centred != 0).any()
 
 
 class TestParameterSets:
@@ -174,11 +251,23 @@ class TestKem:
         with pytest.raises(ValueError):
             kem.key_gen(bytes(31), bytes(32))
 
+    def test_dk_hash_check_rejects_corrupt_embedded_ek(self, keypair768):
+        """FIPS 203 section 7.3: H(dk[384k:768k+32]) must equal
+        dk[768k+32:768k+64]."""
+        ek, dk = keypair768
+        kem = MLKEM(ML_KEM_768)
+        _, ciphertext = kem.encaps(ek, bytes(32))
+        for index in (384 * 3, 384 * 3 + 600, 768 * 3 + 31):
+            bad = bytearray(dk)
+            bad[index] ^= 0x80
+            with pytest.raises(ValueError, match="hash check"):
+                kem.decaps(bytes(bad), ciphertext)
+
     def test_unreduced_ek_rejected(self, keypair768):
         """FIPS 203 input validation: coefficients must be < q."""
         ek, _ = keypair768
         coeffs = [Q] + [0] * (N - 1)       # q itself is not reduced
-        bad = mlkem.byte_encode(coeffs, 12) + ek[384:]
+        bad = pack_bits(_rows(coeffs), 12).tobytes() + ek[384:]
         with pytest.raises(ValueError):
             MLKEM(ML_KEM_768).encaps(bad)
 
