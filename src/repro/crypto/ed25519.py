@@ -270,22 +270,27 @@ def _point_mul_base(scalar: int):
 
 
 def _wnaf(scalar: int, width: int) -> list:
-    """Width-``w`` non-adjacent form, least-significant digit first;
-    digits are zero or odd in ``(-2^(w-1), 2^(w-1))``."""
-    digits = []
+    """Width-``w`` non-adjacent form as its nonzero ``(position,
+    digit)`` pairs, least-significant first: ``scalar == sum(d << i)``,
+    every digit odd in ``(-2^(w-1), 2^(w-1))`` and nonzero positions at
+    least ``w`` apart.  Zero runs are skipped by trailing-zero count."""
+    pairs = []
     span = 1 << width
     half = span >> 1
+    position = 0
     while scalar:
-        if scalar & 1:
-            digit = scalar & (span - 1)
-            if digit >= half:
-                digit -= span
-            scalar -= digit
-            digits.append(digit)
-        else:
-            digits.append(0)
-        scalar >>= 1
-    return digits
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        position += zeros
+        digit = scalar & (span - 1)
+        if digit >= half:
+            digit -= span
+        pairs.append((position, digit))
+        # scalar - digit is divisible by 2^w: the next w - 1 digits are
+        # zero.
+        scalar = (scalar - digit) >> width
+        position += width
+    return pairs
 
 
 def _point_table(point, width: int = _WNAF_POINT) -> list:
@@ -317,13 +322,11 @@ def _double_scalar_mul(s: int, k: int, point, point_table=None):
     if point_table is None:
         point_table = _point_table(point)
     adds = 0
-    s_digits = _wnaf(s, _WNAF_BASE)
-    k_digits = _wnaf(k, _WNAF_POINT)
-    n_s, n_k = len(s_digits), len(k_digits)
+    s_digits = dict(_wnaf(s, _WNAF_BASE))
+    k_digits = dict(_wnaf(k, _WNAF_POINT))
     # Event positions (nonzero digit somewhere), highest first; runs of
     # all-zero positions between events become tight doubling loops.
-    events = [i for i in range(max(n_s, n_k) - 1, -1, -1)
-              if (i < n_s and s_digits[i]) or (i < n_k and k_digits[i])]
+    events = sorted(s_digits.keys() | k_digits.keys(), reverse=True)
     result = _IDENTITY
     position = events[0] if events else 0
     for i in events:
@@ -341,13 +344,13 @@ def _double_scalar_mul(s: int, k: int, point, point_table=None):
                 f = g - c
                 x1, y1, z1 = e * f % P, g * (-a - b) % P, f * g % P
             result = _point_double((x1, y1, z1, 0))
-        ds = s_digits[i] if i < n_s else 0
+        ds = s_digits.get(i)
         if ds:
             entry = odd_base[ds >> 1] if ds > 0 else \
                 _neg_niels(odd_base[(-ds) >> 1])
             result = _add_niels(result, entry)
             adds += 1
-        dk = k_digits[i] if i < n_k else 0
+        dk = k_digits.get(i)
         if dk:
             entry = point_table[dk >> 1] if dk > 0 else \
                 _neg_cached(point_table[(-dk) >> 1])
@@ -391,24 +394,20 @@ def _multi_scalar_mul(base_scalar: int, pairs):
     counts the points of the sum (the base point included).
     """
     _, odd_base = _precomp()
-    s_digits = _wnaf(base_scalar, _WNAF_BASE)
-    top = len(s_digits)
-    slots = [[] for _ in range(max(top, 1))]
+    base_digits = dict(_wnaf(base_scalar, _WNAF_BASE))
+    slots = {}
     for scalar, width, table in pairs:
-        digits = _wnaf(scalar, width)
-        if len(digits) > top:
-            top = len(digits)
-            slots.extend([] for _ in range(top - len(slots)))
-        for i, digit in enumerate(digits):
-            if digit:
-                slots[i].append(table[digit >> 1] if digit > 0 else
-                                _neg_cached(table[(-digit) >> 1]))
+        for i, digit in _wnaf(scalar, width):
+            slots.setdefault(i, []).append(
+                table[digit >> 1] if digit > 0 else
+                _neg_cached(table[(-digit) >> 1]))
+    top = max(max(base_digits, default=-1), max(slots, default=-1)) + 1
     adds = 0
     result = _IDENTITY
     started = False
     for i in range(top - 1, -1, -1):
-        base_digit = s_digits[i] if i < len(s_digits) else 0
-        entries = slots[i]
+        base_digit = base_digits.get(i)
+        entries = slots.get(i, ())
         if started:
             result = _point_double(result,
                                    need_t=bool(entries or base_digit))

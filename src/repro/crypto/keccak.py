@@ -183,12 +183,19 @@ def shake256(data: bytes, out_len: int) -> bytes:
 
 
 class _IncrementalXof:
-    """Absorb-then-stream XOF over a :mod:`hashlib` SHAKE object."""
+    """Absorb-then-stream XOF over a :mod:`hashlib` SHAKE object.
+
+    :mod:`hashlib` squeezes only whole outputs, so reads are served from
+    a squeezed buffer that grows geometrically (at least one rate block
+    per squeeze).  By the XOF prefix property every read returns the
+    same bytes as slicing one long digest.
+    """
 
     _HASHLIB_NAME = None
 
     def __init__(self, data: bytes = b""):
         self._state = hashlib.new(self._HASHLIB_NAME)
+        self._buffer = b""
         self._offset = 0
         self._reading = False
         if data:
@@ -203,7 +210,10 @@ class _IncrementalXof:
     def read(self, length: int) -> bytes:
         self._reading = True
         end = self._offset + length
-        out = self._state.digest(end)[self._offset:end]
+        if end > len(self._buffer):
+            self._buffer = self._state.digest(
+                max(end, 2 * len(self._buffer), self._state.block_size))
+        out = self._buffer[self._offset:end]
         self._offset = end
         return out
 

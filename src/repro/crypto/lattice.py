@@ -12,11 +12,10 @@ multiplication.  :class:`NttRing` is that schedule, parameterised by
 int64 batch.
 
 Both standards also pack coefficients little-endian, so every
-fixed-width encoding is ``np.packbits``/``np.unpackbits`` with
-``bitorder="little"`` plus a reshape: :func:`pack_bits` and
-:func:`unpack_bits`.  Each polynomial occupies a whole number of bytes
-(256 * width bits), so packing a flattened multi-poly batch equals
-concatenating the per-poly packs.
+fixed-width encoding is one vectorized bit-field pass over the whole
+batch: :func:`pack_bits` and :func:`unpack_bits`.  Each polynomial
+occupies a whole number of bytes (256 * width bits), so packing a
+flattened multi-poly batch equals concatenating the per-poly packs.
 
 The loop forms these are pinned against live in
 :mod:`repro.crypto.reference`.
@@ -62,19 +61,24 @@ class NttRing:
         Lazy reduction: only the twiddle product is reduced per layer,
         sums and differences stay unreduced (bounded by 9q, products by
         9q^2 < 2^50 for ML-DSA's q — exact in int64) and one final pass
-        normalizes into [0, q).
+        normalizes into [0, q).  The butterflies write in place, through
+        one half-width scratch array for the twiddled half.
         """
         q = self.q
         out = arr % q
         rows = out.shape[0]
+        scratch = np.empty((rows, N // 2), dtype=np.int64)
         for length, zetas in self._fwd:
             v = out.reshape(rows, -1, 2, length)
             lo = v[:, :, 0, :]
-            t = v[:, :, 1, :] * zetas % q
-            total = lo + t
-            v[:, :, 1, :] = lo - t
-            v[:, :, 0, :] = total
-        return out % q
+            hi = v[:, :, 1, :]
+            t = scratch.reshape(rows, -1, length)
+            np.multiply(hi, zetas, out=t)
+            np.remainder(t, q, out=t)
+            np.subtract(lo, t, out=hi)
+            np.add(lo, t, out=lo)
+        np.remainder(out, q, out=out)
+        return out
 
     def intt(self, arr: np.ndarray) -> np.ndarray:
         """Inverse NTT of a ``(rows, 256)`` int64 batch; accepts
@@ -84,38 +88,60 @@ class NttRing:
         Lazy reduction: sums double per layer (bounded by 256q after
         eight layers, twiddle products by 512q^2 < 2^56 for ML-DSA's
         q — exact in int64), with one reduction per layer on the
-        twiddled half and a final normalization times n^-1.
+        twiddled half and a final normalization times n^-1.  In place,
+        like :meth:`ntt`.
         """
         q = self.q
         out = arr % q
         rows = out.shape[0]
+        scratch = np.empty((rows, N // 2), dtype=np.int64)
         for length, zetas in self._inv:
             v = out.reshape(rows, -1, 2, length)
             lo = v[:, :, 0, :]
             hi = v[:, :, 1, :]
-            total = lo + hi
-            diff = (lo - hi) * zetas % q
-            v[:, :, 0, :] = total
-            v[:, :, 1, :] = diff
-        return out * self.n_inv % q
+            diff = scratch.reshape(rows, -1, length)
+            np.subtract(lo, hi, out=diff)
+            np.add(lo, hi, out=lo)
+            np.multiply(diff, zetas, out=diff)
+            np.remainder(diff, q, out=hi)
+        np.multiply(out, self.n_inv, out=out)
+        np.remainder(out, q, out=out)
+        return out
 
 
 def pack_bits(arr: np.ndarray, width: int) -> np.ndarray:
     """Pack each row of a ``(rows, n)`` int64 batch of values < 2^width
-    at ``width`` bits per value, little-endian; returns
-    ``(rows, n*width/8)`` uint8."""
+    (``width`` <= 32) at ``width`` bits per value, little-endian;
+    returns ``(rows, n*width/8)`` uint8.
+
+    Each value's low ``width`` bits are spread from its smallest
+    little-endian word that holds them, one uint8 per bit.
+    """
     rows = arr.shape[0]
-    bits = (arr[..., None] >> np.arange(width, dtype=np.int64)) & 1
-    return np.packbits(bits.astype(np.uint8).reshape(rows, -1),
-                       axis=1, bitorder="little")
+    size = 1 if width <= 8 else 2 if width <= 16 else 4
+    octets = arr.astype(f"<u{size}").view(np.uint8).reshape(rows, -1, size)
+    bits = np.unpackbits(octets, axis=2, count=width, bitorder="little")
+    return np.packbits(bits.reshape(rows, -1), axis=1, bitorder="little")
 
 
 def unpack_bits(data: bytes, rows: int, width: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`: ``data`` split into ``rows``
     equal blocks of ``width``-bit little-endian values, as a
-    ``(rows, len(data)*8/(rows*width))`` int64 batch."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
-                         bitorder="little")
-    values = bits.reshape(-1, width).astype(np.int64) \
-        @ (1 << np.arange(width, dtype=np.int64))
-    return values.reshape(rows, -1)
+    ``(rows, len(data)*8/(rows*width))`` int64 batch.
+
+    Every ``width`` bytes hold eight whole values, value ``j`` starting
+    at bit ``j * width``.  Over an unaligned little-endian uint32 view
+    with one row per such group, one gather takes each value's first
+    four bytes, and a shift and a mask finish it (``width`` <= 25, so
+    no value reaches a fifth byte).
+    """
+    buffer = bytes(data) + bytes(3)
+    groups = len(data) // width
+    words = np.ndarray((groups, width), dtype="<u4", buffer=buffer,
+                       strides=(width, 1))
+    first, shift = np.divmod(np.arange(0, 8 * width, width), 8)
+    values = words[:, first]
+    values >>= shift.astype(np.uint32)
+    values &= (1 << width) - 1
+    # The gather comes out column-major; the cast restores row order.
+    return values.astype(np.int64, order="C").reshape(rows, -1)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -141,18 +142,25 @@ def _intt_batch(arr: np.ndarray) -> np.ndarray:
 
 
 def _high_bits_np(arr: np.ndarray, gamma2: int) -> np.ndarray:
-    """Vectorized :func:`high_bits` (input reduced mod q)."""
+    """Vectorized :func:`high_bits` (input reduced mod q), in one
+    int64 workspace."""
     g = 2 * gamma2
-    r0 = arr % g
-    r0 = np.where(r0 > gamma2, r0 - g, r0)
-    hi = arr - r0
-    return np.where(hi == Q - 1, 0, hi // g)
+    hi = arr % g
+    np.subtract(hi, g, out=hi, where=hi > gamma2)
+    np.subtract(arr, hi, out=hi)
+    wrap = hi == Q - 1
+    hi //= g
+    hi[wrap] = 0
+    return hi
 
 
 def _inf_norm_rows_np(arr: np.ndarray) -> np.ndarray:
-    """Per-lane infinity norm of a ``(lanes, ...)`` batch reduced mod q."""
+    """Per-lane infinity norm of a ``(lanes, ...)`` batch reduced mod q:
+    ``min(x, q - x)`` is ``|centered(x)|`` on [0, q)."""
     lanes = arr.shape[0]
-    return np.where(arr > Q // 2, Q - arr, arr).reshape(lanes, -1).max(axis=1)
+    dist = Q - arr
+    np.minimum(arr, dist, out=dist)
+    return dist.reshape(lanes, -1).max(axis=1)
 
 
 def _low_bits_np(arr: np.ndarray, gamma2: int) -> np.ndarray:
@@ -231,7 +239,10 @@ def _bit_pack_np(arr: np.ndarray, a: int, b: int) -> np.ndarray:
 def _bit_unpack_np(data: bytes, rows: int, width: int, b: int) -> np.ndarray:
     """:func:`bit_unpack` of ``rows`` concatenated 32*width-byte blocks
     into a ``(rows, 256)`` int64 batch (coefficients mod q)."""
-    return (b - unpack_bits(data, rows, width)) % Q
+    values = unpack_bits(data, rows, width)
+    np.subtract(b, values, out=values)
+    values %= Q
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +391,14 @@ def sample_in_ball(seed: bytes, params: MLDSAParams) -> list:
     """SampleInBall: a polynomial with tau coefficients of +-1."""
     xof = Shake256(seed)
     signs = int.from_bytes(xof.read(8), "little")
+    # The rest of the stream, one byte per draw, squeezed a rate block
+    # at a time.
+    draws = chain.from_iterable(iter(lambda: xof.read(136), None))
     c = [0] * N
     for i in range(N - params.tau, N):
-        while True:
-            j = xof.read(1)[0]
-            if j <= i:
-                break
+        j = next(draws)
+        while j > i:
+            j = next(draws)
         c[i] = c[j]
         c[j] = (1 if signs & 1 == 0 else Q - 1)
         signs >>= 1
@@ -411,21 +424,35 @@ def hint_bit_pack(hints: list, params: MLDSAParams) -> bytes:
 
 def hint_bit_unpack(data: bytes, params: MLDSAParams):
     """Strict inverse of :func:`hint_bit_pack`; None on malformed input."""
+    positions = _hint_positions(data, params)
+    if positions is None:
+        return None
     hints = [[0] * N for _ in range(params.k)]
+    for i, j in zip(*positions):
+        hints[i][j] = 1
+    return hints
+
+
+def _hint_positions(data: bytes, params: MLDSAParams):
+    """HintBitUnpack straight to the set bits: ``(polys, coefficients)``
+    index lists, or None on malformed input (the strict checks of
+    FIPS 204 Algorithm 21)."""
+    polys = []
+    coeffs = []
     index = 0
     for i in range(params.k):
         end = data[params.omega + i]
         if end < index or end > params.omega:
             return None
-        first = index
-        while index < end:
-            if index > first and data[index] <= data[index - 1]:
-                return None
-            hints[i][data[index]] = 1
-            index += 1
-    if any(data[i] != 0 for i in range(index, params.omega)):
+        run = list(data[index:end])
+        if run != sorted(set(run)):             # not strictly increasing
+            return None
+        polys += [i] * len(run)
+        coeffs += run
+        index = end
+    if any(data[index:params.omega]):
         return None
-    return hints
+    return polys, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +712,7 @@ class MLDSASigner:
 class MLDSAVerifier:
     """Keyed verification context: the public key decoded and expanded
     once (Â, ``tr``, NTT(t1 << d), as int64 arrays for the batched
-    kernels); results identical to the one-shot path."""
+    kernel); results identical to the one-shot path."""
 
     __slots__ = ("params", "public", "_tr", "_a_np", "_t1_np")
 
@@ -705,24 +732,14 @@ class MLDSAVerifier:
         with TELEMETRY.span("crypto.mldsa.verify",
                             message_bytes=len(message)), \
                 TELEMETRY.timer("crypto.mldsa.verify_seconds"):
-            return self._verify(message, signature, context)
-
-    def _verify(self, message: bytes, signature: bytes,
-                context: bytes) -> bool:
-        return self._verify_many([message], [signature], context)[0]
+            return _verify_lanes(self.params, [self], [message],
+                                 [signature], context)[0]
 
     def verify_many(self, messages, signatures,
                     context: bytes = b"") -> list:
-        """Check a signature batch in one vectorized pass.
-
-        :meth:`verify` is this kernel at batch size 1, so entry *i* of
-        the result equals ``self.verify(messages[i], signatures[i],
-        context)``.  Lanes rejected structurally (malformed encoding, z
-        out of range) are filtered before the transform stages, so only
-        surviving lanes stack through the NTT/matvec/decompose kernels —
-        ``crypto.mldsa.ntt_calls`` totals match a per-call loop
-        exactly.
-        """
+        """Check a signature batch under this key: the cross-key
+        kernel of :meth:`MLDSA.verify_many` with one key, so entry *i*
+        equals ``self.verify(messages[i], signatures[i], context)``."""
         messages = list(messages)
         signatures = list(signatures)
         if len(messages) != len(signatures):
@@ -733,68 +750,101 @@ class MLDSAVerifier:
         with TELEMETRY.span("crypto.mldsa.verify_many",
                             batch=len(messages)), \
                 TELEMETRY.timer("crypto.mldsa.verify_seconds"):
-            return self._verify_many(messages, signatures, context)
+            return _verify_lanes(self.params, [self] * len(messages),
+                                 messages, signatures, context)
 
-    def _verify_many(self, messages: list, signatures: list,
-                     context: bytes) -> list:
-        p = self.params
-        results = [False] * len(messages)
-        z_start = p.ctilde_bytes
-        z_end = z_start + 32 * p.z_bits * p.l
-        cand = [i for i, sig in enumerate(signatures)
-                if len(sig) == p.signature_bytes]
-        if not cand:
-            return results
-        # One unpack for every length-valid z vector, then per-lane
-        # structural checks (norm bound, hint encoding).
-        z_all = _bit_unpack_np(
-            b"".join(signatures[i][z_start:z_end] for i in cand),
-            len(cand) * p.l, p.z_bits, p.gamma1) \
-            .reshape(len(cand), p.l, N)
-        norms = _inf_norm_rows_np(z_all)
-        lanes = []
-        for ci, i in enumerate(cand):
-            if norms[ci] >= p.gamma1 - p.beta:
-                continue
-            hints = hint_bit_unpack(signatures[i][z_end:], p)
-            if hints is None:
-                continue
-            mu = shake256(
-                self._tr + MLDSA._format_message(messages[i], context),
-                64)
-            lanes.append((i, ci, signatures[i][:p.ctilde_bytes],
-                          hints, mu))
-        if not lanes:
-            return results
-        count = len(lanes)
-        z = z_all[np.array([lane[1] for lane in lanes])]
-        c = np.array([sample_in_ball(lane[2], p) for lane in lanes],
-                     dtype=np.int64)
-        c_hat = _ntt_batch(c)
-        z_hat = _ntt_batch(z.reshape(count * p.l, N)) \
-            .reshape(count, p.l, N)
-        # Â @ ẑ - ĉ * t̂1 per lane, unreduced (|.| < 9 * q^2 < 2^50).
-        rows = np.einsum("rsn,bsn->brn", self._a_np, z_hat) \
-            - c_hat[:, None, :] * self._t1_np[None]
-        w_approx = _intt_batch(rows.reshape(count * p.k, N)) \
-            .reshape(count, p.k, N)
-        w1 = _high_bits_np(w_approx, p.gamma2)
-        # UseHint, vectorized across every set hint bit in the batch.
-        hint_mask = np.array([lane[3] for lane in lanes], dtype=bool)
-        ais, rs, js = np.nonzero(hint_mask)
-        if ais.size:
-            vals = w_approx[ais, rs, js]
-            m = (Q - 1) // (2 * p.gamma2)
-            r1 = _high_bits_np(vals, p.gamma2)
-            r0 = _low_bits_np(vals, p.gamma2)
-            w1[ais, rs, js] = np.where(r0 > 0, (r1 + 1) % m,
-                                       (r1 - 1) % m)
-        packed = pack_bits(w1.reshape(count, -1), p.w1_bits)
-        for ai, (i, _ci, c_tilde, _hints, mu) in enumerate(lanes):
-            expected = shake256(mu + packed[ai].tobytes(),
-                                p.ctilde_bytes)
-            results[i] = expected == c_tilde
+
+def _verify_lanes(p: MLDSAParams, verifiers: list, messages: list,
+                  signatures: list, context: bytes) -> list:
+    """The one ML-DSA verify kernel: lane *i* checks ``signatures[i]``
+    on ``messages[i]`` under ``verifiers[i]`` (an
+    :class:`MLDSAVerifier`, or None for a key that does not decode,
+    which fails the lane).
+
+    Lanes rejected structurally (wrong length, z out of range,
+    malformed hints) drop out before the transforms.  The survivors,
+    ordered so that each key's lanes form one contiguous slice, share
+    one pass of z unpack, SampleInBall, NTT(z), NTT(c), the INTT,
+    UseHint, w1 packing and hashing; only the ``Â·ẑ − ĉ·t̂1`` matvec
+    runs per distinct key, over that key's slice, so Â is never
+    gathered per lane.  ``crypto.mldsa.ntt_calls`` ticks ``1 + l + k``
+    rows per surviving lane, as a per-key loop does.
+    """
+    results = [False] * len(messages)
+    z_start = p.ctilde_bytes
+    z_end = z_start + 32 * p.z_bits * p.l
+    by_key = {}
+    for i, (verifier, signature) in enumerate(zip(verifiers, signatures)):
+        if verifier is not None and len(signature) == p.signature_bytes:
+            by_key.setdefault(verifier, []).append(i)
+    cand = [i for lanes in by_key.values() for i in lanes]
+    if not cand:
         return results
+    # One unpack for every length-valid z vector, then per-lane
+    # structural checks (norm bound, hint encoding).
+    z = _bit_unpack_np(
+        b"".join(signatures[i][z_start:z_end] for i in cand),
+        len(cand) * p.l, p.z_bits, p.gamma1).reshape(len(cand), p.l, N)
+    norms = _inf_norm_rows_np(z)
+    keep = []
+    lanes = []
+    hint_lanes = []
+    hint_polys = []
+    hint_coeffs = []
+    for ci, i in enumerate(cand):
+        if norms[ci] >= p.gamma1 - p.beta:
+            continue
+        hints = _hint_positions(signatures[i][z_end:], p)
+        if hints is None:
+            continue
+        hint_lanes += [len(lanes)] * len(hints[0])
+        hint_polys += hints[0]
+        hint_coeffs += hints[1]
+        keep.append(ci)
+        lanes.append(i)
+    if not lanes:
+        return results
+    count = len(lanes)
+    if count < len(cand):
+        z = z[keep]
+    c_hat = _ntt_batch(np.array(
+        [sample_in_ball(signatures[i][:p.ctilde_bytes], p)
+         for i in lanes], dtype=np.int64))
+    z_hat = _ntt_batch(z.reshape(count * p.l, N)).reshape(count, p.l, N)
+    del z
+    # Â @ ẑ - ĉ * t̂1 per lane, unreduced (|.| < 9 * q^2 < 2^50), one
+    # matvec per key over its contiguous slice of lanes.
+    rows = np.empty((count, p.k, N), dtype=np.int64)
+    start = 0
+    for verifier, run in groupby(verifiers[i] for i in lanes):
+        stop = start + sum(1 for _ in run)
+        np.einsum("rsn,bsn->brn", verifier._a_np, z_hat[start:stop],
+                  out=rows[start:stop])
+        rows[start:stop] -= c_hat[start:stop, None, :] * verifier._t1_np
+        start = stop
+    del z_hat
+    w_approx = _intt_batch(rows.reshape(count * p.k, N)) \
+        .reshape(count, p.k, N)
+    del rows
+    w1 = _high_bits_np(w_approx, p.gamma2)
+    # UseHint, vectorized across every set hint bit in the batch.
+    if hint_lanes:
+        at = (np.array(hint_lanes), np.array(hint_polys),
+              np.array(hint_coeffs))
+        vals = w_approx[at]
+        m = (Q - 1) // (2 * p.gamma2)
+        r1 = _high_bits_np(vals, p.gamma2)
+        r0 = _low_bits_np(vals, p.gamma2)
+        w1[at] = np.where(r0 > 0, (r1 + 1) % m, (r1 - 1) % m)
+    del w_approx
+    packed = pack_bits(w1.reshape(count, -1), p.w1_bits)
+    for ai, i in enumerate(lanes):
+        verifier = verifiers[i]
+        mu = shake256(
+            verifier._tr + MLDSA._format_message(messages[i], context), 64)
+        expected = shake256(mu + packed[ai].tobytes(), p.ctilde_bytes)
+        results[i] = expected == signatures[i][:p.ctilde_bytes]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -913,22 +963,48 @@ class MLDSA:
 
     def _verify(self, public: bytes, message: bytes, signature: bytes,
                 context: bytes) -> bool:
-        try:
-            verifier = self.verifier(public)
-        except ValueError:
-            return False
-        return verifier._verify(message, signature, context)
+        return self._verify_many([public], [message], [signature],
+                                 context)[0]
 
-    def verify_many(self, public: bytes, messages, signatures,
+    def verify_many(self, publics, messages, signatures,
                     context: bytes = b"") -> list:
-        """Batch :meth:`verify` (see
-        :meth:`MLDSAVerifier.verify_many`)."""
+        """Check a batch of signatures under one public key per lane:
+        entry *i* equals ``self.verify(publics[i], messages[i],
+        signatures[i], context)``.
+
+        Each distinct key resolves once to its memoized
+        :class:`MLDSAVerifier`; then every lane, whatever its key, goes
+        through one pass of the verify kernel (see
+        :func:`_verify_lanes`).
+        """
+        publics = list(publics)
         messages = list(messages)
-        try:
-            verifier = self.verifier(public)
-        except ValueError:
-            return [False] * len(messages)
-        return verifier.verify_many(messages, signatures, context)
+        signatures = list(signatures)
+        if not len(publics) == len(messages) == len(signatures):
+            raise ValueError("publics, messages and signatures must "
+                             "pair up")
+        if PERF.enabled:
+            PERF.inc("crypto.mldsa.verify", len(messages))
+            PERF.inc("crypto.mldsa.batch_verify_lanes", len(messages))
+        with TELEMETRY.span("crypto.mldsa.verify_many",
+                            batch=len(messages)), \
+                TELEMETRY.timer("crypto.mldsa.verify_seconds"):
+            return self._verify_many(publics, messages, signatures,
+                                     context)
+
+    def _verify_many(self, publics: list, messages: list,
+                     signatures: list, context: bytes) -> list:
+        verifiers = {}
+        for public in publics:
+            public = bytes(public)
+            if public not in verifiers:
+                try:
+                    verifiers[public] = self.verifier(public)
+                except ValueError:
+                    verifiers[public] = None
+        return _verify_lanes(self.params,
+                             [verifiers[bytes(pk)] for pk in publics],
+                             messages, signatures, context)
 
     # -- resource model ----------------------------------------------------
 

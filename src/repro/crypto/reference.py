@@ -14,14 +14,15 @@ this module (``tests/test_imports.py`` enforces that).
   mode never decrypts a block);
 * the FIPS 203 NTT pair and base multiplication (production:
   :mod:`repro.crypto.lattice` and ML-KEM's batched K-PKE);
-* the FIPS 204 NTT pair and the pre-fast-path ML-DSA sign/verify flows
-  (production: the batched int64 numpy kernels);
+* the FIPS 204 NTT pair, SampleInBall and the pre-fast-path ML-DSA
+  sign/verify flows (production: the batched int64 numpy kernels);
 * Ed25519 verification with double-and-add scalar multiplication
   (production: windowed and multi-scalar paths).
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from . import ed25519 as _ed
@@ -384,6 +385,25 @@ def mldsa_intt(coeffs: list) -> list:
     return [x * n_inv % q for x in a]
 
 
+def mldsa_sample_in_ball(seed: bytes, params) -> list:
+    """SampleInBall re-squeezing SHAKE256 for every one-byte draw
+    (production: blockwise reads of a buffered XOF)."""
+    xof = hashlib.shake_256(seed)
+    signs = int.from_bytes(xof.digest(8), "little")
+    drawn = 8
+    c = [0] * _m.N
+    for i in range(_m.N - params.tau, _m.N):
+        while True:
+            j = xof.digest(drawn + 1)[drawn]
+            drawn += 1
+            if j <= i:
+                break
+        c[i] = c[j]
+        c[j] = 1 if signs & 1 == 0 else _m.Q - 1
+        signs >>= 1
+    return c
+
+
 def mldsa_sign(scheme, secret: bytes, message: bytes,
                context: bytes = b"") -> bytes:
     """The pre-fast-path deterministic ML-DSA signing flow.
@@ -414,7 +434,7 @@ def mldsa_sign(scheme, secret: bytes, message: bytes,
             w.append(mldsa_intt(acc))
         w1 = [[m.high_bits(c, p.gamma2) for c in poly] for poly in w]
         c_tilde = m.shake256(mu + m.w1_encode(w1, p), p.ctilde_bytes)
-        c = m.sample_in_ball(c_tilde, p)
+        c = mldsa_sample_in_ball(c_tilde, p)
         c_hat = mldsa_ntt(c)
         z = [m.poly_add(y[s], mldsa_intt(m.ntt_mul(c_hat, s1_hat[s])))
              for s in range(p.l)]
@@ -464,7 +484,7 @@ def mldsa_verify(scheme, public: bytes, message: bytes, signature: bytes,
     a_hat = m.expand_a(rho, p)
     tr = m.shake256(public, 64)
     mu = m.shake256(tr + scheme._format_message(message, context), 64)
-    c = m.sample_in_ball(c_tilde, p)
+    c = mldsa_sample_in_ball(c_tilde, p)
     c_hat = mldsa_ntt(c)
     z_hat = [mldsa_ntt(poly) for poly in z]
     t1_hat = [mldsa_ntt([coef << m.D for coef in poly]) for poly in t1]

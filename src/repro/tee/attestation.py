@@ -213,8 +213,9 @@ def verify_reports(reports, device_identity,
 
     The classical signatures of every candidate report (two per report)
     go through one Ed25519 random-linear-combination batch check, and
-    the ML-DSA signatures batch through ``verify_many`` grouped by
-    public key (device keys and SM keys each group independently).
+    the ML-DSA signatures through two cross-key ``verify_many`` calls:
+    one for the device certificates, one for the enclave signatures of
+    the reports whose certificate passed.
     Every report from one device carries the same device-signed SM
     certificate, so each distinct signed item — ``(key, payload,
     signature)`` — is verified once per call and its verdict fanned
@@ -264,27 +265,17 @@ def verify_reports(reports, device_identity,
             results[i] = True
     if pq:
         scheme = MLDSA(params)
-        device_groups = {}
-        for i in pq:
-            device_groups.setdefault(
-                bytes(identities[i]["mldsa"]), []).append(i)
-        passed = []
-        for device_public, indices in device_groups.items():
-            device_ok = _verify_distinct(
-                lambda lanes: scheme.verify_many(device_public, *zip(*lanes)),
-                [(reports[i].sm_payload(), reports[i].sm_pq_signature)
-                 for i in indices])
-            passed.extend(i for i, ok in zip(indices, device_ok) if ok)
-        groups = {}
-        for i in sorted(passed):
-            groups.setdefault(reports[i].sm_mldsa_public, []).append(i)
-        for sm_public, indices in groups.items():
-            enclave_ok = scheme.verify_many(
-                sm_public,
-                [reports[i].enclave_payload() for i in indices],
-                [reports[i].enclave_pq_signature for i in indices])
-            for i, ok in zip(indices, enclave_ok):
-                results[i] = ok
+        device_ok = _verify_distinct(
+            lambda lanes: scheme.verify_many(*zip(*lanes)),
+            [(bytes(identities[i]["mldsa"]), reports[i].sm_payload(),
+              reports[i].sm_pq_signature) for i in pq])
+        passed = [i for i, ok in zip(pq, device_ok) if ok]
+        enclave_ok = scheme.verify_many(
+            [reports[i].sm_mldsa_public for i in passed],
+            [reports[i].enclave_payload() for i in passed],
+            [reports[i].enclave_pq_signature for i in passed])
+        for i, ok in zip(passed, enclave_ok):
+            results[i] = ok
     return results
 
 

@@ -6,9 +6,9 @@ millions of edge devices.  This module is that serving tier: an
 :class:`AttestationService` that accepts attestation-report
 submissions from a registered device fleet, coalesces them in a
 deterministic micro-batching queue, and drains whole batches through
-the batch crypto kernels (grouped ML-DSA ``verify_many``, Ed25519 RLC
-``verify_batch``, each distinct SM certificate verified once per
-batch) plus an enclave-session cache.
+the batch crypto kernels (two cross-key ML-DSA ``verify_many`` passes,
+Ed25519 RLC ``verify_batch``, each distinct SM certificate verified
+once per batch) plus an enclave-session cache.
 
 Determinism is the design axis, same as the rest of the runtime:
 
@@ -95,8 +95,9 @@ class AttestationService:
     when ``max_batch`` requests are pending, or when :meth:`drain`
     flushes the tail.  Batches
     then verify via :func:`verify_reports` — one Ed25519 RLC equation
-    and per-key-grouped ML-DSA lanes per batch — with per-request
-    results returned in admission order.
+    and two cross-key ML-DSA passes (device certificates, then enclave
+    signatures) per batch — with per-request results returned in
+    admission order.
     """
 
     def __init__(self, devices=None, *, max_batch: int = 64,

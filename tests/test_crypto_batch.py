@@ -122,6 +122,46 @@ class TestMLDSABatch:
         assert [ref.mldsa_verify(scheme, public, m, s)
                 for m, s in zip(msgs, bad)] == scalar
 
+    def test_cross_key_verify_many_matches_scalar(self):
+        """One ``MLDSA.verify_many`` call over lanes of five keys (one
+        malformed, one that decodes but signed nothing), with wrong-key
+        and truncated lanes, equals scalar ``verify`` per lane and
+        counts exactly what the per-key grouped calls count."""
+        scheme = MLDSA(ML_DSA_44)
+        keys = [scheme.key_gen(bytes([seed]) * 32) for seed in (1, 2, 3)]
+        publics, messages, signatures = [], [], []
+        for lane in range(11):
+            public, secret = keys[lane % 3]
+            message = b"cross-key-%d" % lane
+            publics.append(public)
+            messages.append(message)
+            signatures.append(scheme.sign(secret, message))
+        publics[4] = keys[0][0]                       # wrong key
+        signatures[7] = signatures[7][:-1]            # truncated
+        publics[9] = publics[9][:-1]                  # malformed key
+        publics.append(bytes(len(keys[0][0])))       # decodes, wrong
+        messages.append(messages[0])
+        signatures.append(signatures[0])
+        scalar = [scheme.verify(pk, m, s)
+                  for pk, m, s in zip(publics, messages, signatures)]
+        assert scalar == [lane not in (4, 7, 9, 11) for lane in range(12)]
+        with counting() as window:
+            assert scheme.verify_many(publics, messages, signatures) == \
+                scalar
+        cross = window.delta()
+        with counting() as window:
+            for public in dict.fromkeys(publics):
+                lanes = [i for i, pk in enumerate(publics) if pk == public]
+                scheme.verify_many([public] * len(lanes),
+                                   [messages[i] for i in lanes],
+                                   [signatures[i] for i in lanes])
+        # Ten lanes reach the transforms (all but the truncated and the
+        # malformed-key one), nine rows each: c, four of z, four of w.
+        assert cross == window.delta()
+        assert cross["crypto.mldsa.ntt_calls"] == 10 * 9
+        with pytest.raises(ValueError):
+            scheme.verify_many(publics[:2], messages[:1], signatures[:1])
+
     def test_batch_counters_distinguish_batch_from_scalar(self):
         scheme = MLDSA(ML_DSA_44)
         public, secret = scheme.key_gen(b"\x42" * 32)
@@ -132,8 +172,8 @@ class TestMLDSABatch:
         assert delta["crypto.mldsa.sign"] == 4
         assert delta["crypto.mldsa.batch_sign_lanes"] == 4
         with counting() as window:
-            assert scheme.verify_many(public, messages, signatures) == \
-                [True] * 4
+            assert scheme.verify_many([public] * 4, messages,
+                                      signatures) == [True] * 4
         delta = window.delta()
         assert delta["crypto.mldsa.verify"] == 4
         assert delta["crypto.mldsa.batch_verify_lanes"] == 4
@@ -543,7 +583,7 @@ class TestConsumers:
                   for r, identity in zip(reports, identities)]
         assert scalar == [i not in (3, 4, 8, 9, 10) for i in range(16)]
 
-        ed_lanes, mldsa_lanes = [], []
+        ed_lanes, mldsa_lanes, mldsa_calls = [], [], []
         real_batch, real_many = ed.verify_batch, MLDSA.verify_many
 
         def recording_batch(items):
@@ -551,11 +591,12 @@ class TestConsumers:
             ed_lanes.extend(items)
             return real_batch(items)
 
-        def recording_many(scheme, public, messages, signatures,
+        def recording_many(scheme, publics, messages, signatures,
                            context=b""):
-            mldsa_lanes.extend((public, m, s)
-                               for m, s in zip(messages, signatures))
-            return real_many(scheme, public, messages, signatures, context)
+            mldsa_calls.append(len(messages))
+            mldsa_lanes.extend(zip(publics, messages, signatures))
+            return real_many(scheme, publics, messages, signatures,
+                             context)
 
         monkeypatch.setattr(ed, "verify_batch", recording_batch)
         monkeypatch.setattr(MLDSA, "verify_many", recording_many)
@@ -567,6 +608,8 @@ class TestConsumers:
         # the enclave signatures of the 11 that passed them.
         assert len(set(ed_lanes)) == len(ed_lanes) == 3 + 16
         assert len(set(mldsa_lanes)) == len(mldsa_lanes) == 3 + 11
+        # ... in two cross-key kernel calls, one per signature layer.
+        assert mldsa_calls == [3, 11]
 
 def test_batch_counters_render_and_parse_roundtrip():
     """The new PERF counters must survive the exposition round trip
@@ -575,7 +618,7 @@ def test_batch_counters_render_and_parse_roundtrip():
     public, secret = scheme.key_gen(b"\x42" * 32)
     with counting() as window:
         signatures = scheme.signer(secret).sign_many(_messages(2))
-        scheme.verify_many(public, _messages(2), signatures)
+        scheme.verify_many([public] * 2, _messages(2), signatures)
         # Two lanes: a batch of one short-circuits to the scalar
         # verifier and would not tick the batch counters.
         lanes = []

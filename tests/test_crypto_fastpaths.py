@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.crypto import aes as aes_mod
 from repro.crypto import ed25519 as ed
 from repro.crypto import keccak as kc
+from repro.crypto import lattice
 from repro.crypto import mldsa as m
 from repro.crypto import reference as ref
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
@@ -139,6 +140,26 @@ class TestMLDSAParity:
                 [m.high_bits(c, gamma2) for c in poly]
             assert m._low_bits_np(_rows(poly), gamma2)[0].tolist() == \
                 [m.low_bits(c, gamma2) for c in poly]
+        assert m._inf_norm_rows_np(_rows(poly))[0] == m.infinity_norm(poly)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=23),
+           st.randoms(use_true_random=False))
+    def test_bit_packing_matches_loop_form(self, width, rand):
+        rows = [[rand.randrange(1 << width) for _ in range(m.N)]
+                for _ in range(3)]
+        loop = b"".join(m.simple_bit_pack(row, (1 << width) - 1)
+                        for row in rows)
+        assert lattice.pack_bits(np.array(rows, dtype=np.int64),
+                                 width).tobytes() == loop
+        assert lattice.unpack_bits(loop, 3, width).tolist() == rows
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.binary(min_size=32, max_size=64),
+           st.sampled_from([ML_DSA_44, ML_DSA_65, ML_DSA_87]))
+    def test_sample_in_ball_matches_reference(self, seed, params):
+        assert m.sample_in_ball(seed, params) == \
+            ref.mldsa_sample_in_ball(seed, params)
 
     @pytest.mark.parametrize("params", [ML_DSA_44, ML_DSA_65, ML_DSA_87],
                              ids=lambda p: p.name)

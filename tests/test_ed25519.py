@@ -63,6 +63,19 @@ class TestProperties:
         sig = ed25519.sign(seed, b"genuine")
         assert not ed25519.verify(public, b"forged", sig)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=(1 << 256) - 1),
+           st.sampled_from([2, ed25519._WNAF_POINT, ed25519._WNAF_BASE,
+                            ed25519._WNAF_BATCH]))
+    def test_sparse_wnaf_recoding(self, scalar, width):
+        pairs = ed25519._wnaf(scalar, width)
+        assert sum(digit << position for position, digit in pairs) == scalar
+        for _, digit in pairs:
+            assert digit % 2 == 1 and abs(digit) < 1 << (width - 1)
+        positions = [position for position, _ in pairs]
+        assert all(b - a >= width for a, b in zip(positions,
+                                                  positions[1:]))
+
     def test_signing_is_deterministic(self):
         seed = bytes(range(32))
         assert ed25519.sign(seed, b"m") == ed25519.sign(seed, b"m")

@@ -106,6 +106,21 @@ class TestIncremental:
         out = xof.read(10) + xof.read(200) + xof.read(1)
         assert out == ref.shake128(b"seed", 211)
 
+    @pytest.mark.parametrize("xof_cls, oneshot, rate", [
+        (keccak.Shake256, keccak.shake256, 136),
+        (keccak.Shake128, lambda data, n: hashlib.shake_128(data).digest(n),
+         168)])
+    def test_byte_reads_across_rate_boundaries(self, xof_cls, oneshot,
+                                               rate):
+        # SampleInBall's access pattern: one 8-byte read, then single
+        # bytes, here past three rate boundaries, plus reads that
+        # straddle a boundary and outgrow the squeezed buffer.
+        xof = xof_cls(b"ball-seed")
+        out = xof.read(8)
+        out += b"".join(xof.read(1) for _ in range(3 * rate + 5))
+        out += xof.read(rate - 1) + xof.read(2) + xof.read(5 * rate)
+        assert out == oneshot(b"ball-seed", len(out))
+
     def test_absorb_after_read_rejected(self):
         xof = keccak.Shake256(b"x")
         xof.read(1)
