@@ -24,17 +24,16 @@ from repro.cim import (CimLayer, CpaAttack, DigitalCimMacro,
                        LayerExtractionAttack, MaskedCimMacro,
                        PowerModel, WeightExtractionAttack)
 from repro.obs.perf import counting
-from repro.runtime import available_cpus
 
 from conftest import write_table
 
 _results = {}
 
-#: Vectorized-over-pointwise synthesis floor at 10^5 traces, asserted
-#: on CI-class machines (>= ``_GATE_MIN_CPUS`` CPUs).
+#: Vectorized-over-pointwise synthesis floor at 10^5 traces.  A
+#: same-process ratio of single-threaded work (>= 61x on a 2-vCPU
+#: guest), so it is asserted on every machine.
 CIM_SYNTHESIS_SPEEDUP_FLOOR = 10.0
 _SYNTHESIS_TRACES = 100_000
-_GATE_MIN_CPUS = 4
 
 
 def _weights(seed=31):
@@ -89,7 +88,7 @@ def test_vectorized_trace_synthesis(benchmark, report_dir):
     """Vectorized trace synthesis vs the pointwise loop at 10^5 traces:
     bit-identical samples (toggle counts and noise stream), the
     ``cim.traces_vectorized`` counter attributing the lanes, and the
-    documented amortized speedup floor on CI-class machines."""
+    documented amortized speedup floor."""
     rng = np.random.default_rng(7)
     length = 16
     weights = [int(w) for w in rng.integers(0, 16, length)]
@@ -148,15 +147,13 @@ def test_vectorized_trace_synthesis(benchmark, report_dir):
     ]
     write_table(report_dir, "cim_trace_synthesis",
                 "Vectorized vs pointwise trace synthesis (bit-identical "
-                "samples; floor asserted on CI-class machines)",
+                "samples)",
                 ["macro", "traces", "pointwise/trace",
                  "vectorized/trace", "speedup", "floor"], rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if available_cpus() >= _GATE_MIN_CPUS:
-        assert scalar_time / batch_time >= \
-            CIM_SYNTHESIS_SPEEDUP_FLOOR, rows[0]
-        assert masked_scalar_time / masked_batch_time >= \
-            CIM_SYNTHESIS_SPEEDUP_FLOOR, rows[1]
+    assert scalar_time / batch_time >= CIM_SYNTHESIS_SPEEDUP_FLOOR, rows[0]
+    assert masked_scalar_time / masked_batch_time >= \
+        CIM_SYNTHESIS_SPEEDUP_FLOOR, rows[1]
 
 
 def test_report_passive(benchmark, report_dir):

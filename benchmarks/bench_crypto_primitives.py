@@ -11,8 +11,8 @@ module costs nothing, so collection stays fast and the keygen/sign work
 is attributed to the benchmarked session instead of import time.  Three
 gate tests ride along: the kernel PERF counters must move when the
 primitives run, and the fast paths must beat their retained in-tree
-references by the documented floors (the parallel-free lattice NTT
-ratio on every machine, the others on CI-class machines).
+references by the documented floors (the Ed25519 ratio on CI-class
+machines, the others on every machine).
 """
 
 import time
@@ -20,10 +20,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.crypto import (AES, Ed25519KeyPair, HybridKeyPair, MLDSA,
+from repro.crypto import (AES, HybridKeyPair, MLDSA,
                           MLKEM, ML_DSA_44, ML_DSA_65, ML_DSA_87,
                           ML_KEM_512, ML_KEM_768, ML_KEM_1024,
-                          seal_aead, sha3_256)
+                          SigningKey, seal_aead, sha3_256)
 from repro.crypto import ed25519 as ed
 from repro.crypto import mlkem, reference
 from repro.obs.perf import counting
@@ -36,8 +36,10 @@ _sizes = {}
 _MLDSA_NAMES = [p.name for p in (ML_DSA_44, ML_DSA_65, ML_DSA_87)]
 _MLKEM_NAMES = [p.name for p in (ML_KEM_512, ML_KEM_768, ML_KEM_1024)]
 
-#: Fast-path-over-reference floors asserted on CI-class machines
-#: (>= ``_GATE_MIN_CPUS`` CPUs, mirroring the fault-campaign gate).
+#: Fast-path-over-reference floors.  The ML-DSA ratios (>= 8.7x on a
+#: 2-vCPU guest) are asserted on every machine; the Ed25519 one (down
+#: to 1.93x there) only on CI-class machines (>= ``_GATE_MIN_CPUS``
+#: CPUs, mirroring the fault-campaign gate).
 MLDSA_SIGN_SPEEDUP_FLOOR = 3.0
 MLDSA_VERIFY_SPEEDUP_FLOOR = 3.0
 ED25519_VERIFY_SPEEDUP_FLOOR = 2.0
@@ -68,7 +70,7 @@ def _timed(benchmark, fn, rounds, iterations=1):
 
 @pytest.fixture(scope="session")
 def ed_pair():
-    return Ed25519KeyPair(bytes(32))
+    return SigningKey(bytes(32))
 
 
 @pytest.fixture(scope="session")
@@ -212,8 +214,7 @@ def test_fastpath_speedup_floors(benchmark, ed_pair, mldsa_schemes,
                                  mldsa_keys, report_dir):
     """Time the fast paths against the retained in-tree references on
     identical inputs (identical rejection schedules, so the ratio is
-    machine-portable) and assert the documented floors on CI-class
-    machines."""
+    machine-portable) and assert the documented floors."""
     scheme = mldsa_schemes["ML-DSA-44"]
     public, secret = mldsa_keys["ML-DSA-44"]
     message = b"attest me"
@@ -253,14 +254,13 @@ def test_fastpath_speedup_floors(benchmark, ed_pair, mldsa_schemes,
     ]
     write_table(report_dir, "crypto_fastpath_speedups",
                 "Fast path vs retained reference (same inputs, best of "
-                "N; floors asserted on CI-class machines)",
+                "N; Ed25519 floor asserted on CI-class machines)",
                 ["operation", "reference", "fast path", "speedup",
                  "floor"], rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    assert ref_sign / fast_sign >= MLDSA_SIGN_SPEEDUP_FLOOR, rows[0]
+    assert ref_verify / fast_verify >= MLDSA_VERIFY_SPEEDUP_FLOOR, rows[1]
     if available_cpus() >= _GATE_MIN_CPUS:
-        assert ref_sign / fast_sign >= MLDSA_SIGN_SPEEDUP_FLOOR, rows[0]
-        assert ref_verify / fast_verify >= MLDSA_VERIFY_SPEEDUP_FLOOR, \
-            rows[1]
         assert ref_ed / fast_ed >= ED25519_VERIFY_SPEEDUP_FLOOR, rows[2]
 
 

@@ -18,7 +18,8 @@ Run with ``REPRO_PERF=1`` to additionally count architectural events
 (bus grants, PMP checks, context switches, crypto invocations, ...):
 each bench's counter deltas land in its ``BENCH_SUMMARY.json`` entry,
 the session totals in ``results/perf_counters.json``, and — when
-telemetry is also on — a per-span attribution of those events in
+telemetry is also on — every span carries the events counted while it
+ran, and their self attribution per call path lands in
 ``results/profile.collapsed`` (flamegraph-compatible collapsed
 stacks).  ``scripts/bench_history.py`` appends each summary to
 ``results/bench_history.jsonl`` and gates on run-over-run
@@ -34,8 +35,8 @@ import time
 
 import pytest
 
-from repro.obs import PERF, PROFILER, TELEMETRY, PerfSnapshot, \
-    atomic_write_text
+from repro.obs import PERF, TELEMETRY, PerfSnapshot, atomic_write_text, \
+    collapsed
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SUMMARY_PATH = pathlib.Path(__file__).parent.parent / \
@@ -97,10 +98,6 @@ def write_table(report_dir, name: str, title: str, header: list,
 def pytest_sessionstart(session):
     global _session_started
     _session_started = time.time()
-    if PERF.enabled and TELEMETRY.enabled:
-        # Per-span attribution of architectural events; exported as a
-        # collapsed-stack profile on session exit.
-        PROFILER.attach(TELEMETRY.tracer)
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -173,8 +170,8 @@ def pytest_sessionfinish(session, exitstatus):
             RESULTS_DIR / "perf_counters.json",
             json.dumps(dict(PERF.snapshot()), indent=2,
                        sort_keys=True) + "\n")
-    if PROFILER.attached:
-        PROFILER.write_collapsed(RESULTS_DIR / "profile.collapsed")
-        PROFILER.detach()
+    if PERF.enabled and TELEMETRY.enabled:
+        atomic_write_text(RESULTS_DIR / "profile.collapsed",
+                          collapsed(TELEMETRY.tracer.snapshot()))
     if TELEMETRY.enabled:
         TELEMETRY.export(RESULTS_DIR)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo health check: tier-1 tests, then the fast benches with telemetry
 # and architectural perf counters enabled, then a trace-report sanity
-# pass over the captured trace + collapsed profile, then the bench run
+# pass over the captured trace (span table with self events, plus the
+# collapsed stacks derived from the same records), then the bench run
 # is recorded into benchmarks/results/bench_history.jsonl and the
 # run-over-run trend is printed (the hard regression *gate* is a
 # separate CI step so perf failures are distinguishable from test
@@ -65,8 +66,7 @@ python scripts/audit_report.py \
 
 echo "== trace report =="
 python scripts/trace_report.py benchmarks/results/trace.jsonl \
-    --metrics benchmarks/results/metrics.json \
-    --collapsed benchmarks/results/profile.collapsed --top 15
+    --metrics benchmarks/results/metrics.json --collapsed --top 15
 
 echo "== exposition snapshot (Prometheus text) =="
 python scripts/obs_export.py --check \

@@ -70,7 +70,7 @@ SCRIPTS = (
     " --replay-limit 8",
     f"audit_report.py {R}adversary_smoke_audit.jsonl --verify",
     f"trace_report.py {R}trace.jsonl --metrics {R}metrics.json"
-    f" --collapsed {R}profile.collapsed --top 15",
+    " --collapsed --top 15",
     f"obs_export.py --check --out {R}exposition.txt",
     "bench_history.py",
     # the ones only CI runs

@@ -8,12 +8,11 @@
 Prints the top spans by cumulative or self time (or call count) and,
 optionally, the metrics snapshot written next to the trace.
 
-With ``--collapsed PATH`` the report additionally renders a
-collapsed-stack profile (as written by
-:meth:`repro.obs.Profiler.write_collapsed`): one ``a;b;c <count>``
-line per span path, here shown as a self-weight table with an inline
-bar chart.  The raw file itself is flamegraph.pl / speedscope
-compatible.
+With ``--collapsed`` the report additionally renders the trace's
+collapsed-stack profile (:func:`repro.obs.collapsed`: self events per
+span path, the ``profile.collapsed`` a bench session with telemetry
+and perf counters writes) as a self-weight table with an inline bar
+chart.
 """
 
 import argparse
@@ -23,7 +22,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro.obs import format_metrics, format_report, parse_collapsed, \
+from repro.obs import collapsed, format_metrics, format_report, \
     read_jsonl, summarize  # noqa: E402
 
 BAR_WIDTH = 30
@@ -36,8 +35,10 @@ def _fail(message: str) -> int:
     return 1
 
 
-def format_collapsed(stacks: dict, top: int = 20) -> str:
-    """Render a ``{path: weight}`` collapsed profile as a text table."""
+def format_collapsed(text: str, top: int = 20) -> str:
+    """Render collapsed-stack text as a ``path: weight`` table."""
+    stacks = {path: int(weight) for path, weight in
+              (line.rsplit(" ", 1) for line in text.splitlines())}
     if not stacks:
         return "collapsed profile: empty"
     total = sum(stacks.values()) or 1
@@ -71,9 +72,9 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics", type=pathlib.Path, default=None,
                         help="optional metrics.json to print after "
                              "the span table")
-    parser.add_argument("--collapsed", type=pathlib.Path, default=None,
-                        help="optional collapsed-stack profile "
-                             "(profile.collapsed) to render")
+    parser.add_argument("--collapsed", action="store_true",
+                        help="also render the self-event profile per "
+                             "span path (collapsed stacks)")
     args = parser.parse_args(argv)
 
     if not args.trace.exists():
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
     try:
         records = read_jsonl(args.trace)
         summary = summarize(records) if records else {}
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         return _fail(f"{args.trace}: malformed trace ({exc})")
     if not records:
         print(f"{args.trace}: empty trace (was telemetry enabled?)")
@@ -98,20 +99,9 @@ def main(argv=None) -> int:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             return _fail(f"{args.metrics}: malformed metrics "
                          f"snapshot ({exc})")
-    if args.collapsed is not None:
-        if not args.collapsed.exists():
-            return _fail(f"no such profile: {args.collapsed}")
-        stacks = {}
-        try:
-            for path, value in parse_collapsed(
-                    args.collapsed.read_text()):
-                key = ";".join(path)
-                stacks[key] = stacks.get(key, 0) + value
-        except (ValueError, TypeError) as exc:
-            return _fail(f"{args.collapsed}: malformed collapsed "
-                         f"profile ({exc})")
+    if args.collapsed:
         print()
-        print(format_collapsed(stacks, top=args.top))
+        print(format_collapsed(collapsed(records), top=args.top))
     return 0
 
 

@@ -26,7 +26,7 @@ Production code never imports that module.
 
 from .keccak import sha3_256, sha3_512, shake256
 from .aes import AES, aes_ctr, open_aead, seal_aead
-from .ed25519 import Ed25519KeyPair, SigningKey
+from .ed25519 import SigningKey
 from .mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from .mlkem import ML_KEM_512, ML_KEM_768, ML_KEM_1024, MLKEM
 from .hybrid import HybridKeyPair, HybridPublicKey
@@ -35,7 +35,7 @@ from .kdf import derive_key, derive_seed_pair
 __all__ = [
     "sha3_256", "sha3_512", "shake256",
     "AES", "aes_ctr", "seal_aead", "open_aead",
-    "Ed25519KeyPair", "SigningKey",
+    "SigningKey",
     "MLDSA", "ML_DSA_44", "ML_DSA_65", "ML_DSA_87",
     "MLKEM", "ML_KEM_512", "ML_KEM_768", "ML_KEM_1024",
     "HybridKeyPair", "HybridPublicKey",

@@ -733,15 +733,3 @@ def _verify(public: bytes, message: bytes, signature: bytes) -> bool:
     except ValueError:
         return False
     return _is_small_order(_point_add(q, _point_negate(r_point)))
-
-
-class Ed25519KeyPair:
-    """Convenience wrapper pairing a seed with its derived public key."""
-
-    def __init__(self, secret: bytes):
-        self._signer = SigningKey(secret)
-        self.secret = self._signer.secret
-        self.public = self._signer.public
-
-    def sign(self, message: bytes) -> bytes:
-        return self._signer.sign(message)

@@ -1,10 +1,11 @@
 """Cross-subsystem observability: tracing, metrics, perf counters,
-profiling, benchmark artifacts.
+benchmark artifacts.
 
 Zero-dependency instrumentation layer (ISSUE 1 + ISSUE 3) shared by
 every subsystem of the reproduction:
 
-* :mod:`~repro.obs.tracer` — structured nested spans with JSONL export,
+* :mod:`~repro.obs.tracer` — structured nested spans with JSONL export;
+  each span carries the perf-counter delta counted while it ran,
 * :mod:`~repro.obs.metrics` — counters, gauges, histograms (p50/95/99),
 * :mod:`~repro.obs.telemetry` — the global :data:`TELEMETRY` facade
   with an explicit no-op mode (disabled = one attribute check),
@@ -12,8 +13,6 @@ every subsystem of the reproduction:
   event-counter file (cycles, bus traffic, PMP checks, context
   switches, crypto invocations, fault injections) with snapshot/delta
   arithmetic,
-* :mod:`~repro.obs.profiler` — deterministic per-span event
-  attribution and flamegraph-style collapsed-stack export,
 * :mod:`~repro.obs.history` — the bench trajectory
   (``bench_history.jsonl``) and the run-over-run regression gate,
 * :mod:`~repro.obs.coverage` — log-bucketized counter-vector coverage
@@ -34,7 +33,8 @@ every subsystem of the reproduction:
   (``scripts/obs_export.py``, the live endpoint format),
 * :mod:`~repro.obs.export` — atomic JSONL/text artifact persistence,
 * :mod:`~repro.obs.report` — per-span aggregation (cumulative/self
-  time) behind ``scripts/trace_report.py``.
+  time and self events) and flamegraph-style collapsed stacks, behind
+  ``scripts/trace_report.py``.
 
 Quick use::
 
@@ -68,8 +68,7 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       percentile)
 from .perf import (PERF, CountingWindow, PerfCounters, PerfSnapshot,
                    counting)
-from .profiler import PROFILER, Profiler, parse_collapsed
-from .report import format_metrics, format_report, summarize
+from .report import collapsed, format_metrics, format_report, summarize
 from .stream import HeadStrideSampler, RotatingJsonlSink, SpanStream
 from .telemetry import TELEMETRY, Telemetry
 from .tracer import Span, Tracer
@@ -78,7 +77,6 @@ __all__ = [
     "TELEMETRY", "Telemetry",
     "PERF", "PerfCounters", "PerfSnapshot", "CountingWindow",
     "counting",
-    "PROFILER", "Profiler", "parse_collapsed",
     "SCHEMA_VERSION", "make_entry", "append_entry", "append_run",
     "load_history", "detect_regressions", "format_regressions",
     "trend_table",
@@ -93,5 +91,5 @@ __all__ = [
     "render", "parse_exposition",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile",
     "read_jsonl", "write_jsonl", "atomic_write_text",
-    "summarize", "format_report", "format_metrics",
+    "summarize", "format_report", "format_metrics", "collapsed",
 ]

@@ -19,11 +19,6 @@ import pathlib
 from .tracer import Span
 
 
-def _default(value):
-    """Last-resort JSON encoding: stringify anything exotic."""
-    return str(value)
-
-
 def atomic_write_text(path, text: str) -> pathlib.Path:
     """Write ``text`` to ``path`` atomically (same-directory temp file
     renamed over the destination, so readers never see a truncation)."""
@@ -46,7 +41,7 @@ def write_jsonl(records: list, path) -> pathlib.Path:
     for record in records:
         if isinstance(record, Span):
             record = record.to_record()
-        lines.append(json.dumps(record, default=_default))
+        lines.append(json.dumps(record, default=str))
     return atomic_write_text(path,
                              "".join(line + "\n" for line in lines))
 

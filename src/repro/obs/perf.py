@@ -70,10 +70,6 @@ class PerfSnapshot(dict):
                 result[key] = value
         return result
 
-    def total(self) -> int:
-        """Sum of all event counts (the generic 'activity' scalar)."""
-        return sum(self.values())
-
 
 class PerfCounters:
     """The process-global event-counter file.

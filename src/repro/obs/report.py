@@ -2,18 +2,44 @@
 
 *Cumulative* time is the wall-clock a span covers including children;
 *self* time subtracts the direct children, i.e. where the time is
-actually spent — the quantity that ranks hot paths.  This is the
-library behind ``scripts/trace_report.py``.
+actually spent — the quantity that ranks hot paths.  Architectural
+events (the ``events`` delta each span carries, see
+:mod:`repro.obs.tracer`) get the same self attribution, both per span
+name and per call path as flamegraph collapsed stacks
+(:func:`collapsed`).  Because the counters are deterministic, two runs
+of the same workload give byte-identical collapsed profiles.  This is
+the library behind ``scripts/trace_report.py``.
 """
 
 from __future__ import annotations
+
+
+def _events(record: dict) -> int:
+    """All events a span counted, summed over kinds (0 when the span
+    carries none)."""
+    return sum((record.get("events") or {}).values())
+
+
+def _self_events(records: list) -> list:
+    """``(record, self events)`` per record that carries events: its
+    events minus those of its direct children."""
+    child_events = {}
+    for record in records:
+        parent = record.get("parent_id", 0)
+        if parent:
+            child_events[parent] = child_events.get(parent, 0) + \
+                _events(record)
+    return [(record, _events(record) -
+             child_events.get(record["span_id"], 0))
+            for record in records if record.get("events") is not None]
 
 
 def summarize(records: list) -> dict:
     """Aggregate trace records into ``{span name: stats dict}``.
 
     Stats per name: ``count``, ``total_s`` (cumulative), ``self_s``,
-    ``min_s``, ``max_s``, ``mean_s``, ``errors``.
+    ``min_s``, ``max_s``, ``mean_s``, ``errors`` and ``self_events``
+    (events summed over kinds, minus the direct children's).
     """
     child_time = {}
     for record in records:
@@ -25,7 +51,8 @@ def summarize(records: list) -> dict:
     for record in records:
         stats = summary.setdefault(record["name"], {
             "count": 0, "total_s": 0.0, "self_s": 0.0,
-            "min_s": float("inf"), "max_s": 0.0, "errors": 0})
+            "min_s": float("inf"), "max_s": 0.0, "errors": 0,
+            "self_events": 0})
         duration = record["duration_s"]
         stats["count"] += 1
         stats["total_s"] += duration
@@ -39,7 +66,32 @@ def summarize(records: list) -> dict:
         stats["mean_s"] = stats["total_s"] / stats["count"]
         if stats["min_s"] == float("inf"):
             stats["min_s"] = 0.0
+    for record, events in _self_events(records):
+        summary[record["name"]]["self_events"] += events
     return summary
+
+
+def collapsed(records: list) -> str:
+    """Flamegraph collapsed-stack text (``a;b;c <count>``, one line per
+    call path): self events summed over all kinds, paths taken from the
+    ``parent_id`` chain, sorted by path, zero lines dropped."""
+    by_id = {record["span_id"]: record for record in records}
+    paths = {}
+
+    def path(record) -> tuple:
+        span_id = record["span_id"]
+        if span_id not in paths:
+            parent = by_id.get(record.get("parent_id", 0))
+            paths[span_id] = (path(parent) if parent else ()) + \
+                (record["name"],)
+        return paths[span_id]
+
+    stacks = {}
+    for record, events in _self_events(records):
+        key = path(record)
+        stacks[key] = stacks.get(key, 0) + events
+    return "".join(f"{';'.join(key)} {value}\n"
+                   for key, value in sorted(stacks.items()) if value > 0)
 
 
 _SORT_KEYS = {
@@ -55,10 +107,11 @@ def format_report(summary: dict, sort: str = "cumulative",
     if sort not in _SORT_KEYS:
         raise ValueError(f"sort must be one of {sorted(_SORT_KEYS)}")
     ordered = sorted(summary.items(), key=_SORT_KEYS[sort])[:top]
-    header = ["span", "count", "total s", "self s", "mean s", "max s"]
+    header = ["span", "count", "total s", "self s", "mean s", "max s",
+              "self events"]
     rows = [[name, str(stats["count"]), f"{stats['total_s']:.6f}",
              f"{stats['self_s']:.6f}", f"{stats['mean_s']:.6f}",
-             f"{stats['max_s']:.6f}"]
+             f"{stats['max_s']:.6f}", str(stats["self_events"])]
             for name, stats in ordered]
     widths = [max(len(header[i]), max((len(r[i]) for r in rows),
                                       default=0))

@@ -60,11 +60,6 @@ DEFAULT_BATCH = 256
 DEFAULT_SNAPSHOT_EVERY = 8
 
 
-def _default(value):
-    """Last-resort JSON encoding, same policy as :mod:`.export`."""
-    return str(value)
-
-
 class RotatingJsonlSink:
     """Append-only JSONL writer with size rotation and bounded files.
 
@@ -111,8 +106,7 @@ class RotatingJsonlSink:
         self.rotations += 1
 
     def write(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True,
-                          default=_default) + "\n"
+        line = json.dumps(record, sort_keys=True, default=str) + "\n"
         if self._size and self._size + len(line) > self.max_bytes:
             self._rotate()
         self._stream.write(line)
@@ -254,7 +248,7 @@ class SpanStream:
         atomic_write_text(
             metrics_path,
             json.dumps(self.telemetry.metrics.snapshot(), indent=2,
-                       sort_keys=True, default=_default) + "\n")
+                       sort_keys=True, default=str) + "\n")
         paths["metrics"] = metrics_path
         perf_path = self.directory / "perf_counters.json"
         atomic_write_text(

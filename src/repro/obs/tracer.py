@@ -8,6 +8,14 @@ distributed collector) and can be exported as one-JSON-object-per-line
 records that :mod:`repro.obs.report` and ``scripts/trace_report.py``
 consume.
 
+Each span also carries the architectural events counted while it
+ran: when the tracer's ``counters`` (default: the global
+:data:`~repro.obs.perf.PERF`) are enabled at span start, the span's
+cumulative counter delta is stored at its end.  Wall time and events
+thus live on the same span tree, and worker spans bring their events
+home with their records; :func:`repro.obs.report.collapsed` derives
+the self-attributed profile from them.
+
 The tracer takes an injectable ``clock`` so tests can assert exact
 durations; production use keeps :func:`time.perf_counter`.
 """
@@ -19,12 +27,14 @@ import threading
 import time
 from contextlib import contextmanager
 
+from .perf import PERF
+
 
 class Span:
     """One timed region.  Mutable while open, frozen facts once ended."""
 
     __slots__ = ("name", "span_id", "parent_id", "depth", "thread_id",
-                 "start_s", "end_s", "attrs", "status")
+                 "start_s", "end_s", "attrs", "status", "events")
 
     def __init__(self, name: str, span_id: int, parent_id: int,
                  depth: int, thread_id: int, start_s: float,
@@ -38,6 +48,9 @@ class Span:
         self.end_s = None
         self.attrs = attrs
         self.status = "ok"
+        #: Counter snapshot at start while open; the cumulative event
+        #: delta once ended (``None`` when counters were off at start).
+        self.events = None
 
     @property
     def duration_s(self) -> float:
@@ -61,6 +74,7 @@ class Span:
             "duration_s": self.duration_s,
             "status": self.status,
             "attrs": self.attrs,
+            "events": self.events,
         }
 
     @classmethod
@@ -71,19 +85,20 @@ class Span:
                    dict(record.get("attrs", {})))
         span.end_s = record["end_s"]
         span.status = record.get("status", "ok")
+        span.events = record.get("events")
         return span
 
 
 class Tracer:
     """Collects spans; thread-safe; one instance per telemetry facade."""
 
-    def __init__(self, clock=time.perf_counter):
+    def __init__(self, clock=time.perf_counter, counters=None):
         self._clock = clock
+        self._counters = counters if counters is not None else PERF
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._listeners = []
-        self._start_listeners = []
         self.finished = []
 
     # -- span lifecycle ----------------------------------------------------
@@ -106,15 +121,14 @@ class Tracer:
                     depth=len(stack),
                     thread_id=threading.get_ident(),
                     start_s=self._clock(), attrs=attrs)
+        if self._counters.enabled:
+            span.events = self._counters.snapshot()
         stack.append(span)
-        if self._start_listeners:
-            with self._lock:
-                listeners = list(self._start_listeners)
-            for listener in listeners:
-                listener(span)
         return span
 
     def end_span(self, span: Span, status: str = "ok") -> Span:
+        if span.events is not None:
+            span.events = self._counters.snapshot() - span.events
         span.end_s = self._clock()
         span.status = status
         stack = self._stack()
@@ -141,7 +155,7 @@ class Tracer:
         else:
             self.end_span(span)
 
-    # -- listeners (the logging bridge hook) ------------------------------
+    # -- listeners (the streaming sink's span-end hook) ------------------
 
     def add_listener(self, listener) -> None:
         """Register ``listener(span)`` called at every span end."""
@@ -153,18 +167,6 @@ class Tracer:
         with self._lock:
             if listener in self._listeners:
                 self._listeners.remove(listener)
-
-    def add_start_listener(self, listener) -> None:
-        """Register ``listener(span)`` called at every span start (the
-        profiler's entry-snapshot hook)."""
-        with self._lock:
-            if listener not in self._start_listeners:
-                self._start_listeners.append(listener)
-
-    def remove_start_listener(self, listener) -> None:
-        with self._lock:
-            if listener in self._start_listeners:
-                self._start_listeners.remove(listener)
 
     # -- access / export --------------------------------------------------
 
@@ -231,9 +233,8 @@ class Tracer:
     def reset_worker(self) -> None:
         """Make a freshly forked worker's tracer pristine: drop spans
         inherited from the parent, the parent's open-span stack, and
-        any listeners (the parent's profiler must not run in workers)."""
+        any listeners (the parent's stream must not run in workers)."""
         with self._lock:
             self.finished = []
             self._listeners = []
-            self._start_listeners = []
         self._local = threading.local()

@@ -28,7 +28,7 @@ def worker_setup() -> None:
 
     Drops inherited perf counts, metric values, finished spans, the
     parent's open-span stack *and* tracer listeners (the parent's
-    profiler must not run inside workers).  Switch states (enabled /
+    listeners must not run inside workers).  Switch states (enabled /
     disabled) are deliberately kept — they are how the parent tells
     workers whether to count at all.  An inherited streaming sink is
     detached too: its file handle belongs to the parent, and only the

@@ -110,7 +110,7 @@ class TestProperties:
 
 class TestKeyPair:
     def test_keypair_wrapper(self):
-        pair = ed25519.Ed25519KeyPair(bytes(range(32)))
+        pair = ed25519.SigningKey(bytes(range(32)))
         sig = pair.sign(b"msg")
         assert ed25519.verify(pair.public, b"msg", sig)
         assert not ed25519.verify(pair.public, b"other", sig)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.obs import (Telemetry, Tracer, MetricsRegistry, percentile,
                        read_jsonl, summarize, write_jsonl, format_report,
-                       format_metrics)
+                       format_metrics, atomic_write_text)
 from repro.obs.telemetry import _NULL_INSTRUMENT, _NULL_SPAN
 
 from helpers import reset_telemetry
@@ -229,6 +229,14 @@ def test_export_writes_trace_and_metrics(telemetry, tmp_path):
     assert paths["trace"].exists() and paths["metrics"].exists()
     metrics = json.loads(paths["metrics"].read_text())
     assert metrics["c"]["value"] == 2
+
+
+def test_atomic_write_text_replaces_without_temp_file(tmp_path):
+    target = tmp_path / "profile.collapsed"
+    target.write_text("old\n")
+    atomic_write_text(target, "s 1\n")
+    assert target.read_text() == "s 1\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_jsonl_stringifies_exotic_attrs(telemetry, tmp_path):

@@ -402,6 +402,21 @@ def test_trace_report_malformed_metrics_is_one_line_error(tmp_path):
     _assert_one_line_error(proc)
 
 
+def test_trace_report_collapsed_renders_the_trace_events(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    span = {"depth": 0, "status": "ok", "start_s": 0.0, "end_s": 1.0,
+            "duration_s": 1.0}
+    trace.write_text("".join(json.dumps(record) + "\n" for record in (
+        {**span, "name": "leaf", "span_id": 2, "parent_id": 1,
+         "events": {"ev": 3}},
+        {**span, "name": "root", "span_id": 1, "parent_id": 0,
+         "events": {"ev": 4}})))
+    proc = _run_script("trace_report.py", str(trace), "--collapsed")
+    assert proc.returncode == 0, proc.stderr
+    assert "collapsed profile: 2 stacks, 4 total events" in proc.stdout
+    assert "root;leaf" in proc.stdout
+
+
 def test_fault_report_missing_artifact_is_one_line_error(tmp_path):
     proc = _run_script("fault_report.py",
                        str(tmp_path / "missing.json"))

@@ -17,7 +17,7 @@ from repro.hades.explorer import (ExhaustiveExplorer,
 from repro.hades.library import TABLE_I_ROWS, aes256, adder_mod_q, keccak
 from repro.hades.metrics import Metrics, OptimizationGoal
 from repro.hades.template import DesignContext
-from repro.obs import TELEMETRY
+from repro.obs import TELEMETRY, collapsed
 from repro.obs.perf import PERF
 from repro.runtime import fork_available
 
@@ -144,6 +144,25 @@ class TestCampaignParity:
                     hist["count"], hist["sum"], run_spans)
 
         assert run(1) == run(4)
+
+    def test_collapsed_profile_identical(self, enabled_obs):
+        """Worker spans bring their events home, so every event lands
+        on the same call path as in a serial run.  Only the fan-out
+        span's pool bookkeeping exists on the parallel path alone."""
+        def run(jobs):
+            PERF.reset()
+            reset_telemetry()
+            standard_campaign(seed=11, injections=24, jobs=jobs)
+            return collapsed([
+                {**record, "events": {
+                    event: count
+                    for event, count in record["events"].items()
+                    if event not in ("runtime.pools", "runtime.shards")}}
+                for record in TELEMETRY.tracer.snapshot()])
+
+        serial = run(1)
+        assert serial.count("\n") > 20
+        assert run(2) == serial
 
 
 def _reference_pareto(designs, include_randomness=True):

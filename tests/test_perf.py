@@ -1,5 +1,5 @@
-"""Tests for the ISSUE 3 tentpole: architectural perf counters, the
-deterministic profiler, and the bench-history regression gate."""
+"""Architectural perf counters, their per-span attribution, and the
+bench-history regression gate."""
 
 import json
 import subprocess
@@ -10,7 +10,8 @@ import threading
 import pytest
 
 from repro.obs import (PERF, CountingWindow, PerfCounters, PerfSnapshot,
-                       Profiler, Telemetry, counting, parse_collapsed)
+                       Span, Tracer, collapsed, counting, format_report,
+                       summarize)
 from repro.obs import history
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -108,78 +109,74 @@ def test_concurrent_increments_do_not_lose_counts():
     assert counters.snapshot()["shared"] == 8000
 
 
-# -- Profiler ------------------------------------------------------------
-
-
-def _profiled(counters):
-    """A profiler attached to a fresh enabled tracer."""
-    telemetry = Telemetry(enabled=True)
-    return telemetry, Profiler(counters).attach(telemetry.tracer)
+# -- span events and the collapsed profile ------------------------------
 
 
 def test_profiler_self_vs_cumulative_attribution():
+    """Spans carry cumulative events; the profile derived from their
+    records attributes self events."""
     counters = PerfCounters(enabled=True)
-    telemetry, profiler = _profiled(counters)
-    with telemetry.span("outer"):
+    tracer = Tracer(counters=counters)
+    with tracer.span("outer"):
         counters.inc("ev", 2)
-        with telemetry.span("inner"):
+        with tracer.span("inner"):
             counters.inc("ev", 5)
         counters.inc("ev", 1)
+    inner, outer = tracer.snapshot()
+    assert inner["events"] == {"ev": 5}
+    assert outer["events"] == {"ev": 8}        # cumulative
     # self = cumulative 8 minus the child's cumulative 5
-    assert dict(parse_collapsed(profiler.collapsed())) == \
-        {("outer",): 3, ("outer", "inner"): 5}
+    summary = summarize(tracer.snapshot())
+    assert summary["outer"]["self_events"] == 3
+    assert summary["inner"]["self_events"] == 5
+    assert collapsed(tracer.snapshot()) == "outer 3\nouter;inner 5\n"
 
 
 def test_profiler_collapsed_round_trip():
+    """The collapsed text, also after a record round trip."""
     counters = PerfCounters(enabled=True)
-    telemetry, profiler = _profiled(counters)
-    with telemetry.span("a"):
+    tracer = Tracer(counters=counters)
+    with tracer.span("a"):
         counters.inc("x", 2)
-        with telemetry.span("b"):
+        with tracer.span("b"):
             counters.inc("x", 3)
-        with telemetry.span("quiet"):
+        with tracer.span("quiet"):
             pass                          # zero self: omitted
-    collapsed = profiler.collapsed()
-    assert collapsed == "a 2\na;b 3\n"
-    assert dict(parse_collapsed(collapsed)) == {("a",): 2, ("a", "b"): 3}
+    records = tracer.snapshot()
+    assert collapsed(records) == "a 2\na;b 3\n"
+    # the JSONL round trip keeps the events
+    assert collapsed([Span.from_record(r).to_record()
+                      for r in records]) == "a 2\na;b 3\n"
+    assert "self events" in format_report(summarize(records))
 
 
-def test_profiler_attached_to_tracer_mirrors_spans():
+def test_collapsed_sorts_by_path_tuple():
     counters = PerfCounters(enabled=True)
-    telemetry = Telemetry(enabled=True)
-    profiler = Profiler(counters)
-    profiler.attach(telemetry.tracer)
-    assert profiler.attached
-    try:
-        with telemetry.span("root"):
-            counters.inc("ev", 1)
-            with telemetry.span("leaf"):
-                counters.inc("ev", 4)
-    finally:
-        profiler.detach()
-    assert not profiler.attached
-    assert dict(parse_collapsed(profiler.collapsed())) == \
-        {("root",): 1, ("root", "leaf"): 4}
-    # after detach new spans are not attributed
-    with telemetry.span("after"):
-        counters.inc("ev", 1)
-    assert "after" not in profiler.collapsed()
-
-
-def test_profiler_write_collapsed_is_atomic(tmp_path):
-    counters = PerfCounters(enabled=True)
-    telemetry, profiler = _profiled(counters)
-    with telemetry.span("s"):
+    tracer = Tracer(counters=counters)
+    with tracer.span("tee.boot.verify"):
         counters.inc("ev")
-    target = tmp_path / "profile.collapsed"
-    profiler.write_collapsed(target)
-    assert target.read_text() == "s 1\n"
-    assert not list(tmp_path.glob("*.tmp"))
+    with tracer.span("tee.boot"):
+        with tracer.span("tee.boot.sign"):
+            counters.inc("ev")
+    # ("tee.boot", ...) < ("tee.boot.verify",), although the joined
+    # string "tee.boot.verify" < "tee.boot;tee.boot.sign"
+    assert collapsed(tracer.snapshot()) == \
+        "tee.boot;tee.boot.sign 1\ntee.boot.verify 1\n"
 
 
-def test_parse_collapsed_skips_malformed_lines():
-    text = "a;b 3\n\nnot-a-line\nc four\nd 5\n"
-    assert parse_collapsed(text) == [(("a", "b"), 3), (("d",), 5)]
+def test_spans_opened_while_counters_off_carry_no_events():
+    counters = PerfCounters(enabled=False)
+    tracer = Tracer(counters=counters)
+    with tracer.span("before"):
+        counters.enable()
+        with tracer.span("during"):
+            counters.inc("ev", 4)
+    during, before = tracer.snapshot()
+    assert before["events"] is None
+    assert during["events"] == {"ev": 4}
+    summary = summarize(tracer.snapshot())
+    assert summary["before"]["self_events"] == 0
+    assert collapsed(tracer.snapshot()) == "before;during 4\n"
 
 
 # -- bench history -------------------------------------------------------
