@@ -24,26 +24,63 @@ def hamming_distance(a: int, b: int) -> int:
     return hamming_weight(a ^ b)
 
 
-def fresh_tree_activity(products: "np.ndarray") -> tuple:
-    """Batched from-reset tree evaluation: ``(totals, activity)``.
+#: The macro's stored weights are 4-bit unsigned values.
+WEIGHT_BITS = 4
+WEIGHT_MAX = (1 << WEIGHT_BITS) - 1
 
-    ``products`` is a ``(traces, leaf_count)`` int64 array; each row is
-    one evaluation of a freshly reset :class:`AdderTree`.  From the
-    all-zero state every node's Hamming distance equals the Hamming
-    weight of its new value, so the switching activity of row ``t`` is
-    the popcount sum over every node of the reduction — exactly what
-    ``AdderTree.evaluate`` reports after ``reset()``.
+
+def _narrowest_uint(peak: int) -> type:
+    """Smallest unsigned numpy dtype that holds ``peak``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if peak <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
+
+
+def tree_nodes(length: int, *shape: int) -> "np.ndarray":
+    """Zeroed node-major buffer for :func:`fresh_tree_activity`.
+
+    The buffer is ``nodes[node, *shape]``: one row per adder-tree node
+    of a ``length``-leaf tree, leaves first and the root last, with a
+    zero pad row after every odd-width level so that each level sums
+    adjacent row pairs.  Its dtype is the smallest unsigned type that
+    holds the largest possible root, ``WEIGHT_MAX * length``: uint8 up
+    to 17 leaves, uint16 up to 4369, uint32 above.
     """
-    current = products.astype(np.uint64)
-    activity = np.bitwise_count(current).sum(axis=1).astype(np.int64)
-    while current.shape[1] > 1:
-        if current.shape[1] % 2:
-            current = np.concatenate(
-                [current, np.zeros((current.shape[0], 1),
-                                   dtype=current.dtype)], axis=1)
-        current = current[:, 0::2] + current[:, 1::2]
-        activity += np.bitwise_count(current).sum(axis=1).astype(np.int64)
-    return current[:, 0].astype(np.int64), activity
+    rows, size = 1, length
+    while size > 1:
+        rows += size + size % 2
+        size = (size + 1) // 2
+    return np.zeros((rows, *shape),
+                    dtype=_narrowest_uint(WEIGHT_MAX * length))
+
+
+def fresh_tree_activity(nodes: "np.ndarray", length: int) -> "np.ndarray":
+    """Batched from-reset tree evaluation over a :func:`tree_nodes` buffer.
+
+    The caller writes the leaf products into ``nodes[:length]``; every
+    column is one evaluation of a freshly reset :class:`AdderTree`.
+    Each level is one ``np.add`` of its even and odd rows into the next
+    level's rows, so ``nodes[-1]`` becomes the root sum.  From the
+    all-zero state every node's Hamming distance equals the Hamming
+    weight of its new value, so a column's switching activity is the
+    popcount sum over every node — exactly what ``AdderTree.evaluate``
+    reports after ``reset()``.
+
+    Returns that activity per column, in the smallest unsigned dtype
+    that holds it.  On return ``nodes`` holds each node's Hamming
+    weight rather than its value (``nodes[-1]`` is the root's).
+    """
+    start, size = 0, length
+    while size > 1:
+        half = (size + 1) // 2
+        top = start + 2 * half
+        np.add(nodes[start:top:2], nodes[start + 1:top:2],
+               out=nodes[top:top + half])
+        start, size = top, half
+    bits = nodes.shape[0] * 8 * nodes.itemsize
+    return np.bitwise_count(nodes, out=nodes).sum(
+        axis=0, dtype=_narrowest_uint(bits))
 
 
 class AdderTree:

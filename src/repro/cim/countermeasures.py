@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adder_tree import fresh_tree_activity, hamming_distance
+from .adder_tree import fresh_tree_activity, hamming_distance, tree_nodes
 from .macro import DigitalCimMacro, WEIGHT_MAX
 
 
@@ -85,23 +85,31 @@ class MaskedCimMacro(DigitalCimMacro):
         self.mac_register = new_mac
         return new_mac, toggles
 
-    def _fresh_toggles_batch(self, masks: "np.ndarray") -> "np.ndarray":
-        traces = masks.shape[0]
-        if traces == 0:
-            return np.zeros(0, dtype=np.int64)
-        length = len(self.weights)
-        weights = np.asarray(self.weights, dtype=np.int64)
+    def _fresh_toggles_batch(self, masks: "np.ndarray",
+                             out: "np.ndarray") -> None:
+        traces, length = masks.shape
+        order = self.order
         # One batched draw consumes the generator stream exactly as the
         # per-trace, per-order, per-weight scalar draws do (row-major).
+        # It stays int64: a narrower draw changes the stream.
         fresh = self._rng.integers(
-            self.SHARE_MODULUS, size=(traces, self.order, length))
-        remaining = (weights - fresh.sum(axis=1)) % self.SHARE_MODULUS
-        shares = np.concatenate([fresh, remaining[:, None, :]], axis=1)
-        products = masks[:, None, :] * shares
-        _, activity = fresh_tree_activity(
-            products.reshape(traces * (self.order + 1), length))
-        return (activity.reshape(traces, self.order + 1).sum(axis=1)
-                + (self.tree.depth + 1))
+            self.SHARE_MODULUS, size=(traces, order, length))
+        nodes = tree_nodes(length, order + 1, traces)
+        leaves = nodes[:length]              # [weight, share, trace]
+        leaves[:, :order] = fresh.astype(nodes.dtype).transpose(2, 1, 0)
+        # The last share is the weight minus the others, mod 16; the
+        # unsigned wraparound is mod a multiple of 16, so a mask of the
+        # low bits finishes the reduction.
+        last = leaves[:, order]
+        np.subtract(np.asarray(self.weights, nodes.dtype)[:, None],
+                    leaves[:, 0], out=last)
+        for share in range(1, order):
+            np.subtract(last, leaves[:, share], out=last)
+        np.bitwise_and(last, self.SHARE_MODULUS - 1, out=last)
+        leaves *= masks.astype(nodes.dtype).T[:, None, :]
+        activity = fresh_tree_activity(nodes, length)
+        np.sum(activity, axis=0, dtype=np.int64, out=out)
+        out += self.tree.depth + 1
 
 
 class ShuffledCimMacro(DigitalCimMacro):
@@ -126,17 +134,11 @@ class ShuffledCimMacro(DigitalCimMacro):
         finally:
             self.weights = original
 
-    def _fresh_toggles_batch(self, masks: "np.ndarray") -> "np.ndarray":
-        traces = masks.shape[0]
-        if traces == 0:
-            return np.zeros(0, dtype=np.int64)
+    def _leaf_weights(self, traces: int, dtype) -> "np.ndarray":
+        # One ``permuted`` call shuffles each row of the identity in
+        # turn, drawing exactly what per-trace ``permutation`` calls of
+        # the scalar path draw.
         length = len(self.weights)
-        weights = np.asarray(self.weights, dtype=np.int64)
-        # Permutations stay per-trace (the generator's stream must match
-        # the scalar path draw-for-draw); the tree evaluation batches.
-        permutations = np.stack(
-            [self._rng.permutation(length) for _ in range(traces)])
-        totals, activity = fresh_tree_activity(
-            masks * weights[permutations])
-        return activity + np.bitwise_count(
-            totals.astype(np.uint64)).astype(np.int64)
+        permutations = self._rng.permuted(
+            np.tile(np.arange(length), (traces, 1)), axis=1)
+        return np.asarray(self.weights, dtype)[permutations.T]

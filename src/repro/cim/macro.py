@@ -13,10 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs.perf import PERF
-from .adder_tree import AdderTree, fresh_tree_activity, hamming_distance
-
-WEIGHT_BITS = 4
-WEIGHT_MAX = (1 << WEIGHT_BITS) - 1
+from .adder_tree import (WEIGHT_BITS, WEIGHT_MAX, AdderTree,
+                         fresh_tree_activity, hamming_distance, tree_nodes)
 
 
 class DigitalCimMacro:
@@ -87,13 +85,24 @@ class DigitalCimMacro:
             raise ValueError("inputs must be binary activation masks")
         return masks
 
-    def _fresh_toggles_batch(self, masks: "np.ndarray") -> "np.ndarray":
-        """Vectorized fresh-query toggles for ``masks`` rows (no state
-        update; every row starts from the reset state)."""
-        weights = np.asarray(self.weights, dtype=np.int64)
-        totals, activity = fresh_tree_activity(masks * weights)
-        return activity + np.bitwise_count(
-            totals.astype(np.uint64)).astype(np.int64)
+    def _fresh_toggles_batch(self, masks: "np.ndarray",
+                             out: "np.ndarray") -> None:
+        """Vectorized fresh-query toggles for ``masks`` rows, written to
+        ``out`` (no state update; every row starts from the reset
+        state): tree activity plus the MAC register's flips from zero,
+        the popcount of the root."""
+        traces, length = masks.shape
+        nodes = tree_nodes(length, traces)
+        leaves = nodes[:length]
+        leaves[...] = masks.astype(nodes.dtype).T
+        leaves *= self._leaf_weights(traces, nodes.dtype)
+        activity = fresh_tree_activity(nodes, length)
+        np.add(activity, nodes[-1], out=out, dtype=np.int64)
+
+    def _leaf_weights(self, traces: int, dtype) -> "np.ndarray":
+        """The weight under each leaf for ``traces`` operations, as a
+        ``(length, 1)`` or ``(length, traces)`` array of ``dtype``."""
+        return np.asarray(self.weights, dtype)[:, None]
 
     def query_fresh_many(self, masks) -> "np.ndarray":
         """Batch of fresh queries: one toggle count per row of ``masks``.
@@ -105,14 +114,14 @@ class DigitalCimMacro:
         """
         masks = self._check_masks(masks)
         count = masks.shape[0]
+        toggles = np.empty(count, dtype=np.int64)
         if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        toggles = self._fresh_toggles_batch(masks[:-1])
+            return toggles
+        self._fresh_toggles_batch(masks[:-1], toggles[:-1])
         if PERF.enabled:
             PERF.inc("cim.traces_vectorized", count - 1)
-        last = self.query_fresh([int(bit) for bit in masks[-1]])
-        return np.concatenate(
-            [toggles, np.array([last], dtype=np.int64)])
+        toggles[-1] = self.query_fresh([int(bit) for bit in masks[-1]])
+        return toggles
 
 
 def one_hot(length: int, index: int) -> list:

@@ -14,13 +14,15 @@ verdicts and signatures are additionally pinned to the retained
 ``sign_reference``/``verify_reference`` flows.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cim.countermeasures import MaskedCimMacro, ShuffledCimMacro
-from repro.cim.macro import DigitalCimMacro
+from repro.cim.macro import WEIGHT_MAX, DigitalCimMacro, one_hot
 from repro.cim.power import PowerModel
 from repro.cim.tvla import assess_macro, welch_t
 from repro.crypto import ed25519 as ed
@@ -424,31 +426,60 @@ def _cim_macros(weights):
         ("masked1", lambda: MaskedCimMacro(list(weights), seed=5)),
         ("masked2", lambda: MaskedCimMacro(list(weights), seed=5,
                                            order=2)),
+        ("masked3", lambda: MaskedCimMacro(list(weights), seed=5,
+                                           order=3)),
         ("shuffled", lambda: ShuffledCimMacro(list(weights), seed=9)),
     )
 
 
 class TestCimVectorized:
 
-    @pytest.mark.parametrize("length", [1, 3, 16])
+    #: 17/18 leaves straddle the uint8 -> uint16 tree-node edge and
+    #: 4370 the uint16 -> uint32 edge (``WEIGHT_MAX * length``).
+    @pytest.mark.parametrize("length", [1, 3, 16, 17, 18, 4370])
     def test_query_fresh_many_bit_equal(self, length):
         rng = np.random.default_rng(length)
-        weights = [int(w) for w in rng.integers(0, 16, length)]
-        masks = rng.integers(0, 2, size=(40, length))
-        for name, make in _cim_macros(weights):
-            scalar_macro = make()
-            scalar = [scalar_macro.query_fresh([int(b) for b in row])
-                      for row in masks]
-            batch_macro = make()
-            assert batch_macro.query_fresh_many(masks).tolist() == \
-                scalar, name
-            # Final macro state (registers, tree nodes, RNG stream)
-            # must match the scalar loop exactly.
-            assert batch_macro.mac_register == scalar_macro.mac_register
-            assert batch_macro.tree._levels == scalar_macro.tree._levels
-            if hasattr(batch_macro, "_rng"):
-                assert batch_macro._rng.bit_generator.state == \
-                    scalar_macro._rng.bit_generator.state, name
+        traces = 4 if length > 4369 else 40
+        masks = rng.integers(0, 2, size=(traces, length))
+        # The all-ones row drives the all-WEIGHT_MAX macro's root to
+        # the dtype's bound; the last row replays through the scalar
+        # path, so it goes first.
+        masks[0] = 1
+        random_weights = [int(w) for w in rng.integers(0, 16, length)]
+        for weights in (random_weights, [WEIGHT_MAX] * length):
+            for name, make in _cim_macros(weights):
+                scalar_macro = make()
+                scalar = [scalar_macro.query_fresh([int(b) for b in row])
+                          for row in masks]
+                batch_macro = make()
+                assert batch_macro.query_fresh_many(masks).tolist() == \
+                    scalar, name
+                # Final macro state (registers, tree nodes, RNG stream)
+                # must match the scalar loop exactly.
+                assert batch_macro.mac_register == \
+                    scalar_macro.mac_register
+                assert batch_macro.tree._levels == \
+                    scalar_macro.tree._levels
+                if hasattr(batch_macro, "_rng"):
+                    assert batch_macro._rng.bit_generator.state == \
+                        scalar_macro._rng.bit_generator.state, name
+
+    def test_masked_synthesis_memory_peak(self):
+        """One order-2 masked call at the ``cim-attack`` shape (50,000
+        one-hot rows of 8 leaves) peaks at most 20 MiB: the leaves,
+        levels and popcounts share one uint8 node buffer, and only the
+        int64 share draw is wide."""
+        masks = np.tile(np.asarray(one_hot(8, 3), dtype=np.int64),
+                        (50_000, 1))
+        macro = MaskedCimMacro([0, 3, 7, 15, 15, 0, 7, 3], seed=1,
+                               order=2)
+        tracemalloc.start()
+        try:
+            macro.query_fresh_many(masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
     def test_query_fresh_many_validates(self):
         macro = DigitalCimMacro([1, 2, 3])
