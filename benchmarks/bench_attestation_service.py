@@ -30,7 +30,7 @@ from repro.runtime import available_cpus
 from repro.tee import (AttestationService, build_tee, verify_report,
                        verify_reports)
 
-from conftest import write_table
+from conftest import full_verification, write_table
 
 #: Simulated-client tiers for the throughput sweep.
 TIERS = (10_000, 100_000, 1_000_000)
@@ -166,8 +166,9 @@ def test_verify_reports_vs_scalar_loop(benchmark, report_dir):
             (WAVE_REPORTS // WAVE_DEVICES)
 
     def scalar_loop():
-        return [verify_report(r, identity)
-                for r, identity in zip(reports, identities)]
+        with full_verification():
+            return [verify_report(r, identity)
+                    for r, identity in zip(reports, identities)]
 
     def batch():
         return verify_reports(reports, identities)

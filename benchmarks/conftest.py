@@ -32,9 +32,11 @@ an interrupted session never leaves a truncated JSON behind.
 import json
 import pathlib
 import time
+from contextlib import contextmanager
 
 import pytest
 
+from repro.crypto import ed25519
 from repro.obs import PERF, TELEMETRY, PerfSnapshot, atomic_write_text, \
     collapsed
 
@@ -91,6 +93,37 @@ def write_table(report_dir, name: str, title: str, header: list,
     atomic_write_text(report_dir / f"{name}.json",
                       json.dumps(payload, indent=2) + "\n")
     return text
+
+
+class NeverHits:
+    """Frozen baseline for ``ed25519.VERDICT_MEMO``: every ``verify``
+    runs the full verification, as before the verdict memo existed.
+    Counts the calls and records the distinct keys asked for."""
+
+    def __init__(self):
+        self.calls = 0
+        self.keys = set()
+
+    def get_or_build(self, key, build):
+        self.calls += 1
+        self.keys.add(key)
+        return build()
+
+    def clear(self):
+        pass
+
+
+@contextmanager
+def full_verification():
+    """Every ``ed25519.verify`` in the block verifies in full; yields
+    the :class:`NeverHits` stand-in.  Benches that time verification on
+    repeated inputs use it, or they would time verdict-memo hits."""
+    memo = ed25519.VERDICT_MEMO
+    ed25519.VERDICT_MEMO = NeverHits()
+    try:
+        yield ed25519.VERDICT_MEMO
+    finally:
+        ed25519.VERDICT_MEMO = memo
 
 
 # -- per-bench wall-time aggregation (BENCH_SUMMARY.json) ----------------

@@ -130,3 +130,30 @@ def test_production_never_imports_reference_oracles():
     probe = src / "repro" / "crypto" / "hybrid.py"
     assert "repro.crypto.ed25519" in _imported_modules(probe,
                                                        "repro.crypto")
+
+
+def test_crypto_has_no_fault_hooks():
+    """``repro.crypto`` neither imports the fault injector nor names
+    ``FAULTS``: a verdict is then a function of its input bytes, the
+    premise that keeps the Ed25519 verdict memo on while faults are
+    armed (``repro.crypto.ed25519.verify``)."""
+    src = Path(repro.__file__).resolve().parent.parent
+    offenders = []
+    paths = sorted(src.glob("repro/crypto/**/*.py"))
+    assert paths
+    for path in paths:
+        package = ".".join(path.relative_to(src).parts[:-1])
+        imports_faults = any(name == "repro.faults"
+                             or name.startswith("repro.faults.")
+                             for name in _imported_modules(path, package))
+        names_faults = any(
+            isinstance(node, ast.Name) and node.id == "FAULTS"
+            or isinstance(node, ast.Attribute) and node.attr == "FAULTS"
+            for node in ast.walk(ast.parse(path.read_text())))
+        if imports_faults or names_faults:
+            offenders.append(path.name)
+    assert offenders == []
+    # the check sees the forms a fault hook would use
+    probe = src / "repro" / "tee" / "bootrom.py"
+    assert "repro.faults.injector" in _imported_modules(probe,
+                                                        "repro.tee")
