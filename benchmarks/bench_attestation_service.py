@@ -8,9 +8,10 @@ session-cache hits (steady-state re-attestation) and invalid lanes
 gates a verifications-per-second floor at the 100k tier on CI-class
 machines.  A second measurement gates batch ``verify_reports`` on one
 fresh 64-report wave against the scalar ``verify_report`` loop on
-every machine, and a third asserts the service's serial-vs-sharded
-byte parity (results, audit ledger, PERF counters) on a representative
-workload.
+every machine, a third gates the exact-content session-cache key on a
+warm 64-request wave against the SHA3-512-keyed cache it replaced, and
+a fourth asserts the service's serial-vs-sharded byte parity (results,
+audit ledger, PERF counters) on a representative workload.
 
 The tier sweep runs with no telemetry subscriber: a subscriber
 deliberately bypasses the session cache (timed spans cannot be
@@ -23,12 +24,14 @@ import time
 
 import pytest
 
-from repro.obs import TELEMETRY
+from repro.crypto.keccak import sha3_256, sha3_512
+from repro.obs import PERF, TELEMETRY
 from repro.obs.audit import AUDIT, canonical_encode
 from repro.obs.perf import counting
 from repro.runtime import available_cpus
 from repro.tee import (AttestationService, build_tee, verify_report,
                        verify_reports)
+from repro.tee.service import _SESSION_KEY_DOMAIN, _SESSION_TOKEN_DOMAIN
 
 from conftest import full_verification, write_table
 
@@ -52,6 +55,19 @@ WAVE_DEVICES = 8
 #: every machine; measured 6.2-7.4x on a 2-vCPU x86-64 KVM guest).
 WAVE_SPEEDUP_FLOOR = 5.0
 WAVE_ROUNDS = 4
+
+#: Warm 64-request wave (half hybrid-PQ reports, as in the bench's
+#: ``attest-steady``) through the exact-content session cache against
+#: the frozen SHA3-512-keyed baseline below: best of ``KEY_ROUNDS``
+#: interleaved rounds of ``KEY_WAVES`` waves each, with telemetry (which
+#: bypasses the cache) and PERF (whose counters bench history compares
+#: strictly) off for the whole measurement.  A same-process ratio, so
+#: asserted on every machine, at or below half the slowest of five
+#: runs' excess over 1.0x (9.85x, 9.64x, 14.02x, 10.19x, 9.71x on a
+#: 2-vCPU guest).
+SESSION_KEY_FLOOR = 4.0
+KEY_ROUNDS = 7
+KEY_WAVES = 16
 
 _GATE_MIN_CPUS = 4
 
@@ -83,6 +99,28 @@ def fleet():
         (pool[2][0], b"\x17" * 33),           # malformed encoding
     ]
     return {"devices": devices, "pool": pool, "invalid": invalid}
+
+
+class _DigestKeyedService(AttestationService):
+    """Frozen baseline: the session cache keyed by a SHA3-512 digest of
+    the length-prefixed request parts, minted for every request, hit or
+    miss; the digest is also the token input, so tokens are the same."""
+
+    def _session_key(self, request, identity):
+        parts = [
+            request.device_id.encode(),
+            identity["ed25519"],
+            identity["mldsa"] or b"",
+            request.expected_enclave_hash or b"",
+            self._expected_sm.get(request.device_id) or b"",
+            request.report,
+        ]
+        blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+        return sha3_512(_SESSION_KEY_DOMAIN + blob)
+
+    @staticmethod
+    def _session_token(key):
+        return sha3_256(_SESSION_TOKEN_DOMAIN + key)
 
 
 def _mixed_stream(fleet, count, seed):
@@ -208,6 +246,60 @@ def test_verify_reports_vs_scalar_loop(benchmark, report_dir):
                   f"{speedup:.2f}x"]])
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert speedup >= WAVE_SPEEDUP_FLOOR, (scalar_wall, batch_wall)
+
+
+def test_exact_session_key_vs_digest_keyed_baseline(benchmark, fleet,
+                                                    report_dir):
+    """A warm wave costs one cache lookup per request: the exact-content
+    key against the SHA3-512-keyed baseline, same requests, same
+    process.  Both sides return identical results (tokens included)."""
+    pool = fleet["pool"]
+    wave = [pool[i % len(pool)] for i in range(64)]
+    services = {"exact": AttestationService(dict(fleet["devices"]),
+                                            max_batch=64),
+                "digest": _DigestKeyedService(dict(fleet["devices"]),
+                                              max_batch=64)}
+    best = dict.fromkeys(services, float("inf"))
+    outputs = {}
+    was_enabled = TELEMETRY.enabled, PERF.enabled
+    TELEMETRY.enabled = PERF.enabled = False
+    try:
+        cold = {name: service.process(wave, jobs=1)
+                for name, service in services.items()}
+        for _ in range(KEY_ROUNDS):
+            for name, service in services.items():
+                start = time.perf_counter()
+                for _ in range(KEY_WAVES):
+                    outputs[name] = service.process(wave, jobs=1)
+                best[name] = min(best[name],
+                                 time.perf_counter() - start)
+    finally:
+        TELEMETRY.enabled, PERF.enabled = was_enabled
+    assert cold["exact"] == cold["digest"]
+    assert all(result["ok"] for result in cold["exact"])
+    assert outputs["exact"] == outputs["digest"]
+    for name, service in services.items():
+        stats = service.cache_stats()
+        # The cold drain reads the cache frozen at its start, so both
+        # copies of each report miss there; every timed request hits.
+        assert stats["misses"] == len(wave), name
+        assert stats["hits"] == len(wave) * KEY_ROUNDS * KEY_WAVES, name
+    ratio = best["digest"] / best["exact"]
+    requests = len(wave) * KEY_WAVES
+    write_table(
+        report_dir, "attestation_service_session_key",
+        f"Warm {len(wave)}-request wave through the session cache: "
+        f"exact-content key vs SHA3-512-keyed baseline (best of "
+        f"{KEY_ROUNDS} interleaved rounds of {KEY_WAVES} waves; "
+        f"identical results)",
+        ["session key", "wall", "per request", "speedup", "floor"],
+        [["SHA3-512 digest (baseline)", f"{best['digest'] * 1e3:.1f} ms",
+          f"{best['digest'] / requests * 1e6:.1f} us", "1.00x", "-"],
+         ["exact content", f"{best['exact'] * 1e3:.1f} ms",
+          f"{best['exact'] / requests * 1e6:.1f} us", f"{ratio:.2f}x",
+          f">= {SESSION_KEY_FLOOR:.1f}x"]])
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    assert ratio >= SESSION_KEY_FLOOR, (best, ratio)
 
 
 def test_service_serial_vs_sharded_parity(benchmark, fleet):

@@ -23,25 +23,29 @@ Determinism is the design axis, same as the rest of the runtime:
   frozen cache the serial loop reads, so the hit/miss pattern — and
   with it every result byte, audit event and PERF counter — is
   identical for any ``REPRO_JOBS``.
-* **Session cache** — content-addressed like the boot memo: the key
-  covers the device identity, the enclave measurement, the SM image
-  hash (both via the full report bytes) and the verification policy,
-  and the value holds the verdict plus the deterministic session
-  token.  The cache belongs to one service and is frozen for a drain,
-  so its warmth is a function of the submissions alone: hits replay
-  no PERF delta, and ``crypto.*`` counters count the verification
-  work actually done (the counter contract in
-  :mod:`repro.runtime.memo`).  Hits and misses are reported by
+* **Session cache** — addressed by the exact content, not a digest
+  of it: the key is the tuple of the device id, its identity keys,
+  the enclave and SM measurement pins and the full report bytes
+  (which carry the enclave measurement and the SM image hash).  Dict
+  equality compares every part, so two different requests never
+  share an entry, and a hit costs one lookup with no hashing beyond
+  Python's cached ``hash()`` of the parts.  The value holds the
+  verdict plus the session token; the token's SHA3-512 input is
+  minted from the same parts only when a verification misses.  The
+  cache belongs to one service and is frozen for a drain, so its
+  warmth is a function of the submissions alone: hits replay no PERF
+  delta, and ``crypto.*`` counters count the verification work
+  actually done (the counter contract in :mod:`repro.runtime.memo`).
+  Hits and misses are reported by
   :meth:`AttestationService.cache_stats`.  The cache sits above the
-  fault hook sites and spans of verification, so it follows the bypass rule
-  of :func:`repro.runtime.memo.bypassed` (armed FAULTS or active
-  telemetry); bypassed verdicts are byte-identical because the token
-  is content-derived, not cache-derived.
+  fault hook sites and spans of verification, so it follows the
+  bypass rule of :func:`repro.runtime.memo.bypassed` (armed FAULTS or
+  active telemetry); bypassed verdicts are byte-identical because the
+  token is content-derived, not cache-derived.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ..crypto.keccak import sha3_256, sha3_512
@@ -58,6 +62,8 @@ _SESSION_KEY_DOMAIN = b"tee-service-session-v1"
 _SESSION_TOKEN_DOMAIN = b"tee-service-token-v1"
 
 #: Session-cache entries a service keeps (least recently used go first).
+#: Each key holds a reference to its request's report bytes, so a full
+#: cache of hybrid reports (7,472 bytes each) pins about 31 MB.
 SESSION_CACHE_SIZE = 4096
 
 #: Offset of the 64-byte SM measurement inside an encoded report
@@ -108,7 +114,6 @@ class AttestationService:
         self._devices = {}
         self._expected_sm = {}
         self._cache = Memo(maxsize=SESSION_CACHE_SIZE)
-        self._cache_lock = threading.Lock()
         self._next_seq = 0
         self._pending = []
         self._sealed = []
@@ -165,31 +170,38 @@ class AttestationService:
 
     # -- session cache -----------------------------------------------------
 
-    def _identity_for(self, device_id: str):
-        return self._devices.get(device_id)
-
     def _session_key(self, request: ServiceRequest,
-                     identity: dict) -> bytes:
-        """Content address of one verification: device identity keys,
-        policy, and the full report bytes (which carry the enclave
-        measurement and the SM image hash)."""
-        parts = [
-            request.device_id.encode(),
-            identity["ed25519"],
-            identity["mldsa"] or b"",
-            request.expected_enclave_hash or b"",
-            self._expected_sm.get(request.device_id) or b"",
-            request.report,
-        ]
-        blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-        return sha3_512(_SESSION_KEY_DOMAIN + blob)
+                     identity: dict) -> tuple:
+        """Content address of one verification: the device id, its
+        identity keys, the policy pins and the full report bytes (which
+        carry the enclave measurement and the SM image hash).
+
+        The tuple has two roles.  It is the session cache's exact key:
+        a lookup hashes nothing beyond the parts' cached ``hash()`` and
+        compares every byte.  And its parts are the input of the
+        session token, which :meth:`_session_token` mints only when a
+        verification misses the cache.
+        """
+        return (request.device_id,
+                identity["ed25519"],
+                identity["mldsa"] or b"",
+                request.expected_enclave_hash or b"",
+                self._expected_sm.get(request.device_id) or b"",
+                request.report)
 
     @staticmethod
-    def _session_token(key: bytes) -> bytes:
-        """The verified-session token: deterministic in the content
-        address, so cached, fresh and bypassed verifications of the
-        same request mint the same token."""
-        return sha3_256(_SESSION_TOKEN_DOMAIN + key)
+    def _session_token(key: tuple) -> bytes:
+        """The verified-session token of a :meth:`_session_key`:
+        ``sha3_256`` over the SHA3-512 digest of the key's
+        length-prefixed parts.  Only a verified miss (cached or
+        bypassed) mints it; a hit returns the stored token.  It depends
+        on the content alone, so cached, fresh and bypassed
+        verifications of the same request mint the same token."""
+        device_id, *rest = key
+        blob = b"".join(len(p).to_bytes(4, "big") + p
+                        for p in (device_id.encode(), *rest))
+        return sha3_256(_SESSION_TOKEN_DOMAIN
+                        + sha3_512(_SESSION_KEY_DOMAIN + blob))
 
     def cache_stats(self) -> dict:
         """Hit/miss/eviction statistics of the session cache (service-
@@ -211,6 +223,11 @@ class AttestationService:
         counters) byte-identical for any worker count: a forked worker
         could never observe a sibling batch's insertions anyway, so
         the serial loop must not either.
+
+        Batches return their new entries by sequence number, and the
+        keys are built here from the drain's own request objects: no
+        report travels back from a worker, and the cache references the
+        caller's report bytes instead of copies.
         """
         self._seal("drain")
         batches, self._sealed = self._sealed, []
@@ -218,14 +235,15 @@ class AttestationService:
             return []
         outs = run_sharded(_drain_worker, self, batches, jobs=jobs)
         results = []
-        merged = {}
-        for batch_results, entries in outs:
+        for batch, (batch_results, entries) in zip(batches, outs):
             results.extend(batch_results)
-            for key, entry in entries:
-                if key not in merged:
-                    merged[key] = entry
-        with self._cache_lock:
-            for key, entry in merged.items():
+            if not entries:
+                continue
+            requests = {request.seq: request for request in batch}
+            for seq, entry in entries:
+                request = requests[seq]
+                key = self._session_key(request,
+                                        self._devices[request.device_id])
                 # __contains__ skips the hit/miss accounting: the merge
                 # is bookkeeping, not a cache access.
                 if key not in self._cache:
@@ -246,10 +264,10 @@ class AttestationService:
         """Verify one sealed batch against the frozen session cache.
 
         Returns ``(results, new_entries)`` — both plain data — where
-        ``new_entries`` carries the cache inserts for the parent to
-        apply after the drain.  Audit events and PERF ticks emitted
-        here are captured and merged in shard order by the runtime, so
-        the serial and parallel streams are identical.
+        ``new_entries`` holds ``(seq, entry)`` cache inserts for the
+        parent to key and apply after the drain.  Audit events and PERF
+        ticks emitted here are captured and merged in shard order by the
+        runtime, so the serial and parallel streams are identical.
         """
         bypass = bypassed()
         with TELEMETRY.span("tee.service.batch", batch=len(batch)):
@@ -257,7 +275,7 @@ class AttestationService:
             results = {}        # seq -> result dict
             reasons = {}        # seq -> rejection reason (or None)
             for request in batch:
-                identity = self._identity_for(request.device_id)
+                identity = self._devices.get(request.device_id)
                 if identity is None:
                     results[request.seq] = self._result(request, False,
                                                         b"")
@@ -274,8 +292,7 @@ class AttestationService:
                     # (:meth:`cache_stats`), deliberately NOT in PERF:
                     # a cold and a warm run must tick the same
                     # ``tee.service.*`` counters.
-                    with self._cache_lock:
-                        found, entry = self._cache.lookup(key)
+                    found, entry = self._cache.lookup(key)
                     if found:
                         ok, token, reasons[request.seq] = entry
                         results[request.seq] = self._result(request, ok,
@@ -313,7 +330,7 @@ class AttestationService:
 
     def _verify_lanes(self, lanes, results, reasons, bypass) -> list:
         """Run the fresh lanes through the batch verifier; returns the
-        session-cache entries to insert (empty when bypassed)."""
+        ``(seq, entry)`` session-cache inserts (empty when bypassed)."""
         reports = []
         identities = []
         parsed = []
@@ -339,7 +356,7 @@ class AttestationService:
             results[request.seq] = self._result(request, ok, token)
             reasons[request.seq] = reason
             if not bypass:
-                new_entries.append((key, (ok, token, reason)))
+                new_entries.append((request.seq, (ok, token, reason)))
         return new_entries
 
     def _structurally_plausible(self, request: ServiceRequest) -> bool:

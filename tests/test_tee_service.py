@@ -12,6 +12,8 @@ service: results, audit ledger and PERF counters byte-identical
 between a serial drain and a sharded one.
 """
 
+import hashlib
+
 import pytest
 
 from repro.crypto import ed25519 as ed
@@ -197,6 +199,73 @@ class TestSessionCache:
         assert verify_report(AttestationReport.decode(report),
                              fleet["devices"]["cl0"],
                              expected_enclave_hash=wrong_hash) is False
+
+    def test_one_byte_change_misses(self, fleet):
+        """A same-length report differing in one byte is a different
+        content address: it misses, and its verdict is the scalar
+        verifier's, not the cached session of its neighbour."""
+        svc = _service(fleet)
+        report = fleet["pq_reports"][0]
+        svc.process([("pq0", report)], jobs=1)      # warm the cache
+        tampered = bytearray(report)
+        tampered[64 + 8 + 1024 + 4] ^= 0x01     # enclave signature
+        tampered = bytes(tampered)
+        assert len(tampered) == len(report)
+        stats_before = svc.cache_stats()
+        got = svc.process([("pq0", tampered)], jobs=1)
+        stats_after = svc.cache_stats()
+        assert stats_after["hits"] == stats_before["hits"]
+        assert stats_after["misses"] == stats_before["misses"] + 1
+        want = verify_report(AttestationReport.decode(tampered),
+                             fleet["devices"]["pq0"])
+        assert want is False
+        assert got[0]["ok"] is want
+        assert got[0]["session"] == ""
+
+    def test_golden_session_token(self, fleet):
+        """The token is ``sha3_256(TOKEN_DOMAIN + sha3_512(KEY_DOMAIN +
+        blob))`` over the length-prefixed request parts, byte for byte,
+        whichever path mints or serves it: cold, warm, bypassed by
+        armed faults, and a ``jobs=2`` drain."""
+        report = fleet["pq_reports"][0]
+        identity = fleet["devices"]["pq0"]
+        parts = [b"pq0", identity["ed25519"], identity["mldsa"], b"", b"",
+                 report]
+        blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+        golden = hashlib.sha3_256(
+            b"tee-service-token-v1"
+            + hashlib.sha3_512(b"tee-service-session-v1" + blob).digest()
+        ).hexdigest()
+        svc = _service(fleet)
+        cold = svc.process([("pq0", report)], jobs=1)
+        warm = svc.process([("pq0", report)], jobs=1)
+        assert svc.cache_stats()["hits"] == 1
+        FAULTS.arm(FaultSpec("tee.bootrom.measure", BIT_FLIP, bit=0))
+        try:
+            bypassed = svc.process([("pq0", report)], jobs=1)
+        finally:
+            FAULTS.disarm()
+        sharded = _service(fleet, max_batch=1).process(
+            [("pq0", report), ("pq0", report)], jobs=2)
+        tokens = [r["session"] for r in cold + warm + bypassed + sharded]
+        assert tokens == [golden] * 5
+
+    def test_sharded_drain_entries_serve_serial_hits(self, fleet):
+        """Entries a ``jobs=2`` drain returns by sequence number are
+        keyed in the parent from its own requests, so a serial drain of
+        the same requests hits on every one of them."""
+        svc = _service(fleet, max_batch=3)
+        submissions = [("pq0", r) for r in fleet["pq_reports"]] + \
+                      [("cl0", r) for r in fleet["cl_reports"]]
+        sharded = svc.process(submissions, jobs=2)
+        stats_before = svc.cache_stats()
+        assert stats_before["size"] == len(submissions)
+        serial = svc.process(submissions, jobs=1)
+        stats_after = svc.cache_stats()
+        assert stats_after["hits"] == \
+            stats_before["hits"] + len(submissions)
+        assert stats_after["misses"] == stats_before["misses"]
+        assert _verdict_bytes(serial) == _verdict_bytes(sharded)
 
     def test_sm_hash_pin_mismatch_rejects(self, fleet):
         svc = AttestationService()
