@@ -26,6 +26,7 @@ REPRO_TELEMETRY=1 REPRO_PERF=1 python -m pytest -q \
     benchmarks/bench_framework.py \
     benchmarks/bench_fault_campaign.py \
     benchmarks/bench_table1_dse_runtime.py \
+    benchmarks/bench_local_search.py \
     benchmarks/bench_crypto_primitives.py \
     benchmarks/bench_crypto_batch.py \
     benchmarks/bench_cim_passive.py \

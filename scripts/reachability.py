@@ -57,7 +57,7 @@ PYTEST = (sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider")
 FAST_BENCHES = ("fig1_cim_clustering", "fig3_rtos_pmp", "framework",
                 "fault_campaign", "table1_dse_runtime", "crypto_primitives",
                 "crypto_batch", "cim_passive", "cim_higher_order",
-                "attestation_service", "obs_overhead")
+                "attestation_service", "obs_overhead", "local_search")
 R = "benchmarks/results/"
 SCRIPTS = (
     "gen_keccak_unrolled.py --check",

@@ -19,11 +19,13 @@ Both explorers ride the deterministic parallel executor
 exhaustive traversal by interleaved index ranges and fans independent
 local-search starts across worker processes, with per-shard
 reductions merged so that the optimum and every counter total are
-identical for any worker count.  Coordinate descent
-additionally memoizes revisited neighbours through a bounded
-:class:`~repro.runtime.memo.Memo` cache, and
-:meth:`ExhaustiveExplorer.run_all_goals` scores every goal in a single
-traversal instead of re-enumerating the space per goal.
+identical for any worker count.  Each coordinate descent caches at
+two levels: a bounded :class:`~repro.runtime.memo.Memo` of whole
+configurations, whose misses are the counted ``evaluations``, and below
+it one uncounted sub-design table that :meth:`Template.evaluate` prices
+every slot through, so a move re-prices only the sub-design it
+changed.  :meth:`ExhaustiveExplorer.run_all_goals` scores every goal
+in a single traversal instead of re-enumerating the space per goal.
 """
 
 from __future__ import annotations
@@ -305,17 +307,23 @@ def neighbours(template: Template, config: Configuration):
 
 
 def _memo_evaluate(template: Template, context: DesignContext,
-                   config: Configuration, memo: Memo):
-    """Evaluate through the bounded memo cache; ``None`` = infeasible
-    (cached too — repeated infeasibility is exactly the expensive
-    outcome on masked spaces)."""
+                   config: Configuration, memo: Memo, table: dict):
+    """Evaluate one whole configuration through the two cache levels.
+
+    ``memo`` holds whole configurations and counts every lookup: its
+    misses are the run's ``evaluations``.  A miss is priced by
+    :meth:`Template.evaluate` through ``table``, the uncounted
+    sub-design table below it, so only the sub-designs a move changed
+    are priced again.  ``None`` = infeasible, cached at both levels
+    (repeated infeasibility is exactly the expensive outcome on masked
+    spaces)."""
     found, metrics = memo.lookup(config)
     if found:
         return metrics
     if TELEMETRY.enabled:
         TELEMETRY.counter("hades.evaluations").inc()
     try:
-        metrics = template.evaluate(config, context)
+        metrics = template.evaluate(config, context, table)
     except InfeasibleConfiguration:
         metrics = None
     memo.store(config, metrics)
@@ -326,9 +334,16 @@ def _descend(template: Template, context: DesignContext,
              config: Configuration, goal: OptimizationGoal) -> tuple:
     """Coordinate descent to a local optimum; returns
     ``(config, metrics, evaluations, cache_hits)`` where evaluations
-    counts actual cost-function calls (memo misses)."""
+    counts whole-configuration cost predictions (memo misses).
+
+    The descent owns both cache levels: the miss-counting ``Memo`` of
+    whole configurations, and one sub-design table shared by every
+    evaluation.  The table is bounded by the sum of the sub-template
+    spaces (about 1,400 entries for Kyber-CCA) and dies with the
+    descent."""
     memo = Memo()
-    metrics = _memo_evaluate(template, context, config, memo)
+    table = {}
+    metrics = _memo_evaluate(template, context, config, memo, table)
     # A random start may be infeasible (e.g. LUT S-box while masked);
     # walk to any feasible neighbour first.
     attempts = 0
@@ -336,7 +351,7 @@ def _descend(template: Template, context: DesignContext,
         improved = False
         for candidate in neighbours(template, config):
             candidate_metrics = _memo_evaluate(template, context,
-                                               candidate, memo)
+                                               candidate, memo, table)
             if candidate_metrics is not None:
                 config, metrics = candidate, candidate_metrics
                 improved = True
@@ -349,7 +364,7 @@ def _descend(template: Template, context: DesignContext,
         best_neighbour = None
         for candidate in neighbours(template, config):
             candidate_metrics = _memo_evaluate(template, context,
-                                               candidate, memo)
+                                               candidate, memo, table)
             if candidate_metrics is None:
                 continue
             candidate_score = goal.score(candidate_metrics)

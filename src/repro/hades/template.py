@@ -104,6 +104,13 @@ class Template:
         for key, candidates in self.slots.items():
             if not candidates:
                 raise ValueError(f"slot {key!r} of {name!r} is empty")
+            # A configuration names its candidate: a duplicate name
+            # would silently price the first one.
+            names = [candidate.name for candidate in candidates]
+            if len(set(names)) != len(names):
+                raise ValueError(
+                    f"slot {key!r} of {name!r} has two candidates "
+                    f"with one name")
 
     def count_configurations(self) -> int:
         """Closed-form size of this template's configuration space."""
@@ -115,17 +122,42 @@ class Template:
         return count
 
     def evaluate(self, configuration: Configuration,
-                 context: DesignContext) -> Metrics:
-        """Predict the metrics of one configuration (recursively)."""
+                 context: DesignContext, table: dict = None) -> Metrics:
+        """Predict the metrics of one configuration (recursively).
+
+        Every slot's sub-design is priced through ``table``, a
+        ``{(candidate, sub_configuration): Metrics | None}`` dict that
+        the whole recursion shares; ``None`` records an infeasible
+        sub-design, re-raised as :class:`InfeasibleConfiguration` at
+        every parent that reaches it.  A caller pricing many related
+        configurations in one ``context`` passes one table, so each
+        distinct sub-design is priced once; a table must not be shared
+        across contexts.  Omitted, a fresh one is used.
+        """
         if configuration.template != self.name:
             raise ValueError(
                 f"configuration is for {configuration.template!r}, "
                 f"not {self.name!r}")
+        if table is None:
+            table = {}
         sub_metrics = {}
         for slot_name, sub_config in configuration.slots:
             candidate = self._candidate(slot_name, sub_config.template)
-            sub_metrics[slot_name] = candidate.evaluate(sub_config,
-                                                        context)
+            key = (candidate, sub_config)
+            try:
+                metrics = table[key]
+            except KeyError:
+                try:
+                    metrics = candidate.evaluate(sub_config, context,
+                                                 table)
+                except InfeasibleConfiguration:
+                    metrics = None
+                table[key] = metrics
+            if metrics is None:
+                raise InfeasibleConfiguration(
+                    f"slot {slot_name!r} of {self.name!r} holds an "
+                    f"infeasible {sub_config.template!r} design")
+            sub_metrics[slot_name] = metrics
         params = dict(configuration.params)
         return self.cost(params, sub_metrics, context)
 

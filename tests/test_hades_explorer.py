@@ -4,7 +4,9 @@ import pytest
 
 from repro.hades import (DesignContext, ExhaustiveExplorer,
                          InfeasibleConfiguration, LocalSearchExplorer,
-                         Metrics, OptimizationGoal, Template, neighbours)
+                         Metrics, OptimizationGoal, Template, explorer,
+                         neighbours)
+from repro.hades.library import aes256, chacha20, kyber_cca
 
 G = OptimizationGoal
 
@@ -157,3 +159,87 @@ class TestLocalSearch:
         t = Template("t", cost, parameters={"a": (0, 1, 2, 3, 4, 5)})
         result = LocalSearchExplorer(t, seed=11).run(G.AREA, starts=8)
         assert result.best_score == 1.0
+
+
+def _table_free_evaluate(template, configuration, context):
+    """Reference: every slot priced again, no table (``None`` =
+    infeasible)."""
+    sub_metrics = {}
+    for slot_name, sub_config in configuration.slots:
+        candidate = template._candidate(slot_name, sub_config.template)
+        metrics = _table_free_evaluate(candidate, sub_config, context)
+        if metrics is None:
+            return None
+        sub_metrics[slot_name] = metrics
+    try:
+        return template.cost(dict(configuration.params), sub_metrics,
+                             context)
+    except InfeasibleConfiguration:
+        return None
+
+
+class TestSubDesignTable:
+    @pytest.mark.parametrize("order", (0, 1))
+    @pytest.mark.parametrize("factory", (kyber_cca, aes256, chacha20),
+                             ids=("kyber_cca", "aes", "chacha"))
+    def test_every_visited_neighbour_matches_table_free(
+            self, monkeypatch, factory, order):
+        template = factory()
+        context = DesignContext(masking_order=order)
+        visited = []
+        memo_evaluate = explorer._memo_evaluate
+
+        def recording(template, context, config, memo, table):
+            metrics = memo_evaluate(template, context, config, memo,
+                                    table)
+            visited.append((config, metrics))
+            return metrics
+
+        monkeypatch.setattr(explorer, "_memo_evaluate", recording)
+        LocalSearchExplorer(template, context, seed=order).run(
+            G.AREA, starts=3, jobs=1)
+        assert len(visited) > 100
+        for config, metrics in visited:
+            assert metrics == _table_free_evaluate(template, config,
+                                                   context), \
+                config.describe()
+
+    def test_each_sub_design_priced_once_per_descent(self):
+        calls = []
+
+        def leaf_cost(params, subs, context):
+            calls.append(("leaf", params["x"]))
+            if params["x"] == 4:
+                raise InfeasibleConfiguration("x=4 cannot be built")
+            return Metrics(1.0 + params["x"] ** 2, 1.0)
+
+        def mid_cost(params, subs, context):
+            calls.append(("mid", params["m"], subs["s"].area_kge))
+            return Metrics(subs["s"].area_kge + params["m"], 1.0)
+
+        leaf = Template("leaf", leaf_cost,
+                        parameters={"x": (0, 1, 2, 3, 4)})
+        mid = Template("mid", mid_cost, parameters={"m": (0, 1, 2)},
+                       slots={"s": (leaf,)})
+        top = Template(
+            "top",
+            lambda p, s, c: Metrics(s["a"].area_kge + s["b"].area_kge
+                                    + p["y"], 1.0),
+            parameters={"y": (0, 1)}, slots={"a": (mid,), "b": (leaf,)})
+        # Leaf areas are distinct per x below 4, so each record names
+        # the sub-configuration priced.
+        result = LocalSearchExplorer(top, seed=5).run(G.AREA, starts=1)
+        assert result.best_score == 2.0
+        assert len(calls) == len(set(calls))
+        # The infeasible leaf was reached from more than one parent
+        # (both slots hold leaves), yet priced once.
+        assert calls.count(("leaf", 4)) == 1
+
+    @pytest.mark.parametrize("seed,evaluations", ((3, 903), (17, 928)))
+    def test_kyber_cca_evaluations_pinned(self, seed, evaluations):
+        search = LocalSearchExplorer(kyber_cca(), seed=seed)
+        serial = search.run(G.AREA, starts=4, jobs=1)
+        assert serial.evaluations == evaluations
+        parallel = search.run(G.AREA, starts=4, jobs=2)
+        assert parallel.evaluations == evaluations
+        assert parallel.best == serial.best

@@ -114,6 +114,15 @@ class TestTemplate:
         with pytest.raises(ValueError):
             Template("t", _const_cost(1, 1), slots={"s": ()})
 
+    def test_duplicate_candidate_names_rejected(self):
+        # A configuration names its candidate, so a second candidate
+        # with the same name could never be priced.
+        first = Template("leaf", _const_cost(1, 1))
+        second = Template("leaf", _const_cost(2, 2))
+        with pytest.raises(ValueError, match="one name"):
+            Template("t", _const_cost(1, 1),
+                     slots={"s": (first, second)})
+
     def test_infeasible_configurations_skipped(self):
         def cost(params, subs, context):
             if params["a"] == 2:
@@ -184,3 +193,79 @@ class TestTemplate:
         assert count == n_params * n_candidates * n_leaf
         assert count == len(list(enumerate_designs(parent,
                                                    DesignContext())))
+
+
+def _counting_tree(infeasible_x=None):
+    """parent(y) -> mid(m) -> leaf(x), plus a leaf in a second slot;
+    every leaf and mid cost call is recorded with its parameter and
+    sub-design area.  Leaf areas are distinct, so a record names the
+    sub-configuration priced.  ``infeasible_x`` makes that leaf
+    infeasible."""
+    calls = []
+
+    def leaf_cost(params, subs, context):
+        calls.append(("leaf", params["x"]))
+        if params["x"] == infeasible_x:
+            raise InfeasibleConfiguration("leaf cannot be built")
+        return Metrics(1.0 + params["x"], 1.0)
+
+    def mid_cost(params, subs, context):
+        calls.append(("mid", params["m"], subs["s"].area_kge))
+        return Metrics(subs["s"].area_kge * params["m"], 2.0)
+
+    leaf = Template("leaf", leaf_cost, parameters={"x": (0, 1, 2)})
+    mid = Template("mid", mid_cost, parameters={"m": (1, 2)},
+                   slots={"s": (leaf,)})
+    parent = Template(
+        "parent",
+        lambda p, s, c: Metrics(s["a"].area_kge + s["b"].area_kge
+                                + p["y"], 1.0),
+        parameters={"y": (0, 1)}, slots={"a": (mid,), "b": (leaf,)})
+    return parent, calls
+
+
+def _config(y, m, a_x, b_x):
+    return Configuration("parent", (("y", y),), (
+        ("a", Configuration("mid", (("m", m),), (
+            ("s", Configuration("leaf", (("x", a_x),), ())),))),
+        ("b", Configuration("leaf", (("x", b_x),), ()))))
+
+
+class TestSubDesignTable:
+    def test_shared_table_prices_each_sub_design_once(self):
+        parent, calls = _counting_tree()
+        context = DesignContext()
+        table = {}
+        configs = [_config(y, m, a_x, b_x) for y in (0, 1)
+                   for m in (1, 2) for a_x in (0, 2) for b_x in (0, 2)]
+        tabled = [parent.evaluate(config, context, table)
+                  for config in configs]
+        # Two leaves (x=0, 2) and four mids (m x leaf), each priced once.
+        assert len(calls) == len(set(calls)) == len(table) == 6
+        assert tabled == [parent.evaluate(config, context)
+                          for config in configs]
+
+    def test_fresh_table_per_call_by_default(self):
+        parent, calls = _counting_tree()
+        config = _config(0, 1, 2, 2)
+        parent.evaluate(config, DesignContext())
+        parent.evaluate(config, DesignContext())
+        # Within one call the shared leaf (x=2 in both slots) is priced
+        # once; nothing survives the call.
+        assert calls.count(("leaf", 2)) == 2
+
+    def test_infeasible_sub_design_priced_once_raised_every_time(self):
+        parent, calls = _counting_tree(infeasible_x=1)
+        context = DesignContext()
+        table = {}
+        for config in (_config(0, 1, 1, 0), _config(1, 1, 1, 0),
+                       _config(0, 2, 0, 1), _config(1, 2, 2, 1)):
+            with pytest.raises(InfeasibleConfiguration):
+                parent.evaluate(config, context, table)
+        assert calls.count(("leaf", 1)) == 1
+        leaf = parent.slots["b"][0]
+        assert table[(leaf, Configuration("leaf", (("x", 1),), ()))] \
+            is None
+        # A feasible design sharing the table is still priced.
+        assert parent.evaluate(_config(0, 1, 0, 0), context,
+                               table).area_kge == 2.0
