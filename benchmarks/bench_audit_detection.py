@@ -15,7 +15,7 @@ security-observability plane and asserts its acceptance bar:
 * the full audit chain verifies (header -> events -> signed
   checkpoints) after ~10^4 audited injections;
 * auditing + detection cost < 10% wall overhead on the same campaign
-  (best-of-N, interleaved);
+  (median ratio of interleaved rounds);
 * the ledger bytes and the detection sequence are identical serial vs
   ``REPRO_JOBS``-sharded execution.
 
@@ -24,12 +24,14 @@ Scale knobs: ``REPRO_AUDIT_GENERATIONS`` x ``REPRO_AUDIT_POPULATION``
 
 Artifacts: ``results/audit.jsonl`` (the tamper-evident ledger — feed
 it to ``scripts/audit_report.py --verify``), ``results/
-audit_detections.json`` (the typed detection sequence) and the human
-summary table.
+audit_detections.json`` (the typed detection sequence), the human
+summary table and ``results/audit_detection_overhead`` (the observer
+cost gate's walls and overhead).
 """
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -51,11 +53,13 @@ GENERATIONS = int(os.environ.get("REPRO_AUDIT_GENERATIONS", "10"))
 POPULATION = int(os.environ.get("REPRO_AUDIT_POPULATION", "1000"))
 
 #: Observer-cost gate: auditing + detection on the identical campaign,
-#: best-of-``OVERHEAD_REPEATS`` interleaved, must stay under 10%.
+#: the median on/off ratio of ``OVERHEAD_ROUNDS`` interleaved rounds
+#: (first arm alternating, after an untimed warm-up of both arms), must
+#: stay under 10%.
 OVERHEAD_BUDGET = 0.10
 OVERHEAD_GENERATIONS = 3
 OVERHEAD_POPULATION = 150
-OVERHEAD_REPEATS = 3
+OVERHEAD_ROUNDS = 15
 
 #: Byte-parity is structural (worker bodies re-chained through the
 #: parent in shard order), so a reduced budget pins it.
@@ -171,36 +175,48 @@ def test_every_hardening_violation_detected():
     verify_records(records)
 
 
-def test_observer_overhead_within_budget():
+def test_observer_overhead_within_budget(report_dir):
     """Auditing + detection on the identical campaign: < 10% wall
-    overhead, best-of-N with the arms interleaved so drift hits both."""
+    overhead.  Both arms run once untimed to warm the process; then
+    each round times both arms back to back, the first arm alternating,
+    and the overhead is the median of the rounds' on/off ratios.  On a
+    shared guest single runs of either arm swing by a third, so the
+    best-of-N walls of the two arms can come from different machine
+    states; a round's two runs share one."""
     FAULTS.disarm()
 
-    def bare():
+    def campaign():
         start = time.perf_counter()
         standard_adversary_campaign(seed=SEED + 1,
                                     generations=OVERHEAD_GENERATIONS,
                                     population=OVERHEAD_POPULATION)
         return time.perf_counter() - start
 
-    def audited():
-        def run():
-            start = time.perf_counter()
-            standard_adversary_campaign(
-                seed=SEED + 1, generations=OVERHEAD_GENERATIONS,
-                population=OVERHEAD_POPULATION)
-            return time.perf_counter() - start
-        wall, _, _, _ = _audited(run)
-        return wall
-
-    walls_off, walls_on = [], []
-    for _ in range(OVERHEAD_REPEATS):
-        walls_off.append(bare())
-        walls_on.append(audited())
-    overhead = (min(walls_on) - min(walls_off)) / min(walls_off)
+    arms = {"off": campaign, "on": lambda: _audited(campaign)[0]}
+    for arm in arms.values():
+        arm()
+    walls = {"off": [], "on": []}
+    for round_index in range(OVERHEAD_ROUNDS):
+        order = ("off", "on") if round_index % 2 == 0 else ("on", "off")
+        for name in order:
+            walls[name].append(arms[name]())
+    overhead = statistics.median(
+        on / off for on, off in zip(walls["on"], walls["off"])) - 1
+    best_off, best_on = min(walls["off"]), min(walls["on"])
+    write_table(
+        report_dir, "audit_detection_overhead",
+        f"Audit + detection observer overhead: "
+        f"{OVERHEAD_GENERATIONS} x {OVERHEAD_POPULATION} injections, "
+        f"{OVERHEAD_ROUNDS} interleaved rounds after a warm-up "
+        f"(overhead = median of the rounds' on/off ratios)",
+        ["arm", "median wall", "best wall", "overhead", "budget"],
+        [["observers off", f"{statistics.median(walls['off']):.3f} s",
+          f"{best_off:.3f} s", "-", "-"],
+         ["audit + detection", f"{statistics.median(walls['on']):.3f} s",
+          f"{best_on:.3f} s", f"{overhead:.1%}",
+          f"< {OVERHEAD_BUDGET:.0%}"]])
     assert overhead < OVERHEAD_BUDGET, (
-        f"audit+detection overhead {overhead:.1%} "
-        f"(off {min(walls_off):.3f}s, on {min(walls_on):.3f}s)")
+        f"audit+detection overhead {overhead:.1%} (walls {walls})")
 
 
 def test_ledger_identical_serial_vs_sharded(report_dir):

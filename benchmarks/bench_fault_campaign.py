@@ -13,20 +13,22 @@ byte-identical for a given seed), ``results/fault_campaign_runs.jsonl``
 (per-run records) and the ``results/fault_campaign_summary.txt``
 human table (named so the table writer's companion ``.json`` does not
 clobber the canonical artifact).  ``results/fault_campaign_verdicts``
-compares the Ed25519 verdict memo with a frozen never-hit baseline in
-the same process.
+and ``results/fault_campaign_measurements`` compare the Ed25519
+verdict memo and the SM-image measurement memo with a frozen never-hit
+baseline in the same process.
 """
 
 import time
 
 import pytest
 
-from conftest import full_verification, write_table
+from conftest import never_hits, write_table
 from repro.crypto import ed25519
 from repro.faults.campaign import standard_campaign
 from repro.obs import PERF, TELEMETRY, CoverageMap
 from repro.faults.report import Outcome
 from repro.runtime import available_cpus
+from repro.tee import bootrom
 
 SEED = 2026
 INJECTIONS = 240
@@ -38,7 +40,7 @@ PARALLEL_JOBS = 4
 PARALLEL_SPEEDUP_FLOOR = 1.2
 
 #: Campaign with the Ed25519 verdict memo over the same campaign with
-#: the never-hit baseline of ``conftest.full_verification``, at the
+#: the ``conftest.never_hits`` baseline for it, at the
 #: ``fault-campaign`` bench op's size (60 injections), best of
 #: ``VERDICT_ROUNDS`` interleaved rounds.  Telemetry and PERF are off
 #: in the timed window and coverage is not requested, so the gate
@@ -51,6 +53,14 @@ VERDICT_MEMO_FLOOR = 1.2
 VERDICT_ROUNDS = 5
 VERDICT_SEED = 11
 VERDICT_INJECTIONS = 60
+
+#: The same gate for ``bootrom.MEASUREMENT_MEMO`` on the same campaign:
+#: every ``BootRom.measure`` and boot-memo key hashes its SM image
+#: (192 KiB) in the baseline.  Floor at or below half the slowest of
+#: five runs' excess over 1.0x (1.26x, 1.40x, 1.24x, 1.30x, 1.35x on a
+#: 2-vCPU guest).
+MEASUREMENT_MEMO_FLOOR = 1.1
+MEASUREMENT_ROUNDS = 7
 
 
 @pytest.fixture(scope="module")
@@ -190,21 +200,26 @@ def _timed_campaign():
     return time.perf_counter() - start, result.canonical_json()
 
 
-def test_verdict_memo_beats_never_hit_baseline(report_dir):
-    """Same campaign, same process: the verdict memo against a
-    baseline that verifies every call.  Outputs are byte-identical,
-    the memo misses exactly once per distinct triple, and the memo
-    side is faster by the floor."""
-    memo = ed25519.VERDICT_MEMO
+def _memo_gate(report_dir, module, name, rounds, floor, artifact,
+               title, columns):
+    """Same campaign, same process: ``module.name`` against a
+    :class:`~conftest.NeverHits` baseline, best of ``rounds``
+    interleaved rounds with the memo cleared before each of its rounds,
+    telemetry and PERF off.  Outputs are byte-identical, the memo
+    misses exactly once per distinct key, and the memo side is faster
+    by ``floor``.  ``columns`` names what the baseline asks for and
+    what it builds."""
+    memo = getattr(module, name)
     was_enabled = TELEMETRY.enabled, PERF.enabled
     TELEMETRY.enabled = PERF.enabled = False
     best = {"memo": float("inf"), "baseline": float("inf")}
     outputs = {}
     try:
-        for _ in range(VERDICT_ROUNDS):
-            with full_verification() as baseline:
+        for _ in range(rounds):
+            with never_hits(module, name) as baseline:
                 wall, outputs["baseline"] = _timed_campaign()
             best["baseline"] = min(best["baseline"], wall)
+            memo.clear()
             wall, outputs["memo"] = _timed_campaign()
             best["memo"] = min(best["memo"], wall)
     finally:
@@ -216,18 +231,34 @@ def test_verdict_memo_beats_never_hit_baseline(report_dir):
 
     ratio = best["baseline"] / best["memo"]
     write_table(
-        report_dir, "fault_campaign_verdicts",
-        f"Ed25519 verdict memo vs never-hit baseline: seed "
-        f"{VERDICT_SEED}, {VERDICT_INJECTIONS} injections, best of "
-        f"{VERDICT_ROUNDS} interleaved rounds (byte-identical "
-        f"campaign JSON)",
-        ["verdicts", "verify calls", "verifications", "wall",
-         "runs/s", "speedup", "floor"],
+        report_dir, artifact,
+        f"{title} vs never-hit baseline: seed {VERDICT_SEED}, "
+        f"{VERDICT_INJECTIONS} injections, best of {rounds} interleaved "
+        f"rounds (byte-identical campaign JSON)",
+        [*columns, "wall", "runs/s", "speedup", "floor"],
         [["never-hit baseline", baseline.calls, baseline.calls,
           f"{best['baseline']:.3f} s",
           f"{VERDICT_INJECTIONS / best['baseline']:,.0f}", "1.00x", "-"],
          ["memo", baseline.calls, stats["misses"],
           f"{best['memo']:.3f} s",
           f"{VERDICT_INJECTIONS / best['memo']:,.0f}", f"{ratio:.2f}x",
-          f">= {VERDICT_MEMO_FLOOR:.2f}x"]])
-    assert ratio >= VERDICT_MEMO_FLOOR, (best, ratio)
+          f">= {floor:.2f}x"]])
+    assert ratio >= floor, (best, ratio)
+
+
+def test_verdict_memo_beats_never_hit_baseline(report_dir):
+    """The Ed25519 verdict memo against a baseline that verifies every
+    call: one verification per distinct triple."""
+    _memo_gate(report_dir, ed25519, "VERDICT_MEMO", VERDICT_ROUNDS,
+               VERDICT_MEMO_FLOOR, "fault_campaign_verdicts",
+               "Ed25519 verdict memo",
+               ["verdicts", "verify calls", "verifications"])
+
+
+def test_measurement_memo_beats_never_hit_baseline(report_dir):
+    """The SM-image measurement memo against a baseline that hashes
+    every image: one hash per distinct image."""
+    _memo_gate(report_dir, bootrom, "MEASUREMENT_MEMO",
+               MEASUREMENT_ROUNDS, MEASUREMENT_MEMO_FLOOR,
+               "fault_campaign_measurements", "SM-image measurement memo",
+               ["measurements", "image hashes asked", "images hashed"])

@@ -36,7 +36,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.crypto import ed25519
 from repro.obs import PERF, TELEMETRY, PerfSnapshot, atomic_write_text, \
     collapsed
 
@@ -96,9 +95,10 @@ def write_table(report_dir, name: str, title: str, header: list,
 
 
 class NeverHits:
-    """Frozen baseline for ``ed25519.VERDICT_MEMO``: every ``verify``
-    runs the full verification, as before the verdict memo existed.
-    Counts the calls and records the distinct keys asked for."""
+    """Frozen baseline for a process-wide memo (``ed25519.VERDICT_MEMO``,
+    ``bootrom.MEASUREMENT_MEMO``): every call builds, as before the memo
+    existed.  Counts the calls and records the distinct keys asked
+    for."""
 
     def __init__(self):
         self.calls = 0
@@ -114,16 +114,18 @@ class NeverHits:
 
 
 @contextmanager
-def full_verification():
-    """Every ``ed25519.verify`` in the block verifies in full; yields
-    the :class:`NeverHits` stand-in.  Benches that time verification on
-    repeated inputs use it, or they would time verdict-memo hits."""
-    memo = ed25519.VERDICT_MEMO
-    ed25519.VERDICT_MEMO = NeverHits()
+def never_hits(module, name):
+    """``module.name`` is a :class:`NeverHits` in the block; yields it.
+    Benches that time work on repeated inputs use it, or they would
+    time memo hits: ``never_hits(ed25519, "VERDICT_MEMO")`` makes every
+    ``ed25519.verify`` verify in full."""
+    memo = getattr(module, name)
+    stand_in = NeverHits()
+    setattr(module, name, stand_in)
     try:
-        yield ed25519.VERDICT_MEMO
+        yield stand_in
     finally:
-        ed25519.VERDICT_MEMO = memo
+        setattr(module, name, memo)
 
 
 # -- per-bench wall-time aggregation (BENCH_SUMMARY.json) ----------------

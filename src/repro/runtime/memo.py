@@ -16,10 +16,11 @@ Two kinds of caller use it:
   :meth:`Memo.store` directly.  Their warmth is a function of the work handed to the
   object that owns them, so their PERF counters count the work
   actually done.
-* **Process-wide memos** — the measured-boot memo, the ML-DSA key and
-  context memo, the Ed25519 per-key table memo, the Ed25519 verdict
-  memo — outlive any one workload: forked workers and test order see
-  them at different warmth.  They go through :meth:`Memo.get_or_build`,
+* **Process-wide memos** — the measured-boot memo, the SM-image
+  measurement memo, the ML-DSA key and context memo, the Ed25519
+  per-key table memo, the Ed25519 verdict memo — outlive any one
+  workload: forked workers and test order see them at different
+  warmth.  They go through :meth:`Memo.get_or_build`,
   which records the PERF delta of each build and replays it on every
   hit.
 
@@ -36,9 +37,10 @@ fault takes effect and a trace shows the real span tree (timed spans
 cannot be replayed; PERF deltas can).  The measured-boot memo and the
 attestation service's session cache follow it.  A memo over code with
 neither — the Ed25519 table and verdict memos over :mod:`repro.crypto`,
-which imports no fault injector and opens its spans outside them —
-stays on: its value is a function of the key bytes, and an injection
-can only change those bytes before they are looked up.
+which imports no fault injector and opens its spans outside them, and
+the SM-image measurement memo, whose fault hook runs after it — stays
+on: its value is a function of the key bytes, and an injection can
+only change those bytes before they are looked up or the value after.
 """
 
 from __future__ import annotations

@@ -34,17 +34,36 @@ from ..runtime.memo import Memo, bypassed
 from .attestation import sm_certificate_payload
 from .device import Device
 
-# Content-addressed measured-boot cache.  Boot is deterministic in the
-# device identity, the ROM section layout and the SM image bytes, so a
-# repeat boot of the same triple can replay the stored hand-off instead
-# of re-running two signatures and (in the PQ configuration) an ML-DSA
-# key regeneration.  It is a process-wide memo, so hits replay the
-# build's PERF delta (the counter contract in ``repro.runtime.memo``).
-# It is never consulted or populated while fault injection is armed (an
-# injection scenario must re-measure and re-sign for its faults to
-# land) or while a telemetry subscriber is active (timed spans cannot
-# be replayed, so traced boots always show the real span tree).
+# SM-image measurements, keyed on the exact image bytes.  A fault
+# campaign measures each loaded image twice per boot (boot side and
+# verify side) and the golden image in almost every run.  Only the hash
+# is memoized: the ``tee.bootrom.measurements`` tick and the
+# ``tee.bootrom.measure`` fault hook of :meth:`BootRom.measure` run on
+# every call, outside it, so an injected fault still lands and the memo
+# needs no bypass.  Each entry pins its image (192 KiB for the
+# platform's SM), so the memo is small.
+MEASUREMENT_MEMO = Memo(maxsize=4)
+
+# Measured-boot cache.  Boot is deterministic in the device identity,
+# the ROM section layout and the SM image, so a repeat boot can replay
+# the stored hand-off instead of re-running two signatures and (in the
+# PQ configuration) an ML-DSA key regeneration.  It is keyed on the
+# exact tuple of those parts, with the image as its SHA3-512 digest so
+# that no entry pins an image.  It is a process-wide memo, so hits
+# replay the build's PERF delta (the counter contract in
+# ``repro.runtime.memo``).  It is never consulted or populated while
+# fault injection is armed (an injection scenario must re-measure and
+# re-sign for its faults to land) or while a telemetry subscriber is
+# active (timed spans cannot be replayed, so traced boots always show
+# the real span tree).
 _BOOT_MEMO = Memo(maxsize=64)
+
+
+def _image_digest(sm_binary: bytes) -> bytes:
+    """SHA3-512 of the SM image through :data:`MEASUREMENT_MEMO`: no
+    PERF tick and no fault hook (those are :meth:`BootRom.measure`'s)."""
+    image = bytes(sm_binary)
+    return MEASUREMENT_MEMO.get_or_build(image, lambda: sha3_512(image))
 
 
 @dataclass(frozen=True)
@@ -183,10 +202,12 @@ class BootRom:
         return sum(section.size for section in self.sections)
 
     def measure(self, sm_binary: bytes) -> bytes:
-        """SHA3-512 measurement of the SM image in DRAM."""
+        """SHA3-512 measurement of the SM image in DRAM.  The hash comes
+        from :data:`MEASUREMENT_MEMO`; the PERF tick and the fault hook
+        run on every call."""
         if PERF.enabled:
             PERF.inc("tee.bootrom.measurements")
-        measurement = sha3_512(sm_binary)
+        measurement = _image_digest(sm_binary)
         if FAULTS.enabled:
             measurement = FAULTS.corrupt("tee.bootrom.measure",
                                          measurement)
@@ -202,31 +223,26 @@ class BootRom:
             signature = FAULTS.corrupt("tee.bootrom.sign", signature)
         return signature
 
-    def _boot_cache_key(self, sm_binary: bytes) -> bytes:
-        """Content address of one deterministic boot: device identity,
-        section layout and the exact SM image bytes."""
-        layout = ";".join(f"{s.name}:{s.size}" for s in self.sections)
-        parts = [
-            self.device.ed25519_seed,
-            self.device.mldsa_seed or b"",
-            self.device.mldsa_params.name.encode()
-            if self.device.post_quantum else b"",
-            layout.encode(),
-            sm_binary,
-        ]
-        blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-        return sha3_512(b"bootrom-memo-v1" + blob)
+    def _boot_cache_key(self, sm_binary: bytes) -> tuple:
+        """Key of one deterministic boot: device identity, section
+        layout and the SM image's digest (not a measurement: it ticks
+        no PERF counter)."""
+        device = self.device
+        return (device.ed25519_seed,
+                device.mldsa_seed or b"",
+                device.mldsa_params.name if device.post_quantum else "",
+                self.sections,
+                _image_digest(sm_binary))
 
     def boot(self, sm_binary: bytes) -> BootReport:
         """Run the measured-boot sequence and produce the SM hand-off.
 
         The sequence is deterministic, so repeat boots of the same
-        (device, layout, image) triple are served from a
-        content-addressed cache whose hits replay the original boot's
-        PERF delta.  The sequence runs fault hook sites and timed spans,
-        so the cache follows the bypass rule of
-        :func:`repro.runtime.memo.bypassed`: armed FAULTS or active
-        telemetry run the real measure/sign sequence.
+        (device, layout, image) triple are served from a cache whose
+        hits replay the original boot's PERF delta.  The sequence runs
+        fault hook sites and timed spans, so the cache follows the
+        bypass rule of :func:`repro.runtime.memo.bypassed`: armed FAULTS
+        or active telemetry run the real measure/sign sequence.
         """
         if bypassed():
             return self._boot(sm_binary)

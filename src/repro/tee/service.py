@@ -111,6 +111,9 @@ class AttestationService:
             raise ValueError("max_batch must be at least 1")
         self.max_batch = max_batch
         self.params = params
+        # The two report lengths the prefilter accepts, computed once
+        # (``pq_report_len`` reads three ``MLDSAParams`` properties).
+        self._report_lens = (DEFAULT_REPORT_LEN, pq_report_len(params))
         self._devices = {}
         self._expected_sm = {}
         self._cache = Memo(maxsize=SESSION_CACHE_SIZE)
@@ -364,8 +367,7 @@ class AttestationService:
         crypto: length sanity plus the expected-measurement pins the
         scalar verifier would reject anyway."""
         report = request.report
-        if len(report) not in (DEFAULT_REPORT_LEN,
-                               pq_report_len(self.params)):
+        if len(report) not in self._report_lens:
             return True   # let decode produce the malformed verdict
         if request.expected_enclave_hash is not None and \
                 report[:64] != request.expected_enclave_hash:

@@ -7,7 +7,9 @@ path is byte-identical (signatures, hashes, blocks) or point-equal
 hypothesis-generated inputs.  The measured-boot memo in
 :mod:`repro.tee.bootrom` is covered too: hits must replay identical
 bytes and identical PERF deltas, and armed fault injection must bypass
-the cache entirely.
+the cache entirely.  So is the SM-image measurement memo below it:
+its digests are hashlib's, cold and warm, and the measure fault hook
+still lands on every call while it serves them.
 """
 
 import hashlib
@@ -24,8 +26,9 @@ from repro.crypto import mldsa as m
 from repro.crypto import reference as ref
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.faults.injector import FAULTS, FaultSpec
-from repro.faults.models import BIT_FLIP
+from repro.faults.models import BIT_FLIP, flip_bit
 from repro.obs.perf import PERF, counting
+from repro.tee import bootrom
 from repro.tee.bootrom import BootRom
 from repro.tee.device import Device
 
@@ -305,3 +308,96 @@ class TestBootMemo:
         assert faulted.sm_measurement != clean.sm_measurement
         # ...and the cache was neither consulted nor poisoned:
         assert rom.boot(binary).encode() == clean.encode()
+
+
+class TestMeasurementMemo:
+    """``BootRom.measure`` hashes through ``bootrom.MEASUREMENT_MEMO``,
+    keyed on the exact image bytes; its PERF tick and fault hook stay
+    outside the memo."""
+
+    IMAGE = hashlib.sha3_256(b"measurement-memo").digest() * 2048
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        bootrom.MEASUREMENT_MEMO.clear()
+        yield
+        FAULTS.disarm()
+        bootrom.MEASUREMENT_MEMO.clear()
+
+    def _rom(self):
+        return BootRom(Device(bytes(32)))
+
+    def test_equals_hashlib_cold_and_warm(self):
+        rom = self._rom()
+        expected = hashlib.sha3_512(self.IMAGE).digest()
+        assert rom.measure(self.IMAGE) == expected
+        assert rom.measure(bytearray(self.IMAGE)) == expected
+        stats = bootrom.MEASUREMENT_MEMO.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+
+    def test_one_bit_flipped_image_misses(self):
+        rom = self._rom()
+        rom.measure(self.IMAGE)
+        flipped = flip_bit(self.IMAGE, 12345)
+        assert rom.measure(flipped) == hashlib.sha3_512(flipped).digest()
+        stats = bootrom.MEASUREMENT_MEMO.stats()
+        assert (stats["misses"], stats["hits"]) == (2, 0)
+
+    @pytest.mark.parametrize("trigger", [0, 1])
+    def test_measure_fault_lands_on_both_sides_while_warm(self, trigger):
+        """The campaign's ``tee.bootrom.measure`` point (``triggers=2``)
+        flips the boot-side measure (visit 0) or the verify-side one
+        (visit 1); either fails the boot closed although the memo
+        serves both hashes, and the memo keeps the true digest."""
+        rom = self._rom()
+        golden = rom.measure(self.IMAGE)                  # warm
+        FAULTS.arm(FaultSpec("tee.bootrom.measure", BIT_FLIP,
+                             trigger=trigger, bit=77))
+        try:
+            verified = rom.boot_verified(self.IMAGE)
+        finally:
+            events = FAULTS.disarm()
+        assert [event.visit for event in events] == [trigger]
+        assert not verified.ok
+        assert verified.fault.reason == "boot-verification-failed"
+        stats = bootrom.MEASUREMENT_MEMO.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 2)
+        assert rom.measure(self.IMAGE) == golden
+
+    def test_flipped_measurement_is_the_flipped_digest(self):
+        rom = self._rom()
+        golden = rom.measure(self.IMAGE)
+        FAULTS.arm(FaultSpec("tee.bootrom.measure", BIT_FLIP, count=2,
+                             bit=5))
+        try:
+            faulted = [rom.measure(self.IMAGE), rom.measure(self.IMAGE)]
+        finally:
+            FAULTS.disarm()
+        assert faulted == [flip_bit(golden, 5)] * 2
+        assert rom.measure(self.IMAGE) == golden
+
+    def test_perf_totals_equal_cold_and_warm(self):
+        rom = self._rom()
+
+        def counted():
+            with counting() as window:
+                assert rom.boot_verified(self.IMAGE).ok
+            return window.delta()
+
+        cold = counted()
+        warm = counted()
+        bootrom.MEASUREMENT_MEMO.clear()
+        recold = counted()
+        assert cold["tee.bootrom.measurements"] == 2
+        assert warm == cold == recold
+
+    def test_never_holds_more_than_maxsize(self):
+        rom = self._rom()
+        memo = bootrom.MEASUREMENT_MEMO
+        images = [flip_bit(self.IMAGE, bit)
+                  for bit in range(memo.maxsize + 3)]
+        for image in images:
+            assert rom.measure(image) == hashlib.sha3_512(image).digest()
+            assert memo.stats()["size"] <= memo.maxsize
+        assert memo.stats()["evictions"] == 3
+        assert images[-1] in memo and images[0] not in memo

@@ -115,3 +115,19 @@ class TestKeyPair:
         assert ed25519.verify(pair.public, b"msg", sig)
         assert not ed25519.verify(pair.public, b"other", sig)
         assert pair.public == ed25519.public_key(bytes(range(32)))
+
+
+class TestFieldInverse:
+    """``_inv`` (extended Euclid) is Fermat's ``x^(P-2) mod P``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=ed25519.P - 1))
+    def test_matches_fermat(self, x):
+        P = ed25519.P
+        assert ed25519._inv(x) == pow(x, P - 2, P)
+
+    @pytest.mark.parametrize("x", [0, 1, 2, ed25519.P - 1, ed25519.P])
+    def test_edge_values_match_fermat(self, x):
+        P = ed25519.P
+        assert ed25519._inv(x) == pow(x, P - 2, P)
+        assert ed25519._inv(x) * x % P == (1 if x % P else 0)

@@ -7,6 +7,7 @@ removes.
 """
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.faults.scenarios import (BootAttestScenario,
 from repro.obs import TELEMETRY, CoverageMap
 from repro.obs.perf import PERF, counting
 from repro.runtime import fork_available
+from repro.tee import bootrom
 
 from helpers import reset_telemetry
 
@@ -236,14 +238,25 @@ class TestDeterministicExport:
 
 
 class _NeverHits:
-    """Stand-in for ``ed25519.VERDICT_MEMO`` that verifies every call,
-    as before the verdict memo existed."""
+    """Stand-in for a process-wide memo that builds on every call, as
+    before the memo existed."""
 
     def get_or_build(self, key, build):
         return build()
 
     def clear(self):
         pass
+
+
+@contextmanager
+def _never_hits(module, name):
+    """``module.name`` (a memo) is a :class:`_NeverHits` in the block."""
+    memo = getattr(module, name)
+    setattr(module, name, _NeverHits())
+    try:
+        yield
+    finally:
+        setattr(module, name, memo)
 
 
 def _campaign_bytes(seed=11, jobs=1):
@@ -269,12 +282,8 @@ class TestVerdictMemo:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        memo = ed25519.VERDICT_MEMO
-        ed25519.VERDICT_MEMO = _NeverHits()
-        try:
+        with _never_hits(ed25519, "VERDICT_MEMO"):
             return _campaign_bytes()
-        finally:
-            ed25519.VERDICT_MEMO = memo
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_memo_on(self, reference, traced):
@@ -327,3 +336,32 @@ class TestVerdictMemo:
         assert len(runs) == len(set(runs))
         assert len(set(golden) | set(runs)) == stats["misses"]
         assert stats["hits"] > stats["misses"]
+
+
+class TestMeasurementMemo:
+    """The SM-image measurement memo changes a campaign's cost, never
+    its outputs: canonical JSON, coverage map and PERF totals are the
+    same bytes with a never-hit stand-in, serial and sharded."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with _never_hits(bootrom, "MEASUREMENT_MEMO"):
+            return _campaign_bytes()
+
+    def test_memo_on(self, reference):
+        bootrom.MEASUREMENT_MEMO.clear()
+        outputs = _campaign_bytes()
+        stats = bootrom.MEASUREMENT_MEMO.stats()
+        assert stats["hits"] > stats["misses"] > 0
+        assert outputs == reference
+
+    def test_warm_memo(self, reference):
+        _campaign_bytes(seed=12)
+        assert bootrom.MEASUREMENT_MEMO.stats()["size"] > 0
+        assert _campaign_bytes() == reference
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="parallel path needs fork")
+    def test_sharded(self, reference):
+        bootrom.MEASUREMENT_MEMO.clear()
+        assert _campaign_bytes(jobs=2) == reference
