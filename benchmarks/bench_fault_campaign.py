@@ -18,11 +18,12 @@ verdict memo and the SM-image measurement memo with a frozen never-hit
 baseline in the same process.
 """
 
+import statistics
 import time
 
 import pytest
 
-from conftest import never_hits, write_table
+from conftest import median_ratio, never_hits, paired_rounds, write_table
 from repro.crypto import ed25519
 from repro.faults.campaign import standard_campaign
 from repro.obs import PERF, TELEMETRY, CoverageMap
@@ -41,13 +42,13 @@ PARALLEL_SPEEDUP_FLOOR = 1.2
 
 #: Campaign with the Ed25519 verdict memo over the same campaign with
 #: the ``conftest.never_hits`` baseline for it, at the
-#: ``fault-campaign`` bench op's size (60 injections), best of
-#: ``VERDICT_ROUNDS`` interleaved rounds.  Telemetry and PERF are off
-#: in the timed window and coverage is not requested, so the gate
-#: records no spans and ticks no counters (the bench-history gate
-#: compares per-bench counters strictly).  A same-process ratio, so
+#: ``fault-campaign`` bench op's size (60 injections): the median of
+#: ``VERDICT_ROUNDS`` interleaved rounds' paired ratios.  Telemetry and
+#: PERF are off in the timed window and coverage is not requested, so
+#: the gate records no spans and ticks no counters (the bench-history
+#: gate compares per-bench counters strictly).  A same-process ratio, so
 #: asserted on every machine, at or below half the slowest of five
-#: runs' excess over 1.0x (1.69x, 1.55x, 1.72x, 1.69x, 1.72x on a
+#: runs' excess over 1.0x (1.98x, 1.90x, 1.87x, 1.74x, 1.69x on a
 #: 2-vCPU guest).
 VERDICT_MEMO_FLOOR = 1.2
 VERDICT_ROUNDS = 5
@@ -57,7 +58,7 @@ VERDICT_INJECTIONS = 60
 #: The same gate for ``bootrom.MEASUREMENT_MEMO`` on the same campaign:
 #: every ``BootRom.measure`` and boot-memo key hashes its SM image
 #: (192 KiB) in the baseline.  Floor at or below half the slowest of
-#: five runs' excess over 1.0x (1.26x, 1.40x, 1.24x, 1.30x, 1.35x on a
+#: five runs' excess over 1.0x (1.28x, 1.25x, 1.30x, 1.31x, 1.29x on a
 #: 2-vCPU guest).
 MEASUREMENT_MEMO_FLOOR = 1.1
 MEASUREMENT_ROUNDS = 7
@@ -193,57 +194,64 @@ def test_write_artifacts(campaign, report_dir):
         rows)
 
 
-def _timed_campaign():
-    start = time.perf_counter()
-    result = standard_campaign(seed=VERDICT_SEED,
-                               injections=VERDICT_INJECTIONS, jobs=1)
-    return time.perf_counter() - start, result.canonical_json()
+def _campaign_json():
+    return standard_campaign(seed=VERDICT_SEED,
+                             injections=VERDICT_INJECTIONS,
+                             jobs=1).canonical_json()
 
 
 def _memo_gate(report_dir, module, name, rounds, floor, artifact,
                title, columns):
     """Same campaign, same process: ``module.name`` against a
-    :class:`~conftest.NeverHits` baseline, best of ``rounds``
-    interleaved rounds with the memo cleared before each of its rounds,
-    telemetry and PERF off.  Outputs are byte-identical, the memo
-    misses exactly once per distinct key, and the memo side is faster
-    by ``floor``.  ``columns`` names what the baseline asks for and
-    what it builds."""
+    :class:`~conftest.NeverHits` baseline over ``rounds`` interleaved
+    rounds (:func:`~conftest.paired_rounds`), the memo cleared before
+    each of its runs, telemetry and PERF off.  Outputs are
+    byte-identical, the memo misses exactly once per distinct key, and
+    the median of the rounds' baseline/memo ratios reaches ``floor``.
+    ``columns`` names what the baseline asks for and what it builds."""
     memo = getattr(module, name)
+    outputs = {}
+    baselines = []
+
+    def baseline_arm():
+        with never_hits(module, name) as baseline:
+            outputs["baseline"] = _campaign_json()
+        baselines.append(baseline)
+
+    def memo_arm():
+        memo.clear()
+        outputs["memo"] = _campaign_json()
+
     was_enabled = TELEMETRY.enabled, PERF.enabled
     TELEMETRY.enabled = PERF.enabled = False
-    best = {"memo": float("inf"), "baseline": float("inf")}
-    outputs = {}
     try:
-        for _ in range(rounds):
-            with never_hits(module, name) as baseline:
-                wall, outputs["baseline"] = _timed_campaign()
-            best["baseline"] = min(best["baseline"], wall)
-            memo.clear()
-            wall, outputs["memo"] = _timed_campaign()
-            best["memo"] = min(best["memo"], wall)
+        walls = paired_rounds({"baseline": baseline_arm, "memo": memo_arm},
+                              rounds)
     finally:
         TELEMETRY.enabled, PERF.enabled = was_enabled
+    baseline = baselines[-1]
     stats = memo.stats()
     assert outputs["memo"] == outputs["baseline"]
     assert stats["misses"] == len(baseline.keys) < baseline.calls
     assert stats["hits"] + stats["misses"] == baseline.calls
 
-    ratio = best["baseline"] / best["memo"]
+    ratio = median_ratio(walls["baseline"], walls["memo"])
+    median = {arm: statistics.median(walls[arm]) for arm in walls}
     write_table(
         report_dir, artifact,
         f"{title} vs never-hit baseline: seed {VERDICT_SEED}, "
-        f"{VERDICT_INJECTIONS} injections, best of {rounds} interleaved "
-        f"rounds (byte-identical campaign JSON)",
-        [*columns, "wall", "runs/s", "speedup", "floor"],
+        f"{VERDICT_INJECTIONS} injections, {rounds} interleaved rounds "
+        f"(speedup = median of the rounds' baseline/memo ratios; "
+        f"byte-identical campaign JSON)",
+        [*columns, "median wall", "runs/s", "speedup", "floor"],
         [["never-hit baseline", baseline.calls, baseline.calls,
-          f"{best['baseline']:.3f} s",
-          f"{VERDICT_INJECTIONS / best['baseline']:,.0f}", "1.00x", "-"],
+          f"{median['baseline']:.3f} s",
+          f"{VERDICT_INJECTIONS / median['baseline']:,.0f}", "1.00x", "-"],
          ["memo", baseline.calls, stats["misses"],
-          f"{best['memo']:.3f} s",
-          f"{VERDICT_INJECTIONS / best['memo']:,.0f}", f"{ratio:.2f}x",
+          f"{median['memo']:.3f} s",
+          f"{VERDICT_INJECTIONS / median['memo']:,.0f}", f"{ratio:.2f}x",
           f">= {floor:.2f}x"]])
-    assert ratio >= floor, (best, ratio)
+    assert ratio >= floor, (walls, ratio)
 
 
 def test_verdict_memo_beats_never_hit_baseline(report_dir):

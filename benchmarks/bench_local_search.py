@@ -14,73 +14,214 @@ trade-off.
 ``results/local_search_table`` times the sub-design table that each
 descent prices through against a frozen copy of the table-free
 recursive evaluation and descent it replaced, in the same process.
+``results/local_search_hash`` times the explorer against a frozen copy
+of the table descent as it was before configurations hashed once and
+neighbours were spliced.
 """
 
 import random
-import time
+import statistics
+from dataclasses import dataclass
 
 import pytest
 
-from repro.hades import (DesignContext, EvaluatedDesign,
+from repro.hades import (Configuration, DesignContext, EvaluatedDesign,
                          ExhaustiveExplorer, InfeasibleConfiguration,
-                         LocalSearchExplorer, OptimizationGoal, neighbours)
+                         LocalSearchExplorer, OptimizationGoal, Template,
+                         neighbours)
 from repro.hades.library import kyber_cca
 from repro.obs import PERF, TELEMETRY
 from repro.runtime import Memo
 
-from conftest import write_table
+from conftest import median_ratio, paired_rounds, write_table
 
 GOAL = OptimizationGoal.AREA
 CONTEXT = DesignContext(masking_order=1)
 
 #: 10-start Kyber-CCA searches (the ``dse-local`` bench op) through
 #: :class:`LocalSearchExplorer` over the same searches through the
-#: frozen table-free reference below: best of ``TABLE_ROUNDS``
-#: interleaved rounds over ``TABLE_SEEDS``, telemetry and PERF off.  A
-#: same-process ratio, so asserted on every machine.  Eight runs read
-#: 1.49-1.71x on a 2-vCPU x86-64 KVM guest, where ``bench/compare.py``
-#: read 1.63x on the ``dse-local`` workload.
+#: frozen table-free reference below: the median of ``TABLE_ROUNDS``
+#: interleaved rounds' paired ratios over ``TABLE_SEEDS``, telemetry
+#: and PERF off.  A same-process ratio, so asserted on every machine.
+#: The reference shares the explorer's ``Configuration`` and
+#: ``neighbours``.  Five runs read 1.71-1.91x on a 2-vCPU x86-64 KVM
+#: guest.
 TABLE_FLOOR = 1.3
 TABLE_ROUNDS = 7
 TABLE_SEEDS = (1000, 1001, 1002)
 TABLE_STARTS = 10
+
+#: The same searches against the frozen rehashing reference below: the
+#: table descent driven by a ``Configuration`` that rehashes its whole
+#: subtree per lookup, neighbours rebuilt through generators, slot
+#: candidates found by scanning and default designs rebuilt per move.
+#: Five runs read 1.34-1.40x on the same guest.
+HASH_FLOOR = 1.2
+HASH_ROUNDS = 7
 
 _results = {}
 
 
 # -- frozen reference: the descent before the sub-design table -----------
 
-def _reference_evaluate(template, configuration, context):
-    """Table-free recursive evaluation: every slot is priced again."""
+def _table_free_evaluate(template, configuration, context, table):
+    """Table-free recursive evaluation: every slot is priced again
+    (``table`` is unused)."""
     sub_metrics = {}
     for slot_name, sub_config in configuration.slots:
         candidate = template._candidate(slot_name, sub_config.template)
-        sub_metrics[slot_name] = _reference_evaluate(candidate, sub_config,
-                                                     context)
+        sub_metrics[slot_name] = _table_free_evaluate(
+            candidate, sub_config, context, table)
     return template.cost(dict(configuration.params), sub_metrics, context)
 
 
-def _reference_memo_evaluate(template, context, config, memo):
+# -- frozen reference: the table descent before hashing once -------------
+
+@dataclass(frozen=True)
+class _RehashingConfiguration:
+    """``Configuration`` before it cached its hash: the generated
+    ``__hash__`` rehashes the whole subtree on every lookup."""
+
+    template: str
+    params: tuple
+    slots: tuple
+
+    def param(self, name: str):
+        for key, value in self.params:
+            if key == name:
+                return value
+        raise KeyError(name)
+
+    def slot(self, name: str):
+        for key, value in self.slots:
+            if key == name:
+                return value
+        raise KeyError(name)
+
+
+def _scanned_candidate(template, slot_name, template_name):
+    for candidate in template.slots[slot_name]:
+        if candidate.name == template_name:
+            return candidate
+    raise KeyError(
+        f"no candidate {template_name!r} for slot {slot_name!r}")
+
+
+def _rebuilt_default(template):
+    params = tuple(sorted(
+        (key, values[0]) for key, values in template.parameters.items()))
+    slots = tuple(sorted(
+        (key, _rebuilt_default(candidates[0]))
+        for key, candidates in template.slots.items()))
+    return _RehashingConfiguration(template.name, params, slots)
+
+
+def _rehashing_random(template, rng):
+    """``Template.random_configuration``: the same draws, the frozen
+    configuration type."""
+    params = tuple(sorted(
+        (key, rng.choice(values))
+        for key, values in template.parameters.items()))
+    slots = []
+    for key, candidates in template.slots.items():
+        weights = [c.count_configurations() for c in candidates]
+        candidate = rng.choices(candidates, weights=weights)[0]
+        slots.append((key, _rehashing_random(candidate, rng)))
+    return _RehashingConfiguration(template.name, params,
+                                   tuple(sorted(slots)))
+
+
+def _rebuilt_with_param(config, name, value):
+    params = tuple((k, value if k == name else v)
+                   for k, v in config.params)
+    return _RehashingConfiguration(config.template, params, config.slots)
+
+
+def _rebuilt_with_slot(config, name, sub):
+    slots = tuple((k, sub if k == name else v) for k, v in config.slots)
+    return _RehashingConfiguration(config.template, config.params, slots)
+
+
+def _rebuilt_neighbours(template, config):
+    for name, values in template.parameters.items():
+        current = config.param(name)
+        for value in values:
+            if value != current:
+                yield _rebuilt_with_param(config, name, value)
+    for slot_name, candidates in template.slots.items():
+        sub = config.slot(slot_name)
+        current_candidate = _scanned_candidate(template, slot_name,
+                                               sub.template)
+        for candidate in candidates:
+            if candidate.name != sub.template:
+                yield _rebuilt_with_slot(config, slot_name,
+                                         _rebuilt_default(candidate))
+        for new_sub in _rebuilt_neighbours(current_candidate, sub):
+            yield _rebuilt_with_slot(config, slot_name, new_sub)
+
+
+def _rehashing_evaluate(template, configuration, context, table):
+    """``Template.evaluate`` through the sub-design table, with the
+    scanning candidate lookup."""
+    if configuration.template != template.name:
+        raise ValueError(
+            f"configuration is for {configuration.template!r}, "
+            f"not {template.name!r}")
+    sub_metrics = {}
+    for slot_name, sub_config in configuration.slots:
+        candidate = _scanned_candidate(template, slot_name,
+                                       sub_config.template)
+        key = (candidate, sub_config)
+        try:
+            metrics = table[key]
+        except KeyError:
+            try:
+                metrics = _rehashing_evaluate(candidate, sub_config,
+                                              context, table)
+            except InfeasibleConfiguration:
+                metrics = None
+            table[key] = metrics
+        if metrics is None:
+            raise InfeasibleConfiguration(
+                f"slot {slot_name!r} of {template.name!r} holds an "
+                f"infeasible {sub_config.template!r} design")
+        sub_metrics[slot_name] = metrics
+    return template.cost(dict(configuration.params), sub_metrics, context)
+
+
+def _as_configuration(config):
+    """A frozen reference configuration as a :class:`Configuration`."""
+    return Configuration(config.template, config.params, tuple(
+        (name, _as_configuration(sub)) for name, sub in config.slots))
+
+
+# -- the reference descent, driven by either frozen evaluation -----------
+
+def _reference_memo_evaluate(evaluate, template, context, config, memo,
+                             table):
     found, metrics = memo.lookup(config)
     if found:
         return metrics
     try:
-        metrics = _reference_evaluate(template, config, context)
+        metrics = evaluate(template, config, context, table)
     except InfeasibleConfiguration:
         metrics = None
     memo.store(config, metrics)
     return metrics
 
 
-def _reference_descend(template, context, config, goal):
+def _reference_descend(reference, template, context, config, goal):
+    evaluate, neighbours_of = reference["evaluate"], reference["neighbours"]
     memo = Memo()
-    metrics = _reference_memo_evaluate(template, context, config, memo)
+    table = {}
+    metrics = _reference_memo_evaluate(evaluate, template, context, config,
+                                       memo, table)
     attempts = 0
     while metrics is None:
         improved = False
-        for candidate in neighbours(template, config):
+        for candidate in neighbours_of(template, config):
             candidate_metrics = _reference_memo_evaluate(
-                template, context, candidate, memo)
+                evaluate, template, context, candidate, memo, table)
             if candidate_metrics is not None:
                 config, metrics = candidate, candidate_metrics
                 improved = True
@@ -91,9 +232,9 @@ def _reference_descend(template, context, config, goal):
     score = goal.score(metrics)
     while True:
         best_neighbour = None
-        for candidate in neighbours(template, config):
+        for candidate in neighbours_of(template, config):
             candidate_metrics = _reference_memo_evaluate(
-                template, context, candidate, memo)
+                evaluate, template, context, candidate, memo, table)
             if candidate_metrics is None:
                 continue
             candidate_score = goal.score(candidate_metrics)
@@ -105,16 +246,23 @@ def _reference_descend(template, context, config, goal):
         config, metrics = best_neighbour
 
 
-def _reference_search(template, context, goal, seed, starts):
+#: The two frozen descents: how each evaluates, steps and draws starts.
+TABLE_FREE = {"evaluate": _table_free_evaluate, "neighbours": neighbours,
+              "random": Template.random_configuration}
+REHASHING = {"evaluate": _rehashing_evaluate,
+             "neighbours": _rebuilt_neighbours, "random": _rehashing_random}
+
+
+def _reference_search(reference, template, context, goal, seed, starts):
     """``(evaluations, best)`` of the serial multi-start search."""
     rng = random.Random(seed)
-    start_configs = [template.random_configuration(rng)
+    start_configs = [reference["random"](template, rng)
                      for _ in range(starts)]
     evaluations = 0
     best = best_rank = None
     for index, start in enumerate(start_configs):
-        config, metrics, misses = _reference_descend(template, context,
-                                                     start, goal)
+        config, metrics, misses = _reference_descend(
+            reference, template, context, start, goal)
         evaluations += misses
         if config is not None:
             rank = (goal.score(metrics), index)
@@ -170,56 +318,79 @@ def test_report_local_search(benchmark, report_dir):
     assert fifty.elapsed_seconds < exhaustive.elapsed_seconds
 
 
-def test_sub_design_table_beats_table_free_reference(benchmark,
-                                                     report_dir):
-    """Same searches, same process: the explorer's per-descent
-    sub-design table against the frozen table-free descent.  Both
-    sides count the same evaluations and find the same optimum, and
-    the table side is faster by the floor."""
+def _search_gate(report_dir, reference, rounds, floor, artifact, title,
+                 rows):
+    """Same searches, same process: :class:`LocalSearchExplorer`
+    against a frozen ``reference`` descent over ``rounds`` interleaved
+    rounds (:func:`~conftest.paired_rounds`), telemetry and PERF off.
+    Both sides count the same evaluations and find the same optimum,
+    and the median of the rounds' reference/explorer ratios reaches
+    ``floor``.  ``rows`` names the reference and explorer rows."""
     template = kyber_cca()
-    searches = {
-        "table": lambda seed: LocalSearchExplorer(
-            template, CONTEXT, seed=seed).run(GOAL, starts=TABLE_STARTS,
-                                              jobs=1),
-        "reference": lambda seed: _reference_search(
-            template, CONTEXT, GOAL, seed, TABLE_STARTS)}
-    best = dict.fromkeys(searches, float("inf"))
     outputs = {}
+
+    def explorer_arm():
+        outputs["explorer"] = [LocalSearchExplorer(
+            template, CONTEXT, seed=seed).run(GOAL, starts=TABLE_STARTS,
+                                              jobs=1)
+            for seed in TABLE_SEEDS]
+
+    def reference_arm():
+        outputs["reference"] = [_reference_search(
+            reference, template, CONTEXT, GOAL, seed, TABLE_STARTS)
+            for seed in TABLE_SEEDS]
+
     was_enabled = TELEMETRY.enabled, PERF.enabled
     TELEMETRY.enabled = PERF.enabled = False
     try:
-        for _ in range(TABLE_ROUNDS):
-            for name, search in searches.items():
-                start = time.perf_counter()
-                outputs[name] = [search(seed) for seed in TABLE_SEEDS]
-                best[name] = min(best[name], time.perf_counter() - start)
+        walls = paired_rounds({"reference": reference_arm,
+                               "explorer": explorer_arm}, rounds)
     finally:
         TELEMETRY.enabled, PERF.enabled = was_enabled
     evaluations = 0
     for result, (reference_evaluations, reference_best) in zip(
-            outputs["table"], outputs["reference"]):
+            outputs["explorer"], outputs["reference"]):
         assert result.evaluations == reference_evaluations
-        assert result.best.configuration == reference_best.configuration
+        assert result.best.configuration == \
+            _as_configuration(reference_best.configuration)
         assert result.best.metrics == reference_best.metrics
         evaluations += reference_evaluations
 
-    ratio = best["reference"] / best["table"]
+    ratio = median_ratio(walls["reference"], walls["explorer"])
+    median = {arm: statistics.median(walls[arm]) for arm in walls}
     searched = len(TABLE_SEEDS)
     write_table(
-        report_dir, "local_search_table",
+        report_dir, artifact,
         f"Kyber-CCA {TABLE_STARTS}-start local search (area goal, d=1, "
-        f"seeds {TABLE_SEEDS[0]}-{TABLE_SEEDS[-1]}): per-descent "
-        f"sub-design table vs table-free reference (best of "
-        f"{TABLE_ROUNDS} interleaved rounds; identical evaluations and "
-        f"optima)",
-        ["evaluation", "evaluations", "wall", "per search", "speedup",
-         "floor"],
-        [["table-free reference", evaluations,
-          f"{best['reference'] * 1e3:.1f} ms",
-          f"{best['reference'] / searched * 1e3:.1f} ms", "1.00x", "-"],
-         ["sub-design table", evaluations,
-          f"{best['table'] * 1e3:.1f} ms",
-          f"{best['table'] / searched * 1e3:.1f} ms", f"{ratio:.2f}x",
-          f">= {TABLE_FLOOR:.1f}x"]])
+        f"seeds {TABLE_SEEDS[0]}-{TABLE_SEEDS[-1]}): {title} ({rounds} "
+        f"interleaved rounds, speedup = median of the rounds' "
+        f"reference/explorer ratios; identical evaluations and optima)",
+        ["evaluation", "evaluations", "median wall", "per search",
+         "speedup", "floor"],
+        [[rows[0], evaluations, f"{median['reference'] * 1e3:.1f} ms",
+          f"{median['reference'] / searched * 1e3:.1f} ms", "1.00x", "-"],
+         [rows[1], evaluations, f"{median['explorer'] * 1e3:.1f} ms",
+          f"{median['explorer'] / searched * 1e3:.1f} ms",
+          f"{ratio:.2f}x", f">= {floor:.1f}x"]])
+    assert ratio >= floor, (walls, ratio)
+
+
+def test_sub_design_table_beats_table_free_reference(benchmark,
+                                                     report_dir):
+    """The explorer's per-descent sub-design table against the frozen
+    table-free descent."""
+    _search_gate(report_dir, TABLE_FREE, TABLE_ROUNDS, TABLE_FLOOR,
+                 "local_search_table",
+                 "per-descent sub-design table vs table-free reference",
+                 ["table-free reference", "sub-design table"])
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert ratio >= TABLE_FLOOR, (best, ratio)
+
+
+def test_hash_once_beats_rehashing_reference(benchmark, report_dir):
+    """The explorer's once-hashed, spliced neighbours against the
+    frozen table descent that rehashes and rebuilds them."""
+    _search_gate(report_dir, REHASHING, HASH_ROUNDS, HASH_FLOOR,
+                 "local_search_hash",
+                 "hash-once spliced neighbours vs rehashing reference",
+                 ["rehashing reference", "hash once"])
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

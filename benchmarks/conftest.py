@@ -31,6 +31,7 @@ an interrupted session never leaves a truncated JSON behind.
 
 import json
 import pathlib
+import statistics
 import time
 from contextlib import contextmanager
 
@@ -126,6 +127,29 @@ def never_hits(module, name):
         yield stand_in
     finally:
         setattr(module, name, memo)
+
+
+def paired_rounds(arms: dict, rounds: int) -> dict:
+    """``{name: [wall per round]}`` of ``rounds`` interleaved rounds.
+
+    Each round runs every arm (a zero-argument callable) once, back to
+    back, the first arm alternating between rounds.  On a shared guest
+    single runs swing by a third, so best-of-N walls of two arms can
+    come from different machine states; a round's runs share one, and
+    :func:`median_ratio` of the paired walls reads the speedup."""
+    names = list(arms)
+    walls = {name: [] for name in names}
+    for round_index in range(rounds):
+        for name in names if round_index % 2 == 0 else names[::-1]:
+            start = time.perf_counter()
+            arms[name]()
+            walls[name].append(time.perf_counter() - start)
+    return walls
+
+
+def median_ratio(slow: list, fast: list) -> float:
+    """The median of the per-round ratios ``slow / fast``."""
+    return statistics.median(s / f for s, f in zip(slow, fast))
 
 
 # -- per-bench wall-time aggregation (BENCH_SUMMARY.json) ----------------

@@ -275,35 +275,54 @@ def pareto_front(designs, include_randomness: bool = True) -> list:
     return front
 
 
-def _with_param(config: Configuration, name: str, value) -> Configuration:
-    params = tuple((k, value if k == name else v)
-                   for k, v in config.params)
-    return Configuration(config.template, params, config.slots)
+def _position(pairs: tuple, name: str) -> int:
+    """Index of ``name`` in a configuration's ``(name, value)`` pairs."""
+    for index, (key, _) in enumerate(pairs):
+        if key == name:
+            return index
+    raise KeyError(name)
 
 
-def _with_slot(config: Configuration, name: str,
+def _with_param(config: Configuration, index: int,
+                value) -> Configuration:
+    params = config.params
+    return Configuration(
+        config.template,
+        params[:index] + ((params[index][0], value),) + params[index + 1:],
+        config.slots)
+
+
+def _with_slot(config: Configuration, index: int,
                sub: Configuration) -> Configuration:
-    slots = tuple((k, sub if k == name else v) for k, v in config.slots)
-    return Configuration(config.template, config.params, slots)
+    slots = config.slots
+    return Configuration(
+        config.template, config.params,
+        slots[:index] + ((slots[index][0], sub),) + slots[index + 1:])
 
 
 def neighbours(template: Template, config: Configuration):
     """All single-decision variations of ``config`` (the paper: "all
-    parameters are varied individually instead of jointly")."""
+    parameters are varied individually instead of jointly").
+
+    Each neighbour splices one entry into its parent's tuples; its
+    untouched children are shared, so building it hashes only the
+    path from the changed site to the root."""
     for name, values in template.parameters.items():
-        current = config.param(name)
+        index = _position(config.params, name)
+        current = config.params[index][1]
         for value in values:
             if value != current:
-                yield _with_param(config, name, value)
+                yield _with_param(config, index, value)
     for slot_name, candidates in template.slots.items():
-        sub = config.slot(slot_name)
-        current_candidate = template._candidate(slot_name, sub.template)
+        index = _position(config.slots, slot_name)
+        sub = config.slots[index][1]
         for candidate in candidates:
             if candidate.name != sub.template:
-                yield _with_slot(config, slot_name,
+                yield _with_slot(config, index,
                                  candidate.default_configuration())
-        for new_sub in neighbours(current_candidate, sub):
-            yield _with_slot(config, slot_name, new_sub)
+        for new_sub in neighbours(
+                template._candidate(slot_name, sub.template), sub):
+            yield _with_slot(config, index, new_sub)
 
 
 def _memo_evaluate(template: Template, context: DesignContext,

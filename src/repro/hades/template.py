@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .metrics import Metrics
 
@@ -61,20 +61,32 @@ class Configuration:
     ``params`` maps parameter names to chosen values; ``slots`` maps
     slot names to the (candidate template name, sub-configuration)
     actually chosen.
+
+    The hash of ``(template, params, slots)`` is taken once, at
+    construction: children are built first, so a parent's hash reads
+    one cached value per child instead of rehashing the subtree, and
+    every memo or table lookup reads the cached value.  It is not
+    compared, shown or pickled: string hashes differ between
+    interpreters, so unpickling rebuilds it.
     """
 
     template: str
     params: tuple          # sorted tuple of (name, value)
     slots: tuple           # sorted tuple of (slot, Configuration)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.template, self.params, self.slots)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Configuration, (self.template, self.params, self.slots)
 
     def param(self, name: str):
         for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def slot(self, name: str) -> "Configuration":
-        for key, value in self.slots:
             if key == name:
                 return value
         raise KeyError(name)
@@ -111,6 +123,20 @@ class Template:
                 raise ValueError(
                     f"slot {key!r} of {name!r} has two candidates "
                     f"with one name")
+        # Each slot's candidates by name: names are unique (above), so
+        # the index is exact.
+        self._candidates = {
+            key: {candidate.name: candidate for candidate in candidates}
+            for key, candidates in self.slots.items()}
+        # The first configuration in enumeration order, built once:
+        # candidates are built (with their own default) before their
+        # parent, and a configuration is immutable.
+        self._default = Configuration(
+            name,
+            tuple(sorted((key, values[0])
+                         for key, values in self.parameters.items())),
+            tuple(sorted((key, candidates[0]._default)
+                         for key, candidates in self.slots.items())))
 
     def count_configurations(self) -> int:
         """Closed-form size of this template's configuration space."""
@@ -162,20 +188,15 @@ class Template:
         return self.cost(params, sub_metrics, context)
 
     def _candidate(self, slot_name: str, template_name: str) -> "Template":
-        for candidate in self.slots[slot_name]:
-            if candidate.name == template_name:
-                return candidate
-        raise KeyError(
-            f"no candidate {template_name!r} for slot {slot_name!r}")
+        try:
+            return self._candidates[slot_name][template_name]
+        except KeyError:
+            raise KeyError(f"no candidate {template_name!r} for slot "
+                           f"{slot_name!r}") from None
 
     def default_configuration(self) -> Configuration:
         """The first configuration in enumeration order."""
-        params = tuple(sorted(
-            (key, values[0]) for key, values in self.parameters.items()))
-        slots = tuple(sorted(
-            (key, candidates[0].default_configuration())
-            for key, candidates in self.slots.items()))
-        return Configuration(self.name, params, slots)
+        return self._default
 
     def random_configuration(self, rng) -> Configuration:
         """A uniformly random configuration (for local-search starts)."""

@@ -119,12 +119,17 @@ class BusStatistics:
 
 
 class SharedBus:
-    """A single shared resource serving one transaction at a time."""
+    """A single shared resource serving one transaction at a time.
+
+    ``_waiting`` counts the queued transactions not yet granted, kept
+    in step by :meth:`submit` and each grant, so a cycle with nothing
+    waiting asks the arbiter nothing."""
 
     def __init__(self, arbiter: Arbiter):
         self.arbiter = arbiter
         self.cycle = 0
         self._queues = {}
+        self._waiting = 0
         self._busy_until = 0
         self._active = None
         self.stats = {}
@@ -149,10 +154,8 @@ class SharedBus:
                     transaction.latency += max(1, spec.magnitude)
         queue = self._queues.setdefault(transaction.requestor, deque())
         queue.append(transaction)
+        self._waiting += 1
         self.stats.setdefault(transaction.requestor, BusStatistics())
-
-    def pending_count(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
     def step(self) -> list:
         """Advance one cycle; returns transactions completed this cycle."""
@@ -167,17 +170,18 @@ class SharedBus:
             stats.completion_times.append(self.cycle)
             completed.append(transaction)
             self._active = None
-        if self._active is None:
+        if self._active is None and self._waiting:
             pending = {name: queue for name, queue in self._queues.items()
                        if queue}
             granted = self.arbiter.grant(self.cycle, pending)
             if granted is not None:
                 transaction = self._queues[granted].popleft()
+                self._waiting -= 1
                 self._active = transaction
                 self._busy_until = self.cycle + transaction.latency
                 if PERF.enabled:
                     PERF.inc("soc.bus.grants")
-            elif pending and PERF.enabled:
+            elif PERF.enabled:
                 # Traffic waiting but nobody served: an arbitration
                 # stall (e.g. an idle TDM slot that is never donated).
                 PERF.inc("soc.bus.stall_cycles")
@@ -201,12 +205,12 @@ class SharedBus:
         a detected fault instead of a hang.
         """
         completed = []
-        while (self.pending_count() or self._active is not None):
+        while self._waiting or self._active is not None:
             if self.cycle >= max_cycles:
                 if AUDIT.enabled:
                     AUDIT.emit("soc.bus", "bus-watchdog",
                                severity="critical", cycle=self.cycle,
-                               pending=self.pending_count())
+                               pending=self._waiting)
                 raise RuntimeError("bus did not drain within cycle budget")
             completed.extend(self.step())
         return completed

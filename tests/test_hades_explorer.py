@@ -49,11 +49,11 @@ class TestExhaustive:
     def test_nested_optimum(self):
         result = ExhaustiveExplorer(_nested_template()).run(G.AREA)
         assert result.best.metrics.area_kge == 1.0   # y=0, leaf_a x=0
-        assert result.best.configuration.slot("s").template == "leaf_a"
+        assert dict(result.best.configuration.slots)["s"].template == "leaf_a"
 
     def test_latency_goal_prefers_leaf_b(self):
         result = ExhaustiveExplorer(_nested_template()).run(G.LATENCY)
-        assert result.best.configuration.slot("s").template == "leaf_b"
+        assert dict(result.best.configuration.slots)["s"].template == "leaf_b"
 
     def test_all_infeasible_raises(self):
         def cost(params, subs, context):
@@ -97,7 +97,7 @@ class TestNeighbours:
         t = _nested_template()
         config = t.default_configuration()   # slot = leaf_a, x=0
         moves = list(neighbours(t, config))
-        slot_templates = {m.slot("s").template for m in moves}
+        slot_templates = {dict(m.slots)["s"].template for m in moves}
         assert "leaf_b" in slot_templates
         # y: 1 alternative; slot switch: 1; leaf_a.x: 2 → 4 moves.
         assert len(moves) == 4

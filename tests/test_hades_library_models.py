@@ -26,9 +26,9 @@ class TestKeccakModel:
     def test_serial_is_smaller_and_slower(self):
         area_best = _best(keccak(), G.AREA)
         latency_best = _best(keccak(), G.LATENCY)
-        assert area_best.configuration.slot("core").template == \
+        assert dict(area_best.configuration.slots)["core"].template == \
             "keccak_slice_serial"
-        assert latency_best.configuration.slot("core").template == \
+        assert dict(latency_best.configuration.slots)["core"].template == \
             "keccak_full_width"
         assert area_best.metrics.area_kge < latency_best.metrics.area_kge
         assert area_best.metrics.latency_cc > \
@@ -41,16 +41,16 @@ class TestKeccakModel:
                                          DesignContext(masking_order=1)))
         unroll_1 = next(
             d for d in designs
-            if d.configuration.slot("core").template ==
+            if dict(d.configuration.slots)["core"].template ==
             "keccak_full_width"
-            and d.configuration.slot("core").param("unroll") == 1)
+            and dict(d.configuration.slots)["core"].param("unroll") == 1)
         assert unroll_1.metrics.randomness_bits == 1600
 
     def test_unrolling_trades_area_for_throughput_not_latency(self):
         designs = list(enumerate_designs(keccak(), DesignContext()))
-        full = {d.configuration.slot("core").param("unroll"): d.metrics
+        full = {dict(d.configuration.slots)["core"].param("unroll"): d.metrics
                 for d in designs
-                if d.configuration.slot("core").template ==
+                if dict(d.configuration.slots)["core"].template ==
                 "keccak_full_width"}
         assert full[24].area_kge > 10 * full[1].area_kge
 
@@ -65,8 +65,8 @@ class TestChaChaModel:
             params = dict(design.configuration.params)
             if (params["qr_parallelism"], params["double_round_unroll"],
                     params["pipeline"]) == (1, 1, 0):
-                by_adder[design.configuration.slot(
-                    "adder32").template] = design.metrics
+                by_adder[dict(design.configuration.slots)[
+                    "adder32"].template] = design.metrics
         assert by_adder["ripple_carry"].area_kge < \
             by_adder["parallel_prefix"].area_kge
         assert by_adder["ripple_carry"].latency_cc > \
@@ -89,9 +89,9 @@ class TestPolymulModels:
 
     def test_dense_nests_two_adders(self):
         design = _best(polymul(), G.AREA)
-        assert design.configuration.slot("mod_adder").template == \
+        assert dict(design.configuration.slots)["mod_adder"].template == \
             "adder_mod_q"
-        accumulator = design.configuration.slot("accumulator")
+        accumulator = dict(design.configuration.slots)["accumulator"]
         assert accumulator.template in (
             "ripple_carry", "carry_lookahead", "carry_skip",
             "carry_select", "carry_increment", "parallel_prefix",
@@ -105,7 +105,7 @@ class TestPolymulModels:
 class TestKyberModels:
     def test_cpa_cost_dominated_by_multiplier(self):
         design = _best(kyber_cpa(), G.AREA)
-        multiplier = design.configuration.slot("polymul")
+        multiplier = dict(design.configuration.slots)["polymul"]
         assert multiplier.template == "polymul"
         assert design.metrics.latency_cc > 9 * 16  # k^2 products
 

@@ -1,5 +1,13 @@
 """Tests for the HADES template system, metrics and masking models."""
 
+import dataclasses
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +16,8 @@ from repro.hades import (Configuration, DesignContext,
                          InfeasibleConfiguration, Metrics,
                          OptimizationGoal, Template, enumerate_designs)
 from repro.hades import masking
+from repro.hades.library import kyber_cca
+from repro.runtime import Memo
 
 
 def _const_cost(area, latency, rand=0.0):
@@ -151,7 +161,7 @@ class TestTemplate:
         parent = Template("parent", lambda p, s, c: s["s"],
                           slots={"s": (leaf,)})
         config = parent.default_configuration()
-        assert config.slot("s").param("p") == 10
+        assert dict(config.slots)["s"].param("p") == 10
 
     def test_random_configuration_valid(self):
         import random
@@ -269,3 +279,64 @@ class TestSubDesignTable:
         # A feasible design sharing the table is still priced.
         assert parent.evaluate(_config(0, 1, 0, 0), context,
                                table).area_kge == 2.0
+
+
+#: Prints a pickled seeded Kyber-CCA start, built in a fresh
+#: interpreter whose string hashes differ from this one's.
+_PICKLE_IN_CHILD = """
+import pickle, random, sys
+from repro.hades.library import kyber_cca
+config = kyber_cca().random_configuration(random.Random(7))
+sys.stdout.buffer.write(pickle.dumps(config))
+"""
+
+
+class TestConfigurationHash:
+    def test_equal_configurations_hash_equal(self):
+        first = kyber_cca().random_configuration(random.Random(5))
+        second = kyber_cca().random_configuration(random.Random(5))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert kyber_cca().default_configuration() == \
+            kyber_cca().default_configuration()
+        assert hash(first) == hash(
+            (first.template, first.params, first.slots))
+
+    def test_fields_are_frozen(self):
+        config = Configuration("t", (("a", 1),), ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.template = "u"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config._hash = 0
+
+    def test_repr_unchanged(self):
+        leaf = Configuration("leaf", (("x", 2),), ())
+        config = Configuration("t", (("a", 1),), (("s", leaf),))
+        assert repr(config) == (
+            "Configuration(template='t', params=(('a', 1),), "
+            "slots=(('s', Configuration(template='leaf', "
+            "params=(('x', 2),), slots=())),))")
+
+    def test_pickle_from_other_hash_seed_finds_its_entries(self):
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        root = Path(__file__).resolve().parent.parent
+        child = subprocess.run(
+            [sys.executable, "-c", _PICKLE_IN_CHILD], check=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(root / "src")})
+        unpickled = pickle.loads(child.stdout)
+        template = kyber_cca()
+        local = template.random_configuration(random.Random(7))
+        assert unpickled == local and hash(unpickled) == hash(local)
+        assert {local: "entry"}[unpickled] == "entry"
+        context = DesignContext(masking_order=1)
+        table = {}
+        metrics = template.evaluate(local, context, table)
+        memo = Memo()
+        memo.store(local, metrics)
+        assert memo.lookup(unpickled) == (True, metrics)
+        # Every sub-design of the unpickled configuration is a table hit.
+        priced = len(table)
+        assert template.evaluate(unpickled, context, table) == metrics
+        assert len(table) == priced

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.perf import counting
 from repro.soc import (AccessFault, FcfsArbiter, Hart, PhysicalMemory,
                        PrivilegeMode, RoundRobinArbiter, SharedBus,
                        StackModel, StackOverflowFault, TdmArbiter,
@@ -183,6 +184,55 @@ class TestArbiters:
             return bus.stats["a"].completion_times
 
         assert run(with_b=False) == run(with_b=True)
+
+    @pytest.mark.parametrize("arbiter,completions,counters", [
+        (FcfsArbiter, [1, 3, 4, 7, 8, 10, 11],
+         {"cycles": 12, "grants": 7, "requests": 7, "served": 7,
+          "wait_cycles": 23}),
+        (lambda: RoundRobinArbiter(["a", "b", "c"]),
+         [1, 3, 4, 7, 8, 10, 11],
+         {"cycles": 12, "grants": 7, "requests": 7, "served": 7,
+          "wait_cycles": 23}),
+        (lambda: TdmArbiter(["a", "a", "a", "b", "b", "c", "c"]),
+         [1, 5, 6, 10, 11, 14, 15],
+         {"cycles": 16, "grants": 7, "requests": 7, "served": 7,
+          "stall_cycles": 4, "wait_cycles": 41}),
+    ], ids=("fcfs", "round-robin", "tdm"))
+    def test_perf_counters_pinned(self, arbiter, completions, counters):
+        """Completion cycles and every ``soc.bus.*`` counter of one
+        mixed-latency drain, pinned before the bus kept its waiting
+        count."""
+        bus = SharedBus(arbiter())
+        with counting() as window:
+            for issue, (name, latency) in enumerate(
+                    [("a", 1), ("b", 2), ("c", 1), ("a", 3), ("b", 1),
+                     ("c", 2), ("a", 1)]):
+                bus.submit(Transaction(name, issue, latency=latency))
+            done = bus.run_until_drained()
+        assert [t.completed_cycle for t in done] == completions
+        assert window.delta() == {f"soc.bus.{event}": count
+                                  for event, count in counters.items()}
+
+    def test_wedged_and_idle_perf_counters_pinned(self):
+        """A transaction that never fits its TDM slot run stalls every
+        cycle up to the watchdog; an idle bus only counts cycles."""
+        bus = SharedBus(TdmArbiter(["a", "b"]))
+        with counting() as window:
+            bus.submit(Transaction("a", 0))
+            bus.submit(Transaction("a", 1, latency=2))
+            bus.submit(Transaction("b", 2))
+            with pytest.raises(RuntimeError, match="cycle budget"):
+                bus.run_until_drained(max_cycles=40)
+        assert bus.cycle == 40
+        assert window.delta() == {
+            "soc.bus.cycles": 40, "soc.bus.grants": 2,
+            "soc.bus.requests": 3, "soc.bus.served": 2,
+            "soc.bus.stall_cycles": 38, "soc.bus.wait_cycles": 1}
+        idle = SharedBus(TdmArbiter(["a", "b"]))
+        with counting() as window:
+            for _ in range(3):
+                assert idle.step() == []
+        assert window.delta() == {"soc.bus.cycles": 3}
 
     def test_fcfs_not_composable(self):
         """Under FCFS the same experiment shows interference."""
