@@ -1,10 +1,10 @@
 """Telemetry overhead self-measurement and budget gate (ISSUE 6).
 
 The observability layer's founding promise (ISSUE 1) is *disabled
-instrumentation costs one attribute check*; the streaming layer adds a
-second promise: with the tracer, perf counters and a bounded-memory
-span sink all running, a crypto hot loop slows down by less than the
-10 % budget the paper's lightweight-monitoring claims assume.  This
+instrumentation costs one attribute check*; its second promise is
+that with the tracer and perf counters running, a crypto hot loop
+slows down by less than the 10 % budget the paper's
+lightweight-monitoring claims assume.  This
 bench measures both promises instead of trusting them: it times the
 same Keccak-f[1600] hot loop three ways —
 
@@ -12,8 +12,7 @@ same Keccak-f[1600] hot loop three ways —
 * ``off``       — fully instrumented loop (span + counter + perf
   events per iteration) against *disabled* facades,
 * ``on``        — the same instrumented loop with telemetry and perf
-  enabled and a :class:`~repro.obs.stream.SpanStream` draining spans
-  into a rotating JSONL sink,
+  enabled, the tracer keeping every finished span,
 
 and gates the relative overheads (< {OFF}% off, < {ON}% on).  The
 variants run against private ``Telemetry``/``PerfCounters`` instances,
@@ -33,7 +32,6 @@ import pytest
 from conftest import write_table
 from repro.crypto.keccak import keccak_f1600
 from repro.obs import PerfCounters, Telemetry
-from repro.obs.stream import SpanStream
 
 #: Keccak-f[1600] permutations folded into one instrumented iteration.
 #: Each permutation is a few hundred microseconds of pure-Python work,
@@ -98,24 +96,17 @@ def _best_of_interleaved(variants: dict) -> dict:
 
 
 @pytest.fixture(scope="module")
-def measurements(tmp_path_factory):
-    stream_dir = tmp_path_factory.mktemp("obs_overhead_stream")
-
+def measurements():
     tel_off = Telemetry(enabled=False)
     perf_off = PerfCounters(enabled=False)
 
     tel_on = Telemetry(enabled=True)
     perf_on = PerfCounters(enabled=True)
-    stream = SpanStream(stream_dir, telemetry=tel_on)
-    stream.install()
-    try:
-        best = _best_of_interleaved({
-            "pristine_s": _pristine_loop,
-            "off_s": lambda: _instrumented_loop(tel_off, perf_off),
-            "on_s": lambda: _instrumented_loop(tel_on, perf_on),
-        })
-    finally:
-        stream.close()
+    best = _best_of_interleaved({
+        "pristine_s": _pristine_loop,
+        "off_s": lambda: _instrumented_loop(tel_off, perf_off),
+        "on_s": lambda: _instrumented_loop(tel_on, perf_on),
+    })
     pristine_s = best["pristine_s"]
     off_s = best["off_s"]
     on_s = best["on_s"]
@@ -125,7 +116,6 @@ def measurements(tmp_path_factory):
         "on_s": on_s,
         "off_pct": (off_s - pristine_s) / pristine_s * 100.0,
         "on_pct": (on_s - pristine_s) / pristine_s * 100.0,
-        "stream": stream,
         "telemetry_on": tel_on,
         "perf_on": perf_on,
     }
@@ -141,8 +131,8 @@ def test_disabled_overhead_within_budget(measurements):
 
 
 def test_enabled_overhead_within_budget(measurements):
-    """Full telemetry + perf + streaming sink must stay under the
-    10 % lightweight-monitoring budget."""
+    """Full telemetry + perf must stay under the 10 %
+    lightweight-monitoring budget."""
     assert measurements["on_pct"] < OVERHEAD_BUDGET_ON_PCT, (
         f"fully-enabled telemetry costs {measurements['on_pct']:.2f}% "
         f"over pristine (budget {OVERHEAD_BUDGET_ON_PCT}%)")
@@ -150,20 +140,18 @@ def test_enabled_overhead_within_budget(measurements):
 
 def test_enabled_run_actually_observed(measurements):
     """Guard against a vacuous gate: the enabled variant must have
-    produced spans, streamed them, and counted events."""
-    stream = measurements["stream"]
-    # warmup + REPEATS timed runs, one span per iteration each
-    assert stream.spans_seen == (REPEATS + 1) * ITERS
-    assert stream.spans_sampled > 0
-    assert (stream.directory / "spans.jsonl").exists()
+    recorded spans and counted events."""
+    runs = REPEATS + 1                 # warmup + REPEATS timed runs
     tel = measurements["telemetry_on"]
+    spans = tel.tracer.snapshot()
+    # one finished span per iteration
+    assert len(spans) == runs * ITERS
+    assert {span["name"] for span in spans} == {"obs_overhead.iter"}
     assert tel.metrics.counter("obs_overhead.iters").value == \
-        (REPEATS + 1) * ITERS
+        runs * ITERS
     perf = measurements["perf_on"]
     assert perf.snapshot()["obs_overhead.permutations"] == \
-        (REPEATS + 1) * ITERS * PERMS_PER_ITER
-    # the drained tracer is the bounded-memory promise
-    assert tel.tracer.finished_count() == 0
+        runs * ITERS * PERMS_PER_ITER
 
 
 def test_write_artifacts(measurements, report_dir):
@@ -172,7 +160,7 @@ def test_write_artifacts(measurements, report_dir):
     for mode, key, pct in (
             ("pristine", "pristine_s", None),
             ("instrumented, facades off", "off_s", "off_pct"),
-            ("instrumented, telemetry+perf+stream on", "on_s",
+            ("instrumented, telemetry+perf on", "on_s",
              "on_pct")):
         wall = measurements[key]
         rows.append([

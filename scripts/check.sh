@@ -69,11 +69,6 @@ echo "== trace report =="
 python scripts/trace_report.py benchmarks/results/trace.jsonl \
     --metrics benchmarks/results/metrics.json --collapsed --top 15
 
-echo "== exposition snapshot (Prometheus text) =="
-python scripts/obs_export.py --check \
-    --out benchmarks/results/exposition.txt
-head -n 5 benchmarks/results/exposition.txt
-
 echo "== bench summary =="
 python - <<'EOF'
 import json

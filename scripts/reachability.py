@@ -71,7 +71,6 @@ SCRIPTS = (
     f"audit_report.py {R}adversary_smoke_audit.jsonl --verify",
     f"trace_report.py {R}trace.jsonl --metrics {R}metrics.json"
     " --collapsed --top 15",
-    f"obs_export.py --check --out {R}exposition.txt",
     "bench_history.py",
     # the ones only CI runs
     "bench_history.py --no-record --check --trend --wall-threshold 3.0",

@@ -39,10 +39,10 @@ MIN_RUNS_PER_JOB = 16
 
 #: Campaign-scale chunking: plans longer than this per shard are split
 #: into more chunks than workers, so each worker ships its telemetry
-#: capture (and coverage map) back in bounded pieces and the parent's
-#: streaming sink drains between merges — O(1) telemetry memory at
-#: 10^5+ injections.  Short campaigns (the benches) keep exactly one
-#: chunk per worker, leaving their recorded shard counters unchanged.
+#: capture (and coverage map) back in bounded pieces, and the parent
+#: holds one chunk's capture and records in flight at a time.  Short
+#: campaigns (the benches) keep exactly one chunk per worker, leaving
+#: their recorded shard counters unchanged.
 MAX_RUNS_PER_CHUNK = 512
 
 

@@ -18,9 +18,6 @@ every subsystem of the reproduction:
 * :mod:`~repro.obs.coverage` — log-bucketized counter-vector coverage
   maps (novelty detection, shard-order merge, canonical export): the
   campaign-scale steering signal,
-* :mod:`~repro.obs.stream` — bounded-memory streaming sinks
-  (size-rotated JSONL, deterministic head+stride span sampling,
-  periodic live snapshots) replacing dump-at-exit at 10^5+ spans,
 * :mod:`~repro.obs.audit` — the tamper-evident security audit ledger
   (canonical-JSON events, Keccak hash chain, Ed25519-signed
   checkpoints) behind the global :data:`AUDIT` facade
@@ -28,9 +25,6 @@ every subsystem of the reproduction:
 * :mod:`~repro.obs.detect` — deterministic windowed anomaly detectors
   streaming over the audit ledger; detections re-enter the ledger as
   typed ``obs.detect`` events,
-* :mod:`~repro.obs.exposition` — Prometheus text rendering of
-  metrics, perf counters, coverage maps and audit/detection tallies
-  (``scripts/obs_export.py``, the live endpoint format),
 * :mod:`~repro.obs.export` — atomic JSONL/text artifact persistence,
 * :mod:`~repro.obs.report` — per-span aggregation (cumulative/self
   time and self events) and flamegraph-style collapsed stacks, behind
@@ -49,7 +43,10 @@ Quick use::
 
 Telemetry and perf counting are **off by default**; enable per process
 with ``REPRO_TELEMETRY=1`` / ``REPRO_PERF=1`` or per call site with
-``TELEMETRY.enabled = True`` / :func:`counting`.
+``TELEMETRY.enabled = True`` / :func:`counting`.  The facades are
+single-process and take no locks: parallel runs fork workers, which
+ship their spans, metrics and counts home to the parent
+(:mod:`repro.runtime.capture`).
 """
 
 from .audit import (AUDIT, AuditLedger, AuditVerificationError,
@@ -60,7 +57,6 @@ from .coverage import CoverageMap, log_bucket, signature
 from .detect import (AnomalyEngine, Detection, WindowThresholdDetector,
                      standard_detectors)
 from .export import atomic_write_text, read_jsonl, write_jsonl
-from .exposition import parse_exposition, render
 from .history import (SCHEMA_VERSION, append_entry, append_run,
                       detect_regressions, format_regressions,
                       load_history, make_entry, trend_table)
@@ -69,7 +65,6 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from .perf import (PERF, CountingWindow, PerfCounters, PerfSnapshot,
                    counting)
 from .report import collapsed, format_metrics, format_report, summarize
-from .stream import HeadStrideSampler, RotatingJsonlSink, SpanStream
 from .telemetry import TELEMETRY, Telemetry
 from .tracer import Span, Tracer
 
@@ -87,8 +82,6 @@ __all__ = [
     "AnomalyEngine", "Detection", "WindowThresholdDetector",
     "standard_detectors",
     "CoverageMap", "log_bucket", "signature",
-    "SpanStream", "RotatingJsonlSink", "HeadStrideSampler",
-    "render", "parse_exposition",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile",
     "read_jsonl", "write_jsonl", "atomic_write_text",
     "summarize", "format_report", "format_metrics", "collapsed",

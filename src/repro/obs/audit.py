@@ -465,7 +465,7 @@ def load_ledger_records(path) -> list:
 
 
 def summarize_records(records) -> dict:
-    """Unverified tallies of a record list (reports, exposition):
+    """Unverified tallies of a record list (the report scripts):
     events by subsystem and severity, detections by detector."""
     events = 0
     checkpoints = 0

@@ -14,7 +14,8 @@ The :class:`AnomalyEngine` subscribes to an
 :class:`~repro.obs.audit.AuditLedger` as a listener; every detection
 is both collected on the engine and emitted back into the ledger under
 the ``obs.detect`` subsystem, which makes the detector output itself
-tamper-evident and lets the Prometheus exposition count it.
+tamper-evident and lets :func:`~repro.obs.audit.summarize_records`
+tally it per detector.
 """
 
 from __future__ import annotations

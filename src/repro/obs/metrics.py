@@ -1,32 +1,28 @@
 """Metrics primitives: counters, gauges, histograms, and a registry.
 
-All instruments are thread-safe (a lock per instrument; contention at
-this scale is irrelevant next to the cost of the instrumented work).
-Histograms keep their raw samples — the spaces measured here are a few
+Instruments are plain single-process objects: parallel runs fork
+worker processes, and each worker ships its metric deltas home for
+:meth:`MetricsRegistry.merge_delta`.  Histograms keep their raw samples — the spaces measured here are a few
 thousand observations at most, so exact percentiles beat a streaming
 sketch in both fidelity and code size.
 """
 
 from __future__ import annotations
 
-import threading
-
 
 class Counter:
     """Monotonically increasing count."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str):
         self.name = name
         self._value = 0
-        self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self):
@@ -39,16 +35,14 @@ class Counter:
 class Gauge:
     """Last-written value (utilisation, rates, sizes)."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str):
         self.name = name
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
+        self._value = value
 
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self._value}
@@ -65,28 +59,24 @@ def percentile(sorted_samples: list, fraction: float) -> float:
 class Histogram:
     """Stored-sample distribution with p50/p95/p99 summary."""
 
-    __slots__ = ("name", "_samples", "_lock")
+    __slots__ = ("name", "_samples")
 
     def __init__(self, name: str):
         self.name = name
         self._samples = []
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self._samples.append(value)
+        self._samples.append(value)
 
     @property
     def count(self) -> int:
         return len(self._samples)
 
     def samples(self) -> list:
-        with self._lock:
-            return list(self._samples)
+        return list(self._samples)
 
     def snapshot(self) -> dict:
-        with self._lock:
-            ordered = sorted(self._samples)
+        ordered = sorted(self._samples)
         if not ordered:
             return {"type": "histogram", "count": 0}
         total = sum(ordered)
@@ -107,19 +97,17 @@ class MetricsRegistry:
     """Name -> instrument, get-or-create, one namespace per telemetry."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._instruments = {}
 
     def _get(self, name: str, factory):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = factory(name)
-            elif not isinstance(instrument, factory):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(instrument).__name__}")
-            return instrument
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments[name] = factory(name)
+        elif not isinstance(instrument, factory):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{type(instrument).__name__}")
+        return instrument
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
@@ -132,24 +120,20 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """``{name: instrument snapshot}`` for every registered metric."""
-        with self._lock:
-            instruments = dict(self._instruments)
+        instruments = self._instruments
         return {name: instruments[name].snapshot()
                 for name in sorted(instruments)}
 
     def clear(self) -> None:
-        with self._lock:
-            self._instruments = {}
+        self._instruments = {}
 
     # -- worker shipping (the parallel executor's metrics merge) -----------
 
     def mark(self) -> dict:
         """A cheap position marker per instrument, for
         :meth:`delta_since`: counter/gauge values, histogram lengths."""
-        with self._lock:
-            instruments = dict(self._instruments)
         marks = {}
-        for name, instrument in instruments.items():
+        for name, instrument in self._instruments.items():
             if isinstance(instrument, Histogram):
                 marks[name] = instrument.count
             else:
@@ -159,10 +143,8 @@ class MetricsRegistry:
     def delta_since(self, marks: dict) -> dict:
         """What happened after ``marks`` as a picklable, JSON-native
         payload a pool worker ships back to the parent process."""
-        with self._lock:
-            instruments = dict(self._instruments)
         delta = {}
-        for name, instrument in sorted(instruments.items()):
+        for name, instrument in sorted(self._instruments.items()):
             if isinstance(instrument, Counter):
                 grown = instrument.value - marks.get(name, 0)
                 if grown > 0:

@@ -37,7 +37,6 @@ Enable per process with ``REPRO_PERF=1`` or programmatically with
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 
 
@@ -76,12 +75,11 @@ class PerfCounters:
 
     One flat ``{event name: int}`` map behind an on/off switch; sites
     guard every :meth:`inc` with ``if PERF.enabled`` so the disabled
-    path never takes the lock.
+    path costs one attribute check.
     """
 
     def __init__(self, enabled: bool = False):
         self.enabled = bool(enabled)
-        self._lock = threading.Lock()
         self._counts = {}
 
     # -- switch ------------------------------------------------------------
@@ -96,20 +94,18 @@ class PerfCounters:
 
     def reset(self) -> None:
         """Zero every counter; keep the switch state."""
-        with self._lock:
-            self._counts = {}
+        self._counts = {}
 
     # -- counting ----------------------------------------------------------
 
     def inc(self, event: str, amount: int = 1) -> None:
         """Add ``amount`` to ``event`` (call sites guard on .enabled)."""
-        with self._lock:
-            self._counts[event] = self._counts.get(event, 0) + amount
+        counts = self._counts
+        counts[event] = counts.get(event, 0) + amount
 
     def snapshot(self) -> PerfSnapshot:
         """A point-in-time copy of every counter."""
-        with self._lock:
-            return PerfSnapshot(self._counts)
+        return PerfSnapshot(self._counts)
 
     def delta_since(self, before: dict) -> PerfSnapshot:
         return self.snapshot() - before
@@ -121,11 +117,9 @@ class PerfCounters:
         in any order yields the same totals as counting in-process —
         the property the parallel-executor parity tests pin.
         """
-        if not delta:
-            return
-        with self._lock:
-            for event, count in delta.items():
-                self._counts[event] = self._counts.get(event, 0) + count
+        counts = self._counts
+        for event, count in (delta or {}).items():
+            counts[event] = counts.get(event, 0) + count
 
 
 class CountingWindow:

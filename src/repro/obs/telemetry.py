@@ -1,4 +1,4 @@
-"""The global, thread-safe telemetry facade.
+"""The global telemetry facade.
 
 Design rule (ISSUE 1): *disabled instrumentation costs one attribute
 check*.  Every instrumented call site is either written as
@@ -8,8 +8,7 @@ check*.  Every instrumented call site is either written as
 
 or goes through a facade method (``span``/``timer``/``counter``/...)
 whose first action is that same check, after which a shared, stateless
-no-op object is returned.  Nothing allocates and nothing locks on the
-disabled path.
+no-op object is returned.  Nothing allocates on the disabled path.
 
 Enable programmatically (:func:`enable`) or by exporting
 ``REPRO_TELEMETRY=1`` before the interpreter starts.
@@ -80,9 +79,6 @@ class Telemetry:
         self._clock = clock
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricsRegistry()
-        #: Installed :class:`~repro.obs.stream.SpanStream`, if any —
-        #: the parallel runtime pumps it after every shard merge.
-        self.stream = None
 
     # -- switch ------------------------------------------------------------
 

@@ -1,7 +1,7 @@
-"""Structured span tracer: nested, thread-aware, JSONL-exportable.
+"""Structured span tracer: nested, JSONL-exportable.
 
 A *span* is one named, timed region of execution.  Spans nest: the
-tracer keeps a per-thread stack, so a span opened while another is
+tracer keeps a stack of open spans, so a span opened while another is
 active records the outer span as its parent.  Finished spans accumulate
 in an in-memory buffer (this is a laptop-scale reproduction, not a
 distributed collector) and can be exported as one-JSON-object-per-line
@@ -23,7 +23,6 @@ durations; production use keeps :func:`time.perf_counter`.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from contextlib import contextmanager
 
@@ -33,17 +32,15 @@ from .perf import PERF
 class Span:
     """One timed region.  Mutable while open, frozen facts once ended."""
 
-    __slots__ = ("name", "span_id", "parent_id", "depth", "thread_id",
-                 "start_s", "end_s", "attrs", "status", "events")
+    __slots__ = ("name", "span_id", "parent_id", "depth", "start_s",
+                 "end_s", "attrs", "status", "events")
 
     def __init__(self, name: str, span_id: int, parent_id: int,
-                 depth: int, thread_id: int, start_s: float,
-                 attrs: dict):
+                 depth: int, start_s: float, attrs: dict):
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
         self.depth = depth
-        self.thread_id = thread_id
         self.start_s = start_s
         self.end_s = None
         self.attrs = attrs
@@ -68,7 +65,6 @@ class Span:
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "depth": self.depth,
-            "thread_id": self.thread_id,
             "start_s": self.start_s,
             "end_s": self.end_s,
             "duration_s": self.duration_s,
@@ -81,8 +77,7 @@ class Span:
     def from_record(cls, record: dict) -> "Span":
         span = cls(record["name"], record["span_id"],
                    record["parent_id"], record["depth"],
-                   record["thread_id"], record["start_s"],
-                   dict(record.get("attrs", {})))
+                   record["start_s"], dict(record.get("attrs", {})))
         span.end_s = record["end_s"]
         span.status = record.get("status", "ok")
         span.events = record.get("events")
@@ -90,37 +85,27 @@ class Span:
 
 
 class Tracer:
-    """Collects spans; thread-safe; one instance per telemetry facade."""
+    """Collects spans; one instance per telemetry facade."""
 
     def __init__(self, clock=time.perf_counter, counters=None):
         self._clock = clock
         self._counters = counters if counters is not None else PERF
-        self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._local = threading.local()
-        self._listeners = []
+        self._stack = []
         self.finished = []
 
     # -- span lifecycle ----------------------------------------------------
 
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def current_span(self) -> Span:
-        stack = self._stack()
+        stack = self._stack
         return stack[-1] if stack else None
 
     def start_span(self, name: str, **attrs) -> Span:
-        stack = self._stack()
+        stack = self._stack
         parent = stack[-1] if stack else None
         span = Span(name=name, span_id=next(self._ids),
                     parent_id=parent.span_id if parent else 0,
-                    depth=len(stack),
-                    thread_id=threading.get_ident(),
-                    start_s=self._clock(), attrs=attrs)
+                    depth=len(stack), start_s=self._clock(), attrs=attrs)
         if self._counters.enabled:
             span.events = self._counters.snapshot()
         stack.append(span)
@@ -131,17 +116,13 @@ class Tracer:
             span.events = self._counters.snapshot() - span.events
         span.end_s = self._clock()
         span.status = status
-        stack = self._stack()
+        stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
         elif span in stack:           # out-of-order end: unwind to it
             while stack and stack.pop() is not span:
                 pass
-        with self._lock:
-            self.finished.append(span)
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(span)
+        self.finished.append(span)
         return span
 
     @contextmanager
@@ -155,45 +136,21 @@ class Tracer:
         else:
             self.end_span(span)
 
-    # -- listeners (the streaming sink's span-end hook) ------------------
-
-    def add_listener(self, listener) -> None:
-        """Register ``listener(span)`` called at every span end."""
-        with self._lock:
-            if listener not in self._listeners:
-                self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        with self._lock:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
-
     # -- access / export --------------------------------------------------
 
     def snapshot(self) -> list:
         """Finished spans as JSONL-ready records."""
-        with self._lock:
-            return [span.to_record() for span in self.finished]
-
-    def drain_records(self) -> list:
-        """Atomically take every finished span as a record and release
-        it — the streaming sink's bounded-memory consumption primitive
-        (:mod:`repro.obs.stream`).  Open spans are untouched."""
-        with self._lock:
-            finished, self.finished = self.finished, []
-        return [span.to_record() for span in finished]
+        return [span.to_record() for span in self.finished]
 
     # -- worker shipping (the parallel executor's span merge) --------------
 
     def finished_count(self) -> int:
-        with self._lock:
-            return len(self.finished)
+        return len(self.finished)
 
     def records_since(self, mark: int) -> list:
         """Records of spans finished after ``mark`` (a prior
         :meth:`finished_count` value) — what a pool worker ships back."""
-        with self._lock:
-            return [span.to_record() for span in self.finished[mark:]]
+        return [span.to_record() for span in self.finished[mark:]]
 
     def merge_records(self, records: list, parent_id: int = None) -> int:
         """Adopt spans shipped back from a worker process.
@@ -203,8 +160,7 @@ class Tracer:
         parent links *within* the batch are remapped, and batch roots
         are attached under ``parent_id`` (default: the caller's current
         span, so worker spans nest where the fan-out happened).
-        Listeners are *not* replayed — merged spans are history, not
-        live span ends.  Returns the number of spans adopted.
+        Returns the number of spans adopted.
         """
         if not records:
             return 0
@@ -226,15 +182,11 @@ class Tracer:
             span.parent_id = remapped if remapped is not None \
                 else parent_id
             span.depth = base_depth + span.depth
-        with self._lock:
-            self.finished.extend(span for _, span in adopted)
+        self.finished.extend(span for _, span in adopted)
         return len(adopted)
 
     def reset_worker(self) -> None:
         """Make a freshly forked worker's tracer pristine: drop spans
-        inherited from the parent, the parent's open-span stack, and
-        any listeners (the parent's stream must not run in workers)."""
-        with self._lock:
-            self.finished = []
-            self._listeners = []
-        self._local = threading.local()
+        inherited from the parent and the parent's open-span stack."""
+        self.finished = []
+        self._stack = []

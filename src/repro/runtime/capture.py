@@ -26,21 +26,16 @@ from ..obs.telemetry import TELEMETRY
 def worker_setup() -> None:
     """Reset fork-inherited observability state in a new pool worker.
 
-    Drops inherited perf counts, metric values, finished spans, the
-    parent's open-span stack *and* tracer listeners (the parent's
-    listeners must not run inside workers).  Switch states (enabled /
-    disabled) are deliberately kept — they are how the parent tells
-    workers whether to count at all.  An inherited streaming sink is
-    detached too: its file handle belongs to the parent, and only the
-    parent may write the merged, shard-ordered stream.  The inherited
-    audit ledger is likewise reset to a bare event recorder: workers
-    ship plain event bodies home and only the parent chains, signs
-    and runs detection.
+    Drops inherited perf counts, metric values, finished spans and the
+    parent's open-span stack.  Switch states (enabled / disabled) are
+    deliberately kept — they are how the parent tells workers whether
+    to count at all.  The inherited audit ledger is likewise reset to
+    a bare event recorder: workers ship plain event bodies home and
+    only the parent chains, signs and runs detection.
     """
     PERF.reset()
     TELEMETRY.metrics.clear()
     TELEMETRY.tracer.reset_worker()
-    TELEMETRY.stream = None
     AUDIT.reset_worker()
 
 
@@ -86,10 +81,8 @@ def capture_end(mark) -> dict:
 def merge_capture(capture) -> None:
     """Fold one worker task's capture into the parent-process facades.
 
-    When a :class:`~repro.obs.stream.SpanStream` is installed, it is
-    pumped right after the merge: shards merge in shard-index order,
-    so the streamed record order (and therefore the deterministic
-    head+stride sample set) equals the serial order.
+    Shards merge in shard-index order, so the parent's span records
+    land in the same order as a serial run's.
     """
     if not capture:
         return
@@ -110,5 +103,3 @@ def merge_capture(capture) -> None:
     spans = capture.get("spans")
     if spans:
         TELEMETRY.tracer.merge_records(spans)
-        if TELEMETRY.stream is not None:
-            TELEMETRY.stream.pump()

@@ -179,9 +179,8 @@ def run_sharded(worker, state, shards, jobs: int = None,
                                  mp_context=context,
                                  initializer=_worker_init) as pool:
             # pool.map yields in submission order, so merging as
-            # results arrive preserves shard order while keeping only
-            # one shard's capture payload in flight — the bounded-
-            # memory contract the streaming sinks rely on.
+            # results arrive preserves shard order; with ``fold`` only
+            # one shard's capture and records are in flight at a time.
             for result, capture in pool.map(_fork_entry, shards):
                 merge_capture(capture)
                 if fold is None:

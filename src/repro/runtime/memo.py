@@ -45,7 +45,6 @@ only change those bytes before they are looked up or the value after.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 from ..obs.perf import PERF
@@ -71,8 +70,7 @@ def bypassed() -> bool:
 class Memo:
     """A bounded least-recently-used ``key -> value`` cache."""
 
-    __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries",
-                 "_lock")
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries")
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
@@ -82,7 +80,6 @@ class Memo:
         self.misses = 0
         self.evictions = 0
         self._entries = OrderedDict()
-        self._lock = threading.Lock()
 
     def __contains__(self, key) -> bool:
         return key in self._entries
@@ -116,12 +113,10 @@ class Memo:
         A miss stores ``(value, delta)``: the PERF delta of the build
         when PERF is on, else ``None``.  A hit merges the stored delta,
         so counter totals are the same cold and warm; a hit on a
-        ``None`` delta with PERF on rebuilds.  Lookup and store hold
-        the memo's own lock; ``build()`` runs outside it, so builds may
-        nest other memos.
+        ``None`` delta with PERF on rebuilds.  Builds may nest other
+        memos: ``build()`` runs between this memo's lookup and store.
         """
-        with self._lock:
-            found, entry = self.lookup(key)
+        found, entry = self.lookup(key)
         if found:
             value, delta = entry
             if not PERF.enabled:
@@ -135,16 +130,14 @@ class Memo:
             delta = PERF.delta_since(before)
         else:
             value, delta = build(), None
-        with self._lock:
-            self.store(key, (value, delta))
+        self.store(key, (value, delta))
         return value
 
     def clear(self) -> None:
         """Drop every entry and zero the accounting: a cleared memo
         behaves exactly like a new one."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
+        self._entries.clear()
+        self.hits = self.misses = self.evictions = 0
 
     def stats(self) -> dict:
         return {"size": len(self._entries), "maxsize": self.maxsize,

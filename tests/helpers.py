@@ -20,7 +20,7 @@ def injected(*specs):
 
 
 def reset_telemetry(telemetry=TELEMETRY) -> None:
-    """Drop ``telemetry``'s collected spans and metrics; keep its switch
-    and its tracer listeners."""
-    telemetry.tracer.drain_records()
+    """Drop ``telemetry``'s collected spans and metrics; keep its
+    switch."""
+    telemetry.tracer.finished = []
     telemetry.metrics.clear()

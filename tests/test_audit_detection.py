@@ -13,8 +13,8 @@ Pins the detection-plane contracts:
 * an adversary campaign produces a byte-identical ledger and
   detection sequence serial vs ``jobs=2`` (the parity acceptance
   criterion);
-* the audit summary round-trips through the Prometheus exposition
-  renderer and strict parser.
+* the audit summary tallies events per subsystem and severity, and
+  detections per detector.
 """
 
 import pytest
@@ -27,7 +27,6 @@ from repro.obs.audit import (AUDIT, AuditLedger, canonical_encode,
 from repro.obs.detect import (DETECT_SUBSYSTEM, AnomalyEngine,
                               WindowThresholdDetector,
                               standard_detectors)
-from repro.obs.exposition import parse_exposition, render
 
 
 def _event(seq, kind="boot-rejected", subsystem="tee.boot",
@@ -236,10 +235,10 @@ class TestCampaignParity:
         assert verify_records(serial_records)["events"] > 0
 
 
-# -- exposition round trip ------------------------------------------------
+# -- audit summary --------------------------------------------------------
 
-class TestExpositionRoundTrip:
-    def test_audit_summary_renders_and_reparses(self):
+class TestAuditSummary:
+    def test_summary_tallies_subsystems_and_detections(self):
         ledger = AuditLedger(enabled=True, checkpoint_every=0)
         engine = AnomalyEngine(ledger=ledger)
         try:
@@ -249,15 +248,8 @@ class TestExpositionRoundTrip:
         finally:
             engine.uninstall()
         summary = summarize_records(ledger.export_records())
-        text = render(audit=summary)
-        families = parse_exposition(text)
-        events = families["repro_audit_events_total"]
-        assert {(labels["subsystem"], labels["severity"]): value
-                for labels, value in events} == {
-            ("tee.boot", "info"): 1.0,
-            ("soc.bus", "critical"): 1.0,
-            (DETECT_SUBSYSTEM, "critical"): 1.0}
-        detections = families["repro_detections_total"]
-        assert {labels["detector"]: value
-                for labels, value in detections} == {
-            "bus-wedge": 1.0}
+        assert summary["by_subsystem"] == {
+            "tee.boot": {"info": 1},
+            "soc.bus": {"critical": 1},
+            DETECT_SUBSYSTEM: {"critical": 1}}
+        assert summary["detections"] == {"bus-wedge": 1}

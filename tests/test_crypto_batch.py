@@ -28,7 +28,6 @@ from repro.cim.tvla import assess_macro, welch_t
 from repro.crypto import ed25519 as ed
 from repro.crypto import reference as ref
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
-from repro.obs.exposition import parse_exposition, render
 from repro.obs.perf import counting
 from repro.tee import build_tee, verify_report, verify_reports
 
@@ -641,38 +640,3 @@ class TestConsumers:
         assert len(set(mldsa_lanes)) == len(mldsa_lanes) == 3 + 11
         # ... in two cross-key kernel calls, one per signature layer.
         assert mldsa_calls == [3, 11]
-
-def test_batch_counters_render_and_parse_roundtrip():
-    """The new PERF counters must survive the exposition round trip
-    (rendered by ``scripts/obs_export.py``, re-parsed strictly)."""
-    scheme = MLDSA(ML_DSA_44)
-    public, secret = scheme.key_gen(b"\x42" * 32)
-    with counting() as window:
-        signatures = scheme.signer(secret).sign_many(_messages(2))
-        scheme.verify_many([public] * 2, _messages(2), signatures)
-        # Two lanes: a batch of one short-circuits to the scalar
-        # verifier and would not tick the batch counters.
-        lanes = []
-        for i in (9, 10):
-            seed = bytes([i]) * 32
-            message = b"expose-%d" % i
-            lanes.append((ed.public_key(seed), message,
-                          ed.sign(seed, message)))
-        ed.verify_batch(lanes)
-        DigitalCimMacro([1, 2]).query_fresh_many(
-            np.zeros((3, 2), dtype=np.int64))
-    delta = window.delta()
-    for counter in ("crypto.mldsa.batch_sign_lanes",
-                    "crypto.mldsa.batch_verify_lanes",
-                    "crypto.ed25519.batch_verifies",
-                    "crypto.ed25519.msm_points",
-                    "cim.traces_vectorized"):
-        assert delta[counter] > 0, counter
-    families = parse_exposition(render(perf=dict(delta)))
-    events = {labels["event"]: value for labels, value in
-              families["repro_perf_events_total"]}
-    assert events["crypto.mldsa.batch_sign_lanes"] == 2.0
-    assert events["crypto.mldsa.batch_verify_lanes"] == 2.0
-    assert events["crypto.ed25519.batch_verifies"] == 2.0
-    assert events["crypto.ed25519.msm_points"] == 5.0
-    assert events["cim.traces_vectorized"] == 2.0

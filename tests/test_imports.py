@@ -157,3 +157,23 @@ def test_crypto_has_no_fault_hooks():
     probe = src / "repro" / "tee" / "bootrom.py"
     assert "repro.faults.injector" in _imported_modules(probe,
                                                         "repro.tee")
+
+
+def test_production_never_imports_threading(tmp_path):
+    """No production path starts a thread (``run_sharded`` forks
+    processes), so the observability facades and memos take no locks.
+    The rule reads each file's own imports: ``concurrent.futures``
+    importing ``threading`` internally does not count."""
+    src = Path(repro.__file__).resolve().parent.parent
+    importers = []
+    for path in sorted(src.glob("repro/**/*.py")):
+        package = ".".join(path.relative_to(src).parts[:-1])
+        if any(name == "threading" or name.startswith("threading.")
+               for name in _imported_modules(path, package)):
+            importers.append(path.relative_to(src).as_posix())
+    assert importers == []
+    # the check sees both import forms
+    probe = tmp_path / "probe.py"
+    probe.write_text("import threading\nfrom threading import Lock\n")
+    assert {"threading", "threading.Lock"} <= _imported_modules(probe,
+                                                                  "")

@@ -5,7 +5,6 @@ import json
 import subprocess
 import sys
 import pathlib
-import threading
 
 import pytest
 
@@ -92,21 +91,6 @@ def test_global_counting_window_is_scoped_to_block():
         PERF.inc("test.event", 3)
     assert window.delta()["test.event"] == 3
     assert PERF.enabled == was_enabled
-
-
-def test_concurrent_increments_do_not_lose_counts():
-    counters = PerfCounters(enabled=True)
-
-    def work():
-        for _ in range(1000):
-            counters.inc("shared")
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert counters.snapshot()["shared"] == 8000
 
 
 # -- span events and the collapsed profile ------------------------------

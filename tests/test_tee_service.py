@@ -21,7 +21,6 @@ from repro.faults.injector import FAULTS, FaultSpec
 from repro.faults.models import BIT_FLIP
 from repro.obs import TELEMETRY
 from repro.obs.audit import AUDIT, canonical_encode, verify_records
-from repro.obs.exposition import parse_exposition, render
 from repro.obs.perf import PERF, counting
 from repro.tee import AttestationService, build_tee, verify_report
 from repro.tee.attestation import AttestationReport
@@ -337,20 +336,18 @@ class TestServiceParity:
         verify_records(records)
 
 
-def test_service_counters_render_and_parse_roundtrip(fleet):
-    """``tee.service.*`` counters survive the exposition round trip."""
+def test_service_counters_count_requests_and_flushes(fleet):
+    """``tee.service.*`` counters tally requests, batches, flush causes
+    and verdicts."""
     svc = _service(fleet, max_batch=2)
     with counting() as window:
         svc.process([("pq0", fleet["pq_reports"][0]),
                      ("cl0", fleet["cl_reports"][0]),
                      ("ghost", fleet["cl_reports"][0])], jobs=1)
-    delta = window.delta()
-    families = parse_exposition(render(perf=dict(delta)))
-    events = {labels["event"]: value for labels, value in
-              families["repro_perf_events_total"]}
-    assert events["tee.service.requests"] == 3.0
-    assert events["tee.service.batches"] == 2.0
-    assert events["tee.service.flush_size"] == 1.0
-    assert events["tee.service.flush_drain"] == 1.0
-    assert events["tee.service.verified"] == 2.0
-    assert events["tee.service.rejected"] == 1.0
+    events = window.delta()
+    assert events["tee.service.requests"] == 3
+    assert events["tee.service.batches"] == 2
+    assert events["tee.service.flush_size"] == 1
+    assert events["tee.service.flush_drain"] == 1
+    assert events["tee.service.verified"] == 2
+    assert events["tee.service.rejected"] == 1
