@@ -11,24 +11,27 @@ matches the exhaustive optimum while evaluating a tiny fraction of the
 space, and the 1- and 10-start variants show the accuracy/effort
 trade-off.
 
-``results/local_search_table`` times the sub-design table that each
-descent prices through against a frozen copy of the table-free
-recursive evaluation and descent it replaced, in the same process.
-``results/local_search_hash`` times the explorer against a frozen copy
-of the table descent as it was before configurations hashed once and
-neighbours were spliced.
+``results/local_search_table`` times the explorer against a frozen
+copy of the table-free recursive evaluation and descent that the
+per-descent sub-design table replaced, in the same process.
+``results/local_search_hash`` times it against a frozen copy of the
+table descent as it was before configurations hashed once and
+neighbours were spliced.  ``results/local_search_index`` times it
+against a frozen copy of that spliced, once-hashed table descent, the
+last one to build a :class:`Configuration` per neighbour, before
+local search walked the integer-indexed design space.
 """
 
+import functools
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
 from repro.hades import (Configuration, DesignContext, EvaluatedDesign,
                          ExhaustiveExplorer, InfeasibleConfiguration,
-                         LocalSearchExplorer, OptimizationGoal, Template,
-                         neighbours)
+                         LocalSearchExplorer, OptimizationGoal)
 from repro.hades.library import kyber_cca
 from repro.obs import PERF, TELEMETRY
 from repro.runtime import Memo
@@ -43,9 +46,9 @@ CONTEXT = DesignContext(masking_order=1)
 #: frozen table-free reference below: the median of ``TABLE_ROUNDS``
 #: interleaved rounds' paired ratios over ``TABLE_SEEDS``, telemetry
 #: and PERF off.  A same-process ratio, so asserted on every machine.
-#: The reference shares the explorer's ``Configuration`` and
-#: ``neighbours``.  Five runs read 1.71-1.91x on a 2-vCPU x86-64 KVM
-#: guest.
+#: The reference steps through the frozen spliced neighbours over
+#: once-hashed configurations.  Five runs read 1.71-1.91x on a 2-vCPU x86-64
+#: KVM guest, against the sub-design table explorer.
 TABLE_FLOOR = 1.3
 TABLE_ROUNDS = 7
 TABLE_SEEDS = (1000, 1001, 1002)
@@ -55,9 +58,17 @@ TABLE_STARTS = 10
 #: table descent driven by a ``Configuration`` that rehashes its whole
 #: subtree per lookup, neighbours rebuilt through generators, slot
 #: candidates found by scanning and default designs rebuilt per move.
-#: Five runs read 1.34-1.40x on the same guest.
+#: Five runs read 1.34-1.40x on the same guest, against the hash-once
+#: explorer.
 HASH_FLOOR = 1.2
 HASH_ROUNDS = 7
+
+#: The same searches against the frozen spliced reference below: the
+#: table descent over once-hashed configurations, each neighbour built
+#: by splicing one tuple entry.  Twelve runs read 2.03-2.55x on the
+#: same guest.
+INDEX_FLOOR = 1.8
+INDEX_ROUNDS = 7
 
 _results = {}
 
@@ -116,19 +127,20 @@ def _rebuilt_default(template):
     return _RehashingConfiguration(template.name, params, slots)
 
 
-def _rehashing_random(template, rng):
-    """``Template.random_configuration``: the same draws, the frozen
-    configuration type."""
-    params = tuple(sorted(
-        (key, rng.choice(values))
-        for key, values in template.parameters.items()))
-    slots = []
-    for key, candidates in template.slots.items():
-        weights = [c.count_configurations() for c in candidates]
-        candidate = rng.choices(candidates, weights=weights)[0]
-        slots.append((key, _rehashing_random(candidate, rng)))
-    return _RehashingConfiguration(template.name, params,
-                                   tuple(sorted(slots)))
+def _random_as(config_class):
+    """``Template.random_configuration``: the same draws, built as the
+    frozen ``config_class``."""
+    def draw(template, rng):
+        params = tuple(sorted(
+            (key, rng.choice(values))
+            for key, values in template.parameters.items()))
+        slots = []
+        for key, candidates in template.slots.items():
+            weights = [c.count_configurations() for c in candidates]
+            candidate = rng.choices(candidates, weights=weights)[0]
+            slots.append((key, draw(candidate, rng)))
+        return config_class(template.name, params, tuple(sorted(slots)))
+    return draw
 
 
 def _rebuilt_with_param(config, name, value):
@@ -246,11 +258,113 @@ def _reference_descend(reference, template, context, config, goal):
         config, metrics = best_neighbour
 
 
-#: The two frozen descents: how each evaluates, steps and draws starts.
-TABLE_FREE = {"evaluate": _table_free_evaluate, "neighbours": neighbours,
-              "random": Template.random_configuration}
+# -- frozen reference: the spliced descent before the design index ------
+
+@dataclass(frozen=True)
+class _HashOnceConfiguration:
+    """``Configuration`` as the spliced descent used it: the hash of
+    ``(template, params, slots)`` is taken once, at construction, so a
+    parent's hash reads one cached value per child."""
+
+    template: str
+    params: tuple
+    slots: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.template, self.params, self.slots)))
+
+    def __hash__(self):
+        return self._hash
+
+
+def _position(pairs, name):
+    for index, (key, _) in enumerate(pairs):
+        if key == name:
+            return index
+    raise KeyError(name)
+
+
+def _with_param(config, index, value):
+    params = config.params
+    return _HashOnceConfiguration(
+        config.template,
+        params[:index] + ((params[index][0], value),) + params[index + 1:],
+        config.slots)
+
+
+def _with_slot(config, index, sub):
+    slots = config.slots
+    return _HashOnceConfiguration(
+        config.template, config.params,
+        slots[:index] + ((slots[index][0], sub),) + slots[index + 1:])
+
+
+@functools.cache
+def _spliced_default(template):
+    """The default design, built once per template."""
+    return _HashOnceConfiguration(
+        template.name,
+        tuple(sorted((key, values[0])
+                     for key, values in template.parameters.items())),
+        tuple(sorted((key, _spliced_default(candidates[0]))
+                     for key, candidates in template.slots.items())))
+
+
+def _spliced_neighbours(template, config):
+    """Every single-decision variation: each splices one entry into its
+    parent's tuples and shares its untouched children."""
+    for name, values in template.parameters.items():
+        index = _position(config.params, name)
+        current = config.params[index][1]
+        for value in values:
+            if value != current:
+                yield _with_param(config, index, value)
+    for slot_name, candidates in template.slots.items():
+        index = _position(config.slots, slot_name)
+        sub = config.slots[index][1]
+        for candidate in candidates:
+            if candidate.name != sub.template:
+                yield _with_slot(config, index, _spliced_default(candidate))
+        for new_sub in _spliced_neighbours(
+                template._candidate(slot_name, sub.template), sub):
+            yield _with_slot(config, index, new_sub)
+
+
+def _tabled_evaluate(template, configuration, context, table):
+    """Recursive evaluation through the per-descent sub-design table
+    ``{(candidate, sub_configuration): Metrics | None}``."""
+    sub_metrics = {}
+    for slot_name, sub_config in configuration.slots:
+        candidate = template._candidate(slot_name, sub_config.template)
+        key = (candidate, sub_config)
+        try:
+            metrics = table[key]
+        except KeyError:
+            try:
+                metrics = _tabled_evaluate(candidate, sub_config, context,
+                                           table)
+            except InfeasibleConfiguration:
+                metrics = None
+            table[key] = metrics
+        if metrics is None:
+            raise InfeasibleConfiguration(
+                f"slot {slot_name!r} of {template.name!r} holds an "
+                f"infeasible {sub_config.template!r} design")
+        sub_metrics[slot_name] = metrics
+    return template.cost(dict(configuration.params), sub_metrics, context)
+
+
+#: The frozen descents: how each evaluates, steps and draws starts.
+TABLE_FREE = {"evaluate": _table_free_evaluate,
+              "neighbours": _spliced_neighbours,
+              "random": _random_as(_HashOnceConfiguration)}
 REHASHING = {"evaluate": _rehashing_evaluate,
-             "neighbours": _rebuilt_neighbours, "random": _rehashing_random}
+             "neighbours": _rebuilt_neighbours,
+             "random": _random_as(_RehashingConfiguration)}
+SPLICED = {"evaluate": _tabled_evaluate, "neighbours": _spliced_neighbours,
+           "random": _random_as(_HashOnceConfiguration)}
 
 
 def _reference_search(reference, template, context, goal, seed, starts):
@@ -377,20 +491,31 @@ def _search_gate(report_dir, reference, rounds, floor, artifact, title,
 
 def test_sub_design_table_beats_table_free_reference(benchmark,
                                                      report_dir):
-    """The explorer's per-descent sub-design table against the frozen
-    table-free descent."""
+    """The explorer against the frozen table-free descent, which prices
+    every sub-design again."""
     _search_gate(report_dir, TABLE_FREE, TABLE_ROUNDS, TABLE_FLOOR,
                  "local_search_table",
-                 "per-descent sub-design table vs table-free reference",
-                 ["table-free reference", "sub-design table"])
+                 "explorer vs table-free reference",
+                 ["table-free reference", "explorer"])
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_hash_once_beats_rehashing_reference(benchmark, report_dir):
-    """The explorer's once-hashed, spliced neighbours against the
-    frozen table descent that rehashes and rebuilds them."""
+    """The explorer against the frozen table descent that rehashes and
+    rebuilds every neighbour."""
     _search_gate(report_dir, REHASHING, HASH_ROUNDS, HASH_FLOOR,
                  "local_search_hash",
-                 "hash-once spliced neighbours vs rehashing reference",
-                 ["rehashing reference", "hash once"])
+                 "explorer vs rehashing reference",
+                 ["rehashing reference", "explorer"])
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_index_beats_spliced_reference(benchmark, report_dir):
+    """The explorer's walk over the integer-indexed design space against
+    the frozen spliced descent that builds a configuration per
+    neighbour."""
+    _search_gate(report_dir, SPLICED, INDEX_ROUNDS, INDEX_FLOOR,
+                 "local_search_index",
+                 "explorer vs spliced reference",
+                 ["spliced reference", "explorer"])
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -48,6 +48,22 @@ print(workload, "correct:", result["attempted"], "ops")
 ' "$workload"
 done
 
+echo "== dse-local traced smoke (benchmark, quick) =="
+# The traced run wraps the descent's layers (the top-level cost, the
+# memo): it must stay correct and still see every top-level cost call.
+python3 bench/run.py --workload dse-local --seed 7 --quick --trace 1 \
+    | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True:
+    sys.exit(f"traced dse-local verdicts drifted: {result}")
+calls = result["metrics"]["hades.template.cost.calls"]["value"]
+if not calls > 0:
+    sys.exit("traced dse-local saw no hades.template.cost calls")
+print("traced dse-local correct:", result["attempted"], "ops,",
+      calls, "top-level cost calls")
+'
+
 echo "== fault campaign summary =="
 python scripts/fault_report.py benchmarks/results/fault_campaign.json \
     --by scenario --worst 5

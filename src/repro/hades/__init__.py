@@ -29,8 +29,8 @@ Quick use (a runnable doctest — ``tests/test_imports.py`` executes it):
 """
 
 from .metrics import Metrics, OptimizationGoal
-from .template import (Configuration, DesignContext, EvaluatedDesign,
-                       InfeasibleConfiguration, Template,
+from .template import (Configuration, DesignContext, DesignIndex,
+                       EvaluatedDesign, InfeasibleConfiguration, Template,
                        enumerate_designs)
 from .explorer import (ExhaustiveExplorer, ExplorationResult,
                        LocalSearchExplorer, neighbours, pareto_front)
@@ -42,7 +42,7 @@ __all__ = [
     "HardwarePowerModel", "PowerEstimate", "aes_activity_factor",
     "rank_by_energy",
     "Metrics", "OptimizationGoal",
-    "Configuration", "DesignContext", "EvaluatedDesign",
+    "Configuration", "DesignContext", "DesignIndex", "EvaluatedDesign",
     "InfeasibleConfiguration", "Template", "enumerate_designs",
     "ExhaustiveExplorer", "ExplorationResult", "LocalSearchExplorer",
     "neighbours", "pareto_front",

@@ -19,12 +19,11 @@ Both explorers ride the deterministic parallel executor
 exhaustive traversal by interleaved index ranges and fans independent
 local-search starts across worker processes, with per-shard
 reductions merged so that the optimum and every counter total are
-identical for any worker count.  Each coordinate descent caches at
-two levels: a bounded :class:`~repro.runtime.memo.Memo` of whole
-configurations, whose misses are the counted ``evaluations``, and below
-it one uncounted sub-design table that :meth:`Template.evaluate` prices
-every slot through, so a move re-prices only the sub-design it
-changed.  :meth:`ExhaustiveExplorer.run_all_goals` scores every goal
+identical for any worker count.  Local search walks the template's
+:class:`~repro.hades.template.DesignIndex`: a design is an integer
+rank, a move is integer arithmetic, a memo miss is one top-level cost
+call, and only each start's optimum becomes a :class:`Configuration`.
+:meth:`ExhaustiveExplorer.run_all_goals` scores every goal
 in a single traversal instead of re-enumerating the space per goal.
 """
 
@@ -39,8 +38,8 @@ from ..obs import TELEMETRY
 from ..runtime import (Memo, chunk_bounds, resolve_jobs, run_sharded,
                        stride_shards)
 from .metrics import OptimizationGoal
-from .template import (Configuration, DesignContext, EvaluatedDesign,
-                       InfeasibleConfiguration, Template,
+from .template import (Configuration, DesignContext, DesignIndex,
+                       EvaluatedDesign, InfeasibleConfiguration, Template,
                        enumerate_chunks)
 
 #: An env-requested parallel exhaustive run stays serial below this
@@ -275,115 +274,48 @@ def pareto_front(designs, include_randomness: bool = True) -> list:
     return front
 
 
-def _position(pairs: tuple, name: str) -> int:
-    """Index of ``name`` in a configuration's ``(name, value)`` pairs."""
-    for index, (key, _) in enumerate(pairs):
-        if key == name:
-            return index
-    raise KeyError(name)
-
-
-def _with_param(config: Configuration, index: int,
-                value) -> Configuration:
-    params = config.params
-    return Configuration(
-        config.template,
-        params[:index] + ((params[index][0], value),) + params[index + 1:],
-        config.slots)
-
-
-def _with_slot(config: Configuration, index: int,
-               sub: Configuration) -> Configuration:
-    slots = config.slots
-    return Configuration(
-        config.template, config.params,
-        slots[:index] + ((slots[index][0], sub),) + slots[index + 1:])
-
-
 def neighbours(template: Template, config: Configuration):
     """All single-decision variations of ``config`` (the paper: "all
-    parameters are varied individually instead of jointly").
-
-    Each neighbour splices one entry into its parent's tuples; its
-    untouched children are shared, so building it hashes only the
-    path from the changed site to the root."""
-    for name, values in template.parameters.items():
-        index = _position(config.params, name)
-        current = config.params[index][1]
-        for value in values:
-            if value != current:
-                yield _with_param(config, index, value)
-    for slot_name, candidates in template.slots.items():
-        index = _position(config.slots, slot_name)
-        sub = config.slots[index][1]
-        for candidate in candidates:
-            if candidate.name != sub.template:
-                yield _with_slot(config, index,
-                                 candidate.default_configuration())
-        for new_sub in neighbours(
-                template._candidate(slot_name, sub.template), sub):
-            yield _with_slot(config, index, new_sub)
+    parameters are varied individually instead of jointly"), in
+    :meth:`DesignIndex.neighbours` order."""
+    index = template.design_index
+    return map(index.configuration, index.neighbours(index.rank_of(config)))
 
 
-def _memo_evaluate(template: Template, context: DesignContext,
-                   config: Configuration, memo: Memo, table: dict):
-    """Evaluate one whole configuration through the two cache levels.
-
-    ``memo`` holds whole configurations and counts every lookup: its
-    misses are the run's ``evaluations``.  A miss is priced by
-    :meth:`Template.evaluate` through ``table``, the uncounted
-    sub-design table below it, so only the sub-designs a move changed
-    are priced again.  ``None`` = infeasible, cached at both levels
-    (repeated infeasibility is exactly the expensive outcome on masked
-    spaces)."""
-    found, metrics = memo.lookup(config)
-    if found:
-        return metrics
-    if TELEMETRY.enabled:
-        TELEMETRY.counter("hades.evaluations").inc()
-    try:
-        metrics = template.evaluate(config, context, table)
-    except InfeasibleConfiguration:
-        metrics = None
-    memo.store(config, metrics)
-    return metrics
-
-
-def _descend(template: Template, context: DesignContext,
-             config: Configuration, goal: OptimizationGoal) -> tuple:
-    """Coordinate descent to a local optimum; returns
-    ``(config, metrics, evaluations, cache_hits)`` where evaluations
-    counts whole-configuration cost predictions (memo misses).
-
-    The descent owns both cache levels: the miss-counting ``Memo`` of
-    whole configurations, and one sub-design table shared by every
-    evaluation.  The table is bounded by the sum of the sub-template
-    spaces (about 1,400 entries for Kyber-CCA) and dies with the
-    descent."""
+def _descend(index: DesignIndex, context: DesignContext, rank: int,
+             goal: OptimizationGoal) -> tuple:
+    """Coordinate descent over ranks to a local optimum; returns
+    ``(rank, metrics, evaluations, cache_hits)``.  A miss-counting
+    ``Memo`` of whole-design ranks caches every priced design,
+    infeasible (``None``) ones too; its misses are the evaluations."""
     memo = Memo()
-    table = {}
-    metrics = _memo_evaluate(template, context, config, memo, table)
-    # A random start may be infeasible (e.g. LUT S-box while masked);
-    # walk to any feasible neighbour first.
-    attempts = 0
-    while metrics is None:
-        improved = False
-        for candidate in neighbours(template, config):
-            candidate_metrics = _memo_evaluate(template, context,
-                                               candidate, memo, table)
-            if candidate_metrics is not None:
-                config, metrics = candidate, candidate_metrics
-                improved = True
+    price = index.pricer(context)
+
+    def evaluate(rank):
+        found, metrics = memo.lookup(rank)
+        if found:
+            return metrics
+        if TELEMETRY.enabled:
+            TELEMETRY.counter("hades.evaluations").inc()
+        metrics = price(rank)
+        memo.store(rank, metrics)
+        return metrics
+
+    metrics = evaluate(rank)
+    if metrics is None:
+        # A random start may be infeasible (e.g. LUT S-box while
+        # masked): step to the first feasible neighbour.
+        for rank in index.neighbours(rank):
+            metrics = evaluate(rank)
+            if metrics is not None:
                 break
-        attempts += 1
-        if not improved or attempts > 100:
+        else:
             return None, None, memo.misses, memo.hits
     score = goal.score(metrics)
     while True:
         best_neighbour = None
-        for candidate in neighbours(template, config):
-            candidate_metrics = _memo_evaluate(template, context,
-                                               candidate, memo, table)
+        for candidate in index.neighbours(rank):
+            candidate_metrics = evaluate(candidate)
             if candidate_metrics is None:
                 continue
             candidate_score = goal.score(candidate_metrics)
@@ -391,20 +323,22 @@ def _descend(template: Template, context: DesignContext,
                 best_neighbour = (candidate, candidate_metrics)
                 score = candidate_score
         if best_neighbour is None:
-            return config, metrics, memo.misses, memo.hits
-        config, metrics = best_neighbour
+            return rank, metrics, memo.misses, memo.hits
+        rank, metrics = best_neighbour
 
 
 def _local_search_shard(state, bounds) -> tuple:
     """Run one contiguous block of independent random starts."""
     template, context, goal, start_configs = state
+    index = template.design_index
     lo, hi = bounds
     results = []
-    for index in range(lo, hi):
-        with TELEMETRY.span("hades.local_search.descent", start=index):
-            config, metrics, evaluations, hits = _descend(
-                template, context, start_configs[index], goal)
-        results.append((index, config, metrics, evaluations, hits))
+    for start in range(lo, hi):
+        with TELEMETRY.span("hades.local_search.descent", start=start):
+            rank, metrics, evaluations, hits = _descend(
+                index, context, index.rank_of(start_configs[start]), goal)
+        config = None if rank is None else index.configuration(rank)
+        results.append((start, config, metrics, evaluations, hits))
     return results
 
 

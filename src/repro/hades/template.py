@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 
 from .metrics import Metrics
 
@@ -61,29 +64,11 @@ class Configuration:
     ``params`` maps parameter names to chosen values; ``slots`` maps
     slot names to the (candidate template name, sub-configuration)
     actually chosen.
-
-    The hash of ``(template, params, slots)`` is taken once, at
-    construction: children are built first, so a parent's hash reads
-    one cached value per child instead of rehashing the subtree, and
-    every memo or table lookup reads the cached value.  It is not
-    compared, shown or pickled: string hashes differ between
-    interpreters, so unpickling rebuilds it.
     """
 
     template: str
     params: tuple          # sorted tuple of (name, value)
     slots: tuple           # sorted tuple of (slot, Configuration)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.template, self.params, self.slots)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Configuration, (self.template, self.params, self.slots)
 
     def param(self, name: str):
         for key, value in self.params:
@@ -128,64 +113,30 @@ class Template:
         self._candidates = {
             key: {candidate.name: candidate for candidate in candidates}
             for key, candidates in self.slots.items()}
-        # The first configuration in enumeration order, built once:
-        # candidates are built (with their own default) before their
-        # parent, and a configuration is immutable.
-        self._default = Configuration(
-            name,
-            tuple(sorted((key, values[0])
-                         for key, values in self.parameters.items())),
-            tuple(sorted((key, candidates[0]._default)
-                         for key, candidates in self.slots.items())))
+
+    @cached_property
+    def design_index(self) -> "DesignIndex":
+        """This template's :class:`DesignIndex`, compiled on first use."""
+        return DesignIndex(self)
 
     def count_configurations(self) -> int:
         """Closed-form size of this template's configuration space."""
-        count = 1
-        for values in self.parameters.values():
-            count *= len(values)
-        for candidates in self.slots.values():
-            count *= sum(c.count_configurations() for c in candidates)
-        return count
+        return self.design_index.count
 
     def evaluate(self, configuration: Configuration,
-                 context: DesignContext, table: dict = None) -> Metrics:
-        """Predict the metrics of one configuration (recursively).
-
-        Every slot's sub-design is priced through ``table``, a
-        ``{(candidate, sub_configuration): Metrics | None}`` dict that
-        the whole recursion shares; ``None`` records an infeasible
-        sub-design, re-raised as :class:`InfeasibleConfiguration` at
-        every parent that reaches it.  A caller pricing many related
-        configurations in one ``context`` passes one table, so each
-        distinct sub-design is priced once; a table must not be shared
-        across contexts.  Omitted, a fresh one is used.
-        """
+                 context: DesignContext) -> Metrics:
+        """Predict the metrics of one configuration (recursively),
+        caching nothing: the independent check of
+        :meth:`DesignIndex.pricer`."""
         if configuration.template != self.name:
             raise ValueError(
                 f"configuration is for {configuration.template!r}, "
                 f"not {self.name!r}")
-        if table is None:
-            table = {}
         sub_metrics = {}
         for slot_name, sub_config in configuration.slots:
             candidate = self._candidate(slot_name, sub_config.template)
-            key = (candidate, sub_config)
-            try:
-                metrics = table[key]
-            except KeyError:
-                try:
-                    metrics = candidate.evaluate(sub_config, context,
-                                                 table)
-                except InfeasibleConfiguration:
-                    metrics = None
-                table[key] = metrics
-            if metrics is None:
-                raise InfeasibleConfiguration(
-                    f"slot {slot_name!r} of {self.name!r} holds an "
-                    f"infeasible {sub_config.template!r} design")
-            sub_metrics[slot_name] = metrics
-        params = dict(configuration.params)
-        return self.cost(params, sub_metrics, context)
+            sub_metrics[slot_name] = candidate.evaluate(sub_config, context)
+        return self.cost(dict(configuration.params), sub_metrics, context)
 
     def _candidate(self, slot_name: str, template_name: str) -> "Template":
         try:
@@ -196,7 +147,7 @@ class Template:
 
     def default_configuration(self) -> Configuration:
         """The first configuration in enumeration order."""
-        return self._default
+        return self.design_index.configuration(0)
 
     def random_configuration(self, rng) -> Configuration:
         """A uniformly random configuration (for local-search starts)."""
@@ -209,6 +160,121 @@ class Template:
             candidate = rng.choices(candidates, weights=weights)[0]
             slots.append((key, candidate.random_configuration(rng)))
         return Configuration(self.name, params, tuple(sorted(slots)))
+
+
+class DesignIndex:
+    """One template's configuration space, numbered by integer rank.
+
+    A rank is mixed-radix: one digit per parameter (the value's
+    position) and per slot (the position in the slot's flattened
+    sub-design list, candidate after candidate), parameters then slots
+    in declared order, the last least significant; rank 0 is the
+    default design.  Infeasible sub-designs keep their ranks and price
+    as ``None``, unlike the exhaustive fold's raw index
+    (:func:`enumerate_chunks`), which counts feasible ones only.
+
+    Every slot holding a template shares its index.  Below the root,
+    neighbour lists and (per :class:`DesignContext`) metrics are cached,
+    bounded by the sub-space sizes, so cost models must be pure.
+    """
+
+    def __init__(self, template: Template):
+        self.template = template
+        self.params, self.slots = [], []
+        stride = 1
+        for name, candidates in reversed(template.slots.items()):
+            nodes = tuple(candidate.design_index for candidate in candidates)
+            offsets = tuple(itertools.accumulate(
+                (node.count for node in nodes), initial=0))
+            self.slots.insert(0, (name, offsets, nodes, stride))
+            stride *= offsets[-1]
+        self._param_span = stride
+        for name, values in reversed(template.parameters.items()):
+            self.params.insert(0, (name, values, stride))
+            stride *= len(values)
+        self.count = stride
+        self._tables, self._neighbours = {}, {}
+
+    def rank_of(self, configuration: Configuration) -> int:
+        chosen, subs = dict(configuration.params), dict(configuration.slots)
+        rank = sum(values.index(chosen[name]) * stride
+                   for name, values, stride in self.params)
+        for name, offsets, nodes, stride in self.slots:
+            sub = subs[name]
+            node = [node.template.name for node in nodes].index(sub.template)
+            rank += (offsets[node] + nodes[node].rank_of(sub)) * stride
+        return rank
+
+    def configuration(self, rank: int) -> Configuration:
+        params = [(name, values[rank // stride % len(values)])
+                  for name, values, stride in self.params]
+        slots = []
+        for name, offsets, nodes, stride in self.slots:
+            position = rank // stride % offsets[-1]
+            node = bisect_right(offsets, position) - 1
+            slots.append((name, nodes[node].configuration(
+                position - offsets[node])))
+        return Configuration(self.template.name, tuple(sorted(params)),
+                             tuple(sorted(slots)))
+
+    def neighbours(self, rank: int) -> list:
+        """The ranks of every single-decision variation of ``rank``:
+        each parameter's other values, then per slot the other
+        candidates' defaults and the current sub-design's own
+        neighbours."""
+        ranks = []
+        for _, values, stride in self.params:
+            base = rank - rank // stride % len(values) * stride
+            ranks += [base + value * stride for value in range(len(values))
+                      if base + value * stride != rank]
+        for _, offsets, nodes, stride in self.slots:
+            position = rank // stride % offsets[-1]
+            node = bisect_right(offsets, position) - 1
+            sub, first = nodes[node], offsets[node]
+            local = position - first
+            base = rank - position * stride
+            ranks += [base + offset * stride for offset in offsets[:-1]
+                      if offset != first]
+            if local not in sub._neighbours:   # packed: ranks are big ints
+                sub._neighbours[local] = array("q", sub.neighbours(local))
+            base += first * stride
+            ranks += [base + move * stride for move in sub._neighbours[local]]
+        return ranks
+
+    def pricer(self, context: DesignContext):
+        """``price(rank)``: the metrics of ``rank`` in ``context``, or
+        ``None`` if it is infeasible.  One call of the template's
+        ``cost``, read at call time, on sub-design metrics from the
+        tables below."""
+        slots = [(name, offsets, nodes, stride, tuple(
+            node._tables.setdefault(context, {}) for node in nodes))
+            for name, offsets, nodes, stride in self.slots]
+        template, param_dicts = self.template, {}   # dies with the pricer
+
+        def price(rank):
+            combo = rank // self._param_span
+            if combo not in param_dicts:
+                param_dicts[combo] = {
+                    name: values[rank // stride % len(values)]
+                    for name, values, stride in self.params}
+            sub_metrics = {}
+            for name, offsets, nodes, stride, tables in slots:
+                position = rank // stride % offsets[-1]
+                node = bisect_right(offsets, position) - 1
+                position -= offsets[node]
+                table = tables[node]
+                if position not in table:
+                    table[position] = nodes[node].pricer(context)(position)
+                sub_metrics[name] = metrics = table[position]
+                if metrics is None:
+                    return None
+            try:
+                return template.cost(param_dicts[combo], sub_metrics,
+                                     context)
+            except InfeasibleConfiguration:
+                return None
+
+        return price
 
 
 @dataclass

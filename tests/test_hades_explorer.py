@@ -4,9 +4,9 @@ import pytest
 
 from repro.hades import (DesignContext, ExhaustiveExplorer,
                          InfeasibleConfiguration, LocalSearchExplorer,
-                         Metrics, OptimizationGoal, Template, explorer,
-                         neighbours)
+                         Metrics, OptimizationGoal, Template, neighbours)
 from repro.hades.library import aes256, chacha20, kyber_cca
+from repro.runtime import Memo
 
 G = OptimizationGoal
 
@@ -186,20 +186,21 @@ class TestSubDesignTable:
             self, monkeypatch, factory, order):
         template = factory()
         context = DesignContext(masking_order=order)
+        index = template.design_index
         visited = []
-        memo_evaluate = explorer._memo_evaluate
+        store = Memo.store
 
-        def recording(template, context, config, memo, table):
-            metrics = memo_evaluate(template, context, config, memo,
-                                    table)
-            visited.append((config, metrics))
-            return metrics
+        def recording(memo, rank, metrics):
+            visited.append((rank, metrics))
+            store(memo, rank, metrics)
 
-        monkeypatch.setattr(explorer, "_memo_evaluate", recording)
+        # Every rank the descent prices is stored once in its memo.
+        monkeypatch.setattr(Memo, "store", recording)
         LocalSearchExplorer(template, context, seed=order).run(
             G.AREA, starts=3, jobs=1)
         assert len(visited) > 100
-        for config, metrics in visited:
+        for rank, metrics in visited:
+            config = index.configuration(rank)
             assert metrics == _table_free_evaluate(template, config,
                                                    context), \
                 config.describe()

@@ -13,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hades import (Configuration, DesignContext,
-                         InfeasibleConfiguration, Metrics,
-                         OptimizationGoal, Template, enumerate_designs)
+                         InfeasibleConfiguration, LocalSearchExplorer,
+                         Metrics, OptimizationGoal, Template,
+                         enumerate_designs, neighbours)
 from repro.hades import masking
-from repro.hades.library import kyber_cca
+from repro.hades.library import TABLE_I_ROWS, kyber_cca
+from repro.obs import TELEMETRY, counting
 from repro.runtime import Memo
+
+from helpers import reset_telemetry
 
 
 def _const_cost(area, latency, rand=0.0):
@@ -206,21 +210,22 @@ class TestTemplate:
 
 
 def _counting_tree(infeasible_x=None):
-    """parent(y) -> mid(m) -> leaf(x), plus a leaf in a second slot;
-    every leaf and mid cost call is recorded with its parameter and
-    sub-design area.  Leaf areas are distinct, so a record names the
-    sub-configuration priced.  ``infeasible_x`` makes that leaf
-    infeasible."""
+    """parent(y) -> mid(m) -> leaf(x), plus the same leaf object in a
+    second slot; every leaf and mid cost call is recorded with its
+    masking order, parameter and sub-design area.  Leaf areas are
+    distinct, so a record names the sub-configuration priced.
+    ``infeasible_x`` makes that leaf infeasible."""
     calls = []
 
     def leaf_cost(params, subs, context):
-        calls.append(("leaf", params["x"]))
+        calls.append((context.masking_order, "leaf", params["x"]))
         if params["x"] == infeasible_x:
             raise InfeasibleConfiguration("leaf cannot be built")
         return Metrics(1.0 + params["x"], 1.0)
 
     def mid_cost(params, subs, context):
-        calls.append(("mid", params["m"], subs["s"].area_kge))
+        calls.append((context.masking_order, "mid", params["m"],
+                      subs["s"].area_kge))
         return Metrics(subs["s"].area_kge * params["m"], 2.0)
 
     leaf = Template("leaf", leaf_cost, parameters={"x": (0, 1, 2)})
@@ -241,44 +246,166 @@ def _config(y, m, a_x, b_x):
         ("b", Configuration("leaf", (("x", b_x),), ()))))
 
 
-class TestSubDesignTable:
-    def test_shared_table_prices_each_sub_design_once(self):
-        parent, calls = _counting_tree()
-        context = DesignContext()
-        table = {}
-        configs = [_config(y, m, a_x, b_x) for y in (0, 1)
-                   for m in (1, 2) for a_x in (0, 2) for b_x in (0, 2)]
-        tabled = [parent.evaluate(config, context, table)
-                  for config in configs]
-        # Two leaves (x=0, 2) and four mids (m x leaf), each priced once.
-        assert len(calls) == len(set(calls)) == len(table) == 6
-        assert tabled == [parent.evaluate(config, context)
-                          for config in configs]
+# -- frozen reference: the neighbour generator before the index ----------
 
-    def test_fresh_table_per_call_by_default(self):
-        parent, calls = _counting_tree()
-        config = _config(0, 1, 2, 2)
-        parent.evaluate(config, DesignContext())
-        parent.evaluate(config, DesignContext())
-        # Within one call the shared leaf (x=2 in both slots) is priced
-        # once; nothing survives the call.
-        assert calls.count(("leaf", 2)) == 2
+def _frozen_default(template):
+    return Configuration(
+        template.name,
+        tuple(sorted((key, values[0])
+                     for key, values in template.parameters.items())),
+        tuple(sorted((key, _frozen_default(candidates[0]))
+                     for key, candidates in template.slots.items())))
 
-    def test_infeasible_sub_design_priced_once_raised_every_time(self):
+
+def _frozen_neighbours(template, config):
+    """Every single-decision variation, spliced into the parent's
+    tuples: parameters, then per slot the other candidates' defaults
+    and the sub-design's own neighbours, in declared order."""
+    for name, values in template.parameters.items():
+        index = [key for key, _ in config.params].index(name)
+        for value in values:
+            if value != config.params[index][1]:
+                yield Configuration(config.template, config.params[:index]
+                                    + ((name, value),)
+                                    + config.params[index + 1:],
+                                    config.slots)
+    for slot_name, candidates in template.slots.items():
+        index = [key for key, _ in config.slots].index(slot_name)
+        sub = config.slots[index][1]
+        moves = [_frozen_default(candidate) for candidate in candidates
+                 if candidate.name != sub.template]
+        moves += _frozen_neighbours(
+            template._candidate(slot_name, sub.template), sub)
+        for new_sub in moves:
+            yield Configuration(config.template, config.params,
+                                config.slots[:index]
+                                + ((slot_name, new_sub),)
+                                + config.slots[index + 1:])
+
+
+def _scalar(template, config, context):
+    try:
+        return template.evaluate(config, context)
+    except InfeasibleConfiguration:
+        return None
+
+
+def _search_outcome(template, context, jobs):
+    """``(evaluations, cache_hits, best, PERF delta)`` of a seeded
+    4-start search, read from its telemetry span."""
+    was = TELEMETRY.enabled
+    TELEMETRY.enabled = True
+    reset_telemetry()
+    try:
+        with counting() as window:
+            result = LocalSearchExplorer(template, context, seed=9).run(
+                OptimizationGoal.AREA, starts=4, jobs=jobs)
+        attrs = [record["attrs"] for record in TELEMETRY.tracer.snapshot()
+                 if record["name"] == "hades.local_search.run"][-1]
+    finally:
+        reset_telemetry()
+        TELEMETRY.enabled = was
+    return (attrs["evaluations"], attrs["cache_hits"], result.best,
+            dict(window.delta()))
+
+
+class TestDesignIndex:
+    @pytest.mark.parametrize("factory", [row[1] for row in TABLE_I_ROWS],
+                             ids=[row[1].__name__ for row in TABLE_I_ROWS])
+    def test_ranks_round_trip_and_neighbours_match_frozen(self, factory):
+        template = factory()
+        index = template.design_index
+        assert index.count == template.count_configurations()
+        assert template.default_configuration() == \
+            _frozen_default(template) == index.configuration(0)
+        rng = random.Random(factory.__name__)
+        starts = [template.random_configuration(rng) for _ in range(6)]
+        for config in starts + [_frozen_default(template)]:
+            rank = index.rank_of(config)
+            assert 0 <= rank < index.count
+            assert index.configuration(rank) == config
+            expected = list(_frozen_neighbours(template, config))
+            assert [index.configuration(neighbour) for neighbour
+                    in index.neighbours(rank)] == expected
+            assert list(neighbours(template, config)) == expected
+
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    @pytest.mark.parametrize("factory", [row[1] for row in TABLE_I_ROWS],
+                             ids=[row[1].__name__ for row in TABLE_I_ROWS])
+    def test_pricing_matches_scalar_evaluate(self, factory, order):
+        template = factory()
+        context = DesignContext(masking_order=order)
+        index = template.design_index
+        price = index.pricer(context)
+        rng = random.Random(order)
+        for _ in range(40):
+            rank = rng.randrange(index.count)
+            assert price(rank) == _scalar(
+                template, index.configuration(rank), context)
+
+    def test_infeasible_leaf_keeps_its_rank_and_is_marked(self):
         parent, calls = _counting_tree(infeasible_x=1)
         context = DesignContext()
-        table = {}
-        for config in (_config(0, 1, 1, 0), _config(1, 1, 1, 0),
-                       _config(0, 2, 0, 1), _config(1, 2, 2, 1)):
+        index = parent.design_index
+        assert index.count == 2 * (2 * 3) * 3
+        price = index.pricer(context)
+        infeasible = [_config(0, 1, 0, 1), _config(1, 2, 1, 0),
+                      _config(1, 1, 1, 1)]
+        for config in infeasible:
+            rank = index.rank_of(config)
+            assert index.configuration(rank) == config
+            assert price(rank) is None
+        # Reached from both slots, the infeasible leaf is priced once.
+        assert calls.count((0, "leaf", 1)) == 1
+        for config in infeasible:
             with pytest.raises(InfeasibleConfiguration):
-                parent.evaluate(config, context, table)
-        assert calls.count(("leaf", 1)) == 1
-        leaf = parent.slots["b"][0]
-        assert table[(leaf, Configuration("leaf", (("x", 1),), ()))] \
-            is None
-        # A feasible design sharing the table is still priced.
-        assert parent.evaluate(_config(0, 1, 0, 0), context,
-                               table).area_kge == 2.0
+                parent.evaluate(config, context)
+        # The infeasible design is still a neighbour of a feasible one.
+        feasible = index.rank_of(_config(0, 1, 0, 0))
+        assert price(feasible).area_kge == 2.0
+        assert index.rank_of(infeasible[0]) in index.neighbours(feasible)
+
+    def test_shared_leaf_priced_once_per_context_across_searches(self):
+        parent, calls = _counting_tree()
+        for order in (0, 0, 1, 1):
+            LocalSearchExplorer(parent, DesignContext(masking_order=order),
+                                seed=len(calls)).run(
+                OptimizationGoal.AREA, starts=3, jobs=1)
+        # One leaf object fills slots "a.s" and "b": each sub-design is
+        # priced once per masking order, whichever slot reached it.
+        assert len(calls) == len(set(calls))
+        for order in (0, 1):
+            assert {call[2] for call in calls
+                    if call[:2] == (order, "leaf")} == {0, 1, 2}
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_cold_and_warm_index_identical(self, jobs):
+        context = DesignContext(masking_order=1)
+        template = kyber_cca()
+        cold = _search_outcome(template, context, jobs)
+        warm = _search_outcome(template, context, jobs)
+        assert warm == cold
+        assert cold == _search_outcome(kyber_cca(), context, jobs)
+        assert cold[0] > 0 and cold[1] > 0
+
+    def test_replaced_cost_is_honoured_by_next_search(self):
+        template = Template("t", lambda p, s, c: Metrics(1.0 + p["a"], 1.0),
+                            parameters={"a": (0, 1, 2, 3)})
+        search = LocalSearchExplorer(template, seed=1)
+        assert search.run(OptimizationGoal.AREA, starts=2).best \
+            .configuration.param("a") == 0
+        original, calls = template.cost, []
+
+        def wrapped(params, subs, context):
+            calls.append(params["a"])
+            return original(params, subs, context)
+
+        template.cost = wrapped
+        result = search.run(OptimizationGoal.AREA, starts=2)
+        assert result.best.configuration.param("a") == 0 and calls
+        template.cost = lambda p, s, c: Metrics(4.0 - p["a"], 1.0)
+        assert search.run(OptimizationGoal.AREA, starts=2).best \
+            .configuration.param("a") == 3
 
 
 #: Prints a pickled seeded Kyber-CCA start, built in a fresh
@@ -331,12 +458,10 @@ class TestConfigurationHash:
         assert unpickled == local and hash(unpickled) == hash(local)
         assert {local: "entry"}[unpickled] == "entry"
         context = DesignContext(masking_order=1)
-        table = {}
-        metrics = template.evaluate(local, context, table)
+        metrics = template.evaluate(local, context)
         memo = Memo()
         memo.store(local, metrics)
         assert memo.lookup(unpickled) == (True, metrics)
-        # Every sub-design of the unpickled configuration is a table hit.
-        priced = len(table)
-        assert template.evaluate(unpickled, context, table) == metrics
-        assert len(table) == priced
+        index = template.design_index
+        assert index.rank_of(unpickled) == index.rank_of(local)
+        assert template.evaluate(unpickled, context) == metrics
