@@ -48,21 +48,26 @@ print(workload, "correct:", result["attempted"], "ops")
 ' "$workload"
 done
 
-echo "== dse-local traced smoke (benchmark, quick) =="
-# The traced run wraps the descent's layers (the top-level cost, the
-# memo): it must stay correct and still see every top-level cost call.
-python3 bench/run.py --workload dse-local --seed 7 --quick --trace 1 \
-    | tail -n 1 | python3 -c '
+for workload in dse-local dse-exhaustive; do
+    echo "== $workload traced smoke (benchmark, quick) =="
+    # The traced run wraps the HADES layers (the top-level cost, the
+    # memo, the exhaustive fold that now computes the lanes the cost
+    # only records): it must stay correct and still see every
+    # top-level cost call.
+    python3 bench/run.py --workload "$workload" --seed 7 --quick \
+        --trace 1 | tail -n 1 | python3 -c '
 import json, sys
+workload = sys.argv[1]
 result = json.loads(sys.stdin.read())
 if result.get("correct") is not True:
-    sys.exit(f"traced dse-local verdicts drifted: {result}")
+    sys.exit(f"traced {workload} verdicts drifted: {result}")
 calls = result["metrics"]["hades.template.cost.calls"]["value"]
 if not calls > 0:
-    sys.exit("traced dse-local saw no hades.template.cost calls")
-print("traced dse-local correct:", result["attempted"], "ops,",
+    sys.exit(f"traced {workload} saw no hades.template.cost calls")
+print(f"traced {workload} correct:", result["attempted"], "ops,",
       calls, "top-level cost calls")
-'
+' "$workload"
+done
 
 echo "== fault campaign summary =="
 python scripts/fault_report.py benchmarks/results/fault_campaign.json \

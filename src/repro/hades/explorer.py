@@ -45,11 +45,12 @@ from .template import (Configuration, DesignContext, DesignIndex,
 #: An env-requested parallel exhaustive run stays serial below this
 #: many raw configurations per worker: a worker must fold at least as
 #: long as it costs to start.  Measured for Kyber-CCA on a 2-vCPU
-#: x86-64 KVM guest (medians of 9): a two-worker fork pool starts and
-#: returns in 9.1 ms, a worker materialises its sub-template spaces in
-#: 5.7 ms, and the lane fold prices 0.38 us per design, so
-#: (9.1 + 5.7) ms / 0.38 us is about 39k configurations.
-MIN_CONFIGS_PER_JOB = 40_000
+#: x86-64 KVM guest (medians of 21): a two-worker fork pool starts and
+#: returns in 14 ms, a worker materialises its sub-template spaces in
+#: 13 ms, and the serial AREA fold over lazy lane columns prices
+#: 0.31 us per design, so (14 + 13) ms / 0.31 us is about 87k
+#: configurations.
+MIN_CONFIGS_PER_JOB = 90_000
 
 #: Likewise for local search: every worker gets at least this many
 #: independent random starts.
@@ -90,8 +91,12 @@ class _GoalReduction:
 
     A chunk is folded by taking the minimum of its score lanes and
     ranking only the lanes that tie with it; only a design that becomes
-    the best is materialised.  Shard dumps are plain
-    ``(best_key, best)`` tuples that pickle and merge commutatively.
+    the best is materialised.  A chunk's lane columns are computed when
+    first read, so a chunk that loses on score computes only the
+    columns its score reads (for AREA, area alone), a tie also
+    computes latency, and randomness is computed for a new best only.
+    Shard dumps are plain ``(best_key, best)`` tuples that pickle and
+    merge commutatively.
     """
 
     __slots__ = ("goal", "best_key", "best")

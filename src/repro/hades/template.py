@@ -23,7 +23,8 @@ sub-spaces.  The top level is folded in *lane chunks*
 (:func:`enumerate_chunks`): one cost call prices every design that
 differs only in the innermost slot, so a million-point space
 (Kyber-CCA) takes one cost call per 1302 designs and folds in well
-under a second.
+under a second.  Lane columns are lazy, so a fold computes only the
+metric columns its goal reads.
 """
 
 from __future__ import annotations
@@ -286,12 +287,38 @@ class EvaluatedDesign:
 
 
 def _nonneg(value) -> bool:
-    """True when no lane of ``value`` (a column or a scalar) is below 0."""
+    """True when no lane of ``value`` (a column or a scalar) is below 0.
+    A scalar that is not a number raises ``TypeError`` here."""
     return value.nonneg if type(value) is _Column else not value < 0
 
 
+def _apply(op, left, right) -> list:
+    """The lanes of ``op`` (``operator.add`` or ``operator.mul``) over
+    lane lists, a scalar taking part on either side, in the scalar
+    expression's operand order.  Comprehensions, not map(op), where a
+    scalar takes part: the interpreter's inline float arithmetic is
+    the hot loop of a fold."""
+    if type(left) is not list:
+        return [left + x for x in right] if op is operator.add \
+            else [left * x for x in right]
+    if type(right) is not list:
+        return [x + right for x in left] if op is operator.add \
+            else [x * right for x in left]
+    return list(map(op, left, right))
+
+
+def _derived(op, left, right, width: int, nonneg: bool) -> "_Column":
+    """The column ``left op right``, its lanes computed when first
+    read."""
+    column = object.__new__(_Column)
+    column._lanes, column._op = None, op
+    column._left, column._right = left, right
+    column.width, column.nonneg = width, nonneg
+    return column
+
+
 class _Column:
-    """One metric across the lanes of a chunk: a plain list, ``lanes``.
+    """One metric across the lanes of a chunk.
 
     Arithmetic is the operators the cost models use — ``+`` and ``*``
     with a scalar broadcast on either side, ``/`` by a column or a
@@ -301,6 +328,14 @@ class _Column:
     lane equals :meth:`Template.evaluate` value for value and type for
     type.
 
+    ``+`` and ``*`` are lazy: they record the operator and its
+    operands, and the lanes (a plain list) are computed the first time
+    something reads ``lanes``; the column then drops its operands.  A
+    fold that reads only its goal's column never computes the others.
+    ``/``, the one operator that can raise on numbers
+    (``ZeroDivisionError``), computes at once, so the error still
+    surfaces from the cost call.
+
     ``<`` is elementwise too, and a column's truth value exists only
     when every lane agrees: a cost model that branches on a
     sub-template metric where the lanes disagree gets ``TypeError``
@@ -308,44 +343,70 @@ class _Column:
     else a number supports (``-``, the other comparisons, ``float()``,
     ``**``, ``//``, hashing) raises ``TypeError`` as well.
 
-    ``nonneg`` records that no lane is below zero: true of sub-design
-    metrics, and kept by ``+``, ``*`` and ``/`` of such operands.  It
-    lets ``x < 0`` — the check every :class:`Metrics` runs on its
-    fields — answer without a pass over the lanes.
+    ``width`` (the lane count) and ``nonneg`` are known without the
+    lanes.  ``nonneg`` records that no lane is below zero: true of
+    sub-design metrics, and kept by ``+``, ``*`` and ``/`` of such
+    operands.  It lets ``x < 0`` — the check every :class:`Metrics`
+    runs on its fields — answer ``False``, the value of every lane,
+    without reading one.
     """
 
-    __slots__ = ("lanes", "nonneg")
+    __slots__ = ("_lanes", "_op", "_left", "_right", "width", "nonneg")
 
     def __init__(self, lanes: list, nonneg: bool = False):
-        self.lanes = lanes
+        self._lanes = lanes
+        self.width = len(lanes)
         self.nonneg = nonneg
 
-    # Comprehensions, not map(operator.*): the interpreter's inline
-    # float arithmetic is the hot loop of an exhaustive fold.
+    @property
+    def lanes(self) -> list:
+        if self._lanes is None:
+            self._force()
+        return self._lanes
+
+    def _force(self) -> None:
+        """Compute this column and every unread column below it, deepest
+        first, with an explicit stack: a cost model that sums N terms
+        in a loop builds a chain N deep."""
+        stack = [self]
+        while stack:
+            column = stack[-1]
+            if column._lanes is not None:   # an operand pushed twice
+                stack.pop()
+                continue
+            left, right = column._left, column._right
+            if type(left) is _Column:
+                if left._lanes is None:
+                    stack.append(left)
+                    continue
+                left = left._lanes
+            if type(right) is _Column:
+                if right._lanes is None:
+                    stack.append(right)
+                    continue
+                right = right._lanes
+            stack.pop()
+            column._lanes = _apply(column._op, left, right)
+            column._op = column._left = column._right = None
+
     def __add__(self, other):
-        nonneg = self.nonneg and _nonneg(other)
-        if type(other) is _Column:
-            return _Column(list(map(operator.add, self.lanes,
-                                    other.lanes)), nonneg)
-        return _Column([x + other for x in self.lanes], nonneg)
+        return _derived(operator.add, self, other, self.width,
+                        _nonneg(other) and self.nonneg)
 
     def __radd__(self, other):
-        return _Column([other + x for x in self.lanes],
-                       self.nonneg and not other < 0)
+        return _derived(operator.add, other, self, self.width,
+                        _nonneg(other) and self.nonneg)
 
     def __mul__(self, other):
-        nonneg = self.nonneg and _nonneg(other)
-        if type(other) is _Column:
-            return _Column(list(map(operator.mul, self.lanes,
-                                    other.lanes)), nonneg)
-        return _Column([x * other for x in self.lanes], nonneg)
+        return _derived(operator.mul, self, other, self.width,
+                        _nonneg(other) and self.nonneg)
 
     def __rmul__(self, other):
-        return _Column([other * x for x in self.lanes],
-                       self.nonneg and not other < 0)
+        return _derived(operator.mul, other, self, self.width,
+                        _nonneg(other) and self.nonneg)
 
     def __truediv__(self, other):
-        nonneg = self.nonneg and _nonneg(other)
+        nonneg = _nonneg(other) and self.nonneg
         if type(other) is _Column:
             return _Column(list(map(operator.truediv, self.lanes,
                                     other.lanes)), nonneg)
@@ -353,7 +414,7 @@ class _Column:
 
     def __lt__(self, other):
         if type(other) is not _Column and self.nonneg and other <= 0:
-            return _Column([False] * len(self.lanes))
+            return False
         others = other.lanes if type(other) is _Column \
             else itertools.repeat(other)
         return _Column(list(map(operator.lt, self.lanes, others)))
@@ -361,9 +422,10 @@ class _Column:
     __hash__ = None
 
     def __bool__(self):
-        if all(self.lanes):
+        lanes = self.lanes
+        if all(lanes):
             return True
-        if not any(self.lanes):
+        if not any(lanes):
             return False
         raise TypeError(
             "lanes disagree on a branch: a cost model must not branch "
@@ -417,22 +479,13 @@ class DesignChunk:
         self.inner = inner          # innermost slot name, or None
         self.lanes = lanes          # innermost slot's designs per lane
         self.raw = raw
-        width = len(raw)
-        area, latency, randomness = \
-            result.area_kge, result.latency_cc, result.randomness_bits
-        if type(area) is _Column or type(latency) is _Column or \
-                type(randomness) is _Column:
-            self.shared = None
-            self.metrics = _column_metrics(_broadcast(area, width),
-                                           _broadcast(latency, width),
-                                           _broadcast(randomness, width))
-        else:
-            # No lane column reached the result: it is the same for
-            # every lane, which share it as the scalar path returns it.
-            self.shared = result
-            self.metrics = _column_metrics(
-                _Column([area] * width), _Column([latency] * width),
-                _Column([randomness] * width))
+        fields = (result.area_kge, result.latency_cc,
+                  result.randomness_bits)
+        # When no lane column reached the result, it is the same for
+        # every lane, which share it as the scalar path returns it.
+        self.shared = None if _Column in map(type, fields) else result
+        self.metrics = _column_metrics(
+            *(_broadcast(value, len(raw)) for value in fields))
 
     def lane_metrics(self, lane: int) -> Metrics:
         if self.shared is not None:
@@ -494,8 +547,10 @@ def enumerate_chunks(template: Template, context: DesignContext,
     the flattened order are exactly those of :func:`enumerate_designs`.
     The template's ``cost`` is called once per chunk with the
     innermost slot's metrics as lane columns.  A cost model may
-    compute with sub-template metrics (``+ - * /``, scalars on either
-    side) but not branch on them where lanes disagree (``TypeError``).
+    compute with sub-template metrics (``+`` and ``*`` with scalars on
+    either side, ``/`` by a column or a scalar) but not branch on them
+    where lanes disagree (``TypeError``).  ``+`` and ``*`` are lazy: a
+    chunk's columns are computed when first read (:class:`_Column`).
     ``InfeasibleConfiguration`` drops the whole chunk, so it must
     depend only on parameters and outer slots.
     """

@@ -1,6 +1,7 @@
 """Tests for the HADES template system, metrics and masking models."""
 
 import dataclasses
+import importlib
 import os
 import pickle
 import random
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hades import (Configuration, DesignContext,
-                         InfeasibleConfiguration, LocalSearchExplorer,
-                         Metrics, OptimizationGoal, Template,
-                         enumerate_designs, neighbours)
+                         ExhaustiveExplorer, InfeasibleConfiguration,
+                         LocalSearchExplorer, Metrics, OptimizationGoal,
+                         Template, enumerate_designs, neighbours)
 from repro.hades import masking
+from repro.hades.template import _Column, enumerate_chunks
 from repro.hades.library import TABLE_I_ROWS, kyber_cca
 from repro.obs import TELEMETRY, counting
 from repro.runtime import Memo
@@ -465,3 +467,162 @@ class TestConfigurationHash:
         index = template.design_index
         assert index.rank_of(unpickled) == index.rank_of(local)
         assert template.evaluate(unpickled, context) == metrics
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture(scope="module")
+def table1_bench():
+    """The Table I bench module, which holds the frozen eager lane
+    column (``EAGER``) and ``eager(run)``, a call with it swapped in."""
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        return importlib.import_module("bench_table1_dse_runtime")
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+
+
+def _fold_outcome(result) -> tuple:
+    metrics = result.best.metrics
+    return (result.explored, result.feasible, result.best.configuration,
+            [(value, type(value)) for value in (
+                metrics.area_kge, metrics.latency_cc,
+                metrics.randomness_bits)])
+
+
+def _recording(template):
+    """Record every result ``template``'s cost returns, in call order."""
+    results, cost = [], template.cost
+
+    def recorded(params, subs, context):
+        results.append(cost(params, subs, context))
+        return results[-1]
+
+    template.cost = recorded
+    return results
+
+
+def _raised(call):
+    """``call()``'s exception type and message, or None."""
+    try:
+        call()
+    except Exception as error:
+        return type(error), str(error)
+    return None
+
+
+class TestLazyColumns:
+    """Lazy lane columns change when a lane is computed, never how: each
+    fold decides exactly what the frozen eager fold decides."""
+
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    @pytest.mark.parametrize("name,factory,count", TABLE_I_ROWS,
+                             ids=[row[0] for row in TABLE_I_ROWS])
+    def test_folds_match_frozen_eager_fold(self, table1_bench, name,
+                                           factory, count, order):
+        explorer = ExhaustiveExplorer(
+            factory(), DesignContext(masking_order=order))
+        # Kyber-CCA's per-goal runs (seconds each) are covered by its
+        # AREA run, the Table I op, and by the all-goals fold.
+        goals = list(OptimizationGoal) if count <= 50_000 \
+            else [OptimizationGoal.AREA]
+        if order == 0:
+            goals = [goal for goal in goals if not goal.needs_masking]
+        eager = table1_bench.eager(
+            lambda: explorer.run_all_goals(jobs=1))
+        lazy = explorer.run_all_goals(jobs=1)
+        assert list(lazy) == list(eager)
+        for goal in lazy:
+            assert _fold_outcome(lazy[goal]) == _fold_outcome(eager[goal])
+        for goal in goals:
+            assert _fold_outcome(explorer.run(goal, jobs=1)) == \
+                _fold_outcome(eager[goal])
+
+    def test_losing_chunk_never_computes_other_columns(self):
+        """An AREA fold reads a chunk's latency only when its minimum
+        area reaches the running best, and randomness only for a
+        design that becomes the best."""
+        leaf = Template("leaf", lambda p, s, c: Metrics(p["x"], 2.0, 1),
+                        parameters={"x": (1, 2, 3)})
+        parent = Template(
+            "parent", lambda p, s, c: Metrics(
+                s["s"].area_kge * p["a"], s["s"].latency_cc + p["b"],
+                s["s"].randomness_bits * 2),
+            parameters={"a": (2, 1, 3), "b": (0, 1)}, slots={"s": (leaf,)})
+        results = _recording(parent)
+        best = ExhaustiveExplorer(parent).run(OptimizationGoal.AREA,
+                                              jobs=1).best
+        assert best.metrics == Metrics(1, 2.0, 2)
+        forced = [tuple(column._lanes is not None for column in (
+            result.area_kge, result.latency_cc, result.randomness_bits))
+            for result in results]
+        # Chunks (a, b): (2, 0) and (1, 0) become the best; (2, 1) and
+        # (1, 1) tie on area and lose on area-latency product; (3, 0)
+        # and (3, 1) lose on area alone.
+        assert forced == [(True, True, True), (True, True, False),
+                          (True, True, True), (True, True, False),
+                          (True, False, False), (True, False, False)]
+
+    def test_column_division_by_zero_lane_raises_in_cost(self):
+        """Division computes at once: an AREA fold that never reads the
+        latency column still fails inside the cost call."""
+        leaf = Template("leaf", lambda p, s, c: Metrics(p["x"], 2.0),
+                        parameters={"x": (0, 1, 2)})
+        parent = Template(
+            "parent", lambda p, s, c: Metrics(
+                s["s"].latency_cc + 1, s["s"].latency_cc / s["s"].area_kge),
+            slots={"s": (leaf,)})
+        with pytest.raises(ZeroDivisionError) as raised:
+            ExhaustiveExplorer(parent).run(OptimizationGoal.AREA, jobs=1)
+        assert raised.traceback[-2].name == "<lambda>"   # the cost
+
+    def test_deep_chain_forces_without_recursion(self):
+        column = _Column([1.0, 2.0], True)
+        total = 0
+        for _ in range(5_000):
+            total = total + column
+        assert total.lanes == [5_000.0, 10_000.0]
+        assert total.nonneg and total.width == 2
+
+    def test_nonneg_below_zero_reads_no_lane(self, table1_bench):
+        """``x < 0`` on a non-negative column is ``False`` without a
+        lane; every other comparison answers (or raises ``TypeError``)
+        as the eager column does."""
+        column = _Column([1.0, 2.0], True) * 3 + 1
+        assert (column < 0) is False and column._lanes is None
+        eager = table1_bench.EAGER
+        for nonneg in (True, False):
+            for other in (0, -1, 1.5, 3, None, "x",
+                          [0.5, 3.0], [1.0, 2.0], [3.0, 3.0]):
+                def compare(column_class):
+                    column = column_class([1.0, 2.0], nonneg)
+                    right = column_class(other) \
+                        if type(other) is list else other
+                    return _raised(lambda: bool(column < right)) or \
+                        bool(column < right)
+
+                assert compare(_Column) == compare(eager), (nonneg, other)
+
+    @pytest.mark.parametrize("cost", [
+        lambda p, s, c: Metrics(1.0, 1.0) if s["s"].area_kge * 2 + 1 < 5
+        else Metrics(2.0, 2.0),
+        lambda p, s, c: Metrics(s["s"].area_kge * -1 + 2.5, 1.0),
+        lambda p, s, c: Metrics(1.0, -2 * s["s"].latency_cc + 5.5),
+        lambda p, s, c: Metrics(s["s"].area_kge + None, 1.0),
+    ], ids=["branch", "negative-area", "negative-latency", "non-number"])
+    def test_errors_match_frozen_eager_fold(self, table1_bench, cost):
+        """A branch on disagreeing lanes (``TypeError``), a negative
+        lane (the lane replay's ``ValueError``) and a non-number scalar
+        (``TypeError``) surface from the fold as they did eagerly."""
+        leaf = Template("leaf", lambda p, s, c: Metrics(p["x"], p["x"]),
+                        parameters={"x": (1, 2, 3)})
+        parent = Template("parent", cost, slots={"s": (leaf,)})
+        explorer = ExhaustiveExplorer(parent)
+
+        def run():
+            return explorer.run(OptimizationGoal.AREA, jobs=1)
+
+        lazy = _raised(run)
+        assert lazy is not None and lazy[0] in (TypeError, ValueError)
+        assert lazy == _raised(lambda: table1_bench.eager(run))
