@@ -8,8 +8,13 @@ random performance base-lines."
 
 Both claims are reproduced against our explorer: 50-start local search
 matches the exhaustive optimum while evaluating a tiny fraction of the
-space, and the 1- and 10-start variants show the accuracy/effort
-trade-off.
+space, and takes less time than the paper's naive mode, a full
+traversal (the exhaustive fold with the frozen unpruned reduction of
+``bench_table1_dse_runtime``); the 1- and 10-start variants show the
+accuracy/effort trade-off.  The production exhaustive fold drops
+chunks whose lower bound cannot beat its running best, which is exact
+but no full traversal: on these smooth analytic cost models it is
+faster than 50 starts, and the table reports both.
 
 ``results/local_search_table`` times the explorer against a frozen
 copy of the table-free recursive evaluation and descent that the
@@ -36,6 +41,7 @@ from repro.hades.library import kyber_cca
 from repro.obs import PERF, TELEMETRY
 from repro.runtime import Memo
 
+from bench_table1_dse_runtime import unpruned
 from conftest import median_ratio, paired_rounds, write_table
 
 GOAL = OptimizationGoal.AREA
@@ -386,10 +392,11 @@ def _reference_search(reference, template, context, goal, seed, starts):
 
 
 def test_exhaustive_reference(benchmark):
-    result = benchmark.pedantic(
-        lambda: ExhaustiveExplorer(kyber_cca(), CONTEXT).run(GOAL),
-        rounds=1, iterations=1)
+    explorer = ExhaustiveExplorer(kyber_cca(), CONTEXT)
+    result = benchmark.pedantic(lambda: explorer.run(GOAL),
+                                rounds=1, iterations=1)
     _results["exhaustive"] = result
+    _results["traversal"] = unpruned(lambda: explorer.run(GOAL))
 
 
 @pytest.mark.parametrize("starts", [1, 10, 50])
@@ -403,9 +410,11 @@ def test_local_search_starts(benchmark, starts):
 def test_report_local_search(benchmark, report_dir):
     def build():
         exhaustive = _results["exhaustive"]
-        rows = [["exhaustive", exhaustive.explored,
-                 f"{exhaustive.best_score:.3f}",
-                 f"{exhaustive.elapsed_seconds:.2f} s", "optimal"]]
+        rows = [[label, result.explored, f"{result.best_score:.3f}",
+                 f"{result.elapsed_seconds:.2f} s", "optimal"]
+                for label, result in (
+                    ("exhaustive, full traversal", _results["traversal"]),
+                    ("exhaustive, pruned", exhaustive))]
         for starts in (1, 10, 50):
             local = _results[f"local_{starts}"]
             gap = (local.best_score - exhaustive.best_score) \
@@ -423,13 +432,14 @@ def test_report_local_search(benchmark, report_dir):
         return rows
 
     benchmark.pedantic(build, rounds=1, iterations=1)
-    exhaustive = _results["exhaustive"]
+    exhaustive, traversal = _results["exhaustive"], _results["traversal"]
     fifty = _results["local_50"]
     # Paper claims: perfect result from 50 starts, far cheaper than
-    # exhaustive.
+    # the naive exhaustive traversal.
+    assert traversal.best == exhaustive.best
     assert fifty.best_score == pytest.approx(exhaustive.best_score)
     assert fifty.evaluations < exhaustive.explored / 10
-    assert fifty.elapsed_seconds < exhaustive.elapsed_seconds
+    assert fifty.elapsed_seconds < traversal.elapsed_seconds
 
 
 def _search_gate(report_dir, reference, rounds, floor, artifact, title,

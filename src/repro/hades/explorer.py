@@ -6,8 +6,10 @@ search, HADES offers two options.  The naive approach traverses the
 design space exhaustively and obtains provably optimal results.  The
 smarter approach employs a heuristic strategy called *local search*."
 
-* :class:`ExhaustiveExplorer` — streams the whole space (Table I
-  measures exactly this traversal) and returns provable optima.
+* :class:`ExhaustiveExplorer` — streams the whole space in lane
+  chunks (Table I measures this fold) and returns provable optima; a
+  chunk whose lower bound cannot beat the running best is dropped
+  without computing a lane.
 * :class:`LocalSearchExplorer` — multi-start coordinate descent: from a
   random instantiation, every decision site is varied individually and
   improvements are kept until a fixpoint.  The paper reports perfect
@@ -16,7 +18,7 @@ smarter approach employs a heuristic strategy called *local search*."
 
 Both explorers ride the deterministic parallel executor
 (:mod:`repro.runtime`): ``jobs=`` (or ``REPRO_JOBS``) shards the
-exhaustive traversal by interleaved index ranges and fans independent
+exhaustive traversal by interleaved whole chunks and fans independent
 local-search starts across worker processes, with per-shard
 reductions merged so that the optimum and every counter total are
 identical for any worker count.  Local search walks the template's
@@ -45,12 +47,14 @@ from .template import (Configuration, DesignContext, DesignIndex,
 #: An env-requested parallel exhaustive run stays serial below this
 #: many raw configurations per worker: a worker must fold at least as
 #: long as it costs to start.  Measured for Kyber-CCA on a 2-vCPU
-#: x86-64 KVM guest (medians of 21): a two-worker fork pool starts and
-#: returns in 14 ms, a worker materialises its sub-template spaces in
-#: 13 ms, and the serial AREA fold over lazy lane columns prices
-#: 0.31 us per design, so (14 + 13) ms / 0.31 us is about 87k
-#: configurations.
-MIN_CONFIGS_PER_JOB = 90_000
+#: x86-64 KVM guest (five runs of medians of 21-41): a two-worker fork
+#: pool starts and returns in 8-12 ms, a worker materialises its
+#: sub-template spaces and prices its first chunk in 6-12 ms, and the
+#: serial pruned AREA fold takes 0.019-0.039 us per design, so about
+#: 20 ms / 0.025 us is 800k configurations.  Directly, a two-worker
+#: AREA fold (574k configurations each) took 50 ms against 25-33 ms
+#: serial.
+MIN_CONFIGS_PER_JOB = 800_000
 
 #: Likewise for local search: every worker gets at least this many
 #: independent random starts.
@@ -89,12 +93,17 @@ def _rank_key(chunk, scores, lane: int) -> tuple:
 class _GoalReduction:
     """Streaming best-design reduction for one goal on one shard.
 
-    A chunk is folded by taking the minimum of its score lanes and
-    ranking only the lanes that tie with it; only a design that becomes
-    the best is materialised.  A chunk's lane columns are computed when
-    first read, so a chunk that loses on score computes only the
-    columns its score reads (for AREA, area alone), a tie also
-    computes latency, and randomness is computed for a new best only.
+    A chunk is first judged by its score column's ``floor``, a lower
+    bound of its lanes computed without them: a chunk whose floor is
+    above the running best cannot hold a better design and is dropped
+    before any lane is computed.  Where the floor ties the best score,
+    the floors of the area-latency product and of the area bound the
+    rest of the rank key, so a chunk of all-equal scores (every
+    randomness score is 0 when unmasked) is dropped the same way.  A
+    chunk still in the running is folded by taking the minimum of its
+    score lanes and ranking only the lanes that tie with it; only a
+    design that becomes the best is materialised.  Pruning skips only
+    lanes proven to lose, so the optimum is the full traversal's.
     Shard dumps are plain ``(best_key, best)`` tuples that pickle and
     merge commutatively.
     """
@@ -107,9 +116,22 @@ class _GoalReduction:
         self.best = None
 
     def fold(self, chunk) -> None:
-        scores = self.goal.score(chunk.metrics).lanes
+        score = self.goal.score(chunk.metrics)
+        best_key = self.best_key
+        if best_key is not None:
+            floor = score.floor
+            if floor > best_key[0]:
+                return
+            if floor == best_key[0]:
+                # Componentwise floors bound the key lexicographically,
+                # and a later lane of this shard has a larger raw index.
+                area = chunk.metrics.area_kge
+                if (floor, (area * chunk.metrics.latency_cc).floor,
+                        area.floor) > best_key[:3]:
+                    return
+        scores = score.lanes
         low = min(scores)
-        if self.best_key is not None and low > self.best_key[0]:
+        if best_key is not None and low > best_key[0]:
             return
         key, lane = min((_rank_key(chunk, scores, lane), lane)
                         for lane, score in enumerate(scores)
@@ -122,20 +144,18 @@ class _GoalReduction:
 
 
 def _exhaustive_shard(state, shard) -> tuple:
-    """Reduce one interleaved index shard of the full space.
+    """Reduce one shard of whole chunks, interleaved, of the full space.
 
     Runs in a pool worker (or inline when serial); everything it
     returns is plain data, and the union of all shards is exactly the
     serial stream, so the merged result is provably the serial one.
     """
     template, context, goals = state
-    offset, step = shard
     obs_counter = TELEMETRY.counter("hades.evaluations") \
         if TELEMETRY.enabled else None
     feasible = 0
     reductions = [_GoalReduction(goal) for goal in goals]
-    for chunk in enumerate_chunks(template, context, start=offset,
-                                  step=step):
+    for chunk in enumerate_chunks(template, context, shard=shard):
         lanes = len(chunk.raw)
         feasible += lanes
         if obs_counter is not None:
@@ -158,7 +178,9 @@ def _merge_goal(outputs: list, position: int):
 
 
 class ExhaustiveExplorer:
-    """Provably optimal DSE by full traversal (the paper's naive mode)."""
+    """Provably optimal DSE over the whole space (the paper's naive
+    mode): every design is enumerated and counted, and lanes are
+    computed for the chunks that can still hold the optimum."""
 
     def __init__(self, template: Template,
                  context: DesignContext = DesignContext()):
@@ -182,9 +204,10 @@ class ExhaustiveExplorer:
         """One *shared* traversal scoring every goal at once; returns
         ``{goal: ExplorationResult}``.
 
-        Each design point is enumerated and its cost predicted exactly
-        once — the per-goal reductions all consume the same stream —
-        instead of re-traversing the full space once per goal.
+        Each chunk is enumerated and priced by one cost call — the
+        per-goal reductions all consume the same stream and share its
+        lane columns and floors — instead of re-traversing the full
+        space once per goal.
         """
         if goals is None:
             goals = list(OptimizationGoal)

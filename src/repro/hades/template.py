@@ -23,8 +23,9 @@ sub-spaces.  The top level is folded in *lane chunks*
 (:func:`enumerate_chunks`): one cost call prices every design that
 differs only in the innermost slot, so a million-point space
 (Kyber-CCA) takes one cost call per 1302 designs and folds in well
-under a second.  Lane columns are lazy, so a fold computes only the
-metric columns its goal reads.
+under a second.  Lane columns are lazy, and each knows a lower bound
+of its lanes (``floor``) without computing them, so a fold computes
+lanes only for the chunks that can still hold its optimum.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def _derived(op, left, right, width: int, nonneg: bool) -> "_Column":
     """The column ``left op right``, its lanes computed when first
     read."""
     column = object.__new__(_Column)
-    column._lanes, column._op = None, op
+    column._lanes, column._floor, column._op = None, None, op
     column._left, column._right = left, right
     column.width, column.nonneg = width, nonneg
     return column
@@ -349,12 +350,18 @@ class _Column:
     operands.  It lets ``x < 0`` — the check every :class:`Metrics`
     runs on its fields — answer ``False``, the value of every lane,
     without reading one.
+
+    ``floor`` is a number no lane is below, found without the lanes
+    where that is sound (:meth:`_bound`), so a fold can drop a chunk
+    that cannot beat its running best before computing any lane.
     """
 
-    __slots__ = ("_lanes", "_op", "_left", "_right", "width", "nonneg")
+    __slots__ = ("_lanes", "_floor", "_op", "_left", "_right", "width",
+                 "nonneg")
 
     def __init__(self, lanes: list, nonneg: bool = False):
         self._lanes = lanes
+        self._floor = None
         self.width = len(lanes)
         self.nonneg = nonneg
 
@@ -363,6 +370,53 @@ class _Column:
         if self._lanes is None:
             self._force()
         return self._lanes
+
+    @property
+    def floor(self):
+        """A number that no lane is below, computed once."""
+        if self._floor is None:
+            self._bound()
+        return self._floor
+
+    def _bound(self) -> None:
+        """Compute this column's floor and every unknown floor below it
+        that it needs, deepest first, with an explicit stack as
+        :meth:`_force` does.
+
+        Round-to-nearest is monotone: ``a <= b`` implies
+        ``fl(a + c) <= fl(b + c)``, and for ``c >= 0`` also
+        ``fl(a * c) <= fl(b * c)``.  So the floor of ``+``, and of
+        ``*`` when both factors are non-negative, is the operator over
+        its operands' floors (a scalar is its own floor), in the lane
+        expression's operand order.  A chain over one column of lanes
+        then has exactly its minimum lane as its floor.  Every other
+        column takes the minimum of its lanes: one built from lanes, a
+        ``/`` (computed at once), a ``*`` by a possibly negative factor,
+        and a one-lane column, whose lane costs what its floor would."""
+        stack = [self]
+        while stack:
+            column = stack[-1]
+            if column._floor is not None:   # an operand pushed twice
+                stack.pop()
+                continue
+            if column._lanes is not None or column.width == 1 or (
+                    column._op is operator.mul and not column.nonneg):
+                stack.pop()
+                column._floor = min(column.lanes)
+                continue
+            left, right = column._left, column._right
+            if type(left) is _Column:
+                if left._floor is None:
+                    stack.append(left)
+                    continue
+                left = left._floor
+            if type(right) is _Column:
+                if right._floor is None:
+                    stack.append(right)
+                    continue
+                right = right._floor
+            stack.pop()
+            column._floor = column._op(left, right)
 
     def _force(self) -> None:
         """Compute this column and every unread column below it, deepest
@@ -537,14 +591,17 @@ def enumerate_designs(template: Template, context: DesignContext,
 
 
 def enumerate_chunks(template: Template, context: DesignContext,
-                     start: int = 0, stop: int = None, step: int = 1):
+                     shard: tuple = (0, 1)):
     """Stream ``template``'s feasible designs as lane chunks.
 
     A :class:`DesignChunk` fixes the parameter combination and every
     slot but the innermost (the last in name order, the fastest-varying
     factor of the raw enumeration order); its lanes are that slot's
-    designs, so raw indices, ``start`` / ``stop`` / ``step`` slices and
-    the flattened order are exactly those of :func:`enumerate_designs`.
+    designs, so raw indices and the flattened order are exactly those
+    of :func:`enumerate_designs`.  ``shard=(k, J)`` streams chunks
+    ``k, k+J, k+2J, ...`` only, whole and over the same shared lane
+    columns; the union over ``k`` is the serial stream, and within a
+    shard raw indices only grow.
     The template's ``cost`` is called once per chunk with the
     innermost slot's metrics as lane columns.  A cost model may
     compute with sub-template metrics (``+`` and ``*`` with scalars on
@@ -554,14 +611,20 @@ def enumerate_chunks(template: Template, context: DesignContext,
     ``InfeasibleConfiguration`` drops the whole chunk, so it must
     depend only on parameters and outer slots.
     """
-    return _chunks(template, context, {}, start, stop, step)
+    return _chunks(template, context, {}, shard=shard)
 
 
 def _chunks(template: Template, context: DesignContext, cache: dict,
-            start: int = 0, stop: int = None, step: int = 1):
-    """Lazily price this template's lane chunks; slots are materialised."""
-    if start < 0 or step < 1 or (stop is not None and stop < 0):
-        raise ValueError("start and stop must be >= 0 and step >= 1")
+            start: int = 0, stop: int = None, step: int = 1,
+            shard: tuple = (0, 1)):
+    """Lazily price this template's lane chunks; slots are materialised.
+    ``start`` / ``stop`` / ``step`` slice raw indices, ``shard`` chunk
+    indices."""
+    offset, every = shard
+    if start < 0 or step < 1 or (stop is not None and stop < 0) or \
+            offset < 0 or every < 1:
+        raise ValueError("start, stop and shard offset must be >= 0, "
+                         "step and shard step >= 1")
     param_names = sorted(template.parameters)
     param_spaces = [template.parameters[name] for name in param_names]
     slot_names = sorted(template.slots)
@@ -590,11 +653,12 @@ def _chunks(template: Template, context: DesignContext, cache: dict,
     # flat params-then-slots product; islice skips whole chunks before
     # any cost call.
     first = start // width
+    first += (offset - first) % every
     combos = itertools.islice(
         itertools.product(*param_spaces, *slot_spaces),
-        first, -(-stop // width))
+        first, -(-stop // width), every)
     last_param_combo = params = param_dict = None
-    for chunk_index, combo in enumerate(combos, first):
+    for chunk_index, combo in zip(itertools.count(first, every), combos):
         base = chunk_index * width
         lo = max(base, start)
         lo += (start - lo) % step

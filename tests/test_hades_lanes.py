@@ -71,6 +71,30 @@ def test_stride_shards_union_is_serial_stream(name, factory, count,
     assert sorted(shards, key=lambda entry: entry[0]) == serial
 
 
+@pytest.mark.parametrize("name,factory,count", TABLE_I_ROWS,
+                         ids=[row[0] for row in TABLE_I_ROWS])
+def test_chunk_shards_union_is_serial_stream(name, factory, count):
+    """``shard=(k, 3)`` streams whole chunks k, k+3, ...: the shards
+    partition the serial chunks, raw indices rise within each shard,
+    and every chunk of a shard holds the one full innermost-slot lane
+    list, never a window."""
+    template = factory()
+    context = DesignContext(masking_order=1)
+    serial = [chunk.raw for chunk in enumerate_chunks(template, context)]
+    shards = [list(enumerate_chunks(template, context, shard=(k, 3)))
+              for k in range(3)]
+    for k, chunks in enumerate(shards):
+        starts = [chunk.raw.start for chunk in chunks]
+        assert starts == sorted(starts)
+        assert all(chunk.raw.start // len(chunk.raw) % 3 == k
+                   for chunk in chunks)
+        assert len({id(chunk.lanes) for chunk in chunks}) <= 1
+    assert sorted((chunk.raw for chunks in shards for chunk in chunks),
+                  key=lambda raw: raw.start) == serial
+    with pytest.raises(ValueError):
+        list(enumerate_chunks(template, context, shard=(0, 0)))
+
+
 def _leaf(name, areas):
     """A slotless template with one design per area in ``areas``."""
     return Template(name, lambda p, s, c: Metrics(p["area"], 2.0),

@@ -483,6 +483,11 @@ def table1_bench():
         sys.path.remove(str(BENCHMARKS))
 
 
+#: The frozen unpruned fold's outcomes by (template, masking order),
+#: shared by the ``jobs`` cases.
+_UNPRUNED_OUTCOMES = {}
+
+
 def _fold_outcome(result) -> tuple:
     metrics = result.best.metrics
     return (result.explored, result.feasible, result.best.configuration,
@@ -539,10 +544,40 @@ class TestLazyColumns:
             assert _fold_outcome(explorer.run(goal, jobs=1)) == \
                 _fold_outcome(eager[goal])
 
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    @pytest.mark.parametrize("name,factory,count", TABLE_I_ROWS,
+                             ids=[row[0] for row in TABLE_I_ROWS])
+    def test_pruned_fold_matches_frozen_unpruned_fold(
+            self, table1_bench, name, factory, count, order, jobs):
+        """Pruning skips only lanes proven to lose: every goal's
+        outcome is the frozen unpruned fold's, serial and sharded."""
+        explorer = ExhaustiveExplorer(
+            factory(), DesignContext(masking_order=order))
+        key = name, order
+        if key not in _UNPRUNED_OUTCOMES:
+            _UNPRUNED_OUTCOMES[key] = {
+                goal: _fold_outcome(result) for goal, result in
+                table1_bench.unpruned(
+                    lambda: explorer.run_all_goals(jobs=1)).items()}
+        unpruned = _UNPRUNED_OUTCOMES[key]
+        pruned = explorer.run_all_goals(jobs=jobs)
+        assert list(pruned) == list(unpruned)
+        for goal, result in pruned.items():
+            assert result.jobs == jobs
+            assert _fold_outcome(result) == unpruned[goal]
+            assert result.evaluations == result.feasible
+        goals = list(pruned) if count <= 50_000 \
+            else [OptimizationGoal.AREA]
+        for goal in goals:
+            assert _fold_outcome(explorer.run(goal, jobs=jobs)) == \
+                unpruned[goal]
+
     def test_losing_chunk_never_computes_other_columns(self):
-        """An AREA fold reads a chunk's latency only when its minimum
-        area reaches the running best, and randomness only for a
-        design that becomes the best."""
+        """An AREA fold computes no column of a chunk whose area floor
+        is above the running best, or ties it with an area-latency
+        product floor above the best's; randomness is computed only for
+        a design that becomes the best."""
         leaf = Template("leaf", lambda p, s, c: Metrics(p["x"], 2.0, 1),
                         parameters={"x": (1, 2, 3)})
         parent = Template(
@@ -559,10 +594,9 @@ class TestLazyColumns:
             for result in results]
         # Chunks (a, b): (2, 0) and (1, 0) become the best; (2, 1) and
         # (1, 1) tie on area and lose on area-latency product; (3, 0)
-        # and (3, 1) lose on area alone.
-        assert forced == [(True, True, True), (True, True, False),
-                          (True, True, True), (True, True, False),
-                          (True, False, False), (True, False, False)]
+        # and (3, 1) lose on area alone.  Only the winners compute.
+        none, every = (False, False, False), (True, True, True)
+        assert forced == [every, none, every, none, none, none]
 
     def test_column_division_by_zero_lane_raises_in_cost(self):
         """Division computes at once: an AREA fold that never reads the
@@ -584,6 +618,58 @@ class TestLazyColumns:
             total = total + column
         assert total.lanes == [5_000.0, 10_000.0]
         assert total.nonneg and total.width == 2
+
+    def test_deep_chain_floor_without_recursion(self):
+        column = _Column([1.0, 2.0], True)
+        total = 0
+        for _ in range(5_000):
+            total = total + column
+        assert total.floor == 5_000.0
+        assert total._lanes is None and column.floor == 1.0
+
+    def test_floor_of_product_by_negative_scalar_reads_lanes(self):
+        """``*`` by a negative factor reverses the lanes' order, so the
+        product of floors is no bound there: the floor is the minimum
+        of the computed lanes."""
+        product = _Column([1.0, 3.0], True) * -2
+        column = product + 10
+        assert product._lanes is None and column._lanes is None
+        assert column.floor == 4.0 == min(column.lanes)
+        assert product._lanes == [-2.0, -6.0]
+        # Both factors must be non-negative, not just the second: the
+        # product of floors would read -6.0 here.
+        assert (product * _Column([1.0, 3.0], True)).floor == -18.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_floor_bounds_every_lane(self, data):
+        """Over random ``+`` / ``*`` chains of non-negative leaves and
+        scalars of either sign, no lane is below the floor, and a chain
+        over a single leaf has its minimum lane as its floor."""
+        width = data.draw(st.integers(1, 5))
+        number = st.one_of(st.integers(0, 50),
+                           st.floats(0, 1e3, allow_nan=False))
+        leaves = [_Column(data.draw(st.lists(number, min_size=width,
+                                             max_size=width)), True)
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        scalar = st.one_of(st.integers(-20, 20),
+                           st.floats(-1e3, 1e3, allow_nan=False))
+        column, leaf_uses = leaves[0], 1
+        for _ in range(data.draw(st.integers(1, 12))):
+            if data.draw(st.booleans()):
+                operand = data.draw(st.sampled_from(leaves))
+                leaf_uses += 1
+            else:
+                operand = data.draw(scalar)
+            operate = data.draw(st.sampled_from(
+                (lambda a, b: a + b, lambda a, b: a * b)))
+            column = operate(column, operand) if data.draw(st.booleans()) \
+                else operate(operand, column)
+        floor = column.floor
+        lanes = column.lanes
+        assert all(floor <= lane for lane in lanes), (floor, lanes)
+        if leaf_uses == 1:
+            assert floor == min(lanes)
 
     def test_nonneg_below_zero_reads_no_lane(self, table1_bench):
         """``x < 0`` on a non-negative column is ``False`` without a
