@@ -21,10 +21,12 @@ Both explorers ride the deterministic parallel executor
 exhaustive traversal by interleaved whole chunks and fans independent
 local-search starts across worker processes, with per-shard
 reductions merged so that the optimum and every counter total are
-identical for any worker count.  Local search walks the template's
+identical for any worker count.  Both walk the template's
 :class:`~repro.hades.template.DesignIndex`: a design is an integer
-rank, a move is integer arithmetic, a memo miss is one top-level cost
-call, and only each start's optimum becomes a :class:`Configuration`.
+rank, and sub-design metrics come from its per-context tables, so one
+explorer finds the tables the other filled.  In local search a move is
+integer arithmetic and a memo miss is one top-level cost call; in
+either explorer only an optimum becomes a :class:`Configuration`.
 :meth:`ExhaustiveExplorer.run_all_goals` scores every goal
 in a single traversal instead of re-enumerating the space per goal.
 """
@@ -45,15 +47,16 @@ from .template import (Configuration, DesignContext, DesignIndex,
                        enumerate_chunks)
 
 #: An env-requested parallel exhaustive run stays serial below this
-#: many raw configurations per worker: a worker must fold at least as
-#: long as it costs to start.  Measured for Kyber-CCA on a 2-vCPU
-#: x86-64 KVM guest (five runs of medians of 21-41): a two-worker fork
-#: pool starts and returns in 8-12 ms, a worker materialises its
-#: sub-template spaces and prices its first chunk in 6-12 ms, and the
-#: serial pruned AREA fold takes 0.019-0.039 us per design, so about
-#: 20 ms / 0.025 us is 800k configurations.  Directly, a two-worker
-#: AREA fold (574k configurations each) took 50 ms against 25-33 ms
-#: serial.
+#: many configurations per worker: a worker must fold at least as long
+#: as it costs to start.  Measured for Kyber-CCA on a 2-vCPU x86-64 KVM
+#: guest (five runs of medians of 21-41): a two-worker fork pool starts
+#: and returns in 8-12 ms, a worker builds its sub-template spaces and
+#: prices its first chunk in 6-12 ms (measured when it rebuilt them as
+#: design lists; filling the sub-design tables it inherits empty costs
+#: no more), and the serial pruned AREA fold takes 0.019-0.039 us per
+#: design, so about 20 ms / 0.025 us is 800k configurations.  Directly,
+#: a two-worker AREA fold (574k configurations each) took 50 ms against
+#: 25-33 ms serial.
 MIN_CONFIGS_PER_JOB = 800_000
 
 #: Likewise for local search: every worker gets at least this many
@@ -70,7 +73,10 @@ class ExplorationResult:
     best: EvaluatedDesign
     explored: int               # design points visited (Table I column)
     feasible: int               # points that produced a valid prediction
-    evaluations: int            # designs the cost model priced
+    # Local search: designs the cost model priced (memo misses).
+    # Exhaustive: the feasible designs a top-level cost call covered,
+    # computed lanes or not, so it equals ``feasible``.
+    evaluations: int
     elapsed_seconds: float
     jobs: int = 1               # worker processes the run fanned over
 
@@ -82,12 +88,12 @@ class ExplorationResult:
 def _rank_key(chunk, scores, lane: int) -> tuple:
     """The total order every exhaustive reduction ranks by: the goal
     score, tie-broken by area-latency product, then area ("optimized
-    towards one or more optimization goals"), then raw enumeration
-    index — so shard merges reproduce serial first-encounter wins."""
+    towards one or more optimization goals"), then rank — so shard
+    merges reproduce serial first-encounter wins."""
     metrics = chunk.metrics
     area = metrics.area_kge.lanes[lane]
     return (scores[lane], area * metrics.latency_cc.lanes[lane], area,
-            chunk.raw[lane])
+            chunk.rank(lane))
 
 
 class _GoalReduction:
@@ -124,7 +130,7 @@ class _GoalReduction:
                 return
             if floor == best_key[0]:
                 # Componentwise floors bound the key lexicographically,
-                # and a later lane of this shard has a larger raw index.
+                # and a later lane of this shard has a larger rank.
                 area = chunk.metrics.area_kge
                 if (floor, (area * chunk.metrics.latency_cc).floor,
                         area.floor) > best_key[:3]:
@@ -156,7 +162,7 @@ def _exhaustive_shard(state, shard) -> tuple:
     feasible = 0
     reductions = [_GoalReduction(goal) for goal in goals]
     for chunk in enumerate_chunks(template, context, shard=shard):
-        lanes = len(chunk.raw)
+        lanes = len(chunk.positions)
         feasible += lanes
         if obs_counter is not None:
             obs_counter.inc(lanes)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import os
 import pickle
 import random
@@ -380,15 +381,46 @@ class TestDesignIndex:
             assert {call[2] for call in calls
                     if call[:2] == (order, "leaf")} == {0, 1, 2}
 
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    @pytest.mark.parametrize("name,factory,count", TABLE_I_ROWS,
+                             ids=[row[0] for row in TABLE_I_ROWS])
+    def test_fold_streams_in_rank_order(self, name, factory, count, order):
+        """The exhaustive fold streams designs in rank order, the one
+        numbering both explorers share (Kyber-CCA: its first 43 chunks,
+        across a change of every outer digit but the comparator's)."""
+        template = factory()
+        index = template.design_index
+        designs = enumerate_designs(template,
+                                    DesignContext(masking_order=order))
+        if count > 50_000:
+            designs = itertools.islice(designs, 43 * 1302)
+        ranks = [index.rank_of(design.configuration) for design in designs]
+        assert ranks
+        assert all(low < high for low, high in zip(ranks, ranks[1:]))
+
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_cold_and_warm_index_identical(self, jobs):
+        """Local search and the exhaustive fold share the index's
+        per-context tables: each explorer's outcome is the same on a
+        fresh template, after itself and after the other."""
         context = DesignContext(masking_order=1)
+
+        def fold(template):
+            return _fold_outcome(ExhaustiveExplorer(template, context).run(
+                OptimizationGoal.AREA, jobs=jobs))
+
         template = kyber_cca()
         cold = _search_outcome(template, context, jobs)
         warm = _search_outcome(template, context, jobs)
         assert warm == cold
         assert cold == _search_outcome(kyber_cca(), context, jobs)
         assert cold[0] > 0 and cold[1] > 0
+        cold_fold = fold(kyber_cca())
+        assert fold(template) == cold_fold      # after local search
+        assert fold(template) == cold_fold      # after itself
+        folded = kyber_cca()
+        assert fold(folded) == cold_fold
+        assert _search_outcome(folded, context, jobs) == cold
 
     def test_replaced_cost_is_honoured_by_next_search(self):
         template = Template("t", lambda p, s, c: Metrics(1.0 + p["a"], 1.0),
