@@ -5,14 +5,17 @@ instrumentation costs one attribute check*; its second promise is
 that with the tracer and perf counters running, a crypto hot loop
 slows down by less than the 10 % budget the paper's
 lightweight-monitoring claims assume.  This
-bench measures both promises instead of trusting them: it times the
-same Keccak-f[1600] hot loop three ways —
+bench measures both promises instead of trusting them: it times a
+production kernel, Ed25519's ``_verify`` (whose body opens no span),
+three ways —
 
-* ``pristine``  — the bare workload, no instrumentation in the loop,
-* ``off``       — fully instrumented loop (span + counter + perf
-  events per iteration) against *disabled* facades,
-* ``on``        — the same instrumented loop with telemetry and perf
-  enabled, the tracer keeping every finished span,
+* ``pristine``  — the bare kernel, no instrumentation in the loop,
+* ``off``       — each call wrapped the way :func:`ed25519.verify`
+  wraps it (span + timer + perf event) against *disabled* facades,
+* ``on``        — the same wrapped loop with telemetry and perf
+  enabled, the tracer keeping every finished span and pricing each
+  one's PERF delta (two counter snapshots), as a
+  ``REPRO_TELEMETRY=1 REPRO_PERF=1`` run does,
 
 and gates the relative overheads (< {OFF}% off, < {ON}% on).  The
 variants run against private ``Telemetry``/``PerfCounters`` instances,
@@ -30,16 +33,16 @@ import time
 import pytest
 
 from conftest import write_table
-from repro.crypto.keccak import keccak_f1600
-from repro.obs import PerfCounters, Telemetry
+from repro.crypto import ed25519
+from repro.obs import PerfCounters, Telemetry, Tracer
 
-#: Keccak-f[1600] permutations folded into one instrumented iteration.
-#: Each permutation is a few hundred microseconds of pure-Python work,
-#: so a ~5 us span costs ~1 % — real headroom under the 10 % gate
-#: rather than a tautology, and enough work per timed run (~35 ms)
-#: that scheduler noise stays small relative to the budgets.
-PERMS_PER_ITER = 4
-ITERS = 40
+#: Ed25519 verifications per timed run.  One ``_verify`` is about
+#: 2.5 ms of pure-Python curve arithmetic, so a span with its timer
+#: and two PERF snapshots (~13 us) costs about 0.5 % — real
+#: headroom under the 10 % gate rather than a tautology, and enough
+#: work per timed run (~40 ms) that scheduler noise stays small
+#: relative to the budgets.
+VERIFIES = 16
 REPEATS = 7
 
 #: Relative-overhead budgets, percent.  The "off" budget is the
@@ -50,29 +53,27 @@ OVERHEAD_BUDGET_OFF_PCT = 5.0
 OVERHEAD_BUDGET_ON_PCT = 10.0
 
 
-def _pristine_loop() -> list:
-    """The bare workload: no instrumentation in the loop body."""
-    state = list(range(25))
-    for _ in range(ITERS):
-        for _ in range(PERMS_PER_ITER):
-            state = keccak_f1600(state)
-    return state
+def _pristine_loop(public, message, signature) -> bool:
+    """The bare kernel: no instrumentation in the loop body."""
+    for _ in range(VERIFIES):
+        verdict = ed25519._verify(public, message, signature)
+    return verdict
 
 
-def _instrumented_loop(tel: Telemetry, perf: PerfCounters) -> list:
-    """The same workload wrapped the way hot subsystems instrument
-    themselves: one span, one metric counter and one perf event per
-    iteration."""
-    state = list(range(25))
-    counter = tel.counter("obs_overhead.iters")
-    for index in range(ITERS):
-        with tel.span("obs_overhead.iter", index=index):
-            for _ in range(PERMS_PER_ITER):
-                state = keccak_f1600(state)
-            counter.inc()
+def _instrumented_loop(tel: Telemetry, perf: PerfCounters,
+                       public, message, signature) -> bool:
+    """The same kernel wrapped the way :func:`ed25519.verify` wraps it
+    (its verdict memo aside): one span, one timer and one perf event
+    per call.  The event is counted inside the span, so each span's
+    PERF delta is checkable."""
+    for _ in range(VERIFIES):
+        with tel.span("obs_overhead.verify",
+                      message_bytes=len(message)), \
+                tel.timer("obs_overhead.verify_seconds"):
             if perf.enabled:
-                perf.inc("obs_overhead.permutations", PERMS_PER_ITER)
-    return state
+                perf.inc("obs_overhead.verifies")
+            verdict = ed25519._verify(public, message, signature)
+    return verdict
 
 
 def _best_of_interleaved(variants: dict) -> dict:
@@ -84,7 +85,7 @@ def _best_of_interleaved(variants: dict) -> dict:
     relative overheads stay honest even on loaded CI.
     """
     for fn in variants.values():             # warm caches, JIT-free
-        fn()
+        assert fn()
     best = {}
     for _ in range(REPEATS):
         for key, fn in variants.items():
@@ -97,15 +98,19 @@ def _best_of_interleaved(variants: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def measurements():
+    key = ed25519.SigningKey(bytes(32))
+    message = b"attestation report"
+    signed = (key.public, message, key.sign(message))
     tel_off = Telemetry(enabled=False)
     perf_off = PerfCounters(enabled=False)
 
-    tel_on = Telemetry(enabled=True)
     perf_on = PerfCounters(enabled=True)
+    tel_on = Telemetry(enabled=True)
+    tel_on.tracer = Tracer(counters=perf_on)
     best = _best_of_interleaved({
-        "pristine_s": _pristine_loop,
-        "off_s": lambda: _instrumented_loop(tel_off, perf_off),
-        "on_s": lambda: _instrumented_loop(tel_on, perf_on),
+        "pristine_s": lambda: _pristine_loop(*signed),
+        "off_s": lambda: _instrumented_loop(tel_off, perf_off, *signed),
+        "on_s": lambda: _instrumented_loop(tel_on, perf_on, *signed),
     })
     pristine_s = best["pristine_s"]
     off_s = best["off_s"]
@@ -140,22 +145,22 @@ def test_enabled_overhead_within_budget(measurements):
 
 def test_enabled_run_actually_observed(measurements):
     """Guard against a vacuous gate: the enabled variant must have
-    recorded spans and counted events."""
-    runs = REPEATS + 1                 # warmup + REPEATS timed runs
+    recorded spans, timed them and counted events, and every span
+    must carry the PERF delta of its call."""
+    calls = (REPEATS + 1) * VERIFIES   # warmup + REPEATS timed runs
     tel = measurements["telemetry_on"]
     spans = tel.tracer.snapshot()
-    # one finished span per iteration
-    assert len(spans) == runs * ITERS
-    assert {span["name"] for span in spans} == {"obs_overhead.iter"}
-    assert tel.metrics.counter("obs_overhead.iters").value == \
-        runs * ITERS
+    assert len(spans) == calls
+    assert {span["name"] for span in spans} == {"obs_overhead.verify"}
+    assert all(span["events"] == {"obs_overhead.verifies": 1}
+               for span in spans)
+    assert tel.metrics.histogram("obs_overhead.verify_seconds").count == \
+        calls
     perf = measurements["perf_on"]
-    assert perf.snapshot()["obs_overhead.permutations"] == \
-        runs * ITERS * PERMS_PER_ITER
+    assert perf.snapshot()["obs_overhead.verifies"] == calls
 
 
 def test_write_artifacts(measurements, report_dir):
-    perms = ITERS * PERMS_PER_ITER
     rows = []
     for mode, key, pct in (
             ("pristine", "pristine_s", None),
@@ -166,7 +171,7 @@ def test_write_artifacts(measurements, report_dir):
         rows.append([
             mode,
             f"{wall * 1e3:.2f} ms",
-            f"{perms / wall:,.0f}",
+            f"{VERIFIES / wall:,.0f}",
             f"{measurements[pct]:+.2f}%" if pct else "-",
             (f"< {OVERHEAD_BUDGET_OFF_PCT:.0f}%" if pct == "off_pct"
              else f"< {OVERHEAD_BUDGET_ON_PCT:.0f}%" if pct == "on_pct"
@@ -174,7 +179,7 @@ def test_write_artifacts(measurements, report_dir):
         ])
     write_table(
         report_dir, "obs_overhead",
-        f"Telemetry overhead budget: Keccak-f[1600] hot loop "
-        f"({ITERS} iters x {PERMS_PER_ITER} permutations, best of "
-        f"{REPEATS}), instrumented vs pristine",
-        ["variant", "wall", "perms/s", "overhead", "budget"], rows)
+        f"Telemetry overhead budget: Ed25519 _verify hot loop "
+        f"({VERIFIES} verifications, best of {REPEATS}), instrumented "
+        f"vs pristine",
+        ["variant", "wall", "verifies/s", "overhead", "budget"], rows)

@@ -32,6 +32,7 @@ an interrupted session never leaves a truncated JSON behind.
 import json
 import pathlib
 import statistics
+import sys
 import time
 from contextlib import contextmanager
 
@@ -39,6 +40,9 @@ import pytest
 
 from repro.obs import PERF, TELEMETRY, PerfSnapshot, atomic_write_text, \
     collapsed
+
+# The frozen crypto oracles (``crypto_reference``) live with the tests.
+sys.path.append(str(pathlib.Path(__file__).parent.parent / "tests"))
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SUMMARY_PATH = pathlib.Path(__file__).parent.parent / \

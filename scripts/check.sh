@@ -13,9 +13,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== generated Keccak permutation up to date =="
-python scripts/gen_keccak_unrolled.py --check
-
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
 

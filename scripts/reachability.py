@@ -10,7 +10,7 @@ commands check.sh and CI run) in a scratch copy under a
     python scripts/reachability.py          # rewrite reachability.txt
     python scripts/reachability.py --check  # no tier-1; exit 1 on an
     # unreached def not named in reachability_allow.txt (with the
-    # production condition that reaches it) nor in crypto/reference.py
+    # production condition that reaches it)
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "reachability.txt"
 ALLOWLIST = ROOT / "scripts" / "reachability_allow.txt"
-REFERENCE = "repro/crypto/reference.py:"
 
 #: Imported at start-up by every interpreter the recorder launches.  The
 #: hook is pinned (pytest-benchmark clears it around ``pedantic``), and
@@ -60,7 +59,6 @@ FAST_BENCHES = ("fig1_cim_clustering", "fig3_rtos_pmp", "framework",
                 "attestation_service", "obs_overhead", "local_search")
 R = "benchmarks/results/"
 SCRIPTS = (
-    "gen_keccak_unrolled.py --check",
     f"fault_report.py {R}fault_campaign.json --by scenario --worst 5",
     f"adversary_report.py --run --seed 2026 --generations 3 --population 32"
     f" --out {R}adversary_smoke.json --corpus-out"
@@ -168,8 +166,7 @@ def main(argv) -> int:
             "test-only" if key in tested else "none"
         count, body = totals.get(tag, (0, 0))
         totals[tag] = (count + 1, body + functions[key])
-        reason = "reference oracle" if key.startswith(REFERENCE) \
-            else allowed.get(key)
+        reason = allowed.get(key)
         if tag != "prod" and reason is None:
             unallowed.append(key)
         note = f"  # {reason}" if tag != "prod" and reason else ""

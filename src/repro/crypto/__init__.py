@@ -3,7 +3,7 @@
 Everything the post-quantum TEE and the HADES case studies rely on,
 implemented from scratch in Python and numpy:
 
-* :mod:`~repro.crypto.keccak` — Keccak-f[1600], SHA3-256/512, SHAKE128/256
+* :mod:`~repro.crypto.keccak` — SHA3-256/512, SHAKE128/256 (on :mod:`hashlib`)
 * :mod:`~repro.crypto.aes` — AES-128/192/256 + CTR + encrypt-then-MAC AEAD
 * :mod:`~repro.crypto.ed25519` — RFC 8032 signatures (Keystone default)
 * :mod:`~repro.crypto.lattice` — the numpy NTT and bit packing both
@@ -14,14 +14,15 @@ implemented from scratch in Python and numpy:
 * :mod:`~repro.crypto.kdf` — SHAKE256 key derivation
 
 These are behavioural references for the simulator, not hardened
-constant-time implementations.  The hot paths — the unrolled
-Keccak-f[1600], windowed Ed25519 scalar multiplication, ML-DSA's keyed
-signing/verification contexts and ML-KEM's K-PKE on the batched int64
-NTT of :mod:`~repro.crypto.lattice`, and the batched AES T-table
-gather — are pinned byte-identical to the loop-form references in
-:mod:`~repro.crypto.reference` by KAT and hypothesis parity suites
-(``tests/test_crypto_fastpaths.py``, ``tests/test_lattice_kat.py``).
-Production code never imports that module.
+constant-time implementations.  The hot paths — windowed Ed25519
+scalar multiplication, ML-DSA's keyed signing/verification contexts and
+ML-KEM's K-PKE on the batched int64 NTT of
+:mod:`~repro.crypto.lattice`, and the batched AES T-table gather — and
+the :mod:`hashlib` SHA-3 are pinned byte-identical to the loop-form
+references in ``tests/crypto_reference.py`` by KAT and hypothesis parity
+suites (``tests/test_crypto_fastpaths.py``, ``tests/test_lattice_kat.py``).
+Those references live with the tests; production code never imports
+them.
 """
 
 from .keccak import sha3_256, sha3_512, shake256

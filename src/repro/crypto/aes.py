@@ -14,8 +14,8 @@ Encryption runs on a stacked T-table (SubBytes fused with MixColumns,
 derived from the generated S-box) over an ``(n, 16)`` uint8 batch of
 blocks: CTR mode encrypts every counter block in one pass, and
 :meth:`AES.encrypt_block` is the same kernel at one block.
-:func:`repro.crypto.reference.aes_encrypt_block` keeps the schoolbook
-round it is pinned against.
+``aes_encrypt_block`` in ``tests/crypto_reference.py`` keeps the
+schoolbook round it is pinned against.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ is never weaker than the classical baseline even if one scheme falls.
 
 Implementation notes: twisted Edwards curve arithmetic in extended
 homogeneous coordinates; SHA-512 from the standard library (the from-
-scratch hashing effort of this project is Keccak, see
-:mod:`repro.crypto.keccak`).  Not constant-time — it is a behavioural
+scratch hashing effort of this project is the Keccak sponge the
+:mod:`repro.crypto.keccak` entry points are pinned to).  Not constant-time — it is a behavioural
 model for the TEE simulator, not production crypto.
 
 Hot paths use windowed arithmetic (pinned bit-equal to the bitwise
-double-and-add in :mod:`repro.crypto.reference` by hypothesis property
+double-and-add in ``tests/crypto_reference.py`` by hypothesis property
 tests):
 
 * fixed-base multiplication walks a lazily built 4-bit comb table of

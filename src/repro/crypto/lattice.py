@@ -17,8 +17,8 @@ batch: :func:`pack_bits` and :func:`unpack_bits`.  Each polynomial
 occupies a whole number of bytes (256 * width bits), so packing a
 flattened multi-poly batch equals concatenating the per-poly packs.
 
-The loop forms these are pinned against live in
-:mod:`repro.crypto.reference`.
+The loop forms these are pinned against live with the tests, in
+``tests/crypto_reference.py``.
 """
 
 from __future__ import annotations

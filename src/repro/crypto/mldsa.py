@@ -22,7 +22,7 @@ The signing/verification hot loops run on exact int64 numpy kernels
 (batched NTTs from :mod:`repro.crypto.lattice`, shared with ML-KEM,
 pointwise products and decompositions mod q); every
 intermediate fits in 64 bits, so they are bit-identical to the scalar
-loop forms in :mod:`repro.crypto.reference` (``mldsa_ntt``,
+loop forms in ``tests/crypto_reference.py`` (``mldsa_ntt``,
 ``mldsa_sign``, ...), pinned by the parity suite in
 ``tests/test_crypto_fastpaths.py``.
 """

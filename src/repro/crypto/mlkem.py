@@ -17,7 +17,7 @@ K-PKE runs on ``(rows, 256)`` int64 batches: the 7-layer NTT and the
 bit packing are :mod:`repro.crypto.lattice`'s, shared with ML-DSA; the
 base multiplication, sampling and compression here are batched the same
 way.  The FIPS 203 loop forms of the NTT pair and the base
-multiplication live in :mod:`repro.crypto.reference`.
+multiplication live with the tests, in ``tests/crypto_reference.py``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import aes
-from repro.crypto import reference as ref
+
+import crypto_reference as ref
 
 
 class TestGaloisField:

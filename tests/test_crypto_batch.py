@@ -26,11 +26,11 @@ from repro.cim.macro import WEIGHT_MAX, DigitalCimMacro, one_hot
 from repro.cim.power import PowerModel
 from repro.cim.tvla import assess_macro, welch_t
 from repro.crypto import ed25519 as ed
-from repro.crypto import reference as ref
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.obs.perf import counting
 from repro.tee import build_tee, verify_report, verify_reports
 
+import crypto_reference as ref
 from helpers import reset_telemetry
 
 ALL_PARAMS = (ML_DSA_44, ML_DSA_65, ML_DSA_87)

