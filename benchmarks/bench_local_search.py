@@ -230,7 +230,7 @@ def _reference_memo_evaluate(evaluate, template, context, config, memo,
 
 def _reference_descend(reference, template, context, config, goal):
     evaluate, neighbours_of = reference["evaluate"], reference["neighbours"]
-    memo = Memo()
+    memo = Memo(maxsize=65536)
     table = {}
     metrics = _reference_memo_evaluate(evaluate, template, context, config,
                                        memo, table)

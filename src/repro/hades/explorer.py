@@ -25,8 +25,10 @@ identical for any worker count.  Both walk the template's
 :class:`~repro.hades.template.DesignIndex`: a design is an integer
 rank, and sub-design metrics come from its per-context tables, so one
 explorer finds the tables the other filled.  In local search a move is
-integer arithmetic and a memo miss is one top-level cost call; in
-either explorer only an optimum becomes a :class:`Configuration`.
+integer arithmetic, and the descents of one shard share a rank table,
+so each design is one top-level cost call per shard however many
+starts reach it; in either explorer only an optimum becomes a
+:class:`Configuration`.
 :meth:`ExhaustiveExplorer.run_all_goals` scores every goal
 in a single traversal instead of re-enumerating the space per goal.
 """
@@ -39,8 +41,7 @@ import time
 from dataclasses import dataclass
 
 from ..obs import TELEMETRY
-from ..runtime import (Memo, chunk_bounds, resolve_jobs, run_sharded,
-                       stride_shards)
+from ..runtime import chunk_bounds, resolve_jobs, run_sharded, stride_shards
 from .metrics import OptimizationGoal
 from .template import (Configuration, DesignContext, DesignIndex,
                        EvaluatedDesign, InfeasibleConfiguration, Template,
@@ -73,7 +74,9 @@ class ExplorationResult:
     best: EvaluatedDesign
     explored: int               # design points visited (Table I column)
     feasible: int               # points that produced a valid prediction
-    # Local search: designs the cost model priced (memo misses).
+    # Local search: the distinct designs each descent visited, summed
+    # over descents (a design two descents reach counts twice, though
+    # its shard prices it once).
     # Exhaustive: the feasible designs a top-level cost call covered,
     # computed lanes or not, so it equals ``feasible``.
     evaluations: int
@@ -316,24 +319,28 @@ def neighbours(template: Template, config: Configuration):
     return map(index.configuration, index.neighbours(index.rank_of(config)))
 
 
-def _descend(index: DesignIndex, context: DesignContext, rank: int,
+def _descend(index: DesignIndex, price, priced: dict, rank: int,
              goal: OptimizationGoal) -> tuple:
     """Coordinate descent over ranks to a local optimum; returns
-    ``(rank, metrics, evaluations, cache_hits)``.  A miss-counting
-    ``Memo`` of whole-design ranks caches every priced design,
-    infeasible (``None``) ones too; its misses are the evaluations."""
-    memo = Memo()
-    price = index.pricer(context)
+    ``(rank, metrics, evaluations, cache_hits)``.  Metrics are read
+    through ``priced``, the shard's ``{rank: Metrics | None}`` table, and
+    a rank missing from it is priced by one ``price(rank)`` call.  The
+    evaluations are the distinct ranks this descent visited and the
+    cache hits its repeat visits, whichever descent priced them."""
+    visited = set()
+    hits = 0
 
     def evaluate(rank):
-        found, metrics = memo.lookup(rank)
-        if found:
-            return metrics
-        if TELEMETRY.enabled:
-            TELEMETRY.counter("hades.evaluations").inc()
-        metrics = price(rank)
-        memo.store(rank, metrics)
-        return metrics
+        nonlocal hits
+        if rank in visited:
+            hits += 1
+        else:
+            visited.add(rank)
+            if TELEMETRY.enabled:
+                TELEMETRY.counter("hades.evaluations").inc()
+            if rank not in priced:
+                priced[rank] = price(rank)
+        return priced[rank]
 
     metrics = evaluate(rank)
     if metrics is None:
@@ -344,7 +351,7 @@ def _descend(index: DesignIndex, context: DesignContext, rank: int,
             if metrics is not None:
                 break
         else:
-            return None, None, memo.misses, memo.hits
+            return None, None, len(visited), hits
     score = goal.score(metrics)
     while True:
         best_neighbour = None
@@ -357,20 +364,24 @@ def _descend(index: DesignIndex, context: DesignContext, rank: int,
                 best_neighbour = (candidate, candidate_metrics)
                 score = candidate_score
         if best_neighbour is None:
-            return rank, metrics, memo.misses, memo.hits
+            return rank, metrics, len(visited), hits
         rank, metrics = best_neighbour
 
 
 def _local_search_shard(state, bounds) -> tuple:
-    """Run one contiguous block of independent random starts."""
+    """Run one contiguous block of independent random starts.  Its
+    descents share one pricer and one rank table, so each rank is
+    priced once per shard; the table dies with the shard."""
     template, context, goal, start_configs = state
     index = template.design_index
+    price, priced = index.pricer(context), {}
     lo, hi = bounds
     results = []
     for start in range(lo, hi):
         with TELEMETRY.span("hades.local_search.descent", start=start):
             rank, metrics, evaluations, hits = _descend(
-                index, context, index.rank_of(start_configs[start]), goal)
+                index, price, priced, index.rank_of(start_configs[start]),
+                goal)
         config = None if rank is None else index.configuration(rank)
         results.append((start, config, metrics, evaluations, hits))
     return results

@@ -14,8 +14,9 @@ campaign JSON, equal merged counter totals).
 * :mod:`~repro.runtime.capture` — per-task worker observability
   capture (PERF deltas, metric deltas, finished spans) merged back
   into the parent facades,
-* :mod:`~repro.runtime.memo` — the bounded LRU evaluation cache that
-  removes coordinate descent's revisited-neighbour cost calls.
+* :mod:`~repro.runtime.memo` — the bounded LRU cache behind the
+  adversary campaign's case dedup, the attestation service's session
+  cache and the process-wide crypto and boot memos.
 
 Quick use::
 
@@ -31,10 +32,10 @@ explorers / campaign runner to parallelise.
 
 from .executor import (available_cpus, chunk_bounds, fork_available,
                        resolve_jobs, run_sharded, stride_shards)
-from .memo import DEFAULT_MAXSIZE, Memo
+from .memo import Memo
 
 __all__ = [
     "available_cpus", "chunk_bounds", "fork_available",
     "resolve_jobs", "run_sharded", "stride_shards",
-    "Memo", "DEFAULT_MAXSIZE",
+    "Memo",
 ]

@@ -3,19 +3,16 @@
 :class:`Memo` is a small bounded LRU map from a canonical, hashable
 key to a computed value, with hit/miss/eviction accounting so callers
 can report how much work the cache removed.  ``None`` is a legal
-cached value — the explorers cache *infeasibility* too, which is
-exactly the expensive repeated outcome on masked spaces — so lookups
-go through :meth:`Memo.lookup`'s ``(found, value)`` pair rather than a
-sentinel-default ``get``.
+cached value, so lookups go through :meth:`Memo.lookup`'s ``(found,
+value)`` pair rather than a sentinel-default ``get``.
 
 Two kinds of caller use it:
 
-* **Scoped caches** — a coordinate descent's revisited neighbours, an
-  adversary campaign's repeated candidate cases, an attestation
-  service's verified sessions — call :meth:`Memo.lookup` and
-  :meth:`Memo.store` directly.  Their warmth is a function of the work handed to the
-  object that owns them, so their PERF counters count the work
-  actually done.
+* **Scoped caches** — an adversary campaign's repeated candidate
+  cases, an attestation service's verified sessions — call
+  :meth:`Memo.lookup` and :meth:`Memo.store` directly.  Their warmth
+  is a function of the work handed to the object that owns them, so
+  their PERF counters count the work actually done.
 * **Process-wide memos** — the measured-boot memo, the SM-image
   measurement memo, the ML-DSA key and context memo, the Ed25519
   per-key table memo, the Ed25519 verdict memo — outlive any one
@@ -50,10 +47,6 @@ from collections import OrderedDict
 from ..obs.perf import PERF
 from ..obs.telemetry import TELEMETRY
 
-#: Default capacity: comfortably above any library template's neighbour
-#: churn while keeping worst-case memory at laptop scale.
-DEFAULT_MAXSIZE = 65536
-
 
 def bypassed() -> bool:
     """Whether a cache over fault hook sites or timed spans must be
@@ -72,7 +65,7 @@ class Memo:
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries")
 
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
+    def __init__(self, maxsize: int):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize

@@ -3,7 +3,8 @@
 from contextlib import contextmanager
 
 from repro.faults import FAULTS
-from repro.obs import TELEMETRY
+from repro.hades import LocalSearchExplorer, OptimizationGoal
+from repro.obs import TELEMETRY, counting
 
 
 @contextmanager
@@ -24,3 +25,22 @@ def reset_telemetry(telemetry=TELEMETRY) -> None:
     switch."""
     telemetry.tracer.finished = []
     telemetry.metrics.clear()
+
+
+def search_outcome(template, context, seed, starts, jobs) -> tuple:
+    """``(evaluations, cache_hits, best, PERF delta)`` of a seeded
+    area-goal local search, read from its telemetry span."""
+    was = TELEMETRY.enabled
+    TELEMETRY.enabled = True
+    reset_telemetry()
+    try:
+        with counting() as window:
+            result = LocalSearchExplorer(template, context, seed=seed).run(
+                OptimizationGoal.AREA, starts=starts, jobs=jobs)
+        attrs = [record["attrs"] for record in TELEMETRY.tracer.snapshot()
+                 if record["name"] == "hades.local_search.run"][-1]
+    finally:
+        reset_telemetry()
+        TELEMETRY.enabled = was
+    return (attrs["evaluations"], attrs["cache_hits"], result.best,
+            dict(window.delta()))

@@ -6,7 +6,10 @@ from repro.hades import (DesignContext, ExhaustiveExplorer,
                          InfeasibleConfiguration, LocalSearchExplorer,
                          Metrics, OptimizationGoal, Template, neighbours)
 from repro.hades.library import aes256, chacha20, kyber_cca
-from repro.runtime import Memo
+from repro.hades.template import DesignIndex
+
+from helpers import search_outcome
+from test_local_search_pins import SEARCHES
 
 G = OptimizationGoal
 
@@ -178,6 +181,35 @@ def _table_free_evaluate(template, configuration, context):
         return None
 
 
+def _record_pricers(monkeypatch, index):
+    """Spy on the pricers ``index`` builds: the returned list gains one
+    ``[(rank, metrics), ...]`` per pricer, of every rank it priced."""
+    pricers = []
+    pricer = DesignIndex.pricer
+
+    def recording(design_index, context):
+        price = pricer(design_index, context)
+        if design_index is not index:
+            return price              # a sub-design's pricer
+        priced = []
+        pricers.append(priced)
+
+        def recorded(rank):
+            metrics = price(rank)
+            priced.append((rank, metrics))
+            return metrics
+        return recorded
+
+    monkeypatch.setattr(DesignIndex, "pricer", recording)
+    return pricers
+
+
+#: seed -> top-level cost calls of the pinned 10-start searches at
+#: ``jobs=1``: fewer than their evaluations, because a design that
+#: several descents of a shard reach is priced once.
+PRICED = {11: 1576, 23: 1645, 2026: 1549, 31337: 1475}
+
+
 class TestSubDesignTable:
     @pytest.mark.parametrize("order", (0, 1))
     @pytest.mark.parametrize("factory", (kyber_cca, aes256, chacha20),
@@ -187,17 +219,10 @@ class TestSubDesignTable:
         template = factory()
         context = DesignContext(masking_order=order)
         index = template.design_index
-        visited = []
-        store = Memo.store
-
-        def recording(memo, rank, metrics):
-            visited.append((rank, metrics))
-            store(memo, rank, metrics)
-
-        # Every rank the descent prices is stored once in its memo.
-        monkeypatch.setattr(Memo, "store", recording)
+        pricers = _record_pricers(monkeypatch, index)
         LocalSearchExplorer(template, context, seed=order).run(
             G.AREA, starts=3, jobs=1)
+        visited = [pair for priced in pricers for pair in priced]
         assert len(visited) > 100
         for rank, metrics in visited:
             config = index.configuration(rank)
@@ -235,6 +260,30 @@ class TestSubDesignTable:
         # The infeasible leaf was reached from more than one parent
         # (both slots hold leaves), yet priced once.
         assert calls.count(("leaf", 4)) == 1
+
+    @pytest.mark.parametrize("seed", sorted(SEARCHES))
+    def test_run_prices_each_design_once(self, monkeypatch, seed):
+        template = kyber_cca()
+        pricers = _record_pricers(monkeypatch, template.design_index)
+        cost, calls = template.cost, 0
+
+        def counted(params, subs, context):
+            nonlocal calls
+            calls += 1
+            return cost(params, subs, context)
+
+        # Counted where the bench tracer wraps the instance's cost.
+        template.cost = counted
+        context = DesignContext(masking_order=1)
+        serial = search_outcome(template, context, seed, 10, jobs=1)
+        assert calls == PRICED[seed]
+        assert serial[0] == SEARCHES[seed][0] > calls
+        (priced,) = pricers           # one shard, one pricer
+        ranks = [rank for rank, _ in priced]
+        assert len(ranks) == len(set(ranks))
+        for jobs in (2, 3):           # PERF counts the pools: not compared
+            assert search_outcome(template, context, seed, 10,
+                                  jobs)[:3] == serial[:3]
 
     @pytest.mark.parametrize("seed,evaluations", ((3, 903), (17, 928)))
     def test_kyber_cca_evaluations_pinned(self, seed, evaluations):

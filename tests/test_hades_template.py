@@ -21,10 +21,9 @@ from repro.hades import (Configuration, DesignContext,
 from repro.hades import masking
 from repro.hades.template import _Column, enumerate_chunks
 from repro.hades.library import TABLE_I_ROWS, kyber_cca
-from repro.obs import TELEMETRY, counting
 from repro.runtime import Memo
 
-from helpers import reset_telemetry
+from helpers import search_outcome
 
 
 def _const_cost(area, latency, rand=0.0):
@@ -293,25 +292,6 @@ def _scalar(template, config, context):
         return None
 
 
-def _search_outcome(template, context, jobs):
-    """``(evaluations, cache_hits, best, PERF delta)`` of a seeded
-    4-start search, read from its telemetry span."""
-    was = TELEMETRY.enabled
-    TELEMETRY.enabled = True
-    reset_telemetry()
-    try:
-        with counting() as window:
-            result = LocalSearchExplorer(template, context, seed=9).run(
-                OptimizationGoal.AREA, starts=4, jobs=jobs)
-        attrs = [record["attrs"] for record in TELEMETRY.tracer.snapshot()
-                 if record["name"] == "hades.local_search.run"][-1]
-    finally:
-        reset_telemetry()
-        TELEMETRY.enabled = was
-    return (attrs["evaluations"], attrs["cache_hits"], result.best,
-            dict(window.delta()))
-
-
 class TestDesignIndex:
     @pytest.mark.parametrize("factory", [row[1] for row in TABLE_I_ROWS],
                              ids=[row[1].__name__ for row in TABLE_I_ROWS])
@@ -410,17 +390,17 @@ class TestDesignIndex:
                 OptimizationGoal.AREA, jobs=jobs))
 
         template = kyber_cca()
-        cold = _search_outcome(template, context, jobs)
-        warm = _search_outcome(template, context, jobs)
+        cold = search_outcome(template, context, 9, 4, jobs)
+        warm = search_outcome(template, context, 9, 4, jobs)
         assert warm == cold
-        assert cold == _search_outcome(kyber_cca(), context, jobs)
+        assert cold == search_outcome(kyber_cca(), context, 9, 4, jobs)
         assert cold[0] > 0 and cold[1] > 0
         cold_fold = fold(kyber_cca())
         assert fold(template) == cold_fold      # after local search
         assert fold(template) == cold_fold      # after itself
         folded = kyber_cca()
         assert fold(folded) == cold_fold
-        assert _search_outcome(folded, context, jobs) == cold
+        assert search_outcome(folded, context, 9, 4, jobs) == cold
 
     def test_replaced_cost_is_honoured_by_next_search(self):
         template = Template("t", lambda p, s, c: Metrics(1.0 + p["a"], 1.0),
@@ -493,7 +473,7 @@ class TestConfigurationHash:
         assert {local: "entry"}[unpickled] == "entry"
         context = DesignContext(masking_order=1)
         metrics = template.evaluate(local, context)
-        memo = Memo()
+        memo = Memo(maxsize=8)
         memo.store(local, metrics)
         assert memo.lookup(unpickled) == (True, metrics)
         index = template.design_index

@@ -229,7 +229,7 @@ class TestRunSharded:
 
 class TestMemo:
     def test_miss_then_hit(self):
-        memo = Memo()
+        memo = Memo(maxsize=8)
         found, value = memo.lookup("k")
         assert (found, value) == (False, None)
         memo.store("k", 42)
@@ -237,7 +237,7 @@ class TestMemo:
         assert memo.hits == 1 and memo.misses == 1
 
     def test_none_is_a_legal_value(self):
-        memo = Memo()
+        memo = Memo(maxsize=8)
         memo.store("infeasible", None)
         found, value = memo.lookup("infeasible")
         assert found is True and value is None
@@ -312,7 +312,7 @@ class TestMemo:
             PERF.enabled = was_enabled
 
     def test_get_or_build_miss_then_hit(self):
-        memo, builds = Memo(), []
+        memo, builds = Memo(maxsize=8), []
         build = self._builder(builds)
         assert self._perf_off(lambda: memo.get_or_build("k", build)) == 1
         assert self._perf_off(lambda: memo.get_or_build("k", build)) == 1
@@ -320,7 +320,7 @@ class TestMemo:
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_get_or_build_serves_none(self):
-        memo, builds = Memo(), []
+        memo, builds = Memo(maxsize=8), []
 
         def build():
             builds.append(1)
@@ -331,7 +331,7 @@ class TestMemo:
         assert builds == [1]
 
     def test_get_or_build_hit_replays_delta(self):
-        memo, builds = Memo(), []
+        memo, builds = Memo(maxsize=8), []
         build = self._builder(builds)
         with counting() as cold:
             memo.get_or_build("k", build)
@@ -343,7 +343,7 @@ class TestMemo:
         assert warm.delta() == cold_delta
 
     def test_get_or_build_rebuilds_perf_off_entry(self):
-        memo, builds = Memo(), []
+        memo, builds = Memo(maxsize=8), []
         build = self._builder(builds)
         self._perf_off(lambda: memo.get_or_build("k", build))
         with counting() as first:
