@@ -12,15 +12,29 @@ reproduction: serialized bootrom images, serialized attestation report
 bytes, and the stack high-water mark of the actual ML-DSA signing call.
 """
 
+from contextlib import ExitStack, contextmanager
+
 import pytest
 
+from repro.crypto import ed25519
 from repro.crypto.mldsa import ML_DSA_44, MLDSA
 from repro.obs import counting
 from repro.tee import build_tee, verify_report
 
-from conftest import write_table
+from conftest import never_hits, write_table
 
 _measured = {}
+
+
+@contextmanager
+def _ed25519_memos_never_hit():
+    """The timed boots sign, derive keys and build signing contexts on
+    inputs earlier benches in the session already memoized; in this
+    block each of those calls does its work."""
+    with ExitStack() as stack:
+        for name in ("SIGN_MEMO", "CONTEXT_MEMO", "PUBLIC_KEY_MEMO"):
+            stack.enter_context(never_hits(ed25519, name))
+        yield
 
 
 def test_default_boot_and_attestation(benchmark):
@@ -30,7 +44,9 @@ def test_default_boot_and_attestation(benchmark):
         report = platform.sm.attest_enclave(enclave, b"nonce")
         return platform, report
 
-    platform, report = benchmark.pedantic(run, rounds=1, iterations=1)
+    with _ed25519_memos_never_hit():
+        platform, report = benchmark.pedantic(run, rounds=1,
+                                              iterations=1)
     encoded = report.encode()
     assert verify_report(report, platform.device.public_identity())
     _measured["default"] = {
@@ -52,7 +68,7 @@ def test_pq_boot_and_attestation(benchmark):
         report = platform.sm.attest_enclave(enclave, b"nonce")
         return platform, report
 
-    with counting() as window:
+    with counting() as window, _ed25519_memos_never_hit():
         platform, report = benchmark.pedantic(run, rounds=1,
                                               iterations=1)
     counters = window.delta()

@@ -23,6 +23,12 @@ references in ``tests/crypto_reference.py`` by KAT and hypothesis parity
 suites (``tests/test_crypto_fastpaths.py``, ``tests/test_lattice_kat.py``).
 Those references live with the tests; production code never imports
 them.
+
+The deterministic operations fault campaigns repeat — Ed25519 signing,
+key derivation and verification, ML-KEM encapsulation and
+decapsulation, AES-CTR — are memoized on their exact input bytes, each
+in a bounded process-wide :class:`~repro.runtime.memo.Memo` next to the
+function it serves; :data:`RESULT_MEMOS` lists them all.
 """
 
 from .keccak import sha3_256, sha3_512, shake256
@@ -32,6 +38,13 @@ from .mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from .mlkem import ML_KEM_512, ML_KEM_768, ML_KEM_1024, MLKEM
 from .hybrid import HybridKeyPair, HybridPublicKey
 from .kdf import derive_key, derive_seed_pair
+from . import aes, ed25519, mlkem
+
+#: Every process-wide result memo of this package.  A fault campaign
+#: clears them at its start, so its cost is its own.
+RESULT_MEMOS = (ed25519.VERDICT_MEMO, ed25519.SIGN_MEMO,
+                ed25519.CONTEXT_MEMO, ed25519.PUBLIC_KEY_MEMO,
+                mlkem.ENCAPS_MEMO, mlkem.DECAPS_MEMO, aes.CTR_MEMO)
 
 __all__ = [
     "sha3_256", "sha3_512", "shake256",
@@ -41,4 +54,5 @@ __all__ = [
     "MLKEM", "ML_KEM_512", "ML_KEM_768", "ML_KEM_1024",
     "HybridKeyPair", "HybridPublicKey",
     "derive_key", "derive_seed_pair",
+    "RESULT_MEMOS",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..runtime.memo import Memo
 from .keccak import sha3_256
 
 
@@ -163,15 +164,24 @@ class AES:
             ^ self._rk[self.rounds]
 
 
+#: Outputs of :func:`aes_ctr`, keyed on the exact ``(key, nonce, data)``.
+CTR_MEMO = Memo(maxsize=32)
+
+
 def aes_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """AES-CTR keystream XOR (encryption and decryption are identical).
 
     ``nonce`` must be 12 bytes; the remaining 4 bytes hold a big-endian
     block counter starting at 0.  Every counter block is encrypted in
-    one batch.
+    one batch.  Memoized in :data:`CTR_MEMO`.
     """
     if len(nonce) != 12:
         raise ValueError("CTR nonce must be 12 bytes")
+    return CTR_MEMO.get_or_build((bytes(key), bytes(nonce), bytes(data)),
+                                 lambda: _ctr(key, nonce, data))
+
+
+def _ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
     size = len(data)
     blocks = np.empty(((size + 15) // 16, 16), dtype=np.uint8)
     blocks[:, :12] = np.frombuffer(nonce, dtype=np.uint8)

@@ -26,13 +26,17 @@ tests):
   and skips the ``T`` product when the next operation is another
   doubling.
 
-:class:`SigningKey` caches the expensive per-secret state (clamped
-scalar, prefix, compressed public key) so repeated signatures — the SM
-re-attesting, the bootrom re-certifying — skip the key-derivation
-scalar multiplication entirely.  Building precomputed state is *not*
-charged to the ``crypto.ed25519.point_adds`` PERF counter; only
-per-operation online work is, so counter totals stay independent of
-cache warmth (the ISSUE 4 parallel-parity contract).
+:class:`SigningKey` holds the expensive per-secret state (clamped
+scalar, prefix, compressed public key), built once per seed in
+:data:`CONTEXT_MEMO`, so repeated signatures — the SM re-attesting, the
+bootrom re-certifying — skip the key-derivation scalar multiplication
+entirely.  Building precomputed state is *not* charged to the
+``crypto.ed25519.point_adds`` PERF counter; only per-operation online
+work is, so counter totals stay independent of cache warmth (the
+serial/parallel parity contract).  Signatures, public keys and
+verdicts are memoized on their exact input bytes (:data:`SIGN_MEMO`,
+:data:`PUBLIC_KEY_MEMO`, :data:`VERDICT_MEMO`); a hit replays the PERF
+delta of the work it stands for (:mod:`repro.runtime.memo`).
 """
 
 from __future__ import annotations
@@ -632,12 +636,39 @@ def _clamp(scalar_bytes: bytes) -> int:
     return int.from_bytes(a, "little")
 
 
+#: Public keys of :func:`public_key`, keyed on the secret seed.
+PUBLIC_KEY_MEMO = Memo(maxsize=256)
+
+
 def public_key(secret: bytes) -> bytes:
-    """Derive the 32-byte public key from a 32-byte secret seed."""
+    """Derive the 32-byte public key from a 32-byte secret seed,
+    memoized in :data:`PUBLIC_KEY_MEMO`."""
     if len(secret) != SECRET_KEY_LEN:
         raise ValueError("Ed25519 secret must be 32 bytes")
-    a = _clamp(_sha512(secret)[:32])
-    return _compress(_point_mul_base(a))
+    return PUBLIC_KEY_MEMO.get_or_build(
+        bytes(secret),
+        lambda: _compress(_point_mul_base(_clamp(_sha512(secret)[:32]))))
+
+
+#: Signing contexts ``(a, prefix, public)`` of :class:`SigningKey`,
+#: keyed on the secret seed.
+CONTEXT_MEMO = Memo(maxsize=256)
+
+
+def _context(secret: bytes) -> tuple:
+    """The clamped scalar, the nonce prefix and the compressed public
+    key of one secret seed."""
+    digest = _sha512(secret)
+    a = _clamp(digest[:32])
+    # Context setup is precomputation, deliberately uncounted (like the
+    # comb-table build): ``crypto.ed25519.point_adds`` totals must not
+    # depend on which caller built the context.
+    return a, digest[32:], _compress(_comb(a)[0])
+
+
+#: Signatures of :meth:`SigningKey.sign`, keyed on the exact ``(secret,
+#: message)`` bytes.
+SIGN_MEMO = Memo(maxsize=256)
 
 
 class SigningKey:
@@ -655,28 +686,32 @@ class SigningKey:
         if len(secret) != SECRET_KEY_LEN:
             raise ValueError("Ed25519 secret must be 32 bytes")
         self.secret = bytes(secret)
-        digest = _sha512(self.secret)
-        self._a = _clamp(digest[:32])
-        self._prefix = digest[32:]
-        # Context setup is precomputation, deliberately uncounted (like
-        # the comb-table build): ``crypto.ed25519.point_adds`` totals
-        # must not depend on which caller warmed a cached context.
-        self.public = _compress(_comb(self._a)[0])
+        self._a, self._prefix, self.public = CONTEXT_MEMO.get_or_build(
+            self.secret, lambda: _context(self.secret))
 
     def sign(self, message: bytes) -> bytes:
-        """Produce the 64-byte deterministic signature for ``message``."""
+        """Produce the 64-byte deterministic signature for ``message``.
+
+        The signature — only :meth:`_sign`'s work; the PERF tick, span
+        and timer here run on every call — is memoized in
+        :data:`SIGN_MEMO` on the exact ``(secret, message)`` bytes, as
+        :func:`verify` memoizes verdicts."""
         if PERF.enabled:
             PERF.inc("crypto.ed25519.sign")
         with TELEMETRY.span("crypto.ed25519.sign",
                             message_bytes=len(message)), \
                 TELEMETRY.timer("crypto.ed25519.sign_seconds"):
-            r = int.from_bytes(_sha512(self._prefix + message),
-                               "little") % L
-            r_point = _compress(_point_mul_base(r))
-            k = int.from_bytes(_sha512(r_point + self.public + message),
-                               "little") % L
-            s = (r + k * self._a) % L
-            return r_point + s.to_bytes(32, "little")
+            return SIGN_MEMO.get_or_build(
+                (self.secret, bytes(message)),
+                lambda: self._sign(message))
+
+    def _sign(self, message: bytes) -> bytes:
+        r = int.from_bytes(_sha512(self._prefix + message), "little") % L
+        r_point = _compress(_point_mul_base(r))
+        k = int.from_bytes(_sha512(r_point + self.public + message),
+                           "little") % L
+        s = (r + k * self._a) % L
+        return r_point + s.to_bytes(32, "little")
 
 
 def sign(secret: bytes, message: bytes) -> bytes:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..runtime.memo import Memo
 from .keccak import Shake128, sha3_256, sha3_512, shake256
 from .lattice import NttRing, pack_bits, unpack_bits
 
@@ -229,6 +230,14 @@ def _pke_decrypt(dk: bytes, ciphertext: bytes,
 # ---------------------------------------------------------------------------
 # The KEM (FO transform with implicit rejection)
 
+#: ``(shared_secret, ciphertext)`` of :meth:`MLKEM.encaps`, keyed on the
+#: exact ``(params, ek, m)`` once ``m`` is drawn: a call that draws
+#: ``m`` from the OS never hits.
+ENCAPS_MEMO = Memo(maxsize=32)
+#: Shared secrets of :meth:`MLKEM.decaps`, keyed on the exact ``(params,
+#: dk, ciphertext)``, implicit rejections included.
+DECAPS_MEMO = Memo(maxsize=32)
+
 
 class MLKEM:
     """An ML-KEM instance for one parameter set.
@@ -258,7 +267,14 @@ class MLKEM:
         return ek, dk
 
     def encaps(self, ek: bytes, m: bytes = None) -> tuple:
-        """Encapsulate: returns (shared_secret, ciphertext)."""
+        """Encapsulate: returns (shared_secret, ciphertext), memoized in
+        :data:`ENCAPS_MEMO`."""
+        m = os.urandom(32) if m is None else m
+        return ENCAPS_MEMO.get_or_build(
+            (self.params, bytes(ek), bytes(m)),
+            lambda: self._encaps(ek, m))
+
+    def _encaps(self, ek: bytes, m: bytes) -> tuple:
         if len(ek) != self.params.ek_bytes:
             raise ValueError(f"{self.params.name} encapsulation key "
                              f"must be {self.params.ek_bytes} bytes")
@@ -268,7 +284,6 @@ class MLKEM:
         t_hat = unpack_bits(ek[:384 * k], k, 12)
         if (t_hat >= Q).any():
             raise ValueError("encapsulation key not reduced mod q")
-        m = os.urandom(32) if m is None else m
         if len(m) != 32:
             raise ValueError("encapsulation randomness must be 32 bytes")
         key, randomness = _g(m + sha3_256(ek))
@@ -277,7 +292,13 @@ class MLKEM:
         return key, ciphertext
 
     def decaps(self, dk: bytes, ciphertext: bytes) -> bytes:
-        """Decapsulate; implicit rejection on malformed ciphertexts."""
+        """Decapsulate; implicit rejection on malformed ciphertexts.
+        Memoized in :data:`DECAPS_MEMO`."""
+        return DECAPS_MEMO.get_or_build(
+            (self.params, bytes(dk), bytes(ciphertext)),
+            lambda: self._decaps(dk, ciphertext))
+
+    def _decaps(self, dk: bytes, ciphertext: bytes) -> bytes:
         params = self.params
         if len(dk) != params.dk_bytes:
             raise ValueError(f"{params.name} decapsulation key must be "

@@ -23,7 +23,7 @@ import pathlib
 import random
 from dataclasses import dataclass, field
 
-from ..crypto import ed25519
+from ..crypto import RESULT_MEMOS
 from ..obs import TELEMETRY
 from ..obs.audit import AUDIT
 from ..obs.coverage import CoverageMap
@@ -333,9 +333,10 @@ def _execute_plan_range(state, bounds) -> tuple:
 def _run_campaign(scenarios, seed, injections, jobs,
                   campaign_span, coverage) -> CampaignResult:
     FAULTS.disarm()
-    # Cold start: the verdict memo is cleared before the golden runs
-    # and before the runs fork, so a campaign's cost is its own.
-    ed25519.VERDICT_MEMO.clear()
+    # Cold start: the crypto result memos are cleared before the golden
+    # runs and before the runs fork, so a campaign's cost is its own.
+    for memo in RESULT_MEMOS:
+        memo.clear()
     if AUDIT.enabled:
         AUDIT.emit("faults.campaign", "campaign-start", seed=seed,
                    injections=injections,

@@ -15,8 +15,10 @@ Two kinds of caller use it:
   their PERF counters count the work actually done.
 * **Process-wide memos** — the measured-boot memo, the SM-image
   measurement memo, the ML-DSA key and context memo, the Ed25519
-  per-key table memo, the Ed25519 verdict memo — outlive any one
-  workload: forked workers and test order see them at different
+  per-key table memo, and the result memos of
+  :data:`repro.crypto.RESULT_MEMOS` (Ed25519 verdicts, signatures,
+  signing contexts and public keys; ML-KEM encapsulations and
+  decapsulations; AES-CTR outputs) — outlive any one workload: forked workers and test order see them at different
   warmth.  They go through :meth:`Memo.get_or_build`,
   which records the PERF delta of each build and replays it on every
   hit.
@@ -33,11 +35,12 @@ FAULTS is armed or a telemetry subscriber is active**, so an injected
 fault takes effect and a trace shows the real span tree (timed spans
 cannot be replayed; PERF deltas can).  The measured-boot memo and the
 attestation service's session cache follow it.  A memo over code with
-neither — the Ed25519 table and verdict memos over :mod:`repro.crypto`,
-which imports no fault injector and opens its spans outside them, and
-the SM-image measurement memo, whose fault hook runs after it — stays
-on: its value is a function of the key bytes, and an injection can
-only change those bytes before they are looked up or the value after.
+neither — the Ed25519 table memo and the result memos over
+:mod:`repro.crypto`, which imports no fault injector and opens its
+spans outside them, and the SM-image measurement memo, whose fault hook
+runs after it — stays on: its value is a function of the key bytes, and
+an injection can only change those bytes before they are looked up or
+the value after.
 """
 
 from __future__ import annotations

@@ -7,16 +7,17 @@ removes.
 """
 
 import json
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import pytest
 
-from repro.crypto import ed25519
+from repro.crypto import MLKEM, RESULT_MEMOS, aes, ed25519, mlkem
 from repro.faults import FAULTS, FaultSpec, Outcome
+from repro.faults import campaign as campaign_module
 from repro.faults.campaign import (CampaignResult, FaultPoint,
-                                   RunRecord, Scenario, classify,
-                                   plan_injections, run_campaign,
-                                   standard_campaign)
+                                   RunRecord, Scenario, _execute_one,
+                                   classify, plan_injections,
+                                   run_campaign, standard_campaign)
 from repro.faults.models import BIT_FLIP
 from repro.faults.scenarios import (BootAttestScenario,
                                     RtosScenario,
@@ -336,6 +337,102 @@ class TestVerdictMemo:
         assert len(runs) == len(set(runs))
         assert len(set(golden) | set(runs)) == stats["misses"]
         assert stats["hits"] > stats["misses"]
+
+
+#: The result memos beside the verdict memo, as ``(module, name)``.
+_RESULT_MEMOS = ((ed25519, "SIGN_MEMO"), (ed25519, "CONTEXT_MEMO"),
+                 (ed25519, "PUBLIC_KEY_MEMO"), (mlkem, "ENCAPS_MEMO"),
+                 (mlkem, "DECAPS_MEMO"), (aes, "CTR_MEMO"))
+
+
+@contextmanager
+def _result_memos_never_hit():
+    with ExitStack() as stack:
+        for module, name in _RESULT_MEMOS:
+            stack.enter_context(_never_hits(module, name))
+        yield
+
+
+class TestResultMemos:
+    """The signing, key-derivation, ML-KEM and AES-CTR memos change a
+    campaign's cost, never its outputs: canonical JSON, coverage map and
+    PERF totals are the same bytes cold, warm and with every one of
+    them a never-hit stand-in, serial and sharded."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with _result_memos_never_hit():
+            return _campaign_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("state", ["cold", "warm", "never-hit"])
+    def test_outputs_unchanged(self, reference, monkeypatch, state, jobs):
+        """Warm: a previous campaign filled the memos and this one does
+        not clear them, so its runs replay the stored PERF deltas."""
+        if jobs > 1 and not fork_available():
+            pytest.skip("parallel path needs fork")
+        with ExitStack() as stack:
+            if state == "warm":
+                _campaign_bytes(seed=12)
+                monkeypatch.setattr(campaign_module, "RESULT_MEMOS", ())
+                for module, name in _RESULT_MEMOS:
+                    assert getattr(module, name).stats()["size"] > 0, name
+            elif state == "never-hit":
+                stack.enter_context(_result_memos_never_hit())
+            outputs = _campaign_bytes(jobs=jobs)
+        assert outputs == reference
+
+    @pytest.mark.parametrize("seed", [11, 2026])
+    def test_each_memo_hits_from_a_cold_start(self, seed):
+        """Every memo hits in a campaign, and the campaign clears them
+        at its start: after another campaign, its hits and misses are
+        those of a cold process."""
+        def campaign_stats():
+            standard_campaign(seed=seed, injections=60, jobs=1)
+            return {name: getattr(module, name).stats()
+                    for module, name in _RESULT_MEMOS}
+
+        for memo in RESULT_MEMOS:
+            memo.clear()
+        cold = campaign_stats()
+        standard_campaign(seed=seed + 1, injections=60, jobs=1)
+        assert campaign_stats() == cold
+        for name, stats in cold.items():
+            assert stats["hits"] >= 1 and stats["misses"] >= 1, \
+                (name, stats)
+
+    def test_drawn_encapsulation_never_hits(self):
+        kem = MLKEM()
+        ek, dk = kem.key_gen(bytes(32), bytes(32))
+        mlkem.ENCAPS_MEMO.clear()
+        first, second = kem.encaps(ek), kem.encaps(ek)
+        assert mlkem.ENCAPS_MEMO.stats()["hits"] == 0
+        assert first != second
+        assert kem.decaps(dk, first[1]) == first[0]
+        assert kem.encaps(ek, bytes(32)) == kem.encaps(ek, bytes(32))
+        assert mlkem.ENCAPS_MEMO.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("trigger, reason", [
+        (0, "boot-verification-failed"),
+        (1, "attestation-verification-failed")])
+    def test_boot_signature_corruption_lands_on_a_hit(self, trigger,
+                                                      reason):
+        """The ``tee.bootrom.sign`` hook corrupts the signature after
+        :meth:`SigningKey.sign` returns it, so a memo hit is corrupted
+        as a fresh signature is."""
+        scenario = BootAttestScenario()
+        golden = scenario.execute()
+        spec = FaultSpec("tee.bootrom.sign", BIT_FLIP, trigger=trigger,
+                         bit=7)
+        _execute_one(0, scenario, spec, golden)       # fills the memos
+        hits = ed25519.SIGN_MEMO.hits
+        warm = _execute_one(0, scenario, spec, golden)
+        assert ed25519.SIGN_MEMO.hits > hits
+        with _result_memos_never_hit():
+            fresh = _execute_one(0, scenario, spec, golden)
+        assert warm == fresh
+        assert (warm.fired, warm.outcome, warm.reason) == \
+            (1, "detected", reason)
 
 
 class TestMeasurementMemo:
