@@ -11,8 +11,7 @@ whole suite, trackable across PRs.
 
 Run with ``REPRO_TELEMETRY=1`` to also capture a structured trace of
 every instrumented subsystem; it is exported on session exit to
-``results/trace.jsonl`` + ``results/metrics.json`` and summarized by
-``scripts/trace_report.py``.
+``results/trace.jsonl`` and summarized by ``scripts/trace_report.py``.
 
 Run with ``REPRO_PERF=1`` to additionally count architectural events
 (bus grants, PMP checks, context switches, crypto invocations, ...):

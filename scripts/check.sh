@@ -85,7 +85,7 @@ python scripts/audit_report.py \
 
 echo "== trace report =="
 python scripts/trace_report.py benchmarks/results/trace.jsonl \
-    --metrics benchmarks/results/metrics.json --collapsed --top 15
+    --collapsed --top 15
 
 echo "== bench summary =="
 python - <<'EOF'

@@ -67,8 +67,7 @@ SCRIPTS = (
     f"adversary_report.py --replay {R}adversary_smoke_corpus.json"
     " --replay-limit 8",
     f"audit_report.py {R}adversary_smoke_audit.jsonl --verify",
-    f"trace_report.py {R}trace.jsonl --metrics {R}metrics.json"
-    " --collapsed --top 15",
+    f"trace_report.py {R}trace.jsonl --collapsed --top 15",
     "bench_history.py",
     # the ones only CI runs
     "bench_history.py --no-record --check --trend --wall-threshold 3.0",

@@ -2,11 +2,10 @@
 """Summarize a repro.obs JSONL trace from the command line.
 
     PYTHONPATH=src python scripts/trace_report.py \
-        benchmarks/results/trace.jsonl \
-        --metrics benchmarks/results/metrics.json --sort self --top 15
+        benchmarks/results/trace.jsonl --sort self --top 15
 
-Prints the top spans by cumulative or self time (or call count) and,
-optionally, the metrics snapshot written next to the trace.
+Prints the top spans by cumulative or self time (or call count), each
+with its p50/p95/p99 duration.
 
 With ``--collapsed`` the report additionally renders the trace's
 collapsed-stack profile (:func:`repro.obs.collapsed`: self events per
@@ -16,14 +15,13 @@ chart.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro.obs import collapsed, format_metrics, format_report, \
-    read_jsonl, summarize  # noqa: E402
+from repro.obs import collapsed, format_report, read_jsonl, \
+    summarize  # noqa: E402
 
 BAR_WIDTH = 30
 
@@ -69,9 +67,6 @@ def main(argv=None) -> int:
                         help="ranking key for the span table")
     parser.add_argument("--top", type=int, default=20,
                         help="number of span rows to print")
-    parser.add_argument("--metrics", type=pathlib.Path, default=None,
-                        help="optional metrics.json to print after "
-                             "the span table")
     parser.add_argument("--collapsed", action="store_true",
                         help="also render the self-event profile per "
                              "span path (collapsed stacks)")
@@ -90,15 +85,6 @@ def main(argv=None) -> int:
     print(f"{args.trace}: {len(records)} spans, "
           f"{len(summary)} distinct names\n")
     print(format_report(summary, sort=args.sort, top=args.top))
-    if args.metrics is not None:
-        if not args.metrics.exists():
-            return _fail(f"no such metrics file: {args.metrics}")
-        try:
-            snapshot = json.loads(args.metrics.read_text())
-            print(format_metrics(snapshot))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            return _fail(f"{args.metrics}: malformed metrics "
-                         f"snapshot ({exc})")
     if args.collapsed:
         print()
         print(format_collapsed(collapsed(records), top=args.top))

@@ -18,8 +18,8 @@ This package rebuilds each subsystem the paper reports results for:
   platforms (Section III-E)
 * :mod:`repro.core` — the modular security-by-design framework that ties
   the features to use-case requirements (Section II)
-* :mod:`repro.obs` — opt-in structured tracing and metrics for every
-  subsystem (no-op by default)
+* :mod:`repro.obs` — opt-in structured tracing and perf counters for
+  every subsystem (no-op by default)
 * :mod:`repro.faults` — deterministic seeded fault-injection campaigns
   and the recovery-hardening they measure (no-op by default)
 """

@@ -80,8 +80,6 @@ class WeightExtractionAttack:
 
     def _measure(self, mask: list) -> float:
         self.queries_used += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.counter("cim.queries").inc()
         return float(np.mean(self.power.trace(self.macro, mask,
                                               self.repetitions)))
 
@@ -254,8 +252,6 @@ class WeightExtractionAttack:
             if TELEMETRY.enabled:
                 span.set_attr("queries_used", self.queries_used)
                 span.set_attr("unresolved", len(result.unresolved))
-                TELEMETRY.gauge("cim.weights_unresolved").set(
-                    len(result.unresolved))
             return result
 
     def _run(self, seed: int, tolerance: float) -> AttackResult:

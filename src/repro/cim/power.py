@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs import TELEMETRY
 
 #: Energy per toggled node bit, arbitrary power units.
 ENERGY_PER_TOGGLE = 1.0
@@ -53,9 +52,6 @@ class PowerModel:
 
     def trace(self, macro, inputs: list, repetitions: int = 1) -> np.ndarray:
         """Repeated fresh-query measurements of one input mask."""
-        if TELEMETRY.enabled:
-            TELEMETRY.counter("cim.power.traces").inc()
-            TELEMETRY.counter("cim.power.samples").inc(repetitions)
         if hasattr(macro, "query_fresh_many"):
             # Macro and noise draws live on separate generators, so
             # query-then-measure batching consumes both streams exactly

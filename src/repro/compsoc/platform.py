@@ -124,18 +124,15 @@ class ComposablePlatform:
 
     def _record_utilization(self, bus: SharedBus, span) -> None:
         """TDM slot utilisation: service cycles consumed / cycles
-        elapsed (per requestor and overall)."""
+        elapsed (per requestor and overall), and the transactions each
+        requestor was served."""
         cycles = max(bus.cycle, 1)
         busy = 0
         for name, stats in bus.stats.items():
             served_cycles = stats.served * self.memory_latency
             busy += served_cycles
-            TELEMETRY.gauge(
-                f"compsoc.slot_utilization.{name}").set(
-                served_cycles / cycles)
-            TELEMETRY.counter(
-                f"compsoc.transactions.{name}").inc(stats.served)
-        TELEMETRY.gauge("compsoc.slot_utilization").set(busy / cycles)
+            span.set_attr(f"utilization.{name}", served_cycles / cycles)
+            span.set_attr(f"transactions.{name}", stats.served)
         span.set_attr("cycles", bus.cycle)
         span.set_attr("utilization", busy / cycles)
 

@@ -40,8 +40,9 @@ from .hybrid import HybridKeyPair, HybridPublicKey
 from .kdf import derive_key, derive_seed_pair
 from . import aes, ed25519, mlkem
 
-#: Every process-wide result memo of this package.  A fault campaign
-#: clears them at its start, so its cost is its own.
+#: Every process-wide result memo of this package.  Fault and
+#: adversary campaigns clear them at their start, so a campaign's cost
+#: is its own.
 RESULT_MEMOS = (ed25519.VERDICT_MEMO, ed25519.SIGN_MEMO,
                 ed25519.CONTEXT_MEMO, ed25519.PUBLIC_KEY_MEMO,
                 mlkem.ENCAPS_MEMO, mlkem.DECAPS_MEMO, aes.CTR_MEMO)

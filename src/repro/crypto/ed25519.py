@@ -502,8 +502,7 @@ def verify_batch(items) -> list:
     if len(items) == 1:
         return [verify(*items[0])]
     with TELEMETRY.span("crypto.ed25519.verify_batch",
-                        batch=len(items)), \
-            TELEMETRY.timer("crypto.ed25519.verify_seconds"):
+                        batch=len(items)):
         return _verify_batch(items)
 
 
@@ -692,15 +691,14 @@ class SigningKey:
     def sign(self, message: bytes) -> bytes:
         """Produce the 64-byte deterministic signature for ``message``.
 
-        The signature — only :meth:`_sign`'s work; the PERF tick, span
-        and timer here run on every call — is memoized in
+        The signature — only :meth:`_sign`'s work; the PERF tick and
+        span here run on every call — is memoized in
         :data:`SIGN_MEMO` on the exact ``(secret, message)`` bytes, as
         :func:`verify` memoizes verdicts."""
         if PERF.enabled:
             PERF.inc("crypto.ed25519.sign")
         with TELEMETRY.span("crypto.ed25519.sign",
-                            message_bytes=len(message)), \
-                TELEMETRY.timer("crypto.ed25519.sign_seconds"):
+                            message_bytes=len(message)):
             return SIGN_MEMO.get_or_build(
                 (self.secret, bytes(message)),
                 lambda: self._sign(message))
@@ -721,8 +719,7 @@ def sign(secret: bytes, message: bytes) -> bytes:
     if PERF.enabled:
         PERF.inc("crypto.ed25519.sign")
     with TELEMETRY.span("crypto.ed25519.sign",
-                        message_bytes=len(message)), \
-            TELEMETRY.timer("crypto.ed25519.sign_seconds"):
+                        message_bytes=len(message)):
         return _sign(secret, message)
 
 
@@ -749,8 +746,8 @@ VERDICT_MEMO = Memo(maxsize=1024)
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """Check an Ed25519 signature; returns False on any malformation.
 
-    The verdict — only :func:`_verify`'s work; the PERF tick, span and
-    timer here run on every call — is memoized on the exact argument
+    The verdict — only :func:`_verify`'s work; the PERF tick and span
+    here run on every call — is memoized on the exact argument
     bytes, and a hit replays the PERF delta of the verification it
     stands for.  That is sound because a verdict is a function of
     those bytes alone: :mod:`repro.crypto` has no fault hook site (a
@@ -763,8 +760,7 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if PERF.enabled:
         PERF.inc("crypto.ed25519.verify")
     with TELEMETRY.span("crypto.ed25519.verify",
-                        message_bytes=len(message)), \
-            TELEMETRY.timer("crypto.ed25519.verify_seconds"):
+                        message_bytes=len(message)):
         return VERDICT_MEMO.get_or_build(
             (bytes(public), bytes(message), bytes(signature)),
             lambda: _verify(public, message, signature))

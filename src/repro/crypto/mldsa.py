@@ -584,8 +584,7 @@ class MLDSASigner:
         if PERF.enabled:
             PERF.inc("crypto.mldsa.sign")
         with TELEMETRY.span("crypto.mldsa.sign",
-                            message_bytes=len(message)), \
-                TELEMETRY.timer("crypto.mldsa.sign_seconds"):
+                            message_bytes=len(message)):
             return self._sign(message, context, randomize, _trace)
 
     def _sign(self, message: bytes, context: bytes, randomize: bool,
@@ -618,8 +617,7 @@ class MLDSASigner:
             PERF.inc("crypto.mldsa.sign", len(messages))
             PERF.inc("crypto.mldsa.batch_sign_lanes", len(messages))
         with TELEMETRY.span("crypto.mldsa.sign_many",
-                            batch=len(messages)), \
-                TELEMETRY.timer("crypto.mldsa.sign_seconds"):
+                            batch=len(messages)):
             return self._sign_many(messages, context, randomize)[0]
 
     def _sign_many(self, messages: list, context: bytes,
@@ -730,8 +728,7 @@ class MLDSAVerifier:
         if PERF.enabled:
             PERF.inc("crypto.mldsa.verify")
         with TELEMETRY.span("crypto.mldsa.verify",
-                            message_bytes=len(message)), \
-                TELEMETRY.timer("crypto.mldsa.verify_seconds"):
+                            message_bytes=len(message)):
             return _verify_lanes(self.params, [self], [message],
                                  [signature], context)[0]
 
@@ -748,8 +745,7 @@ class MLDSAVerifier:
             PERF.inc("crypto.mldsa.verify", len(messages))
             PERF.inc("crypto.mldsa.batch_verify_lanes", len(messages))
         with TELEMETRY.span("crypto.mldsa.verify_many",
-                            batch=len(messages)), \
-                TELEMETRY.timer("crypto.mldsa.verify_seconds"):
+                            batch=len(messages)):
             return _verify_lanes(self.params, [self] * len(messages),
                                  messages, signatures, context)
 
@@ -939,8 +935,7 @@ class MLDSA:
         if PERF.enabled:
             PERF.inc("crypto.mldsa.sign")
         with TELEMETRY.span("crypto.mldsa.sign",
-                            message_bytes=len(message)), \
-                TELEMETRY.timer("crypto.mldsa.sign_seconds"):
+                            message_bytes=len(message)):
             return self._sign(secret, message, context, randomize,
                               _trace)
 
@@ -957,8 +952,7 @@ class MLDSA:
         if PERF.enabled:
             PERF.inc("crypto.mldsa.verify")
         with TELEMETRY.span("crypto.mldsa.verify",
-                            message_bytes=len(message)), \
-                TELEMETRY.timer("crypto.mldsa.verify_seconds"):
+                            message_bytes=len(message)):
             return self._verify(public, message, signature, context)
 
     def _verify(self, public: bytes, message: bytes, signature: bytes,
@@ -987,8 +981,7 @@ class MLDSA:
             PERF.inc("crypto.mldsa.verify", len(messages))
             PERF.inc("crypto.mldsa.batch_verify_lanes", len(messages))
         with TELEMETRY.span("crypto.mldsa.verify_many",
-                            batch=len(messages)), \
-                TELEMETRY.timer("crypto.mldsa.verify_seconds"):
+                            batch=len(messages)):
             return self._verify_many(publics, messages, signatures,
                                      context)
 

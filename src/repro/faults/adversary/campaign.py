@@ -41,6 +41,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
+from ...crypto import RESULT_MEMOS
 from ...obs import TELEMETRY
 from ...obs.audit import AUDIT
 from ...obs.coverage import CoverageMap
@@ -318,6 +319,11 @@ class AdversaryCampaign:
             families=[f.name for f in self.families],
             hardened=sorted(self._hardened))
         self.corpus_records = []
+        # Cold start, as a fault campaign's: the crypto result memos are
+        # cleared before any case runs or forks, so a campaign's cost
+        # is its own.
+        for memo in RESULT_MEMOS:
+            memo.clear()
         if AUDIT.enabled:
             AUDIT.emit("faults.adversary", "campaign-start",
                        seed=self.seed, generations=generations,

@@ -11,9 +11,9 @@ two campaigns with the same seed produce byte-identical canonical JSON
 Artifacts ride on the existing observability machinery: per-run
 records export as JSONL via :func:`repro.obs.export.write_jsonl`; when
 :data:`repro.obs.TELEMETRY` is enabled the runner emits spans for the
-whole campaign, the golden phase, planning and every injection run,
-plus outcome-taxonomy counters (total and per scenario) and a
-``faults.fired_per_run`` histogram in ``metrics.json``.
+whole campaign, the golden phase, planning and every injection run.
+Each run span carries its scenario, outcome and number of faults
+fired; the campaign span carries the ``outcome.*`` totals.
 """
 
 from __future__ import annotations
@@ -302,13 +302,6 @@ def _execute_one(index: int, scenario, spec, golden: dict,
         if TELEMETRY.enabled:
             run_span.set_attr("outcome", outcome.value)
             run_span.set_attr("fired", len(events))
-            TELEMETRY.counter("faults.runs").inc()
-            TELEMETRY.counter(f"faults.outcome.{outcome.value}").inc()
-            TELEMETRY.counter(
-                f"faults.outcome.{scenario.name}."
-                f"{outcome.value}").inc()
-            TELEMETRY.histogram(
-                "faults.fired_per_run").observe(len(events))
     return RunRecord(
         index=index, scenario=scenario.name, site=spec.site,
         model=spec.model, trigger=spec.trigger, count=spec.count,

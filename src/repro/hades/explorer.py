@@ -160,15 +160,10 @@ def _exhaustive_shard(state, shard) -> tuple:
     serial stream, so the merged result is provably the serial one.
     """
     template, context, goals = state
-    obs_counter = TELEMETRY.counter("hades.evaluations") \
-        if TELEMETRY.enabled else None
     feasible = 0
     reductions = [_GoalReduction(goal) for goal in goals]
     for chunk in enumerate_chunks(template, context, shard=shard):
-        lanes = len(chunk.positions)
-        feasible += lanes
-        if obs_counter is not None:
-            obs_counter.inc(lanes)
+        feasible += len(chunk.positions)
         for reduction in reductions:
             reduction.fold(chunk)
     return feasible, [reduction.dump() for reduction in reductions]
@@ -246,9 +241,6 @@ class ExhaustiveExplorer:
             span.set_attr("explored", total)
             span.set_attr("feasible", feasible)
             span.set_attr("jobs", jobs)
-            if elapsed > 0:
-                TELEMETRY.gauge("hades.evals_per_sec").set(
-                    feasible / elapsed)
         results = {}
         for position, goal in enumerate(goals):
             results[goal] = ExplorationResult(
@@ -336,8 +328,6 @@ def _descend(index: DesignIndex, price, priced: dict, rank: int,
             hits += 1
         else:
             visited.add(rank)
-            if TELEMETRY.enabled:
-                TELEMETRY.counter("hades.evaluations").inc()
             if rank not in priced:
                 priced[rank] = price(rank)
         return priced[rank]
@@ -447,9 +437,6 @@ class LocalSearchExplorer:
                 span.set_attr("evaluations", total_evaluations)
                 span.set_attr("cache_hits", cache_hits)
                 span.set_attr("jobs", jobs)
-                if elapsed > 0:
-                    TELEMETRY.gauge("hades.evals_per_sec").set(
-                        total_evaluations / elapsed)
             return ExplorationResult(
                 template_name=self.template.name, goal=goal, best=best,
                 explored=total_evaluations, feasible=feasible,

@@ -1,12 +1,13 @@
-"""Cross-subsystem observability: tracing, metrics, perf counters,
-benchmark artifacts.
+"""Cross-subsystem observability: tracing, perf counters, benchmark
+artifacts.
 
-Zero-dependency instrumentation layer (ISSUE 1 + ISSUE 3) shared by
-every subsystem of the reproduction:
+Zero-dependency instrumentation layer shared by every subsystem of the
+reproduction.  Each observation has one record: a span carries a
+region's wall time and the counts it produced (attrs), and
+:data:`PERF` carries architectural events.
 
 * :mod:`~repro.obs.tracer` — structured nested spans with JSONL export;
   each span carries the perf-counter delta counted while it ran,
-* :mod:`~repro.obs.metrics` — counters, gauges, histograms (p50/95/99),
 * :mod:`~repro.obs.telemetry` — the global :data:`TELEMETRY` facade
   with an explicit no-op mode (disabled = one attribute check),
 * :mod:`~repro.obs.perf` — the global :data:`PERF` architectural
@@ -27,8 +28,8 @@ every subsystem of the reproduction:
   typed ``obs.detect`` events,
 * :mod:`~repro.obs.export` — atomic JSONL/text artifact persistence,
 * :mod:`~repro.obs.report` — per-span aggregation (cumulative/self
-  time and self events) and flamegraph-style collapsed stacks, behind
-  ``scripts/trace_report.py``.
+  time, p50/p95/p99 durations and self events) and flamegraph-style
+  collapsed stacks, behind ``scripts/trace_report.py``.
 
 Quick use::
 
@@ -36,16 +37,16 @@ Quick use::
 
     TELEMETRY.enabled = True
     with counting() as window:
-        with TELEMETRY.span("my.phase", size=42):
-            TELEMETRY.counter("my.items").inc()
+        with TELEMETRY.span("my.phase", size=42) as span:
+            span.set_attr("items", 1)
     assert window.delta().get("soc.pmp.checks", 0) >= 0
-    TELEMETRY.export("out/")        # out/trace.jsonl + out/metrics.json
+    TELEMETRY.export("out/")        # out/trace.jsonl
 
 Telemetry and perf counting are **off by default**; enable per process
 with ``REPRO_TELEMETRY=1`` / ``REPRO_PERF=1`` or per call site with
 ``TELEMETRY.enabled = True`` / :func:`counting`.  The facades are
 single-process and take no locks: parallel runs fork workers, which
-ship their spans, metrics and counts home to the parent
+ship their spans and counts home to the parent
 (:mod:`repro.runtime.capture`).
 """
 
@@ -60,11 +61,9 @@ from .export import atomic_write_text, read_jsonl, write_jsonl
 from .history import (SCHEMA_VERSION, append_entry, append_run,
                       detect_regressions, format_regressions,
                       load_history, make_entry, trend_table)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      percentile)
 from .perf import (PERF, CountingWindow, PerfCounters, PerfSnapshot,
                    counting)
-from .report import collapsed, format_metrics, format_report, summarize
+from .report import collapsed, format_report, summarize
 from .telemetry import TELEMETRY, Telemetry
 from .tracer import Span, Tracer
 
@@ -82,7 +81,6 @@ __all__ = [
     "AnomalyEngine", "Detection", "WindowThresholdDetector",
     "standard_detectors",
     "CoverageMap", "log_bucket", "signature",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile",
     "read_jsonl", "write_jsonl", "atomic_write_text",
-    "summarize", "format_report", "format_metrics", "collapsed",
+    "summarize", "format_report", "collapsed",
 ]

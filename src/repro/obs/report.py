@@ -7,11 +7,21 @@ events (the ``events`` delta each span carries, see
 :mod:`repro.obs.tracer`) get the same self attribution, both per span
 name and per call path as flamegraph collapsed stacks
 (:func:`collapsed`).  Because the counters are deterministic, two runs
-of the same workload give byte-identical collapsed profiles.  This is
-the library behind ``scripts/trace_report.py``.
+of the same workload give byte-identical collapsed profiles.  The
+latency distribution of a span name is read off its spans' durations
+(p50/p95/p99, nearest rank).  This is the library behind
+``scripts/trace_report.py``.
 """
 
 from __future__ import annotations
+
+
+def percentile(sorted_samples: list, fraction: float) -> float:
+    """Nearest-rank percentile over an already-sorted sample list."""
+    if not sorted_samples:
+        return 0.0
+    rank = max(1, int(len(sorted_samples) * fraction + 0.5))
+    return sorted_samples[min(rank, len(sorted_samples)) - 1]
 
 
 def _events(record: dict) -> int:
@@ -34,11 +44,15 @@ def _self_events(records: list) -> list:
             for record in records if record.get("events") is not None]
 
 
+_PERCENTILES = (("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99))
+
+
 def summarize(records: list) -> dict:
     """Aggregate trace records into ``{span name: stats dict}``.
 
     Stats per name: ``count``, ``total_s`` (cumulative), ``self_s``,
-    ``min_s``, ``max_s``, ``mean_s``, ``errors`` and ``self_events``
+    ``min_s``, ``max_s``, ``mean_s``, the duration percentiles
+    ``p50_s``, ``p95_s`` and ``p99_s``, ``errors`` and ``self_events``
     (events summed over kinds, minus the direct children's).
     """
     child_time = {}
@@ -48,24 +62,25 @@ def summarize(records: list) -> dict:
             child_time[parent] = child_time.get(parent, 0.0) + \
                 record["duration_s"]
     summary = {}
+    durations = {}
     for record in records:
         stats = summary.setdefault(record["name"], {
-            "count": 0, "total_s": 0.0, "self_s": 0.0,
-            "min_s": float("inf"), "max_s": 0.0, "errors": 0,
+            "count": 0, "total_s": 0.0, "self_s": 0.0, "errors": 0,
             "self_events": 0})
         duration = record["duration_s"]
+        durations.setdefault(record["name"], []).append(duration)
         stats["count"] += 1
         stats["total_s"] += duration
         stats["self_s"] += duration - child_time.get(
             record["span_id"], 0.0)
-        stats["min_s"] = min(stats["min_s"], duration)
-        stats["max_s"] = max(stats["max_s"], duration)
         if record.get("status") == "error":
             stats["errors"] += 1
-    for stats in summary.values():
+    for name, stats in summary.items():
+        ordered = sorted(durations[name])
+        stats["min_s"], stats["max_s"] = ordered[0], ordered[-1]
         stats["mean_s"] = stats["total_s"] / stats["count"]
-        if stats["min_s"] == float("inf"):
-            stats["min_s"] = 0.0
+        for key, fraction in _PERCENTILES:
+            stats[key] = percentile(ordered, fraction)
     for record, events in _self_events(records):
         summary[record["name"]]["self_events"] += events
     return summary
@@ -107,11 +122,13 @@ def format_report(summary: dict, sort: str = "cumulative",
     if sort not in _SORT_KEYS:
         raise ValueError(f"sort must be one of {sorted(_SORT_KEYS)}")
     ordered = sorted(summary.items(), key=_SORT_KEYS[sort])[:top]
-    header = ["span", "count", "total s", "self s", "mean s", "max s",
-              "self events"]
-    rows = [[name, str(stats["count"]), f"{stats['total_s']:.6f}",
-             f"{stats['self_s']:.6f}", f"{stats['mean_s']:.6f}",
-             f"{stats['max_s']:.6f}", str(stats["self_events"])]
+    header = ["span", "count", "total s", "self s", "mean s", "p50 s",
+              "p95 s", "p99 s", "max s", "self events"]
+    rows = [[name, str(stats["count"]),
+             *(f"{stats[key]:.6f}" for key in (
+                 "total_s", "self_s", "mean_s", "p50_s", "p95_s", "p99_s",
+                 "max_s")),
+             str(stats["self_events"])]
             for name, stats in ordered]
     widths = [max(len(header[i]), max((len(r[i]) for r in rows),
                                       default=0))
@@ -121,21 +138,4 @@ def format_report(summary: dict, sort: str = "cumulative",
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def format_metrics(snapshot: dict) -> str:
-    """Render a metrics snapshot (one line per instrument)."""
-    lines = ["metrics", ""]
-    for name in sorted(snapshot):
-        entry = snapshot[name]
-        kind = entry.get("type", "?")
-        if kind == "histogram" and entry.get("count"):
-            lines.append(
-                f"{name}  [{kind}]  count={entry['count']} "
-                f"mean={entry['mean']:.6g} p50={entry['p50']:.6g} "
-                f"p95={entry['p95']:.6g} p99={entry['p99']:.6g}")
-        else:
-            lines.append(f"{name}  [{kind}]  "
-                         f"value={entry.get('value', 0)}")
     return "\n".join(lines) + "\n"

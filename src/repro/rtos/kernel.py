@@ -214,10 +214,20 @@ class Kernel:
         """Run the scheduler for ``max_ticks`` or until all tasks end."""
         with TELEMETRY.span("rtos.kernel.run", max_ticks=max_ticks,
                             protected=self.protected) as span:
+            start_tick = self.tick
             stats = self._run_loop(max_ticks)
             if TELEMETRY.enabled:
+                # One scheduling decision per elapsed tick, plus the
+                # one that found nothing left to run and ended early.
+                elapsed = self.tick - start_tick
+                kinds = [event.kind for event in self.events]
                 span.set_attr("ticks", stats.ticks)
                 span.set_attr("faults", stats.faults)
+                span.set_attr("scheduler_decisions",
+                              elapsed + (elapsed < max_ticks))
+                span.set_attr("pmp_faults", kinds.count("access-fault"))
+                span.set_attr("stack_overflows",
+                              kinds.count("stack-overflow"))
             return stats
 
     def _run_loop(self, max_ticks: int) -> KernelStats:
@@ -226,8 +236,6 @@ class Kernel:
             self._wake_delayed()
             self._check_deadlines()
             task = self._pick()
-            if TELEMETRY.enabled:
-                TELEMETRY.counter("rtos.scheduler_decisions").inc()
             if task is None:
                 live = any(t.state in (TaskState.BLOCKED,
                                        TaskState.DELAYED,
@@ -240,8 +248,6 @@ class Kernel:
                 continue
             if task is not self._running:
                 self.stats.context_switches += 1
-                if TELEMETRY.enabled:
-                    TELEMETRY.counter("rtos.context_switches").inc()
                 if PERF.enabled:
                     PERF.inc("rtos.context_switches")
                 self.mpu.install(task)
@@ -264,8 +270,6 @@ class Kernel:
                 task.fault = fault
                 self.stats.faults += 1
                 self.stats.contained_faults += 1
-                if TELEMETRY.enabled:
-                    TELEMETRY.counter("rtos.pmp_faults").inc()
                 if PERF.enabled:
                     PERF.inc("rtos.faults_contained")
                 if AUDIT.enabled:
@@ -281,8 +285,6 @@ class Kernel:
                 task.fault = fault
                 self.stats.faults += 1
                 self.stats.contained_faults += 1
-                if TELEMETRY.enabled:
-                    TELEMETRY.counter("rtos.stack_overflows").inc()
                 if PERF.enabled:
                     PERF.inc("rtos.faults_contained")
                 if AUDIT.enabled:

@@ -12,7 +12,7 @@ campaign JSON, equal merged counter totals).
   :func:`run_sharded` engine (templates with lambda cost functions
   cannot pickle; forked children inherit them),
 * :mod:`~repro.runtime.capture` — per-task worker observability
-  capture (PERF deltas, metric deltas, finished spans) merged back
+  capture (PERF deltas, finished spans, audit events) merged back
   into the parent facades,
 * :mod:`~repro.runtime.memo` — the bounded LRU cache behind the
   adversary campaign's case dedup, the attestation service's session

@@ -1,7 +1,7 @@
 """Worker-side observability capture and parent-side merge.
 
 A forked pool worker inherits the parent's :data:`~repro.obs.PERF`
-counter file, telemetry registry and tracer — including everything the
+counter file and telemetry tracer — including everything the
 parent already recorded.  :func:`worker_setup` (run once per worker
 process from the pool initializer) resets those inherited copies so the
 worker counts only its own activity; :func:`capture_begin` /
@@ -10,8 +10,7 @@ tasks) and produce a small picklable payload; :func:`merge_capture`
 folds that payload back into the parent's facades.
 
 The merge obeys the determinism contract of the executor: counter
-increments and histogram samples are commutative, payloads are merged
-in shard-index order, and span batches are re-parented under the span
+increments are commutative, payloads are merged in shard-index order, and span batches are re-parented under the span
 that fanned the work out — so enabled-observability totals are
 identical for any worker count, which the parity tests assert.
 """
@@ -26,15 +25,14 @@ from ..obs.telemetry import TELEMETRY
 def worker_setup() -> None:
     """Reset fork-inherited observability state in a new pool worker.
 
-    Drops inherited perf counts, metric values, finished spans and the
-    parent's open-span stack.  Switch states (enabled / disabled) are
+    Drops inherited perf counts, finished spans and the parent's
+    open-span stack.  Switch states (enabled / disabled) are
     deliberately kept — they are how the parent tells workers whether
     to count at all.  The inherited audit ledger is likewise reset to
     a bare event recorder: workers ship plain event bodies home and
     only the parent chains, signs and runs detection.
     """
     PERF.reset()
-    TELEMETRY.metrics.clear()
     TELEMETRY.tracer.reset_worker()
     AUDIT.reset_worker()
 
@@ -45,10 +43,8 @@ def capture_begin():
         return None
     return {
         "perf": PERF.snapshot() if PERF.enabled else None,
-        "metrics": TELEMETRY.metrics.mark() if TELEMETRY.enabled
-        else None,
         "spans": TELEMETRY.tracer.finished_count()
-        if TELEMETRY.enabled else 0,
+        if TELEMETRY.enabled else None,
         "audit": AUDIT.mark() if AUDIT.enabled else None,
     }
 
@@ -64,14 +60,11 @@ def capture_end(mark) -> dict:
         delta = PERF.snapshot() - mark["perf"]
         if delta:
             capture["perf"] = dict(delta)
-    if mark["metrics"] is not None:
-        delta = TELEMETRY.metrics.delta_since(mark["metrics"])
-        if delta:
-            capture["metrics"] = delta
+    if mark["spans"] is not None:
         spans = TELEMETRY.tracer.records_since(mark["spans"])
         if spans:
             capture["spans"] = spans
-    if mark.get("audit") is not None:
+    if mark["audit"] is not None:
         bodies = AUDIT.bodies_since(mark["audit"])
         if bodies:
             capture["audit"] = bodies
@@ -95,11 +88,6 @@ def merge_capture(capture) -> None:
         # path, so listeners (detections) and cadence checkpoints land
         # at the same stream positions as a serial run.
         AUDIT.merge_bodies(bodies)
-    if not TELEMETRY.enabled:
-        return
-    metrics = capture.get("metrics")
-    if metrics:
-        TELEMETRY.metrics.merge_delta(metrics)
     spans = capture.get("spans")
-    if spans:
+    if spans and TELEMETRY.enabled:
         TELEMETRY.tracer.merge_records(spans)

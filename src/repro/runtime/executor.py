@@ -30,9 +30,9 @@ consulted, scaled down when the work is too small to amortise a pool
 exactly the pre-parallel code path.
 
 Observability crosses the process boundary explicitly: each worker
-task captures its :data:`~repro.obs.PERF` counter delta, telemetry
-metric delta and finished spans (:mod:`repro.runtime.capture`) and the
-parent merges them, so counter totals are identical for any worker
+task captures its :data:`~repro.obs.PERF` counter delta, finished
+spans and audit events (:mod:`repro.runtime.capture`) and the parent
+merges them, so counter totals are identical for any worker
 count and worker spans nest under the span that fanned out.
 """
 

@@ -282,8 +282,7 @@ class SecurityMonitor:
         if self._sm_ed_signer is None:
             self._sm_ed_signer = ed25519.SigningKey(
                 self.boot_report.sm_ed25519_seed)
-        with TELEMETRY.span("tee.attest.sign", scheme="ed25519"), \
-                TELEMETRY.timer("tee.attest.sign_seconds"):
+        with TELEMETRY.span("tee.attest.sign", scheme="ed25519"):
             report.enclave_signature = self._sign_with_stack(
                 self._sm_ed_signer.sign, ED25519_SIGNING_STACK, payload)
         if self.config.post_quantum:
@@ -292,8 +291,7 @@ class SecurityMonitor:
                     self.boot_report.sm_mldsa_seed)
                 self._sm_mldsa_signer = self._mldsa.signer(
                     self._sm_mldsa_secret)
-            with TELEMETRY.span("tee.attest.sign", scheme="mldsa"), \
-                    TELEMETRY.timer("tee.attest.sign_seconds"):
+            with TELEMETRY.span("tee.attest.sign", scheme="mldsa"):
                 report.enclave_pq_signature = self._sign_with_stack(
                     self._sm_mldsa_signer.sign,
                     self._mldsa.signing_stack_bytes, payload)
@@ -353,8 +351,7 @@ class SecurityMonitor:
             if self._sm_ed_signer is None:
                 self._sm_ed_signer = ed25519.SigningKey(
                     self.boot_report.sm_ed25519_seed)
-            with TELEMETRY.span("tee.attest.sign", scheme="ed25519"), \
-                    TELEMETRY.timer("tee.attest.sign_seconds"):
+            with TELEMETRY.span("tee.attest.sign", scheme="ed25519"):
                 for report, payload in zip(reports, payloads):
                     report.enclave_signature = self._sign_with_stack(
                         self._sm_ed_signer.sign, ED25519_SIGNING_STACK,
@@ -365,8 +362,7 @@ class SecurityMonitor:
                 self._sm_mldsa_signer = self._mldsa.signer(
                     self._sm_mldsa_secret)
             with TELEMETRY.span("tee.attest.sign", scheme="mldsa",
-                                batch=len(payloads)), \
-                    TELEMETRY.timer("tee.attest.sign_seconds"):
+                                batch=len(payloads)):
                 if PERF.enabled:
                     PERF.inc("tee.sm.signs", len(payloads))
                 self.stack.push_frame(self._mldsa.signing_stack_bytes)

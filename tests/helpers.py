@@ -21,10 +21,8 @@ def injected(*specs):
 
 
 def reset_telemetry(telemetry=TELEMETRY) -> None:
-    """Drop ``telemetry``'s collected spans and metrics; keep its
-    switch."""
+    """Drop ``telemetry``'s collected spans; keep its switch."""
     telemetry.tracer.finished = []
-    telemetry.metrics.clear()
 
 
 def search_outcome(template, context, seed, starts, jobs) -> tuple:

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.crypto import RESULT_MEMOS
 from repro.faults.adversary import (AdversaryCampaign, AdversaryCase,
                                     load_corpus, replay, run_case,
                                     standard_adversary_campaign,
@@ -43,6 +44,26 @@ class TestDeterminism:
             coverage=cover)
         assert parallel.canonical_json() == small.canonical_json()
         assert parallel.corpus_json() == small.corpus_json()
+
+    def test_warm_rerun_byte_identical(self):
+        """A campaign starts cold: rerun after a first run filled the
+        crypto result memos, its campaign JSON, corpus and coverage are
+        the same bytes, and each memo's hits and misses are those of
+        the cold run."""
+        def run():
+            cover = CoverageMap("adversary")
+            result = standard_adversary_campaign(
+                seed=SEED, generations=2, population=20, jobs=1,
+                coverage=cover)
+            return (result.canonical_json(), result.corpus_json(),
+                    cover.to_json(), [memo.stats() for memo in RESULT_MEMOS])
+
+        run()               # builds the process's one-time state first
+        for memo in RESULT_MEMOS:
+            memo.clear()
+        cold = run()
+        assert any(stats["hits"] for stats in cold[3])
+        assert run() == cold
 
     def test_different_seed_different_campaign(self, small):
         other = standard_adversary_campaign(seed=SEED + 1,

@@ -79,16 +79,26 @@ class TestRunAllGoalsParity:
             assert serial[goal].best.configuration == \
                 parallel[goal].best.configuration
 
-    def test_single_traversal_cost(self, enabled_obs):
-        """All goals score in ONE pass: the evaluation counter equals
-        the feasible count, not goals x feasible."""
-        explorer = ExhaustiveExplorer(adder_mod_q(),
+    def test_single_traversal_cost(self):
+        """All goals score in ONE pass: ``run_all_goals()`` makes
+        exactly as many top-level cost calls (one per chunk) as one
+        ``run(goal)`` on the same template, not goals times as many."""
+        template = adder_mod_q()
+        cost, calls = template.cost, []
+
+        def counted(params, subs, context):
+            calls.append(params)
+            return cost(params, subs, context)
+
+        template.cost = counted
+        explorer = ExhaustiveExplorer(template,
                                       DesignContext(masking_order=1))
-        results = explorer.run_all_goals()
-        feasible = next(iter(results.values())).feasible
+        explorer.run(OptimizationGoal.AREA, jobs=1)
+        one_goal = len(calls)
+        calls.clear()
+        results = explorer.run_all_goals(jobs=1)
         assert len(results) == len(OptimizationGoal) > 1
-        assert TELEMETRY.metrics_snapshot()[
-            "hades.evaluations"]["value"] == feasible
+        assert len(calls) == one_goal > 0
 
     def test_goal_results_match_individual_runs(self):
         explorer = ExhaustiveExplorer(keccak())
@@ -133,17 +143,21 @@ class TestCampaignParity:
             perf = dict(PERF.snapshot())
             perf.pop("runtime.pools", None)
             perf.pop("runtime.shards", None)
-            counters = {
-                name: snap["value"]
-                for name, snap in TELEMETRY.metrics_snapshot().items()
-                if snap.get("type") == "counter"}
-            hist = TELEMETRY.metrics_snapshot()["faults.fired_per_run"]
-            run_spans = sum(1 for r in TELEMETRY.tracer.snapshot()
-                            if r["name"] == "faults.campaign.run")
-            return (result.canonical_json(), perf, counters,
-                    hist["count"], hist["sum"], run_spans)
+            records = TELEMETRY.tracer.snapshot()
+            runs = [(r["attrs"]["scenario"], r["attrs"]["outcome"],
+                     r["attrs"]["fired"]) for r in records
+                    if r["name"] == "faults.campaign.run"]
+            (campaign,) = [r["attrs"] for r in records
+                           if r["name"] == "faults.campaign"]
+            totals = {key: value for key, value in campaign.items()
+                      if key.startswith("outcome.")}
+            return result.canonical_json(), perf, runs, totals
 
-        assert run(1) == run(4)
+        serial = run(1)
+        _, _, runs, totals = serial
+        assert len(runs) == sum(totals.values()) == 48
+        assert any(fired for _, _, fired in runs)
+        assert run(4) == serial
 
     def test_collapsed_profile_identical(self, enabled_obs):
         """Worker spans bring their events home, so every event lands
