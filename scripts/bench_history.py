@@ -13,7 +13,9 @@ so a perf failure is distinguishable from a test failure:
     python scripts/bench_history.py --no-record --check --trend \
         --wall-threshold 3.0
 
-``--check`` exits 1 when the newest entry regresses against history:
+``--check`` exits 1 when the newest entry regresses against history,
+or when that entry was not recorded from the summary on disk (so two
+committed entries are never judged as the change under test):
 wall time against the median of up to the last 5 prior runs of the
 same bench (a noisy, machine-dependent metric — hence the generous
 default threshold and the min-wall floor), architectural perf
@@ -67,20 +69,6 @@ def main(argv=None) -> int:
                         help="relative wall-time slowdown tolerated "
                              "vs the baseline median (default: "
                              f"{history.DEFAULT_WALL_THRESHOLD})")
-    parser.add_argument("--counter-threshold", type=float,
-                        default=history.DEFAULT_COUNTER_THRESHOLD,
-                        help="relative counter growth tolerated vs "
-                             "the previous run (default: "
-                             f"{history.DEFAULT_COUNTER_THRESHOLD})")
-    parser.add_argument("--min-wall-s", type=float,
-                        default=history.DEFAULT_MIN_WALL_S,
-                        help="ignore wall regressions on benches "
-                             "whose baseline is below this many "
-                             "seconds (default: "
-                             f"{history.DEFAULT_MIN_WALL_S})")
-    parser.add_argument("--last", type=int, default=8,
-                        help="how many recent runs the trend table "
-                             "shows (default: 8)")
     args = parser.parse_args(argv)
 
     if not args.no_record:
@@ -104,13 +92,19 @@ def main(argv=None) -> int:
 
     if args.trend or not args.check:
         print()
-        print(history.trend_table(entries, last=args.last))
+        print(history.trend_table(entries))
 
     if args.check:
+        newest = entries[-1]
+        if not args.summary.exists() or newest.get("summary_sha256") != \
+                history.summary_digest(json.loads(args.summary.read_text())):
+            print(f"refusing to gate: the newest entry (run "
+                  f"{newest.get('run')}) was not recorded from "
+                  f"{args.summary}; record it first "
+                  "(python scripts/bench_history.py)")
+            return 1
         regressions = history.detect_regressions(
-            entries, wall_threshold=args.wall_threshold,
-            counter_threshold=args.counter_threshold,
-            min_wall_s=args.min_wall_s)
+            entries, wall_threshold=args.wall_threshold)
         print()
         print(history.format_regressions(regressions))
         if regressions:

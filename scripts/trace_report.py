@@ -2,10 +2,10 @@
 """Summarize a repro.obs JSONL trace from the command line.
 
     PYTHONPATH=src python scripts/trace_report.py \
-        benchmarks/results/trace.jsonl --sort self --top 15
+        benchmarks/results/trace.jsonl --top 15
 
-Prints the top spans by cumulative or self time (or call count), each
-with its p50/p95/p99 duration.
+Prints the top spans by cumulative time, each with its self time and
+its p50/p95/p99 duration.
 
 With ``--collapsed`` the report additionally renders the trace's
 collapsed-stack profile (:func:`repro.obs.collapsed`: self events per
@@ -61,10 +61,6 @@ def main(argv=None) -> int:
         description="summarize a repro.obs JSONL trace")
     parser.add_argument("trace", type=pathlib.Path,
                         help="path to a trace.jsonl file")
-    parser.add_argument("--sort", choices=("cumulative", "self",
-                                           "count"),
-                        default="cumulative",
-                        help="ranking key for the span table")
     parser.add_argument("--top", type=int, default=20,
                         help="number of span rows to print")
     parser.add_argument("--collapsed", action="store_true",
@@ -84,7 +80,8 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.trace}: {len(records)} spans, "
           f"{len(summary)} distinct names\n")
-    print(format_report(summary, sort=args.sort, top=args.top))
+    print(format_report(summary, top=args.top))
+
     if args.collapsed:
         print()
         print(format_collapsed(collapsed(records), top=args.top))

@@ -28,6 +28,9 @@ from .kmeans import KMeans
 from .macro import (DigitalCimMacro, WEIGHT_MAX, one_hot, subset_mask)
 from .power import PowerModel, STATIC_POWER, ENERGY_PER_TOGGLE
 
+#: Known weights a phase-2 companion search draws from.
+COMPANION_POOL = 8
+
 
 def values_with_hamming_weight(hw: int) -> list:
     """All 4-bit values of a given Hamming weight."""
@@ -104,13 +107,13 @@ class WeightExtractionAttack:
 
     # -- phase 1 -----------------------------------------------------------
 
-    def phase1_cluster(self, seed: int = 0) -> Phase1Result:
+    def phase1_cluster(self) -> Phase1Result:
         """Activate each weight alone, cluster mean powers into 5 HW
         classes (Fig. 1)."""
         with TELEMETRY.span("cim.phase1", weights=len(self.macro)):
-            return self._phase1_cluster(seed)
+            return self._phase1_cluster()
 
-    def _phase1_cluster(self, seed: int) -> Phase1Result:
+    def _phase1_cluster(self) -> Phase1Result:
         length = len(self.macro)
         means = []
         with TELEMETRY.span("cim.phase1.trace_generation",
@@ -120,7 +123,7 @@ class WeightExtractionAttack:
                 means.append(self._measure(mask))
         with TELEMETRY.span("cim.phase1.clustering"):
             n_clusters = min(5, len(set(np.round(means, 6))))
-            km = KMeans(n_clusters=n_clusters, seed=seed).fit(means)
+            km = KMeans(n_clusters=n_clusters).fit(means)
         # Order clusters by mean power: lowest power -> lowest HW.
         order = np.argsort(km.centers_[:, 0])
         # Map each cluster to an HW value using its nearest noise-free
@@ -143,8 +146,7 @@ class WeightExtractionAttack:
 
     # -- phase 2 -----------------------------------------------------------
 
-    def _companion_subsets(self, known: dict, max_size: int = 4,
-                           pool_limit: int = 8):
+    def _companion_subsets(self, known: dict, max_size: int = 4):
         """Candidate companion sets, cheapest first (the exhaustive
         search that 'minimizes additions').
 
@@ -152,7 +154,7 @@ class WeightExtractionAttack:
         value (value diversity separates candidates fastest) topped up
         with extra copies of the largest value (stacked identical
         companions distinguish residue classes, e.g. {7, 11} need
-        four 15s), capped at ``pool_limit`` to bound the search.
+        four 15s), capped at ``COMPANION_POOL`` to bound the search.
         """
         indices = sorted((i for i in known if known[i] != 0),
                          key=lambda i: -known[i])
@@ -163,7 +165,7 @@ class WeightExtractionAttack:
                 pool.append(index)
                 seen_values.add(known[index])
         for index in indices:
-            if len(pool) >= pool_limit:
+            if len(pool) >= COMPANION_POOL:
                 break
             if index not in pool:
                 pool.append(index)
@@ -244,18 +246,18 @@ class WeightExtractionAttack:
         remaining_b = sorted({pair[1] for pair in pairs})
         return remaining_a, remaining_b
 
-    def run(self, seed: int = 0, tolerance: float = 1e-6) -> AttackResult:
+    def run(self, tolerance: float = 1e-6) -> AttackResult:
         """The full two-phase extraction."""
         with TELEMETRY.span("cim.attack.run",
                             weights=len(self.macro)) as span:
-            result = self._run(seed, tolerance)
+            result = self._run(tolerance)
             if TELEMETRY.enabled:
                 span.set_attr("queries_used", self.queries_used)
                 span.set_attr("unresolved", len(result.unresolved))
             return result
 
-    def _run(self, seed: int, tolerance: float) -> AttackResult:
-        phase1 = self.phase1_cluster(seed=seed)
+    def _run(self, tolerance: float) -> AttackResult:
+        phase1 = self.phase1_cluster()
         length = len(self.macro)
         recovered = [None] * length
         known = {}
@@ -344,14 +346,13 @@ class WeightExtractionAttack:
         return pending
 
 
-def phase2_power_patterns(values: list, companion_value: int,
-                          length: int = 16) -> dict:
+def phase2_power_patterns(values: list, companion_value: int) -> dict:
     """The data behind Fig. 2: predicted power of activating each
     candidate value with and without a known companion weight.
 
     Returns ``{value: (power_alone, power_with_companion)}``.
     """
-    patterns = {}
+    patterns, length = {}, 16
     for value in values:
         weights = [0] * length
         weights[0] = value

@@ -75,8 +75,7 @@ class MaskedCimMacro(DigitalCimMacro):
             toggles += tree_activity
             total += share_sum
         true_total = sum(bit * w for bit, w in zip(inputs, self.weights))
-        new_mac = true_total if not self.accumulate \
-            else self.mac_register + true_total
+        new_mac = true_total
         # The recombination register is dual-rail balanced: its
         # contribution is constant per operation.
         toggles += self.tree.depth + 1

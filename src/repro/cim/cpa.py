@@ -35,7 +35,11 @@ from .adder_tree import hamming_weight
 from .macro import DigitalCimMacro
 from .power import PowerModel
 
+#: Traces of the profiling clone that fix the per-class beta levels.
+PROFILE_TRACES = 3000
+
 #: Profiling weights covering every 4-bit value once (all HW classes).
+
 PROFILING_WEIGHTS = (0, 1, 3, 7, 15, 2, 5, 11, 4, 6, 13, 8, 9, 14, 10,
                      12)
 
@@ -76,10 +80,11 @@ class CpaAttack:
         coefficients, *_ = np.linalg.lstsq(design, samples, rcond=None)
         return coefficients[1:]
 
-    def _profile_levels(self, traces: int) -> dict:
-        """Per-HW-class beta levels from a simulated clone with known,
-        class-diverse weights (the design is public; only the target's
-        SRAM contents are secret)."""
+    def _profile_levels(self) -> dict:
+        """Per-HW-class beta levels from ``PROFILE_TRACES`` traces of a
+        simulated clone with known, class-diverse weights (the design is
+        public; only the target's SRAM contents are secret)."""
+        traces = PROFILE_TRACES
         length = len(self.macro)
         profile_weights = [PROFILING_WEIGHTS[i % len(PROFILING_WEIGHTS)]
                            for i in range(length)]
@@ -94,10 +99,9 @@ class CpaAttack:
                 levels[hw] = float(np.mean(members))
         return levels
 
-    def run(self, traces: int = 2000,
-            profile_traces: int = 3000) -> CpaResult:
+    def run(self, traces: int = 2000) -> CpaResult:
         """Estimate every column's Hamming weight passively."""
-        levels = self._profile_levels(profile_traces)
+        levels = self._profile_levels()
         betas = self._observe_betas(self.macro, traces, self._rng)
         hw_estimates = [
             min(levels, key=lambda hw: abs(levels[hw] - beta))

@@ -18,14 +18,15 @@ class KMeans:
     promoted automatically (the attack clusters scalar mean powers).
     """
 
-    def __init__(self, n_clusters: int, n_init: int = 8,
-                 max_iter: int = 200, seed: int = 0):
+    #: Restarts per fit (the best inertia wins) and Lloyd iterations per
+    #: restart; restart ``r`` draws from ``default_rng(r)``.
+    N_INIT = 8
+    MAX_ITER = 200
+
+    def __init__(self, n_clusters: int):
         if n_clusters < 1:
             raise ValueError("need at least one cluster")
         self.n_clusters = n_clusters
-        self.n_init = n_init
-        self.max_iter = max_iter
-        self.seed = seed
         self.centers_ = None
         self.labels_ = None
         self.inertia_ = None
@@ -56,7 +57,7 @@ class KMeans:
     def _single_run(self, data: np.ndarray, rng) -> tuple:
         centers = self._init_centers(data, rng)
         labels = np.zeros(len(data), dtype=int)
-        for _ in range(self.max_iter):
+        for _ in range(self.MAX_ITER):
             distances = np.stack(
                 [np.sum((data - c) ** 2, axis=1) for c in centers])
             new_labels = np.argmin(distances, axis=0)
@@ -72,13 +73,13 @@ class KMeans:
         return centers, labels, inertia
 
     def fit(self, data) -> "KMeans":
-        """Cluster ``data``; keeps the best of ``n_init`` restarts."""
+        """Cluster ``data``; keeps the best of ``N_INIT`` restarts."""
         array = self._as_2d(data)
         if len(array) < self.n_clusters:
             raise ValueError("fewer samples than clusters")
         best = None
-        for run in range(self.n_init):
-            rng = np.random.default_rng(self.seed + run)
+        for run in range(self.N_INIT):
+            rng = np.random.default_rng(run)
             centers, labels, inertia = self._single_run(array, rng)
             if best is None or inertia < best[2]:
                 best = (centers, labels, inertia)

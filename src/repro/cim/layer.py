@@ -75,17 +75,16 @@ class LayerExtractionResult:
                 correct += int(recovered == true)
         return correct / total
 
-    def functionally_equivalent(self, layer: CimLayer,
-                                trials: int = 16,
-                                seed: int = 0) -> bool:
-        """Does the stolen matrix reproduce the victim's outputs?"""
+    def functionally_equivalent(self, layer: CimLayer) -> bool:
+        """Does the stolen matrix reproduce the victim's outputs on 16
+        random activation vectors?"""
         if any(w is None for row in self.recovered_matrix
                for w in row):
             return False
         stolen = CimLayer(self.recovered_matrix)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         _, width = layer.shape
-        for _ in range(trials):
+        for _ in range(16):
             activations = [int(b) for b in rng.integers(0, 2, width)]
             if stolen.infer(activations) != layer.infer(activations):
                 return False
@@ -101,20 +100,16 @@ class LayerExtractionAttack:
     single-macro attack.
     """
 
-    def __init__(self, layer: CimLayer, power: PowerModel = None,
-                 repetitions: int = 1):
+    def __init__(self, layer: CimLayer, power: PowerModel = None):
         self.layer = layer
         self.power = power or PowerModel()
-        self.repetitions = repetitions
 
-    def run(self, tolerance: float = 1e-6) -> LayerExtractionResult:
+    def run(self) -> LayerExtractionResult:
         recovered = []
         queries = []
         unresolved_rows = []
         for row_index, row in enumerate(self.layer.rows):
-            attack = WeightExtractionAttack(row, self.power,
-                                            self.repetitions)
-            result = attack.run(tolerance=tolerance)
+            result = WeightExtractionAttack(row, self.power, 1).run()
             recovered.append(result.recovered)
             queries.append(result.queries_used)
             if result.unresolved:

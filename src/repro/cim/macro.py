@@ -24,18 +24,16 @@ class DigitalCimMacro:
     ----------
     weights:
         The stored 4-bit weights (the IP the attack extracts).
-    accumulate:
-        If True the MAC register accumulates across operations; the
-        attack resets it per query (fresh accumulation), which is the
-        configuration the paper analyses.
+
+    Each operation replaces the MAC register (fresh accumulation), the
+    configuration the paper analyses.
     """
 
-    def __init__(self, weights: list, accumulate: bool = False):
+    def __init__(self, weights: list):
         for w in weights:
             if not 0 <= w <= WEIGHT_MAX:
                 raise ValueError(f"weight {w} outside 4-bit range")
         self.weights = list(weights)
-        self.accumulate = accumulate
         self.tree = AdderTree(len(weights))
         self.mac_register = 0
 
@@ -62,11 +60,9 @@ class DigitalCimMacro:
         products = [bit * weight
                     for bit, weight in zip(inputs, self.weights)]
         total, tree_activity = self.tree.evaluate(products)
-        new_mac = (self.mac_register + total) if self.accumulate \
-            else total
-        mac_activity = hamming_distance(self.mac_register, new_mac)
-        self.mac_register = new_mac
-        return new_mac, tree_activity + mac_activity
+        mac_activity = hamming_distance(self.mac_register, total)
+        self.mac_register = total
+        return total, tree_activity + mac_activity
 
     def query_fresh(self, inputs: list) -> int:
         """The attacker's primitive: reset, operate once, return the

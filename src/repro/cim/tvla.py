@@ -44,10 +44,9 @@ class LeakageAssessment:
         return abs(self.t_statistic) > T_THRESHOLD
 
 
-def assess_macro(macro_factory, weights: list, traces: int = 300,
-                 noise_sigma: float = 1.0,
-                 seed: int = 0) -> LeakageAssessment:
-    """Fixed-vs-random-*weights* t-test on a CIM macro design.
+def assess_macro(macro_factory, weights: list) -> LeakageAssessment:
+    """Fixed-vs-random-*weights* t-test on a CIM macro design, 300
+    traces per group under unit-sigma noise.
 
     The leakage of interest is weight dependence, so the two groups
     hold the *inputs* distribution identical and vary the secret:
@@ -59,8 +58,10 @@ def assess_macro(macro_factory, weights: list, traces: int = 300,
     ``macro_factory(weights) -> macro`` selects the design under test
     (plain, masked, shuffled, ...).
     """
-    rng = np.random.default_rng(seed)
-    power = PowerModel(noise_sigma=noise_sigma, seed=seed + 1)
+    traces = 300
+    rng = np.random.default_rng(0)
+    power = PowerModel(noise_sigma=1.0, seed=1)
+
     length = len(weights)
     # Fixed full activation: every trace exercises every weight, the
     # strongest first-order test vector for this macro.

@@ -99,12 +99,11 @@ class OverheadReport:
     tdm_overhead_vs_best: float       # relative slowdown of TDM
 
 
-def measure_overhead(app_factories: list,
-                     policies=("tdm", "round_robin",
-                               "fcfs")) -> OverheadReport:
-    """Makespan of the same multi-application workload per policy."""
+def measure_overhead(app_factories: list) -> OverheadReport:
+    """Makespan of the same multi-application workload under TDM,
+    round-robin and FCFS arbitration."""
     makespans = {}
-    for policy in policies:
+    for policy in ("tdm", "round_robin", "fcfs"):
         platform = ComposablePlatform(policy)
         names = []
         for index, factory in enumerate(app_factories):
@@ -117,7 +116,6 @@ def measure_overhead(app_factories: list,
                                 for t in timelines.values())
     best = min(value for key, value in makespans.items()
                if key != "tdm")
-    overhead = (makespans["tdm"] - best) / best if "tdm" in makespans \
-        else 0.0
     return OverheadReport(makespans=makespans,
-                          tdm_overhead_vs_best=overhead)
+                          tdm_overhead_vs_best=(makespans["tdm"] - best)
+                          / best)

@@ -195,13 +195,12 @@ def iteration_period_bound(graph: SdfGraph,
 
 
 def to_application(graph: SdfGraph, base_address: int,
-                   iterations: int = 1,
-                   stride: int = 64) -> Application:
+                   iterations: int = 1) -> Application:
     """Compile the static-order schedule into a platform application.
 
     Each firing contributes a compute phase (its WCET) and one memory
-    phase per access; the last memory access of every iteration lands
-    on a fresh address so completion times mark iteration boundaries.
+    phase per access, each access 64 bytes past the last, so completion
+    times mark iteration boundaries.
     """
     schedule = static_order_schedule(graph)
     phases = []
@@ -213,7 +212,8 @@ def to_application(graph: SdfGraph, base_address: int,
                 phases.append(("compute", actor.wcet))
             for _ in range(actor.memory_accesses):
                 phases.append(("mem", address))
-                address += stride
+                address += 64
+
     return Application(f"{graph.name}", phases)
 
 

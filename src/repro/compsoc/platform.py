@@ -70,27 +70,22 @@ class _AppState:
 class ComposablePlatform:
     """VEPs sharing one memory interconnect."""
 
-    def __init__(self, policy: str = "tdm",
-                 memory_latency: int = DEFAULT_MEMORY_LATENCY):
+    def __init__(self, policy: str = "tdm"):
         if policy not in ("tdm", "round_robin", "fcfs"):
             raise ValueError(f"unknown policy {policy!r}")
-        if memory_latency < 1:
-            raise ValueError("memory latency must be >= 1")
         self.policy = policy
-        self.memory_latency = memory_latency
+        self.memory_latency = DEFAULT_MEMORY_LATENCY
         self.veps = []
         self._next_base = 0x1000_0000
 
-    def create_vep(self, name: str, memory_bytes: int = 1 << 20,
-                   slot_count: int = None) -> VirtualExecutionPlatform:
-        # CompSOC principle: a slot run must fit the worst-case
-        # transaction, so each VEP gets at least ``memory_latency``
-        # consecutive slots.
-        if slot_count is None:
-            slot_count = self.memory_latency
+    def create_vep(self, name: str) -> VirtualExecutionPlatform:
+        """A VEP with 1 MiB of private memory and ``memory_latency``
+        consecutive TDM slots (CompSOC principle: a slot run must fit
+        the worst-case transaction)."""
+        memory_bytes = 1 << 20
         region = Region(f"{name}.mem", self._next_base, memory_bytes)
         self._next_base += memory_bytes
-        vep = VirtualExecutionPlatform(name, region, slot_count)
+        vep = VirtualExecutionPlatform(name, region, self.memory_latency)
         self.veps.append(vep)
         return vep
 
@@ -105,14 +100,15 @@ class ComposablePlatform:
             return SharedBus(RoundRobinArbiter(names))
         return SharedBus(FcfsArbiter())
 
-    def run(self, max_cycles: int = 100_000) -> dict:
-        """Simulate until every application finishes (or the budget).
+    def run(self) -> dict:
+        """Simulate until every application finishes (or 100,000 cycles
+        pass).
 
         Returns ``{application name: AppTimeline}``.
         """
         with TELEMETRY.span("compsoc.run", policy=self.policy,
                             veps=len(self.veps)) as span:
-            timelines, bus = self._run(max_cycles)
+            timelines, bus = self._run(100_000)
             if PERF.enabled:
                 PERF.inc("compsoc.runs")
                 PERF.inc("compsoc.cycles", bus.cycle)

@@ -40,12 +40,12 @@ class VirtualExecutionPlatform:
         application.vep = self
         self.applications.append(application)
 
-    def check_access(self, address: int, size: int = 1) -> None:
-        """Raise :class:`VepViolation` unless the access stays inside
-        this VEP's memory region."""
-        if not self.memory.contains(address, size):
+    def check_access(self, address: int) -> None:
+        """Raise :class:`VepViolation` unless the one-byte access at
+        ``address`` stays inside this VEP's memory region."""
+        if not self.memory.contains(address, 1):
             raise VepViolation(
-                f"{self.name}: access at {address:#x} (+{size}) escapes "
+                f"{self.name}: access at {address:#x} escapes "
                 f"region [{self.memory.base:#x}, {self.memory.end:#x})")
 
 
@@ -73,8 +73,11 @@ class Application:
 
 
 def periodic_workload(name: str, compute_ticks: int, requests: int,
-                      base_address: int, stride: int = 64) -> Application:
-    """A classic streaming workload: compute then fetch, repeated."""
+                      base_address: int) -> Application:
+    """A classic streaming workload: compute then fetch (64 bytes past
+    the last fetch), repeated."""
+    stride = 64
+
     phases = []
     for index in range(requests):
         if compute_ticks:

@@ -112,13 +112,12 @@ class SecurityFramework:
                     frontier.append(dependency)
         return closed
 
-    def derive(self, profile: UseCaseProfile,
-               exact_below: int = 12) -> SecurityArchitecture:
+    def derive(self, profile: UseCaseProfile) -> SecurityArchitecture:
         """Derive the minimal architecture for ``profile``.
 
         Minimality is in feature count (after dependency closure),
-        found exactly when the candidate pool is small and greedily
-        otherwise.  Threats no catalog feature mitigates stay in
+        found exactly when the candidate pool has at most 12 features
+        and greedily otherwise.  Threats no catalog feature mitigates stay in
         ``residual`` — surfaced, never silently dropped.
         """
         if not profile.adversary.is_weaker_than(WORST_CASE):
@@ -132,7 +131,7 @@ class SecurityFramework:
             mitigable |= feature.mitigates & threats
         residual = threats - mitigable
         target = mitigable
-        chosen = self._minimal_cover(relevant, target, exact_below)
+        chosen = self._minimal_cover(relevant, target)
         closed = self._close_dependencies(chosen)
         features = tuple(sorted((self.catalog[name] for name in closed),
                                 key=lambda f: f.name))
@@ -142,12 +141,11 @@ class SecurityFramework:
         assert architecture.verify(self.catalog)
         return architecture
 
-    def _minimal_cover(self, relevant: dict, target: set,
-                       exact_below: int) -> set:
+    def _minimal_cover(self, relevant: dict, target: set) -> set:
         if not target:
             return set()
         names = sorted(relevant)
-        if len(names) <= exact_below:
+        if len(names) <= 12:
             # Exact: smallest subset (with dependency closure counted)
             # that covers the target.
             best = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ed25519
-from .mldsa import ML_DSA_44, MLDSA, MLDSAParams
+from .mldsa import ML_DSA_44, MLDSA
 
 ED25519_PK_LEN = ed25519.PUBLIC_KEY_LEN
 ED25519_SIG_LEN = ed25519.SIGNATURE_LEN
@@ -33,10 +33,8 @@ class HybridKeyPair:
     the bootrom-size mitigation the paper describes.
     """
 
-    def __init__(self, ed25519_seed: bytes, mldsa_seed: bytes,
-                 params: MLDSAParams = ML_DSA_44):
-        self.params = params
-        self._scheme = MLDSA(params)
+    def __init__(self, ed25519_seed: bytes, mldsa_seed: bytes):
+        self._scheme = MLDSA(ML_DSA_44)
         self._ed_seed = bytes(ed25519_seed)
         self._mldsa_seed = bytes(mldsa_seed)
         # Keyed signing contexts: the Ed25519 comb precomputation and
@@ -60,10 +58,10 @@ class HybridKeyPair:
         return classical + post_quantum
 
 
-def verify(public: HybridPublicKey, message: bytes, signature: bytes,
-           params: MLDSAParams = ML_DSA_44) -> bool:
+def verify(public: HybridPublicKey, message: bytes,
+           signature: bytes) -> bool:
     """True only if *both* component signatures verify."""
-    expected = ED25519_SIG_LEN + params.signature_bytes
+    expected = ED25519_SIG_LEN + ML_DSA_44.signature_bytes
     if len(signature) != expected:
         return False
     classical = signature[:ED25519_SIG_LEN]
@@ -72,7 +70,8 @@ def verify(public: HybridPublicKey, message: bytes, signature: bytes,
         return False
     # Cached verifier context (NTT-domain key expansion paid per key).
     try:
-        verifier = MLDSA(params).verifier(public.mldsa)
+        verifier = MLDSA(ML_DSA_44).verifier(public.mldsa)
+
     except ValueError:
         return False
     return verifier.verify(message, post_quantum)

@@ -28,12 +28,12 @@ def derive_key(secret: bytes, label: str, context: bytes = b"",
     return shake256(b"convolve-kdf-v1" + material, length)
 
 
-def derive_seed_pair(secret: bytes, label: str,
-                     context: bytes = b"") -> tuple:
+def derive_seed_pair(secret: bytes, label: str) -> tuple:
     """Derive two independent 32-byte seeds (classical, post-quantum).
 
     Used to expand one root secret into an Ed25519 seed and an ML-DSA
     seed without the two ever sharing bytes.
     """
-    material = derive_key(secret, label, context, length=64)
+    material = derive_key(secret, label, length=64)
+
     return material[:32], material[32:]

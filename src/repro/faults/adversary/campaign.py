@@ -78,7 +78,6 @@ class AdversaryCampaignResult:
     by_family: dict = field(default_factory=dict)
     corpus: list = field(default_factory=list)      # CaseRecords
     violations: list = field(default_factory=list)  # plain dicts
-    runs: list = field(default_factory=list)        # when recorded
     coverage_distinct: int = 0
     coverage_observations: int = 0
 
@@ -118,8 +117,6 @@ class AdversaryCampaignResult:
             "hardened_violations": len(self.violations),
             "violations": list(self.violations),
         }
-        if self.runs:
-            payload["runs"] = [r.to_record() for r in self.runs]
         return payload
 
     def canonical_json(self) -> str:
@@ -159,16 +156,13 @@ def _execute_cases(state, bounds) -> list:
 class AdversaryCampaign:
     """The coverage-guided fuzzing loop over a family suite.
 
-    ``coverage`` and ``memo`` may be supplied to share state across
-    campaigns (e.g. resuming from a previous corpus); by default each
-    campaign owns fresh instances.  ``record_runs`` keeps every
-    per-run record in the result (small campaigns / tests only —
-    at 10^5 injections the aggregates and corpus are the artifact).
+    ``coverage`` may be supplied to share state across campaigns (e.g.
+    resuming from a previous corpus); by default each campaign owns a
+    fresh map.  Each campaign owns its memo.
     """
 
     def __init__(self, families=None, seed: int = 2026,
-                 coverage: CoverageMap = None, memo: Memo = None,
-                 fanout: int = 4, record_runs: bool = False,
+                 coverage: CoverageMap = None,
                  shrink_budget: int = MAX_SHRINK_VIOLATIONS):
         self.families = (tuple(families) if families is not None
                          else standard_families())
@@ -178,9 +172,7 @@ class AdversaryCampaign:
         self.seed = seed
         self.coverage = (coverage if coverage is not None
                          else CoverageMap("adversary"))
-        self.memo = memo if memo is not None else Memo(maxsize=1 << 17)
-        self.fanout = fanout
-        self.record_runs = record_runs
+        self.memo = Memo(maxsize=1 << 17)
         self.shrink_budget = shrink_budget
         self._hardened = {f.name for f in self.families if f.hardened}
         self._weighted = [f for f in self.families
@@ -202,8 +194,8 @@ class AdversaryCampaign:
     def _next_candidates(self, generation: int, parents: list,
                          population: int) -> list:
         """The next generation: neighborhood mutations of the corpus
-        entries that were novel last generation (round-robin, up to
-        ``fanout`` children each before cycling) topped up with a
+        entries that were novel last generation (round-robin, cycling
+        through the parents) topped up with a
         fresh exploration quarter.  No novelty last round -> full
         fresh restart for the generation."""
         if not parents:
@@ -287,8 +279,6 @@ class AdversaryCampaign:
         if case.family in self._hardened \
                 and not acceptable_on_hardened(record.outcome):
             self._record_violation(record, result)
-        if self.record_runs:
-            result.runs.append(record)
 
     def _record_violation(self, record, result) -> None:
         """The hardening gate tripped: minimize and emit a repro."""
@@ -366,28 +356,25 @@ def standard_adversary_campaign(seed: int = 2026,
                                 generations: int = 8,
                                 population: int = 128,
                                 jobs: int = None,
-                                coverage: CoverageMap = None,
-                                record_runs: bool = False
+                                coverage: CoverageMap = None
                                 ) -> AdversaryCampaignResult:
     """One-call entry point over :func:`~repro.faults.adversary.
     families.standard_families` (what the bench, the smoke step and
     ``scripts/adversary_report.py --run`` use)."""
-    campaign = AdversaryCampaign(seed=seed, coverage=coverage,
-                                 record_runs=record_runs)
+    campaign = AdversaryCampaign(seed=seed, coverage=coverage)
     return campaign.run(generations=generations,
                         population=population, jobs=jobs)
 
 
-def replay(entry: dict, families=None):
+def replay(entry: dict):
     """Re-run one corpus/violation record (or any dict with
     ``family``/``seed``/``generation``/``ops``); returns the freshly
     classified :class:`~repro.faults.adversary.families.CaseRecord`.
     Replays are bit-identical: the case is a pure function of its
     record and every family executes deterministically."""
     case = AdversaryCase.from_record(entry)
-    by_name = {f.name: f for f in
-               (families if families is not None
-                else standard_families())}
+    by_name = {f.name: f for f in standard_families()}
+
     if case.family not in by_name:
         raise ValueError(f"unknown adversary family {case.family!r}")
     return run_case(by_name[case.family], case)

@@ -127,15 +127,13 @@ class AdversaryFamily:
     #: Relative share of fresh candidates a campaign plans for this
     #: family (cheap surfaces carry the bulk of a 10^5 budget).
     weight = 1
-    min_ops = 1
     max_ops = 8
 
     def generate(self, seed: int) -> AdversaryCase:
         """A fresh case: a pure function of ``seed``."""
         rng = random.Random(seed)
         return AdversaryCase(self.name, seed, 0,
-                             self.op_space.ops(rng, self.min_ops,
-                                               self.max_ops))
+                             self.op_space.ops(rng, self.max_ops))
 
     def mutate(self, case: AdversaryCase, seed: int) -> AdversaryCase:
         """One neighborhood mutation of ``case``: a pure function of
@@ -373,8 +371,7 @@ class DeliveryReplayAdversary(AdversaryFamily):
 
     def execute(self, case: AdversaryCase) -> dict:
         channel = _ScriptedChannel(
-            self._publisher, self._kem, max_attempts=4,
-            backoff_base=1, deadline=64, session=b"session-live",
+            self._publisher, self._kem, session=b"session-live",
             script=case.ops, stale=self._stale_wire)
         outcome = channel.deliver(self._report_bytes, self.PAYLOAD,
                                   label=b"weights")
@@ -475,7 +472,8 @@ def standard_families() -> tuple:
 # -- classification / replay ---------------------------------------------
 
 def classify_case(family, case: AdversaryCase, observed: dict,
-                  crash: Exception = None) -> tuple:
+                  crash: Exception) -> tuple:
+
     """Map one adversary run to ``(Outcome, reason, detail)``.
 
     Mirrors :func:`repro.faults.campaign.classify` with the golden

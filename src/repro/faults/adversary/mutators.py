@@ -124,11 +124,11 @@ class OpSpace:
             return self.random_op(rng)
         return (op[0],) + tuple(params(rng))
 
-    def ops(self, rng, lo: int = 1, hi: int = 6) -> tuple:
-        """A fresh op sequence of seeded length in ``[lo, hi]``."""
+    def ops(self, rng, hi: int = 6) -> tuple:
+        """A fresh op sequence of seeded length in ``[1, hi]``."""
         hi = min(hi, MAX_OPS)
         return tuple(self.random_op(rng)
-                     for _ in range(rng.randint(max(0, lo), hi)))
+                     for _ in range(rng.randint(1, hi)))
 
     def mutate(self, ops: tuple, rng, max_ops: int = MAX_OPS) -> tuple:
         """One neighborhood step: append, drop, tweak, swap or

@@ -19,7 +19,7 @@ on the sequences the campaign actually produces (``MAX_OPS`` long).
 from __future__ import annotations
 
 
-def ddmin(items, replays, max_evals: int = 1024) -> list:
+def ddmin(items, replays, max_evals: int) -> list:
     """The smallest subsequence of ``items`` still satisfying
     ``replays`` (assumed True for ``items`` itself).
 
@@ -54,8 +54,9 @@ def ddmin(items, replays, max_evals: int = 1024) -> list:
     return items
 
 
-def shrink_case(family, case, max_evals: int = 256):
-    """Minimize ``case`` while its classified outcome survives.
+def shrink_case(family, case):
+    """Minimize ``case`` while its classified outcome survives, in at
+    most 256 replays.
 
     Returns ``(minimized_case, evals)`` where the minimized case's op
     sequence is a 1-minimal subsequence of the original's producing
@@ -74,5 +75,6 @@ def shrink_case(family, case, max_evals: int = 256):
         return (record.outcome == target.outcome
                 and record.reason == target.reason)
 
-    minimal = ddmin(list(case.ops), replays, max_evals=max_evals)
+    minimal = ddmin(list(case.ops), replays, max_evals=256)
+
     return case.with_ops(tuple(minimal)), evals[0]

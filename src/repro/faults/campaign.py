@@ -216,8 +216,10 @@ def plan_injections(scenarios, seed: int, injections: int) -> list:
 # -- classification ------------------------------------------------------
 
 def classify(golden: dict, observed: dict, events: tuple,
-             crash: Exception = None) -> tuple:
-    """Map one run to ``(Outcome, reason, detail)``."""
+             crash: Exception) -> tuple:
+    """Map one run to ``(Outcome, reason, detail)``; ``crash`` is the
+    exception the run raised, or None."""
+
     fired = bool(events)
     if crash is not None:
         return (Outcome.CRASH, type(crash).__name__, str(crash)[:200])

@@ -147,9 +147,7 @@ class DeliveryScenario(Scenario):
         )
 
     def execute(self) -> dict:
-        channel = DeliveryChannel(self.publisher, self.enclave_kem,
-                                  max_attempts=4, backoff_base=1,
-                                  deadline=64)
+        channel = DeliveryChannel(self.publisher, self.enclave_kem)
         outcome = channel.deliver(self.report_bytes, self.PAYLOAD,
                                   label=b"model-weights")
         if not outcome.ok:

@@ -204,8 +204,9 @@ class ExhaustiveExplorer:
                             goal=goal.name) as span:
             return self._run_goals((goal,), jobs, span)[goal]
 
-    def run_all_goals(self, goals=None, jobs: int = None) -> dict:
-        """One *shared* traversal scoring every goal at once; returns
+    def run_all_goals(self, jobs: int = None) -> dict:
+        """One *shared* traversal scoring every goal at once (the
+        masking goals only under masking); returns
         ``{goal: ExplorationResult}``.
 
         Each chunk is enumerated and priced by one cost call — the
@@ -213,11 +214,9 @@ class ExhaustiveExplorer:
         lane columns and floors — instead of re-traversing the full
         space once per goal.
         """
-        if goals is None:
-            goals = list(OptimizationGoal)
-            if self.context.masking_order == 0:
-                goals = [g for g in goals if not g.needs_masking]
-        goals = tuple(goals)
+        goals = tuple(goal for goal in OptimizationGoal
+                      if self.context.masking_order or
+                      not goal.needs_masking)
         with TELEMETRY.span("hades.exhaustive.run_all_goals",
                             template=self.template.name,
                             goals=len(goals)) as span:
@@ -251,8 +250,8 @@ class ExhaustiveExplorer:
         return results
 
 
-def pareto_front(designs, include_randomness: bool = True) -> list:
-    """The non-dominated designs over (area, latency[, randomness]).
+def pareto_front(designs) -> list:
+    """The non-dominated designs over (area, latency, randomness).
 
     The paper's output is "a small set of implementations optimized
     towards one or more optimization goals" — the Pareto front is that
@@ -270,10 +269,8 @@ def pareto_front(designs, include_randomness: bool = True) -> list:
     """
     def key(design):
         metrics = design.metrics
-        objectives = [metrics.area_kge, metrics.latency_cc]
-        if include_randomness:
-            objectives.append(metrics.randomness_bits)
-        return tuple(objectives)
+        return (metrics.area_kge, metrics.latency_cc,
+                metrics.randomness_bits)
 
     candidates = sorted(designs, key=key)
     front = []
@@ -286,7 +283,7 @@ def pareto_front(designs, include_randomness: bool = True) -> list:
                 key(candidates[group_end]) == design_key:
             group_end += 1
         latency = design_key[1]
-        randomness = design_key[2] if include_randomness else 0.0
+        randomness = design_key[2]
         # Rightmost kept latency <= ours carries the smallest
         # randomness among all kept points at or below our latency.
         pos = bisect.bisect_right(lats, latency)

@@ -44,12 +44,10 @@ class PowerEstimate:
 
 
 class HardwarePowerModel:
-    """Maps (metrics, activity factor) to power and per-op energy."""
+    """Maps (metrics, activity factor) to power and per-op energy at a
+    100 MHz clock."""
 
-    def __init__(self, clock_mhz: float = 100.0):
-        if clock_mhz <= 0:
-            raise ValueError("clock must be positive")
-        self.clock_mhz = clock_mhz
+    clock_mhz = 100.0
 
     def estimate(self, metrics: Metrics,
                  activity_factor: float) -> PowerEstimate:
@@ -82,8 +80,7 @@ def aes_activity_factor(configuration: Configuration) -> float:
     return 0.22              # 128-bit round-based
 
 
-def rank_by_energy(designs, activity_fn,
-                   model: HardwarePowerModel = None) -> list:
+def rank_by_energy(designs, activity_fn) -> list:
     """Sort evaluated designs by predicted energy per operation.
 
     ``designs`` is an iterable of
@@ -91,7 +88,8 @@ def rank_by_energy(designs, activity_fn,
     maps a configuration to its activity factor.  Returns a list of
     ``(design, PowerEstimate)`` pairs, best (lowest energy) first.
     """
-    model = model or HardwarePowerModel()
+    model = HardwarePowerModel()
+
     ranked = [(design, model.estimate(design.metrics,
                                       activity_fn(design.configuration)))
               for design in designs]

@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 
-from .perf import PERF
+from .perf import PERF, env_enabled
 from .telemetry import TELEMETRY
 
 #: Ledger layout version (bump on incompatible record changes).
@@ -116,14 +115,9 @@ class AuditLedger:
     trigger, in both the serial and the merged parallel stream.
     """
 
-    def __init__(self, name: str = "audit", enabled: bool = False,
-                 signer_seed: bytes = None,
-                 checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY):
-        self.name = name
+    def __init__(self, enabled: bool):
         self.enabled = enabled
-        self.checkpoint_every = checkpoint_every
-        self._signer_seed = (bytes(signer_seed) if signer_seed
-                             else DEFAULT_SIGNER_SEED)
+        self.checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self._signer = None
         self._listeners = []
         self._reset_chain()
@@ -158,7 +152,7 @@ class AuditLedger:
             # Imported lazily: building the cached context touches the
             # Ed25519 comb tables, which a disabled ledger never pays.
             from ..crypto.ed25519 import SigningKey
-            self._signer = SigningKey(self._signer_seed)
+            self._signer = SigningKey(DEFAULT_SIGNER_SEED)
         return self._signer
 
     def _ensure_header(self) -> None:
@@ -166,7 +160,7 @@ class AuditLedger:
             self._header = {
                 "type": "header",
                 "schema_version": SCHEMA_VERSION,
-                "name": self.name,
+                "name": "audit",
                 "public_key": self._ensure_signer().public.hex(),
             }
             self._head = chain_hash(GENESIS, self._header)
@@ -326,8 +320,7 @@ def _checkpoint_body(record: dict) -> dict:
             "signature": record.get("signature")}
 
 
-def verify_records(records,
-                   require_checkpoint: bool = True) -> dict:
+def verify_records(records) -> dict:
     """Verify a full record list (header first); returns summary
     stats or raises :class:`AuditVerificationError` with a one-line
     message on the first inconsistency.
@@ -425,7 +418,7 @@ def verify_records(records,
             raise AuditVerificationError(
                 f"record {index}: unknown record type {kind!r}")
         last_type = kind
-    if require_checkpoint and last_type != "checkpoint":
+    if last_type != "checkpoint":
         raise AuditVerificationError(
             "ledger does not end with a signed checkpoint")
     return {"events": seq, "checkpoints": checkpoints, "head": head,
@@ -501,10 +494,5 @@ def summarize_records(records) -> dict:
             "by_kind": by_kind, "detections": detections}
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_AUDIT", "") not in ("", "0", "off",
-                                                     "false")
-
-
 #: The process-global ledger every hook site consults.
-AUDIT = AuditLedger(enabled=_env_enabled())
+AUDIT = AuditLedger(enabled=env_enabled("REPRO_AUDIT"))

@@ -94,10 +94,8 @@ class CoverageMap:
     def groups(self) -> list:
         return sorted(self._groups)
 
-    def distinct(self, group: str = None) -> int:
-        """Distinct signatures in ``group`` (or across all groups)."""
-        if group is not None:
-            return len(self._groups.get(group, ()))
+    def distinct(self) -> int:
+        """Distinct signatures across all groups."""
         return sum(len(seen) for seen in self._groups.values())
 
     @property

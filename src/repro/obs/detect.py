@@ -58,13 +58,13 @@ class WindowThresholdDetector:
     """Fire when >= ``threshold`` matching events land within a
     sliding window of ``window`` consecutive sequence numbers.
 
-    ``kinds`` / ``subsystems`` / ``predicate`` select which events
+    ``kinds`` / ``predicate`` select which events
     count; ``threshold=1`` makes the detector a tripwire.  After
     firing, the window clears: one detection per burst, and the next
     burst must fill the window again.
     """
 
-    def __init__(self, name: str, kinds=None, subsystems=None,
+    def __init__(self, name: str, kinds=None,
                  predicate=None, threshold: int = 1,
                  window: int = 64, severity: str = "warning",
                  reason: str = ""):
@@ -74,7 +74,6 @@ class WindowThresholdDetector:
             raise ValueError("window must be >= 1")
         self.name = name
         self.kinds = frozenset(kinds) if kinds else None
-        self.subsystems = frozenset(subsystems) if subsystems else None
         self.predicate = predicate
         self.threshold = threshold
         self.window = window
@@ -87,9 +86,6 @@ class WindowThresholdDetector:
             return False
         if self.kinds is not None and \
                 record.get("kind") not in self.kinds:
-            return False
-        if self.subsystems is not None and \
-                record.get("subsystem") not in self.subsystems:
             return False
         if self.predicate is not None and \
                 not self.predicate(record):

@@ -15,11 +15,14 @@ latest run against the preceding runs and fails on regressions:
 
 Entries carry ``schema_version``; loaders *skip* mismatched entries
 with a warning instead of crashing, so an old history file survives a
-schema bump (ISSUE 3 satellite).
+schema bump.  Each entry also carries ``summary_sha256``, the digest of
+the summary it was made from, so a gate can tell whether the newest
+entry is the run on disk or one committed earlier.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import time
@@ -36,6 +39,12 @@ BASELINE_RUNS = 5
 DEFAULT_WALL_THRESHOLD = 0.50      # +50% over baseline median
 DEFAULT_COUNTER_THRESHOLD = 0.10   # +10% over the previous run
 DEFAULT_MIN_WALL_S = 0.05          # benches faster than this are noise
+
+
+def summary_digest(summary: dict) -> str:
+    """SHA-256 of a ``BENCH_SUMMARY.json`` payload's canonical JSON."""
+    return hashlib.sha256(
+        json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
 def make_entry(summary: dict, run: int, timestamp: float = None) -> dict:
@@ -59,16 +68,19 @@ def make_entry(summary: dict, run: int, timestamp: float = None) -> dict:
         "session_wall_time_s": summary.get("session_wall_time_s"),
         "telemetry_enabled": summary.get("telemetry_enabled", False),
         "perf_enabled": summary.get("perf_enabled", False),
+        "summary_sha256": summary_digest(summary),
         "benches": benches,
     }
 
 
-def load_history(path, schema: int = SCHEMA_VERSION) -> tuple:
+def load_history(path) -> tuple:
     """``(entries, warnings)`` from a history JSONL file.
 
     Unparsable lines and entries whose ``schema_version`` differs from
-    ``schema`` are skipped, each producing one warning string — never
-    an exception, so a schema bump does not strand old history files.
+    ``SCHEMA_VERSION`` are skipped, each producing one warning string
+    — never an exception, so a schema bump does not strand old history
+    files.
+
     """
     path = pathlib.Path(path)
     entries, warnings = [], []
@@ -85,10 +97,10 @@ def load_history(path, schema: int = SCHEMA_VERSION) -> tuple:
                             "skipped")
             continue
         version = entry.get("schema_version")
-        if version != schema:
+        if version != SCHEMA_VERSION:
             warnings.append(
                 f"{path}:{number}: schema_version {version!r} != "
-                f"{schema} — entry skipped")
+                f"{SCHEMA_VERSION} — entry skipped")
             continue
         entries.append(entry)
     return entries, warnings
@@ -136,10 +148,8 @@ def _median(values: list) -> float:
 
 
 def detect_regressions(entries: list,
-                       wall_threshold: float = DEFAULT_WALL_THRESHOLD,
-                       counter_threshold: float =
-                       DEFAULT_COUNTER_THRESHOLD,
-                       min_wall_s: float = DEFAULT_MIN_WALL_S) -> list:
+                       wall_threshold: float = DEFAULT_WALL_THRESHOLD
+                       ) -> list:
     """Regressions of the last entry versus the runs before it.
 
     Returns ``[{bench, metric, kind, baseline, current, ratio}]``;
@@ -163,7 +173,7 @@ def detect_regressions(entries: list,
         if prior_walls:
             baseline = _median(prior_walls)
             wall = bench["wall_time_s"]
-            if baseline >= min_wall_s and \
+            if baseline >= DEFAULT_MIN_WALL_S and \
                     wall > baseline * (1.0 + wall_threshold):
                 regressions.append({
                     "bench": name, "metric": "wall_time_s",
@@ -177,7 +187,7 @@ def detect_regressions(entries: list,
             base = (base_counters or {}).get(event)
             if not base or base <= 0:
                 continue              # new or absent counter: no gate
-            if count > base * (1.0 + counter_threshold):
+            if count > base * (1.0 + DEFAULT_COUNTER_THRESHOLD):
                 regressions.append({
                     "bench": name, "metric": event, "kind": "counter",
                     "baseline": base, "current": count,
@@ -197,12 +207,13 @@ def format_regressions(regressions: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trend_table(entries: list, last: int = 8) -> str:
-    """Wall-time trend per bench over the last ``last`` runs, with the
+def trend_table(entries: list) -> str:
+    """Wall-time trend per bench over the last 8 runs, with the
     final column showing the latest run's delta versus the run before."""
     if not entries:
         return "bench history: no recorded runs\n"
-    window = entries[-last:]
+    window = entries[-8:]
+
     names = sorted({bench["name"] for entry in window
                     for bench in entry.get("benches", [])})
     header = ["bench"] + [f"run {entry.get('run', '?')}"

@@ -136,13 +136,13 @@ class CountingWindow:
 
 
 @contextmanager
-def counting(counters: PerfCounters = None):
-    """Enable ``counters`` for the block; yields a
+def counting():
+    """Enable :data:`PERF` for the block; yields a
     :class:`CountingWindow` whose :meth:`~CountingWindow.delta` is the
     events attributable to the block.  Restores the prior switch state
     on exit (counts themselves keep accumulating — deltas, not resets,
     isolate the window)."""
-    counters = counters if counters is not None else PERF
+    counters = PERF
     was_enabled = counters.enabled
     entry = counters.snapshot()
     counters.enabled = True
@@ -152,10 +152,11 @@ def counting(counters: PerfCounters = None):
         counters.enabled = was_enabled
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_PERF", "") not in ("", "0", "off",
-                                                    "false")
+def env_enabled(name: str) -> bool:
+    """Whether environment switch ``name`` is on: set, and not ``0``,
+    ``off`` or ``false``."""
+    return os.environ.get(name, "") not in ("", "0", "off", "false")
 
 
 #: The process-global counter file every instrumented subsystem imports.
-PERF = PerfCounters(enabled=_env_enabled())
+PERF = PerfCounters(enabled=env_enabled("REPRO_PERF"))

@@ -109,19 +109,12 @@ def collapsed(records: list) -> str:
                    for key, value in sorted(stacks.items()) if value > 0)
 
 
-_SORT_KEYS = {
-    "cumulative": lambda item: -item[1]["total_s"],
-    "self": lambda item: -item[1]["self_s"],
-    "count": lambda item: -item[1]["count"],
-}
+def format_report(summary: dict, top: int = 20) -> str:
+    """Render a summary as an aligned text table, the top-N spans by
+    cumulative time."""
+    ordered = sorted(summary.items(),
+                     key=lambda item: -item[1]["total_s"])[:top]
 
-
-def format_report(summary: dict, sort: str = "cumulative",
-                  top: int = 20) -> str:
-    """Render a summary as an aligned text table, top-N by ``sort``."""
-    if sort not in _SORT_KEYS:
-        raise ValueError(f"sort must be one of {sorted(_SORT_KEYS)}")
-    ordered = sorted(summary.items(), key=_SORT_KEYS[sort])[:top]
     header = ["span", "count", "total s", "self s", "mean s", "p50 s",
               "p95 s", "p99 s", "max s", "self events"]
     rows = [[name, str(stats["count"]),
@@ -133,7 +126,7 @@ def format_report(summary: dict, sort: str = "cumulative",
     widths = [max(len(header[i]), max((len(r[i]) for r in rows),
                                       default=0))
               for i in range(len(header))]
-    lines = [f"top {len(rows)} spans by {sort} time", ""]
+    lines = [f"top {len(rows)} spans by cumulative time", ""]
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:

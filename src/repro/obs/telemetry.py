@@ -24,10 +24,9 @@ Enable programmatically (``TELEMETRY.enabled = True``) or by exporting
 
 from __future__ import annotations
 
-import os
 import pathlib
-import time
 
+from .perf import env_enabled
 from .tracer import Tracer
 
 
@@ -49,10 +48,9 @@ _NULL_SPAN = _NullSpan()
 class Telemetry:
     """One span tracer behind an on/off switch."""
 
-    def __init__(self, enabled: bool = False,
-                 clock=time.perf_counter):
+    def __init__(self, enabled: bool = False):
         self.enabled = bool(enabled)
-        self.tracer = Tracer(clock=clock)
+        self.tracer = Tracer()
 
     def span(self, name: str, **attrs):
         """Context manager tracing a named region (no-op when disabled)."""
@@ -60,19 +58,16 @@ class Telemetry:
             return _NULL_SPAN
         return self.tracer.span(name, **attrs)
 
-    def export(self, directory,
-               trace_name: str = "trace.jsonl") -> pathlib.Path:
-        """Write the JSONL trace under ``directory``; returns its path."""
+    def export(self, directory) -> pathlib.Path:
+        """Write the JSONL trace to ``directory/trace.jsonl``; returns
+        its path."""
         from .export import write_jsonl
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        return write_jsonl(self.tracer.snapshot(), directory / trace_name)
+        return write_jsonl(self.tracer.snapshot(),
+                           directory / "trace.jsonl")
 
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TELEMETRY", "") not in ("", "0", "off",
-                                                         "false")
 
 
 #: The process-global facade every instrumented subsystem imports.
-TELEMETRY = Telemetry(enabled=_env_enabled())
+TELEMETRY = Telemetry(enabled=env_enabled("REPRO_TELEMETRY"))

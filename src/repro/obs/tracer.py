@@ -111,7 +111,7 @@ class Tracer:
         stack.append(span)
         return span
 
-    def end_span(self, span: Span, status: str = "ok") -> Span:
+    def end_span(self, span: Span, status: str) -> Span:
         if span.events is not None:
             span.events = self._counters.snapshot() - span.events
         span.end_s = self._clock()
@@ -134,7 +134,7 @@ class Tracer:
             self.end_span(span, status="error")
             raise
         else:
-            self.end_span(span)
+            self.end_span(span, "ok")
 
     # -- access / export --------------------------------------------------
 
@@ -152,21 +152,20 @@ class Tracer:
         :meth:`finished_count` value) — what a pool worker ships back."""
         return [span.to_record() for span in self.finished[mark:]]
 
-    def merge_records(self, records: list, parent_id: int = None) -> int:
+    def merge_records(self, records: list) -> int:
         """Adopt spans shipped back from a worker process.
 
         Every record gets a fresh span id from this tracer's counter so
         worker-local ids (which restart per process) cannot collide;
         parent links *within* the batch are remapped, and batch roots
-        are attached under ``parent_id`` (default: the caller's current
-        span, so worker spans nest where the fan-out happened).
+        are attached under the caller's current span, so worker spans
+        nest where the fan-out happened.
         Returns the number of spans adopted.
         """
         if not records:
             return 0
         current = self.current_span()
-        if parent_id is None:
-            parent_id = current.span_id if current is not None else 0
+        parent_id = current.span_id if current is not None else 0
         base_depth = current.depth + 1 if current is not None else 0
         mapping = {}
         adopted = []

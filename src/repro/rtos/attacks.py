@@ -44,11 +44,8 @@ def _build(protected: bool):
     return kernel
 
 
-def _run_scenario(name, protected, attacker_factory,
-                  needs_victim_data=True, attacker_kwargs=None,
-                  ticks=200):
+def _run_scenario(name, protected, attacker_factory):
     kernel = _build(protected)
-    attacker_kwargs = attacker_kwargs or {}
     victim = kernel.create_task(
         "victim", priority=2,
         entry=lambda ctx: iter(()),     # placeholder, replaced below
@@ -58,9 +55,9 @@ def _run_scenario(name, protected, attacker_factory,
     stolen = {"value": None}
     attacker = kernel.create_task(
         "attacker", priority=2,
-        entry=attacker_factory(kernel, victim, secret_address, stolen),
-        **attacker_kwargs)
-    kernel.run(ticks)
+        entry=attacker_factory(kernel, victim, secret_address, stolen))
+    kernel.run(200)
+
     attack_succeeded = stolen.get("value") == SECRET or \
         stolen.get("corrupted") or stolen.get("blocked_peripheral") or \
         stolen.get("starved")

@@ -70,14 +70,12 @@ class Kernel:
         self.memory = memory or PhysicalMemory()
         self.hart = hart or Hart(0, self.memory)
         dram = self.memory.memory_map["dram"]
-        mmio = self.memory.memory_map["mmio"]
         self.kernel_region = Region("kernel", dram.base,
                                     KERNEL_REGION_SIZE)
         self._alloc_cursor = dram.base + KERNEL_REGION_SIZE
         self._dram_end = dram.end
         self.protected = protected
-        self.mpu = TaskMemoryProtection(self.hart, mmio,
-                                        protected=protected)
+        self.mpu = TaskMemoryProtection(self.hart, protected=protected)
         self.budget_window = budget_window
         self.tasks = []
         self.tick = 0
@@ -103,18 +101,17 @@ class Kernel:
     # -- task management --------------------------------------------------
 
     def create_task(self, name: str, priority: int, entry,
-                    stack_bytes: int = MIN_ALLOC,
-                    data_bytes: int = 0, grant_mmio: bool = False,
-                    budget_ticks: int = None,
+                    data_bytes: int = 0, budget_ticks: int = None,
                     deadline_ticks: int = None) -> Task:
-        stack = self._allocate(f"{name}.stack", stack_bytes)
+        """A task with a ``MIN_ALLOC``-byte stack; no task is granted
+        the MMIO window."""
+        stack = self._allocate(f"{name}.stack", MIN_ALLOC)
         data_regions = ()
         if data_bytes:
             data_regions = (self._allocate(f"{name}.data", data_bytes),)
         task = Task(name, priority, entry, stack,
                     data_regions=data_regions, budget_ticks=budget_ticks,
                     deadline_ticks=deadline_ticks)
-        task.mmio_granted = grant_mmio
         task.release_tick = self.tick
         self.tasks.append(task)
         self.stats.run_ticks[name] = 0

@@ -37,14 +37,14 @@ def _napot_cover(region: Region) -> tuple:
 class TaskMemoryProtection:
     """Programs the hart's PMP for each scheduling decision."""
 
-    # Entry allocation: 0..5 task regions, 6 MMIO grant, 15 flat allow.
+    # Entry allocation: 0..5 task regions, 6 MMIO (cleared: no task is
+    # granted the peripherals), 15 flat allow.
     TASK_ENTRIES = range(0, 6)
     MMIO_ENTRY = 6
     FLAT_ENTRY = 15
 
-    def __init__(self, hart, mmio_region: Region, protected: bool = True):
+    def __init__(self, hart, protected: bool = True):
         self.hart = hart
-        self.mmio_region = mmio_region
         self.protected = protected
         if not protected:
             # Flat model: one all-permissive entry over the whole
@@ -68,10 +68,6 @@ class TaskMemoryProtection:
             self.hart.pmp.set_napot(index, base, size, readable=True,
                                     writable=True)
         self.hart.pmp.clear_entry(self.MMIO_ENTRY)
-        if getattr(task, "mmio_granted", False):
-            base, size = _napot_cover(self.mmio_region)
-            self.hart.pmp.set_napot(self.MMIO_ENTRY, base, size,
-                                    readable=True, writable=True)
 
     def enter_task_mode(self) -> None:
         self.hart.drop_to(PrivilegeMode.USER)

@@ -75,13 +75,12 @@ class Hart:
     PMP-hardened FreeRTOS rely on.
     """
 
-    def __init__(self, hart_id: int, memory: PhysicalMemory,
-                 stack_bytes: int = 8 * 1024):
+    def __init__(self, hart_id: int, memory: PhysicalMemory):
         self.hart_id = hart_id
         self.memory = memory
         self.pmp = Pmp()
         self.mode = PrivilegeMode.MACHINE
-        self.stack = StackModel(stack_bytes)
+        self.stack = StackModel(8 * 1024)
         self.trap_log = []
 
     # -- privilege ----------------------------------------------------------

@@ -100,33 +100,28 @@ def napot_address(base: int, size: int) -> int:
 class Pmp:
     """The per-hart PMP register file with the standard check algorithm."""
 
-    def __init__(self, entry_count: int = PMP_ENTRY_COUNT):
-        self.entries = [PmpEntry() for _ in range(entry_count)]
+    def __init__(self):
+        self.entries = [PmpEntry() for _ in range(PMP_ENTRY_COUNT)]
 
-    def set_entry(self, index: int, entry: PmpEntry,
-                  mode: PrivilegeMode = PrivilegeMode.MACHINE) -> None:
-        """Program entry ``index``; only M-mode may write, and locked
-        entries are immutable until reset (as in hardware)."""
-        if mode is not PrivilegeMode.MACHINE:
-            raise PermissionError("PMP registers are M-mode only")
+    def set_entry(self, index: int, entry: PmpEntry) -> None:
+        """Program entry ``index`` (from M-mode, the only writer);
+        locked entries are immutable until reset (as in hardware)."""
         if self.entries[index].locked:
             raise PermissionError(f"PMP entry {index} is locked")
         self.entries[index] = entry
 
     def set_napot(self, index: int, base: int, size: int, *,
                   readable: bool = False, writable: bool = False,
-                  executable: bool = False, locked: bool = False,
-                  mode: PrivilegeMode = PrivilegeMode.MACHINE) -> None:
+                  executable: bool = False, locked: bool = False) -> None:
         """Convenience: program a NAPOT entry covering ``[base, base+size)``."""
         entry = PmpEntry(mode=AddressMode.NAPOT, readable=readable,
                          writable=writable, executable=executable,
                          locked=locked,
                          address=napot_address(base, size))
-        self.set_entry(index, entry, mode=mode)
+        self.set_entry(index, entry)
 
-    def clear_entry(self, index: int,
-                    mode: PrivilegeMode = PrivilegeMode.MACHINE) -> None:
-        self.set_entry(index, PmpEntry(), mode=mode)
+    def clear_entry(self, index: int) -> None:
+        self.set_entry(index, PmpEntry())
 
     def _matching_entry(self, address: int, size: int):
         previous = 0

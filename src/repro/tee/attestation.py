@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import ed25519
-from ..crypto.mldsa import ML_DSA_44, MLDSA, MLDSAParams
+from ..crypto.mldsa import ML_DSA_44, MLDSA
 
 ENCLAVE_HASH_LEN = 64
 SM_HASH_LEN = 64
@@ -50,10 +50,10 @@ def sm_certificate_payload(sm_hash: bytes, sm_ed25519_public: bytes,
             + sm_mldsa_public)
 
 
-def pq_report_len(params: MLDSAParams = ML_DSA_44) -> int:
+def pq_report_len() -> int:
     """Size of the PQ-enabled report for a given ML-DSA parameter set."""
-    return (DEFAULT_REPORT_LEN + params.public_key_bytes
-            + 2 * params.signature_bytes)
+    return (DEFAULT_REPORT_LEN + ML_DSA_44.public_key_bytes
+            + 2 * ML_DSA_44.signature_bytes)
 
 
 @dataclass
@@ -94,12 +94,11 @@ class AttestationReport:
         return body
 
     @classmethod
-    def decode(cls, data: bytes,
-               params: MLDSAParams = ML_DSA_44) -> "AttestationReport":
-        if len(data) not in (DEFAULT_REPORT_LEN, pq_report_len(params)):
+    def decode(cls, data: bytes) -> "AttestationReport":
+        if len(data) not in (DEFAULT_REPORT_LEN, pq_report_len()):
             raise ValueError(
                 f"report must be {DEFAULT_REPORT_LEN} or "
-                f"{pq_report_len(params)} bytes, got {len(data)}")
+                f"{pq_report_len()} bytes, got {len(data)}")
         offset = 0
 
         def take(n):
@@ -124,9 +123,9 @@ class AttestationReport:
             sm_signature=take(64),
         )
         if offset < len(data):
-            report.sm_mldsa_public = take(params.public_key_bytes)
-            report.enclave_pq_signature = take(params.signature_bytes)
-            report.sm_pq_signature = take(params.signature_bytes)
+            report.sm_mldsa_public = take(ML_DSA_44.public_key_bytes)
+            report.enclave_pq_signature = take(ML_DSA_44.signature_bytes)
+            report.sm_pq_signature = take(ML_DSA_44.signature_bytes)
         return report
 
     # -- signed payloads ------------------------------------------------
@@ -147,8 +146,7 @@ class AttestationReport:
 
 def verify_report(report: AttestationReport, device_identity: dict,
                   expected_enclave_hash: bytes = None,
-                  expected_sm_hash: bytes = None,
-                  params: MLDSAParams = ML_DSA_44) -> bool:
+                  expected_sm_hash: bytes = None) -> bool:
     """Full verifier-side chain check.
 
     ``device_identity`` is :meth:`repro.tee.device.Device.public_identity`
@@ -181,7 +179,7 @@ def verify_report(report: AttestationReport, device_identity: dict,
             return False
         # Cached verifier contexts: the NTT-domain key expansion for
         # the device and SM keys is paid once per key, not per report.
-        scheme = MLDSA(params)
+        scheme = MLDSA(ML_DSA_44)
         try:
             device_verifier = scheme.verifier(device_pq)
         except ValueError:
@@ -199,10 +197,7 @@ def verify_report(report: AttestationReport, device_identity: dict,
     return True
 
 
-def verify_reports(reports, device_identity,
-                   expected_enclave_hash: bytes = None,
-                   expected_sm_hash: bytes = None,
-                   params: MLDSAParams = ML_DSA_44) -> list:
+def verify_reports(reports, device_identity) -> list:
     """Batch :func:`verify_report`: entry *i* equals
     ``verify_report(reports[i], ...)``.
 
@@ -237,12 +232,6 @@ def verify_reports(reports, device_identity,
     results = [False] * len(reports)
     candidates = []
     for i, report in enumerate(reports):
-        if expected_enclave_hash is not None and \
-                report.enclave_hash != expected_enclave_hash:
-            continue
-        if expected_sm_hash is not None and \
-                report.sm_hash != expected_sm_hash:
-            continue
         if report.post_quantum and identities[i].get("mldsa") is None:
             continue
         candidates.append(i)
@@ -264,7 +253,7 @@ def verify_reports(reports, device_identity,
         if not reports[i].post_quantum:
             results[i] = True
     if pq:
-        scheme = MLDSA(params)
+        scheme = MLDSA(ML_DSA_44)
         device_ok = _verify_distinct(
             lambda lanes: scheme.verify_many(*zip(*lanes)),
             [(bytes(identities[i]["mldsa"]), reports[i].sm_payload(),

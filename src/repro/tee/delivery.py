@@ -262,17 +262,16 @@ class DeliveryChannel:
     would silently accept it.
     """
 
+    #: Transport attempts per delivery, the first backoff step (doubling
+    #: per retry) and the delivery deadline, in transport ticks.
+    max_attempts = 4
+    backoff_base = 1
+    deadline = 64
+
     def __init__(self, publisher: AttestedPublisher,
-                 enclave: EnclaveKemIdentity, max_attempts: int = 4,
-                 backoff_base: int = 1, deadline: int = 64,
-                 session: bytes = b""):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+                 enclave: EnclaveKemIdentity, session: bytes = b""):
         self.publisher = publisher
         self.enclave = enclave
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.deadline = deadline
         self.session = session
         self._sequence = 0
 

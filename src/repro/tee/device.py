@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..crypto import ed25519
 from ..crypto.kdf import derive_key, derive_seed_pair
-from ..crypto.mldsa import ML_DSA_44, MLDSA, MLDSAParams
+from ..crypto.mldsa import ML_DSA_44, MLDSA
 
 
 class Device:
@@ -26,12 +26,11 @@ class Device:
         Ed25519 (the paper's PQ-enabled configuration).
     """
 
-    def __init__(self, root_secret: bytes, post_quantum: bool = False,
-                 mldsa_params: MLDSAParams = ML_DSA_44):
+    def __init__(self, root_secret: bytes, post_quantum: bool = False):
         if len(root_secret) != 32:
             raise ValueError("device root secret must be 32 bytes")
         self.post_quantum = post_quantum
-        self.mldsa_params = mldsa_params
+        self.mldsa_params = ML_DSA_44
         ed_seed, mldsa_seed = derive_seed_pair(root_secret, "device-keys")
         self.ed25519_seed = ed_seed
         # Keyed signing context: clamped scalar + nonce prefix computed
@@ -42,7 +41,7 @@ class Device:
             # Stored as a seed; expanded on demand (i.e. at boot) exactly
             # as the paper's bootrom-size mitigation prescribes.
             self.mldsa_seed = mldsa_seed
-            scheme = MLDSA(mldsa_params)
+            scheme = MLDSA(ML_DSA_44)
             self.mldsa_public, self._mldsa_secret = scheme.key_gen(
                 mldsa_seed)
         else:

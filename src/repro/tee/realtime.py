@@ -61,11 +61,12 @@ class IntegrationOutcome:
         return self.security_preserved and self.deadlines_met
 
 
-def _control_loop(iterations=5, period=8):
-    """A periodic control task: misses its deadline if starved."""
+def _control_loop():
+    """A periodic control task (5 iterations, period 8): misses its
+    deadline if starved."""
     def entry(ctx):
-        for _ in range(iterations):
-            yield Delay(period)
+        for _ in range(5):
+            yield Delay(8)
             yield                     # one tick of computation
     return entry
 

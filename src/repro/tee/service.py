@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto.keccak import sha3_256, sha3_512
-from ..crypto.mldsa import ML_DSA_44, MLDSAParams
 from ..obs import TELEMETRY
 from ..obs.audit import AUDIT
 from ..obs.perf import PERF
@@ -105,15 +104,13 @@ class AttestationService:
     admission order.
     """
 
-    def __init__(self, devices=None, *, max_batch: int = 64,
-                 params: MLDSAParams = ML_DSA_44):
+    def __init__(self, devices=None, *, max_batch: int = 64):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         self.max_batch = max_batch
-        self.params = params
         # The two report lengths the prefilter accepts, computed once
         # (``pq_report_len`` reads three ``MLDSAParams`` properties).
-        self._report_lens = (DEFAULT_REPORT_LEN, pq_report_len(params))
+        self._report_lens = (DEFAULT_REPORT_LEN, pq_report_len())
         self._devices = {}
         self._expected_sm = {}
         self._cache = Memo(maxsize=SESSION_CACHE_SIZE)
@@ -339,8 +336,7 @@ class AttestationService:
         parsed = []
         for request, identity, key in lanes:
             try:
-                report = AttestationReport.decode(request.report,
-                                                  self.params)
+                report = AttestationReport.decode(request.report)
             except ValueError:
                 results[request.seq] = self._result(request, False, b"")
                 reasons[request.seq] = "malformed-report"
@@ -350,8 +346,7 @@ class AttestationService:
             parsed.append((request, key))
         if not parsed:
             return []
-        verdicts = verify_reports(reports, identities,
-                                  params=self.params)
+        verdicts = verify_reports(reports, identities)
         new_entries = []
         for (request, key), ok in zip(parsed, verdicts):
             token = self._session_token(key) if ok else b""

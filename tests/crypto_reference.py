@@ -431,6 +431,114 @@ def mldsa_sample_in_ball(seed: bytes, params) -> list:
     return c
 
 
+# -- ML-DSA scalar helpers ------------------------------------------------
+# FIPS 204 per-coefficient forms the oracle signs and verifies with; the
+# production kernels in repro.crypto.mldsa are their vectorized forms.
+
+def ntt_mul(a: list, b: list) -> list:
+    """Coefficient-wise product of two NTT-domain polynomials."""
+    return [x * y % _m.Q for x, y in zip(a, b)]
+
+
+def poly_add(a: list, b: list) -> list:
+    return [(x + y) % _m.Q for x, y in zip(a, b)]
+
+
+def poly_sub(a: list, b: list) -> list:
+    return [(x - y) % _m.Q for x, y in zip(a, b)]
+
+
+def infinity_norm(poly_or_vec) -> int:
+    """Max |coefficient| after centering mod q (vector of polys or poly)."""
+    if poly_or_vec and isinstance(poly_or_vec[0], list):
+        return max(infinity_norm(p) for p in poly_or_vec)
+    return max(abs(_m.centered(c)) for c in poly_or_vec)
+
+
+def decompose(value: int, gamma2: int) -> tuple:
+    """FIPS 204 Decompose: r = r1*(2*gamma2) + r0 with the q-1 wraparound."""
+    value %= _m.Q
+    r0 = _m.centered(value, 2 * gamma2)
+    if value - r0 == _m.Q - 1:
+        return 0, r0 - 1
+    return (value - r0) // (2 * gamma2), r0
+
+
+def high_bits(value: int, gamma2: int) -> int:
+    return decompose(value, gamma2)[0]
+
+
+def low_bits(value: int, gamma2: int) -> int:
+    return decompose(value, gamma2)[1]
+
+
+def make_hint(z: int, r: int, gamma2: int) -> int:
+    """1 iff adding ``z`` to ``r`` changes the high bits."""
+    return int(high_bits(r, gamma2) != high_bits((r + z) % _m.Q, gamma2))
+
+
+def use_hint(hint: int, r: int, gamma2: int) -> int:
+    """Recover the high bits of ``r + z`` from ``r`` and the hint bit."""
+    m = (_m.Q - 1) // (2 * gamma2)
+    r1, r0 = decompose(r, gamma2)
+    if hint == 0:
+        return r1
+    if r0 > 0:
+        return (r1 + 1) % m
+    return (r1 - 1) % m
+
+
+def expand_mask(rho_pp: bytes, kappa: int, params: _m.MLDSAParams) -> list:
+    """ExpandMask: the per-attempt commitment mask vector y."""
+    width = params.z_bits
+    vec = []
+    for r in range(params.l):
+        seed = rho_pp + (kappa + r).to_bytes(2, "little")
+        data = _m.shake256(seed, 32 * width)
+        vec.append(_m.bit_unpack(data, params.gamma1 - 1, params.gamma1))
+    return vec
+
+
+def hint_bit_unpack(data: bytes, params: _m.MLDSAParams):
+    """Strict inverse of :func:`_m.hint_bit_pack`; None on malformed input."""
+    positions = _m._hint_positions(data, params)
+    if positions is None:
+        return None
+    hints = [[0] * _m.N for _ in range(params.k)]
+    for i, j in zip(*positions):
+        hints[i][j] = 1
+    return hints
+
+
+def w1_encode(w1: list, params: _m.MLDSAParams) -> bytes:
+    bound = (_m.Q - 1) // (2 * params.gamma2) - 1
+    return b"".join(_m.simple_bit_pack(p, bound) for p in w1)
+
+
+def sig_encode(c_tilde: bytes, z: list, hints: list,
+               params: _m.MLDSAParams) -> bytes:
+    packed_z = b"".join(_m.bit_pack(p, params.gamma1 - 1, params.gamma1)
+                        for p in z)
+    return c_tilde + packed_z + _m.hint_bit_pack(hints, params)
+
+
+def sig_decode(data: bytes, params: _m.MLDSAParams):
+    if len(data) != params.signature_bytes:
+        return None
+    c_tilde = data[:params.ctilde_bytes]
+    z_len = 32 * params.z_bits
+    offset = params.ctilde_bytes
+    z = []
+    for _ in range(params.l):
+        z.append(_m.bit_unpack(data[offset:offset + z_len],
+                            params.gamma1 - 1, params.gamma1))
+        offset += z_len
+    hints = hint_bit_unpack(data[offset:], params)
+    if hints is None:
+        return None
+    return c_tilde, z, hints
+
+
 def mldsa_sign(scheme, secret: bytes, message: bytes,
                context: bytes = b"") -> bytes:
     """The pre-fast-path deterministic ML-DSA signing flow.
@@ -450,39 +558,39 @@ def mldsa_sign(scheme, secret: bytes, message: bytes,
     rho_pp = m.shake256(key + bytes(32) + mu, 64)
     kappa = 0
     while True:
-        y = m.expand_mask(rho_pp, kappa, p)
+        y = expand_mask(rho_pp, kappa, p)
         kappa += p.l
         y_hat = [mldsa_ntt(poly) for poly in y]
         w = []
         for r in range(p.k):
             acc = [0] * m.N
             for s in range(p.l):
-                acc = m.poly_add(acc, m.ntt_mul(a_hat[r][s], y_hat[s]))
+                acc = poly_add(acc, ntt_mul(a_hat[r][s], y_hat[s]))
             w.append(mldsa_intt(acc))
-        w1 = [[m.high_bits(c, p.gamma2) for c in poly] for poly in w]
-        c_tilde = m.shake256(mu + m.w1_encode(w1, p), p.ctilde_bytes)
+        w1 = [[high_bits(c, p.gamma2) for c in poly] for poly in w]
+        c_tilde = m.shake256(mu + w1_encode(w1, p), p.ctilde_bytes)
         c = mldsa_sample_in_ball(c_tilde, p)
         c_hat = mldsa_ntt(c)
-        z = [m.poly_add(y[s], mldsa_intt(m.ntt_mul(c_hat, s1_hat[s])))
+        z = [poly_add(y[s], mldsa_intt(ntt_mul(c_hat, s1_hat[s])))
              for s in range(p.l)]
-        if m.infinity_norm(z) >= p.gamma1 - p.beta:
+        if infinity_norm(z) >= p.gamma1 - p.beta:
             continue
         w_minus_cs2 = [
-            m.poly_sub(w[r], mldsa_intt(m.ntt_mul(c_hat, s2_hat[r])))
+            poly_sub(w[r], mldsa_intt(ntt_mul(c_hat, s2_hat[r])))
             for r in range(p.k)]
-        r0_norm = max(abs(m.low_bits(c, p.gamma2))
+        r0_norm = max(abs(low_bits(c, p.gamma2))
                       for poly in w_minus_cs2 for c in poly)
         if r0_norm >= p.gamma2 - p.beta:
             continue
-        ct0 = [mldsa_intt(m.ntt_mul(c_hat, t0_hat[r])) for r in range(p.k)]
-        if m.infinity_norm(ct0) >= p.gamma2:
+        ct0 = [mldsa_intt(ntt_mul(c_hat, t0_hat[r])) for r in range(p.k)]
+        if infinity_norm(ct0) >= p.gamma2:
             continue
         hints = []
         ones = 0
         for r in range(p.k):
             poly_hint = []
             for j in range(m.N):
-                bit = m.make_hint((-ct0[r][j]) % m.Q,
+                bit = make_hint((-ct0[r][j]) % m.Q,
                                   (w_minus_cs2[r][j] + ct0[r][j]) % m.Q,
                                   p.gamma2)
                 poly_hint.append(bit)
@@ -490,7 +598,7 @@ def mldsa_sign(scheme, secret: bytes, message: bytes,
             hints.append(poly_hint)
         if ones > p.omega:
             continue
-        return m.sig_encode(c_tilde, z, hints, p)
+        return sig_encode(c_tilde, z, hints, p)
 
 
 def mldsa_verify(scheme, public: bytes, message: bytes, signature: bytes,
@@ -502,11 +610,11 @@ def mldsa_verify(scheme, public: bytes, message: bytes, signature: bytes,
         rho, t1 = m.pk_decode(public, p)
     except ValueError:
         return False
-    decoded = m.sig_decode(signature, p)
+    decoded = sig_decode(signature, p)
     if decoded is None:
         return False
     c_tilde, z, hints = decoded
-    if m.infinity_norm(z) >= p.gamma1 - p.beta:
+    if infinity_norm(z) >= p.gamma1 - p.beta:
         return False
     a_hat = m.expand_a(rho, p)
     tr = m.shake256(public, 64)
@@ -519,12 +627,12 @@ def mldsa_verify(scheme, public: bytes, message: bytes, signature: bytes,
     for r in range(p.k):
         acc = [0] * m.N
         for s in range(p.l):
-            acc = m.poly_add(acc, m.ntt_mul(a_hat[r][s], z_hat[s]))
-        acc = m.poly_sub(acc, m.ntt_mul(c_hat, t1_hat[r]))
+            acc = poly_add(acc, ntt_mul(a_hat[r][s], z_hat[s]))
+        acc = poly_sub(acc, ntt_mul(c_hat, t1_hat[r]))
         w_approx = mldsa_intt(acc)
-        w1_prime.append([m.use_hint(hints[r][j], w_approx[j], p.gamma2)
+        w1_prime.append([use_hint(hints[r][j], w_approx[j], p.gamma2)
                          for j in range(m.N)])
-    expected = m.shake256(mu + m.w1_encode(w1_prime, p), p.ctilde_bytes)
+    expected = m.shake256(mu + w1_encode(w1_prime, p), p.ctilde_bytes)
     return expected == c_tilde
 
 

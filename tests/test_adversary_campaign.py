@@ -18,7 +18,6 @@ from repro.faults.adversary import (AdversaryCampaign, AdversaryCase,
 from repro.faults.adversary.families import TaskProgramAdversary
 from repro.obs import CoverageMap
 from repro.runtime import run_sharded
-from repro.runtime.memo import Memo
 
 SEED = 99
 
@@ -90,16 +89,6 @@ class TestAccounting:
         assert 0 < small.coverage_distinct <= small.injections
         assert len(small.corpus) == small.coverage_distinct
 
-    def test_shared_memo_absorbs_repeat_campaign(self):
-        memo = Memo(maxsize=4096)
-        campaign = AdversaryCampaign(seed=SEED, memo=memo)
-        first = campaign.run(generations=2, population=20, jobs=1)
-        rerun = AdversaryCampaign(
-            seed=SEED, memo=memo,
-            coverage=CoverageMap("adversary")).run(
-            generations=2, population=20, jobs=1)
-        assert rerun.executed < first.executed
-        assert rerun.memo_hits > first.memo_hits
 
     def test_rejects_degenerate_budgets(self):
         with pytest.raises(ValueError):

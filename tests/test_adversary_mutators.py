@@ -88,8 +88,8 @@ class TestSeededPurity:
     @given(space_names, seeds, seeds)
     def test_mutation_respects_max_ops(self, name, gen_seed, mut_seed):
         space = SPACES[name]
-        ops = space.ops(random.Random(gen_seed), lo=MAX_OPS,
-                        hi=MAX_OPS)
+        rng = random.Random(gen_seed)
+        ops = tuple(space.random_op(rng) for _ in range(MAX_OPS))
         mutated = space.mutate(ops, random.Random(mut_seed))
         assert len(mutated) <= MAX_OPS
 
@@ -131,7 +131,7 @@ class TestDdmin:
         def replays(candidate):
             return targets <= set(candidate)
 
-        minimal = ddmin(items, replays)
+        minimal = ddmin(items, replays, max_evals=1024)
         assert replays(minimal)
         assert len(minimal) <= len(items)
         for index in range(len(minimal)):
@@ -140,7 +140,7 @@ class TestDdmin:
     def test_strictly_shorter_when_noise_present(self):
         """Padding around a single culprit is always removed."""
         items = [0] * 10 + [7] + [0] * 10
-        minimal = ddmin(items, lambda c: 7 in c)
+        minimal = ddmin(items, lambda c: 7 in c, max_evals=1024)
         assert minimal == [7]
 
     def test_respects_eval_budget(self):

@@ -87,19 +87,15 @@ class TestWindowThresholdDetector:
         assert detector.observe(_event(3)) is None
         assert detector.observe(_event(4)) is not None
 
-    def test_kind_subsystem_and_predicate_filters(self):
+    def test_kind_and_predicate_filters(self):
         detector = WindowThresholdDetector(
             "replay", kinds=("delivery-attempt-failed",),
-            subsystems=("tee.delivery",),
             predicate=lambda r: (r.get("detail") or {})
             .get("reason") == "replay",
             threshold=1, window=1)
         wrong_kind = _event(1, kind="delivery-rejected",
                             subsystem="tee.delivery",
                             detail={"reason": "replay"})
-        wrong_subsystem = _event(2, kind="delivery-attempt-failed",
-                                 subsystem="soc.bus",
-                                 detail={"reason": "replay"})
         wrong_reason = _event(3, kind="delivery-attempt-failed",
                               subsystem="tee.delivery",
                               detail={"reason": "timeout"})
@@ -107,7 +103,6 @@ class TestWindowThresholdDetector:
                        subsystem="tee.delivery",
                        detail={"reason": "replay"})
         assert detector.observe(wrong_kind) is None
-        assert detector.observe(wrong_subsystem) is None
         assert detector.observe(wrong_reason) is None
         assert detector.observe(match) is not None
 
@@ -129,7 +124,8 @@ class TestWindowThresholdDetector:
 
 class TestAnomalyEngine:
     def test_detection_re_enters_ledger_and_chain_verifies(self):
-        ledger = AuditLedger(enabled=True, checkpoint_every=0)
+        ledger = AuditLedger(enabled=True)
+        ledger.checkpoint_every = 0
         engine = AnomalyEngine(ledger=ledger)
         try:
             for _ in range(3):
@@ -149,7 +145,8 @@ class TestAnomalyEngine:
         verify_records(ledger.export_records())
 
     def test_no_feedback_loop_on_detection_events(self):
-        ledger = AuditLedger(enabled=True, checkpoint_every=0)
+        ledger = AuditLedger(enabled=True)
+        ledger.checkpoint_every = 0
         # A tripwire on *everything* would loop forever if detections
         # could trigger detections.
         engine = AnomalyEngine(
@@ -165,7 +162,8 @@ class TestAnomalyEngine:
         assert ledger.event_count() == 2   # trigger + one detection
 
     def test_uninstall_stops_observation(self):
-        ledger = AuditLedger(enabled=True, checkpoint_every=0)
+        ledger = AuditLedger(enabled=True)
+        ledger.checkpoint_every = 0
         engine = AnomalyEngine(ledger=ledger)
         engine.uninstall()
         ledger.emit("soc.bus", "bus-watchdog", severity="critical")
@@ -239,7 +237,8 @@ class TestCampaignParity:
 
 class TestAuditSummary:
     def test_summary_tallies_subsystems_and_detections(self):
-        ledger = AuditLedger(enabled=True, checkpoint_every=0)
+        ledger = AuditLedger(enabled=True)
+        ledger.checkpoint_every = 0
         engine = AnomalyEngine(ledger=ledger)
         try:
             ledger.emit("tee.boot", "boot-verified", post_quantum=True)

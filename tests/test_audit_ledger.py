@@ -45,8 +45,8 @@ json_values = st.recursive(
 
 
 def _sample_ledger(checkpoint_every: int = 3) -> AuditLedger:
-    ledger = AuditLedger(enabled=True,
-                         checkpoint_every=checkpoint_every)
+    ledger = AuditLedger(enabled=True)
+    ledger.checkpoint_every = checkpoint_every
     ledger.emit("tee.boot", "boot-verified", post_quantum=True)
     ledger.emit("tee.boot", "boot-rejected", severity="critical",
                 reason="boot-verification-failed")
@@ -118,7 +118,8 @@ class TestChain:
             AuditLedger(enabled=True).emit("x", "y", severity="fatal")
 
     def test_head_chains_from_genesis(self):
-        ledger = AuditLedger(enabled=True, checkpoint_every=0)
+        ledger = AuditLedger(enabled=True)
+        ledger.checkpoint_every = 0
         record = ledger.emit("tee.boot", "boot-verified")
         header = ledger.records()[0]
         head0 = chain_hash(GENESIS, header)
@@ -237,12 +238,14 @@ class TestTamperDetection:
 
 class TestWorkerMerge:
     def test_merged_bodies_reproduce_serial_chain(self):
-        serial = AuditLedger(enabled=True, checkpoint_every=3)
+        serial = AuditLedger(enabled=True)
+        serial.checkpoint_every = 3
         for index in range(7):
             serial.emit("soc.pmp", "pmp-denial", severity="warning",
                         index=index)
 
-        parent = AuditLedger(enabled=True, checkpoint_every=3)
+        parent = AuditLedger(enabled=True)
+        parent.checkpoint_every = 3
         worker = AuditLedger(enabled=True)
         worker.reset_worker()
         worker.enabled = True

@@ -67,9 +67,6 @@ class TestPlatformExecution:
         with pytest.raises(ValueError):
             ComposablePlatform("priority")
 
-    def test_invalid_latency_rejected(self):
-        with pytest.raises(ValueError):
-            ComposablePlatform("tdm", memory_latency=0)
 
     def test_vep_memory_isolation(self):
         platform = ComposablePlatform("tdm")

@@ -143,7 +143,7 @@ class TestDeliveryChannel:
     def test_persistent_drop_times_out_bounded(self, rig):
         with injected(FaultSpec("tee.delivery.transport",
                                 TRANSPORT_DROP, count=100)):
-            outcome = _channel(rig, max_attempts=4).deliver(
+            outcome = _channel(rig).deliver(
                 rig["report_bytes"], PAYLOAD)
         assert not outcome.ok
         assert outcome.attempts == 4
@@ -153,7 +153,7 @@ class TestDeliveryChannel:
     def test_huge_delay_misses_deadline(self, rig):
         with injected(FaultSpec("tee.delivery.transport",
                                 TRANSPORT_DELAY, magnitude=1000)):
-            outcome = _channel(rig, deadline=64).deliver(
+            outcome = _channel(rig).deliver(
                 rig["report_bytes"], PAYLOAD)
         assert not outcome.ok
         assert outcome.fault.reason == "transport-timeout"
@@ -165,10 +165,6 @@ class TestDeliveryChannel:
         assert outcome.attempts == 1
         assert outcome.fault.reason == "attestation-rejected"
 
-    def test_rejects_zero_attempts(self, rig):
-        with pytest.raises(ValueError):
-            _channel(rig, max_attempts=0)
-
 
 class TestRetryExhaustionDiagnostics:
     """After retry exhaustion the outcome carries the last transport
@@ -177,9 +173,10 @@ class TestRetryExhaustionDiagnostics:
     def test_outcome_carries_last_reason(self, rig):
         with injected(FaultSpec("tee.delivery.transport",
                                 TRANSPORT_DROP, count=100)):
-            outcome = _channel(rig, max_attempts=3).deliver(
+            outcome = _channel(rig).deliver(
                 rig["report_bytes"], PAYLOAD)
         assert not outcome.ok
+        assert outcome.attempts == 4
         assert outcome.last_reason == "transport-drop"
 
 

@@ -47,38 +47,41 @@ class TestClassify:
 
     def test_crash_wins(self):
         outcome, reason, _ = classify(self.GOLDEN, {}, (),
-                                      crash=KeyError("x"))
+                                      KeyError("x"))
         assert outcome is Outcome.CRASH
         assert reason == "KeyError"
 
     def test_detected(self):
         outcome, reason, _ = classify(
             self.GOLDEN, {"status": "detected", "reason": "ecc"},
-            self.EVENT)
+            self.EVENT, None)
         assert outcome is Outcome.DETECTED
         assert reason == "ecc"
 
     def test_masked_fired(self):
         outcome, reason, _ = classify(
-            self.GOLDEN, {"status": "ok", "digest": "aa"}, self.EVENT)
+            self.GOLDEN, {"status": "ok", "digest": "aa"}, self.EVENT,
+            None)
         assert outcome is Outcome.MASKED
         assert reason == ""
 
     def test_masked_not_triggered(self):
         outcome, reason, _ = classify(
-            self.GOLDEN, {"status": "ok", "digest": "aa"}, ())
+            self.GOLDEN, {"status": "ok", "digest": "aa"}, (), None)
         assert outcome is Outcome.MASKED
         assert reason == "not-triggered"
 
     def test_recovered_needs_flag_and_event(self):
         observed = {"status": "ok", "digest": "aa", "recovered": True}
         assert classify(self.GOLDEN, observed,
-                        self.EVENT)[0] is Outcome.RECOVERED
-        assert classify(self.GOLDEN, observed, ())[0] is Outcome.MASKED
+                        self.EVENT, None)[0] is Outcome.RECOVERED
+        assert classify(self.GOLDEN, observed, (),
+                        None)[0] is Outcome.MASKED
 
     def test_silent_corruption(self):
         outcome, reason, _ = classify(
-            self.GOLDEN, {"status": "ok", "digest": "bb"}, self.EVENT)
+            self.GOLDEN, {"status": "ok", "digest": "bb"}, self.EVENT,
+            None)
         assert outcome is Outcome.SILENT_CORRUPTION
         assert reason == "digest-mismatch"
 

@@ -269,7 +269,3 @@ class TestParetoFront:
                 for fk in front_keys)
             assert on_front or dominated
 
-    def test_two_objective_front(self, designs):
-        front_2d = pareto_front(designs, include_randomness=False)
-        front_3d = pareto_front(designs)
-        assert len(front_2d) <= len(front_3d)

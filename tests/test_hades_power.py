@@ -14,7 +14,7 @@ from repro.hades.library import aes256
 
 class TestPowerModel:
     def test_dynamic_scales_with_activity(self):
-        model = HardwarePowerModel(clock_mhz=100)
+        model = HardwarePowerModel()
         metrics = Metrics(10.0, 100.0)
         low = model.estimate(metrics, 0.1)
         high = model.estimate(metrics, 0.5)
@@ -41,8 +41,6 @@ class TestPowerModel:
             estimate.dynamic_mw + estimate.leakage_mw)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HardwarePowerModel(clock_mhz=0)
         with pytest.raises(ValueError):
             HardwarePowerModel().estimate(Metrics(1, 1), 1.5)
 

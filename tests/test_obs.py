@@ -160,7 +160,7 @@ def test_summarize_self_vs_cumulative_time():
 
 def test_summarize_empty_trace():
     assert summarize([]) == {}
-    assert "0 spans" in format_report({}, sort="self", top=5)
+    assert "0 spans" in format_report({}, top=5)
 
 
 def test_summarize_single_sample():
@@ -306,10 +306,7 @@ def test_percentile_all_identical_samples():
 def test_format_report_renders_percentiles(telemetry):
     with telemetry.span("alpha"):
         pass
-    text = format_report(summarize(telemetry.tracer.snapshot()),
-                         sort="count", top=5)
+    text = format_report(summarize(telemetry.tracer.snapshot()), top=5)
     assert "alpha" in text and "count" in text
     header = text.splitlines()[2]
     assert all(column in header for column in ("p50 s", "p95 s", "p99 s"))
-    with pytest.raises(ValueError):
-        format_report({}, sort="nope")

@@ -62,7 +62,7 @@ def test_coverage_observe_reports_novelty():
     assert cover.observe("g", {"e": 4}) is True        # new bucket
     assert cover.observe("other", {"e": 1}) is True    # new group
     assert cover.distinct() == 3
-    assert cover.distinct("g") == 2
+    assert cover.to_dict()["groups"]["g"]["distinct"] == 2
     assert cover.observations == 4
 
 
@@ -74,8 +74,8 @@ def test_coverage_merge_is_set_union_with_added_observations():
     right.observe("g", {"e": 2})
     right.observe("h", {"e": 1})
     left.merge(right)
-    assert left.distinct("g") == 2
-    assert left.distinct("h") == 1
+    assert left.to_dict()["groups"]["g"]["distinct"] == 2
+    assert left.to_dict()["groups"]["h"]["distinct"] == 1
     assert left.observations == 4
     # merging an exported dict works identically
     left.merge(right.to_dict())

@@ -253,12 +253,13 @@ def test_compsoc_slot_utilization_attrs(enabled_telemetry):
     from repro.compsoc.vep import Application
 
     platform = ComposablePlatform(policy="tdm")
-    vep = platform.create_vep("v1", memory_bytes=1 << 16)
+    vep = platform.create_vep("v1")
     vep.attach(Application("app1",
                            [("compute", 2), ("mem", vep.memory.base),
                             ("compute", 1),
                             ("mem", vep.memory.base + 8)]))
-    platform.run(max_cycles=500)
+    platform.run()
+
     attrs = _span("compsoc.run")["attrs"]
     assert 0 < attrs["utilization"] <= 1
     assert attrs["transactions.v1"] == 2

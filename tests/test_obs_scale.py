@@ -79,7 +79,9 @@ def test_scale_campaign_parallel_byte_parity(global_telemetry):
     # coverage found real behavioural diversity (32 bits x 4 triggers
     # collapse into log buckets, plus the untriggered baseline)
     assert serial_cover.observations == INJECTIONS
-    assert 1 < serial_cover.distinct("tiny") < INJECTIONS // 10
+    assert 1 < serial_cover.to_dict()["groups"]["tiny"]["distinct"] \
+        < INJECTIONS // 10
+
     assert len(serial_names) > INJECTIONS
 
     # campaign JSON and coverage JSON: byte-identical across workers

@@ -179,15 +179,13 @@ class TestCampaignParity:
         assert run(2) == serial
 
 
-def _reference_pareto(designs, include_randomness=True):
-    """The historical O(n^2) implementation, kept verbatim as the
-    semantic reference the staircase sweep must match bit for bit."""
+def _reference_pareto(designs):
+    """The historical O(n^2) implementation, the semantic reference
+    the staircase sweep must match bit for bit."""
     def key(design):
         metrics = design.metrics
-        objectives = [metrics.area_kge, metrics.latency_cc]
-        if include_randomness:
-            objectives.append(metrics.randomness_bits)
-        return tuple(objectives)
+        return (metrics.area_kge, metrics.latency_cc,
+                metrics.randomness_bits)
 
     candidates = sorted(designs, key=key)
     front = []
@@ -230,11 +228,11 @@ _metric = st.builds(
 
 class TestParetoSweepMatchesReference:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_metric, max_size=40), st.booleans())
-    def test_equivalent_to_quadratic_reference(self, metrics, flag):
+    @given(st.lists(_metric, max_size=40))
+    def test_equivalent_to_quadratic_reference(self, metrics):
         points = [_Point(m) for m in metrics]
-        new = pareto_front(points, include_randomness=flag)
-        old = _reference_pareto(points, include_randomness=flag)
+        new = pareto_front(points)
+        old = _reference_pareto(points)
         assert [p.metrics for p in new] == [p.metrics for p in old]
 
     @settings(max_examples=50, deadline=None)

@@ -43,6 +43,21 @@ def test_snapshot_addition_merges_and_drops_zero():
     assert isinstance(total, PerfSnapshot)
 
 
+# -- env switches --------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, on", [
+    (None, False), ("", False), ("0", False), ("off", False),
+    ("false", False), ("1", True), ("on", True), ("true", True),
+    ("yes", True), ("OFF", True), (" 0", True)])
+def test_env_switch_truth_table(monkeypatch, value, on):
+    from repro.obs.perf import env_enabled
+    monkeypatch.delenv("REPRO_TEST_SWITCH", raising=False)
+    if value is not None:
+        monkeypatch.setenv("REPRO_TEST_SWITCH", value)
+    assert env_enabled("REPRO_TEST_SWITCH") is on
+
+
 # -- PerfCounters --------------------------------------------------------
 
 
@@ -71,18 +86,22 @@ def test_counters_inc_count_snapshot_delta():
 
 
 def test_counting_window_restores_switch_state():
-    counters = PerfCounters(enabled=False)
-    with counting(counters) as window:
-        assert counters.enabled
-        counters.inc("inside")
-        assert isinstance(window, CountingWindow)
-    assert not counters.enabled
-    assert window.delta() == {"inside": 1}
-    # nested: an already-enabled counter stays enabled afterwards
-    counters.enabled = True
-    with counting(counters):
-        pass
-    assert counters.enabled
+    was_enabled = PERF.enabled
+    PERF.enabled = False
+    try:
+        with counting() as window:
+            assert PERF.enabled
+            PERF.inc("test.inside")
+            assert isinstance(window, CountingWindow)
+        assert not PERF.enabled
+        assert window.delta() == {"test.inside": 1}
+        # nested: an already-enabled counter stays enabled afterwards
+        PERF.enabled = True
+        with counting():
+            pass
+        assert PERF.enabled
+    finally:
+        PERF.enabled = was_enabled
 
 
 def test_global_counting_window_is_scoped_to_block():
@@ -183,6 +202,8 @@ def test_make_entry_carries_schema_version():
     assert entry["run"] == 1
     assert entry["recorded_at"] == 123.0
     assert entry["benches"][0]["counters"] == {"soc.bus.cycles": 10}
+    assert entry["summary_sha256"] == history.summary_digest(
+        _summary([("bench_a", 0.5, {"soc.bus.cycles": 10})]))
 
 
 def test_append_run_numbers_runs_sequentially(tmp_path):
@@ -244,7 +265,7 @@ def test_wall_regression_ignores_sub_floor_benches():
         (1, [("fast", 0.001, None)]),
         (2, [("fast", 0.01, None)]),      # 10x but under the floor
     ])
-    assert history.detect_regressions(entries, min_wall_s=0.05) == []
+    assert history.detect_regressions(entries) == []
 
 
 def test_counter_regression_vs_previous_run():
@@ -253,7 +274,7 @@ def test_counter_regression_vs_previous_run():
         (2, [("b", 1.0, {"soc.bus.cycles": 150,
                          "soc.pmp.checks": 7})]),
     ])
-    found = history.detect_regressions(entries, counter_threshold=0.10)
+    found = history.detect_regressions(entries)
     assert [(r["kind"], r["metric"]) for r in found] == \
         [("counter", "soc.bus.cycles")]
     # the counter new in run 2 is not gated
@@ -324,9 +345,59 @@ def test_cli_records_trends_and_gates_on_regression(tmp_path):
     assert "soc.bus.cycles" in third.stdout
 
     # --no-record --check over the same history still fails the gate
-    gate = _run_cli(["--history", str(history_path), "--no-record",
+    gate = _run_cli(["--summary", str(summary_path),
+                     "--history", str(history_path), "--no-record",
                      "--check"], tmp_path)
     assert gate.returncode == 1
+    assert "soc.bus.cycles" in gate.stdout
+
+
+def test_cli_check_refuses_entry_not_recorded_from_summary(tmp_path):
+    summary_path = tmp_path / "BENCH_SUMMARY.json"
+    history_path = tmp_path / "hist.jsonl"
+    for wall in (1.0, 1.0):
+        summary_path.write_text(json.dumps(_summary(
+            [("bench_x", wall, {"soc.bus.cycles": 100})])))
+        assert _run_cli(["--summary", str(summary_path), "--history",
+                         str(history_path)], tmp_path).returncode == 0
+    # a later session wrote a new summary but stopped before recording
+    summary_path.write_text(json.dumps(_summary(
+        [("bench_x", 1.0, {"soc.bus.cycles": 100, "new": 1})])))
+    gate = _run_cli(["--summary", str(summary_path), "--history",
+                     str(history_path), "--no-record", "--check"],
+                    tmp_path)
+    assert gate.returncode == 1
+    assert "refusing to gate" in gate.stdout
+    assert "no regressions" not in gate.stdout
+    # an entry recorded before entries carried a digest is refused too
+    entries = [json.loads(line) for line in
+               history_path.read_text().splitlines()]
+    for entry in entries:
+        del entry["summary_sha256"]
+    history_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    summary_path.write_text(json.dumps(_summary(
+        [("bench_x", 1.0, {"soc.bus.cycles": 100})])))
+    legacy = _run_cli(["--summary", str(summary_path), "--history",
+                       str(history_path), "--no-record", "--check"],
+                      tmp_path)
+    assert legacy.returncode == 1
+    assert "refusing to gate" in legacy.stdout
+
+
+def test_cli_check_gates_fresh_entry(tmp_path):
+    summary_path = tmp_path / "BENCH_SUMMARY.json"
+    history_path = tmp_path / "hist.jsonl"
+    for cycles in (100, 100, 150):
+        summary_path.write_text(json.dumps(_summary(
+            [("bench_x", 1.0, {"soc.bus.cycles": cycles})])))
+        assert _run_cli(["--summary", str(summary_path), "--history",
+                         str(history_path)], tmp_path).returncode == 0
+        gate = _run_cli(["--summary", str(summary_path), "--history",
+                         str(history_path), "--no-record", "--check"],
+                        tmp_path)
+        assert "refusing" not in gate.stdout
+        assert gate.returncode == (cycles > 100), gate.stdout
+    assert "soc.bus.cycles" in gate.stdout
 
 
 def test_cli_no_record_without_history(tmp_path):

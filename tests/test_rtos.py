@@ -195,23 +195,16 @@ class TestIsolation:
         kernel.run(10)
         assert task.state is TaskState.FAULTED
 
-    def test_mmio_needs_grant(self):
+    def test_mmio_denied_to_tasks(self):
         kernel = Kernel(protected=True)
         mmio = kernel.memory.memory_map["mmio"]
-
-        def driver(ctx):
-            ctx.store(mmio.base, b"\x01")
-            yield
 
         def rogue(ctx):
             ctx.store(mmio.base, b"\x02")
             yield
 
-        driver_task = kernel.create_task("driver", 1, driver,
-                                         grant_mmio=True)
         rogue_task = kernel.create_task("rogue", 1, rogue)
         kernel.run(20)
-        assert driver_task.state is TaskState.DONE
         assert rogue_task.state is TaskState.FAULTED
 
     def test_fault_recovery_system_keeps_running(self):

@@ -52,19 +52,6 @@ class TestStackOverflowDetection:
         assert task.stack_high_water == 3000
         assert task.stack_used == 0
 
-    def test_bigger_stack_accommodates(self):
-        kernel = Kernel()
-
-        def hungry(ctx):
-            ctx.push_stack(5000)
-            yield
-            ctx.task.stack_used -= 5000
-
-        task = kernel.create_task("hungry", 1, hungry,
-                                  stack_bytes=8192)
-        kernel.run(10)
-        assert task.state is TaskState.DONE
-
 
 class TestDeadlineWatchdog:
     def test_deadline_met(self):

@@ -103,11 +103,6 @@ class TestCheckAlgorithm:
         with pytest.raises(PermissionError):
             pmp.clear_entry(0)
 
-    def test_only_machine_mode_programs_pmp(self):
-        pmp = Pmp()
-        with pytest.raises(PermissionError):
-            pmp.set_napot(0, 0x8000_0000, 0x1000, readable=True, mode=S)
-
     def test_unknown_access_type(self):
         with pytest.raises(ValueError):
             Pmp().check(0, 4, "jump", M)
