@@ -44,7 +44,7 @@ PARALLEL_JOBS = 4
 PARALLEL_SPEEDUP_FLOOR = 1.2
 
 #: Campaign with the Ed25519 verdict memo over the same campaign with
-#: the ``conftest.never_hits`` baseline for it, at the
+#: the ``parity.never_hits`` baseline for it, at the
 #: ``fault-campaign`` bench op's size (60 injections): the median of
 #: ``VERDICT_ROUNDS`` interleaved rounds' paired ratios.  Telemetry and
 #: PERF are off in the timed window and coverage is not requested, so
@@ -219,7 +219,7 @@ def _campaign_json(scenarios):
 def _memo_gate(report_dir, module, name, rounds, floor, artifact,
                title, columns):
     """Same campaign, same process: ``module.name`` against a
-    :class:`~conftest.NeverHits` baseline over ``rounds`` interleaved
+    :class:`~parity.NeverHits` baseline over ``rounds`` interleaved
     rounds (:func:`~conftest.paired_rounds`), the memo cleared before
     each of its runs, telemetry and PERF off.  Outputs are
     byte-identical, the memo misses exactly once per distinct key, and

@@ -33,15 +33,16 @@ import pathlib
 import statistics
 import sys
 import time
-from contextlib import contextmanager
 
 import pytest
 
 from repro.obs import PERF, TELEMETRY, PerfSnapshot, atomic_write_text, \
     collapsed
 
-# The frozen crypto oracles (``crypto_reference``) live with the tests.
+# The frozen crypto oracles (``crypto_reference``) and the per-memo
+# never-hit baseline (``parity.never_hits``) live with the tests.
 sys.path.append(str(pathlib.Path(__file__).parent.parent / "tests"))
+from parity import never_hits  # noqa: E402,F401  (re-exported to benches)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SUMMARY_PATH = pathlib.Path(__file__).parent.parent / \
@@ -96,40 +97,6 @@ def write_table(report_dir, name: str, title: str, header: list,
     atomic_write_text(report_dir / f"{name}.json",
                       json.dumps(payload, indent=2) + "\n")
     return text
-
-
-class NeverHits:
-    """Frozen baseline for a process-wide memo (``ed25519.VERDICT_MEMO``,
-    ``bootrom.MEASUREMENT_MEMO``): every call builds, as before the memo
-    existed.  Counts the calls and records the distinct keys asked
-    for."""
-
-    def __init__(self):
-        self.calls = 0
-        self.keys = set()
-
-    def get_or_build(self, key, build):
-        self.calls += 1
-        self.keys.add(key)
-        return build()
-
-    def clear(self):
-        pass
-
-
-@contextmanager
-def never_hits(module, name):
-    """``module.name`` is a :class:`NeverHits` in the block; yields it.
-    Benches that time work on repeated inputs use it, or they would
-    time memo hits: ``never_hits(ed25519, "VERDICT_MEMO")`` makes every
-    ``ed25519.verify`` verify in full."""
-    memo = getattr(module, name)
-    stand_in = NeverHits()
-    setattr(module, name, stand_in)
-    try:
-        yield stand_in
-    finally:
-        setattr(module, name, memo)
 
 
 def paired_rounds(arms: dict, rounds: int) -> dict:

@@ -11,7 +11,12 @@ defaulted parameter (``relpath:qualname(name=)``) by whether it arrived
 with a value other than its default.  A call counts as production only
 while no ``tests/`` frame is on its thread's stack, so a test oracle a
 bench imports (``tests/crypto_reference.py``) reaches nothing
-production::
+production.  It writes no ledger, and ``--check`` fails, when an
+example, a ``bench/run.py`` workload or a ``*_report.py`` script exits
+non-zero: a broken driver would silently shrink ``prod``.  The two
+``pytest benchmarks`` drivers and the ``bench_history.py`` ones only
+report their exits: under the profiler those depend on timing gates and
+on the history file::
 
     python scripts/reachability.py          # rewrite reachability.txt
     python scripts/reachability.py --check  # no tier-1; exit 1 on an
@@ -173,11 +178,20 @@ def production_drivers():
         yield {}, [py, f"scripts/{script}", *args]
 
 
+def must_pass(argv) -> bool:
+    """Whether a driver's non-zero exit refuses the ledger: an example,
+    a ``bench/run.py`` workload or a ``*_report.py`` script."""
+    script = argv[1]
+    return script.startswith(("examples/", "bench/run.py")) \
+        or script.endswith("_report.py")
+
+
 def record(drivers, src: Path, cwd: Path) -> tuple:
     """``(production, under_tests)``: the keys of every function under
     ``src`` that runs, and every defaulted parameter set, while
     ``drivers`` (``(extra_env, argv)`` pairs) execute in ``cwd``; a call
-    below a ``cwd/tests/`` frame counts under tests only."""
+    below a ``cwd/tests/`` frame counts under tests only.  Exits when a
+    driver :func:`must_pass` exits non-zero."""
     with tempfile.TemporaryDirectory() as scratch:
         hook, dump = Path(scratch, "hook"), Path(scratch, "dump")
         for directory in (hook, dump):
@@ -191,6 +205,7 @@ def record(drivers, src: Path, cwd: Path) -> tuple:
                    REACH_TESTS=f"{(cwd / 'tests').resolve()}{os.sep}",
                    REACH_DEFAULTED=str(defaulted),
                    PYTHONPATH=os.pathsep.join([str(hook), str(src)]))
+        broken = []
         for extra, argv in drivers:
             started = time.perf_counter()
             code = subprocess.run(argv, cwd=cwd, env={**env, **extra},
@@ -198,6 +213,11 @@ def record(drivers, src: Path, cwd: Path) -> tuple:
                                   stderr=subprocess.DEVNULL).returncode
             print(f"  {time.perf_counter() - started:6.1f}s exit {code}  "
                   f"{' '.join(argv[1:])}", flush=True)
+            if code and must_pass(argv):
+                broken.append(" ".join(argv[1:]))
+        if broken:
+            raise SystemExit(f"no ledger: {'; '.join(broken)} exited "
+                             "non-zero")
         seen = {"prod": set(), "test": set(), "lost": set()}
         for path in dump.iterdir():
             for line in path.read_text().splitlines():

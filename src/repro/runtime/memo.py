@@ -13,13 +13,11 @@ Two kinds of caller use it:
   :meth:`Memo.lookup` and :meth:`Memo.store` directly.  Their warmth
   is a function of the work handed to the object that owns them, so
   their PERF counters count the work actually done.
-* **Process-wide memos** — the measured-boot memo, the SM-image
-  measurement memo, the ML-DSA key and context memo, the Ed25519
-  per-key table memo, and the result memos of
-  :data:`repro.crypto.RESULT_MEMOS` (Ed25519 verdicts, signatures,
-  signing contexts and public keys; ML-KEM encapsulations and
-  decapsulations; AES-CTR outputs) — outlive any one workload: forked workers and test order see them at different
-  warmth.  They go through :meth:`Memo.get_or_build`,
+* **Process-wide memos** — module-level ones in :mod:`repro.tee.bootrom`
+  and :mod:`repro.crypto`; :data:`repro.crypto.RESULT_MEMOS` lists the
+  ones a fault or adversary campaign clears at its start — outlive any
+  one workload: forked workers and test order see them at different
+  warmth.  They, and only they, go through :meth:`Memo.get_or_build`,
   which records the PERF delta of each build and replays it on every
   hit.
 
@@ -27,7 +25,12 @@ The counter contract both serve: **PERF counters are a function of the
 workload, never of process history.**  :meth:`Memo.get_or_build` is the
 only cache-side code that may snapshot or merge PERF; an entry built
 while PERF was off has no delta to replay, so it is rebuilt the first
-time it is hit with PERF on.
+time it is hit with PERF on.  The test harness ``assert_parity``
+(``tests/parity.py``) enforces it, with serial-vs-sharded byte parity:
+a workload's bytes, PERF delta, audit ledger and collapsed stacks must
+not change between its ``jobs``, ``cold``, ``warm``, ``never_hit``
+(:meth:`Memo.get_or_build` always builds), ``traced`` and ``audited``
+arms.
 
 The bypass rule, written once in :func:`bypassed`: **a cache whose
 build runs fault hook sites or opens timed spans is skipped while

@@ -183,6 +183,19 @@ class VerifiedBoot:
         return self.report is not None
 
 
+def _rejected(reason: str, error) -> VerifiedBoot:
+    """The fail-closed outcome of a rejected boot, audited; ``error``
+    is the exception that caused it, if any."""
+    if AUDIT.enabled:
+        AUDIT.emit("tee.boot", "boot-rejected", severity="critical",
+                   reason=reason)
+    detail = "" if error is None else \
+        f"{type(error).__name__}: {error}"[:200]
+    return VerifiedBoot(report=None, fault=FaultReport(
+        component="tee.bootrom", outcome=Outcome.DETECTED, reason=reason,
+        detail=detail))
+
+
 class BootRom:
     """The immutable first-stage boot loader."""
 
@@ -328,32 +341,13 @@ class BootRom:
         try:
             report = self.boot(sm_binary)
         except Exception as exc:          # fail closed, report the cause
-            if AUDIT.enabled:
-                AUDIT.emit("tee.boot", "boot-rejected",
-                           severity="critical", reason="boot-exception")
-            return VerifiedBoot(report=None, fault=FaultReport(
-                component="tee.bootrom", outcome=Outcome.DETECTED,
-                reason="boot-exception",
-                detail=f"{type(exc).__name__}: {exc}"[:200]))
+            return _rejected("boot-exception", exc)
         try:
             verified = self.verify_boot(sm_binary, report)
         except Exception as exc:
-            if AUDIT.enabled:
-                AUDIT.emit("tee.boot", "boot-rejected",
-                           severity="critical",
-                           reason="verify-exception")
-            return VerifiedBoot(report=None, fault=FaultReport(
-                component="tee.bootrom", outcome=Outcome.DETECTED,
-                reason="verify-exception",
-                detail=f"{type(exc).__name__}: {exc}"[:200]))
+            return _rejected("verify-exception", exc)
         if not verified:
-            if AUDIT.enabled:
-                AUDIT.emit("tee.boot", "boot-rejected",
-                           severity="critical",
-                           reason="boot-verification-failed")
-            return VerifiedBoot(report=None, fault=FaultReport(
-                component="tee.bootrom", outcome=Outcome.DETECTED,
-                reason="boot-verification-failed"))
+            return _rejected("boot-verification-failed", None)
         if AUDIT.enabled:
             AUDIT.emit("tee.boot", "boot-verified",
                        post_quantum=self.device.post_quantum)

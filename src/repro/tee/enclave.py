@@ -28,21 +28,18 @@ class Enclave:
     switched the hart's PMP into this enclave's context.
     """
 
-    def __init__(self, enclave_id: int, binary: bytes, region: Region,
-                 runtime_data: bytes = b""):
+    def __init__(self, enclave_id: int, binary: bytes, region: Region):
         self.enclave_id = enclave_id
         self.binary = bytes(binary)
-        self.runtime_data = bytes(runtime_data)
         self.region = region
         self.state = EnclaveState.CREATED
-        self.measurement = self.measure(self.binary, self.runtime_data)
+        self.measurement = self.measure(self.binary)
 
     @staticmethod
-    def measure(binary: bytes, runtime_data: bytes = b"") -> bytes:
-        """The enclave identity hash (binary || runtime data)."""
+    def measure(binary: bytes) -> bytes:
+        """The enclave identity hash, over its length-prefixed binary."""
         return sha3_512(b"enclave-measurement-v1"
-                        + len(binary).to_bytes(8, "big") + binary
-                        + runtime_data)
+                        + len(binary).to_bytes(8, "big") + binary)
 
     def _require_state(self, *allowed: EnclaveState) -> None:
         if self.state not in allowed:

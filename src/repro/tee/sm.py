@@ -84,11 +84,8 @@ class SecurityMonitor:
                        for h in self.harts}
         self.stack = self.stacks[self.hart.hart_id]
         self._mldsa = MLDSA(self.config.mldsa_params)
-        self._sm_mldsa_secret = None   # expanded lazily from the seed
-        # Attestation-key signing contexts, built lazily on the first
-        # report and reused for every subsequent one: the Ed25519 comb
-        # precomputation and the ML-DSA NTT-domain key expansion are
-        # paid once per SM instead of once per attestation.
+        # Attestation-key signing contexts, built with the first report
+        # (:meth:`_unsigned_report`).
         self._sm_ed_signer = None
         self._sm_mldsa_signer = None
         self._dram = dram
@@ -160,8 +157,7 @@ class SecurityMonitor:
 
     # -- enclave lifecycle ----------------------------------------------
 
-    def create_enclave(self, binary: bytes,
-                       runtime_data: bytes = b"") -> Enclave:
+    def create_enclave(self, binary: bytes) -> Enclave:
         """Allocate, load and measure a new enclave."""
         if len(binary) > ENCLAVE_REGION_SIZE:
             raise ValueError("enclave binary exceeds region size")
@@ -173,8 +169,7 @@ class SecurityMonitor:
         self._next_enclave_base += ENCLAVE_REGION_SIZE
         region = Region(f"enclave{self._next_enclave_id}", base,
                         ENCLAVE_REGION_SIZE)
-        enclave = Enclave(self._next_enclave_id, binary, region,
-                          runtime_data)
+        enclave = Enclave(self._next_enclave_id, binary, region)
         self._next_enclave_id += 1
         self.memory.write(base, binary)
         self.enclaves[enclave.enclave_id] = enclave
@@ -264,33 +259,41 @@ class SecurityMonitor:
                             post_quantum=self.config.post_quantum):
             return self._attest_enclave(enclave, report_data)
 
-    def _attest_enclave(self, enclave: Enclave,
-                        report_data: bytes) -> AttestationReport:
-        self._require_live(enclave)
+    def _unsigned_report(self, enclave: Enclave,
+                         report_data: bytes) -> AttestationReport:
+        """``enclave``'s report before the SM signs it.  The first one
+        also builds the SM's signing contexts, reused for every later
+        report: the Ed25519 comb precomputation and the ML-DSA
+        NTT-domain key expansion are paid once per SM instead of once
+        per attestation."""
+        boot = self.boot_report
+        if self._sm_ed_signer is None:
+            self._sm_ed_signer = ed25519.SigningKey(boot.sm_ed25519_seed)
+            if self.config.post_quantum:
+                _, secret = self._mldsa.key_gen(boot.sm_mldsa_seed)
+                self._sm_mldsa_signer = self._mldsa.signer(secret)
         report = AttestationReport(
             enclave_hash=enclave.measurement,
             enclave_data=report_data,
             enclave_signature=b"",
-            sm_hash=self.boot_report.sm_measurement,
-            sm_ed25519_public=self.boot_report.sm_ed25519_public,
-            sm_signature=self.boot_report.sm_cert_classical,
+            sm_hash=boot.sm_measurement,
+            sm_ed25519_public=boot.sm_ed25519_public,
+            sm_signature=boot.sm_cert_classical,
         )
         if self.config.post_quantum:
-            report.sm_mldsa_public = self.boot_report.sm_mldsa_public
-            report.sm_pq_signature = self.boot_report.sm_cert_pq
+            report.sm_mldsa_public = boot.sm_mldsa_public
+            report.sm_pq_signature = boot.sm_cert_pq
+        return report
+
+    def _attest_enclave(self, enclave: Enclave,
+                        report_data: bytes) -> AttestationReport:
+        self._require_live(enclave)
+        report = self._unsigned_report(enclave, report_data)
         payload = report.enclave_payload()
-        if self._sm_ed_signer is None:
-            self._sm_ed_signer = ed25519.SigningKey(
-                self.boot_report.sm_ed25519_seed)
         with TELEMETRY.span("tee.attest.sign", scheme="ed25519"):
             report.enclave_signature = self._sign_with_stack(
                 self._sm_ed_signer.sign, ED25519_SIGNING_STACK, payload)
         if self.config.post_quantum:
-            if self._sm_mldsa_signer is None:
-                _, self._sm_mldsa_secret = self._mldsa.key_gen(
-                    self.boot_report.sm_mldsa_seed)
-                self._sm_mldsa_signer = self._mldsa.signer(
-                    self._sm_mldsa_secret)
             with TELEMETRY.span("tee.attest.sign", scheme="mldsa"):
                 report.enclave_pq_signature = self._sign_with_stack(
                     self._sm_mldsa_signer.sign,
@@ -333,34 +336,14 @@ class SecurityMonitor:
                            post_quantum=True)
         with TELEMETRY.span("tee.attest.batch", batch=len(enclaves),
                             post_quantum=True):
-            reports = []
-            payloads = []
-            for enclave, data in zip(enclaves, data_list):
-                report = AttestationReport(
-                    enclave_hash=enclave.measurement,
-                    enclave_data=data,
-                    enclave_signature=b"",
-                    sm_hash=self.boot_report.sm_measurement,
-                    sm_ed25519_public=self.boot_report.sm_ed25519_public,
-                    sm_signature=self.boot_report.sm_cert_classical,
-                    sm_mldsa_public=self.boot_report.sm_mldsa_public,
-                    sm_pq_signature=self.boot_report.sm_cert_pq,
-                )
-                reports.append(report)
-                payloads.append(report.enclave_payload())
-            if self._sm_ed_signer is None:
-                self._sm_ed_signer = ed25519.SigningKey(
-                    self.boot_report.sm_ed25519_seed)
+            reports = [self._unsigned_report(enclave, data)
+                       for enclave, data in zip(enclaves, data_list)]
+            payloads = [report.enclave_payload() for report in reports]
             with TELEMETRY.span("tee.attest.sign", scheme="ed25519"):
                 for report, payload in zip(reports, payloads):
                     report.enclave_signature = self._sign_with_stack(
                         self._sm_ed_signer.sign, ED25519_SIGNING_STACK,
                         payload)
-            if self._sm_mldsa_signer is None:
-                _, self._sm_mldsa_secret = self._mldsa.key_gen(
-                    self.boot_report.sm_mldsa_seed)
-                self._sm_mldsa_signer = self._mldsa.signer(
-                    self._sm_mldsa_secret)
             with TELEMETRY.span("tee.attest.sign", scheme="mldsa",
                                 batch=len(payloads)):
                 if PERF.enabled:

@@ -19,6 +19,8 @@ from repro.faults.adversary.families import TaskProgramAdversary
 from repro.obs import CoverageMap
 from repro.runtime import run_sharded
 
+from parity import assert_parity
+
 SEED = 99
 
 
@@ -29,40 +31,37 @@ def small():
                                        population=30, jobs=1)
 
 
+def _adversary(jobs, generations=3, population=30) -> bytes:
+    """Campaign JSON, corpus and coverage map of a standard adversary
+    campaign."""
+    cover = CoverageMap("adversary")
+    result = standard_adversary_campaign(
+        seed=SEED, generations=generations, population=population,
+        jobs=jobs, coverage=cover)
+    return (result.canonical_json() + result.corpus_json()
+            + cover.to_json()).encode()
+
+
 class TestDeterminism:
-    def test_repeat_run_byte_identical(self, small):
-        again = standard_adversary_campaign(seed=SEED, generations=3,
-                                            population=30, jobs=1)
-        assert again.canonical_json() == small.canonical_json()
-        assert again.corpus_json() == small.corpus_json()
+    def test_every_arm_identical(self):
+        """Byte-identical for any worker count and across repeated runs,
+        cold, warm, with never-hit memos, traced and audited."""
+        assert_parity(_adversary)
 
-    def test_serial_vs_parallel_byte_identical(self, small):
-        cover = CoverageMap("adversary")
-        parallel = standard_adversary_campaign(
-            seed=SEED, generations=3, population=30, jobs=2,
-            coverage=cover)
-        assert parallel.canonical_json() == small.canonical_json()
-        assert parallel.corpus_json() == small.corpus_json()
+    def test_rerun_restarts_result_memos(self):
+        """A campaign clears the crypto result memos at its start: rerun
+        after a cold run filled them, each memo's hits and misses are
+        those of the cold run."""
+        def stats():
+            _adversary(1, 2, 20)
+            return [memo.stats() for memo in RESULT_MEMOS]
 
-    def test_warm_rerun_byte_identical(self):
-        """A campaign starts cold: rerun after a first run filled the
-        crypto result memos, its campaign JSON, corpus and coverage are
-        the same bytes, and each memo's hits and misses are those of
-        the cold run."""
-        def run():
-            cover = CoverageMap("adversary")
-            result = standard_adversary_campaign(
-                seed=SEED, generations=2, population=20, jobs=1,
-                coverage=cover)
-            return (result.canonical_json(), result.corpus_json(),
-                    cover.to_json(), [memo.stats() for memo in RESULT_MEMOS])
-
-        run()               # builds the process's one-time state first
+        stats()             # builds the process's one-time state first
         for memo in RESULT_MEMOS:
             memo.clear()
-        cold = run()
-        assert any(stats["hits"] for stats in cold[3])
-        assert run() == cold
+        cold = stats()
+        assert any(memo["hits"] for memo in cold)
+        assert stats() == cold
 
     def test_different_seed_different_campaign(self, small):
         other = standard_adversary_campaign(seed=SEED + 1,

@@ -17,6 +17,8 @@ Pins the detection-plane contracts:
   detections per detector.
 """
 
+import json
+
 import pytest
 
 from repro.faults import FAULTS
@@ -27,6 +29,8 @@ from repro.obs.audit import (AUDIT, AuditLedger, canonical_encode,
 from repro.obs.detect import (DETECT_SUBSYSTEM, AnomalyEngine,
                               WindowThresholdDetector,
                               standard_detectors)
+
+from parity import assert_parity
 
 
 def _event(seq, kind="boot-rejected", subsystem="tee.boot",
@@ -209,28 +213,19 @@ class TestGoldenSilence:
 # -- serial vs parallel parity --------------------------------------------
 
 class TestCampaignParity:
-    def _campaign_ledger(self, jobs):
-        AUDIT.reset()
-        AUDIT.enable()
-        engine = AnomalyEngine(ledger=AUDIT)
-        try:
-            standard_adversary_campaign(seed=11, generations=2,
-                                        population=60, jobs=jobs)
-        finally:
-            engine.uninstall()
-        records = AUDIT.export_records()
-        sequence = engine.sequence()
-        AUDIT.disable()
-        AUDIT.reset()
-        return records, sequence
-
     def test_ledger_and_detections_identical_serial_vs_jobs2(self):
-        serial_records, serial_sequence = self._campaign_ledger(1)
-        parallel_records, parallel_sequence = self._campaign_ledger(2)
-        assert [canonical_encode(r) for r in parallel_records] == \
-            [canonical_encode(r) for r in serial_records]
-        assert parallel_sequence == serial_sequence
-        assert verify_records(serial_records)["events"] > 0
+        def run(jobs):
+            engine = AnomalyEngine(ledger=AUDIT)
+            try:
+                standard_adversary_campaign(seed=11, generations=2,
+                                            population=60, jobs=jobs)
+            finally:
+                engine.uninstall()
+            return repr(engine.sequence()).encode()
+
+        arms = assert_parity(run, variants=("jobs", "audited"))
+        records = json.loads(arms["reference"]["audit"])
+        assert verify_records(records)["events"] > 0
 
 
 # -- audit summary --------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.tee import build_tee, verify_report, verify_reports
 
 import crypto_reference as ref
 from helpers import reset_telemetry
+from parity import assert_parity
 
 ALL_PARAMS = (ML_DSA_44, ML_DSA_65, ML_DSA_87)
 RAGGED_SIZES = (1, 2, 63, 64, 65)
@@ -548,20 +549,22 @@ class TestConsumers:
     def pq_platform(self):
         return build_tee(post_quantum=True)
 
-    def test_attest_enclaves_byte_identical(self, pq_platform):
-        sm = pq_platform.sm
-        enclaves = [sm.create_enclave(b"batch-enclave-%d" % i * 64)
-                    for i in range(3)]
-        data = [b"d%d" % i for i in range(3)]
-        try:
-            scalar = [sm.attest_enclave(e, d).encode()
-                      for e, d in zip(enclaves, data)]
-            batch = [r.encode()
-                     for r in sm.attest_enclaves(enclaves, data)]
-            assert scalar == batch
-        finally:
-            for enclave in enclaves:
-                sm.destroy_enclave(enclave)
+    def test_attest_enclaves_byte_identical(self):
+        """The batched and the scalar path mint the same reports, with
+        the same PERF totals cold, warm, with never-hit memos, traced
+        and audited."""
+        def run(jobs):
+            sm = build_tee(post_quantum=True).sm
+            enclaves = [sm.create_enclave(b"batch-enclave-%d" % i * 64)
+                        for i in range(3)]
+            data = [b"d%d" % i for i in range(3)]
+            batch = [r.encode() for r in sm.attest_enclaves(enclaves, data)]
+            assert batch == [sm.attest_enclave(e, d).encode()
+                             for e, d in zip(enclaves, data)]
+            return b"".join(batch)
+
+        assert_parity(run, variants=("cold", "warm", "never_hit", "traced",
+                                     "audited"))
 
     def test_verify_reports_boolean_identical(self, pq_platform):
         sm = pq_platform.sm

@@ -34,7 +34,7 @@ from repro.tee.device import Device
 import pytest
 
 import crypto_reference as ref
-from helpers import reset_telemetry
+from parity import assert_parity
 
 _POLY = st.lists(st.integers(min_value=0, max_value=m.Q - 1),
                  min_size=m.N, max_size=m.N)
@@ -224,23 +224,18 @@ class TestBootMemo:
 
     SM_BINARY = b"fastpath-sm-image" * 64
 
-    def test_memo_hit_is_byte_identical(self):
-        rom = BootRom(Device(bytes(range(32))))
-        first = rom.boot(self.SM_BINARY)
-        second = rom.boot(self.SM_BINARY)
-        assert second.encode() == first.encode()
+    def test_every_arm_identical(self):
+        """A boot's bytes and PERF delta are the same cold, warm (a hit
+        replays the build's delta), with never-hit memos, and traced,
+        where the memo is bypassed: timed spans cannot be replayed."""
+        def run(jobs):
+            seed = hashlib.sha3_256(b"memo-perf").digest()
+            return BootRom(Device(seed)).boot(self.SM_BINARY).encode()
 
-    def test_memo_hit_replays_perf_delta(self):
-        rom = BootRom(Device(hashlib.sha3_256(b"memo-perf").digest()))
-        binary = b"memo-perf-sm" * 64
-        with counting() as cold:
-            rom.boot(binary)
-        cold_delta = cold.delta()
-        with counting() as warm:
-            rom.boot(binary)
-        warm_delta = warm.delta()
-        assert cold_delta["tee.bootrom.boots"] == 1
-        assert warm_delta == cold_delta
+        arms = assert_parity(run, variants=("cold", "warm", "never_hit",
+                                            "traced"))
+        assert arms["warm"]["perf"]["tee.bootrom.boots"] == 1
+        assert "tee.boot;tee.boot.measure " in arms["traced"]["collapsed"]
 
     def test_entry_minted_with_perf_off_counts_like_a_cold_boot(self):
         """A boot memoized while PERF was off has no delta to replay,
@@ -266,26 +261,6 @@ class TestBootMemo:
         assert cold_delta["tee.bootrom.boots"] == 1
         assert cold_delta["crypto.mldsa.key_gen"] > 0
         assert warm_delta == cold_delta == real.delta()
-
-    def test_active_telemetry_bypasses_memo(self):
-        from repro.obs import TELEMETRY
-        rom = BootRom(Device(hashlib.sha3_256(b"memo-spans").digest()))
-        binary = b"memo-spans-sm" * 64
-        clean = rom.boot(binary)          # warm the cache
-        was_enabled = TELEMETRY.enabled
-        TELEMETRY.enabled = True
-        reset_telemetry()
-        try:
-            traced = rom.boot(binary)
-            names = {record["name"]
-                     for record in TELEMETRY.tracer.snapshot()}
-        finally:
-            reset_telemetry()
-            TELEMETRY.enabled = was_enabled
-        # Traced boots must run for real — timed spans can't be
-        # replayed from the cache the way PERF deltas can.
-        assert "tee.boot.measure" in names
-        assert traced.encode() == clean.encode()
 
     def test_armed_faults_bypass_memo(self):
         rom = BootRom(Device(hashlib.sha3_256(b"memo-fault").digest()))
@@ -370,19 +345,13 @@ class TestMeasurementMemo:
         assert rom.measure(self.IMAGE) == golden
 
     def test_perf_totals_equal_cold_and_warm(self):
-        rom = self._rom()
+        def run(jobs):
+            verified = self._rom().boot_verified(self.IMAGE)
+            assert verified.ok
+            return verified.report.encode()
 
-        def counted():
-            with counting() as window:
-                assert rom.boot_verified(self.IMAGE).ok
-            return window.delta()
-
-        cold = counted()
-        warm = counted()
-        bootrom.MEASUREMENT_MEMO.clear()
-        recold = counted()
-        assert cold["tee.bootrom.measurements"] == 2
-        assert warm == cold == recold
+        arms = assert_parity(run, variants=("cold", "warm"))
+        assert arms["warm"]["perf"]["tee.bootrom.measurements"] == 2
 
     def test_never_holds_more_than_maxsize(self):
         rom = self._rom()

@@ -6,12 +6,12 @@ baseline demonstrates exactly the silent-corruption class the PMP port
 removes.
 """
 
+import hashlib
 import json
-from contextlib import ExitStack, contextmanager
 
 import pytest
 
-from repro.crypto import MLKEM, RESULT_MEMOS, aes, ed25519, mlkem
+from repro.crypto import MLKEM, RESULT_MEMOS, ed25519, mlkem
 from repro.faults import FAULTS, FaultSpec, Outcome
 from repro.faults import campaign as campaign_module
 from repro.faults.campaign import (CampaignResult, FaultPoint,
@@ -19,16 +19,14 @@ from repro.faults.campaign import (CampaignResult, FaultPoint,
                                    classify, plan_injections,
                                    run_campaign, standard_campaign)
 from repro.faults.models import BIT_FLIP
-from repro.faults.scenarios import (BootAttestScenario,
-                                    RtosScenario,
-                                    SocFabricScenario,
-                                    standard_scenarios)
+from repro.faults.scenarios import (BootAttestScenario, RtosScenario,
+                                    SocFabricScenario)
 from repro.obs import TELEMETRY, CoverageMap
-from repro.obs.perf import PERF, counting
-from repro.runtime import fork_available
+from repro.obs.perf import PERF
 from repro.tee import bootrom
 
 from helpers import reset_telemetry
+from parity import assert_parity, never_hit
 
 SEED = 99
 SMALL = 30
@@ -241,78 +239,67 @@ class TestDeterministicExport:
         assert len(result.hardened_violations()) == 1
 
 
-class _NeverHits:
-    """Stand-in for a process-wide memo that builds on every call, as
-    before the memo existed."""
-
-    def get_or_build(self, key, build):
-        return build()
-
-    def clear(self):
-        pass
+#: SHA-256 of the audit ledger of :func:`_campaign` at seed 11.
+LEDGER_SHA256 = \
+    "1c3b121bf2e0bea4b729e5e069c6bb38742f0b8a2e4bb6858a2d1183521e81fb"
 
 
-@contextmanager
-def _never_hits(module, name):
-    """``module.name`` (a memo) is a :class:`_NeverHits` in the block."""
-    memo = getattr(module, name)
-    setattr(module, name, _NeverHits())
-    try:
-        yield
-    finally:
-        setattr(module, name, memo)
-
-
-def _campaign_bytes(seed=11, jobs=1):
-    """Canonical JSON, coverage map and PERF totals of one standard
-    60-injection campaign, as bytes.  ``runtime.*`` counters tick only
-    when a worker pool spins up, the one sanctioned jobs difference."""
+def _campaign(jobs, seed=11) -> bytes:
+    """Canonical JSON and coverage map of one standard 60-injection
+    campaign."""
     coverage = CoverageMap()
-    with counting() as window:
-        result = standard_campaign(seed=seed, injections=60, jobs=jobs,
-                                   coverage=coverage)
-    counters = {event: count for event, count
-                in sorted(window.delta().items())
-                if not event.startswith("runtime.")}
-    return (result.canonical_json(),
-            json.dumps(coverage.to_dict(), sort_keys=True),
-            json.dumps(counters))
+    result = standard_campaign(seed=seed, injections=60, jobs=jobs,
+                               coverage=coverage)
+    return (result.canonical_json() + coverage.to_json()).encode()
+
+
+class TestMemoParity:
+    """The process-wide memos change a campaign's cost, never its
+    outputs: canonical JSON, coverage map, PERF totals and audit ledger
+    are the same bytes serial and sharded, cold and warm, with every memo
+    a never-hit stand-in, and traced."""
+
+    def test_every_arm_identical(self):
+        arms = assert_parity(_campaign)
+        # Boot rejections, verdicts and gate events, pinned byte for byte.
+        assert hashlib.sha256(arms["reference"]["audit"]).hexdigest() == \
+            LEDGER_SHA256
+
+    def test_replayed_result_memos_keep_outputs(self, monkeypatch):
+        """Warm without the start-of-campaign clear: the warm run hits
+        the result memos the cold run filled, and replays their stored
+        PERF deltas."""
+        hits = []
+
+        def run(jobs):
+            output = _campaign(jobs)
+            hits.append([memo.hits for memo in RESULT_MEMOS])
+            return output
+
+        monkeypatch.setattr(campaign_module, "RESULT_MEMOS", ())
+        assert_parity(run, variants=("cold", "warm"))
+        _, cold, warm = hits
+        assert all(after > 2 * before > 0
+                   for before, after in zip(cold, warm)), hits
 
 
 class TestVerdictMemo:
-    """The Ed25519 verdict memo changes a campaign's cost, never its
-    outputs: canonical JSON, coverage map and PERF totals are the same
-    bytes with the memo bypassed, on, traced, sharded and warmed."""
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        with _never_hits(ed25519, "VERDICT_MEMO"):
-            return _campaign_bytes()
-
     @pytest.mark.parametrize("traced", [False, True])
-    def test_memo_on(self, reference, traced):
-        """Telemetry leaves the memo on: :func:`ed25519._verify` opens
-        no span, so a traced campaign hits it as an untraced one does."""
+    def test_memo_on(self, traced):
+        """Telemetry leaves the verdict and measurement memos on: their
+        builds open no span, so a traced campaign hits them as an
+        untraced one does."""
+        bootrom.MEASUREMENT_MEMO.clear()
         was_enabled = TELEMETRY.enabled
         TELEMETRY.enabled = traced
         try:
-            outputs = _campaign_bytes()
-            stats = ed25519.VERDICT_MEMO.stats()
+            standard_campaign(seed=11, injections=60, jobs=1)
         finally:
             TELEMETRY.enabled = was_enabled
             reset_telemetry()
-        assert stats["hits"] > stats["misses"] > 0
-        assert outputs == reference
-
-    @pytest.mark.skipif(not fork_available(),
-                        reason="parallel path needs fork")
-    def test_sharded(self, reference):
-        assert _campaign_bytes(jobs=2) == reference
-
-    def test_warm_start_is_cleared(self, reference):
-        _campaign_bytes(seed=12)
-        assert ed25519.VERDICT_MEMO.stats()["size"] > 0
-        assert _campaign_bytes() == reference
+        for memo in (ed25519.VERDICT_MEMO, bootrom.MEASUREMENT_MEMO):
+            stats = memo.stats()
+            assert stats["hits"] > stats["misses"] > 0, stats
 
     def test_each_distinct_triple_verified_once(self, monkeypatch):
         """As the bench runs it: coverage on, global PERF off.  Golden
@@ -329,7 +316,7 @@ class TestVerdictMemo:
 
         monkeypatch.setattr(ed25519, "_verify", recording)
         monkeypatch.setattr(PERF, "enabled", False)
-        _campaign_bytes(seed=12)            # warm: the start clears it
+        _campaign(1, seed=12)               # warm: the start clears it
         verified[False].clear()
         verified[True].clear()
         standard_campaign(seed=11, injections=60, jobs=1,
@@ -342,67 +329,23 @@ class TestVerdictMemo:
         assert stats["hits"] > stats["misses"]
 
 
-#: The result memos beside the verdict memo, as ``(module, name)``.
-_RESULT_MEMOS = ((ed25519, "SIGN_MEMO"), (ed25519, "CONTEXT_MEMO"),
-                 (ed25519, "PUBLIC_KEY_MEMO"), (mlkem, "ENCAPS_MEMO"),
-                 (mlkem, "DECAPS_MEMO"), (aes, "CTR_MEMO"))
-
-
-@contextmanager
-def _result_memos_never_hit():
-    with ExitStack() as stack:
-        for module, name in _RESULT_MEMOS:
-            stack.enter_context(_never_hits(module, name))
-        yield
-
-
 class TestResultMemos:
-    """The signing, key-derivation, ML-KEM and AES-CTR memos change a
-    campaign's cost, never its outputs: canonical JSON, coverage map and
-    PERF totals are the same bytes cold, warm and with every one of
-    them a never-hit stand-in, serial and sharded."""
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        with _result_memos_never_hit():
-            return _campaign_bytes()
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("state", ["cold", "warm", "never-hit"])
-    def test_outputs_unchanged(self, reference, monkeypatch, state, jobs):
-        """Warm: a previous campaign filled the memos and this one does
-        not clear them, so its runs replay the stored PERF deltas."""
-        if jobs > 1 and not fork_available():
-            pytest.skip("parallel path needs fork")
-        with ExitStack() as stack:
-            if state == "warm":
-                _campaign_bytes(seed=12)
-                monkeypatch.setattr(campaign_module, "RESULT_MEMOS", ())
-                for module, name in _RESULT_MEMOS:
-                    assert getattr(module, name).stats()["size"] > 0, name
-            elif state == "never-hit":
-                stack.enter_context(_result_memos_never_hit())
-            outputs = _campaign_bytes(jobs=jobs)
-        assert outputs == reference
-
     @pytest.mark.parametrize("seed", [11, 2026])
     def test_each_memo_hits_from_a_cold_start(self, seed):
-        """Every memo hits in a campaign, and the campaign clears them
-        at its start: after another campaign, its hits and misses are
-        those of a cold process."""
+        """Every result memo hits in a campaign, and the campaign clears
+        them at its start: after another campaign, its hits and misses
+        are those of a cold process."""
         def campaign_stats():
             standard_campaign(seed=seed, injections=60, jobs=1)
-            return {name: getattr(module, name).stats()
-                    for module, name in _RESULT_MEMOS}
+            return [memo.stats() for memo in RESULT_MEMOS]
 
         for memo in RESULT_MEMOS:
             memo.clear()
         cold = campaign_stats()
         standard_campaign(seed=seed + 1, injections=60, jobs=1)
         assert campaign_stats() == cold
-        for name, stats in cold.items():
-            assert stats["hits"] >= 1 and stats["misses"] >= 1, \
-                (name, stats)
+        for stats in cold:
+            assert stats["hits"] >= 1 and stats["misses"] >= 1, cold
 
     def test_drawn_encapsulation_never_hits(self):
         kem = MLKEM()
@@ -431,37 +374,8 @@ class TestResultMemos:
         hits = ed25519.SIGN_MEMO.hits
         warm = _execute_one(0, scenario, spec, golden)
         assert ed25519.SIGN_MEMO.hits > hits
-        with _result_memos_never_hit():
+        with never_hit():
             fresh = _execute_one(0, scenario, spec, golden)
         assert warm == fresh
         assert (warm.fired, warm.outcome, warm.reason) == \
             (1, "detected", reason)
-
-
-class TestMeasurementMemo:
-    """The SM-image measurement memo changes a campaign's cost, never
-    its outputs: canonical JSON, coverage map and PERF totals are the
-    same bytes with a never-hit stand-in, serial and sharded."""
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        with _never_hits(bootrom, "MEASUREMENT_MEMO"):
-            return _campaign_bytes()
-
-    def test_memo_on(self, reference):
-        bootrom.MEASUREMENT_MEMO.clear()
-        outputs = _campaign_bytes()
-        stats = bootrom.MEASUREMENT_MEMO.stats()
-        assert stats["hits"] > stats["misses"] > 0
-        assert outputs == reference
-
-    def test_warm_memo(self, reference):
-        _campaign_bytes(seed=12)
-        assert bootrom.MEASUREMENT_MEMO.stats()["size"] > 0
-        assert _campaign_bytes() == reference
-
-    @pytest.mark.skipif(not fork_available(),
-                        reason="parallel path needs fork")
-    def test_sharded(self, reference):
-        bootrom.MEASUREMENT_MEMO.clear()
-        assert _campaign_bytes(jobs=2) == reference

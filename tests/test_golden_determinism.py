@@ -15,6 +15,8 @@ from repro.faults.scenarios import standard_scenarios
 from repro.obs import PERF, TELEMETRY
 from repro.runtime import run_sharded
 
+from parity import assert_parity
+
 
 @pytest.fixture(autouse=True)
 def _disarmed():
@@ -35,23 +37,16 @@ def _names():
 
 @pytest.mark.parametrize("name", _names())
 def test_repeated_execute_byte_identical(scenarios, name):
-    scenario = scenarios[name]
-    first = scenario.execute()
-    assert first["status"] == "ok", first
-    for _ in range(3):
-        assert scenario.execute() == first
+    """Repeated executes, in the parent and in forked pool workers (the
+    property the campaign's serial-vs-parallel JSON parity rests on),
+    cold, warm and traced, produce the same bytes and PERF totals."""
+    def run(jobs):
+        first, second = run_sharded(lambda state, _: state.execute(),
+                                    scenarios[name], [0, 1], jobs=jobs)
+        assert first == second and first["status"] == "ok", first
+        return repr(first).encode()
 
-
-@pytest.mark.parametrize("name", _names())
-def test_execute_identical_in_forked_worker(scenarios, name):
-    """A scenario shipped to a forked pool worker produces the very
-    bytes the parent process produces — the property the campaign's
-    serial-vs-parallel JSON parity rests on."""
-    scenario = scenarios[name]
-    local = scenario.execute()
-    remote = run_sharded(lambda state, _: state.execute(), scenario,
-                         [0, 1], jobs=2)
-    assert remote == [local, local]
+    assert_parity(run, variants=("jobs", "cold", "warm", "traced"))
 
 
 @pytest.mark.parametrize("name", _names())

@@ -19,11 +19,12 @@ from repro.hades import (Configuration, DesignContext,
                          LocalSearchExplorer, Metrics, OptimizationGoal,
                          Template, enumerate_designs, neighbours)
 from repro.hades import masking
-from repro.hades.template import _Column, enumerate_chunks
+from repro.hades.template import _Column
 from repro.hades.library import TABLE_I_ROWS, kyber_cca
 from repro.runtime import Memo
 
 from helpers import search_outcome
+from parity import assert_parity
 
 
 def _const_cost(area, latency, rand=0.0):
@@ -378,29 +379,35 @@ class TestDesignIndex:
         assert ranks
         assert all(low < high for low, high in zip(ranks, ranks[1:]))
 
-    @pytest.mark.parametrize("jobs", (1, 2))
-    def test_cold_and_warm_index_identical(self, jobs):
+    def test_cold_and_warm_index_identical(self):
         """Local search and the exhaustive fold share the index's
         per-context tables: each explorer's outcome is the same on a
-        fresh template, after itself and after the other."""
+        fresh template, after itself and after the other, serial and
+        sharded."""
         context = DesignContext(masking_order=1)
 
-        def fold(template):
-            return _fold_outcome(ExhaustiveExplorer(template, context).run(
-                OptimizationGoal.AREA, jobs=jobs))
+        def run(jobs):
+            def search(template):
+                return search_outcome(template, context, 9, 4, jobs)
 
-        template = kyber_cca()
-        cold = search_outcome(template, context, 9, 4, jobs)
-        warm = search_outcome(template, context, 9, 4, jobs)
-        assert warm == cold
-        assert cold == search_outcome(kyber_cca(), context, 9, 4, jobs)
-        assert cold[0] > 0 and cold[1] > 0
-        cold_fold = fold(kyber_cca())
-        assert fold(template) == cold_fold      # after local search
-        assert fold(template) == cold_fold      # after itself
-        folded = kyber_cca()
-        assert fold(folded) == cold_fold
-        assert search_outcome(folded, context, 9, 4, jobs) == cold
+            def fold(template):
+                return _fold_outcome(ExhaustiveExplorer(
+                    template, context).run(OptimizationGoal.AREA, jobs=jobs))
+
+            template, folded = kyber_cca(), kyber_cca()
+            searches = [search(template), search(template),
+                        search(kyber_cca())]
+            folds = [fold(kyber_cca()), fold(template), fold(template),
+                     fold(folded)]
+            searches.append(search(folded))
+            assert searches == searches[:1] * 4
+            assert folds == folds[:1] * 4
+            evaluations, cache_hits, best, _ = searches[0]
+            assert evaluations > 0 and cache_hits > 0
+            # the harness diffs the run's PERF delta itself
+            return repr((evaluations, cache_hits, best, folds[0])).encode()
+
+        assert_parity(run, variants=("jobs",))
 
     def test_replaced_cost_is_honoured_by_next_search(self):
         template = Template("t", lambda p, s, c: Metrics(1.0 + p["a"], 1.0),
@@ -495,11 +502,6 @@ def table1_bench():
         sys.path.remove(str(BENCHMARKS))
 
 
-#: The frozen unpruned fold's outcomes by (template, masking order),
-#: shared by the ``jobs`` cases.
-_UNPRUNED_OUTCOMES = {}
-
-
 def _fold_outcome(result) -> tuple:
     metrics = result.best.metrics
     return (result.explored, result.feasible, result.best.configuration,
@@ -556,34 +558,35 @@ class TestLazyColumns:
             assert _fold_outcome(explorer.run(goal, jobs=1)) == \
                 _fold_outcome(eager[goal])
 
-    @pytest.mark.parametrize("jobs", (1, 2))
     @pytest.mark.parametrize("order", (0, 1, 2))
     @pytest.mark.parametrize("name,factory,count", TABLE_I_ROWS,
                              ids=[row[0] for row in TABLE_I_ROWS])
     def test_pruned_fold_matches_frozen_unpruned_fold(
-            self, table1_bench, name, factory, count, order, jobs):
+            self, table1_bench, name, factory, count, order):
         """Pruning skips only lanes proven to lose: every goal's
         outcome is the frozen unpruned fold's, serial and sharded."""
         explorer = ExhaustiveExplorer(
             factory(), DesignContext(masking_order=order))
-        key = name, order
-        if key not in _UNPRUNED_OUTCOMES:
-            _UNPRUNED_OUTCOMES[key] = {
-                goal: _fold_outcome(result) for goal, result in
-                table1_bench.unpruned(
-                    lambda: explorer.run_all_goals(jobs=1)).items()}
-        unpruned = _UNPRUNED_OUTCOMES[key]
-        pruned = explorer.run_all_goals(jobs=jobs)
-        assert list(pruned) == list(unpruned)
-        for goal, result in pruned.items():
-            assert result.jobs == jobs
-            assert _fold_outcome(result) == unpruned[goal]
-            assert result.evaluations == result.feasible
-        goals = list(pruned) if count <= 50_000 \
+        unpruned = {goal: _fold_outcome(result) for goal, result in
+                    table1_bench.unpruned(
+                        lambda: explorer.run_all_goals(jobs=1)).items()}
+        goals = list(unpruned) if count <= 50_000 \
             else [OptimizationGoal.AREA]
-        for goal in goals:
-            assert _fold_outcome(explorer.run(goal, jobs=jobs)) == \
-                unpruned[goal]
+
+        def run(jobs):
+            pruned = explorer.run_all_goals(jobs=jobs)
+            assert all(result.jobs == jobs and
+                       result.evaluations == result.feasible
+                       for result in pruned.values())
+            outcomes = {goal: _fold_outcome(result)
+                        for goal, result in pruned.items()}
+            assert list(outcomes.items()) == list(unpruned.items())
+            for goal in goals:
+                assert _fold_outcome(explorer.run(goal, jobs=jobs)) == \
+                    unpruned[goal]
+            return repr(outcomes).encode()
+
+        assert_parity(run, variants=("jobs",))
 
     def test_losing_chunk_never_computes_other_columns(self):
         """An AREA fold computes no column of a chunk whose area floor

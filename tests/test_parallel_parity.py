@@ -1,10 +1,11 @@
 """Serial/parallel equivalence suite (ISSUE 4 determinism contract).
 
 ``jobs=1`` and ``jobs=N`` must be the same function: identical DSE
-optima for every library algorithm, byte-identical
-campaign JSON, and identical merged observability totals.  These tests
-force the parallel path with explicit ``jobs=`` so they exercise real
-worker pools even on small spaces and single-CPU machines.
+optima for every library algorithm, byte-identical campaign JSON, and
+identical merged observability totals.  The ``jobs`` arms of
+:func:`parity.assert_parity` force the parallel path with ``jobs=2``,
+so they exercise real worker pools even on small spaces and single-CPU
+machines.
 """
 
 import pytest
@@ -12,72 +13,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.campaign import standard_campaign
+from repro.hades import explorer as explorer_module
 from repro.hades.explorer import (ExhaustiveExplorer,
                                   LocalSearchExplorer, pareto_front)
 from repro.hades.library import TABLE_I_ROWS, aes256, adder_mod_q, keccak
 from repro.hades.metrics import Metrics, OptimizationGoal
 from repro.hades.template import DesignContext
-from repro.obs import TELEMETRY, collapsed
-from repro.obs.perf import PERF
-from repro.runtime import fork_available
+from repro.runtime import run_sharded
 
-from helpers import reset_telemetry
-
-pytestmark = pytest.mark.skipif(not fork_available(),
-                                reason="parallel path needs fork")
+from parity import assert_parity
 
 ALGORITHMS = {name: factory for name, factory, _ in TABLE_I_ROWS}
 
 
-@pytest.fixture
-def enabled_obs():
-    was_perf, was_tel = PERF.enabled, TELEMETRY.enabled
-    PERF.enabled = True
-    PERF.reset()
-    TELEMETRY.enabled = True
-    reset_telemetry()
-    yield
-    PERF.reset()
-    reset_telemetry()
-    PERF.enabled, TELEMETRY.enabled = was_perf, was_tel
+def _outcomes(results: dict) -> bytes:
+    """Every goal's optimum and counts, without the ``jobs`` field."""
+    return repr([(goal.name, result.best, result.feasible, result.explored,
+                  result.evaluations)
+                 for goal, result in results.items()]).encode()
 
 
 class TestExhaustiveParity:
     """Sharded traversal == serial traversal, for every Table I space."""
 
-    _cache = {}
-
-    @classmethod
-    def _run(cls, name, jobs):
-        key = (name, jobs)
-        if key not in cls._cache:
-            explorer = ExhaustiveExplorer(ALGORITHMS[name]())
-            cls._cache[key] = explorer.run(
-                OptimizationGoal.AREA_LATENCY, jobs=jobs)
-        return cls._cache[key]
-
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_identical_to_serial(self, name, jobs):
-        serial = self._run(name, 1)
-        parallel = self._run(name, jobs)
-        assert parallel.best.configuration == serial.best.configuration
-        assert parallel.best.metrics == serial.best.metrics
-        assert parallel.feasible == serial.feasible
-        assert parallel.explored == serial.explored
-        assert parallel.jobs == jobs
+    def test_identical_to_serial(self, name):
+        def run(jobs):
+            result = ExhaustiveExplorer(ALGORITHMS[name]()).run(
+                OptimizationGoal.AREA_LATENCY, jobs=jobs)
+            assert result.jobs == jobs
+            return _outcomes({result.goal: result})
+
+        assert_parity(run, variants=("jobs",))
 
 
 class TestRunAllGoalsParity:
-    def test_parallel_matches_serial(self):
-        explorer = ExhaustiveExplorer(adder_mod_q(),
-                                      DesignContext(masking_order=1))
-        serial = explorer.run_all_goals(jobs=1)
-        parallel = explorer.run_all_goals(jobs=4)
-        assert set(serial) == set(parallel) == set(OptimizationGoal)
-        for goal in serial:
-            assert serial[goal].best.configuration == \
-                parallel[goal].best.configuration
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_parallel_matches_serial(self, monkeypatch, reverse):
+        """Shard order cannot show, not even with the shard results
+        reversed: the fold takes the minimum of rank keys that end in
+        the design's rank in the space, and sums the feasible counts."""
+        if reverse:
+            monkeypatch.setattr(explorer_module, "run_sharded",
+                                lambda *a, **k: run_sharded(*a, **k)[::-1])
+
+        def run(jobs):
+            results = ExhaustiveExplorer(
+                adder_mod_q(), DesignContext(masking_order=1)
+            ).run_all_goals(jobs=jobs)
+            assert set(results) == set(OptimizationGoal)
+            return _outcomes(results)
+
+        assert_parity(run, variants=("jobs", "traced"))
 
     def test_single_traversal_cost(self):
         """All goals score in ONE pass: ``run_all_goals()`` makes
@@ -113,70 +100,28 @@ class TestLocalSearchParity:
         (keccak, DesignContext(masking_order=1), 7),
         (aes256, DesignContext(), 3),
     ])
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_identical_to_serial(self, factory, context, seed, jobs):
-        def run(n):
-            return LocalSearchExplorer(factory(), context, seed=seed) \
-                .run(OptimizationGoal.AREA_LATENCY, starts=8, jobs=n)
+    def test_identical_to_serial(self, factory, context, seed):
+        def run(jobs):
+            result = LocalSearchExplorer(factory(), context, seed=seed).run(
+                OptimizationGoal.AREA_LATENCY, starts=8, jobs=jobs)
+            return _outcomes({result.goal: result})
 
-        serial, parallel = run(1), run(jobs)
-        assert parallel.best.configuration == serial.best.configuration
-        assert parallel.best.metrics == serial.best.metrics
-        assert parallel.evaluations == serial.evaluations
-        assert parallel.feasible == serial.feasible
+        assert_parity(run, variants=("jobs",))
 
 
 class TestCampaignParity:
-    def test_canonical_json_byte_identical(self):
-        serial = standard_campaign(seed=11, injections=60, jobs=1)
-        for jobs in (2, 4):
-            parallel = standard_campaign(seed=11, injections=60,
-                                         jobs=jobs)
-            assert parallel.canonical_json() == serial.canonical_json()
-
-    def test_observability_totals_identical(self, enabled_obs):
+    def test_collapsed_profile_identical(self):
+        """Canonical JSON, PERF totals and collapsed stacks of a sharded
+        campaign are the serial ones: worker spans bring their events
+        home, so every event lands on the same call path."""
         def run(jobs):
-            PERF.reset()
-            reset_telemetry()
-            result = standard_campaign(seed=11, injections=48,
-                                       jobs=jobs)
-            perf = dict(PERF.snapshot())
-            perf.pop("runtime.pools", None)
-            perf.pop("runtime.shards", None)
-            records = TELEMETRY.tracer.snapshot()
-            runs = [(r["attrs"]["scenario"], r["attrs"]["outcome"],
-                     r["attrs"]["fired"]) for r in records
-                    if r["name"] == "faults.campaign.run"]
-            (campaign,) = [r["attrs"] for r in records
-                           if r["name"] == "faults.campaign"]
-            totals = {key: value for key, value in campaign.items()
-                      if key.startswith("outcome.")}
-            return result.canonical_json(), perf, runs, totals
+            return standard_campaign(seed=11, injections=48,
+                                     jobs=jobs).canonical_json().encode()
 
-        serial = run(1)
-        _, _, runs, totals = serial
-        assert len(runs) == sum(totals.values()) == 48
-        assert any(fired for _, _, fired in runs)
-        assert run(4) == serial
-
-    def test_collapsed_profile_identical(self, enabled_obs):
-        """Worker spans bring their events home, so every event lands
-        on the same call path as in a serial run.  Only the fan-out
-        span's pool bookkeeping exists on the parallel path alone."""
-        def run(jobs):
-            PERF.reset()
-            reset_telemetry()
-            standard_campaign(seed=11, injections=24, jobs=jobs)
-            return collapsed([
-                {**record, "events": {
-                    event: count
-                    for event, count in record["events"].items()
-                    if event not in ("runtime.pools", "runtime.shards")}}
-                for record in TELEMETRY.tracer.snapshot()])
-
-        serial = run(1)
-        assert serial.count("\n") > 20
-        assert run(2) == serial
+        arms = assert_parity(run, variants=("jobs", "traced"))
+        stacks = arms["traced"]["collapsed"]
+        assert stacks.count("\n") > 20
+        assert "faults.campaign.run" in stacks
 
 
 def _reference_pareto(designs):

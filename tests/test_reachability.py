@@ -195,3 +195,16 @@ def test_helper_only_a_tests_module_calls_is_not_prod(probe):
         """)
     assert tags["probe.py:oracle_helper"] == "test-only"
     assert tags["probe.py:knob"] == "test-only"
+
+
+def test_broken_example_refuses_the_ledger(probe):
+    """An example that exits 1 refuses the ledger; the probe's
+    ``drive.py`` is not one of the drivers that must pass."""
+    (probe / "examples").mkdir()
+    drivers = [({}, [sys.executable, path]) for path in
+               ("drive.py", "examples/broken.py")]
+    for _, (_, path) in drivers:
+        (probe / path).write_text("import probe\nraise SystemExit(1)\n")
+    reachability.record(drivers[:1], probe / "src", probe)
+    with pytest.raises(SystemExit, match="examples/broken.py exited"):
+        reachability.record(drivers, probe / "src", probe)

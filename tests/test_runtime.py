@@ -14,6 +14,7 @@ from repro.runtime.capture import capture_begin, capture_end
 from repro.runtime.memo import bypassed
 
 from helpers import reset_telemetry
+from parity import assert_parity
 
 
 @pytest.fixture
@@ -176,34 +177,20 @@ class TestRunSharded:
         assert out == [(0, 2), (2, 4)]
         assert calls == [(0, 2), (2, 4)]
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_results_in_shard_order(self):
-        shards = chunk_bounds(40, 4)
-        out = run_sharded(lambda state, b: b[1] - b[0], None, shards,
-                          jobs=4)
-        assert out == [10, 10, 10, 10]
+    def test_observability_totals_match_serial(self):
+        """Worker PERF and spans merge home in shard order, re-id'd so
+        that span ids stay unique."""
+        def run(jobs):
+            out = run_sharded(_counting_worker, None, chunk_bounds(20, 4),
+                              jobs=jobs)
+            records = TELEMETRY.tracer.snapshot()
+            assert len({r["span_id"] for r in records}) == len(records)
+            assert [r["attrs"] for r in records if r["name"] == "test.item"] \
+                == ([{"index": i} for i in range(20)] if records else [])
+            return repr(out).encode()
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_observability_totals_match_serial(self, enabled_obs):
-        shards = chunk_bounds(20, 4)
-        serial = run_sharded(_counting_worker, None, shards, jobs=1)
-        serial_perf = PERF.snapshot()["test.work"]
-        serial_items = [r["attrs"] for r in TELEMETRY.tracer.snapshot()
-                        if r["name"] == "test.item"]
-        assert serial_items == [{"index": index} for index in range(20)]
-        PERF.reset()
-        reset_telemetry()
-
-        parallel = run_sharded(_counting_worker, None, shards, jobs=4)
-        assert parallel == serial
-        assert PERF.snapshot()["test.work"] == serial_perf
-        assert PERF.snapshot()["runtime.pools"] == 1
-        assert PERF.snapshot()["runtime.shards"] == len(shards)
-        assert [r["attrs"] for r in TELEMETRY.tracer.snapshot()
-                if r["name"] == "test.item"] == serial_items
-        # Worker spans re-id'd on merge: ids must stay unique.
-        ids = [r["span_id"] for r in TELEMETRY.tracer.snapshot()]
-        assert len(ids) == len(set(ids))
+        arms = assert_parity(run, variants=("jobs", "traced"))
+        assert arms["reference"]["perf"] == {"test.work": 20}
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_capture_ships_perf_and_spans_only(self, enabled_obs):

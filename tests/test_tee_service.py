@@ -16,16 +16,16 @@ import hashlib
 
 import pytest
 
-from repro.crypto import ed25519 as ed
 from repro.faults.injector import FAULTS, FaultSpec
 from repro.faults.models import BIT_FLIP
 from repro.obs import TELEMETRY
 from repro.obs.audit import AUDIT, canonical_encode, verify_records
-from repro.obs.perf import PERF, counting
+from repro.obs.perf import counting
 from repro.tee import AttestationService, build_tee, verify_report
 from repro.tee.attestation import AttestationReport
 
-from helpers import reset_telemetry
+from helpers import injected, reset_telemetry
+from parity import assert_parity
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +224,9 @@ class TestSessionCache:
     def test_golden_session_token(self, fleet):
         """The token is ``sha3_256(TOKEN_DOMAIN + sha3_512(KEY_DOMAIN +
         blob))`` over the length-prefixed request parts, byte for byte,
-        whichever path mints or serves it: cold, warm, bypassed by
-        armed faults, and a ``jobs=2`` drain."""
+        whichever path mints or serves it: a cold and a warm session
+        cache and a drain bypassing it under armed faults, sharded or
+        serial."""
         report = fleet["pq_reports"][0]
         identity = fleet["devices"]["pq0"]
         parts = [b"pq0", identity["ed25519"], identity["mldsa"], b"", b"",
@@ -235,36 +236,41 @@ class TestSessionCache:
             b"tee-service-token-v1"
             + hashlib.sha3_512(b"tee-service-session-v1" + blob).digest()
         ).hexdigest()
-        svc = _service(fleet)
-        cold = svc.process([("pq0", report)], jobs=1)
-        warm = svc.process([("pq0", report)], jobs=1)
-        assert svc.cache_stats()["hits"] == 1
-        FAULTS.arm(FaultSpec("tee.bootrom.measure", BIT_FLIP, bit=0))
-        try:
-            bypassed = svc.process([("pq0", report)], jobs=1)
-        finally:
-            FAULTS.disarm()
-        sharded = _service(fleet, max_batch=1).process(
-            [("pq0", report), ("pq0", report)], jobs=2)
-        tokens = [r["session"] for r in cold + warm + bypassed + sharded]
-        assert tokens == [golden] * 5
+
+        def run(jobs):
+            svc = _service(fleet, max_batch=1)
+            requests = [("pq0", report)] * 2
+            cold = svc.process(requests, jobs=jobs)
+            warm = svc.process(requests, jobs=jobs)
+            with injected(FaultSpec("tee.bootrom.measure", BIT_FLIP,
+                                    bit=0)):
+                bypassed = svc.process(requests, jobs=jobs)
+            return " ".join(r["session"]
+                            for r in cold + warm + bypassed).encode()
+
+        arms = assert_parity(run, variants=("jobs",))
+        assert arms["reference"]["output"] == " ".join([golden] * 6).encode()
 
     def test_sharded_drain_entries_serve_serial_hits(self, fleet):
         """Entries a ``jobs=2`` drain returns by sequence number are
         keyed in the parent from its own requests, so a serial drain of
         the same requests hits on every one of them."""
-        svc = _service(fleet, max_batch=3)
         submissions = [("pq0", r) for r in fleet["pq_reports"]] + \
                       [("cl0", r) for r in fleet["cl_reports"]]
-        sharded = svc.process(submissions, jobs=2)
-        stats_before = svc.cache_stats()
-        assert stats_before["size"] == len(submissions)
-        serial = svc.process(submissions, jobs=1)
-        stats_after = svc.cache_stats()
-        assert stats_after["hits"] == \
-            stats_before["hits"] + len(submissions)
-        assert stats_after["misses"] == stats_before["misses"]
-        assert _verdict_bytes(serial) == _verdict_bytes(sharded)
+
+        def run(jobs):
+            svc = _service(fleet, max_batch=3)
+            first = svc.process(submissions, jobs=jobs)
+            stats_before = svc.cache_stats()
+            assert stats_before["size"] == len(submissions)
+            serial = svc.process(submissions, jobs=1)
+            stats_after = svc.cache_stats()
+            assert stats_after["hits"] == \
+                stats_before["hits"] + len(submissions)
+            assert stats_after["misses"] == stats_before["misses"]
+            return _verdict_bytes(first) + _verdict_bytes(serial)
+
+        assert_parity(run, variants=("jobs",))
 
     def test_sm_hash_pin_mismatch_rejects(self, fleet):
         svc = AttestationService()
@@ -277,9 +283,10 @@ class TestSessionCache:
 
 class TestServiceParity:
 
-    def _run(self, fleet, jobs):
-        """One full service run under a fresh audit ledger; returns
-        (results bytes, audit bytes, perf delta sans runtime.*)."""
+    def test_every_arm_identical(self, fleet):
+        """One full service run: results, audit ledger and PERF delta
+        are byte-identical between a serial drain and a sharded one,
+        cold, warm, with never-hit memos and traced."""
         tampered = bytearray(fleet["pq_reports"][2])
         tampered[100] ^= 0x01
         submissions = ([("pq0", r) for r in fleet["pq_reports"]]
@@ -288,30 +295,12 @@ class TestServiceParity:
                           ("ghost", fleet["cl_reports"][0]),
                           ("cl0", fleet["cl_reports"][0]),
                           ("pq0", fleet["pq_reports"][0])])
-        svc = _service(fleet, max_batch=3)
-        was_audit = AUDIT.enabled
-        AUDIT.reset()
-        AUDIT.enable()
-        try:
-            with counting() as window:
-                results = svc.process(submissions, jobs=jobs)
-            audit_blob = canonical_encode(AUDIT.export_records())
-        finally:
-            AUDIT.reset()
-            AUDIT.enabled = was_audit
-        # runtime.pools/runtime.shards only tick when a pool actually
-        # spins up — the one sanctioned serial/parallel difference.
-        delta = {k: v for k, v in sorted(window.delta().items())
-                 if not k.startswith("runtime.")}
-        return canonical_encode(results), audit_blob, delta
 
-    def test_serial_vs_sharded_byte_identical(self, fleet):
-        serial_results, serial_audit, serial_delta = self._run(fleet, 1)
-        sharded_results, sharded_audit, sharded_delta = \
-            self._run(fleet, 2)
-        assert sharded_results == serial_results
-        assert sharded_audit == serial_audit
-        assert sharded_delta == serial_delta
+        def run(jobs):
+            return canonical_encode(_service(fleet, max_batch=3).process(
+                submissions, jobs=jobs))
+
+        assert_parity(run)
 
     def test_audit_stream_contents(self, fleet):
         svc = _service(fleet, max_batch=2)
