@@ -7,19 +7,22 @@ byte-identical serial vs ``REPRO_JOBS=N``, and PERF counters are a
 function of the workload, never of process history
 (``repro.runtime.memo``).  Its arms vary only process state:
 
-* ``jobs`` — ``run(2)``; dropped where fork is unavailable;
+* ``jobs`` — ``run(workers)``, 2 unless the call says otherwise;
+  dropped where fork is unavailable;
 * ``cold`` — every live :class:`~repro.runtime.Memo` cleared first;
 * ``warm`` — a second run straight after the cold one, against it;
 * ``never_hit`` — every process-wide memo builds (:func:`never_hit`);
 * ``traced`` — telemetry on, so caches over timed spans are bypassed
   (:func:`repro.runtime.memo.bypassed`); with ``jobs``, a traced
-  ``run(2)`` against the traced ``run(1)`` as well;
+  ``run(workers)`` against the traced ``run(1)`` as well;
 * ``audited`` — every arm runs with the audit ledger on.
 
 Each arm runs with PERF on and is diffed against its base (the plain
 ``run(1)`` unless said otherwise) on every artifact both have: the
 output, the PERF delta less :data:`POOL_EVENTS`, the audit ledger
 export and, traced, the :func:`~repro.obs.collapsed` stacks.
+:func:`capture` takes one arm's artifacts, for a test that builds a
+state no arm does (one memo never hitting while the others hit).
 """
 
 import gc
@@ -35,7 +38,7 @@ from helpers import reset_telemetry
 VARIANTS = ("jobs", "cold", "warm", "never_hit", "traced", "audited")
 
 #: Counters that tick only when a worker pool spins up: the one
-#: sanctioned difference between ``run(1)`` and ``run(2)``.
+#: sanctioned difference between ``run(1)`` and a sharded run.
 POOL_EVENTS = ("runtime.pools", "runtime.shards")
 
 
@@ -86,8 +89,10 @@ def _without_pool_events(events: dict) -> dict:
             if event not in POOL_EVENTS}
 
 
-def _capture(run, jobs: int, traced: bool, audited: bool) -> dict:
-    """One arm's artifacts."""
+def capture(run, jobs=1, traced=False, audited=False) -> dict:
+    """One arm's artifacts: ``run(jobs)``'s output and PERF delta, the
+    audit export when ``audited``, the collapsed stacks when
+    ``traced``."""
     was = TELEMETRY.enabled, AUDIT.enabled
     TELEMETRY.enabled, AUDIT.enabled = traced, audited
     reset_telemetry()
@@ -121,11 +126,12 @@ def _differing(ours, theirs) -> tuple:
     return ours[at:at + 80], theirs[at:at + 80]
 
 
-def assert_parity(run, variants=VARIANTS) -> dict:
+def assert_parity(run, variants=VARIANTS, workers=2) -> dict:
     """Run ``run`` in the arms ``variants`` names (see the module
-    docstring); raise :class:`AssertionError` naming the arm and the
-    artifact on the first difference.  Returns ``{arm: artifacts}``,
-    the plain ``run(1)`` as ``"reference"``, for checks a test adds."""
+    docstring), the sharded ones on ``workers`` workers; raise
+    :class:`AssertionError` naming the arm and the artifact on the first
+    difference.  Returns ``{arm: artifacts}``, the plain ``run(1)`` as
+    ``"reference"``, for checks a test adds."""
     assert set(variants) <= set(VARIANTS), variants
     forks = "jobs" in variants and fork_available()
     if "jobs" in variants and not forks \
@@ -133,11 +139,11 @@ def assert_parity(run, variants=VARIANTS) -> dict:
         pytest.skip("the jobs arm needs fork")
 
     def arm(jobs=1, traced=False):
-        return _capture(run, jobs, traced, "audited" in variants)
+        return capture(run, jobs, traced, "audited" in variants)
 
     arms, bases = {"reference": arm()}, {}
     if forks:
-        arms["jobs"], bases["jobs"] = arm(jobs=2), "reference"
+        arms["jobs"], bases["jobs"] = arm(jobs=workers), "reference"
     if "cold" in variants or "warm" in variants:
         for memo in gc.get_objects():
             if isinstance(memo, Memo):
@@ -153,7 +159,7 @@ def assert_parity(run, variants=VARIANTS) -> dict:
     if "traced" in variants:
         arms["traced"], bases["traced"] = arm(traced=True), "reference"
         if forks:
-            arms["traced jobs"] = arm(jobs=2, traced=True)
+            arms["traced jobs"] = arm(jobs=workers, traced=True)
             bases["traced jobs"] = "traced"
     for name, base in bases.items():
         for artifact in arms[base].keys() & arms[name].keys():

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.crypto import MLKEM, RESULT_MEMOS, ed25519, mlkem
+from repro.crypto import MLKEM, RESULT_MEMOS, aes, ed25519, mlkem
 from repro.faults import FAULTS, FaultSpec, Outcome
 from repro.faults import campaign as campaign_module
 from repro.faults.campaign import (CampaignResult, FaultPoint,
@@ -21,12 +21,12 @@ from repro.faults.campaign import (CampaignResult, FaultPoint,
 from repro.faults.models import BIT_FLIP
 from repro.faults.scenarios import (BootAttestScenario, RtosScenario,
                                     SocFabricScenario)
-from repro.obs import TELEMETRY, CoverageMap
+from repro.obs import CoverageMap
 from repro.obs.perf import PERF
+from repro.runtime import Memo
 from repro.tee import bootrom
 
-from helpers import reset_telemetry
-from parity import assert_parity, never_hit
+from parity import assert_parity, capture, never_hit, never_hits
 
 SEED = 99
 SMALL = 30
@@ -253,17 +253,40 @@ def _campaign(jobs, seed=11) -> bytes:
     return (result.canonical_json() + coverage.to_json()).encode()
 
 
+#: The process-wide memos a campaign reaches, as ``(module, name)``:
+#: every :class:`Memo` of these modules (the ML-DSA context memo is
+#: reached by no campaign run).
+_CAMPAIGN_MEMOS = [(module, name)
+                   for module in (aes, ed25519, mlkem, bootrom)
+                   for name, memo in vars(module).items()
+                   if isinstance(memo, Memo)]
+
+
 class TestMemoParity:
     """The process-wide memos change a campaign's cost, never its
     outputs: canonical JSON, coverage map, PERF totals and audit ledger
     are the same bytes serial and sharded, cold and warm, with every memo
-    a never-hit stand-in, and traced."""
+    a never-hit stand-in, with any one of them one, and traced."""
 
     def test_every_arm_identical(self):
         arms = assert_parity(_campaign)
         # Boot rejections, verdicts and gate events, pinned byte for byte.
         assert hashlib.sha256(arms["reference"]["audit"]).hexdigest() == \
             LEDGER_SHA256
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return capture(_campaign, audited=True)
+
+    @pytest.mark.parametrize("module,name", _CAMPAIGN_MEMOS,
+                             ids=[name for _, name in _CAMPAIGN_MEMOS])
+    def test_one_memo_never_hits(self, reference, module, name):
+        """One memo builds on every call while the others hit, a mix
+        no arm of the harness reaches: a build and a hit of one memo
+        feed the same bytes into the others' keys."""
+        with never_hits(module, name) as stand_in:
+            assert capture(_campaign, audited=True) == reference
+        assert stand_in.calls > len(stand_in.keys) > 0
 
     def test_replayed_result_memos_keep_outputs(self, monkeypatch):
         """Warm without the start-of-campaign clear: the warm run hits
@@ -290,13 +313,8 @@ class TestVerdictMemo:
         builds open no span, so a traced campaign hits them as an
         untraced one does."""
         bootrom.MEASUREMENT_MEMO.clear()
-        was_enabled = TELEMETRY.enabled
-        TELEMETRY.enabled = traced
-        try:
-            standard_campaign(seed=11, injections=60, jobs=1)
-        finally:
-            TELEMETRY.enabled = was_enabled
-            reset_telemetry()
+        capture(lambda jobs: standard_campaign(seed=11, injections=60,
+                                               jobs=jobs), traced=traced)
         for memo in (ed25519.VERDICT_MEMO, bootrom.MEASUREMENT_MEMO):
             stats = memo.stats()
             assert stats["hits"] > stats["misses"] > 0, stats

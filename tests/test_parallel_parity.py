@@ -3,9 +3,9 @@
 ``jobs=1`` and ``jobs=N`` must be the same function: identical DSE
 optima for every library algorithm, byte-identical campaign JSON, and
 identical merged observability totals.  The ``jobs`` arms of
-:func:`parity.assert_parity` force the parallel path with ``jobs=2``,
-so they exercise real worker pools even on small spaces and single-CPU
-machines.
+:func:`parity.assert_parity` force the parallel path with ``jobs=2``
+and ``jobs=4``, so they exercise real worker pools even on small spaces
+and single-CPU machines.
 """
 
 import pytest
@@ -37,19 +37,21 @@ class TestExhaustiveParity:
     """Sharded traversal == serial traversal, for every Table I space."""
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_identical_to_serial(self, name):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_identical_to_serial(self, name, workers):
         def run(jobs):
             result = ExhaustiveExplorer(ALGORITHMS[name]()).run(
                 OptimizationGoal.AREA_LATENCY, jobs=jobs)
             assert result.jobs == jobs
             return _outcomes({result.goal: result})
 
-        assert_parity(run, variants=("jobs",))
+        assert_parity(run, variants=("jobs",), workers=workers)
 
 
 class TestRunAllGoalsParity:
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_parallel_matches_serial(self, monkeypatch, reverse):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_matches_serial(self, monkeypatch, workers, reverse):
         """Shard order cannot show, not even with the shard results
         reversed: the fold takes the minimum of rank keys that end in
         the design's rank in the space, and sums the feasible counts."""
@@ -64,7 +66,7 @@ class TestRunAllGoalsParity:
             assert set(results) == set(OptimizationGoal)
             return _outcomes(results)
 
-        assert_parity(run, variants=("jobs", "traced"))
+        assert_parity(run, variants=("jobs", "traced"), workers=workers)
 
     def test_single_traversal_cost(self):
         """All goals score in ONE pass: ``run_all_goals()`` makes
@@ -100,17 +102,19 @@ class TestLocalSearchParity:
         (keccak, DesignContext(masking_order=1), 7),
         (aes256, DesignContext(), 3),
     ])
-    def test_identical_to_serial(self, factory, context, seed):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_identical_to_serial(self, factory, context, seed, workers):
         def run(jobs):
             result = LocalSearchExplorer(factory(), context, seed=seed).run(
                 OptimizationGoal.AREA_LATENCY, starts=8, jobs=jobs)
             return _outcomes({result.goal: result})
 
-        assert_parity(run, variants=("jobs",))
+        assert_parity(run, variants=("jobs",), workers=workers)
 
 
 class TestCampaignParity:
-    def test_collapsed_profile_identical(self):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_collapsed_profile_identical(self, workers):
         """Canonical JSON, PERF totals and collapsed stacks of a sharded
         campaign are the serial ones: worker spans bring their events
         home, so every event lands on the same call path."""
@@ -118,7 +122,8 @@ class TestCampaignParity:
             return standard_campaign(seed=11, injections=48,
                                      jobs=jobs).canonical_json().encode()
 
-        arms = assert_parity(run, variants=("jobs", "traced"))
+        arms = assert_parity(run, variants=("jobs", "traced"),
+                             workers=workers)
         stacks = arms["traced"]["collapsed"]
         assert stacks.count("\n") > 20
         assert "faults.campaign.run" in stacks
