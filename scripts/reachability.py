@@ -161,37 +161,33 @@ SCRIPTS = (
 
 
 def production_drivers():
-    """``(extra_env, argv)`` for each driver, run from the repo root."""
+    """``(extra_env, argv, must_pass)`` for each driver, run from the
+    repo root; a driver that must pass refuses the ledger when it exits
+    non-zero (see the module docstring for which only report)."""
     py = sys.executable
     for workload in ("attest-fresh", "attest-steady", "dse-exhaustive",
                      "dse-local", "fault-campaign", "cim-attack"):
         for trace in ("0", "1"):
             yield {}, [py, "bench/run.py", "--workload", workload,
-                       "--quick", "--trace", trace]
-    yield {}, [*PYTEST, "benchmarks"]
+                       "--quick", "--trace", trace], True
+    yield {}, [*PYTEST, "benchmarks"], False
     yield ({"REPRO_TELEMETRY": "1", "REPRO_PERF": "1"},
-           [*PYTEST, *(f"benchmarks/bench_{b}.py" for b in FAST_BENCHES)])
+           [*PYTEST, *(f"benchmarks/bench_{b}.py" for b in FAST_BENCHES)],
+           False)
     for example in sorted((ROOT / "examples").glob("*.py")):
-        yield {}, [py, f"examples/{example.name}"]
+        yield {}, [py, f"examples/{example.name}"], True
     for command in SCRIPTS:
         script, *args = command.split()
-        yield {}, [py, f"scripts/{script}", *args]
-
-
-def must_pass(argv) -> bool:
-    """Whether a driver's non-zero exit refuses the ledger: an example,
-    a ``bench/run.py`` workload or a ``*_report.py`` script."""
-    script = argv[1]
-    return script.startswith(("examples/", "bench/run.py")) \
-        or script.endswith("_report.py")
+        yield {}, [py, f"scripts/{script}", *args], \
+            script != "bench_history.py"
 
 
 def record(drivers, src: Path, cwd: Path) -> tuple:
     """``(production, under_tests)``: the keys of every function under
     ``src`` that runs, and every defaulted parameter set, while
-    ``drivers`` (``(extra_env, argv)`` pairs) execute in ``cwd``; a call
-    below a ``cwd/tests/`` frame counts under tests only.  Exits when a
-    driver :func:`must_pass` exits non-zero."""
+    ``drivers`` (``(extra_env, argv, must_pass)`` triples) execute in
+    ``cwd``; a call below a ``cwd/tests/`` frame counts under tests
+    only.  Exits when a driver that must pass exits non-zero."""
     with tempfile.TemporaryDirectory() as scratch:
         hook, dump = Path(scratch, "hook"), Path(scratch, "dump")
         for directory in (hook, dump):
@@ -206,14 +202,14 @@ def record(drivers, src: Path, cwd: Path) -> tuple:
                    REACH_DEFAULTED=str(defaulted),
                    PYTHONPATH=os.pathsep.join([str(hook), str(src)]))
         broken = []
-        for extra, argv in drivers:
+        for extra, argv, must_pass in drivers:
             started = time.perf_counter()
             code = subprocess.run(argv, cwd=cwd, env={**env, **extra},
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL).returncode
             print(f"  {time.perf_counter() - started:6.1f}s exit {code}  "
                   f"{' '.join(argv[1:])}", flush=True)
-            if code and must_pass(argv):
+            if code and must_pass:
                 broken.append(" ".join(argv[1:]))
         if broken:
             raise SystemExit(f"no ledger: {'; '.join(broken)} exited "
@@ -298,7 +294,7 @@ def main(argv) -> int:
         prod, tested = record(production_drivers(), copy / "src", copy)
         if not check:
             print("tier-1:", flush=True)
-            tested = tested.union(*record([({}, [*PYTEST, "tests"])],
+            tested = tested.union(*record([({}, [*PYTEST, "tests"], False)],
                                           copy / "src", copy))
     lines, unallowed, totals = [], [], {}
     for key, tag in tags(keys, prod, tested).items():

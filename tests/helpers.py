@@ -25,20 +25,28 @@ def reset_telemetry(telemetry=TELEMETRY) -> None:
     telemetry.tracer.finished = []
 
 
-def search_outcome(template, context, seed, starts, jobs) -> tuple:
-    """``(evaluations, cache_hits, best, PERF delta)`` of a seeded
-    area-goal local search, read from its telemetry span."""
+@contextmanager
+def traced(enabled=True):
+    """Telemetry switched to ``enabled`` and emptied for the block, its
+    spans dropped and its switch restored after; yields the tracer, to
+    be read inside the block."""
     was = TELEMETRY.enabled
-    TELEMETRY.enabled = True
+    TELEMETRY.enabled = enabled
     reset_telemetry()
     try:
-        with counting() as window:
-            result = LocalSearchExplorer(template, context, seed=seed).run(
-                OptimizationGoal.AREA, starts=starts, jobs=jobs)
-        attrs = [record["attrs"] for record in TELEMETRY.tracer.snapshot()
-                 if record["name"] == "hades.local_search.run"][-1]
+        yield TELEMETRY.tracer
     finally:
         reset_telemetry()
         TELEMETRY.enabled = was
+
+
+def search_outcome(template, context, seed, starts, jobs) -> tuple:
+    """``(evaluations, cache_hits, best, PERF delta)`` of a seeded
+    area-goal local search, read from its telemetry span."""
+    with traced() as tracer, counting() as window:
+        result = LocalSearchExplorer(template, context, seed=seed).run(
+            OptimizationGoal.AREA, starts=starts, jobs=jobs)
+        attrs = [record["attrs"] for record in tracer.snapshot()
+                 if record["name"] == "hades.local_search.run"][-1]
     return (attrs["evaluations"], attrs["cache_hits"], result.best,
             dict(window.delta()))

@@ -11,7 +11,7 @@ function of the workload, never of process history
   dropped where fork is unavailable;
 * ``cold`` — every live :class:`~repro.runtime.Memo` cleared first;
 * ``warm`` — a second run straight after the cold one, against it;
-* ``never_hit`` — every process-wide memo builds (:func:`never_hit`);
+* ``never_hit`` — every process-wide memo builds (:func:`never_hits`);
 * ``traced`` — telemetry on, so caches over timed spans are bypassed
   (:func:`repro.runtime.memo.bypassed`); with ``jobs``, a traced
   ``run(workers)`` against the traced ``run(1)`` as well;
@@ -30,10 +30,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.obs import AUDIT, TELEMETRY, canonical_encode, collapsed, counting
+from repro.obs import AUDIT, canonical_encode, collapsed, counting
 from repro.runtime import Memo, fork_available
 
-from helpers import reset_telemetry
+from helpers import traced as tracing
 
 VARIANTS = ("jobs", "cold", "warm", "never_hit", "traced", "audited")
 
@@ -42,22 +42,9 @@ VARIANTS = ("jobs", "cold", "warm", "never_hit", "traced", "audited")
 POOL_EVENTS = ("runtime.pools", "runtime.shards")
 
 
-@contextmanager
-def never_hit():
-    """Every :meth:`Memo.get_or_build` builds in the block.  That method
-    serves exactly the process-wide memos the PERF contract governs; the
-    scoped caches (``lookup``/``store``) count real work by design and
-    keep hitting."""
-    real = Memo.get_or_build
-    Memo.get_or_build = lambda memo, key, build: build()
-    try:
-        yield
-    finally:
-        Memo.get_or_build = real
-
-
 class NeverHits:
-    """Stand-in for one process-wide memo: every call builds.  Counts
+    """Stand-in for one process-wide memo, or, set as
+    ``Memo.get_or_build``, for all of them: every call builds.  Counts
     the calls and records the distinct keys asked for."""
 
     def __init__(self):
@@ -69,19 +56,26 @@ class NeverHits:
         self.keys.add(key)
         return build()
 
+    def __call__(self, key, build):
+        return self.get_or_build(key, build)
+
 
 @contextmanager
-def never_hits(module, name):
-    """``module.name`` is a :class:`NeverHits` in the block; yields it.
-    A bench that times one memoized call on repeated inputs runs it
-    here, or it times memo hits: ``never_hits(ed25519, "VERDICT_MEMO")``
-    makes every ``ed25519.verify`` verify in full."""
-    memo = getattr(module, name)
-    setattr(module, name, NeverHits())
+def never_hits(owner=Memo, name="get_or_build"):
+    """``owner.name`` is a :class:`NeverHits` in the block; yields it.
+    By default every :meth:`Memo.get_or_build` builds: that method
+    serves exactly the process-wide memos the PERF contract governs,
+    while the scoped caches (``lookup``/``store``) count real work by
+    design and keep hitting.  A bench that times one memoized call on
+    repeated inputs runs it under ``never_hits(module, name)``, or it
+    times memo hits: ``never_hits(ed25519, "VERDICT_MEMO")`` makes
+    every ``ed25519.verify`` verify in full."""
+    real = getattr(owner, name)
+    setattr(owner, name, NeverHits())
     try:
-        yield getattr(module, name)
+        yield getattr(owner, name)
     finally:
-        setattr(module, name, memo)
+        setattr(owner, name, real)
 
 
 def _without_pool_events(events: dict) -> dict:
@@ -93,24 +87,23 @@ def capture(run, jobs=1, traced=False, audited=False) -> dict:
     """One arm's artifacts: ``run(jobs)``'s output and PERF delta, the
     audit export when ``audited``, the collapsed stacks when
     ``traced``."""
-    was = TELEMETRY.enabled, AUDIT.enabled
-    TELEMETRY.enabled, AUDIT.enabled = traced, audited
-    reset_telemetry()
+    was = AUDIT.enabled
+    AUDIT.enabled = audited
     AUDIT.reset()
     try:
-        with counting() as window:
+        with tracing(traced) as tracer, counting() as window:
             artifacts = {"output": run(jobs)}
+            if traced:
+                artifacts["collapsed"] = collapsed([
+                    {**record,
+                     "events": _without_pool_events(record["events"])}
+                    for record in tracer.snapshot()])
         artifacts["perf"] = _without_pool_events(window.delta())
         if audited:
             artifacts["audit"] = canonical_encode(AUDIT.export_records())
-        if traced:
-            artifacts["collapsed"] = collapsed([
-                {**record, "events": _without_pool_events(record["events"])}
-                for record in TELEMETRY.tracer.snapshot()])
     finally:
-        reset_telemetry()
         AUDIT.reset()
-        TELEMETRY.enabled, AUDIT.enabled = was
+        AUDIT.enabled = was
     return artifacts
 
 
@@ -154,7 +147,7 @@ def assert_parity(run, variants=VARIANTS, workers=2) -> dict:
         if "warm" in variants:
             arms["warm"], bases["warm"] = arm(), "cold"
     if "never_hit" in variants:
-        with never_hit():
+        with never_hits():
             arms["never_hit"], bases["never_hit"] = arm(), "reference"
     if "traced" in variants:
         arms["traced"], bases["traced"] = arm(traced=True), "reference"

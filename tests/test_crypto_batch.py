@@ -31,7 +31,7 @@ from repro.obs.perf import counting
 from repro.tee import build_tee, verify_report, verify_reports
 
 import crypto_reference as ref
-from helpers import reset_telemetry
+from helpers import traced
 from parity import assert_parity
 
 ALL_PARAMS = (ML_DSA_44, ML_DSA_65, ML_DSA_87)
@@ -276,17 +276,9 @@ class TestEd25519Batch:
         assert window.delta()["crypto.ed25519.batch_verifies"] == 5
 
     def test_empty_batch_allocates_no_span(self):
-        from repro.obs import TELEMETRY
-        was_enabled = TELEMETRY.enabled
-        TELEMETRY.enabled = True
-        reset_telemetry()
-        try:
+        with traced() as tracer:
             assert ed.verify_batch([]) == []
-            spans = TELEMETRY.tracer.snapshot()
-        finally:
-            reset_telemetry()
-            TELEMETRY.enabled = was_enabled
-        assert spans == []
+            assert tracer.snapshot() == []
 
     def test_batch_of_one_short_circuits_to_scalar(self, ed_batch):
         with counting() as window:

@@ -237,19 +237,16 @@ class TestBootMemo:
         assert arms["warm"]["perf"]["tee.bootrom.boots"] == 1
         assert "tee.boot;tee.boot.measure " in arms["traced"]["collapsed"]
 
-    def test_entry_minted_with_perf_off_counts_like_a_cold_boot(self):
+    def test_entry_minted_with_perf_off_counts_like_a_cold_boot(
+            self, monkeypatch):
         """A boot memoized while PERF was off has no delta to replay,
         so its first counted hit rebuilds: the counted boots tick the
         real boot's counters, whatever the memo held before."""
         seed = hashlib.sha3_256(b"memo-perf-off").digest()
         rom = BootRom(Device(seed, post_quantum=True))
         binary = b"memo-perf-off-sm" * 64
-        was_enabled = PERF.enabled
-        PERF.enabled = False
-        try:
-            minted = rom.boot(binary)
-        finally:
-            PERF.enabled = was_enabled
+        monkeypatch.setattr(PERF, "enabled", False)
+        minted = rom.boot(binary)
         with counting() as cold:
             assert rom.boot(binary).encode() == minted.encode()
         cold_delta = cold.delta()

@@ -26,7 +26,8 @@ from repro.obs.perf import PERF
 from repro.runtime import Memo
 from repro.tee import bootrom
 
-from parity import assert_parity, capture, never_hit, never_hits
+from helpers import traced
+from parity import assert_parity, capture, never_hits
 
 SEED = 99
 SMALL = 30
@@ -307,14 +308,14 @@ class TestMemoParity:
 
 
 class TestVerdictMemo:
-    @pytest.mark.parametrize("traced", [False, True])
-    def test_memo_on(self, traced):
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_memo_on(self, telemetry):
         """Telemetry leaves the verdict and measurement memos on: their
         builds open no span, so a traced campaign hits them as an
         untraced one does."""
         bootrom.MEASUREMENT_MEMO.clear()
-        capture(lambda jobs: standard_campaign(seed=11, injections=60,
-                                               jobs=jobs), traced=traced)
+        with traced(telemetry):
+            standard_campaign(seed=11, injections=60, jobs=1)
         for memo in (ed25519.VERDICT_MEMO, bootrom.MEASUREMENT_MEMO):
             stats = memo.stats()
             assert stats["hits"] > stats["misses"] > 0, stats
@@ -392,7 +393,7 @@ class TestResultMemos:
         hits = ed25519.SIGN_MEMO.hits
         warm = _execute_one(0, scenario, spec, golden)
         assert ed25519.SIGN_MEMO.hits > hits
-        with never_hit():
+        with never_hits():
             fresh = _execute_one(0, scenario, spec, golden)
         assert warm == fresh
         assert (warm.fired, warm.outcome, warm.reason) == \

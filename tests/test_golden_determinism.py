@@ -12,9 +12,10 @@ import pytest
 
 from repro.faults import FAULTS
 from repro.faults.scenarios import standard_scenarios
-from repro.obs import PERF, TELEMETRY
+from repro.obs import PERF, counting
 from repro.runtime import run_sharded
 
+from helpers import traced
 from parity import assert_parity
 
 
@@ -62,22 +63,15 @@ def test_execute_identical_in_forked_worker(scenarios, name):
 
 
 @pytest.mark.parametrize("name", _names())
-def test_execute_unaffected_by_observability(scenarios, name):
+def test_execute_unaffected_by_observability(scenarios, name, monkeypatch):
     """Telemetry and PERF counters observe; they must never perturb
     the golden digest."""
     scenario = scenarios[name]
-    telemetry_was, perf_was = TELEMETRY.enabled, PERF.enabled
-    TELEMETRY.enabled = False
-    PERF.enabled = False
-    try:
+    monkeypatch.setattr(PERF, "enabled", False)
+    with traced(False):
         dark = scenario.execute()
-        TELEMETRY.enabled = True
-        PERF.enabled = True
-        lit = scenario.execute()
-    finally:
-        TELEMETRY.enabled = telemetry_was
-        PERF.enabled = perf_was
-    assert lit == dark
+    with traced(), counting():
+        assert scenario.execute() == dark
 
 
 def test_fresh_scenario_instances_agree(scenarios):

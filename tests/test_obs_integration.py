@@ -7,18 +7,14 @@ import pytest
 
 from repro.obs import TELEMETRY, counting, summarize
 
-from helpers import reset_telemetry
+from helpers import reset_telemetry, traced
 
 
 @pytest.fixture
 def enabled_telemetry():
     """Enable and reset the global facade; restore afterwards."""
-    was_enabled = TELEMETRY.enabled
-    TELEMETRY.enabled = True
-    reset_telemetry()
-    yield TELEMETRY
-    reset_telemetry()
-    TELEMETRY.enabled = was_enabled
+    with traced():
+        yield TELEMETRY
 
 
 def _span_names():

@@ -16,7 +16,7 @@ from repro.faults.models import BIT_FLIP
 from repro.faults.injector import FAULTS
 from repro.obs import CoverageMap, PERF, TELEMETRY
 
-from helpers import reset_telemetry
+from helpers import reset_telemetry, traced
 
 SEED = 99
 INJECTIONS = 10_000
@@ -51,12 +51,8 @@ class TinyScenario(Scenario):
 def global_telemetry():
     """Enable the global facade for the duration of one test; restore
     and clear afterwards so other tests see pristine state."""
-    was_enabled = TELEMETRY.enabled
-    TELEMETRY.enabled = True
-    reset_telemetry()
-    yield TELEMETRY
-    reset_telemetry()
-    TELEMETRY.enabled = was_enabled
+    with traced():
+        yield TELEMETRY
 
 
 def _campaign(jobs):

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.campaign import standard_campaign
-from repro.hades import explorer as explorer_module
 from repro.hades.explorer import (ExhaustiveExplorer,
                                   LocalSearchExplorer, pareto_front)
 from repro.hades.library import TABLE_I_ROWS, aes256, adder_mod_q, keccak
 from repro.hades.metrics import Metrics, OptimizationGoal
 from repro.hades.template import DesignContext
-from repro.runtime import run_sharded
+from repro.obs import TELEMETRY
+from repro.runtime import fork_available
 
 from parity import assert_parity
 
@@ -49,16 +49,8 @@ class TestExhaustiveParity:
 
 
 class TestRunAllGoalsParity:
-    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_matches_serial(self, monkeypatch, workers, reverse):
-        """Shard order cannot show, not even with the shard results
-        reversed: the fold takes the minimum of rank keys that end in
-        the design's rank in the space, and sums the feasible counts."""
-        if reverse:
-            monkeypatch.setattr(explorer_module, "run_sharded",
-                                lambda *a, **k: run_sharded(*a, **k)[::-1])
-
+    def test_parallel_matches_serial(self, workers):
         def run(jobs):
             results = ExhaustiveExplorer(
                 adder_mod_q(), DesignContext(masking_order=1)
@@ -115,15 +107,32 @@ class TestLocalSearchParity:
 class TestCampaignParity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_collapsed_profile_identical(self, workers):
-        """Canonical JSON, PERF totals and collapsed stacks of a sharded
-        campaign are the serial ones: worker spans bring their events
-        home, so every event lands on the same call path."""
+        """Canonical JSON, PERF totals, collapsed stacks and span attrs
+        of a sharded campaign are the serial ones: worker spans bring
+        their events and attrs home, so every event lands on the same
+        call path and every run span reads as in a serial run."""
+        spans = []             # traced arms: (run attrs, outcome totals)
+
         def run(jobs):
-            return standard_campaign(seed=11, injections=48,
-                                     jobs=jobs).canonical_json().encode()
+            result = standard_campaign(seed=11, injections=48, jobs=jobs)
+            records = TELEMETRY.tracer.snapshot()
+            if records:
+                (campaign,) = [r["attrs"] for r in records
+                               if r["name"] == "faults.campaign"]
+                spans.append((
+                    [(r["attrs"]["scenario"], r["attrs"]["outcome"],
+                      r["attrs"]["fired"]) for r in records
+                     if r["name"] == "faults.campaign.run"],
+                    {key: value for key, value in campaign.items()
+                     if key.startswith("outcome.")}))
+            return result.canonical_json().encode()
 
         arms = assert_parity(run, variants=("jobs", "traced"),
                              workers=workers)
+        (runs, totals), *sharded = spans
+        assert sharded == ([(runs, totals)] if fork_available() else [])
+        assert len(runs) == sum(totals.values()) == 48
+        assert any(fired for _, _, fired in runs)
         stacks = arms["traced"]["collapsed"]
         assert stacks.count("\n") > 20
         assert "faults.campaign.run" in stacks

@@ -6,16 +6,11 @@ import os
 import pytest
 
 from repro.faults import campaign as campaign_module
-from repro.faults.campaign import standard_campaign
 from repro.obs import PERF
 from repro.runtime import Memo, run_sharded
 
 from parity import assert_parity
-
-
-def _campaign(jobs) -> bytes:
-    return standard_campaign(seed=11, injections=60,
-                             jobs=jobs).canonical_json().encode()
+from test_fault_campaign import _campaign
 
 
 def test_process_id_in_output_fails_jobs():
@@ -44,7 +39,9 @@ def test_hit_without_perf_replay_fails_warm(monkeypatch):
 
 def test_reversed_shard_results_fail_jobs(monkeypatch):
     """A campaign concatenates its shards' run records in shard order
-    (without fork, the harness skips: ``jobs`` is the only arm)."""
+    (without fork, the harness skips: ``jobs`` is the only arm).  An
+    exhaustive fold cannot fail here: it takes the minimum of rank keys
+    that end in the design's rank, and sums the feasible counts."""
     monkeypatch.setattr(campaign_module, "run_sharded",
                         lambda *a, **k: run_sharded(*a, **k)[::-1])
     with pytest.raises(AssertionError, match="jobs arm: output"):

@@ -85,23 +85,19 @@ def test_counters_inc_count_snapshot_delta():
     assert counters.enabled               # reset keeps the switch
 
 
-def test_counting_window_restores_switch_state():
-    was_enabled = PERF.enabled
-    PERF.enabled = False
-    try:
-        with counting() as window:
-            assert PERF.enabled
-            PERF.inc("test.inside")
-            assert isinstance(window, CountingWindow)
-        assert not PERF.enabled
-        assert window.delta() == {"test.inside": 1}
-        # nested: an already-enabled counter stays enabled afterwards
-        PERF.enabled = True
-        with counting():
-            pass
+def test_counting_window_restores_switch_state(monkeypatch):
+    monkeypatch.setattr(PERF, "enabled", False)
+    with counting() as window:
         assert PERF.enabled
-    finally:
-        PERF.enabled = was_enabled
+        PERF.inc("test.inside")
+        assert isinstance(window, CountingWindow)
+    assert not PERF.enabled
+    assert window.delta() == {"test.inside": 1}
+    # nested: an already-enabled counter stays enabled afterwards
+    PERF.enabled = True
+    with counting():
+        pass
+    assert PERF.enabled
 
 
 def test_global_counting_window_is_scoped_to_block():

@@ -99,7 +99,7 @@ def _tags(probe, driver: str) -> dict:
     production driver and nothing runs as tier-1."""
     (probe / "drive.py").write_text(textwrap.dedent(driver))
     prod, tested = reachability.record(
-        [({}, [sys.executable, "drive.py"])],
+        [({}, [sys.executable, "drive.py"], False)],
         probe / "src", probe)
     src = probe / "src"
     keys = {*reachability.defined_functions(src),
@@ -118,7 +118,7 @@ def test_records_calls_inside_benchmark_pedantic(probe):
         """))
     argv = [sys.executable, "-m", "pytest", "-q", "-p",
             "no:cacheprovider", "test_probe.py"]
-    seen, _ = reachability.record([({}, argv)], probe / "src", probe)
+    seen, _ = reachability.record([({}, argv, False)], probe / "src", probe)
     assert "probe.py:everywhere" in seen
     assert "probe.py:only_in_pedantic" in seen
 
@@ -135,7 +135,7 @@ def test_records_calls_inside_forked_workers(probe):
         assert run_sharded(probe.only_in_worker, None, [0, 1],
                            jobs=2) == [0, 1]
         """))
-    seen, _ = reachability.record([({}, [sys.executable, "drive.py"])],
+    seen, _ = reachability.record([({}, [sys.executable, "drive.py"], False)],
                                   probe / "src", probe)
     assert "probe.py:everywhere" in seen
     assert "probe.py:only_in_worker" in seen
@@ -197,14 +197,14 @@ def test_helper_only_a_tests_module_calls_is_not_prod(probe):
     assert tags["probe.py:knob"] == "test-only"
 
 
-def test_broken_example_refuses_the_ledger(probe):
-    """An example that exits 1 refuses the ledger; the probe's
-    ``drive.py`` is not one of the drivers that must pass."""
-    (probe / "examples").mkdir()
-    drivers = [({}, [sys.executable, path]) for path in
-               ("drive.py", "examples/broken.py")]
-    for _, (_, path) in drivers:
-        (probe / path).write_text("import probe\nraise SystemExit(1)\n")
-    reachability.record(drivers[:1], probe / "src", probe)
-    with pytest.raises(SystemExit, match="examples/broken.py exited"):
-        reachability.record(drivers, probe / "src", probe)
+def test_broken_driver_that_must_pass_refuses_the_ledger(probe):
+    """A driver that exits 1 refuses the ledger when it must pass, as
+    every example must, and not when it only reports."""
+    (probe / "drive.py").write_text("import probe\nraise SystemExit(1)\n")
+    argv = [sys.executable, "drive.py"]
+    reachability.record([({}, argv, False)], probe / "src", probe)
+    with pytest.raises(SystemExit, match="drive.py exited"):
+        reachability.record([({}, argv, True)], probe / "src", probe)
+    assert all(must_pass for _, argv, must_pass
+               in reachability.production_drivers()
+               if argv[1].startswith("examples/"))

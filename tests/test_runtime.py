@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FAULTS, FaultSpec
+from repro.faults import FaultSpec
 from repro.faults.models import BIT_FLIP
 from repro.obs import TELEMETRY
 from repro.obs.perf import PERF, counting
@@ -13,22 +13,17 @@ from repro.runtime import executor
 from repro.runtime.capture import capture_begin, capture_end
 from repro.runtime.memo import bypassed
 
-from helpers import reset_telemetry
-from parity import assert_parity
+from helpers import injected, traced
+from parity import POOL_EVENTS, assert_parity
 
 
 @pytest.fixture
 def enabled_obs():
     """Both observability facades on, clean, restored afterwards."""
-    was_perf, was_tel = PERF.enabled, TELEMETRY.enabled
-    PERF.enabled = True
-    PERF.reset()
-    TELEMETRY.enabled = True
-    reset_telemetry()
-    yield
-    PERF.reset()
-    reset_telemetry()
-    PERF.enabled, TELEMETRY.enabled = was_perf, was_tel
+    with traced(), counting():
+        PERF.reset()
+        yield
+        PERF.reset()
 
 
 class TestChunkBounds:
@@ -193,6 +188,15 @@ class TestRunSharded:
         assert arms["reference"]["perf"] == {"test.work": 20}
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_pool_counters_tick(self):
+        """A sharded run counts its pool and its shards: the events the
+        parity harness leaves out of every comparison."""
+        with counting() as window:
+            run_sharded(_counting_worker, None, chunk_bounds(20, 4), jobs=2)
+        assert {event: window.delta().get(event) for event in POOL_EVENTS} \
+            == {"runtime.pools": 1, "runtime.shards": 4}
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_capture_ships_perf_and_spans_only(self, enabled_obs):
         """A task's capture carries its PERF delta and its spans, and
         nothing else (audit bodies only when the ledger is on)."""
@@ -271,19 +275,12 @@ class TestMemo:
     def test_bypass_rule(self):
         """Armed FAULTS or active telemetry bypass a cache over fault
         hook sites and timed spans; neither leaves it on."""
-        was_enabled = TELEMETRY.enabled
-        try:
-            TELEMETRY.enabled = False
+        with traced(False):
             assert not bypassed()
-            FAULTS.arm(FaultSpec("test.site", BIT_FLIP))
-            try:
+            with injected(FaultSpec("test.site", BIT_FLIP)):
                 assert bypassed()
-            finally:
-                FAULTS.disarm()
-            TELEMETRY.enabled = True
+        with traced():
             assert bypassed()
-        finally:
-            TELEMETRY.enabled = was_enabled
 
     # -- get_or_build: the replaying path of process-wide memos --------
 
@@ -296,20 +293,12 @@ class TestMemo:
             return len(builds)
         return build
 
-    @staticmethod
-    def _perf_off(fn):
-        was_enabled = PERF.enabled
-        PERF.enabled = False
-        try:
-            return fn()
-        finally:
-            PERF.enabled = was_enabled
-
-    def test_get_or_build_miss_then_hit(self):
+    def test_get_or_build_miss_then_hit(self, monkeypatch):
         memo, builds = Memo(maxsize=8), []
         build = self._builder(builds)
-        assert self._perf_off(lambda: memo.get_or_build("k", build)) == 1
-        assert self._perf_off(lambda: memo.get_or_build("k", build)) == 1
+        monkeypatch.setattr(PERF, "enabled", False)
+        assert memo.get_or_build("k", build) == 1
+        assert memo.get_or_build("k", build) == 1
         assert builds == [1]
         assert (memo.hits, memo.misses) == (1, 1)
 
@@ -336,10 +325,11 @@ class TestMemo:
         assert cold_delta == {"test.memo.builds": 1}
         assert warm.delta() == cold_delta
 
-    def test_get_or_build_rebuilds_perf_off_entry(self):
+    def test_get_or_build_rebuilds_perf_off_entry(self, monkeypatch):
         memo, builds = Memo(maxsize=8), []
         build = self._builder(builds)
-        self._perf_off(lambda: memo.get_or_build("k", build))
+        monkeypatch.setattr(PERF, "enabled", False)
+        memo.get_or_build("k", build)
         with counting() as first:
             assert memo.get_or_build("k", build) == 2
         first_delta = first.delta()

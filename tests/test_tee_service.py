@@ -13,19 +13,19 @@ between a serial drain and a sharded one.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from repro.faults.injector import FAULTS, FaultSpec
+from repro.faults.injector import FaultSpec
 from repro.faults.models import BIT_FLIP
-from repro.obs import TELEMETRY
-from repro.obs.audit import AUDIT, canonical_encode, verify_records
+from repro.obs.audit import canonical_encode, verify_records
 from repro.obs.perf import counting
 from repro.tee import AttestationService, build_tee, verify_report
 from repro.tee.attestation import AttestationReport
 
-from helpers import injected, reset_telemetry
-from parity import assert_parity
+from helpers import injected, traced
+from parity import assert_parity, capture
 
 
 @pytest.fixture(scope="module")
@@ -147,21 +147,14 @@ class TestSessionCache:
         request = [("cl0", fleet["cl_reports"][0])]
         clean = svc.process(request, jobs=1)    # warm the cache
         hits_before = svc.cache_stats()["hits"]
-        was_enabled = TELEMETRY.enabled
-        TELEMETRY.enabled = True
-        reset_telemetry()
-        try:
-            traced = svc.process(request, jobs=1)
-            names = {record["name"]
-                     for record in TELEMETRY.tracer.snapshot()}
-        finally:
-            reset_telemetry()
-            TELEMETRY.enabled = was_enabled
+        with traced() as tracer:
+            lit = svc.process(request, jobs=1)
+            names = {record["name"] for record in tracer.snapshot()}
         # Subscribed runs verify for real — timed spans cannot be
         # replayed from the cache — yet mint identical bytes.
         assert "tee.service.batch" in names
         assert "crypto.ed25519.verify_batch" in names
-        assert _verdict_bytes(traced) == _verdict_bytes(clean)
+        assert _verdict_bytes(lit) == _verdict_bytes(clean)
         assert svc.cache_stats()["hits"] == hits_before
 
     def test_armed_faults_bypass_cache(self, fleet):
@@ -169,11 +162,8 @@ class TestSessionCache:
         request = [("cl0", fleet["cl_reports"][1])]
         clean = svc.process(request, jobs=1)    # warm the cache
         stats_before = svc.cache_stats()
-        FAULTS.arm(FaultSpec("tee.bootrom.measure", BIT_FLIP, bit=0))
-        try:
+        with injected(FaultSpec("tee.bootrom.measure", BIT_FLIP, bit=0)):
             armed = svc.process(request, jobs=1)
-        finally:
-            FAULTS.disarm()
         # The armed drain must neither consult nor repopulate the
         # cache; no corruption site fires in verification, so the
         # verdict bytes still match.
@@ -303,17 +293,12 @@ class TestServiceParity:
         assert_parity(run)
 
     def test_audit_stream_contents(self, fleet):
-        svc = _service(fleet, max_batch=2)
-        was_audit = AUDIT.enabled
-        AUDIT.reset()
-        AUDIT.enable()
-        try:
-            svc.process([("cl0", fleet["cl_reports"][0]),
-                         ("ghost", fleet["cl_reports"][0])], jobs=1)
-            records = AUDIT.export_records()
-        finally:
-            AUDIT.reset()
-            AUDIT.enabled = was_audit
+        def run(jobs):
+            return _service(fleet, max_batch=2).process(
+                [("cl0", fleet["cl_reports"][0]),
+                 ("ghost", fleet["cl_reports"][0])], jobs=jobs)
+
+        records = json.loads(capture(run, audited=True)["audit"])
         kinds = [r["kind"] for r in records if "kind" in r]
         assert "batch-verified" in kinds
         assert "request-rejected" in kinds
