@@ -16,23 +16,25 @@ synthesis-backed predictor, so the absolute times are orders of
 magnitude smaller; the *shape* — configuration counts exact, runtime
 growing with space size, Kyber-CCA dominating everything — is the
 reproduction target.
+
+``results/table1_pruned`` times the Kyber-CCA fold against the frozen
+unpruned goal reduction of ``tests/hades_reference.py``, in the same
+process.  It is the one speed gate of the fold: a fold whose lane
+columns are forced as they are built fails it too.
 """
 
-import itertools
-import operator
 import statistics
 
 import pytest
 
 from repro.hades import DesignContext, ExhaustiveExplorer, \
     OptimizationGoal
-from repro.hades import explorer as explorer_module
-from repro.hades import template as template_module
 from repro.hades.library import TABLE_I_ROWS
 from repro.obs import PERF, TELEMETRY
 from repro.runtime import available_cpus
 
 from conftest import median_ratio, paired_rounds, write_table
+from hades_reference import fold_outcome, unpruned
 
 PAPER_SECONDS = {
     "Keccak": 0.5, "AdderModQ": 0.7,
@@ -52,23 +54,16 @@ PARALLEL_JOBS = 4
 SPEEDUP_FLOOR = 1.5
 PARALLEL_ROUNDS = 3
 
-#: The Kyber-CCA AREA fold (the ``dse-exhaustive`` bench op) over lazy
-#: lane columns against the same fold over the frozen eager column
-#: below: the median of ``LAZY_ROUNDS`` interleaved rounds' paired
-#: eager/lazy ratios, telemetry and PERF off.  A same-process ratio,
-#: so asserted on every machine.  Six runs read 2.29-2.88x on a 2-vCPU
-#: x86-64 KVM guest, and four runs of the lazy column forced at
-#: construction read 0.97-1.09x there.
-LAZY_FLOOR = 1.6
-LAZY_ROUNDS = 5
-
-#: The same Kyber-CCA AREA fold, pruned by lane-column floors, against
-#: the frozen unpruned goal reduction below over the same lazy
+#: The Kyber-CCA AREA fold (the ``dse-exhaustive`` bench op), pruned by
+#: lane-column floors, against the same fold by the frozen unpruned
+#: goal reduction of ``tests/hades_reference.py`` over the same lazy
 #: columns: the median of ``PRUNE_ROUNDS`` interleaved rounds' paired
 #: unpruned/pruned ratios, telemetry and PERF off.  A same-process
-#: ratio, so asserted on every machine.  Nine runs read 7.05-10.78x on
-#: a 2-vCPU x86-64 KVM guest; five runs of a floor that is always
-#: ``-inf`` (a fold that never prunes) read 0.90-1.11x there.
+#: ratio, so asserted on every machine.  Ten runs read 8.70-11.56x on a
+#: 2-vCPU x86-64 KVM guest.  Five runs of a floor that is always
+#: ``-inf`` (a fold that never prunes) read 0.90-1.11x there, and ten
+#: runs of lane columns forced as they are built (no lazy columns)
+#: 0.96-1.28x.
 PRUNE_FLOOR = 4.0
 PRUNE_ROUNDS = 5
 
@@ -80,140 +75,6 @@ TABLE_ROUNDS = 3
 _measured = {}
 _serial_results = {}
 
-
-# -- frozen reference: the eager lane column ------------------------------
-
-def _eager_nonneg(value) -> bool:
-    """True when no lane of ``value`` (a column or a scalar) is below 0."""
-    return value.nonneg if type(value) is _EagerColumn else not value < 0
-
-
-class _EagerColumn:
-    """The exhaustive fold's lane column before lazy evaluation: every
-    ``+``, ``*`` and ``/`` computes its lanes at once, and ``x < 0`` on
-    a non-negative column builds a lane list of ``False``."""
-
-    __slots__ = ("lanes", "nonneg")
-
-    def __init__(self, lanes: list, nonneg: bool = False):
-        self.lanes = lanes
-        self.nonneg = nonneg
-
-    def __add__(self, other):
-        nonneg = self.nonneg and _eager_nonneg(other)
-        if type(other) is _EagerColumn:
-            return _EagerColumn(list(map(operator.add, self.lanes,
-                                         other.lanes)), nonneg)
-        return _EagerColumn([x + other for x in self.lanes], nonneg)
-
-    def __radd__(self, other):
-        return _EagerColumn([other + x for x in self.lanes],
-                            self.nonneg and not other < 0)
-
-    def __mul__(self, other):
-        nonneg = self.nonneg and _eager_nonneg(other)
-        if type(other) is _EagerColumn:
-            return _EagerColumn(list(map(operator.mul, self.lanes,
-                                         other.lanes)), nonneg)
-        return _EagerColumn([x * other for x in self.lanes], nonneg)
-
-    def __rmul__(self, other):
-        return _EagerColumn([other * x for x in self.lanes],
-                            self.nonneg and not other < 0)
-
-    def __truediv__(self, other):
-        nonneg = self.nonneg and _eager_nonneg(other)
-        if type(other) is _EagerColumn:
-            return _EagerColumn(list(map(operator.truediv, self.lanes,
-                                         other.lanes)), nonneg)
-        return _EagerColumn([x / other for x in self.lanes], nonneg)
-
-    def __lt__(self, other):
-        if type(other) is not _EagerColumn and self.nonneg and other <= 0:
-            return _EagerColumn([False] * len(self.lanes))
-        others = other.lanes if type(other) is _EagerColumn \
-            else itertools.repeat(other)
-        return _EagerColumn(list(map(operator.lt, self.lanes, others)))
-
-    __hash__ = None
-
-    def __bool__(self):
-        if all(self.lanes):
-            return True
-        if not any(self.lanes):
-            return False
-        raise TypeError(
-            "lanes disagree on a branch: a cost model must not branch "
-            "on a sub-template metric")
-
-
-#: The frozen eager fold's lane column, which :func:`eager` swaps in
-#: for ``repro.hades.template._Column``.
-EAGER = _EagerColumn
-
-
-# -- frozen reference: the unpruned goal reduction ------------------------
-
-class _UnprunedReduction:
-    """The exhaustive fold's goal reduction before lower-bound pruning:
-    it computes every chunk's score lanes and takes their minimum
-    before it can tell that the chunk loses, and it ranks every lane
-    of a chunk whose scores all tie with the best."""
-
-    __slots__ = ("goal", "best_key", "best")
-
-    def __init__(self, goal):
-        self.goal = goal
-        self.best_key = None
-        self.best = None
-
-    @staticmethod
-    def _rank_key(chunk, scores, lane):
-        metrics = chunk.metrics
-        area = metrics.area_kge.lanes[lane]
-        return (scores[lane], area * metrics.latency_cc.lanes[lane], area,
-                chunk.rank(lane))
-
-    def fold(self, chunk):
-        scores = self.goal.score(chunk.metrics).lanes
-        low = min(scores)
-        if self.best_key is not None and low > self.best_key[0]:
-            return
-        key, lane = min((self._rank_key(chunk, scores, lane), lane)
-                        for lane, score in enumerate(scores)
-                        if score == low)
-        if self.best_key is None or key < self.best_key:
-            self.best_key, self.best = key, chunk.design(lane)
-
-    def dump(self):
-        return self.best_key, self.best
-
-
-#: The frozen unpruned goal reduction, which :func:`unpruned` swaps in
-#: for ``repro.hades.explorer._GoalReduction``.
-UNPRUNED = _UnprunedReduction
-
-
-def unpruned(run):
-    """``run()`` with the frozen unpruned goal reduction, over the
-    production lane columns (forked workers inherit the swap)."""
-    saved = explorer_module._GoalReduction
-    explorer_module._GoalReduction = UNPRUNED
-    try:
-        return run()
-    finally:
-        explorer_module._GoalReduction = saved
-
-
-def eager(run):
-    """``run()`` over the frozen eager lane column, folded by the frozen
-    unpruned reduction it was measured with (the eager column has no
-    ``floor``)."""
-    saved, template_module._Column = template_module._Column, EAGER
-    try:
-        return unpruned(run)
-    finally:
-        template_module._Column = saved
 
 SMALL_ROWS = [row for row in TABLE_I_ROWS if row[2] <= 50_000]
 LARGE_ROWS = [row for row in TABLE_I_ROWS if row[2] > 50_000]
@@ -254,7 +115,7 @@ def test_exhaustive_dse_runtime_large(benchmark, name, factory,
 
 
 def _goal_outcomes(results: dict) -> list:
-    return [(goal, _outcome(result)) for goal, result in results.items()]
+    return [(goal, fold_outcome(result)) for goal, result in results.items()]
 
 
 def test_exhaustive_dse_parallel_speedup(benchmark, report_dir):
@@ -283,7 +144,7 @@ def test_exhaustive_dse_parallel_speedup(benchmark, report_dir):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.explored == expected
     assert result.jobs == PARALLEL_JOBS
-    assert _outcome(result) == _outcome(serial)
+    assert fold_outcome(result) == fold_outcome(serial)
 
     outputs = {}
 
@@ -345,23 +206,14 @@ def test_report_table1(benchmark, report_dir):
     assert times[-1] > 10 * times[0]
 
 
-def _outcome(result) -> tuple:
-    """What a fold decides, each metric with its type."""
-    metrics = result.best.metrics
-    return (result.explored, result.feasible, result.best.configuration,
-            [(value, type(value)) for value in (
-                metrics.area_kge, metrics.latency_cc,
-                metrics.randomness_bits)])
-
-
-def _fold_gate(report_dir, artifact, title, header, arms, rounds,
-               floor):
-    """The Kyber-CCA AREA fold at d=1 through each of two ``arms``
-    (``{label: wrapper}``, the reference first; a wrapper calls the
-    fold it is given), in one process over ``rounds`` interleaved
+def test_pruned_fold_beats_unpruned_reference(benchmark, report_dir):
+    """The Kyber-CCA AREA fold at d=1 pruned by lane-column floors
+    against the same fold by the frozen unpruned reduction, over the
+    same lazy columns, in one process over ``PRUNE_ROUNDS`` interleaved
     rounds (:func:`~conftest.paired_rounds`), telemetry and PERF off,
     each fold cold on a fresh template: the same outcome, and the
-    median of the rounds' reference/other ratios reaches ``floor``."""
+    median of the rounds' unpruned/pruned ratios reaches
+    ``PRUNE_FLOOR``."""
     name, factory, expected = LARGE_ROWS[0]
     outputs = {}
 
@@ -376,46 +228,27 @@ def _fold_gate(report_dir, artifact, title, header, arms, rounds,
     was_enabled = TELEMETRY.enabled, PERF.enabled
     TELEMETRY.enabled = PERF.enabled = False
     try:
-        walls = paired_rounds({label: arm(label, wrapper)
-                               for label, wrapper in arms.items()}, rounds)
+        walls = paired_rounds({"unpruned": arm("unpruned", unpruned),
+                               "pruned": arm("pruned", lambda run: run())},
+                              PRUNE_ROUNDS)
     finally:
         TELEMETRY.enabled, PERF.enabled = was_enabled
-    reference, other = arms
-    assert _outcome(outputs[other]) == _outcome(outputs[reference])
+    assert fold_outcome(outputs["pruned"]) == \
+        fold_outcome(outputs["unpruned"])
 
-    ratio = median_ratio(walls[reference], walls[other])
-    median = {label: statistics.median(walls[label]) for label in arms}
+    ratio = median_ratio(walls["unpruned"], walls["pruned"])
+    median = {label: statistics.median(walls[label]) for label in walls}
     write_table(
-        report_dir, artifact,
+        report_dir, "table1_pruned",
         f"Table I: {name} ({expected} configurations) area fold, d=1, "
-        f"{title} ({rounds} interleaved rounds, speedup = median of the "
-        f"rounds' {reference}/{other} ratios; identical outcome)",
-        [header, "median wall", "designs/s", "speedup", "floor"],
-        [[f"{reference} reference", f"{median[reference] * 1e3:.1f} ms",
-          f"{expected / median[reference]:,.0f}", "1.00x", "-"],
-         [other, f"{median[other] * 1e3:.1f} ms",
-          f"{expected / median[other]:,.0f}", f"{ratio:.2f}x",
-          f">= {floor:.1f}x"]])
-    assert ratio >= floor, (walls, ratio)
-
-
-def test_lazy_columns_beat_eager_reference(benchmark, report_dir):
-    """The Kyber-CCA AREA fold over lazy lane columns against the same
-    fold over the frozen eager column, both folded by the frozen
-    unpruned reduction (:func:`_fold_gate`, ``LAZY_FLOOR``)."""
-    _fold_gate(report_dir, "table1_lazy",
-               "unpruned, lazy vs frozen eager lane columns", "columns",
-               {"eager": eager, "lazy": unpruned}, LAZY_ROUNDS, LAZY_FLOOR)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_pruned_fold_beats_unpruned_reference(benchmark, report_dir):
-    """The Kyber-CCA AREA fold pruned by lane-column floors against the
-    same fold by the frozen unpruned reduction, over the same lazy
-    columns (:func:`_fold_gate`, ``PRUNE_FLOOR``)."""
-    _fold_gate(report_dir, "table1_pruned",
-               "lazy columns, pruned by floors vs the frozen unpruned "
-               "reduction", "fold",
-               {"unpruned": unpruned, "pruned": lambda run: run()},
-               PRUNE_ROUNDS, PRUNE_FLOOR)
+        f"lazy columns, pruned by floors vs the frozen unpruned "
+        f"reduction ({PRUNE_ROUNDS} interleaved rounds, speedup = median "
+        f"of the rounds' unpruned/pruned ratios; identical outcome)",
+        ["fold", "median wall", "designs/s", "speedup", "floor"],
+        [["unpruned reference", f"{median['unpruned'] * 1e3:.1f} ms",
+          f"{expected / median['unpruned']:,.0f}", "1.00x", "-"],
+         ["pruned", f"{median['pruned'] * 1e3:.1f} ms",
+          f"{expected / median['pruned']:,.0f}", f"{ratio:.2f}x",
+          f">= {PRUNE_FLOOR:.1f}x"]])
+    assert ratio >= PRUNE_FLOOR, (walls, ratio)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -13,10 +13,11 @@ while no ``tests/`` frame is on its thread's stack, so a test oracle a
 bench imports (``tests/crypto_reference.py``) reaches nothing
 production.  It writes no ledger, and ``--check`` fails, when an
 example, a ``bench/run.py`` workload or a ``*_report.py`` script exits
-non-zero: a broken driver would silently shrink ``prod``.  The two
-``pytest benchmarks`` drivers and the ``bench_history.py`` ones only
-report their exits: under the profiler those depend on timing gates and
-on the history file::
+non-zero: a broken driver would silently shrink ``prod``.  Tier-1 must
+pass too, or a failing test's reach would drop silently from the
+``test-only`` tags.  The two ``pytest benchmarks`` drivers and the
+``bench_history.py`` ones only report their exits: under the profiler
+those depend on timing gates and on the history file::
 
     python scripts/reachability.py          # rewrite reachability.txt
     python scripts/reachability.py --check  # no tier-1; exit 1 on an
@@ -138,6 +139,10 @@ atexit.register(_dump)
 '''
 
 PYTEST = (sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider")
+
+#: Tier-1, the driver whose reach is tagged ``test-only``; it must pass.
+TIER_1 = ({}, [*PYTEST, "tests"], True)
+
 FAST_BENCHES = ("fig1_cim_clustering", "fig3_rtos_pmp", "framework",
                 "fault_campaign", "table1_dse_runtime", "crypto_primitives",
                 "crypto_batch", "cim_passive", "cim_higher_order",
@@ -294,8 +299,7 @@ def main(argv) -> int:
         prod, tested = record(production_drivers(), copy / "src", copy)
         if not check:
             print("tier-1:", flush=True)
-            tested = tested.union(*record([({}, [*PYTEST, "tests"], False)],
-                                          copy / "src", copy))
+            tested = tested.union(*record([TIER_1], copy / "src", copy))
     lines, unallowed, totals = [], [], {}
     for key, tag in tags(keys, prod, tested).items():
         kind = "functions" if key in functions else "parameters"

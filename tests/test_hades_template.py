@@ -1,7 +1,6 @@
 """Tests for the HADES template system, metrics and masking models."""
 
 import dataclasses
-import importlib
 import itertools
 import os
 import pickle
@@ -23,6 +22,8 @@ from repro.hades.template import _Column
 from repro.hades.library import TABLE_I_ROWS, kyber_cca
 from repro.runtime import Memo
 
+import hades_reference
+from hades_reference import fold_outcome
 from helpers import search_outcome
 from parity import assert_parity
 
@@ -391,7 +392,7 @@ class TestDesignIndex:
                 return search_outcome(template, context, 9, 4, jobs)
 
             def fold(template):
-                return _fold_outcome(ExhaustiveExplorer(
+                return fold_outcome(ExhaustiveExplorer(
                     template, context).run(OptimizationGoal.AREA, jobs=jobs))
 
             template, folded = kyber_cca(), kyber_cca()
@@ -488,31 +489,9 @@ class TestConfigurationHash:
         assert template.evaluate(unpickled, context) == metrics
 
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-
-
-@pytest.fixture(scope="module")
-def table1_bench():
-    """The Table I bench module, which holds the frozen eager lane
-    column (``EAGER``) and ``eager(run)``, a call with it swapped in."""
-    sys.path.insert(0, str(BENCHMARKS))
-    try:
-        return importlib.import_module("bench_table1_dse_runtime")
-    finally:
-        sys.path.remove(str(BENCHMARKS))
-
-
 #: The frozen unpruned fold's outcomes by (template, masking order),
 #: shared by the ``entry`` cases.
 _UNPRUNED_OUTCOMES = {}
-
-
-def _fold_outcome(result) -> tuple:
-    metrics = result.best.metrics
-    return (result.explored, result.feasible, result.best.configuration,
-            [(value, type(value)) for value in (
-                metrics.area_kge, metrics.latency_cc,
-                metrics.randomness_bits)])
 
 
 def _recording(template):
@@ -543,8 +522,8 @@ class TestLazyColumns:
     @pytest.mark.parametrize("order", (0, 1, 2))
     @pytest.mark.parametrize("name,factory,count", TABLE_I_ROWS,
                              ids=[row[0] for row in TABLE_I_ROWS])
-    def test_folds_match_frozen_eager_fold(self, table1_bench, name,
-                                           factory, count, order):
+    def test_folds_match_frozen_eager_fold(self, name, factory, count,
+                                           order):
         explorer = ExhaustiveExplorer(
             factory(), DesignContext(masking_order=order))
         # Kyber-CCA's per-goal runs (seconds each) are covered by its
@@ -553,22 +532,22 @@ class TestLazyColumns:
             else [OptimizationGoal.AREA]
         if order == 0:
             goals = [goal for goal in goals if not goal.needs_masking]
-        eager = table1_bench.eager(
+        eager = hades_reference.eager(
             lambda: explorer.run_all_goals(jobs=1))
         lazy = explorer.run_all_goals(jobs=1)
         assert list(lazy) == list(eager)
         for goal in lazy:
-            assert _fold_outcome(lazy[goal]) == _fold_outcome(eager[goal])
+            assert fold_outcome(lazy[goal]) == fold_outcome(eager[goal])
         for goal in goals:
-            assert _fold_outcome(explorer.run(goal, jobs=1)) == \
-                _fold_outcome(eager[goal])
+            assert fold_outcome(explorer.run(goal, jobs=1)) == \
+                fold_outcome(eager[goal])
 
     @pytest.mark.parametrize("entry", ("run_all_goals", "run"))
     @pytest.mark.parametrize("order", (0, 1, 2))
     @pytest.mark.parametrize("name,factory,count", TABLE_I_ROWS,
                              ids=[row[0] for row in TABLE_I_ROWS])
     def test_pruned_fold_matches_frozen_unpruned_fold(
-            self, table1_bench, name, factory, count, order, entry):
+            self, name, factory, count, order, entry):
         """Pruning skips only lanes proven to lose: every goal's
         outcome, from one fold over all goals or from a fold per goal,
         is the frozen unpruned fold's, serial and sharded."""
@@ -577,8 +556,8 @@ class TestLazyColumns:
         key = name, order
         if key not in _UNPRUNED_OUTCOMES:
             _UNPRUNED_OUTCOMES[key] = {
-                goal: _fold_outcome(result) for goal, result in
-                table1_bench.unpruned(
+                goal: fold_outcome(result) for goal, result in
+                hades_reference.unpruned(
                     lambda: explorer.run_all_goals(jobs=1)).items()}
         unpruned = _UNPRUNED_OUTCOMES[key]
         goals = list(unpruned) if entry == "run_all_goals" or \
@@ -593,7 +572,7 @@ class TestLazyColumns:
             assert all(result.jobs == jobs and
                        result.evaluations == result.feasible
                        for result in pruned.values())
-            outcomes = {goal: _fold_outcome(result)
+            outcomes = {goal: fold_outcome(result)
                         for goal, result in pruned.items()}
             assert list(outcomes.items()) == \
                 [(goal, unpruned[goal]) for goal in goals]
@@ -699,13 +678,13 @@ class TestLazyColumns:
         if leaf_uses == 1:
             assert floor == min(lanes)
 
-    def test_nonneg_below_zero_reads_no_lane(self, table1_bench):
+    def test_nonneg_below_zero_reads_no_lane(self):
         """``x < 0`` on a non-negative column is ``False`` without a
         lane; every other comparison answers (or raises ``TypeError``)
         as the eager column does."""
         column = _Column([1.0, 2.0], True) * 3 + 1
         assert (column < 0) is False and column._lanes is None
-        eager = table1_bench.EAGER
+        eager = hades_reference.EAGER
         for nonneg in (True, False):
             for other in (0, -1, 1.5, 3, None, "x",
                           [0.5, 3.0], [1.0, 2.0], [3.0, 3.0]):
@@ -725,7 +704,7 @@ class TestLazyColumns:
         lambda p, s, c: Metrics(1.0, -2 * s["s"].latency_cc + 5.5),
         lambda p, s, c: Metrics(s["s"].area_kge + None, 1.0),
     ], ids=["branch", "negative-area", "negative-latency", "non-number"])
-    def test_errors_match_frozen_eager_fold(self, table1_bench, cost):
+    def test_errors_match_frozen_eager_fold(self, cost):
         """A branch on disagreeing lanes (``TypeError``), a negative
         lane (the lane replay's ``ValueError``) and a non-number scalar
         (``TypeError``) surface from the fold as they did eagerly."""
@@ -739,4 +718,4 @@ class TestLazyColumns:
 
         lazy = _raised(run)
         assert lazy is not None and lazy[0] in (TypeError, ValueError)
-        assert lazy == _raised(lambda: table1_bench.eager(run))
+        assert lazy == _raised(lambda: hades_reference.eager(run))

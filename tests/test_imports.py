@@ -101,7 +101,10 @@ def test_perf_replay_only_in_memo_and_shard_merge():
                for name in PERF_REPLAY_MODULES)
 
 
-REFERENCE_MODULE = "crypto_reference"
+#: The frozen oracles under ``tests/`` that the fast paths are pinned to.
+REFERENCE_MODULES = ("crypto_reference", "hades_reference")
+TESTS = Path(__file__).resolve().parent
+BENCHMARKS = TESTS.parent / "benchmarks"
 
 
 def _imported_modules(path, package):
@@ -122,9 +125,11 @@ def _imported_modules(path, package):
     return names
 
 
-def test_production_never_imports_reference_oracles():
-    """``tests/crypto_reference.py`` holds the frozen oracles the fast
-    paths are pinned to; only tests and benches may import it."""
+@pytest.mark.parametrize("reference", REFERENCE_MODULES)
+def test_production_never_imports_reference_oracles(reference):
+    """``tests/<reference>.py`` holds frozen oracles the fast paths are
+    pinned to; only tests and benches may import it."""
+    assert (TESTS / f"{reference}.py").is_file()
     src = Path(repro.__file__).resolve().parent.parent
     importers = []
     for path in sorted(src.glob("repro/**/*.py")):
@@ -134,13 +139,54 @@ def test_production_never_imports_reference_oracles():
         else:
             module = ".".join(parts)
             package = ".".join(parts[:-1])
-        if REFERENCE_MODULE in _imported_modules(path, package):
+        if reference in _imported_modules(path, package):
             importers.append(module)
     assert importers == []
     # the check sees the import forms production would use
     probe = src / "repro" / "crypto" / "hybrid.py"
     assert "repro.crypto.ed25519" in _imported_modules(probe,
                                                        "repro.crypto")
+
+
+def _reaches_benchmarks(path, bench_modules) -> bool:
+    """True when ``path`` imports a ``benchmarks/`` module (by statement
+    or by name string, as ``importlib.import_module`` takes it), or
+    touches ``sys.path`` in a file that names ``benchmarks``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    if (_imported_modules(path, "") | strings) & bench_modules:
+        return True
+    uses_path = any(
+        isinstance(node, ast.Attribute) and node.attr == "path"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        for node in ast.walk(tree))
+    return uses_path and any("benchmarks" in Path(string).parts
+                             for string in strings)
+
+
+def test_tests_never_reach_into_benchmarks(tmp_path):
+    """Tier-1 stands without ``benchmarks/``: no test module imports a
+    bench module or puts ``benchmarks/`` on ``sys.path``.  Oracles a
+    bench shares live under ``tests/``, and the benches import them
+    from there."""
+    bench_modules = {path.stem for path in BENCHMARKS.glob("*.py")}
+    assert len(bench_modules) > 1
+    offenders = [path.name for path in sorted(TESTS.glob("*.py"))
+                 if _reaches_benchmarks(path, bench_modules)]
+    assert offenders == []
+    # the check sees a bench import and a fixture that loads a bench
+    # module through ``sys.path``
+    imports = tmp_path / "imports.py"
+    imports.write_text("from bench_local_search import CONTEXT\n")
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(
+        "import sys\nfrom pathlib import Path\n"
+        "BENCHMARKS = Path(__file__).parent.parent / 'benchmarks'\n"
+        "sys.path.insert(0, str(BENCHMARKS))\n")
+    assert all(_reaches_benchmarks(probe, bench_modules)
+               for probe in (imports, fixture))
 
 
 def test_reference_oracles_left_the_package():

@@ -199,7 +199,7 @@ def test_helper_only_a_tests_module_calls_is_not_prod(probe):
 
 def test_broken_driver_that_must_pass_refuses_the_ledger(probe):
     """A driver that exits 1 refuses the ledger when it must pass, as
-    every example must, and not when it only reports."""
+    every example and tier-1 must, and not when it only reports."""
     (probe / "drive.py").write_text("import probe\nraise SystemExit(1)\n")
     argv = [sys.executable, "drive.py"]
     reachability.record([({}, argv, False)], probe / "src", probe)
@@ -208,3 +208,5 @@ def test_broken_driver_that_must_pass_refuses_the_ledger(probe):
     assert all(must_pass for _, argv, must_pass
                in reachability.production_drivers()
                if argv[1].startswith("examples/"))
+    _, argv, must_pass = reachability.TIER_1
+    assert must_pass and argv[-1] == "tests"
